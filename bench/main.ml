@@ -730,6 +730,35 @@ let bb_node_cap n = if n <= 6 then None else Some (500 * n)
    return byte-identical results (the cache only changes time), and
    [apply] never touches the cache, so [apply_s] stays a raw compaction
    measurement. *)
+(* The deterministic work counters of one instrumented, cache-free build
+   of a pack, under their BENCH_compact.json keys. *)
+let pack_counters env steps =
+  Amg_obs.Obs.enable ();
+  ignore (Optimize.apply env ~name:"pack" steps);
+  Amg_obs.Obs.disable ();
+  let c = Amg_obs.Obs.counter in
+  let r =
+    [
+      ("pairs_considered", c "compact.pairs_considered");
+      ("limits", c "compact.limits");
+      ("merge_limits", c "compact.merge_limits");
+      ("placements", c "compact.placements");
+      ("same_potential_merges", c "compact.same_potential_merges");
+      ("var_edge_shrinks", c "compact.var_edge_shrinks");
+      ("sindex_queries", c "sindex.queries");
+      ("sindex_scanned", c "sindex.scanned");
+      ("sindex_hits", c "sindex.hits");
+    ]
+  in
+  Amg_obs.Obs.reset ();
+  r
+
+(* The counters a compactor speed-up must leave unchanged: they count
+   placements and the constraints and merges found, not the candidates
+   examined to find them. *)
+let invariant_counters =
+  [ "placements"; "limits"; "merge_limits"; "same_potential_merges"; "var_edge_shrinks" ]
+
 let compact_scaling env =
   section "COMPACT-SCALING  apply / optimize_bb / optimize_local vs n";
   (* Settle the heap left behind by the preceding sections so the medians
@@ -772,27 +801,7 @@ let compact_scaling env =
            deterministic, so they diff cleanly across runs — unlike wall
            times.  Captured after the timing loops so the probes' cost
            never lands in the medians. *)
-        let counters =
-          Amg_obs.Obs.enable ();
-          ignore (Optimize.apply env ~name:"pack" steps);
-          Amg_obs.Obs.disable ();
-          let c = Amg_obs.Obs.counter in
-          let r =
-            [
-              ("pairs_considered", c "compact.pairs_considered");
-              ("limits", c "compact.limits");
-              ("merge_limits", c "compact.merge_limits");
-              ("placements", c "compact.placements");
-              ("same_potential_merges", c "compact.same_potential_merges");
-              ("var_edge_shrinks", c "compact.var_edge_shrinks");
-              ("sindex_queries", c "sindex.queries");
-              ("sindex_scanned", c "sindex.scanned");
-              ("sindex_hits", c "sindex.hits");
-            ]
-          in
-          Amg_obs.Obs.reset ();
-          r
-        in
+        let counters = pack_counters env steps in
         (n, t_apply, t_local_cold, t_local, r_local, evals, bb, counters))
       [ 4; 6; 8; 12 ]
   in
@@ -950,9 +959,10 @@ let write_bench_json compact_rows parallel_rows =
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (CI): `bench compact_scaling 4,6` re-runs the optimizer  *)
-(* rows for the given n and asserts the ratings match the committed    *)
-(* BENCH_compact.json exactly and that the prefix cache actually hits  *)
-(* for optimize_local.  Never rewrites the JSON; exits 1 on mismatch.  *)
+(* rows for the given n and asserts the ratings and the invariant work *)
+(* counters match the committed BENCH_compact.json exactly and that    *)
+(* the prefix cache actually hits for optimize_local.  Never rewrites  *)
+(* the JSON; exits 1 on mismatch.                                      *)
 (* ------------------------------------------------------------------ *)
 
 let find_sub s sub from =
@@ -1023,6 +1033,29 @@ let compact_smoke env ns =
             0
       in
       let steps = compact_steps env n in
+      let counters = pack_counters env steps in
+      List.iter
+        (fun key ->
+          let got = List.assoc key counters in
+          match float_after json key row with
+          | Some e when int_of_float e = got ->
+              Fmt.pr "  ok   n=%d %s = %d@." n key got
+          | e ->
+              incr failures;
+              Fmt.pr "  FAIL n=%d %s: committed %s, got %d@." n key
+                (match e with Some e -> Printf.sprintf "%.0f" e | None -> "absent")
+                got)
+        invariant_counters;
+      (* The candidate counters may move with the compactor's search
+         strategy; printed so a refresh of the committed rows is one
+         copy away. *)
+      Fmt.pr "  info n=%d %s@." n
+        (String.concat " "
+           (List.filter_map
+              (fun (k, v) ->
+                if List.mem k invariant_counters then None
+                else Some (Printf.sprintf "%s=%d" k v))
+              counters));
       let st0 = Pcache.stats (Pcache.default ()) in
       (* Twice: the second run must resume from the first one's prefixes. *)
       let _, r1, _, _ = Optimize.optimize_local env ~name:"pack" steps in

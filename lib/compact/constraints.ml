@@ -26,36 +26,62 @@ let classify rules ?(ignore_layers = []) la lb =
     space = Rules.space rules la lb;
   }
 
-(* Classify a pair given its layers' [pair_class].  [ignore_layers] (folded
-   into [cls.ignored]) is the compaction call's "layers which are not
-   relevant during this compaction step" (§2.5): their same-layer spacing
-   is waived because the geometries will be merged/connected.  Cross-layer
-   rules always hold (they are what stops the mover). *)
-let relation_cls cls (a : Shape.t) (b : Shape.t) =
+(* Classify a pair given its layers' [pair_class], as an int so the
+   compactor's inner loop allocates nothing: [unconstrained] and
+   [mergeable] are the two smallest ints, any other value is a separation
+   distance (a deck may even carry a negative one).
+   [ignore_layers] (folded into [cls.ignored]) is the compaction call's
+   "layers which are not relevant during this compaction step" (§2.5):
+   their same-layer spacing is waived because the geometries will be
+   merged/connected.  Cross-layer rules always hold (they are what stops
+   the mover). *)
+type code = int
+
+let unconstrained = min_int
+let mergeable = min_int + 1
+
+(* Written against the record fields directly: the compactor's inner loop
+   calls this once per candidate pair. *)
+let code_cls cls (a : Shape.t) (b : Shape.t) =
+  let same_net =
+    match (a.net, b.net) with
+    | Some na, Some nb -> String.equal na nb
+    | _ -> false
+  in
   if cls.same_layer then
-    if Shape.same_net a b || cls.ignored then Mergeable
-    else
-      match cls.space with Some d -> Separation d | None -> Separation 0
-  else if
-    (* One rectangle fully inside the other on a different layer is an
-       intended enclosure (a cut inside its landing shape), not a spacing
-       situation. *)
-    Rect.contains_rect a.rect b.rect || Rect.contains_rect b.rect a.rect
-  then Unconstrained
+    if same_net || cls.ignored then mergeable
+    else match cls.space with Some d -> d | None -> 0
   else
-    (* Cross-layer spacing rules hold regardless of potential: a gate poly
-       stripe must not touch even its own net's diffusion row. *)
-    match cls.space with
-    | Some d -> Separation d
-    | None ->
-        (* No spacing rule: different layers may overlap (e.g. metal over
-           poly) unless one of them asked to be kept clear of overlaps
-           ("a special property ... can avoid undesired overlaps", §2.3) —
-           the keep-clear does not apply between same-potential shapes,
-           whose overlap is a connection. *)
-        if (a.keep_clear || b.keep_clear) && not (Shape.same_net a b) then
-          Separation 0
-        else Unconstrained
+    let ra = a.rect and rb = b.rect in
+    if
+      (* One rectangle fully inside the other on a different layer is an
+         intended enclosure (a cut inside its landing shape), not a
+         spacing situation. *)
+      (ra.x0 <= rb.x0 && ra.y0 <= rb.y0 && rb.x1 <= ra.x1 && rb.y1 <= ra.y1)
+      || (rb.x0 <= ra.x0 && rb.y0 <= ra.y0 && ra.x1 <= rb.x1 && ra.y1 <= rb.y1)
+    then unconstrained
+    else
+      (* Cross-layer spacing rules hold regardless of potential: a gate
+         poly stripe must not touch even its own net's diffusion row. *)
+      match cls.space with
+      | Some d -> d
+      | None ->
+          (* No spacing rule: different layers may overlap (e.g. metal
+             over poly) unless one of them asked to be kept clear of
+             overlaps ("a special property ... can avoid undesired
+             overlaps", §2.3) — the keep-clear does not apply between
+             same-potential shapes, whose overlap is a connection. *)
+          if (a.keep_clear || b.keep_clear) && not same_net then 0
+          else unconstrained
+
+let is_mergeable code = code = mergeable
+
+let relation_of_code code =
+  if code = unconstrained then Unconstrained
+  else if code = mergeable then Mergeable
+  else Separation code
+
+let relation_cls cls a b = relation_of_code (code_cls cls a b)
 
 let relation rules ?ignore_layers (a : Shape.t) (b : Shape.t) =
   relation_cls (classify rules ?ignore_layers a.Shape.layer b.Shape.layer) a b
@@ -68,41 +94,35 @@ let shadows ~axis ~sep (ra : Rect.t) (rb : Rect.t) =
   let ia = Rect.span cross ra and ib = Rect.span cross rb in
   Interval.overlaps (Interval.inflate ia sep) ib
 
-(* Minimal translation [delta] (signed, along [Dir.axis d]) that the moving
-   rectangle [a] must respect against stationary [b], paired with the
-   relation that produced it, or [None] when the pair does not constrain
-   this movement.  The mover travels in direction [d]; the constraint keeps
-   it from travelling too far. *)
-let pair_limit_cls cls d (a : Shape.t) (b : Shape.t) =
-  let axis = Dir.axis d in
-  let sign = Dir.sign d in
-  match relation_cls cls a b with
-  | Unconstrained -> None
-  | Mergeable as rel ->
-      (* May merge: the mover's trailing edge must not pass b's trailing
-         edge, so full overlap is reachable but not pass-through. *)
-      if shadows ~axis ~sep:0 a.rect b.rect then
-        (* Moving by delta: the mover's trailing edge must not pass b's
-           trailing edge; the bound is the same expression for both signs. *)
-        let trailing r = Rect.side r (Dir.opposite d) in
-        Some (trailing b.rect - trailing a.rect, rel)
-      else None
-  | Separation sep as rel ->
-      if shadows ~axis ~sep a.rect b.rect then
-        (* For sign = -1 (moving South/West): a.lo + delta >= b.hi + sep.
-           For sign = +1 (moving North/East): a.hi + delta <= b.lo - sep. *)
-        let ia = Rect.span axis a.rect and ib = Rect.span axis b.rect in
-        Some
-          ( (if sign < 0 then ib.Interval.hi + sep - ia.Interval.lo
-             else ib.Interval.lo - sep - ia.Interval.hi),
-            rel )
-      else None
+(* Minimal translation (signed, along [Dir.axis d]) that the moving
+   rectangle [a] must respect against stationary [b] under the pair's
+   [code], or [no_bound] when the pair does not constrain this movement.
+   The mover travels in direction [d]; the constraint keeps it from
+   travelling too far.  Arithmetic on the rectangles' sides only, so
+   nothing is allocated. *)
+let no_bound = min_int
 
-let pair_limit_rel rules ?ignore_layers d (a : Shape.t) b =
-  pair_limit_cls (classify rules ?ignore_layers a.Shape.layer b.Shape.layer) d a b
-
-let pair_limit rules ?ignore_layers d a b =
-  Option.map fst (pair_limit_rel rules ?ignore_layers d a b)
+let bound_code (d : Dir.t) code (a : Shape.t) (b : Shape.t) =
+  if code = unconstrained then no_bound
+  else begin
+    (* A mergeable pair acts at distance 0: the mover's trailing edge must
+       not pass b's trailing edge, so full overlap is reachable but not
+       pass-through.  A separated pair keeps [sep] between the mover's
+       leading edge and b's facing edge.  Either way the pair binds only
+       when the cross-axis spans, the mover's inflated by [sep], overlap
+       (shadowing). *)
+    let merge = code = mergeable in
+    let sep = if merge then 0 else code in
+    let ra = a.rect and rb = b.rect in
+    let cross_x = ra.x0 - sep < rb.x1 && rb.x0 < ra.x1 + sep in
+    let cross_y = ra.y0 - sep < rb.y1 && rb.y0 < ra.y1 + sep in
+    match d with
+    | South when cross_x -> if merge then rb.y1 - ra.y1 else rb.y1 + sep - ra.y0
+    | North when cross_x -> if merge then rb.y0 - ra.y0 else rb.y0 - sep - ra.y1
+    | West when cross_y -> if merge then rb.x1 - ra.x1 else rb.x1 + sep - ra.x0
+    | East when cross_y -> if merge then rb.x0 - ra.x0 else rb.x0 - sep - ra.x1
+    | South | North | West | East -> no_bound
+  end
 
 (* Candidate margin for spatial-index queries on a layer pair: [relation]
    only ever produces [Separation (space a b)], [Separation 0] (keep-clear)
@@ -110,17 +130,4 @@ let pair_limit rules ?ignore_layers d a b =
    compactor's scans can constrain lies within the pair's spacing rule —
    shapes farther than this on both axes are provably Unconstrained or out
    of shadow and need not be examined. *)
-let query_margin rules layer_a layer_b = Rules.space_or_zero rules layer_a layer_b
-
 let margin_cls cls = match cls.space with Some d -> d | None -> 0
-
-(* Combine limits: the mover wants delta as far in direction [d] as
-   possible; each limit bounds delta from the [d] side. *)
-let tightest d limits =
-  let sign = Dir.sign d in
-  List.fold_left
-    (fun acc l ->
-      match acc with
-      | None -> Some l
-      | Some best -> Some (if sign < 0 then max best l else min best l))
-    None limits

@@ -46,7 +46,11 @@ val relation_cls :
     [relation rules a b = relation_cls (classify rules a.layer b.layer) a b]. *)
 
 val margin_cls : pair_class -> int
-(** {!query_margin} of an already classified layer pair. *)
+(** Margin for {!Amg_layout.Lobj.near} candidate queries on a classified
+    layer pair: the pair's spacing rule, or 0.  Any pair of shapes farther
+    apart than this on both axes is guaranteed not to constrain compaction
+    (its {!relation} is [Unconstrained], or a separation it already
+    satisfies out of shadow). *)
 
 val shadows :
   axis:Amg_geometry.Dir.axis ->
@@ -55,41 +59,23 @@ val shadows :
   Amg_geometry.Rect.t ->
   bool
 
-val pair_limit :
-  Amg_tech.Rules.t ->
-  ?ignore_layers:string list ->
-  Amg_geometry.Dir.t ->
-  Amg_layout.Shape.t ->
-  Amg_layout.Shape.t ->
-  int option
-(** Signed translation bound that stationary shape [b] imposes on shape [a]
-    moving in the given direction, or [None] when the pair does not
-    constrain the move. *)
+type code [@@immediate]
+(** A pair's {!relation} packed into an immediate value, so the
+    compactor's inner loop classifies and bounds a pair without
+    allocating. *)
 
-val pair_limit_rel :
-  Amg_tech.Rules.t ->
-  ?ignore_layers:string list ->
-  Amg_geometry.Dir.t ->
-  Amg_layout.Shape.t ->
-  Amg_layout.Shape.t ->
-  (int * relation) option
-(** Like {!pair_limit}, also returning the relation that produced the
-    bound, so callers recording both classify the pair only once. *)
+val code_cls : pair_class -> Amg_layout.Shape.t -> Amg_layout.Shape.t -> code
+(** The code of [relation_cls cls a b]. *)
 
-val pair_limit_cls :
-  pair_class ->
-  Amg_geometry.Dir.t ->
-  Amg_layout.Shape.t ->
-  Amg_layout.Shape.t ->
-  (int * relation) option
-(** {!pair_limit_rel} with the layer-level classification precomputed. *)
+val relation_of_code : code -> relation
+val is_mergeable : code -> bool
 
-val query_margin : Amg_tech.Rules.t -> string -> string -> int
-(** Margin for {!Amg_layout.Lobj.near} candidate queries on a layer pair:
-    any pair of shapes farther apart than this on both axes is guaranteed
-    not to constrain compaction (its {!relation} is [Unconstrained], or a
-    separation it already satisfies out of shadow). *)
+val no_bound : int
+(** The bound of a pair that does not constrain the move. *)
 
-val tightest : Amg_geometry.Dir.t -> int list -> int option
-(** Tightest of several bounds for a mover travelling in the direction:
-    the maximum for South/West movement, the minimum for North/East. *)
+val bound_code :
+  Amg_geometry.Dir.t -> code -> Amg_layout.Shape.t -> Amg_layout.Shape.t -> int
+(** [bound_code d code a b]: signed translation bound that stationary shape
+    [b] imposes on shape [a] moving in direction [d], given the pair's
+    code, or {!no_bound} when the pair does not constrain the move (it is
+    unconstrained, or out of the mover's shadow). *)

@@ -54,55 +54,129 @@ let slab ~axis (a : Shape.t) (mb : Rect.t) =
       Rect.make ~x0:a.rect.Rect.x0 ~x1:a.rect.Rect.x1 ~y0:h.Interval.lo
         ~y1:h.Interval.hi
 
-let collect_limits rules ?ignore_layers d ~main obj =
+(* Can a (mover shape, main layer) pair constrain anything?  Shapes on
+   different layers without a spacing rule may overlap freely unless one
+   of them is keep-clear, so such a layer pair is skipped outright — no
+   index query — when neither the mover shape nor any shape of the layer
+   is keep-clear. *)
+let may_constrain (cls : Constraints.pair_class) (a : Shape.t) owner layer =
+  cls.same_layer || cls.space <> None || a.Shape.keep_clear
+  || Lobj.keep_clear_on owner layer > 0
+
+(* Strict cross-axis overlap of two rectangles moving along [axis]. *)
+let cross_overlap ~axis (ra : Rect.t) (rb : Rect.t) =
+  match axis with
+  | Dir.Horizontal -> ra.Rect.y0 < rb.Rect.y1 && rb.Rect.y0 < ra.Rect.y1
+  | Dir.Vertical -> ra.Rect.x0 < rb.Rect.x1 && rb.Rect.x0 < ra.Rect.x1
+
+type pass = {
+  tightest : int option;
+  tied : limit list;
+  runner_up : int option;
+  connect : (int * int) list;
+}
+
+let no_pass = { tightest = None; tied = []; runner_up = None; connect = [] }
+
+let make_limit bound mover target code =
+  { bound; mover; target; rel = Constraints.relation_of_code code }
+
+(* The candidate pass: one visit of every (mover shape, target) pair that
+   can constrain the move, keeping only what a placement uses — the
+   tightest bound, the limits tied at it, the runner-up bound for the
+   variable-edge relaxation, and the same-layer same-net pairs
+   auto-connection will examine.  Candidates come from the per-layer
+   index, restricted to each mover shape's movement slab inflated by the
+   layer pair's spacing rule, in no particular order; only the tied
+   limits are sorted, back into the (mover id, target id) order of the
+   all-pairs scan, which keeps every tie-break unchanged.  A bound
+   produces a limit record only while it is tied at the tightest value
+   seen so far. *)
+let scan rules ?ignore_layers d ~main obj =
   match Lobj.bbox main with
-  | None -> []
+  | None -> no_pass
   | Some mb ->
       let axis = Dir.axis d in
+      let sign = Dir.sign d in
+      let tighter x y = if sign < 0 then x > y else x < y in
       let layers = Lobj.layers main in
-      List.concat_map
+      let obs = Obs.enabled () in
+      (* The tightest bound and the runner-up, each valid once its flag is
+         set; unboxed so that offering a bound allocates nothing unless it
+         ties the tightest. *)
+      let has_best = ref false and best = ref 0 and tied = ref [] in
+      let has_second = ref false and second = ref 0 in
+      let offer bound a b code =
+        if !has_best && bound = !best then
+          tied := make_limit bound a b code :: !tied
+        else if !has_best && not (tighter bound !best) then begin
+          if (not !has_second) || tighter bound !second then begin
+            has_second := true;
+            second := bound
+          end
+        end
+        else begin
+          if !has_best then begin
+            has_second := true;
+            second := !best
+          end;
+          has_best := true;
+          best := bound;
+          tied := [ make_limit bound a b code ]
+        end
+      in
+      let connect = ref [] in
+      List.iter
         (fun (a : Shape.t) ->
           let window = slab ~axis a mb in
-          List.concat_map
+          let partners = ref [] and own_layer_seen = ref false in
+          List.iter
             (fun layer ->
               (* One rule-table consultation per (mover, layer); the inner
                  loop then runs without spacing lookups. *)
               let cls = Constraints.classify rules ?ignore_layers a.Shape.layer layer in
-              let margin = Constraints.margin_cls cls in
-              let candidates = Lobj.near main ~layer window ~margin in
-              if Obs.enabled () then
-                Obs.count "compact.pairs_considered" (List.length candidates);
-              List.filter_map
-                (fun (b : Shape.t) ->
-                  match Constraints.pair_limit_cls cls d a b with
-                  | Some (bound, rel) ->
-                      if Obs.enabled () then begin
+              if may_constrain cls a main layer then begin
+                let margin = Constraints.margin_cls cls in
+                (* [Lobj.layers] repeats a layer after [Lobj.transform];
+                   auto-connection examines each partner once. *)
+                let connecting = cls.same_layer && not !own_layer_seen in
+                if cls.same_layer then own_layer_seen := true;
+                let considered = ref 0 in
+                Lobj.iter_near main ~layer window ~margin (fun (b : Shape.t) ->
+                    incr considered;
+                    let code = Constraints.code_cls cls a b in
+                    let bound = Constraints.bound_code d code a b in
+                    if bound <> Constraints.no_bound then begin
+                      if obs then begin
                         Obs.count "compact.limits" 1;
-                        match rel with
-                        | Constraints.Mergeable ->
-                            Obs.count "compact.merge_limits" 1
-                        | _ -> ()
+                        if Constraints.is_mergeable code then
+                          Obs.count "compact.merge_limits" 1
                       end;
-                      Some { bound; mover = a; target = b; rel }
-                  | None -> None)
-                candidates)
-            layers)
-        (Lobj.shapes obj)
-      (* Candidates arrive grouped by layer; restore the (mover, target)
-         insertion order the all-pairs scan produced, so tie-breaking in
-         the variable-edge relaxation is unchanged. *)
-      |> List.sort (fun l1 l2 ->
-             let c = Int.compare l1.mover.Shape.id l2.mover.Shape.id in
-             if c <> 0 then c else Int.compare l1.target.Shape.id l2.target.Shape.id)
-
-let tightest_limit d limits =
-  let sign = Dir.sign d in
-  List.fold_left
-    (fun acc l ->
-      match acc with
-      | None -> Some l.bound
-      | Some best -> Some (if sign < 0 then max best l.bound else min best l.bound))
-    None limits
+                      offer bound a b code
+                    end;
+                    if
+                      connecting && Shape.same_net a b
+                      && cross_overlap ~axis a.rect b.rect
+                    then partners := b.Shape.id :: !partners);
+                if obs then Obs.count "compact.pairs_considered" !considered
+              end)
+            layers;
+          List.iter
+            (fun id -> connect := (a.Shape.id, id) :: !connect)
+            (List.sort Int.compare !partners))
+        (Lobj.shapes obj);
+      {
+        tightest = (if !has_best then Some !best else None);
+        tied =
+          List.sort
+            (fun l1 l2 ->
+              let c = Int.compare l1.mover.Shape.id l2.mover.Shape.id in
+              if c <> 0 then c
+              else Int.compare l1.target.Shape.id l2.target.Shape.id)
+            !tied;
+        runner_up = (if !has_second then Some !second else None);
+        connect = List.rev !connect;
+      }
 
 (* Minimum extent a shape may be shrunk to along [axis]: its layer's minimum
    width, raised to the one-cut minimum when it is a container of a
@@ -144,34 +218,32 @@ let shrink_edge rules owner (s : Shape.t) facing amount =
 (* One round of the variable-edge optimization of §2.3: while the binding
    constraint pair has a variable facing edge, move that edge inward until
    the pair "is no longer relevant", i.e. until another (eventually fixed)
-   constraint defines the minimum distance.  Returns the limits collected
-   in the final round — the geometry has not changed since (the round made
-   no progress), so the caller can reuse them instead of re-collecting. *)
+   constraint defines the minimum distance.  Returns the pass of the final
+   round — the geometry has not changed since (the round made no
+   progress), so the caller can reuse it instead of scanning again. *)
 let relax_variable_edges rules ?ignore_layers d ~main obj =
   let max_rounds = 64 in
   let rounds = ref 0 in
   let rec loop round =
     rounds := round;
-    let limits = collect_limits rules ?ignore_layers d ~main obj in
-    if round >= max_rounds then limits
+    let pass = scan rules ?ignore_layers d ~main obj in
+    if round >= max_rounds then pass
     else
-      match tightest_limit d limits with
-      | None -> limits
+      match pass.tightest with
+      | None -> pass
       | Some best ->
           let binding =
             List.filter
               (fun l ->
-                l.bound = best
-                && match l.rel with Constraints.Separation _ -> true | _ -> false)
-              limits
-          in
-          let second =
-            List.filter (fun l -> l.bound <> best) limits |> tightest_limit d
+                match l.rel with Constraints.Separation _ -> true | _ -> false)
+              pass.tied
           in
           (* How much slack until the next constraint binds; unlimited when
              this pair is the only constraint. *)
           let want =
-            match second with Some s -> abs (best - s) | None -> max_int / 2
+            match pass.runner_up with
+            | Some s -> abs (best - s)
+            | None -> max_int / 2
           in
           let progressed = ref false in
           List.iter
@@ -194,11 +266,11 @@ let relax_variable_edges rules ?ignore_layers d ~main obj =
                 if try_side Target || try_side Mover then progressed := true
               end)
             binding;
-          if !progressed then loop (round + 1) else limits
+          if !progressed then loop (round + 1) else pass
   in
-  let limits = loop 0 in
+  let pass = loop 0 in
   if Obs.enabled () then Obs.sample "compact.var_edge_rounds" (float_of_int !rounds);
-  limits
+  pass
 
 (* Fallback when no pair constrains the move: abut bounding boxes. *)
 let bbox_abut_delta d ~main obj =
@@ -218,7 +290,7 @@ let translate_along d obj delta =
 (* Would growing shape [s] of [owner] to [r'] violate a separation against
    any other shape of [main] or [obj]?  Shapes beyond the pair's spacing
    rule on either axis cannot be violated, so only index candidates around
-   [r'] are examined. *)
+   [r'] are examined, and only on layers that can constrain [s]. *)
 let extension_safe rules ?ignore_layers ~main ~obj (s : Shape.t) r' =
   let ok cls (other : Shape.t) =
     other == s
@@ -234,6 +306,8 @@ let extension_safe rules ?ignore_layers ~main ~obj (s : Shape.t) r' =
     List.for_all
       (fun layer ->
         let cls = Constraints.classify rules ?ignore_layers s.Shape.layer layer in
+        (not (may_constrain cls s owner layer))
+        ||
         let margin = Constraints.margin_cls cls in
         List.for_all (ok cls) (Lobj.near owner ~layer r' ~margin))
       (Lobj.layers owner)
@@ -243,58 +317,40 @@ let extension_safe rules ?ignore_layers ~main ~obj (s : Shape.t) r' =
 (* Auto-connection (§2.3, Fig. 5a): after placement, same-layer same-net
    shape pairs whose cross-axis spans overlap but which still have a gap
    along the movement axis are connected by stretching the target shape's
-   facing edge up to the mover. *)
-let auto_connect rules ?ignore_layers d ~main obj =
+   facing edge up to the mover.  The candidate pairs come from a pass
+   taken before the mover travelled: travel along the movement axis
+   changes neither cross-axis spans nor slab membership, and extensions
+   grow along it only, so the pairs still hold; both shapes are
+   re-fetched for their current rectangles. *)
+let auto_connect rules ?ignore_layers d ~main ~pass obj =
   let axis = Dir.axis d in
-  let cross = Dir.cross_axis d in
-  (* Cut layers (fixed-size openings) must never be stretched.  The main
-     bbox is fetched once: extensions only ever grow a target toward the
-     mover along the movement axis, which keeps it inside the slab built
-     from the pre-extension hull. *)
-  let mb0 = Lobj.bbox main in
+  (* Cut layers (fixed-size openings) must never be stretched. *)
   let stretchable (s : Shape.t) = Rules.cut_size_opt rules s.Shape.layer = None in
   List.iter
-    (fun (a : Shape.t) ->
-      (* Same-layer same-net partners anywhere along the movement axis:
-         query the mover's slab on its own layer (margin 0 — connection
-         candidates must overlap in the cross axis). *)
-      let candidates =
-        match mb0 with
-        | None -> []
-        | Some mb -> Lobj.near main ~layer:a.Shape.layer (slab ~axis a mb) ~margin:0
-      in
-      List.iter
-        (fun (b : Shape.t) ->
-          if Shape.same_net a b && stretchable b then begin
-            let ia = Rect.span cross a.rect and ib = Rect.span cross b.rect in
-            if Interval.overlaps ia ib then begin
-              let sa = Rect.span axis a.rect and sb = Rect.span axis b.rect in
-              let gap = max (sa.Interval.lo - sb.Interval.hi) (sb.Interval.lo - sa.Interval.hi) in
-              if gap > 0 then begin
-                (* Extend b toward a. *)
-                let facing =
-                  if sb.Interval.hi <= sa.Interval.lo then
-                    (* b is on the low side: grow its high edge *)
-                    match axis with Dir.Horizontal -> Dir.East | Vertical -> Dir.North
-                  else match axis with Dir.Horizontal -> Dir.West | Vertical -> Dir.South
-                in
-                match Lobj.find main b.Shape.id with
-                | Some cur ->
-                    let r' = Rect.grow_side cur.Shape.rect facing gap in
-                    if extension_safe rules ?ignore_layers ~main ~obj cur r' then begin
-                      Obs.count "compact.same_potential_merges" 1;
-                      Lobj.replace main (Shape.with_rect cur r')
-                    end
-                | None -> ()
-              end
+    (fun (a_id, b_id) ->
+      match (Lobj.find obj a_id, Lobj.find main b_id) with
+      | Some a, Some b when stretchable b ->
+          let sa = Rect.span axis a.rect and sb = Rect.span axis b.rect in
+          let gap = max (sa.Interval.lo - sb.Interval.hi) (sb.Interval.lo - sa.Interval.hi) in
+          if gap > 0 then begin
+            (* Extend b toward a. *)
+            let facing =
+              if sb.Interval.hi <= sa.Interval.lo then
+                (* b is on the low side: grow its high edge *)
+                match axis with Dir.Horizontal -> Dir.East | Vertical -> Dir.North
+              else match axis with Dir.Horizontal -> Dir.West | Vertical -> Dir.South
+            in
+            let r' = Rect.grow_side b.Shape.rect facing gap in
+            if extension_safe rules ?ignore_layers ~main ~obj b r' then begin
+              Obs.count "compact.same_potential_merges" 1;
+              Lobj.replace main (Shape.with_rect b r')
             end
-          end)
-        candidates)
-    (Lobj.shapes obj)
+          end
+      | _ -> ())
+    pass.connect
 
 let delta rules ?ignore_layers d ~main obj =
-  let limits = collect_limits rules ?ignore_layers d ~main obj in
-  match tightest_limit d limits with
+  match (scan rules ?ignore_layers d ~main obj).tightest with
   | Some bound -> bound
   | None -> bbox_abut_delta d ~main obj
 
@@ -368,28 +424,27 @@ let place_mark ~main ~obj ~d ~dl ~(binding : limit list) =
 let place rules ~main ?ignore_layers ~align ~variable_edges obj d =
   apply_align ~align ~d ~main obj;
   stage_outside ~grid:(Rules.grid rules) d ~main obj;
-  (* The relaxation hands back the limits of its final (quiescent)
-     round, so the placement delta needs no second scan. *)
-  let limits =
+  (* The relaxation hands back the pass of its final (quiescent) round,
+     so neither the placement delta nor auto-connection scans again. *)
+  let pass =
     if variable_edges then relax_variable_edges rules ?ignore_layers d ~main obj
-    else collect_limits rules ?ignore_layers d ~main obj
+    else scan rules ?ignore_layers d ~main obj
   in
   let dl =
-    match tightest_limit d limits with
+    match pass.tightest with
     | Some bound -> bound
     | None -> bbox_abut_delta d ~main obj
   in
   if Obs.enabled () then begin
-    let binding = List.filter (fun l -> l.bound = dl) limits in
     Obs.count "compact.placements" 1;
-    Obs.count "compact.binding_limits" (List.length binding);
-    Obs.mark "compact.place" (place_mark ~main ~obj ~d ~dl ~binding)
+    Obs.count "compact.binding_limits" (List.length pass.tied);
+    Obs.mark "compact.place" (place_mark ~main ~obj ~d ~dl ~binding:pass.tied)
   end;
   Log.debug (fun m ->
       m "compact %s into %s %s: delta=%d" (Lobj.name obj) (Lobj.name main)
         (Dir.to_string d) dl);
   translate_along d obj dl;
-  auto_connect rules ?ignore_layers d ~main obj
+  auto_connect rules ?ignore_layers d ~main ~pass obj
 
 (* Exceptions the permissive fallback may absorb; resource exhaustion and
    assertion failures always escape. *)

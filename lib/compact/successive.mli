@@ -27,18 +27,38 @@ type limit = {
 }
 (** One pairwise constraint on the mover's travel. *)
 
-val collect_limits :
+type pass = {
+  tightest : int option;
+      (** The tightest bound on the mover's travel, or [None] when no pair
+          constrains it. *)
+  tied : limit list;
+      (** Every limit at [tightest], in (mover id, target id) order — the
+          insertion order of the all-pairs scan, which fixes the
+          tie-breaks. *)
+  runner_up : int option;
+      (** The tightest bound strictly looser than [tightest]: the slack the
+          variable-edge relaxation may take. *)
+  connect : (int * int) list;
+      (** (mover id, target id) of every same-layer, same-net pair whose
+          cross-axis spans overlap — auto-connection's candidates — in
+          (mover id, target id) order. *)
+}
+(** What one candidate pass over the mover and the main structure yields:
+    the only facts a placement uses. *)
+
+val scan :
   Amg_tech.Rules.t ->
   ?ignore_layers:string list ->
   Amg_geometry.Dir.t ->
   main:Amg_layout.Lobj.t ->
   Amg_layout.Lobj.t ->
-  limit list
-(** Every pair limit the main structure imposes on the moving object, in
-    (mover, target) insertion order.  Implemented with the per-layer
-    spatial index: only candidates within rule range of each mover shape's
-    movement slab are examined, but the result is identical to the
-    all-pairs scan.  Exposed for the equivalence tests. *)
+  pass
+(** The candidate pass.  Each (mover shape, main layer) pair that can
+    constrain the move is queried once in the per-layer spatial index,
+    over the shape's movement slab inflated by the layer pair's spacing
+    rule; a pair on different layers with no spacing rule and no
+    keep-clear shape on either side is skipped.  The result equals the
+    summary of the all-pairs scan.  Pure query: mutates nothing. *)
 
 val delta :
   Amg_tech.Rules.t ->
@@ -56,11 +76,14 @@ val auto_connect :
   ?ignore_layers:string list ->
   Amg_geometry.Dir.t ->
   main:Amg_layout.Lobj.t ->
+  pass:pass ->
   Amg_layout.Lobj.t ->
   unit
 (** Stretch same-layer same-net target shapes up to the placed mover when a
     gap remains along the movement axis and the extension violates no
-    spacing rule.  Exposed for tests. *)
+    spacing rule.  The candidates are [pass.connect], from a {!scan} of
+    the mover taken before it travelled along the movement axis.  Exposed
+    for tests. *)
 
 val compact :
   rules:Amg_tech.Rules.t ->

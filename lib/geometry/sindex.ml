@@ -9,13 +9,13 @@
    [copy] shares the lists (they are replaced, never mutated), which keeps
    the object-copy in the optimizer's inner loop cheap. *)
 
-type bins = (int, (int * Rect.t) list) Hashtbl.t
+type bins = (int * Rect.t) list Itbl.t
 
 type t = {
   cell : int;
   mutable ox : int; (* world x = local x + ox *)
   mutable oy : int;
-  rects : (int, Rect.t) Hashtbl.t; (* key -> local rect *)
+  rects : Rect.t Itbl.t; (* key -> local rect *)
   xbins : bins;
   ybins : bins;
   mutable xwide : (int * Rect.t) list; (* entries spanning > max_bins x-bins *)
@@ -32,9 +32,9 @@ let create ?(cell = 4000) () =
     cell = max 1 cell;
     ox = 0;
     oy = 0;
-    rects = Hashtbl.create 32;
-    xbins = Hashtbl.create 32;
-    ybins = Hashtbl.create 32;
+    rects = Itbl.create 32;
+    xbins = Itbl.create 32;
+    ybins = Itbl.create 32;
     xwide = [];
     ywide = [];
   }
@@ -42,18 +42,18 @@ let create ?(cell = 4000) () =
 let copy t =
   {
     t with
-    rects = Hashtbl.copy t.rects;
-    xbins = Hashtbl.copy t.xbins;
-    ybins = Hashtbl.copy t.ybins;
+    rects = Itbl.copy t.rects;
+    xbins = Itbl.copy t.xbins;
+    ybins = Itbl.copy t.ybins;
   }
 
-let cardinal t = Hashtbl.length t.rects
-let mem t key = Hashtbl.mem t.rects key
+let cardinal t = Itbl.length t.rects
+let mem t key = Itbl.mem t.rects key
 
 let find t key =
   Option.map
     (fun r -> Rect.translate r ~dx:t.ox ~dy:t.oy)
-    (Hashtbl.find_opt t.rects key)
+    (Itbl.find_opt t.rects key)
 
 (* Floor division, correct for negative coordinates. *)
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
@@ -61,16 +61,16 @@ let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 let bin_range t lo hi = (fdiv lo t.cell, fdiv hi t.cell)
 
 let bin_add bins b entry =
-  let cur = match Hashtbl.find_opt bins b with Some l -> l | None -> [] in
-  Hashtbl.replace bins b (entry :: cur)
+  let cur = match Itbl.find_opt bins b with Some l -> l | None -> [] in
+  Itbl.replace bins b (entry :: cur)
 
 let bin_remove bins b key =
-  match Hashtbl.find_opt bins b with
+  match Itbl.find_opt bins b with
   | None -> ()
   | Some l -> (
       match List.filter (fun (k, _) -> k <> key) l with
-      | [] -> Hashtbl.remove bins b
-      | l' -> Hashtbl.replace bins b l')
+      | [] -> Itbl.remove bins b
+      | l' -> Itbl.replace bins b l')
 
 let remove_wide wide key = List.filter (fun (k, _) -> k <> key) wide
 
@@ -91,10 +91,10 @@ let enter_y t entry (r : Rect.t) =
     done
 
 let remove t key =
-  match Hashtbl.find_opt t.rects key with
+  match Itbl.find_opt t.rects key with
   | None -> ()
   | Some r ->
-      Hashtbl.remove t.rects key;
+      Itbl.remove t.rects key;
       let xb0, xb1 = bin_range t r.Rect.x0 r.Rect.x1 in
       if xb1 - xb0 >= max_bins then t.xwide <- remove_wide t.xwide key
       else
@@ -109,9 +109,9 @@ let remove t key =
         done
 
 let insert t key rect =
-  if Hashtbl.mem t.rects key then remove t key;
+  if Itbl.mem t.rects key then remove t key;
   let r = Rect.translate rect ~dx:(-t.ox) ~dy:(-t.oy) in
-  Hashtbl.replace t.rects key r;
+  Itbl.replace t.rects key r;
   let entry = (key, r) in
   enter_x t entry r;
   enter_y t entry r
@@ -120,59 +120,72 @@ let translate_all t ~dx ~dy =
   t.ox <- t.ox + dx;
   t.oy <- t.oy + dy
 
-let query t rect ~margin =
+(* The one scan loop behind every window query.  It gathers candidates
+   from whichever axis covers fewer bins of the inflated window and
+   reports each matching entry exactly once: an entry sits in every bin
+   its span covers, so it is reported only from the first scanned bin it
+   covers — bin [b0], or the bin holding its low edge.  That needs no
+   division per entry (the low edge is compared against the bin's lower
+   boundary), no deduplication pass and no intermediate list. *)
+let iter_query t rect ~margin f =
   Amg_robust.Inject.(probe Sindex_query);
-  if Hashtbl.length t.rects = 0 then []
-  else begin
+  if Itbl.length t.rects > 0 then begin
     (* Window in local coordinates, inflated once up front. *)
     let wx0 = rect.Rect.x0 - t.ox - margin
     and wx1 = rect.Rect.x1 - t.ox + margin
     and wy0 = rect.Rect.y0 - t.oy - margin
     and wy1 = rect.Rect.y1 - t.oy + margin in
-    let scanned = ref 0 in
-    let hits (key, (r : Rect.t)) acc =
+    let scanned = ref 0 and hits = ref 0 in
+    let inside (r : Rect.t) =
+      r.Rect.x0 <= wx1 && wx0 <= r.Rect.x1 && r.Rect.y0 <= wy1
+      && wy0 <= r.Rect.y1
+    in
+    let report key r =
       incr scanned;
-      if
-        r.Rect.x0 <= wx1 && wx0 <= r.Rect.x1 && r.Rect.y0 <= wy1
-        && wy0 <= r.Rect.y1
-      then key :: acc
-      else acc
+      if inside r then begin
+        incr hits;
+        f key
+      end
     in
     let xb0, xb1 = bin_range t wx0 wx1 in
     let yb0, yb1 = bin_range t wy0 wy1 in
-    let scan bins wide b0 b1 =
-      let acc = ref (List.fold_right hits wide []) in
+    let scan ~on_x bins wide b0 b1 =
+      List.iter (fun (key, r) -> report key r) wide;
       for b = b0 to b1 do
-        match Hashtbl.find_opt bins b with
-        | Some entries -> acc := List.fold_right hits entries !acc
+        match Itbl.find_opt bins b with
+        | Some entries ->
+            let edge = b * t.cell in
+            List.iter
+              (fun (key, r) ->
+                let lo = if on_x then r.Rect.x0 else r.Rect.y0 in
+                if b = b0 || lo >= edge then report key r else incr scanned)
+              entries
         | None -> ()
-      done;
-      (* A rectangle appears once per covered bin of the scanned axis:
-         sort (ascending keys, which downstream wants anyway) and drop
-         duplicates. *)
-      List.sort_uniq Int.compare !acc
+      done
     in
     (* Scan the axis covering fewer bins; a window much wider than the
        layout on one axis (the compactor's slab queries) then costs only
        the bounded axis's bins. *)
-    let result =
-      if xb1 - xb0 <= yb1 - yb0 then scan t.xbins t.xwide xb0 xb1
-      else scan t.ybins t.ywide yb0 yb1
-    in
+    if xb1 - xb0 <= yb1 - yb0 then scan ~on_x:true t.xbins t.xwide xb0 xb1
+    else scan ~on_x:false t.ybins t.ywide yb0 yb1;
     if Amg_obs.Obs.enabled () then begin
       Amg_obs.Obs.count "sindex.queries" 1;
       Amg_obs.Obs.count "sindex.scanned" !scanned;
-      Amg_obs.Obs.count "sindex.hits" (List.length result)
-    end;
-    result
+      Amg_obs.Obs.count "sindex.hits" !hits
+    end
   end
 
+let query t rect ~margin =
+  let acc = ref [] in
+  iter_query t rect ~margin (fun key -> acc := key :: !acc);
+  List.sort Int.compare !acc
+
 let iter t f =
-  Hashtbl.iter (fun key r -> f key (Rect.translate r ~dx:t.ox ~dy:t.oy)) t.rects
+  Itbl.iter (fun key r -> f key (Rect.translate r ~dx:t.ox ~dy:t.oy)) t.rects
 
 let bbox t =
   let acc = ref None in
-  Hashtbl.iter
+  Itbl.iter
     (fun _ r ->
       acc := Some (match !acc with None -> r | Some h -> Rect.hull h r))
     t.rects;

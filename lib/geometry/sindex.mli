@@ -39,10 +39,15 @@ val remove : t -> int -> unit
 val translate_all : t -> dx:int -> dy:int -> unit
 (** Shift every stored rectangle.  O(1): maintained as an offset. *)
 
+val iter_query : t -> Rect.t -> margin:int -> (int -> unit) -> unit
+(** [iter_query t window ~margin f] calls [f] on the key of every
+    rectangle within [margin] of the window, i.e. whose closed rectangle
+    intersects the window inflated by [margin] on all sides.  Each key is
+    reported exactly once, in an unspecified order; nothing is allocated
+    per candidate.  [f] must not mutate the index. *)
+
 val query : t -> Rect.t -> margin:int -> int list
-(** Keys of every rectangle within [margin] of the window, i.e. whose
-    closed rectangle intersects the window inflated by [margin] on all
-    sides.  Ascending key order; no key appears twice. *)
+(** The keys {!iter_query} reports, in ascending order. *)
 
 val iter : t -> (int -> Rect.t -> unit) -> unit
 

@@ -2,6 +2,7 @@ module Rect = Amg_geometry.Rect
 module Region = Amg_geometry.Region
 module Transform = Amg_geometry.Transform
 module Sindex = Amg_geometry.Sindex
+module Itbl = Amg_geometry.Itbl
 module Rules = Amg_tech.Rules
 
 type array_spec = {
@@ -26,6 +27,12 @@ type undo =
   | U_translate of int * int              (* dx, dy: shift back *)
   | U_new_layer of string                 (* drop the fresh layer index *)
 
+(* One layer of the store: its spatial index and how many of its shapes
+   are keep-clear.  The count lets the compactor skip a layer pair that
+   has no spacing rule outright — without a keep-clear shape on either
+   side such a pair is provably unconstrained. *)
+type layer = { ix : Sindex.t; mutable keep_clear : int }
+
 (* Indexed shape store.  Shapes live in [slots] in insertion order ([None]
    marks a removed shape); [id2slot] gives O(1) find/replace/remove, and
    [by_layer] keeps one spatial index per layer for the candidate queries
@@ -43,8 +50,8 @@ type t = {
   mutable slots : Shape.t option array;
   mutable n_slots : int; (* used prefix of [slots] *)
   mutable live : int;    (* slots holding a shape *)
-  mutable id2slot : (int, int) Hashtbl.t;
-  mutable by_layer : (string, Sindex.t) Hashtbl.t;
+  mutable id2slot : int Itbl.t;
+  mutable by_layer : (string, layer) Hashtbl.t;
   mutable layer_order : string list; (* first-use order, never reordered *)
   mutable bb : Rect.t option option; (* None = dirty *)
   mutable layer_bb : (string, Rect.t option) Hashtbl.t; (* absent = dirty *)
@@ -81,7 +88,7 @@ let create name =
     slots = Array.make 8 None;
     n_slots = 0;
     live = 0;
-    id2slot = Hashtbl.create 16;
+    id2slot = Itbl.create 16;
     by_layer = Hashtbl.create 8;
     layer_order = [];
     bb = Some None;
@@ -118,15 +125,39 @@ let extend_caches t layer rect =
   | Some None -> t.bb <- Some (Some rect)
   | None -> ()
 
-let sindex_of t layer =
-  match Hashtbl.find_opt t.by_layer layer with
-  | Some ix -> ix
+let layer_of t name =
+  match Hashtbl.find_opt t.by_layer name with
+  | Some l -> l
   | None ->
-      let ix = Sindex.create () in
-      Hashtbl.replace t.by_layer layer ix;
-      t.layer_order <- t.layer_order @ [ layer ];
-      push t (U_new_layer layer);
-      ix
+      let l = { ix = Sindex.create (); keep_clear = 0 } in
+      Hashtbl.replace t.by_layer name l;
+      t.layer_order <- t.layer_order @ [ name ];
+      push t (U_new_layer name);
+      l
+
+(* Enter / withdraw a shape's index entry and keep-clear count. *)
+let index t (s : Shape.t) =
+  let l = layer_of t s.layer in
+  Sindex.insert l.ix s.id s.rect;
+  if s.keep_clear then l.keep_clear <- l.keep_clear + 1
+
+let unindex t (s : Shape.t) =
+  let l = layer_of t s.layer in
+  Sindex.remove l.ix s.id;
+  if s.keep_clear then l.keep_clear <- l.keep_clear - 1
+
+(* Move the index entry of shape [old] over to [s], which has its id. *)
+let reindex t (old : Shape.t) (s : Shape.t) =
+  if not (String.equal old.layer s.layer) then begin
+    unindex t old;
+    index t s
+  end
+  else begin
+    let l = layer_of t s.layer in
+    if not (Rect.equal old.rect s.rect) then Sindex.insert l.ix s.id s.rect;
+    l.keep_clear <-
+      l.keep_clear + Bool.to_int s.keep_clear - Bool.to_int old.keep_clear
+  end
 
 (* --- store primitives --- *)
 
@@ -140,10 +171,10 @@ let ensure_capacity t =
 let enter t (s : Shape.t) =
   ensure_capacity t;
   t.slots.(t.n_slots) <- Some s;
-  Hashtbl.replace t.id2slot s.id t.n_slots;
+  Itbl.replace t.id2slot s.id t.n_slots;
   t.n_slots <- t.n_slots + 1;
   t.live <- t.live + 1;
-  Sindex.insert (sindex_of t s.layer) s.id s.rect;
+  index t s;
   extend_caches t s.layer s.rect;
   push t (U_enter s)
 
@@ -158,7 +189,7 @@ let maybe_squeeze t =
       match t.slots.(r) with
       | Some s ->
           t.slots.(!w) <- Some s;
-          Hashtbl.replace t.id2slot s.id !w;
+          Itbl.replace t.id2slot s.id !w;
           incr w
       | None -> ()
     done;
@@ -180,10 +211,13 @@ let shapes t =
 
 let shape_count t = t.live
 
+(* [Itbl.find] rather than [find_opt]: the slot already holds an option,
+   so a hit allocates nothing — this runs once per candidate pair in the
+   compactor. *)
 let find t id =
-  match Hashtbl.find_opt t.id2slot id with
-  | None -> None
-  | Some slot -> t.slots.(slot)
+  match Itbl.find t.id2slot id with
+  | slot -> t.slots.(slot)
+  | exception Not_found -> None
 
 let find_exn t id =
   match find t id with
@@ -191,21 +225,19 @@ let find_exn t id =
   | None -> Fmt.invalid_arg "Lobj.find_exn: no shape %d in %s" id t.name
 
 let replace t (s : Shape.t) =
-  match Hashtbl.find_opt t.id2slot s.Shape.id with
+  match Itbl.find_opt t.id2slot s.Shape.id with
   | None -> Fmt.invalid_arg "Lobj.replace: no shape %d in %s" s.Shape.id t.name
   | Some slot ->
       let old = Option.get t.slots.(slot) in
       push t (U_replace (slot, old, s));
       t.slots.(slot) <- Some s;
+      reindex t old s;
       if not (String.equal old.Shape.layer s.layer) then begin
-        Sindex.remove (sindex_of t old.layer) old.id;
-        Sindex.insert (sindex_of t s.layer) s.id s.rect;
         dirty_layer t old.layer;
         dirty_layer t s.layer;
         extend_caches t s.layer s.rect
       end
       else if not (Rect.equal old.Shape.rect s.rect) then begin
-        Sindex.insert (sindex_of t s.layer) s.id s.rect;
         if Rect.contains_rect s.rect old.Shape.rect then
           (* Pure growth keeps every cached hull valid — just extend. *)
           extend_caches t s.layer s.rect
@@ -213,34 +245,44 @@ let replace t (s : Shape.t) =
       end
 
 let remove t id =
-  match Hashtbl.find_opt t.id2slot id with
+  match Itbl.find_opt t.id2slot id with
   | None -> ()
   | Some slot ->
       (match t.slots.(slot) with
       | Some s ->
-          Sindex.remove (sindex_of t s.layer) s.id;
+          unindex t s;
           dirty_layer t s.layer;
           push t (U_remove (slot, s))
       | None -> ());
       t.slots.(slot) <- None;
-      Hashtbl.remove t.id2slot id;
+      Itbl.remove t.id2slot id;
       t.live <- t.live - 1;
       maybe_squeeze t
 
 let shapes_on t layer =
   match Hashtbl.find_opt t.by_layer layer with
   | None -> []
-  | Some ix ->
+  | Some l ->
       let ids = ref [] in
-      Sindex.iter ix (fun id _ -> ids := id :: !ids);
+      Sindex.iter l.ix (fun id _ -> ids := id :: !ids);
       List.sort compare !ids |> List.map (find_exn t)
 
 let near t ~layer rect ~margin =
   match Hashtbl.find_opt t.by_layer layer with
   | None -> []
-  | Some ix ->
+  | Some l ->
       (* Query ids arrive ascending, which is insertion order. *)
-      List.map (find_exn t) (Sindex.query ix rect ~margin)
+      List.map (find_exn t) (Sindex.query l.ix rect ~margin)
+
+let iter_near t ~layer rect ~margin f =
+  match Hashtbl.find_opt t.by_layer layer with
+  | None -> ()
+  | Some l -> Sindex.iter_query l.ix rect ~margin (fun id -> f (find_exn t id))
+
+let keep_clear_on t layer =
+  match Hashtbl.find_opt t.by_layer layer with
+  | None -> 0
+  | Some l -> l.keep_clear
 
 let shapes_on_net t net =
   List.filter (fun (s : Shape.t) -> s.net = Some net) (shapes t)
@@ -256,7 +298,7 @@ let bbox_on t layer =
       let b =
         match Hashtbl.find_opt t.by_layer layer with
         | None -> None
-        | Some ix -> Sindex.bbox ix
+        | Some l -> Sindex.bbox l.ix
       in
       Hashtbl.replace t.layer_bb layer b;
       b
@@ -267,8 +309,8 @@ let bbox t =
   | None ->
       let b =
         Hashtbl.fold
-          (fun layer ix acc ->
-            if Sindex.cardinal ix = 0 then acc
+          (fun layer l acc ->
+            if Sindex.cardinal l.ix = 0 then acc
             else
               match (bbox_on t layer, acc) with
               | None, acc -> acc
@@ -292,7 +334,7 @@ let layers t =
   List.filter
     (fun layer ->
       match Hashtbl.find_opt t.by_layer layer with
-      | Some ix -> Sindex.cardinal ix > 0
+      | Some l -> Sindex.cardinal l.ix > 0
       | None -> false)
     t.layer_order
 
@@ -316,7 +358,7 @@ let translate t ~dx ~dy =
   push t (U_translate (dx, dy));
   map_shapes_in_place t (fun s -> Shape.translate s ~dx ~dy);
   t.ports <- List.map (fun p -> Port.translate p ~dx ~dy) t.ports;
-  Hashtbl.iter (fun _ ix -> Sindex.translate_all ix ~dx ~dy) t.by_layer;
+  Hashtbl.iter (fun _ l -> Sindex.translate_all l.ix ~dx ~dy) t.by_layer;
   t.bb <- Option.map (Option.map (fun r -> Rect.translate r ~dx ~dy)) t.bb;
   Hashtbl.filter_map_inplace
     (fun _ b -> Some (Option.map (fun r -> Rect.translate r ~dx ~dy) b))
@@ -336,7 +378,7 @@ let transform t tr =
   t.bb <- None;
   for i = 0 to t.n_slots - 1 do
     match t.slots.(i) with
-    | Some s -> Sindex.insert (sindex_of t s.Shape.layer) s.id s.rect
+    | Some s -> index t s
     | None -> ()
   done
 
@@ -346,13 +388,16 @@ let transform t tr =
    so no mutation of either object can ever reach the other. *)
 let copy ?name t =
   let by_layer = Hashtbl.create (Hashtbl.length t.by_layer) in
-  Hashtbl.iter (fun l ix -> Hashtbl.replace by_layer l (Sindex.copy ix)) t.by_layer;
+  Hashtbl.iter
+    (fun name l ->
+      Hashtbl.replace by_layer name { l with ix = Sindex.copy l.ix })
+    t.by_layer;
   {
     name = Option.value ~default:t.name name;
     slots = Array.copy t.slots;
     n_slots = t.n_slots;
     live = t.live;
-    id2slot = Hashtbl.copy t.id2slot;
+    id2slot = Itbl.copy t.id2slot;
     by_layer;
     layer_order = t.layer_order;
     bb = t.bb;
@@ -385,24 +430,22 @@ let undo t = function
   | U_enter s ->
       (* Enters append and squeezing is suppressed, so in reverse journal
          order the enter being undone always owns the last used slot. *)
-      Sindex.remove (sindex_of t s.Shape.layer) s.id;
-      Hashtbl.remove t.id2slot s.id;
+      unindex t s;
+      Itbl.remove t.id2slot s.id;
       t.n_slots <- t.n_slots - 1;
       t.slots.(t.n_slots) <- None;
       t.live <- t.live - 1
   | U_remove (slot, s) ->
       t.slots.(slot) <- Some s;
-      Hashtbl.replace t.id2slot s.id slot;
+      Itbl.replace t.id2slot s.id slot;
       t.live <- t.live + 1;
-      Sindex.insert (sindex_of t s.layer) s.id s.rect
+      index t s
   | U_replace (slot, old, s) ->
       t.slots.(slot) <- Some old;
-      if not (String.equal old.Shape.layer s.Shape.layer) then
-        Sindex.remove (sindex_of t s.layer) s.id;
-      Sindex.insert (sindex_of t old.layer) old.id old.rect
+      reindex t s old
   | U_translate (dx, dy) ->
       map_shapes_in_place t (fun s -> Shape.translate s ~dx:(-dx) ~dy:(-dy));
-      Hashtbl.iter (fun _ ix -> Sindex.translate_all ix ~dx:(-dx) ~dy:(-dy)) t.by_layer
+      Hashtbl.iter (fun _ l -> Sindex.translate_all l.ix ~dx:(-dx) ~dy:(-dy)) t.by_layer
   | U_new_layer layer ->
       (* Every insert into the fresh index came after its creation, so it
          has already been unwound; the index is empty. *)
@@ -533,7 +576,7 @@ let replay t d =
       | D_remove id -> remove t id
       | D_replace s -> replace t s
       | D_translate (dx, dy) -> translate t ~dx ~dy
-      | D_new_layer layer -> ignore (sindex_of t layer))
+      | D_new_layer layer -> ignore (layer_of t layer))
     d.d_ops;
   t.name <- d.d_name;
   t.ports <- d.d_ports;

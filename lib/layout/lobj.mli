@@ -55,6 +55,16 @@ val near : t -> layer:string -> Amg_geometry.Rect.t -> margin:int -> Shape.t lis
     (see {!Amg_tech.Rules.space_or_zero}); the result is a superset of the
     shapes any rule of that range can relate to the window. *)
 
+val iter_near :
+  t -> layer:string -> Amg_geometry.Rect.t -> margin:int -> (Shape.t -> unit) -> unit
+(** The shapes {!near} returns, visited once each in an unspecified order,
+    without building a list.  [f] must not mutate the object. *)
+
+val keep_clear_on : t -> string -> int
+(** Number of keep-clear shapes on the layer (0 for an absent layer).
+    Maintained incrementally by every store mutation, journal undo and
+    replay, {!copy} and {!absorb}. *)
+
 val shapes_on_net : t -> string -> Shape.t list
 val rects : t -> Amg_geometry.Rect.t list
 val rects_on : t -> string -> Amg_geometry.Rect.t list

@@ -52,6 +52,13 @@ let test_relation () =
   Alcotest.check rel "keep clear" (Constraints.Separation 0)
     (Constraints.relation rules (shape ~layer:"metal1" ~keep_clear:true r0)
        (shape ~layer:"poly" r1));
+  Alcotest.check rel "keep clear target" (Constraints.Separation 0)
+    (Constraints.relation rules (shape ~layer:"metal1" r0)
+       (shape ~layer:"poly" ~keep_clear:true r1));
+  (* A same-potential overlap is a connection, keep-clear or not. *)
+  Alcotest.check rel "keep clear same net" Constraints.Unconstrained
+    (Constraints.relation rules (shape ~layer:"metal1" ~net:"a" ~keep_clear:true r0)
+       (shape ~layer:"poly" ~net:"a" r1));
   (* Containment (cut in its landing) is free. *)
   Alcotest.check rel "containment" Constraints.Unconstrained
     (Constraints.relation rules

@@ -45,7 +45,9 @@ let fingerprint env o =
     @ List.map Amg_layout.Port.show (Lobj.ports o)
     @ near_sig ())
 
-let compact_into env main i (w_um, h_um, vert) =
+(* [keep_clear] adds a keep-clear poly strip beside the metal1 block, so
+   the layer-pair skip has a keep-clear count to consult. *)
+let compact_into ?(keep_clear = false) env main i (w_um, h_um, vert) =
   let o = Lobj.create (Printf.sprintf "o%d" i) in
   ignore
     (Lobj.add_shape o ~layer:"metal1"
@@ -53,41 +55,89 @@ let compact_into env main i (w_um, h_um, vert) =
          (Rect.of_size ~x:0 ~y:0 ~w:(um (float_of_int w_um))
             ~h:(um (float_of_int h_um)))
        ~net:(Printf.sprintf "n%d" i) ());
+  if keep_clear then
+    ignore
+      (Lobj.add_shape o ~layer:"poly"
+         ~rect:
+           (Rect.of_size ~x:(um (float_of_int w_um)) ~y:0 ~w:(um 1.)
+              ~h:(um (float_of_int h_um)))
+         ~net:(Printf.sprintf "k%d" i) ~keep_clear:true ());
   Successive.compact ~rules:(Env.rules env) ~into:main o
     (if vert then Dir.South else Dir.West)
 
-let build env specs =
+let build ?(keep_clear = fun _ -> false) env specs =
   let main = Lobj.create "m" in
-  List.iteri (fun i sp -> compact_into env main i sp) specs;
+  List.iteri
+    (fun i sp -> compact_into ~keep_clear:(keep_clear i) env main i sp)
+    specs;
   main
+
+(* Does every layer's maintained keep-clear count equal a fresh recount
+   of its shapes? *)
+let keep_clear_counts_exact o =
+  List.for_all
+    (fun layer ->
+      Lobj.keep_clear_on o layer
+      = List.length
+          (List.filter (fun (s : Shape.t) -> s.Shape.keep_clear)
+             (Lobj.shapes_on o layer)))
+    ("metal1" :: "poly" :: Lobj.layers o)
 
 (* --- snapshot / restore --- *)
 
 (* Real compactions (placements, auto-connect, variable-edge relaxation)
    after a snapshot, then restore: the object must be byte-identical both
-   to its own pre-snapshot state and to a fresh rebuild of the prefix. *)
+   to its own pre-snapshot state and to a fresh rebuild of the prefix.
+   Every per-layer keep-clear count must match a recount throughout:
+   after the journaled compactions, a replace that flips a shape's
+   keep-clear and a removal, the restore, a replay of their delta, a copy
+   and an absorb. *)
 let prop_restore_is_rebuild =
   let placement = QCheck2.Gen.(tup3 (int_range 2 8) (int_range 2 8) bool) in
   let gen =
     QCheck2.Gen.(
-      tup2
+      tup3
         (list_size (int_range 1 4) placement)
-        (list_size (int_range 1 4) placement))
+        (list_size (int_range 1 4) placement)
+        (int_range 0 15) (* bit i: placement i brings a keep-clear strip *))
   in
   QCheck2.Test.make ~name:"restore rewinds to a byte-identical layout"
-    ~count:25 gen (fun (base, extra) ->
+    ~count:25 gen (fun (base, extra, kc_bits) ->
       let env = Env.bicmos () in
-      let main = build env base in
+      let keep_clear i = (kc_bits lsr (i mod 4)) land 1 = 1 in
+      let main = build ~keep_clear env base in
       let before = fingerprint env main in
+      let pristine = Lobj.copy main in
       let s = Lobj.snapshot main in
-      List.iteri (fun i sp -> compact_into env main (1000 + i) sp) extra;
+      let m = Lobj.mark main in
+      List.iteri
+        (fun i sp ->
+          compact_into ~keep_clear:(keep_clear (i + 1)) env main (1000 + i) sp)
+        extra;
+      (match Lobj.shapes main with
+      | sh :: _ ->
+          Lobj.replace main { sh with Shape.keep_clear = not sh.Shape.keep_clear }
+      | [] -> ());
+      (match List.rev (Lobj.shapes main) with
+      | sh :: _ when sh.Shape.keep_clear -> Lobj.remove main sh.Shape.id
+      | _ -> ());
+      let mutated_counts = keep_clear_counts_exact main in
+      let delta = Lobj.delta_since main m in
       let mutated = fingerprint env main in
       Lobj.restore main s;
       Lobj.release main s;
       let after = fingerprint env main in
-      let rebuilt = fingerprint env (build env base) in
+      let rebuilt = fingerprint env (build ~keep_clear env base) in
+      Lobj.replay pristine delta;
+      let copied = Lobj.copy pristine in
+      let absorbed = Lobj.create "a" in
+      ignore (Lobj.absorb absorbed pristine);
       after = before && after = rebuilt
-      && (extra = [] || mutated <> before))
+      && (extra = [] || mutated <> before)
+      && fingerprint env pristine = mutated
+      && List.for_all keep_clear_counts_exact
+           [ main; pristine; copied; absorbed ]
+      && mutated_counts)
 
 let test_restore_repeatable () =
   let env = Env.bicmos () in

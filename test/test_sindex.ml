@@ -9,6 +9,7 @@ module Units = Amg_geometry.Units
 module Sindex = Amg_geometry.Sindex
 module Shape = Amg_layout.Shape
 module Lobj = Amg_layout.Lobj
+module Edge = Amg_layout.Edge
 module Constraints = Amg_compact.Constraints
 module Successive = Amg_compact.Successive
 module Technology = Amg_tech.Technology
@@ -64,28 +65,47 @@ let prop_query_matches_model =
           model
         |> List.sort_uniq Int.compare
       in
-      Sindex.query ix window ~margin = expected)
+      (* The visitor must report each matching key exactly once — overflow
+         entries, negative coordinates and the translation offset
+         included — so its keys, sorted but not deduplicated, are the
+         model's. *)
+      let visited = ref [] in
+      Sindex.iter_query ix window ~margin (fun key -> visited := key :: !visited);
+      Sindex.query ix window ~margin = expected
+      && List.sort Int.compare !visited = expected)
 
 (* --- random layouts shared by the consumer equivalence properties --- *)
 
 let layers = [ "metal1"; "poly"; "pdiff"; "contact" ]
 
+(* Some shapes are keep-clear (which makes cross-layer pairs without a
+   spacing rule constrain) and some have variable edges. *)
 let gen_shape_spec =
   QCheck2.Gen.(
     tup4 (oneofl layers)
       (oneofl [ Some "a"; Some "b"; Some "c"; None ])
       (tup2 (int_range 0 80) (int_range 0 80)) (* position, 0.5 um steps *)
-      (tup2 (int_range 1 16) (int_range 1 16)) (* size, 0.5 um steps *))
+      (tup3
+         (tup2 (int_range 1 16) (int_range 1 16)) (* size, 0.5 um steps *)
+         (frequency [ (5, return false); (1, return true) ]) (* keep-clear *)
+         (oneofl
+            [
+              Edge.all_fixed;
+              Edge.all_fixed;
+              Edge.all_variable;
+              Edge.set Edge.all_fixed Dir.North Edge.Variable;
+              Edge.set Edge.all_fixed Dir.West Edge.Variable;
+            ])))
 
 let build_lobj name specs =
   let o = Lobj.create name in
   List.iter
-    (fun (layer, net, (x, y), (w, h)) ->
+    (fun (layer, net, (x, y), ((w, h), keep_clear, sides)) ->
       ignore
         (Lobj.add_shape o ~layer
            ~rect:
              (Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500))
-           ?net ()))
+           ?net ~sides ~keep_clear ()))
     specs;
   o
 
@@ -118,20 +138,59 @@ let prop_near_matches_shapes =
       in
       Lobj.near o ~layer window ~margin = expected)
 
-(* --- collect_limits vs. the all-pairs scan it replaced --- *)
+(* --- the candidate pass vs. the all-pairs scan --- *)
 
-let naive_limits rules ?ignore_layers d ~main obj =
-  List.concat_map
-    (fun (a : Shape.t) ->
-      List.filter_map
-        (fun (b : Shape.t) ->
-          match Constraints.pair_limit_rel rules ?ignore_layers d a b with
-          | Some (bound, rel) -> Some (bound, a.Shape.id, b.Shape.id, rel)
-          | None -> None)
-        (Lobj.shapes main))
-    (Lobj.shapes obj)
+(* The bound stationary [b] imposes on [a] moving in [d], from the pair's
+   relation and the shapes' spans, as the all-pairs scan computed it: the
+   reference for the pass's allocation-free bound arithmetic. *)
+let naive_pair_limit rules ?ignore_layers d (a : Shape.t) (b : Shape.t) =
+  let axis = Dir.axis d in
+  match Constraints.relation rules ?ignore_layers a b with
+  | Constraints.Unconstrained -> None
+  | Constraints.Mergeable as rel ->
+      if Constraints.shadows ~axis ~sep:0 a.rect b.rect then
+        let trailing r = Rect.side r (Dir.opposite d) in
+        Some (trailing b.rect - trailing a.rect, rel)
+      else None
+  | Constraints.Separation sep as rel ->
+      if Constraints.shadows ~axis ~sep a.rect b.rect then
+        let ia = Rect.span axis a.rect and ib = Rect.span axis b.rect in
+        Some
+          ( (if Dir.sign d < 0 then ib.Interval.hi + sep - ia.Interval.lo
+             else ib.Interval.lo - sep - ia.Interval.hi),
+            rel )
+      else None
 
-let prop_collect_limits_equiv =
+(* Every pair limit, in (mover, target) insertion order, summarized the
+   way a placement uses it: the tightest bound, the limits tied at it in
+   scan order, and the tightest bound strictly looser than it. *)
+let naive_pass rules ?ignore_layers d ~main obj =
+  let limits =
+    List.concat_map
+      (fun (a : Shape.t) ->
+        List.filter_map
+          (fun (b : Shape.t) ->
+            match naive_pair_limit rules ?ignore_layers d a b with
+            | Some (bound, rel) -> Some (bound, a.Shape.id, b.Shape.id, rel)
+            | None -> None)
+          (Lobj.shapes main))
+      (Lobj.shapes obj)
+  in
+  let tightest bounds =
+    List.fold_left
+      (fun acc b ->
+        match acc with
+        | None -> Some b
+        | Some t -> Some (if Dir.sign d < 0 then max t b else min t b))
+      None bounds
+  in
+  let bounds = List.map (fun (b, _, _, _) -> b) limits in
+  let best = tightest bounds in
+  ( best,
+    List.filter (fun (b, _, _, _) -> Some b = best) limits,
+    tightest (List.filter (fun b -> Some b <> best) bounds) )
+
+let prop_pass_equiv =
   let gen =
     QCheck2.Gen.(
       tup4
@@ -140,21 +199,23 @@ let prop_collect_limits_equiv =
         (oneofl Dir.all)
         (oneofl [ []; [ "metal1" ]; [ "poly" ] ]))
   in
-  QCheck2.Test.make ~name:"collect_limits = all-pairs scan" ~count:500 gen
+  QCheck2.Test.make ~name:"candidate pass = all-pairs scan" ~count:500 gen
     (fun (main_specs, obj_specs, d, ignore_layers) ->
       let rules = rules () in
       let main = build_lobj "main" main_specs in
       let obj = build_lobj "obj" obj_specs in
-      let indexed =
+      let pass = Successive.scan rules ~ignore_layers d ~main obj in
+      let tied =
         List.map
           (fun l ->
             ( l.Successive.bound,
               l.Successive.mover.Shape.id,
               l.Successive.target.Shape.id,
               l.Successive.rel ))
-          (Successive.collect_limits rules ~ignore_layers d ~main obj)
+          pass.Successive.tied
       in
-      indexed = naive_limits rules ~ignore_layers d ~main obj)
+      (pass.Successive.tightest, tied, pass.Successive.runner_up)
+      = naive_pass rules ~ignore_layers d ~main obj)
 
 (* --- auto_connect vs. a straight reimplementation of the full scan --- *)
 
@@ -214,21 +275,35 @@ let naive_auto_connect rules d ~main obj =
 
 let shape_fingerprint (s : Shape.t) = (s.Shape.id, s.layer, s.rect, s.net)
 
+(* The fused path of a placement: the pass is taken where the mover
+   starts, the mover then travels along the movement axis (to its placed
+   position, or by an arbitrary amount), and auto-connection works from
+   the pass's pairs on the moved geometry. *)
 let prop_auto_connect_equiv =
   let gen =
     QCheck2.Gen.(
-      tup3
+      tup4
         (list_size (int_range 1 20) gen_shape_spec)
         (list_size (int_range 1 4) gen_shape_spec)
-        (oneofl Dir.all))
+        (oneofl Dir.all)
+        (option (int_range (-40) 40)) (* None: travel to the placement *))
   in
   QCheck2.Test.make ~name:"auto_connect = all-pairs reference" ~count:500 gen
-    (fun (main_specs, obj_specs, d) ->
+    (fun (main_specs, obj_specs, d, travel) ->
       let rules = rules () in
       let main_a = build_lobj "main" main_specs in
       let main_b = Lobj.copy main_a in
       let obj = build_lobj "obj" obj_specs in
-      Successive.auto_connect rules d ~main:main_a obj;
+      let pass = Successive.scan rules d ~main:main_a obj in
+      let dl =
+        match travel with
+        | Some k -> k * 500
+        | None -> Successive.delta rules d ~main:main_a obj
+      in
+      (match Dir.axis d with
+      | Dir.Horizontal -> Lobj.translate obj ~dx:dl ~dy:0
+      | Dir.Vertical -> Lobj.translate obj ~dx:0 ~dy:dl);
+      Successive.auto_connect rules d ~main:main_a ~pass obj;
       naive_auto_connect rules d ~main:main_b obj;
       List.map shape_fingerprint (Lobj.shapes main_a)
       = List.map shape_fingerprint (Lobj.shapes main_b))
@@ -267,7 +342,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_query_matches_model;
     QCheck_alcotest.to_alcotest prop_near_matches_shapes;
-    QCheck_alcotest.to_alcotest prop_collect_limits_equiv;
+    QCheck_alcotest.to_alcotest prop_pass_equiv;
     QCheck_alcotest.to_alcotest prop_auto_connect_equiv;
     Alcotest.test_case "diff-pair bb optimum unchanged" `Quick
       test_diffpair_bb_regression;
