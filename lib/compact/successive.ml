@@ -18,26 +18,6 @@ type limit = { bound : int; mover : Shape.t; target : Shape.t; rel : Constraints
 
 type align = [ `Keep | `Center | `Min | `Max ]
 
-(* Cross-axis pre-alignment of the moving object relative to the target's
-   bounding box. *)
-let apply_align ~align ~(d : Dir.t) ~main obj =
-  match (align, Lobj.bbox main, Lobj.bbox obj) with
-  | `Keep, _, _ | _, None, _ | _, _, None -> ()
-  | (`Center | `Min | `Max), Some mb, Some ob ->
-      let cross = Dir.cross_axis d in
-      let mi = Rect.span cross mb and oi = Rect.span cross ob in
-      let shift =
-        match align with
-        | `Center ->
-            ((mi.Interval.lo + mi.Interval.hi) - (oi.Interval.lo + oi.Interval.hi)) / 2
-        | `Min -> mi.Interval.lo - oi.Interval.lo
-        | `Max -> mi.Interval.hi - oi.Interval.hi
-        | `Keep -> 0
-      in
-      (match cross with
-      | Dir.Horizontal -> Lobj.translate obj ~dx:shift ~dy:0
-      | Dir.Vertical -> Lobj.translate obj ~dx:0 ~dy:shift)
-
 (* A movement-axis slab: the mover's rectangle stretched along the axis to
    cover the main structure's whole extent.  Along the movement axis any
    distance still constrains the travel, so only the cross-axis shadow can
@@ -72,111 +52,222 @@ let cross_overlap ~axis (ra : Rect.t) (rb : Rect.t) =
 type pass = {
   tightest : int option;
   tied : limit list;
-  runner_up : int option;
+  runner_up : int option Lazy.t;
   connect : (int * int) list;
 }
 
-let no_pass = { tightest = None; tied = []; runner_up = None; connect = [] }
+let no_pass =
+  { tightest = None; tied = []; runner_up = Lazy.from_val None; connect = [] }
 
 let make_limit bound mover target code =
   { bound; mover; target; rel = Constraints.relation_of_code code }
 
-(* The candidate pass: one visit of every (mover shape, target) pair that
-   can constrain the move, keeping only what a placement uses — the
-   tightest bound, the limits tied at it, the runner-up bound for the
-   variable-edge relaxation, and the same-layer same-net pairs
-   auto-connection will examine.  Candidates come from the per-layer
-   index, restricted to each mover shape's movement slab inflated by the
-   layer pair's spacing rule, in no particular order; only the tied
-   limits are sorted, back into the (mover id, target id) order of the
-   all-pairs scan, which keeps every tie-break unchanged.  A bound
-   produces a limit record only while it is tied at the tightest value
-   seen so far. *)
+(* One (mover layer, main layer) pair of the candidate pass, classified
+   once per pass.
+
+   Its optimistic bound is admissible: moving South, a separated pair
+   bounds the travel at [b.y1 + sep - a.y0] and a mergeable one at
+   [b.y1 - a.y1]; [sep] is the pair's spacing rule or 0 (keep-clear),
+   never more than the margin floored at 0, and [a.y1 >= a.y0], so no
+   pair of the layer pair bounds tighter than
+   [main_hull.y1 + max margin 0 - a.y0] — [reach - Rect.side a d] — nor,
+   over the mover layer's hull, than [optimistic].  The other directions
+   mirror it. *)
+type layer_pair = {
+  movers : Shape.t list; (* the mover's shapes on the mover layer, by id *)
+  layer : string; (* the main layer *)
+  cls : Constraints.pair_class;
+  margin : int;
+  keep_clear_only : bool;
+      (* different layers, no spacing rule, no keep-clear target: only a
+         keep-clear mover shape can constrain (see [may_constrain]) *)
+  connecting : bool;
+      (* the same stretchable layer, where auto-connection's partners are;
+         cut shapes are never stretched *)
+  netted : bool; (* some mover shape has a net *)
+  reach : int;
+  optimistic : int;
+}
+
+let layer_pairs rules ?ignore_layers d ~main obj =
+  let sign = Dir.sign d in
+  let tighter x y = if sign < 0 then x > y else x < y in
+  let mains =
+    List.filter_map
+      (fun lb ->
+        Option.map
+          (fun hull -> (lb, hull, Lobj.keep_clear_on main lb > 0))
+          (Lobj.bbox_on main lb))
+      (Lobj.layers main)
+  in
+  let shapes = Lobj.shapes obj in
+  List.concat_map
+    (fun la ->
+      let movers =
+        List.filter (fun (s : Shape.t) -> String.equal s.Shape.layer la) shapes
+      in
+      (* The leading side of the mover layer's hull, taken from its shapes:
+         they are at hand, while a fresh mover's layer hulls are rarely
+         cached. *)
+      let lead =
+        List.fold_left
+          (fun acc (s : Shape.t) ->
+            let side = Rect.side s.Shape.rect d in
+            if sign < 0 then min acc side else max acc side)
+          (if sign < 0 then max_int else min_int)
+          movers
+      in
+      let stretchable = Rules.cut_size_opt rules la = None in
+      let netted = List.exists (fun (s : Shape.t) -> s.Shape.net <> None) movers in
+      let keep_clear_movers = Lobj.keep_clear_on obj la > 0 in
+      List.filter_map
+        (fun (lb, main_hull, keep_clear_targets) ->
+          let cls = Constraints.classify rules ?ignore_layers la lb in
+          let keep_clear_only =
+            not (cls.same_layer || cls.space <> None || keep_clear_targets)
+          in
+          if keep_clear_only && not keep_clear_movers then None
+          else
+            let margin = Constraints.margin_cls cls in
+            let reach =
+              Rect.side main_hull (Dir.opposite d) - (sign * max margin 0)
+            in
+            Some
+              {
+                movers;
+                layer = lb;
+                cls;
+                margin;
+                keep_clear_only;
+                connecting = cls.same_layer && stretchable;
+                netted;
+                reach;
+                optimistic = reach - lead;
+              })
+        mains)
+    (Lobj.layers obj)
+  (* Tightest optimistic bound first; the sort is stable, so ties keep
+     (mover layer, main layer) first-use order. *)
+  |> List.stable_sort (fun p q ->
+         if tighter p.optimistic q.optimistic then -1
+         else if tighter q.optimistic p.optimistic then 1
+         else 0)
+
+let by_mover_target (m1, t1) (m2, t2) =
+  let c = Int.compare m1 m2 in
+  if c <> 0 then c else Int.compare t1 t2
+
+(* Visit the layer pairs in order.  With [prune], a layer pair — and
+   inside a visited one, a mover shape — whose optimistic bound is
+   strictly looser than the tightest bound found so far is skipped: it
+   can neither set nor tie the tightest bound, which only ever tightens.
+   A mover shape with a net on a connecting pair is still visited for its
+   partners.  Candidates come from the per-layer index, restricted to the
+   mover shape's movement slab inflated by the pair's spacing rule, in no
+   particular order; only the tied limits and the partners are sorted,
+   back into the (mover id, target id) order of the all-pairs scan, which
+   keeps every tie-break unchanged.  A bound produces a limit record only
+   while it is tied at the tightest value seen so far.  Returns the
+   summary and whether anything was skipped; the runner-up is exact only
+   when nothing was. *)
+let visit ~prune d ~main ~mb pairs =
+  let axis = Dir.axis d in
+  let sign = Dir.sign d in
+  let tighter x y = if sign < 0 then x > y else x < y in
+  let obs = Obs.enabled () in
+  (* The tightest bound and the runner-up, each valid once its flag is
+     set; unboxed so that offering a bound allocates nothing unless it
+     ties the tightest. *)
+  let has_best = ref false and best = ref 0 and tied = ref [] in
+  let has_second = ref false and second = ref 0 in
+  let offer bound a b code =
+    if !has_best && bound = !best then tied := make_limit bound a b code :: !tied
+    else if !has_best && not (tighter bound !best) then begin
+      if (not !has_second) || tighter bound !second then begin
+        has_second := true;
+        second := bound
+      end
+    end
+    else begin
+      if !has_best then begin
+        has_second := true;
+        second := !best
+      end;
+      has_best := true;
+      best := bound;
+      tied := [ make_limit bound a b code ]
+    end
+  in
+  let cannot_bind optimistic = prune && !has_best && tighter !best optimistic in
+  let connect = ref [] and skipped = ref false in
+  List.iter
+    (fun p ->
+      if cannot_bind p.optimistic && not (p.connecting && p.netted) then
+        skipped := true
+      else
+        List.iter
+          (fun (a : Shape.t) ->
+            let partners = p.connecting && a.Shape.net <> None in
+            if p.keep_clear_only && not a.Shape.keep_clear then ()
+            else if cannot_bind (p.reach - Rect.side a.Shape.rect d) && not partners
+            then skipped := true
+            else begin
+              let considered = ref 0 in
+              Lobj.iter_near main ~layer:p.layer (slab ~axis a mb) ~margin:p.margin
+                (fun (b : Shape.t) ->
+                  incr considered;
+                  let code = Constraints.code_cls p.cls a b in
+                  let bound = Constraints.bound_code d code a b in
+                  if bound <> Constraints.no_bound then begin
+                    if obs then begin
+                      Obs.count "compact.limits" 1;
+                      if Constraints.is_mergeable code then
+                        Obs.count "compact.merge_limits" 1
+                    end;
+                    offer bound a b code
+                  end;
+                  if
+                    partners && Shape.same_net a b
+                    && cross_overlap ~axis a.Shape.rect b.Shape.rect
+                  then connect := (a.Shape.id, b.Shape.id) :: !connect);
+              if obs then Obs.count "compact.pairs_considered" !considered
+            end)
+          p.movers)
+    pairs;
+  ( {
+      tightest = (if !has_best then Some !best else None);
+      tied =
+        List.sort
+          (fun l1 l2 ->
+            by_mover_target
+              (l1.mover.Shape.id, l1.target.Shape.id)
+              (l2.mover.Shape.id, l2.target.Shape.id))
+          !tied;
+      runner_up = Lazy.from_val (if !has_second then Some !second else None);
+      connect = List.sort by_mover_target !connect;
+    },
+    !skipped )
+
+(* The candidate pass: one bound-ordered visit of the (mover layer, main
+   layer) pairs that can constrain the move, keeping only what a
+   placement uses — the tightest bound, the limits tied at it, the
+   runner-up bound for the variable-edge relaxation, and the same-layer
+   same-net pairs auto-connection will examine.  When the pruned visit
+   skipped something, the runner-up is left to a second, unpruned visit
+   of the same pairs, run only if it is forced. *)
 let scan rules ?ignore_layers d ~main obj =
   match Lobj.bbox main with
   | None -> no_pass
   | Some mb ->
-      let axis = Dir.axis d in
-      let sign = Dir.sign d in
-      let tighter x y = if sign < 0 then x > y else x < y in
-      let layers = Lobj.layers main in
-      let obs = Obs.enabled () in
-      (* The tightest bound and the runner-up, each valid once its flag is
-         set; unboxed so that offering a bound allocates nothing unless it
-         ties the tightest. *)
-      let has_best = ref false and best = ref 0 and tied = ref [] in
-      let has_second = ref false and second = ref 0 in
-      let offer bound a b code =
-        if !has_best && bound = !best then
-          tied := make_limit bound a b code :: !tied
-        else if !has_best && not (tighter bound !best) then begin
-          if (not !has_second) || tighter bound !second then begin
-            has_second := true;
-            second := bound
-          end
-        end
-        else begin
-          if !has_best then begin
-            has_second := true;
-            second := !best
-          end;
-          has_best := true;
-          best := bound;
-          tied := [ make_limit bound a b code ]
-        end
-      in
-      let connect = ref [] in
-      List.iter
-        (fun (a : Shape.t) ->
-          let window = slab ~axis a mb in
-          let partners = ref [] and own_layer_seen = ref false in
-          List.iter
-            (fun layer ->
-              (* One rule-table consultation per (mover, layer); the inner
-                 loop then runs without spacing lookups. *)
-              let cls = Constraints.classify rules ?ignore_layers a.Shape.layer layer in
-              if may_constrain cls a main layer then begin
-                let margin = Constraints.margin_cls cls in
-                (* [Lobj.layers] repeats a layer after [Lobj.transform];
-                   auto-connection examines each partner once. *)
-                let connecting = cls.same_layer && not !own_layer_seen in
-                if cls.same_layer then own_layer_seen := true;
-                let considered = ref 0 in
-                Lobj.iter_near main ~layer window ~margin (fun (b : Shape.t) ->
-                    incr considered;
-                    let code = Constraints.code_cls cls a b in
-                    let bound = Constraints.bound_code d code a b in
-                    if bound <> Constraints.no_bound then begin
-                      if obs then begin
-                        Obs.count "compact.limits" 1;
-                        if Constraints.is_mergeable code then
-                          Obs.count "compact.merge_limits" 1
-                      end;
-                      offer bound a b code
-                    end;
-                    if
-                      connecting && Shape.same_net a b
-                      && cross_overlap ~axis a.rect b.rect
-                    then partners := b.Shape.id :: !partners);
-                if obs then Obs.count "compact.pairs_considered" !considered
-              end)
-            layers;
-          List.iter
-            (fun id -> connect := (a.Shape.id, id) :: !connect)
-            (List.sort Int.compare !partners))
-        (Lobj.shapes obj);
-      {
-        tightest = (if !has_best then Some !best else None);
-        tied =
-          List.sort
-            (fun l1 l2 ->
-              let c = Int.compare l1.mover.Shape.id l2.mover.Shape.id in
-              if c <> 0 then c
-              else Int.compare l1.target.Shape.id l2.target.Shape.id)
-            !tied;
-        runner_up = (if !has_second then Some !second else None);
-        connect = List.rev !connect;
-      }
+      let pairs = layer_pairs rules ?ignore_layers d ~main obj in
+      let pass, skipped = visit ~prune:true d ~main ~mb pairs in
+      if not skipped then pass
+      else
+        {
+          pass with
+          runner_up =
+            lazy (Lazy.force (fst (visit ~prune:false d ~main ~mb pairs)).runner_up);
+        }
 
 (* Minimum extent a shape may be shrunk to along [axis]: its layer's minimum
    width, raised to the one-cut minimum when it is a container of a
@@ -190,6 +281,8 @@ let min_extent rules owner (s : Shape.t) =
 
 (* Shrink the [facing] edge of shape [s] (owned by [owner]) inward by
    [amount], clamped to the minimum extent; rebuilds derived arrays.
+   [amount] is forced only when the shape has slack to give, before any
+   mutation.
    A shrink that would slide the shape away from its array's other
    containers (leaving the array without a single cut, i.e. disconnecting
    the structure) is rolled back.  Returns how much was actually shrunk. *)
@@ -197,7 +290,7 @@ let shrink_edge rules owner (s : Shape.t) facing amount =
   let axis = Dir.axis facing in
   let extent = Interval.length (Rect.span axis s.rect) in
   let slack = extent - min_extent rules owner s in
-  let step = min amount slack in
+  let step = if slack <= 0 then 0 else min (Lazy.force amount) slack in
   if step <= 0 then 0
   else begin
     let r = Rect.grow_side s.rect facing (-step) in
@@ -239,11 +332,14 @@ let relax_variable_edges rules ?ignore_layers d ~main obj =
               pass.tied
           in
           (* How much slack until the next constraint binds; unlimited when
-             this pair is the only constraint. *)
+             this pair is the only constraint.  Forcing the runner-up may
+             take a second, unpruned visit, so it waits until an edge is
+             about to shrink — while the geometry is still the pass's. *)
           let want =
-            match pass.runner_up with
-            | Some s -> abs (best - s)
-            | None -> max_int / 2
+            lazy
+              (match Lazy.force pass.runner_up with
+              | Some s -> abs (best - s)
+              | None -> max_int / 2)
           in
           let progressed = ref false in
           List.iter
@@ -354,22 +450,38 @@ let delta rules ?ignore_layers d ~main obj =
   | Some bound -> bound
   | None -> bbox_abut_delta d ~main obj
 
-(* Start the mover outside the main structure, beyond its far edge in the
-   opposite direction, so that it genuinely "approaches" — otherwise a
-   mover generated at the origin may begin inside the structure and
-   position-dependent relations (containment) misfire. *)
-let stage_outside ~grid d ~main obj =
+(* Where the mover starts: pre-aligned across the movement axis relative
+   to the main structure's bounding box, and outside the structure beyond
+   its far edge in the opposite direction, so that it genuinely
+   "approaches" — otherwise a mover generated at the origin may begin
+   inside the structure and position-dependent relations (containment)
+   misfire.  The two shifts are on different axes, so both come from the
+   bounding boxes as they stand and the mover is translated once. *)
+let stage ~align ~grid d ~main obj =
   match (Lobj.bbox main, Lobj.bbox obj) with
   | Some mb, Some ob ->
-      let axis = Dir.axis d in
-      let mi = Rect.span axis mb and oi = Rect.span axis ob in
-      let shift =
+      let mc = Rect.span (Dir.cross_axis d) mb
+      and oc = Rect.span (Dir.cross_axis d) ob in
+      let across =
+        match align with
+        | `Keep -> 0
+        | `Center ->
+            ((mc.Interval.lo + mc.Interval.hi) - (oc.Interval.lo + oc.Interval.hi)) / 2
+        | `Min -> mc.Interval.lo - oc.Interval.lo
+        | `Max -> mc.Interval.hi - oc.Interval.hi
+      in
+      let mi = Rect.span (Dir.axis d) mb and oi = Rect.span (Dir.axis d) ob in
+      let along =
         if Dir.sign d < 0 then
           (* moving low-ward: start above/right of main *)
           max 0 (mi.Interval.hi + grid - oi.Interval.lo)
         else min 0 (mi.Interval.lo - grid - oi.Interval.hi)
       in
-      if shift <> 0 then translate_along d obj shift
+      if along <> 0 || across <> 0 then begin
+        match Dir.axis d with
+        | Dir.Horizontal -> Lobj.translate obj ~dx:along ~dy:across
+        | Dir.Vertical -> Lobj.translate obj ~dx:across ~dy:along
+      end
   | _ -> ()
 
 (* The per-placement audit record behind `amgen build --explain`: which
@@ -422,8 +534,7 @@ let place_mark ~main ~obj ~d ~dl ~(binding : limit list) =
    in direction [d], then absorb it into [main].  [main] empty means the
    first compaction command simply copies the object in (§2.5). *)
 let place rules ~main ?ignore_layers ~align ~variable_edges obj d =
-  apply_align ~align ~d ~main obj;
-  stage_outside ~grid:(Rules.grid rules) d ~main obj;
+  stage ~align ~grid:(Rules.grid rules) d ~main obj;
   (* The relaxation hands back the pass of its final (quiescent) round,
      so neither the placement delta nor auto-connection scans again. *)
   let pass =

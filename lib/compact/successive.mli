@@ -35,13 +35,15 @@ type pass = {
       (** Every limit at [tightest], in (mover id, target id) order — the
           insertion order of the all-pairs scan, which fixes the
           tie-breaks. *)
-  runner_up : int option;
+  runner_up : int option Lazy.t;
       (** The tightest bound strictly looser than [tightest]: the slack the
-          variable-edge relaxation may take. *)
+          variable-edge relaxation may take.  Forcing it may take a second,
+          unpruned visit of the pass's pairs, so force it before mutating
+          either object. *)
   connect : (int * int) list;
-      (** (mover id, target id) of every same-layer, same-net pair whose
-          cross-axis spans overlap — auto-connection's candidates — in
-          (mover id, target id) order. *)
+      (** (mover id, target id) of every same-layer, same-net pair on a
+          stretchable (non-cut) layer whose cross-axis spans overlap —
+          auto-connection's candidates — in (mover id, target id) order. *)
 }
 (** What one candidate pass over the mover and the main structure yields:
     the only facts a placement uses. *)
@@ -53,12 +55,17 @@ val scan :
   main:Amg_layout.Lobj.t ->
   Amg_layout.Lobj.t ->
   pass
-(** The candidate pass.  Each (mover shape, main layer) pair that can
-    constrain the move is queried once in the per-layer spatial index,
-    over the shape's movement slab inflated by the layer pair's spacing
-    rule; a pair on different layers with no spacing rule and no
-    keep-clear shape on either side is skipped.  The result equals the
-    summary of the all-pairs scan.  Pure query: mutates nothing. *)
+(** The candidate pass, bound-ordered over layer pairs.  Each (mover
+    layer, main layer) pair is classified once and given an optimistic
+    bound from the two layer hulls; pairs are visited tightest-optimistic
+    first, and a pair — or one mover shape of a visited pair — whose
+    optimistic bound is strictly looser than the tightest bound found so
+    far is skipped, unless it may hold auto-connection partners.  A
+    visited mover shape is queried once in the main layer's spatial
+    index, over its movement slab inflated by the pair's spacing rule; a
+    pair on different layers with no spacing rule and no keep-clear shape
+    on either side is never queried.  The result equals the summary of
+    the all-pairs scan.  Pure query: mutates nothing. *)
 
 val delta :
   Amg_tech.Rules.t ->

@@ -368,19 +368,25 @@ let no_snapshots t op =
   if journaling t then
     Fmt.invalid_arg "Lobj.%s: %s has a live snapshot (not journalable)" op t.name
 
-(* Arbitrary orientations invalidate the binning wholesale: rebuild. *)
+(* Arbitrary orientations invalidate the binning wholesale: rebuild.  The
+   rebuild re-enters every layer, so the first-use order is saved and
+   restored over it (minus layers the rebuild left out, which held no
+   shape). *)
 let transform t tr =
   no_snapshots t "transform";
   map_shapes_in_place t (fun s -> Shape.transform s tr);
   t.ports <- List.map (fun p -> Port.transform p tr) t.ports;
+  let order = t.layer_order in
   Hashtbl.reset t.by_layer;
   Hashtbl.reset t.layer_bb;
   t.bb <- None;
+  t.layer_order <- [];
   for i = 0 to t.n_slots - 1 do
     match t.slots.(i) with
     | Some s -> index t s
     | None -> ()
-  done
+  done;
+  t.layer_order <- List.filter (Hashtbl.mem t.by_layer) order
 
 (* Structural copy — the paper's "trans2 = trans1" (§2.5).  Shape, port and
    array values are immutable and may be shared, but every mutable piece of

@@ -31,12 +31,19 @@ let nm_of_string ?file line s =
   | None -> fail ?file ~code:"tech.parse.bad-number" line "expected a number, got %S" s
 
 (* Tolerate tabs and CRLF line endings: '\r' left by splitting a CRLF file
-   on '\n' is just another separator. *)
+   on '\n' is just another separator.  One scan, right to left so that the
+   words come out in order; [stop] is one past the end of the word being
+   scanned. *)
 let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun w -> w <> "")
+  let sep c = c = ' ' || c = '\t' || c = '\r' in
+  let rec scan acc stop i =
+    if i < 0 then if stop > 0 then String.sub s 0 stop :: acc else acc
+    else if sep s.[i] then
+      let acc = if stop > i + 1 then String.sub s (i + 1) (stop - i - 1) :: acc else acc in
+      scan acc i (i - 1)
+    else scan acc stop (i - 1)
+  in
+  scan [] (String.length s) (String.length s - 1)
 
 (* A comment starts at a '#' that begins the line or follows whitespace —
    a '#' inside a token (a colour value like [color=#cc2222]) is data. *)
@@ -109,12 +116,15 @@ let parse_layer_line ?file lineno = function
         "layer line needs at least a name and a kind"
 
 let parse_string ?file src =
-  let lines = String.split_on_char '\n' src in
+  (* Each line's words, split once for both passes. *)
+  let lines =
+    List.map (fun line -> split_words (strip_comment line)) (String.split_on_char '\n' src)
+  in
   (* First pass: pick up the grid so the rule table starts correct. *)
   let grid = ref 50 in
   List.iteri
-    (fun i line ->
-      match split_words (strip_comment line) with
+    (fun i words ->
+      match words with
       | [ "grid"; v ] -> grid := nm_of_string ?file (i + 1) v
       | _ -> ())
     lines;
@@ -132,9 +142,9 @@ let parse_string ?file src =
       fail ?file ~code:"tech.parse.unknown-layer" lineno "unknown layer %S" l
   in
   List.iteri
-    (fun i line ->
+    (fun i words ->
       let lineno = i + 1 in
-      match split_words (strip_comment line) with
+      match words with
       | [] -> ()
       | [ "technology"; name ] ->
           if !tech <> None then

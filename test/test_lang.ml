@@ -265,6 +265,25 @@ ENT Bar()
   let o = build src "M" [] in
   check "one shape" 1 (Lobj.shape_count o)
 
+(* Mirroring rebuilds the object's per-layer indexes; its layer list
+   must come back without repeats, still in first-use order. *)
+let test_interp_mirror_layers () =
+  let src = {|
+ENT Row()
+  INBOX("pdiff", 4, 10, net = "x")
+  INBOX("metal1", net = "x")
+  ARRAY("contact", net = "x")
+
+r = Row()
+MIRROR(r, "X")
+MIRROR(r, "Y")
+|} in
+  let _, globals = Interp.run (env ()) (Parser.parse_program src) in
+  match Hashtbl.find_opt globals "r" with
+  | Some (Value.Obj o) ->
+      Alcotest.(check (list string)) "layers" [ "pdiff"; "metal1"; "contact" ]
+        (Lobj.layers o)
+  | _ -> Alcotest.fail "r is not an object"
 
 (* --- routing builtins --- *)
 
@@ -518,6 +537,7 @@ let suite =
     Alcotest.test_case "geometry queries" `Quick test_interp_geometry_queries;
     Alcotest.test_case "fit-row topology variants" `Quick test_interp_fit_row_variants;
     Alcotest.test_case "mirror" `Quick test_interp_mirror;
+    Alcotest.test_case "mirror keeps layer order" `Quick test_interp_mirror_layers;
     Alcotest.test_case "WIRE builtin" `Quick test_interp_wire;
     Alcotest.test_case "VIA and CONTACT_AT builtins" `Quick test_interp_via_contact;
     Alcotest.test_case "CONNECT builtin" `Quick test_interp_connect;

@@ -222,6 +222,22 @@ let test_bipolar () =
   let pair = M.Bipolar.symmetric_pair e ~we:(um 2.) ~le:(um 8.) () in
   check "pair drc" 0 (drc pair)
 
+(* The symmetric pair mirrors its second device.  A mirror rebuilds the
+   per-layer indexes; the layer list must keep first-use order without
+   listing any layer twice. *)
+let test_bipolar_mirror_layers () =
+  let e = env () in
+  let q = M.Bipolar.make e ~we:(um 2.) ~le:(um 8.) () in
+  let before = Lobj.layers q in
+  List.iter
+    (fun o ->
+      let m = Lobj.copy q in
+      Lobj.transform m (Amg_geometry.Transform.of_orientation o);
+      Alcotest.(check (list string))
+        (Amg_geometry.Transform.show_orientation o)
+        before (Lobj.layers m))
+    Amg_geometry.Transform.[ MX; MY ]
+
 let test_resistor () =
   let e = env () in
   let o, ohms = M.Resistor.make e ~squares:100. () in
@@ -797,6 +813,8 @@ let suite =
     Alcotest.test_case "common centroid (module E)" `Quick test_common_centroid;
     Alcotest.test_case "common centroid validation" `Quick test_common_centroid_bad_pairs;
     Alcotest.test_case "bipolar" `Quick test_bipolar;
+    Alcotest.test_case "bipolar mirror keeps layer order" `Quick
+      test_bipolar_mirror_layers;
     Alcotest.test_case "resistor" `Quick test_resistor;
     Alcotest.test_case "capacitor" `Quick test_capacitor;
     Alcotest.test_case "stacked transistors" `Quick test_stacked;

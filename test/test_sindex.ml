@@ -80,7 +80,7 @@ let layers = [ "metal1"; "poly"; "pdiff"; "contact" ]
 
 (* Some shapes are keep-clear (which makes cross-layer pairs without a
    spacing rule constrain) and some have variable edges. *)
-let gen_shape_spec =
+let gen_plain_spec =
   QCheck2.Gen.(
     tup4 (oneofl layers)
       (oneofl [ Some "a"; Some "b"; Some "c"; None ])
@@ -97,6 +97,35 @@ let gen_shape_spec =
               Edge.set Edge.all_fixed Dir.West Edge.Variable;
             ])))
 
+(* A contact as contact rows draw it: a row or column of 1 um cuts at
+   2.5 um pitch, enclosed by 0.5 um in a same-net metal1 shape.  Cut pairs
+   bound a move 1 um looser than the metal1 pair around them, so these
+   are what the candidate pass skips, whole layer pairs and single cuts. *)
+let gen_contact_spec =
+  QCheck2.Gen.(
+    let* net = oneofl [ "a"; "b"; "c" ] in
+    let* x, y = tup2 (int_range 0 76) (int_range 0 76) in
+    let* cuts = int_range 1 3 in
+    let* vertical = bool in
+    let fixed = Edge.all_fixed in
+    let long = (5 * cuts) - 1 in
+    let metal =
+      ("metal1", Some net, (x, y), ((if vertical then (4, long) else (long, 4)), false, fixed))
+    in
+    let cut i =
+      let along = 1 + (5 * i) in
+      ( "contact",
+        Some net,
+        (if vertical then (x + 1, y + along) else (x + along, y + 1)),
+        ((2, 2), false, fixed) )
+    in
+    return (metal :: List.init cuts cut))
+
+(* One shape, or one contact: a list of specs. *)
+let gen_shape_spec =
+  QCheck2.Gen.(
+    frequency [ (4, map (fun s -> [ s ]) gen_plain_spec); (1, gen_contact_spec) ])
+
 let build_lobj name specs =
   let o = Lobj.create name in
   List.iter
@@ -106,7 +135,7 @@ let build_lobj name specs =
            ~rect:
              (Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500))
            ?net ~sides ~keep_clear ()))
-    specs;
+    (List.concat specs);
   o
 
 (* --- Lobj.near vs. filtering Lobj.shapes --- *)
@@ -163,7 +192,9 @@ let naive_pair_limit rules ?ignore_layers d (a : Shape.t) (b : Shape.t) =
 
 (* Every pair limit, in (mover, target) insertion order, summarized the
    way a placement uses it: the tightest bound, the limits tied at it in
-   scan order, and the tightest bound strictly looser than it. *)
+   scan order, the tightest bound strictly looser than it, and
+   auto-connection's candidates — same-layer same-net pairs on a
+   stretchable layer whose cross-axis spans overlap strictly. *)
 let naive_pass rules ?ignore_layers d ~main obj =
   let limits =
     List.concat_map
@@ -186,9 +217,39 @@ let naive_pass rules ?ignore_layers d ~main obj =
   in
   let bounds = List.map (fun (b, _, _, _) -> b) limits in
   let best = tightest bounds in
+  let cross = Dir.cross_axis d in
+  let connect =
+    List.concat_map
+      (fun (a : Shape.t) ->
+        List.filter_map
+          (fun (b : Shape.t) ->
+            if
+              String.equal a.Shape.layer b.Shape.layer
+              && Rules.cut_size_opt rules a.Shape.layer = None
+              && Shape.same_net a b
+              && Interval.overlaps (Rect.span cross a.rect) (Rect.span cross b.rect)
+            then Some (a.Shape.id, b.Shape.id)
+            else None)
+          (Lobj.shapes main))
+      (Lobj.shapes obj)
+  in
   ( best,
     List.filter (fun (b, _, _, _) -> Some b = best) limits,
-    tightest (List.filter (fun b -> Some b <> best) bounds) )
+    tightest (List.filter (fun b -> Some b <> best) bounds),
+    connect )
+
+(* A pass in [naive_pass]'s terms, its runner-up forced. *)
+let pass_summary (pass : Successive.pass) =
+  ( pass.tightest,
+    List.map
+      (fun l ->
+        ( l.Successive.bound,
+          l.Successive.mover.Shape.id,
+          l.Successive.target.Shape.id,
+          l.Successive.rel ))
+      pass.tied,
+    Lazy.force pass.runner_up,
+    pass.connect )
 
 let prop_pass_equiv =
   let gen =
@@ -204,18 +265,92 @@ let prop_pass_equiv =
       let rules = rules () in
       let main = build_lobj "main" main_specs in
       let obj = build_lobj "obj" obj_specs in
-      let pass = Successive.scan rules ~ignore_layers d ~main obj in
-      let tied =
-        List.map
-          (fun l ->
-            ( l.Successive.bound,
-              l.Successive.mover.Shape.id,
-              l.Successive.target.Shape.id,
-              l.Successive.rel ))
-          pass.Successive.tied
-      in
-      (pass.Successive.tightest, tied, pass.Successive.runner_up)
+      pass_summary (Successive.scan rules ~ignore_layers d ~main obj)
       = naive_pass rules ~ignore_layers d ~main obj)
+
+(* --- what the pass skips --- *)
+
+(* Candidate pairs the pass visits while [f] runs. *)
+let pairs_visited f =
+  Amg_obs.Obs.reset ();
+  Amg_obs.Obs.enable ();
+  Fun.protect ~finally:Amg_obs.Obs.disable f;
+  let n = Amg_obs.Obs.counter "compact.pairs_considered" in
+  Amg_obs.Obs.reset ();
+  n
+
+(* Two contact rows in bicmos1u: a cut pair bounds the move 1 um looser
+   than the metal1 pair around it (cut spacing 1.5 minus two 0.5 um
+   enclosures is below metal1 spacing 1.5), so the pass visits no
+   contact x contact pair.  Cuts constrain nothing on other layers, so
+   removing every cut from both rows must leave the visited count as it
+   is. *)
+let test_contact_rows_skip_cuts () =
+  let env = Env.bicmos () in
+  let rules = Env.rules env in
+  let row net = M.Contact_row.make env ~layer:"pdiff" ~w:(um 10.) ~net () in
+  let main = row "a" and obj = row "b" in
+  Lobj.translate obj ~dx:0 ~dy:(um 20.);
+  let without_cuts o =
+    let c = Lobj.copy o in
+    List.iter (fun (s : Shape.t) -> Lobj.remove c s.Shape.id) (Lobj.shapes_on c "contact");
+    c
+  in
+  let cut_limits =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b -> naive_pair_limit rules Dir.South a b)
+          (Lobj.shapes_on main "contact"))
+      (Lobj.shapes_on obj "contact")
+  in
+  Alcotest.(check bool) "cut pairs bound the move" true (cut_limits <> []);
+  let visited m o = pairs_visited (fun () -> ignore (Successive.scan rules Dir.South ~main:m o)) in
+  Alcotest.(check int) "no contact x contact pair visited"
+    (visited (without_cuts main) (without_cuts obj))
+    (visited main obj);
+  Alcotest.(check bool) "pass = all-pairs scan" true
+    (pass_summary (Successive.scan rules Dir.South ~main obj)
+    = naive_pass rules Dir.South ~main obj)
+
+(* A variable edge whose slack is set by a runner-up on a layer pair the
+   pruned pass skips.  Moving South, the metal1 pair binds at -12.5 um;
+   the poly pair, whose optimistic bound is looser and whose mover shape
+   has no net to connect, is never visited by the pruned pass but is the
+   runner-up at -15.5 um.  The target's variable north edge must shrink
+   by exactly the 3 um between them.  A further shrink would leave the
+   metal1/pdiff contact array without a cut and is rolled back, so the
+   amount stays visible in the final geometry; shrinking by the whole
+   slack at once would be rolled back and leave the edge where it was. *)
+let test_runner_up_on_skipped_pair () =
+  let env = Env.bicmos () in
+  let rules = Env.rules env in
+  let box x0 y0 x1 y1 = Rect.make ~x0:(um x0) ~y0:(um y0) ~x1:(um x1) ~y1:(um y1) in
+  let main = Lobj.create "main" in
+  let t =
+    Lobj.add_shape main ~layer:"metal1" ~rect:(box 0. 0. 10. 6.) ~net:"a"
+      ~sides:(Edge.set Edge.all_fixed Dir.North Edge.Variable) ()
+  in
+  let d = Lobj.add_shape main ~layer:"pdiff" ~rect:(box 0. 0. 10. 3.) ~net:"a" () in
+  ignore
+    (Lobj.register_array main ~cut_layer:"contact"
+       ~container_ids:[ t.Shape.id; d.Shape.id ] ~net:"a" ());
+  Lobj.rederive main rules;
+  ignore (Lobj.add_shape main ~layer:"poly" ~rect:(box 0. 0. 10. 3.) ~net:"p" ());
+  let obj = Lobj.create "obj" in
+  ignore (Lobj.add_shape obj ~layer:"metal1" ~rect:(box 0. 20. 10. 22.) ~net:"b" ());
+  ignore (Lobj.add_shape obj ~layer:"poly" ~rect:(box 0. 20. 10. 22.) ());
+  let best, _, runner_up, _ = naive_pass rules Dir.South ~main obj in
+  Alcotest.(check (option int)) "metal1 binds" (Some (um (-12.5))) best;
+  Alcotest.(check (option int)) "poly is the runner-up" (Some (um (-15.5))) runner_up;
+  let pass = ref None in
+  Alcotest.(check int) "pruned pass visits only the metal1 pair" 1
+    (pairs_visited (fun () -> pass := Some (Successive.scan rules Dir.South ~main obj)));
+  Alcotest.(check (option int)) "forced runner-up" runner_up
+    (Lazy.force (Option.get !pass).Successive.runner_up);
+  Successive.compact ~rules ~into:main obj Dir.South;
+  let shrunk = um 6. - (Lobj.find_exn main t.Shape.id).Shape.rect.Rect.y1 in
+  Alcotest.(check int) "shrink amount" (abs (Option.get best - Option.get runner_up)) shrunk
 
 (* --- auto_connect vs. a straight reimplementation of the full scan --- *)
 
@@ -344,6 +479,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_near_matches_shapes;
     QCheck_alcotest.to_alcotest prop_pass_equiv;
     QCheck_alcotest.to_alcotest prop_auto_connect_equiv;
+    Alcotest.test_case "contact rows: no contact x contact pair visited" `Quick
+      test_contact_rows_skip_cuts;
+    Alcotest.test_case "variable edge: runner-up on a skipped pair" `Quick
+      test_runner_up_on_skipped_pair;
     Alcotest.test_case "diff-pair bb optimum unchanged" `Quick
       test_diffpair_bb_regression;
   ]

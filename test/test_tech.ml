@@ -270,6 +270,32 @@ let prop_tech_file_roundtrip =
       && Rules.min_area br (lname 0) = Some 2_250_000
       && Rules.latchup_dist br = 50_000)
 
+(* The deck's words survive any run of spaces and tabs between them,
+   leading or trailing blanks and a CR line ending: each parses to the
+   same technology as the built-in source. *)
+let prop_parse_separators =
+  let lines = String.split_on_char '\n' Bicmos1u.source in
+  let blanks = QCheck2.Gen.(string_size ~gen:(oneofl [ ' '; '\t' ]) (int_range 1 3)) in
+  let gen =
+    QCheck2.Gen.(
+      flatten_l
+        (List.map
+           (fun line ->
+             let words = String.split_on_char ' ' line |> List.filter (( <> ) "") in
+             let* seps = list_repeat (List.length words) blanks in
+             let* lead = oneofl [ ""; " "; "\t" ] in
+             let* cr = bool in
+             return
+               (lead
+               ^ String.concat "" (List.map2 (fun w s -> w ^ s) words seps)
+               ^ if cr then "\r" else ""))
+           lines))
+  in
+  QCheck2.Test.make ~name:"tech file: any blanks between words" ~count:50 gen
+    (fun lines ->
+      Tech_file.to_string (Tech_file.parse_string (String.concat "\n" lines))
+      = Tech_file.to_string (Bicmos1u.get ()))
+
 let suite =
   [
     Alcotest.test_case "builtin deck" `Quick test_builtin_deck;
@@ -285,4 +311,5 @@ let suite =
     Alcotest.test_case "lint: cutsize on non-cut" `Quick test_lint_cutsize_on_non_cut;
     Alcotest.test_case "lint: vacuous minarea" `Quick test_lint_vacuous_minarea;
     QCheck_alcotest.to_alcotest prop_tech_file_roundtrip;
+    QCheck_alcotest.to_alcotest prop_parse_separators;
   ]
