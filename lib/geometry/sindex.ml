@@ -4,20 +4,26 @@
    their x-span and by their y-span.  A query gathers candidates from the
    cheaper axis and filters them against the window precisely.
 
-   Bins hold immutable (key, rect) lists: the rectangle rides along so the
-   query's precise filter runs without a table lookup per candidate, and
-   [copy] shares the lists (they are replaced, never mutated), which keeps
-   the object-copy in the optimizer's inner loop cheap. *)
+   Each axis is a plain array of bins over its occupied bin range, grown
+   by doubling toward the side a new entry falls outside.  Bins hold
+   immutable (key, rect) lists: the rectangle rides along so the query's
+   precise filter runs without a lookup per candidate, and [copy] is one
+   array copy per axis sharing the lists (a bin is updated by storing a
+   new list, never by mutating one), which keeps the object copy in the
+   optimizer's inner loop cheap.  There is no key table: the caller hands
+   [remove] the rectangle it entered. *)
 
-type bins = (int * Rect.t) list Itbl.t
+(* Bin [b] of an axis is [arr.(b - lo)]; bins outside the array are
+   empty. *)
+type axis = { mutable lo : int; mutable arr : (int * Rect.t) list array }
 
 type t = {
   cell : int;
   mutable ox : int; (* world x = local x + ox *)
   mutable oy : int;
-  rects : Rect.t Itbl.t; (* key -> local rect *)
-  xbins : bins;
-  ybins : bins;
+  mutable count : int;
+  xbins : axis;
+  ybins : axis;
   mutable xwide : (int * Rect.t) list; (* entries spanning > max_bins x-bins *)
   mutable ywide : (int * Rect.t) list;
 }
@@ -32,89 +38,83 @@ let create ?(cell = 4000) () =
     cell = max 1 cell;
     ox = 0;
     oy = 0;
-    rects = Itbl.create 32;
-    xbins = Itbl.create 32;
-    ybins = Itbl.create 32;
+    count = 0;
+    xbins = { lo = 0; arr = [||] };
+    ybins = { lo = 0; arr = [||] };
     xwide = [];
     ywide = [];
   }
 
-let copy t =
-  {
-    t with
-    rects = Itbl.copy t.rects;
-    xbins = Itbl.copy t.xbins;
-    ybins = Itbl.copy t.ybins;
-  }
+let copy_axis a = { lo = a.lo; arr = Array.copy a.arr }
 
-let cardinal t = Itbl.length t.rects
-let mem t key = Itbl.mem t.rects key
+let copy t = { t with xbins = copy_axis t.xbins; ybins = copy_axis t.ybins }
 
-let find t key =
-  Option.map
-    (fun r -> Rect.translate r ~dx:t.ox ~dy:t.oy)
-    (Itbl.find_opt t.rects key)
+let cardinal t = t.count
 
 (* Floor division, correct for negative coordinates. *)
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 
-let bin_range t lo hi = (fdiv lo t.cell, fdiv hi t.cell)
+(* Make the axis cover bins [b0, b1].  The array doubles (more than once
+   if need be) toward the side the new span falls outside, so a layout
+   growing in one direction reallocates O(log n) times. *)
+let cover ax b0 b1 =
+  let n = Array.length ax.arr in
+  if n = 0 then begin
+    ax.lo <- b0;
+    ax.arr <- Array.make (max 8 (b1 - b0 + 1)) []
+  end
+  else if b0 < ax.lo || b1 >= ax.lo + n then begin
+    let lo = min b0 ax.lo and hi = max b1 (ax.lo + n - 1) in
+    let n' = ref (2 * n) in
+    while !n' < hi - lo + 1 do
+      n' := 2 * !n'
+    done;
+    let lo' = if b0 < ax.lo then hi + 1 - !n' else ax.lo in
+    let arr = Array.make !n' [] in
+    Array.blit ax.arr 0 arr (ax.lo - lo') n;
+    ax.lo <- lo';
+    ax.arr <- arr
+  end
 
-let bin_add bins b entry =
-  let cur = match Itbl.find_opt bins b with Some l -> l | None -> [] in
-  Itbl.replace bins b (entry :: cur)
+let bin_add ax b0 b1 entry =
+  cover ax b0 b1;
+  let a = ax.arr in
+  for i = b0 - ax.lo to b1 - ax.lo do
+    a.(i) <- entry :: a.(i)
+  done
 
-let bin_remove bins b key =
-  match Itbl.find_opt bins b with
-  | None -> ()
-  | Some l -> (
-      match List.filter (fun (k, _) -> k <> key) l with
-      | [] -> Itbl.remove bins b
-      | l' -> Itbl.replace bins b l')
+(* Drop the first entry under [key], keeping the order of the rest and
+   sharing the tail behind it. *)
+let rec drop key = function
+  | [] -> []
+  | ((k, _) as e) :: rest -> if k = key then rest else e :: drop key rest
 
-let remove_wide wide key = List.filter (fun (k, _) -> k <> key) wide
-
-let enter_x t entry (r : Rect.t) =
-  let b0, b1 = bin_range t r.Rect.x0 r.Rect.x1 in
-  if b1 - b0 >= max_bins then t.xwide <- entry :: t.xwide
-  else
-    for b = b0 to b1 do
-      bin_add t.xbins b entry
-    done
-
-let enter_y t entry (r : Rect.t) =
-  let b0, b1 = bin_range t r.Rect.y0 r.Rect.y1 in
-  if b1 - b0 >= max_bins then t.ywide <- entry :: t.ywide
-  else
-    for b = b0 to b1 do
-      bin_add t.ybins b entry
-    done
-
-let remove t key =
-  match Itbl.find_opt t.rects key with
-  | None -> ()
-  | Some r ->
-      Itbl.remove t.rects key;
-      let xb0, xb1 = bin_range t r.Rect.x0 r.Rect.x1 in
-      if xb1 - xb0 >= max_bins then t.xwide <- remove_wide t.xwide key
-      else
-        for b = xb0 to xb1 do
-          bin_remove t.xbins b key
-        done;
-      let yb0, yb1 = bin_range t r.Rect.y0 r.Rect.y1 in
-      if yb1 - yb0 >= max_bins then t.ywide <- remove_wide t.ywide key
-      else
-        for b = yb0 to yb1 do
-          bin_remove t.ybins b key
-        done
+let bin_remove ax b0 b1 key =
+  let a = ax.arr in
+  for i = b0 - ax.lo to b1 - ax.lo do
+    a.(i) <- drop key a.(i)
+  done
 
 let insert t key rect =
-  if Itbl.mem t.rects key then remove t key;
   let r = Rect.translate rect ~dx:(-t.ox) ~dy:(-t.oy) in
-  Itbl.replace t.rects key r;
   let entry = (key, r) in
-  enter_x t entry r;
-  enter_y t entry r
+  let xb0 = fdiv r.Rect.x0 t.cell and xb1 = fdiv r.Rect.x1 t.cell in
+  if xb1 - xb0 >= max_bins then t.xwide <- entry :: t.xwide
+  else bin_add t.xbins xb0 xb1 entry;
+  let yb0 = fdiv r.Rect.y0 t.cell and yb1 = fdiv r.Rect.y1 t.cell in
+  if yb1 - yb0 >= max_bins then t.ywide <- entry :: t.ywide
+  else bin_add t.ybins yb0 yb1 entry;
+  t.count <- t.count + 1
+
+let remove t key rect =
+  let r = Rect.translate rect ~dx:(-t.ox) ~dy:(-t.oy) in
+  let xb0 = fdiv r.Rect.x0 t.cell and xb1 = fdiv r.Rect.x1 t.cell in
+  if xb1 - xb0 >= max_bins then t.xwide <- drop key t.xwide
+  else bin_remove t.xbins xb0 xb1 key;
+  let yb0 = fdiv r.Rect.y0 t.cell and yb1 = fdiv r.Rect.y1 t.cell in
+  if yb1 - yb0 >= max_bins then t.ywide <- drop key t.ywide
+  else bin_remove t.ybins yb0 yb1 key;
+  t.count <- t.count - 1
 
 let translate_all t ~dx ~dy =
   t.ox <- t.ox + dx;
@@ -124,12 +124,15 @@ let translate_all t ~dx ~dy =
    from whichever axis covers fewer bins of the inflated window and
    reports each matching entry exactly once: an entry sits in every bin
    its span covers, so it is reported only from the first scanned bin it
-   covers — bin [b0], or the bin holding its low edge.  That needs no
-   division per entry (the low edge is compared against the bin's lower
-   boundary), no deduplication pass and no intermediate list. *)
+   covers — the first bin scanned, or the bin holding its low edge.  That
+   needs no division per entry (the low edge is compared against the
+   bin's lower boundary), no deduplication pass and no intermediate list.
+   The window's bins are clamped to the axis's array: bins outside it are
+   empty, and every entry in the array's first bin has its low edge
+   there. *)
 let iter_query t rect ~margin f =
   Amg_robust.Inject.(probe Sindex_query);
-  if Itbl.length t.rects > 0 then begin
+  if t.count > 0 then begin
     (* Window in local coordinates, inflated once up front. *)
     let wx0 = rect.Rect.x0 - t.ox - margin
     and wx1 = rect.Rect.x1 - t.ox + margin
@@ -147,20 +150,19 @@ let iter_query t rect ~margin f =
         f key
       end
     in
-    let xb0, xb1 = bin_range t wx0 wx1 in
-    let yb0, yb1 = bin_range t wy0 wy1 in
-    let scan ~on_x bins wide b0 b1 =
+    let xb0 = fdiv wx0 t.cell and xb1 = fdiv wx1 t.cell in
+    let yb0 = fdiv wy0 t.cell and yb1 = fdiv wy1 t.cell in
+    let scan ~on_x ax wide b0 b1 =
       List.iter (fun (key, r) -> report key r) wide;
-      for b = b0 to b1 do
-        match Itbl.find_opt bins b with
-        | Some entries ->
-            let edge = b * t.cell in
-            List.iter
-              (fun (key, r) ->
-                let lo = if on_x then r.Rect.x0 else r.Rect.y0 in
-                if b = b0 || lo >= edge then report key r else incr scanned)
-              entries
-        | None -> ()
+      let a = ax.arr in
+      let s0 = max b0 ax.lo and s1 = min b1 (ax.lo + Array.length a - 1) in
+      for b = s0 to s1 do
+        let edge = b * t.cell in
+        List.iter
+          (fun (key, r) ->
+            let lo = if on_x then r.Rect.x0 else r.Rect.y0 in
+            if b = s0 || lo >= edge then report key r else incr scanned)
+          a.(b - ax.lo)
       done
     in
     (* Scan the axis covering fewer bins; a window much wider than the
@@ -180,13 +182,20 @@ let query t rect ~margin =
   iter_query t rect ~margin (fun key -> acc := key :: !acc);
   List.sort Int.compare !acc
 
-let iter t f =
-  Itbl.iter (fun key r -> f key (Rect.translate r ~dx:t.ox ~dy:t.oy)) t.rects
+(* Every entry once, in local coordinates: the x-overflow list, then each
+   x-bin's entries whose low edge lies in that bin. *)
+let iter_local t f =
+  List.iter (fun (key, r) -> f key r) t.xwide;
+  let a = t.xbins.arr in
+  for i = 0 to Array.length a - 1 do
+    let edge = (t.xbins.lo + i) * t.cell in
+    List.iter (fun (key, r) -> if r.Rect.x0 >= edge then f key r) a.(i)
+  done
+
+let iter t f = iter_local t (fun key r -> f key (Rect.translate r ~dx:t.ox ~dy:t.oy))
 
 let bbox t =
   let acc = ref None in
-  Itbl.iter
-    (fun _ r ->
-      acc := Some (match !acc with None -> r | Some h -> Rect.hull h r))
-    t.rects;
+  iter_local t (fun _ r ->
+      acc := Some (match !acc with None -> r | Some h -> Rect.hull h r));
   Option.map (fun r -> Rect.translate r ~dx:t.ox ~dy:t.oy) !acc

@@ -8,10 +8,17 @@
     axis's overflow set instead, so degenerate geometry (full-width wells,
     supply rails) cannot blow up insertion or query cost.
 
-    All operations are incremental: insert, remove and update touch only
-    the bins of the affected rectangle, and translating the whole index is
-    O(1) (a coordinate offset, not a re-binning).  Keys are arbitrary
-    integers (shape ids, piece indices); the index never interprets them. *)
+    All operations are incremental: insert and remove touch only the bins
+    of the affected rectangle, and translating the whole index is O(1) (a
+    coordinate offset, not a re-binning).  Keys are arbitrary integers
+    (shape ids, piece indices); the index never interprets them and keeps
+    no key table, so [remove] takes the rectangle its caller entered.
+
+    Each axis holds a plain array of bins over its occupied bin range
+    (doubled toward the side a new entry falls outside), so memory grows
+    with the extent of the layout in bins, not with the number of
+    entries: at the default 4 µm cell, int32 coordinates need at most
+    about a million bins per axis. *)
 
 type t
 
@@ -20,21 +27,19 @@ val create : ?cell:int -> unit -> t
     (default 4000, i.e. 4 µm for nanometre layouts). *)
 
 val copy : t -> t
-(** Independent copy; mutating either index never affects the other. *)
+(** Independent copy; mutating either index never affects the other.
+    One array copy per axis: the entry lists are shared. *)
 
 val cardinal : t -> int
 
-val mem : t -> int -> bool
-
-val find : t -> int -> Rect.t option
-(** The rectangle currently stored under the key. *)
-
 val insert : t -> int -> Rect.t -> unit
-(** Enter (or re-enter) a rectangle under the key; an existing entry with
-    the same key is replaced. *)
+(** Enter a rectangle under the key, which must not be present (to move
+    an entry, {!remove} it and insert the new rectangle). *)
 
-val remove : t -> int -> unit
-(** Remove the key; absent keys are ignored. *)
+val remove : t -> int -> Rect.t -> unit
+(** [remove t key rect] removes the entry [key] entered with [rect] (in
+    current world coordinates, i.e. translated along with the index).
+    The key must be present with that rectangle. *)
 
 val translate_all : t -> dx:int -> dy:int -> unit
 (** Shift every stored rectangle.  O(1): maintained as an offset. *)

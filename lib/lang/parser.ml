@@ -4,9 +4,14 @@
 
 module Diag = Amg_robust.Diag
 
-type state = { toks : Lexer.t array; mutable pos : int; file : string option }
+(* The parser walks the lexer's token list in place: it ends in EOF, and
+   the cursor never moves past it. *)
+type state = { mutable toks : Lexer.t list; file : string option }
 
-let peek st = st.toks.(st.pos)
+let peek st = match st.toks with t :: _ -> t | [] -> assert false
+
+(* The token after the current one (EOF at the end). *)
+let peek2 st = match st.toks with _ :: t :: _ -> t | _ -> peek st
 
 let line st = (peek st).Lexer.line
 
@@ -20,7 +25,8 @@ let fail_tok st (t : Lexer.t) ~code fmt =
 
 let fail st ~code fmt = fail_tok st (peek st) ~code fmt
 
-let advance st = st.pos <- st.pos + 1
+let advance st =
+  match st.toks with _ :: (_ :: _ as rest) -> st.toks <- rest | _ -> ()
 
 let next st =
   let t = peek st in
@@ -120,7 +126,7 @@ and parse_args st =
     let rec loop acc =
       let arg =
         (* keyword argument: IDENT '=' expr *)
-        match ((peek st).Lexer.tok, st.toks.(st.pos + 1).Lexer.tok) with
+        match ((peek st).Lexer.tok, (peek2 st).Lexer.tok) with
         | Lexer.IDENT name, Lexer.ASSIGN ->
             advance st;
             advance st;
@@ -223,7 +229,7 @@ and parse_stmt st =
       let bs = branches [] in
       end_of_stmt st;
       Ast.Choose bs
-  | Lexer.IDENT name when st.toks.(st.pos + 1).Lexer.tok = Lexer.ASSIGN ->
+  | Lexer.IDENT name when (peek2 st).Lexer.tok = Lexer.ASSIGN ->
       advance st;
       advance st;
       let e = parse_expr st in
@@ -274,8 +280,7 @@ let parse_params st =
   end
 
 let parse_program ?file src =
-  let toks = Array.of_list (Lexer.tokenize ?file src) in
-  let st = { toks; pos = 0; file } in
+  let st = { toks = Lexer.tokenize ?file src; file } in
   let entities = ref [] in
   let top = ref [] in
   let rec loop () =

@@ -2,7 +2,6 @@ module Rect = Amg_geometry.Rect
 module Region = Amg_geometry.Region
 module Transform = Amg_geometry.Transform
 module Sindex = Amg_geometry.Sindex
-module Itbl = Amg_geometry.Itbl
 module Rules = Amg_tech.Rules
 
 type array_spec = {
@@ -22,39 +21,44 @@ type array_spec = {
    check (see DESIGN.md §10 for the measured comparison). *)
 type undo =
   | U_enter of Shape.t                    (* drop the newest slot *)
+  | U_absorb of Shape.t array             (* drop the newest k slots *)
   | U_remove of int * Shape.t             (* slot: re-install the shape *)
   | U_replace of int * Shape.t * Shape.t  (* slot, old, new *)
   | U_translate of int * int              (* dx, dy: shift back *)
   | U_new_layer of string                 (* drop the fresh layer index *)
 
-(* One layer of the store: its spatial index and how many of its shapes
-   are keep-clear.  The count lets the compactor skip a layer pair that
-   has no spacing rule outright — without a keep-clear shape on either
-   side such a pair is provably unconstrained. *)
-type layer = { ix : Sindex.t; mutable keep_clear : int }
+(* One layer of the store: its spatial index, how many of its shapes are
+   keep-clear, and its cached hull.  The count lets the compactor skip a
+   layer pair that has no spacing rule outright — without a keep-clear
+   shape on either side such a pair is provably unconstrained. *)
+type layer = {
+  ix : Sindex.t;
+  mutable keep_clear : int;
+  mutable hull : Rect.t option option; (* None = dirty *)
+}
 
 (* Indexed shape store.  Shapes live in [slots] in insertion order ([None]
-   marks a removed shape); [id2slot] gives O(1) find/replace/remove, and
-   [by_layer] keeps one spatial index per layer for the candidate queries
-   of the compactor, the DRC and the extractor.  Because ids are handed
-   out monotonically (and [absorb] bumps absorbed ids past every existing
-   one), ascending id order IS insertion order — layer queries sort by id
-   to restore it.
+   marks a removed shape); [id2slot] maps a shape id to its slot (-1 when
+   absent) for O(1) find/replace/remove, and [by_layer] keeps one spatial
+   index per layer for the candidate queries of the compactor, the DRC and
+   the extractor.  Ids are handed out monotonically from 0 (and [absorb]
+   bumps absorbed ids past every existing one), so they are dense enough
+   to index an array, and ascending id order IS insertion order — layer
+   queries sort by id to restore it.
 
-   Bounding boxes are cached: [bb] is the whole-object hull, [layer_bb]
-   the per-layer hulls.  A cache entry is either valid or absent (dirty);
-   growth (add, pure-growth replace, absorb) extends valid entries in
-   place, removal and shrinking invalidate, translation shifts. *)
+   Bounding boxes are cached: [bb] is the whole-object hull, each layer's
+   [hull] its own.  A cache entry is either valid or dirty; growth (add,
+   pure-growth replace, absorb) extends valid entries in place, removal
+   and shrinking invalidate, translation shifts. *)
 type t = {
   mutable name : string;
   mutable slots : Shape.t option array;
   mutable n_slots : int; (* used prefix of [slots] *)
   mutable live : int;    (* slots holding a shape *)
-  mutable id2slot : int Itbl.t;
+  mutable id2slot : int array;
   mutable by_layer : (string, layer) Hashtbl.t;
   mutable layer_order : string list; (* first-use order, never reordered *)
   mutable bb : Rect.t option option; (* None = dirty *)
-  mutable layer_bb : (string, Rect.t option) Hashtbl.t; (* absent = dirty *)
   mutable ports : Port.t list;
   mutable arrays : (int * array_spec) list;
   mutable next_id : int;
@@ -88,11 +92,10 @@ let create name =
     slots = Array.make 8 None;
     n_slots = 0;
     live = 0;
-    id2slot = Itbl.create 16;
+    id2slot = [||];
     by_layer = Hashtbl.create 8;
     layer_order = [];
     bb = Some None;
-    layer_bb = Hashtbl.create 8;
     ports = [];
     arrays = [];
     next_id = 0;
@@ -109,74 +112,147 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
+(* --- the id table --- *)
+
+let slot_of t id = if id >= 0 && id < Array.length t.id2slot then t.id2slot.(id) else -1
+
+let set_slot t id slot =
+  let n = Array.length t.id2slot in
+  if id >= n then begin
+    let a = Array.make (max 16 (max (2 * n) (id + 1))) (-1) in
+    Array.blit t.id2slot 0 a 0 n;
+    t.id2slot <- a
+  end;
+  t.id2slot.(id) <- slot
+
 (* --- cache maintenance --- *)
 
-let dirty_layer t layer =
-  Hashtbl.remove t.layer_bb layer;
+let dirty_layer t l =
+  l.hull <- None;
   t.bb <- None
 
-let extend_caches t layer rect =
-  (match Hashtbl.find_opt t.layer_bb layer with
-  | Some (Some b) -> Hashtbl.replace t.layer_bb layer (Some (Rect.hull b rect))
-  | Some None -> Hashtbl.replace t.layer_bb layer (Some rect)
-  | None -> ());
-  match t.bb with
-  | Some (Some b) -> t.bb <- Some (Some (Rect.hull b rect))
-  | Some None -> t.bb <- Some (Some rect)
-  | None -> ()
+(* A valid hull cache grown by [rect]; a dirty one stays dirty. *)
+let extended cache rect =
+  match cache with
+  | Some (Some b) -> Some (Some (Rect.hull b rect))
+  | Some None -> Some (Some rect)
+  | None -> None
+
+let extend_caches t l rect =
+  l.hull <- extended l.hull rect;
+  t.bb <- extended t.bb rect
 
 let layer_of t name =
   match Hashtbl.find_opt t.by_layer name with
   | Some l -> l
   | None ->
-      let l = { ix = Sindex.create (); keep_clear = 0 } in
+      let l = { ix = Sindex.create (); keep_clear = 0; hull = None } in
       Hashtbl.replace t.by_layer name l;
       t.layer_order <- t.layer_order @ [ name ];
       push t (U_new_layer name);
       l
 
 (* Enter / withdraw a shape's index entry and keep-clear count. *)
-let index t (s : Shape.t) =
-  let l = layer_of t s.layer in
+let index l (s : Shape.t) =
   Sindex.insert l.ix s.id s.rect;
   if s.keep_clear then l.keep_clear <- l.keep_clear + 1
 
-let unindex t (s : Shape.t) =
-  let l = layer_of t s.layer in
-  Sindex.remove l.ix s.id;
+let unindex l (s : Shape.t) =
+  Sindex.remove l.ix s.id s.rect;
   if s.keep_clear then l.keep_clear <- l.keep_clear - 1
 
 (* Move the index entry of shape [old] over to [s], which has its id. *)
 let reindex t (old : Shape.t) (s : Shape.t) =
   if not (String.equal old.layer s.layer) then begin
-    unindex t old;
-    index t s
+    unindex (layer_of t old.layer) old;
+    index (layer_of t s.layer) s
   end
   else begin
     let l = layer_of t s.layer in
-    if not (Rect.equal old.rect s.rect) then Sindex.insert l.ix s.id s.rect;
+    if not (Rect.equal old.rect s.rect) then begin
+      Sindex.remove l.ix s.id old.rect;
+      Sindex.insert l.ix s.id s.rect
+    end;
     l.keep_clear <-
       l.keep_clear + Bool.to_int s.keep_clear - Bool.to_int old.keep_clear
   end
 
 (* --- store primitives --- *)
 
-let ensure_capacity t =
-  if t.n_slots = Array.length t.slots then begin
-    let ns = Array.make (max 8 (2 * Array.length t.slots)) None in
+(* Room for [k] more slots. *)
+let reserve t k =
+  let n = Array.length t.slots in
+  if t.n_slots + k > n then begin
+    let n' = ref (max 8 (2 * n)) in
+    while !n' < t.n_slots + k do
+      n' := 2 * !n'
+    done;
+    let ns = Array.make !n' None in
     Array.blit t.slots 0 ns 0 t.n_slots;
     t.slots <- ns
   end
 
-let enter t (s : Shape.t) =
-  ensure_capacity t;
+(* Append [s] to the slots and enter it into the id table and layer [l]'s
+   index: the per-shape work behind [enter] and [enter_batch]. *)
+let place t l (s : Shape.t) =
   t.slots.(t.n_slots) <- Some s;
-  Itbl.replace t.id2slot s.id t.n_slots;
+  set_slot t s.id t.n_slots;
   t.n_slots <- t.n_slots + 1;
   t.live <- t.live + 1;
-  index t s;
-  extend_caches t s.layer s.rect;
+  index l s
+
+(* Undo [place] for a shape in one of the last slots; [drop_last] then
+   frees those slots. *)
+let unplace t l (s : Shape.t) =
+  unindex l s;
+  t.id2slot.(s.id) <- -1
+
+let drop_last t k =
+  t.n_slots <- t.n_slots - k;
+  Array.fill t.slots t.n_slots k None;
+  t.live <- t.live - k
+
+let enter t (s : Shape.t) =
+  reserve t 1;
+  let l = layer_of t s.layer in
+  place t l s;
+  extend_caches t l s.rect;
   push t (U_enter s)
+
+(* [f l i j] for each maximal run [batch.(i .. j-1)] of shapes on one
+   layer, [l] that layer: one layer lookup per run, not per shape. *)
+let iter_runs t (batch : Shape.t array) f =
+  let k = Array.length batch in
+  let i = ref 0 in
+  while !i < k do
+    let layer = batch.(!i).layer in
+    let j = ref (!i + 1) in
+    while !j < k && String.equal batch.(!j).layer layer do
+      incr j
+    done;
+    f (layer_of t layer) !i !j;
+    i := !j
+  done
+
+(* Enter a batch of shapes with fresh ids as one mutation: each run's
+   layer hull and the object hull are extended once, and the journal gets
+   one record, which [undo] unwinds by dropping the last k slots. *)
+let enter_batch t (batch : Shape.t array) =
+  let k = Array.length batch in
+  if k > 0 then begin
+    reserve t k;
+    let hull = ref batch.(0).rect in
+    iter_runs t batch (fun l i j ->
+        let h = ref batch.(i).rect in
+        for n = i to j - 1 do
+          place t l batch.(n);
+          h := Rect.hull !h batch.(n).rect
+        done;
+        l.hull <- extended l.hull !h;
+        hull := Rect.hull !hull !h);
+    t.bb <- extended t.bb !hull;
+    push t (U_absorb batch)
+  end
 
 (* Squeeze out removed slots once more than half the prefix is dead, so
    iteration stays proportional to the live count.  Suppressed while a
@@ -189,7 +265,7 @@ let maybe_squeeze t =
       match t.slots.(r) with
       | Some s ->
           t.slots.(!w) <- Some s;
-          Itbl.replace t.id2slot s.id !w;
+          t.id2slot.(s.id) <- !w;
           incr w
       | None -> ()
     done;
@@ -211,13 +287,11 @@ let shapes t =
 
 let shape_count t = t.live
 
-(* [Itbl.find] rather than [find_opt]: the slot already holds an option,
-   so a hit allocates nothing — this runs once per candidate pair in the
-   compactor. *)
+(* The slot already holds an option, so a hit allocates nothing — this
+   runs once per candidate pair in the compactor. *)
 let find t id =
-  match Itbl.find t.id2slot id with
-  | slot -> t.slots.(slot)
-  | exception Not_found -> None
+  let slot = slot_of t id in
+  if slot < 0 then None else t.slots.(slot)
 
 let find_exn t id =
   match find t id with
@@ -225,39 +299,40 @@ let find_exn t id =
   | None -> Fmt.invalid_arg "Lobj.find_exn: no shape %d in %s" id t.name
 
 let replace t (s : Shape.t) =
-  match Itbl.find_opt t.id2slot s.Shape.id with
-  | None -> Fmt.invalid_arg "Lobj.replace: no shape %d in %s" s.Shape.id t.name
-  | Some slot ->
-      let old = Option.get t.slots.(slot) in
-      push t (U_replace (slot, old, s));
-      t.slots.(slot) <- Some s;
-      reindex t old s;
-      if not (String.equal old.Shape.layer s.layer) then begin
-        dirty_layer t old.layer;
-        dirty_layer t s.layer;
-        extend_caches t s.layer s.rect
-      end
-      else if not (Rect.equal old.Shape.rect s.rect) then begin
-        if Rect.contains_rect s.rect old.Shape.rect then
-          (* Pure growth keeps every cached hull valid — just extend. *)
-          extend_caches t s.layer s.rect
-        else dirty_layer t s.layer
-      end
+  let slot = slot_of t s.Shape.id in
+  if slot < 0 then
+    Fmt.invalid_arg "Lobj.replace: no shape %d in %s" s.Shape.id t.name;
+  let old = Option.get t.slots.(slot) in
+  push t (U_replace (slot, old, s));
+  t.slots.(slot) <- Some s;
+  reindex t old s;
+  if not (String.equal old.Shape.layer s.layer) then begin
+    dirty_layer t (layer_of t old.layer);
+    dirty_layer t (layer_of t s.layer)
+  end
+  else if not (Rect.equal old.Shape.rect s.rect) then begin
+    let l = layer_of t s.layer in
+    if Rect.contains_rect s.rect old.Shape.rect then
+      (* Pure growth keeps every cached hull valid — just extend. *)
+      extend_caches t l s.rect
+    else dirty_layer t l
+  end
 
 let remove t id =
-  match Itbl.find_opt t.id2slot id with
-  | None -> ()
-  | Some slot ->
-      (match t.slots.(slot) with
-      | Some s ->
-          unindex t s;
-          dirty_layer t s.layer;
-          push t (U_remove (slot, s))
-      | None -> ());
-      t.slots.(slot) <- None;
-      Itbl.remove t.id2slot id;
-      t.live <- t.live - 1;
-      maybe_squeeze t
+  let slot = slot_of t id in
+  if slot >= 0 then begin
+    (match t.slots.(slot) with
+    | Some s ->
+        let l = layer_of t s.layer in
+        unindex l s;
+        dirty_layer t l;
+        push t (U_remove (slot, s))
+    | None -> ());
+    t.slots.(slot) <- None;
+    t.id2slot.(id) <- -1;
+    t.live <- t.live - 1;
+    maybe_squeeze t
+  end
 
 let shapes_on t layer =
   match Hashtbl.find_opt t.by_layer layer with
@@ -291,17 +366,18 @@ let rects t = List.map (fun (s : Shape.t) -> s.rect) (shapes t)
 
 let rects_on t layer = List.map (fun (s : Shape.t) -> s.rect) (shapes_on t layer)
 
-let bbox_on t layer =
-  match Hashtbl.find_opt t.layer_bb layer with
+let layer_hull l =
+  match l.hull with
   | Some b -> b
   | None ->
-      let b =
-        match Hashtbl.find_opt t.by_layer layer with
-        | None -> None
-        | Some l -> Sindex.bbox l.ix
-      in
-      Hashtbl.replace t.layer_bb layer b;
+      let b = Sindex.bbox l.ix in
+      l.hull <- Some b;
       b
+
+let bbox_on t layer =
+  match Hashtbl.find_opt t.by_layer layer with
+  | None -> None
+  | Some l -> layer_hull l
 
 let bbox t =
   match t.bb with
@@ -309,13 +385,11 @@ let bbox t =
   | None ->
       let b =
         Hashtbl.fold
-          (fun layer l acc ->
-            if Sindex.cardinal l.ix = 0 then acc
-            else
-              match (bbox_on t layer, acc) with
-              | None, acc -> acc
-              | Some r, None -> Some r
-              | Some r, Some h -> Some (Rect.hull h r))
+          (fun _ l acc ->
+            match (layer_hull l, acc) with
+            | None, acc -> acc
+            | Some r, None -> Some r
+            | Some r, Some h -> Some (Rect.hull h r))
           t.by_layer None
       in
       t.bb <- Some b;
@@ -358,11 +432,13 @@ let translate t ~dx ~dy =
   push t (U_translate (dx, dy));
   map_shapes_in_place t (fun s -> Shape.translate s ~dx ~dy);
   t.ports <- List.map (fun p -> Port.translate p ~dx ~dy) t.ports;
-  Hashtbl.iter (fun _ l -> Sindex.translate_all l.ix ~dx ~dy) t.by_layer;
-  t.bb <- Option.map (Option.map (fun r -> Rect.translate r ~dx ~dy)) t.bb;
-  Hashtbl.filter_map_inplace
-    (fun _ b -> Some (Option.map (fun r -> Rect.translate r ~dx ~dy) b))
-    t.layer_bb
+  let shift = Option.map (Option.map (fun r -> Rect.translate r ~dx ~dy)) in
+  Hashtbl.iter
+    (fun _ l ->
+      Sindex.translate_all l.ix ~dx ~dy;
+      l.hull <- shift l.hull)
+    t.by_layer;
+  t.bb <- shift t.bb
 
 let no_snapshots t op =
   if journaling t then
@@ -378,12 +454,11 @@ let transform t tr =
   t.ports <- List.map (fun p -> Port.transform p tr) t.ports;
   let order = t.layer_order in
   Hashtbl.reset t.by_layer;
-  Hashtbl.reset t.layer_bb;
   t.bb <- None;
   t.layer_order <- [];
   for i = 0 to t.n_slots - 1 do
     match t.slots.(i) with
-    | Some s -> index t s
+    | Some s -> index (layer_of t s.layer) s
     | None -> ()
   done;
   t.layer_order <- List.filter (Hashtbl.mem t.by_layer) order
@@ -403,11 +478,10 @@ let copy ?name t =
     slots = Array.copy t.slots;
     n_slots = t.n_slots;
     live = t.live;
-    id2slot = Itbl.copy t.id2slot;
+    id2slot = Array.copy t.id2slot;
     by_layer;
     layer_order = t.layer_order;
     bb = t.bb;
-    layer_bb = Hashtbl.copy t.layer_bb;
     ports = t.ports;
     arrays = t.arrays;
     next_id = t.next_id;
@@ -436,16 +510,20 @@ let undo t = function
   | U_enter s ->
       (* Enters append and squeezing is suppressed, so in reverse journal
          order the enter being undone always owns the last used slot. *)
-      unindex t s;
-      Itbl.remove t.id2slot s.id;
-      t.n_slots <- t.n_slots - 1;
-      t.slots.(t.n_slots) <- None;
-      t.live <- t.live - 1
+      unplace t (layer_of t s.layer) s;
+      drop_last t 1
+  | U_absorb batch ->
+      (* Likewise the batch owns the last k slots. *)
+      iter_runs t batch (fun l i j ->
+          for n = i to j - 1 do
+            unplace t l batch.(n)
+          done);
+      drop_last t (Array.length batch)
   | U_remove (slot, s) ->
       t.slots.(slot) <- Some s;
-      Itbl.replace t.id2slot s.id slot;
+      t.id2slot.(s.id) <- slot;
       t.live <- t.live + 1;
-      index t s
+      index (layer_of t s.layer) s
   | U_replace (slot, old, s) ->
       t.slots.(slot) <- Some old;
       reindex t s old
@@ -455,8 +533,7 @@ let undo t = function
   | U_new_layer layer ->
       (* Every insert into the fresh index came after its creation, so it
          has already been unwound; the index is empty. *)
-      Hashtbl.remove t.by_layer layer;
-      Hashtbl.remove t.layer_bb layer
+      Hashtbl.remove t.by_layer layer
 
 let restore t snap =
   if snap.s_owner != t then
@@ -480,7 +557,7 @@ let restore t snap =
      extensions: drop the hull caches and let the next read re-derive them
      from the (restored) indexes. *)
   t.bb <- None;
-  Hashtbl.reset t.layer_bb
+  Hashtbl.iter (fun _ l -> l.hull <- None) t.by_layer
 
 let release t snap =
   if snap.s_owner != t then
@@ -515,6 +592,7 @@ let with_snapshot t f =
 
 type delta_op =
   | D_enter of Shape.t
+  | D_absorb of Shape.t array
   | D_remove of int
   | D_replace of Shape.t
   | D_translate of int * int
@@ -539,6 +617,7 @@ let mark t =
 
 let forward_op = function
   | U_enter s -> D_enter s
+  | U_absorb batch -> D_absorb batch
   | U_remove (_, s) -> D_remove s.Shape.id
   | U_replace (_, _, s) -> D_replace s
   | U_translate (dx, dy) -> D_translate (dx, dy)
@@ -579,6 +658,7 @@ let replay t d =
   Array.iter
     (function
       | D_enter s -> enter t s
+      | D_absorb batch -> enter_batch t batch
       | D_remove id -> remove t id
       | D_replace s -> replace t s
       | D_translate (dx, dy) -> translate t ~dx ~dy
@@ -590,24 +670,30 @@ let replay t d =
   t.next_id <- d.d_next_id;
   t.layer_order <- d.d_layer_order
 
+(* An absorb record counts as the k shape enters it batches, so the
+   length and the byte estimate are those of the per-shape log. *)
+let delta_length d =
+  Array.fold_left
+    (fun n -> function D_absorb batch -> n + Array.length batch | _ -> n + 1)
+    0 d.d_ops
+
 (* Rough heap footprint of a delta for cache byte budgets: the op array
-   spine plus the shapes retained by enter/replace ops; the scalar lists
-   are shared immutable values, count their spines only. *)
+   spine plus the shapes retained by enter/absorb/replace ops; the scalar
+   lists are shared immutable values, count their spines only. *)
 let delta_bytes d =
   let shape_bytes =
     Array.fold_left
       (fun acc -> function
         | D_enter _ | D_replace _ -> acc + 200
+        | D_absorb batch -> acc + (200 * Array.length batch)
         | D_remove _ | D_translate _ | D_new_layer _ -> acc)
       0 d.d_ops
   in
   256
-  + (48 * Array.length d.d_ops)
+  + (48 * delta_length d)
   + shape_bytes
   + (16 * List.length d.d_ports)
   + (16 * List.length d.d_arrays)
-
-let delta_length d = Array.length d.d_ops
 
 (* Rough heap footprint of the store, for the prefix cache's byte budget.
    Per live shape: the record (~9 fields + a rect), one id-table entry and
@@ -724,7 +810,8 @@ let rederive t rules =
         cuts)
     t.arrays
 
-(* Merge [src] into [t], renumbering ids; returns the id offset applied. *)
+(* Merge [src] into [t], renumbering ids; returns the id offset applied.
+   The renumbered shapes are entered as one batch. *)
 let absorb t src =
   let offset = t.next_id in
   let bump (s : Shape.t) =
@@ -735,11 +822,14 @@ let absorb t src =
     in
     { s with id = s.id + offset; origin }
   in
-  for i = 0 to src.n_slots - 1 do
-    match src.slots.(i) with
-    | Some s -> enter t (bump s)
-    | None -> ()
-  done;
+  (* [Array.init] fills in index order: the live shapes in slot order. *)
+  let next = ref 0 in
+  let rec next_live () =
+    let i = !next in
+    incr next;
+    match src.slots.(i) with Some s -> bump s | None -> next_live ()
+  in
+  enter_batch t (Array.init src.live (fun _ -> next_live ()));
   t.ports <- t.ports @ src.ports;
   t.arrays <-
     t.arrays

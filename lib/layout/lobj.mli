@@ -36,6 +36,9 @@ val shapes : t -> Shape.t list
 val shape_count : t -> int
 
 val find : t -> int -> Shape.t option
+(** [None] for an id with no shape: removed, never handed out, or
+    negative. *)
+
 val find_exn : t -> int -> Shape.t
 
 val replace : t -> Shape.t -> unit
@@ -175,7 +178,9 @@ val delta_bytes : delta -> int
 (** Rough heap footprint of the delta, for cache byte budgets. *)
 
 val delta_length : delta -> int
-(** Number of store mutations in the delta. *)
+(** Number of store mutations in the delta.  An {!absorb} of k shapes is
+    one record but counts as its k shape enters, here and in
+    {!delta_bytes}. *)
 
 val approx_bytes : t -> int
 (** Rough heap footprint of the store, for cache byte budgets. *)
@@ -224,6 +229,8 @@ val rederive : t -> Amg_tech.Rules.t -> unit
 
 val absorb : t -> t -> int
 (** [absorb t src] appends [src]'s shapes, ports and arrays into [t],
-    renumbering ids; returns the id offset applied to [src]'s ids. *)
+    renumbering ids; returns the id offset applied to [src]'s ids.  The
+    shapes are entered as one batch: one journal record, one layer lookup
+    per run of same-layer shapes, and each hull extended once. *)
 
 val pp : Format.formatter -> t -> unit

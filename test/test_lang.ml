@@ -98,6 +98,25 @@ let test_parser_errors () =
     | exception Diag.Fail d -> Diag.line_of d = 1
     | _ -> false)
 
+(* Input that ends mid-statement: the parser reaches the end of the token
+   stream and must report where, not run past it. *)
+let test_parser_truncated () =
+  List.iter
+    (fun (src, code, line, col) ->
+      match Parser.parse_program src with
+      | exception Diag.Fail d ->
+          Alcotest.(check (triple string int int))
+            src (code, line, col)
+            (d.Diag.code, Diag.line_of d, Diag.col_of d)
+      | _ -> Alcotest.failf "%S parsed" src)
+    [
+      ("ENT X(W", "lang.parse.expected-token", 1, 8);
+      ("x = f(a,", "lang.parse.unexpected-token", 1, 9);
+      ("IF", "lang.parse.unexpected-token", 1, 3);
+      ("ENT X(W\n", "lang.parse.expected-token", 2, 1);
+      ("f(k =", "lang.parse.unexpected-token", 1, 6);
+    ]
+
 (* --- interpreter --- *)
 
 let build src entity args = Interp.parse_and_build (env ()) src entity args
@@ -525,6 +544,7 @@ let suite =
     Alcotest.test_case "parser keyword args" `Quick test_parser_keyword_args;
     Alcotest.test_case "parser blocks" `Quick test_parser_blocks;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
+    Alcotest.test_case "parser truncated input" `Quick test_parser_truncated;
     Alcotest.test_case "arithmetic and print" `Quick test_interp_arithmetic_and_print;
     Alcotest.test_case "division by zero" `Quick test_interp_division_by_zero;
     Alcotest.test_case "unbound identifier" `Quick test_interp_unbound;

@@ -72,6 +72,38 @@ let test_lobj_copy_independent () =
     ((List.hd (Lobj.shapes o)).Shape.rect = Rect.of_size ~x:0 ~y:0 ~w:10 ~h:10);
   Alcotest.(check string) "copy name" "copy" (Lobj.name c)
 
+(* The id table: absent, removed, negative and out-of-range ids all find
+   nothing, and a copy's removals (enough to squeeze its slots), adds
+   (enough to grow its table) and replaces never reach the original. *)
+let test_lobj_id_table () =
+  let r i = Rect.of_size ~x:(i * 10) ~y:0 ~w:5 ~h:5 in
+  let o = Lobj.create "ids" in
+  let shapes = List.init 40 (fun i -> Lobj.add_shape o ~layer:"poly" ~rect:(r i) ()) in
+  let victim = List.nth shapes 7 in
+  Lobj.remove o victim.Shape.id;
+  check_bool "removed id" true (Lobj.find o victim.Shape.id = None);
+  check_bool "id past the table" true (Lobj.find o 1_000_000 = None);
+  check_bool "negative id" true (Lobj.find o (-1) = None);
+  let live = List.filter (fun (s : Shape.t) -> s != victim) shapes in
+  let answers o =
+    ( Lobj.shapes o,
+      List.map (fun (s : Shape.t) -> Lobj.find o s.Shape.id) shapes,
+      Lobj.near o ~layer:"poly" (Rect.of_size ~x:0 ~y:0 ~w:400 ~h:5) ~margin:0 )
+  in
+  let before = answers o in
+  let c = Lobj.copy o in
+  List.iteri (fun i (s : Shape.t) -> if i < 30 then Lobj.remove c s.Shape.id) live;
+  for i = 0 to 99 do
+    ignore (Lobj.add_shape c ~layer:"poly" ~rect:(r (i + 50)) ())
+  done;
+  let kept = List.nth live 35 in
+  Lobj.replace c (Shape.with_rect kept (r 200));
+  check_bool "original unchanged" true (answers o = before);
+  check_bool "original shapes" true (Lobj.shapes o = live);
+  check_bool "copy's new ids absent from the original" true
+    (Lobj.find o 45 = None && Lobj.find o 139 = None);
+  check "copy count" (39 - 30 + 100) (Lobj.shape_count c)
+
 let test_absorb_renumbers () =
   let a = Lobj.create "a" in
   let _ = Lobj.add_shape a ~layer:"poly" ~rect:(Rect.of_size ~x:0 ~y:0 ~w:5 ~h:5) () in
@@ -369,6 +401,7 @@ let suite =
     Alcotest.test_case "translate moves ports" `Quick test_lobj_translate_ports;
     Alcotest.test_case "copy is independent" `Quick test_lobj_copy_independent;
     Alcotest.test_case "absorb renumbers ids" `Quick test_absorb_renumbers;
+    Alcotest.test_case "lobj id table" `Quick test_lobj_id_table;
     Alcotest.test_case "rename and qualify nets" `Quick test_rename_and_qualify;
     Alcotest.test_case "equidistant spread" `Quick test_spread;
     Alcotest.test_case "max cuts" `Quick test_max_cuts;

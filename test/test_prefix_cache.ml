@@ -159,6 +159,96 @@ let test_restore_repeatable () =
   check_bool "still identical after release" true
     (fingerprint env main = before)
 
+(* --- the one-record absorb --- *)
+
+(* Plain shapes, without ports or arrays (so an absorb and per-shape adds
+   leave the same scalar fields): runs on metal1, a keep-clear poly shape,
+   a layer [build] never creates, and a removed slot. *)
+let absorb_source () =
+  let src = Lobj.create "src" in
+  let add ?keep_clear layer (x, y, w, h) =
+    Lobj.add_shape src ~layer ?keep_clear ~net:"s"
+      ~rect:(Rect.of_size ~x:(um x) ~y:(um y) ~w:(um w) ~h:(um h))
+      ()
+  in
+  ignore (add "metal1" (0., 0., 4., 2.));
+  let gone = add "metal1" (5., 0., 4., 2.) in
+  ignore (add "metal1" (10., 0., 4., 2.));
+  ignore (add ~keep_clear:true "poly" (0., 3., 9., 1.));
+  ignore (add "pdiff" (0., 5., 3., 3.));
+  ignore (add "metal1" (0., 9., 9., 2.));
+  Lobj.remove src gone.Shape.id;
+  src
+
+(* An absorb is one journal record: restoring over it rewinds to a
+   byte-identical object, its delta replays to one, and the delta counts
+   the record as the k shape enters it batches — the same length and
+   bytes as entering the k shapes one by one, so the prefix cache's
+   budget sees what it saw before. *)
+let test_absorb_record () =
+  let env = Env.bicmos () in
+  let main = build ~keep_clear:(fun i -> i = 1) env [ (4, 2, true); (2, 6, false) ] in
+  let src = absorb_source () in
+  let k = Lobj.shape_count src in
+  let before = fingerprint env main in
+  let start = Lobj.copy main in
+  let s = Lobj.snapshot main in
+  let m = Lobj.mark main in
+  let offset = Lobj.absorb main src in
+  (* The second absorb finds every layer present: its delta is the
+     absorb record alone. *)
+  let m2 = Lobj.mark main in
+  ignore (Lobj.absorb main src);
+  let d_absorb = Lobj.delta_since main m2 in
+  let delta = Lobj.delta_since main m in
+  let absorbed = fingerprint env main in
+  let absorbed_counts = keep_clear_counts_exact main in
+  Lobj.restore main s;
+  Lobj.release main s;
+  check_bool "restore rewinds to a byte-identical object" true
+    (fingerprint env main = before);
+  check_bool "absorbed ids are gone" true
+    (List.for_all
+       (fun (sh : Shape.t) -> Lobj.find main (sh.Shape.id + offset) = None)
+       (Lobj.shapes src));
+  (* New shapes reuse the freed ids and slots; no id may find another's
+     shape. *)
+  let probe = Lobj.copy main in
+  for i = 0 to 1 do
+    ignore
+      (Lobj.add_shape probe ~layer:"metal1"
+         ~rect:(Rect.of_size ~x:(um (float_of_int (20 * i))) ~y:(um 50.) ~w:(um 2.) ~h:(um 2.))
+         ())
+  done;
+  check_bool "every id finds its own shape" true
+    (List.for_all
+       (fun id ->
+         match Lobj.find probe id with None -> true | Some sh -> sh.Shape.id = id)
+       (List.init (offset + 20) Fun.id));
+  let replayed = Lobj.copy start in
+  Lobj.replay replayed delta;
+  check_bool "the delta replays to a byte-identical object" true
+    (fingerprint env replayed = absorbed);
+  check_int "one-absorb delta length" k (Lobj.delta_length d_absorb);
+  let one_by_one = Lobj.copy start in
+  ignore (Lobj.absorb one_by_one src);
+  let s1 = Lobj.snapshot one_by_one in
+  let m1 = Lobj.mark one_by_one in
+  List.iter
+    (fun (sh : Shape.t) ->
+      ignore
+        (Lobj.add_shape one_by_one ~layer:sh.Shape.layer ~rect:sh.Shape.rect
+           ?net:sh.Shape.net ~keep_clear:sh.Shape.keep_clear ()))
+    (Lobj.shapes src);
+  let d_enters = Lobj.delta_since one_by_one m1 in
+  Lobj.release one_by_one s1;
+  check_int "per-shape delta length" k (Lobj.delta_length d_enters);
+  check_int "absorb bytes = k per-shape enters" (Lobj.delta_bytes d_enters)
+    (Lobj.delta_bytes d_absorb);
+  check_bool "keep-clear counts exact" true
+    (absorbed_counts
+    && List.for_all keep_clear_counts_exact [ main; replayed; one_by_one ])
+
 (* --- the prefix cache and the optimizer searches --- *)
 
 let mk_steps n =
@@ -369,6 +459,7 @@ let test_eviction_under_tiny_budget () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_restore_is_rebuild;
+    Alcotest.test_case "absorb is one journal record" `Quick test_absorb_record;
     Alcotest.test_case "snapshot restores repeatedly" `Quick
       test_restore_repeatable;
     Alcotest.test_case "results identical with cache on/off, 1/2/4 domains"

@@ -21,7 +21,7 @@ module M = Amg_modules
 let um = Units.of_um
 let rules () = Technology.rules (Amg_tech.Bicmos1u.get ())
 
-(* --- Sindex.query vs. filtering the model --- *)
+(* --- Sindex vs. a list model --- *)
 
 let gen_rect =
   QCheck2.Gen.(
@@ -32,47 +32,131 @@ let gen_rect =
     let* h = int_range 100 12_000 in
     return (Rect.make ~x0:x ~y0:y ~x1:(x + w) ~y1:(y + h)))
 
+(* Mostly [gen_rect], sometimes a small rectangle near +-2^30: bins are
+   then entered far below and above the occupied range, so the bin
+   arrays grow toward lower bin numbers and through several doublings. *)
+let gen_far_rect =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, gen_rect);
+        ( 1,
+          let* sx = oneofl [ -1; 1 ] in
+          let* sy = oneofl [ -1; 0; 1 ] in
+          let* jx = int_range 0 50_000 in
+          let* jy = int_range 0 50_000 in
+          let x = (sx * (1 lsl 30)) - jx and y = (sy * (1 lsl 30)) - jy in
+          let* w = int_range 100 20_000 in
+          let* h = int_range 100 20_000 in
+          return (Rect.make ~x0:x ~y0:y ~x1:(x + w) ~y1:(y + h)) );
+      ])
+
+(* A window and a margin.  Some windows are columns spanning both far
+   bands, placed over the far rectangles or over the origin. *)
+let gen_window =
+  let far = (1 lsl 30) + 60_000 in
+  QCheck2.Gen.(
+    let column =
+      let* x = oneofl [ -far; -30_000; far - 120_000 ] in
+      let* w = int_range 1_000 80_000 in
+      return (Rect.make ~x0:x ~y0:(-far) ~x1:(x + w) ~y1:far)
+    in
+    tup2 (frequency [ (4, gen_rect); (1, column) ]) (int_range 0 3_000))
+
+(* The live (key, world rect) pairs: insert key i with rectangle i,
+   remove each distinct present key of [removals] once, with its
+   rectangle, then translate. *)
+let build_index inserts removals (dx, dy) =
+  let ix = Sindex.create () in
+  List.iteri (fun key r -> Sindex.insert ix key r) inserts;
+  let removed =
+    List.sort_uniq Int.compare removals
+    |> List.filter (fun key -> key < List.length inserts)
+  in
+  List.iter (fun key -> Sindex.remove ix key (List.nth inserts key)) removed;
+  Sindex.translate_all ix ~dx ~dy;
+  let model =
+    List.mapi (fun key r -> (key, Rect.translate r ~dx ~dy)) inserts
+    |> List.filter (fun (key, _) -> not (List.mem key removed))
+  in
+  (ix, model)
+
+let model_query model window margin =
+  let inflated = Rect.inflate window margin in
+  List.filter_map
+    (fun (key, r) ->
+      if
+        r.Rect.x0 <= inflated.Rect.x1
+        && inflated.Rect.x0 <= r.Rect.x1
+        && r.Rect.y0 <= inflated.Rect.y1
+        && inflated.Rect.y0 <= r.Rect.y1
+      then Some key
+      else None)
+    model
+  |> List.sort_uniq Int.compare
+
+let model_bbox = function
+  | [] -> None
+  | (_, r) :: rest -> Some (List.fold_left (fun h (_, r) -> Rect.hull h r) r rest)
+
+(* Everything the index answers about its contents: the query's keys
+   (as a list and as visits, sorted but not deduplicated, so each key
+   must be reported exactly once), every entry with its rectangle, the
+   hull and the count. *)
+let observe ix (window, margin) =
+  let visited = ref [] in
+  Sindex.iter_query ix window ~margin (fun key -> visited := key :: !visited);
+  let entries = ref [] in
+  Sindex.iter ix (fun key r -> entries := (key, r) :: !entries);
+  ( Sindex.query ix window ~margin,
+    List.sort Int.compare !visited,
+    List.sort compare !entries,
+    Sindex.bbox ix,
+    Sindex.cardinal ix )
+
+let expected model (window, margin) =
+  let keys = model_query model window margin in
+  (keys, keys, List.sort compare model, model_bbox model, List.length model)
+
 let prop_query_matches_model =
   let gen =
     QCheck2.Gen.(
       tup4
-        (list_size (int_range 0 40) gen_rect) (* inserts, keyed by position *)
+        (list_size (int_range 0 40) gen_far_rect) (* inserts, keyed by position *)
         (list_size (int_range 0 10) (int_range 0 39)) (* keys to remove *)
         (tup2 (int_range (-30_000) 30_000) (int_range (-30_000) 30_000))
-        (tup2 gen_rect (int_range 0 3_000)) (* window, margin *))
+        gen_window)
   in
   QCheck2.Test.make ~name:"Sindex.query = naive filter" ~count:500 gen
-    (fun (inserts, removals, (dx, dy), (window, margin)) ->
-      let ix = Sindex.create () in
-      List.iteri (fun key r -> Sindex.insert ix key r) inserts;
-      List.iter (fun key -> Sindex.remove ix key) removals;
-      Sindex.translate_all ix ~dx ~dy;
-      let model =
-        List.mapi (fun key r -> (key, Rect.translate r ~dx ~dy)) inserts
-        |> List.filter (fun (key, _) -> not (List.mem key removals))
-      in
-      let inflated = Rect.inflate window margin in
-      let expected =
-        List.filter_map
-          (fun (key, r) ->
-            if
-              r.Rect.x0 <= inflated.Rect.x1
-              && inflated.Rect.x0 <= r.Rect.x1
-              && r.Rect.y0 <= inflated.Rect.y1
-              && inflated.Rect.y0 <= r.Rect.y1
-            then Some key
-            else None)
-          model
-        |> List.sort_uniq Int.compare
-      in
-      (* The visitor must report each matching key exactly once — overflow
-         entries, negative coordinates and the translation offset
-         included — so its keys, sorted but not deduplicated, are the
-         model's. *)
-      let visited = ref [] in
-      Sindex.iter_query ix window ~margin (fun key -> visited := key :: !visited);
-      Sindex.query ix window ~margin = expected
-      && List.sort Int.compare !visited = expected)
+    (fun (inserts, removals, shift, query) ->
+      let ix, model = build_index inserts removals shift in
+      observe ix query = expected model query)
+
+(* A copy and its original are independent: inserts, removals and a
+   translation on one never change what the other answers.  Bins are
+   arrays updated in place, so a shared array would show here. *)
+let prop_copy_independent =
+  let gen =
+    QCheck2.Gen.(
+      tup4
+        (list_size (int_range 1 30) gen_far_rect)
+        (list_size (int_range 1 10) gen_far_rect) (* entered after the copy *)
+        (tup2 (list_size (int_range 1 10) (int_range 0 29)) bool)
+        gen_window)
+  in
+  QCheck2.Test.make ~name:"Sindex.copy is independent" ~count:300 gen
+    (fun (inserts, extra, (removals, mutate_copy), query) ->
+      let ix, model = build_index inserts [] (0, 0) in
+      let cp = Sindex.copy ix in
+      let victim, other = if mutate_copy then (cp, ix) else (ix, cp) in
+      let before = observe other query in
+      let n = List.length inserts in
+      List.iteri (fun i r -> Sindex.insert victim (n + i) r) extra;
+      List.iter
+        (fun key -> Sindex.remove victim key (List.nth inserts key))
+        (List.sort_uniq Int.compare removals |> List.filter (fun k -> k < n));
+      Sindex.translate_all victim ~dx:7_000 ~dy:(-3_000);
+      before = expected model query && observe other query = before)
 
 (* --- random layouts shared by the consumer equivalence properties --- *)
 
@@ -476,6 +560,7 @@ let test_diffpair_bb_regression () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_query_matches_model;
+    QCheck_alcotest.to_alcotest prop_copy_independent;
     QCheck_alcotest.to_alcotest prop_near_matches_shapes;
     QCheck_alcotest.to_alcotest prop_pass_equiv;
     QCheck_alcotest.to_alcotest prop_auto_connect_equiv;
