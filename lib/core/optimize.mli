@@ -117,6 +117,12 @@ val optimize :
     of the evaluated prefix (see {!evaluate_orders}) — best-so-far when the
     budget marks degraded.
 
+    Walks the same orders and budget batches as {!evaluate_orders} and
+    returns its first minimum, but retains only the returned layout: each
+    order's layout is dropped as soon as it is rated unless it is the best
+    so far, so memory holds one layout (plus one in flight per domain), not
+    [max_orders].
+
     [?store] is [(store, key)]: a durable result store plus the canonical
     key for this module instance (see {!Amg_store.Store.signature}).  On an
     exact key hit — the search strategy and its parameters are appended to
@@ -183,9 +189,12 @@ val optimize_local :
     best improving candidate, ties to the lowest swap index — with
     [restarts] deterministically shuffled starting orders ([seed] makes
     runs reproducible).  Never worse than the best starting order; not
-    guaranteed optimal.  The last component is the number of
-    rebuild-and-rate evaluations performed, which is also independent of
-    [?domains].
+    guaranteed optimal.  Only the returned layout is retained: a swap
+    candidate that is not the round's best improvement so far drops its
+    layout as soon as it is rated, so a round holds one candidate layout
+    (plus one in flight per domain), not the whole neighbourhood.  The
+    last component is the number of rebuild-and-rate evaluations
+    performed, which is also independent of [?domains].
 
     With [?budget], whole rounds (and whole restarts) are refused once the
     budget is out: an eval cap never splits a round, so the climbing

@@ -324,6 +324,179 @@ let test_optimize_local () =
   (* On this small instance the swap neighbourhood reaches the optimum. *)
   Alcotest.(check (float 1e-6)) "finds optimum here" exhaustive_best local_best
 
+(* --- search oracles on random step sets --- *)
+
+(* A random step set: one metal1 bar per step, each on its own net,
+   compacted in a random direction. *)
+let step_set_gen lo hi =
+  QCheck2.Gen.(
+    list_size (int_range lo hi)
+      (triple (int_range 1 12) (int_range 1 12)
+         (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ])))
+
+let show_step_set dims =
+  String.concat "; "
+    (List.map
+       (fun (w, h, d) -> Printf.sprintf "%dx%d %s" w h (Dir.to_string d))
+       dims)
+
+let bar_steps dims =
+  List.mapi
+    (fun i (w, h, d) ->
+      let name = Printf.sprintf "s%d" i in
+      let o = Lobj.create name in
+      let _ =
+        Lobj.add_shape o ~layer:"metal1"
+          ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um (float_of_int w)) ~h:(um (float_of_int h)))
+          ~net:name ()
+      in
+      Optimize.step o d)
+    dims
+
+let uids order = List.map (fun s -> s.Optimize.uid) order
+let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
+
+let exhaustive e steps =
+  Optimize.optimize e ~name:"x" ~max_orders:(factorial (List.length steps)) steps
+
+(* Reference steepest descent: every candidate is a plain [Optimize.apply]
+   rated with [Rating.rate] — no prefix cache, no pool.  Same restarts
+   (the LCG shuffles, drawn up front), same neighbourhood (all pairwise
+   swaps), ties to the lowest swap, and every evaluation counted, rejected
+   ones included.  Returns the winner, its rating and order, the eval count
+   and the number of accepted moves. *)
+let reference_local e ~restarts ~seed steps =
+  let evals = ref 0 and moves = ref 0 in
+  let rate order =
+    incr evals;
+    match Optimize.apply e ~name:"x" order with
+    | m -> Some (m, Rating.rate e Rating.default m)
+    | exception Env.Rejected _ -> None
+  in
+  let state = ref (seed land 0x3FFFFFFF) in
+  let next_int bound =
+    state := ((!state * 1664525) + 1013904223) land 0x3FFFFFFF;
+    !state mod bound
+  in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = next_int (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let n = List.length steps in
+  let swap order i j =
+    let a = Array.of_list order in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t;
+    Array.to_list a
+  in
+  let rec descend ((_, r, order) as cur) =
+    let best = ref None in
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        let cand = swap order i j in
+        let bar = match !best with Some (_, b, _) -> b | None -> r in
+        match rate cand with
+        | Some (m, rc) when rc < bar -> best := Some (m, rc, cand)
+        | _ -> ()
+      done
+    done;
+    match !best with
+    | Some next ->
+        incr moves;
+        descend next
+    | None -> cur
+  in
+  let climb start =
+    Option.map (fun (m, r) -> descend (m, r, start)) (rate start)
+  in
+  let shuffled = ref [] in
+  for _ = 2 to restarts do
+    shuffled := shuffle steps :: !shuffled
+  done;
+  let best =
+    List.fold_left
+      (fun acc start ->
+        match (acc, climb start) with
+        | None, c | c, None -> c
+        | Some (_, ra, _), Some ((_, r, _) as c) when r < ra -> Some c
+        | acc, _ -> acc)
+      None
+      (steps :: List.rev !shuffled)
+  in
+  (best, !evals, !moves)
+
+let local_case_gen =
+  QCheck2.Gen.(triple (step_set_gen 3 7) (int_range 0 10_000) (int_range 1 3))
+
+(* [optimize_local] (prefix cache, pool, incumbent cell) agrees with the
+   reference on rating, order, eval count and CIF bytes for every domain
+   count. *)
+let prop_local_matches_reference =
+  QCheck2.Test.make ~name:"local search matches reference descent" ~count:100
+    ~print:(fun (dims, seed, restarts) ->
+      Printf.sprintf "seed=%d restarts=%d [%s]" seed restarts
+        (show_step_set dims))
+    local_case_gen
+    (fun (dims, seed, restarts) ->
+      let e = env () in
+      let steps = bar_steps dims in
+      let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
+      match reference_local e ~restarts ~seed steps with
+      | None, _, _ -> QCheck2.assume_fail ()
+      | Some (rm, rr, rorder), revals, _ ->
+          List.for_all
+            (fun d ->
+              let m, r, order, evals =
+                Optimize.optimize_local e ~name:"x" ~restarts ~seed ~domains:d
+                  steps
+              in
+              Float.equal r rr && uids order = uids rorder && evals = revals
+              && String.equal (cif m) (cif rm))
+            Test_util.domain_counts)
+
+(* The property above only covers the path where a candidate keeps its
+   layout if some round accepts a move; pin that the generator reaches it. *)
+let test_local_reference_accepts_moves () =
+  let e = env () in
+  let cases =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:20 local_case_gen
+  in
+  let accepting =
+    List.filter
+      (fun (dims, seed, restarts) ->
+        let _, _, moves = reference_local e ~restarts ~seed (bar_steps dims) in
+        moves > 0)
+      cases
+  in
+  check_bool "some generated case accepts a move" true (accepting <> [])
+
+(* ROADMAP oracles: branch-and-bound reaches the exhaustive optimum, and
+   local search never beats it. *)
+let prop_bb_matches_exhaustive =
+  QCheck2.Test.make ~name:"bb rating equals exhaustive" ~count:30
+    ~print:show_step_set (step_set_gen 2 7) (fun dims ->
+      let e = env () in
+      let steps = bar_steps dims in
+      let _, exhaustive_best, _ = exhaustive e steps in
+      let _, bb_best, _, _ = Optimize.optimize_bb e ~name:"x" steps in
+      Float.equal exhaustive_best bb_best)
+
+let prop_local_never_beats_exhaustive =
+  QCheck2.Test.make ~name:"local never beats exhaustive" ~count:30
+    ~print:show_step_set (step_set_gen 2 7) (fun dims ->
+      let e = env () in
+      let steps = bar_steps dims in
+      let _, exhaustive_best, _ = exhaustive e steps in
+      let _, local_best, _, _ = Optimize.optimize_local e ~name:"x" steps in
+      local_best >= exhaustive_best)
+
 
 (* --- slicing floorplanner --- *)
 
@@ -424,6 +597,11 @@ let suite =
     Alcotest.test_case "branch and bound matches exhaustive" `Quick test_optimize_bb_matches_exhaustive;
     Alcotest.test_case "permutations" `Quick test_permutations;
     Alcotest.test_case "local search optimizer" `Quick test_optimize_local;
+    QCheck_alcotest.to_alcotest prop_local_matches_reference;
+    Alcotest.test_case "local reference accepts moves" `Quick
+      test_local_reference_accepts_moves;
+    QCheck_alcotest.to_alcotest prop_bb_matches_exhaustive;
+    QCheck_alcotest.to_alcotest prop_local_never_beats_exhaustive;
     Alcotest.test_case "slicing floorplanner" `Quick test_floorplan_basics;
     QCheck_alcotest.to_alcotest prop_floorplan_optimal;
   ]

@@ -13,6 +13,7 @@ module Optimize = Amg_core.Optimize
 module Variants = Amg_core.Variants
 module Rating = Amg_core.Rating
 module Pool = Amg_parallel.Pool
+module Budget = Amg_robust.Budget
 module M = Amg_modules
 
 let um = Units.of_um
@@ -219,6 +220,42 @@ let test_evaluate_orders_determinism () =
         (fun w -> check_bool "identical winner" true (w = List.hd winners))
         winners
 
+(* [optimize] keeps only its incumbent layout; it must still return exactly
+   the first minimum of [evaluate_orders]'s full result list — rating, order
+   and bytes — for every domain count, with and without an eval cap. *)
+let test_optimize_is_first_minimum () =
+  let e = env () in
+  let steps = contact_row_steps e 5 in
+  let uids order = List.map (fun s -> s.Optimize.uid) order in
+  List.iter
+    (fun cap ->
+      let budget () = Option.map (fun m -> Budget.create ~max_evals:m ()) cap in
+      List.iter
+        (fun d ->
+          let tag =
+            Printf.sprintf "orders domains=%d cap=%s" d
+              (match cap with Some m -> string_of_int m | None -> "none")
+          in
+          let all =
+            Optimize.evaluate_orders e ~name:"det" ~domains:d ?budget:(budget ())
+              steps
+          in
+          let fm, fr, forder =
+            List.fold_left
+              (fun ((_, br, _) as best) ((_, r, _) as c) ->
+                if r < br then c else best)
+              (List.hd all) (List.tl all)
+          in
+          let m, r, order =
+            Optimize.optimize e ~name:"det" ~domains:d ?budget:(budget ()) steps
+          in
+          check_float_identical (tag ^ " rating") fr r;
+          Alcotest.(check (list int)) (tag ^ " order uids") (uids forder)
+            (uids order);
+          check_svg_identical e tag fm m)
+        domain_counts)
+    [ None; Some 40 ]
+
 (* --- Variants with a pool --- *)
 
 let test_variants_pool () =
@@ -310,6 +347,8 @@ let suite =
       test_bb_determinism_contact6;
     Alcotest.test_case "evaluate_orders determinism" `Quick
       test_evaluate_orders_determinism;
+    Alcotest.test_case "optimize is evaluate_orders' first minimum" `Quick
+      test_optimize_is_first_minimum;
     Alcotest.test_case "variants with a pool" `Quick test_variants_pool;
     QCheck_alcotest.to_alcotest prop_permutations;
     Alcotest.test_case "permutations lazy" `Quick test_permutations_lazy;
