@@ -29,12 +29,15 @@ module Lobj = Amg_layout.Lobj
 module Obs = Amg_obs.Obs
 module Diag = Amg_robust.Diag
 module Policy = Amg_robust.Policy
-module Inject = Amg_robust.Inject
-module Budget = Amg_robust.Budget
-module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
+module Generate = Amg_lang.Generate
 module Store = Amg_store.Store
 
 open Cmdliner
+
+let read_file = Amg_serve.Cli.read_file
+let int_at_least = Amg_serve.Cli.int_at_least
+let with_obs = Amg_serve.Cli.with_obs
 
 let exit_ok = 0
 let exit_diag = 1
@@ -43,51 +46,15 @@ let exit_degraded = 3
 
 (* --- the diagnostics boundary --- *)
 
-(* Map every escaping exception to a structured diagnostic; asynchronous
-   exceptions (Out_of_memory, Sys.Break) stay fatal in Diag.guard. *)
-let convert_exn = function
-  | Env.Rejected msg ->
-      Some
-        (Diag.v Diag.Layout ~code:"layout.rejected"
-           ~hint:"every topology alternative failed a design-rule check; \
-                  relax the parameters or add a fallback variant"
-           msg)
-  | Inject.Fault (site, hit) -> Some (Inject.to_diag site hit)
-  | Sys_error msg -> Some (Diag.v Diag.Cli ~code:"cli.io-error" msg)
-  | Failure msg -> Some (Diag.v Diag.Cli ~code:"cli.error" msg)
-  | e ->
-      Some
-        (Diag.v Diag.Internal ~code:"internal.uncaught"
-           ~hint:"this is a bug in amgen; please report it"
-           (Printexc.to_string e))
-
 (* Run a command body under the failure policy and the fault-injection
-   harness; collect reported and escaping diagnostics, print them to
-   stderr, optionally write the JSON report, and compute the exit code. *)
-let run_guarded ?(mode = Policy.Strict) ?inject ?diag_json f =
-  Policy.reset ();
-  Policy.set_mode mode;
-  let armed =
-    match inject with
-    | None ->
-        Inject.disarm ();
-        Ok ()
-    | Some spec -> (
-        match Inject.parse_spec spec with
-        | Ok sched ->
-            Inject.arm sched;
-            Ok ()
-        | Error msg -> Error msg)
-  in
-  match armed with
+   harness; print the reported and escaping diagnostics to stderr,
+   optionally write the JSON report, and compute the exit code. *)
+let run_guarded ?mode ?inject ?diag_json f =
+  match Generate.guarded ?mode ?inject f with
   | Error msg ->
       Fmt.epr "amgen: bad --inject spec: %s@." msg;
       exit_usage
-  | Ok () ->
-      let result = Diag.guard ~convert:convert_exn f in
-      Inject.disarm ();
-      let reported = Policy.drain () in
-      Policy.reset ();
+  | Ok (result, reported) ->
       let diags, code =
         match result with
         | Ok code -> (reported, code)
@@ -131,17 +98,6 @@ let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let set_jobs jobs = Option.iter Amg_parallel.Pool.set_default_domains jobs
-
-(* Validating int convs: rejections surface as cmdliner parse errors,
-   which [main] maps to the usage exit code. *)
-let int_at_least lo what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= lo -> Ok v
-    | Some v -> Error (`Msg (Fmt.str "%s must be >= %d, got %d" what lo v))
-    | None -> Error (`Msg (Fmt.str "%s expects an integer, got %s" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let cache_mb_arg =
   let doc =
@@ -238,32 +194,6 @@ let max_evals_arg =
                  optimization search; deterministic for every --jobs value.  \
                  Implies --optimize orders unless --optimize is given.")
 
-(* Run [f] with instrumentation enabled when any sink asked for it, and
-   flush the sinks before returning — in particular before a caller's
-   non-zero exit on DRC violations.  Recorded data stays readable after
-   [disable] (the `--explain` table is printed by the caller). *)
-let with_obs ?(explain = false) ~stats ~trace f =
-  let on = stats || explain || trace <> None in
-  if on then Obs.enable ();
-  let finish () =
-    if on then begin
-      Obs.disable ();
-      Option.iter
-        (fun path ->
-          Amg_obs.Trace.write path;
-          Fmt.pr "wrote %s@." path)
-        trace;
-      if stats then Fmt.pr "%a" Obs.pp_stats ()
-    end
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
-
 let env_of_tech = function
   | None -> Env.bicmos ()
   | Some path -> Env.create (Amg_tech.Tech_file.load path)
@@ -309,12 +239,6 @@ let file_arg =
 let entity_arg =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"ENTITY" ~doc:"Entity to build.")
 
-let read_file file =
-  let ic = open_in file in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  src
-
 let build_obj tech_file file entity params =
   let env = env_of_tech tech_file in
   let obj =
@@ -349,121 +273,19 @@ let emit env obj svg cif gds ascii =
 
 (* --- build (with optional compaction-order optimization) --- *)
 
-(* The optimizer replays compacts only; ports are re-derived on the winning
-   layout the same way PORT() derives them — as the hull of the port's
-   net/layer shapes. *)
-let transplant_ports ~from obj =
-  List.iter
-    (fun (p : Amg_layout.Port.t) ->
-      let shapes =
-        List.filter
-          (fun (s : Amg_layout.Shape.t) -> Amg_layout.Shape.on_layer s p.layer)
-          (Lobj.shapes_on_net obj p.net)
-      in
-      match
-        Amg_geometry.Rect.hull_list
-          (List.map (fun (s : Amg_layout.Shape.t) -> s.rect) shapes)
-      with
-      | Some rect ->
-          ignore (Lobj.add_port obj ~name:p.name ~net:p.net ~layer:p.layer ~rect)
-      | None ->
-          Policy.report
-            (Diag.v ~severity:Diag.Warning Diag.Optimize
-               ~code:"optimize.port-dropped"
-               (Fmt.str
-                  "port %s: no shapes of net %s on layer %s in the optimized \
-                   layout" p.name p.net p.layer)))
-    (Lobj.ports from)
-
-let opt_mode_name = function
-  | `Orders -> "orders"
-  | `Bb -> "bb"
-  | `Local -> "local"
-
 let optimize_arg =
-  let modes = [ ("orders", `Orders); ("bb", `Bb); ("local", `Local) ] in
-  Arg.(value & opt (some (enum modes)) None
+  Arg.(value & opt (some (enum Wire.opt_modes)) None
        & info [ "optimize" ] ~docv:"MODE"
            ~doc:"Search over compaction orders of the entity's top-level \
                  compacts and emit the best-rated layout: $(b,orders) \
                  (exhaustive), $(b,bb) (branch-and-bound), $(b,local) \
                  (hill climbing).")
 
-(* Replay the recorded steps under the requested search; returns the layout
-   to emit and the exit code.  The canonical build is the fallback at every
-   turn: not-replayable entities and canonical winners emit the original
-   object byte-for-byte. *)
-let optimized_build env ~file ~entity ~src ~params ~opt ~max_time ~max_evals
-    ?store () =
-  let obj, record =
-    Amg_lang.Interp.parse_and_build_recorded ~file env src entity params
-  in
-  match record with
-  | Error why ->
-      Policy.report
-        (Diag.v ~severity:Diag.Warning Diag.Optimize
-           ~code:"optimize.not-replayable"
-           ~hint:"the entity must perform at least two top-level compacts \
-                  and draw no shapes between or after them"
-           (Fmt.str "%s: cannot reorder compacts (%s); emitting the \
-                     canonical build" entity why));
-      (obj, exit_ok)
-  | Ok { Amg_lang.Interp.base; steps } ->
-      let budget =
-        match (max_time, max_evals) with
-        | None, None -> None
-        | deadline, max_evals -> Some (Budget.create ?deadline ?max_evals ())
-      in
-      let best, rating, order =
-        match opt with
-        | `Orders ->
-            Optimize.optimize env ~name:entity ~base ?budget ?store steps
-        | `Bb ->
-            let o, r, ord, _nodes =
-              Optimize.optimize_bb env ~name:entity ~base ?budget ?store steps
-            in
-            (o, r, ord)
-        | `Local ->
-            let o, r, ord, _evals =
-              Optimize.optimize_local env ~name:entity ~base ?budget ?store
-                steps
-            in
-            (o, r, ord)
-      in
-      let degraded =
-        match budget with Some b -> Budget.degraded b | None -> false
-      in
-      let canonical_won =
-        List.length order = List.length steps && List.for_all2 ( == ) order steps
-      in
-      Fmt.pr "optimized %s (%s): rating %g over %d compacts%s%s@." entity
-        (opt_mode_name opt) rating (List.length steps)
-        (if canonical_won then ", canonical order kept" else "")
-        (if degraded then ", budget exhausted (best-so-far)" else "");
-      if degraded then
-        Policy.report
-          (Diag.v ~severity:Diag.Warning Diag.Optimize ~code:"optimize.degraded"
-             ~hint:"raise --max-time/--max-evals to search further; the \
-                    emitted layout is valid but possibly not the optimum"
-             (Fmt.str "%s: search stopped by the budget after %s" entity
-                (match budget with
-                | Some b -> Fmt.str "%d evaluations" (Budget.spent b)
-                | None -> "?")));
-      let final =
-        if canonical_won then obj
-        else begin
-          transplant_ports ~from:obj best;
-          best
-        end
-      in
-      (final, if degraded then exit_degraded else exit_ok)
-
-(* Durable result store: only strict, fault-free runs may feed it (a
-   permissive or injected run can rate orders against degraded layouts),
-   so under --permissive/--inject the flag downgrades to a warning.  The
-   key is restart-stable: tech fingerprint + entity + parameter values —
-   [Optimize] appends the search-mode component itself. *)
-let with_store ~mode ~inject ~env ~entity ~params store_path f =
+(* Durable result store: only strict, fault-free runs may consult or feed
+   it (a permissive or injected run can rate orders against degraded
+   layouts), so under --permissive/--inject the flag downgrades to a
+   warning. *)
+let with_store ~mode ~inject store_path f =
   match store_path with
   | None -> f None
   | Some path when mode <> Policy.Strict || inject <> None ->
@@ -476,28 +298,9 @@ let with_store ~mode ~inject ~env ~entity ~params store_path f =
   | Some path ->
       let st, diags = Store.open_ path in
       List.iter Policy.report diags;
-      let key =
-        Store.signature
-          ~tech:
-            (Store.tech_fingerprint
-               (Amg_tech.Tech_file.to_string (Env.tech env)))
-          ~entity
-          ~params:
-            (List.map
-               (fun (k, v) ->
-                 ( k,
-                   match v with
-                   | Amg_lang.Value.Num f -> Store.Num f
-                   | Amg_lang.Value.Str s -> Store.Str s
-                   (* unreachable from -p parsing; keep the match total *)
-                   | Amg_lang.Value.Bool b -> Store.Str (string_of_bool b)
-                   | Amg_lang.Value.Obj _ | Amg_lang.Value.Unit ->
-                       Store.Str "" ))
-               params)
-      in
       Fun.protect
         ~finally:(fun () -> Store.close st)
-        (fun () -> f (Some (st, key)))
+        (fun () -> f (Some st))
 
 let build_cmd =
   let explain_arg =
@@ -528,32 +331,40 @@ let build_cmd =
           let env = env_of_tech tech_file in
           let src = read_file file in
           let params = parse_params params in
-          let opt =
+          let search =
             match optimize with
-            | Some m -> Some m
-            | None ->
-                if max_time <> None || max_evals <> None then Some `Orders
-                else None
+            | None when max_time <> None || max_evals <> None -> Some Wire.Orders
+            | search -> search
           in
-          match opt with
-          | None ->
-              if store <> None then
-                Policy.report
-                  (Diag.v ~severity:Diag.Warning Diag.Store
-                     ~code:"store.unused"
-                     ~hint:"add --optimize orders|bb|local"
-                     "--store has no effect without --optimize");
-              let obj = Amg_lang.Interp.parse_and_build ~file env src entity params in
-              emit env obj svg cif gds ascii;
-              exit_ok
-          | Some opt ->
-              with_store ~mode ~inject ~env ~entity ~params store @@ fun store ->
-              let obj, code =
-                optimized_build env ~file ~entity ~src ~params ~opt ~max_time
-                  ~max_evals ?store ()
-              in
-              emit env obj svg cif gds ascii;
-              code)
+          if search = None && store <> None then
+            Policy.report
+              (Diag.v ~severity:Diag.Warning Diag.Store ~code:"store.unused"
+                 ~hint:"add --optimize orders|bb|local"
+                 "--store has no effect without --optimize");
+          with_store ~mode ~inject (Option.bind search (fun _ -> store))
+          @@ fun st ->
+          let store =
+            Option.map
+              (fun st ->
+                let tech = Generate.tech_fingerprint env in
+                (st, Generate.store_key ~tech entity params))
+              st
+          in
+          let program = Amg_lang.Parser.parse_program ~file src in
+          let o =
+            Generate.run env program
+              (Generate.request ?search ?max_time ?max_evals ?store entity
+                 params)
+          in
+          (match (search, o.searched) with
+          | Some strategy, Some s ->
+              Fmt.pr "optimized %s (%s): rating %g over %d compacts%s%s@."
+                entity (Wire.opt_to_string strategy) s.rating s.compacts
+                (if s.canonical_kept then ", canonical order kept" else "")
+                (if o.degraded then ", budget exhausted (best-so-far)" else "")
+          | _ -> ());
+          emit env o.layout svg cif gds ascii;
+          if o.degraded then exit_degraded else exit_ok)
     in
     if explain then Fmt.pr "%a" Amg_compact.Successive.pp_explain ();
     code
@@ -964,26 +775,6 @@ let store_cmd =
 
 (* --- sweep (batch parameter-grid exploration) --- *)
 
-(* The sweep engine computes its own per-instance store keys, so the
-   handle is passed whole — but the same feeding rule as single builds
-   applies: only strict, fault-free runs may consult or feed the store. *)
-let with_sweep_store ~mode ~inject store_path f =
-  match store_path with
-  | None -> f None
-  | Some path when mode <> Policy.Strict || inject <> None ->
-      Policy.report
-        (Diag.v ~severity:Diag.Warning Diag.Store ~code:"store.disabled"
-           ~hint:"drop --permissive/--inject to reuse and feed the store"
-           (Fmt.str "%s: result store disabled (stored orders must come from \
-                     strict, fault-free runs)" path));
-      f None
-  | Some path ->
-      let st, diags = Store.open_ path in
-      List.iter Policy.report diags;
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () -> f (Some st))
-
 let sweep_cmd =
   let spec_arg =
     Arg.(value & pos 0 (some file) None
@@ -1088,7 +879,7 @@ let sweep_cmd =
               Fun.protect
                 ~finally:(fun () -> Option.iter close_out oc)
                 (fun () ->
-                  with_sweep_store ~mode ~inject store @@ fun store ->
+                  with_store ~mode ~inject store @@ fun store ->
                   Amg_sweep.Sweep.run ~domains ~chunk ~shuffle ?store
                     ?source_file ~on_line ~env ~source spec)
             in
@@ -1096,7 +887,7 @@ let sweep_cmd =
               "sweep %s (%s): %d rows, %d failures, %d duplicates dropped, \
                %d store hits, %.2f s@."
               spec.Amg_sweep.Sweep.s_entity
-              (Amg_sweep.Sweep.mode_to_string spec.Amg_sweep.Sweep.s_mode)
+              (Wire.opt_to_string spec.Amg_sweep.Sweep.s_mode)
               result.Amg_sweep.Sweep.rows result.Amg_sweep.Sweep.failures
               result.Amg_sweep.Sweep.duplicates
               result.Amg_sweep.Sweep.store_hits

@@ -656,6 +656,3 @@ let build_recorded env program entity_name raw_args =
 
 let parse_and_build ?file env src entity_name args =
   build env (Parser.parse_program ?file src) entity_name args
-
-let parse_and_build_recorded ?file env src entity_name args =
-  build_recorded env (Parser.parse_program ?file src) entity_name args

@@ -67,12 +67,3 @@ val parse_and_build :
   Amg_layout.Lobj.t
 (** Parse source text, then {!build}.  [?file] names the source in parse
     diagnostics. *)
-
-val parse_and_build_recorded :
-  ?file:string ->
-  Amg_core.Env.t ->
-  string ->
-  string ->
-  (string * Value.t) list ->
-  Amg_layout.Lobj.t * (recorded, string) result
-(** Parse source text, then {!build_recorded}. *)

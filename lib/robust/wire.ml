@@ -136,13 +136,9 @@ let op_of_string = function
   | "health" -> Some Health
   | _ -> None
 
-let opt_to_string = function Orders -> "orders" | Bb -> "bb" | Local -> "local"
-
-let opt_of_string = function
-  | "orders" -> Some Orders
-  | "bb" -> Some Bb
-  | "local" -> Some Local
-  | _ -> None
+let opt_modes = [ ("orders", Orders); ("bb", Bb); ("local", Local) ]
+let opt_to_string m = fst (List.find (fun (_, m') -> m' = m) opt_modes)
+let opt_of_string s = List.assoc_opt s opt_modes
 
 let format_to_string = function
   | Cif -> "cif"

@@ -17,7 +17,15 @@ type param = Pnum of float | Pstr of string
     numbers stay numbers, JSON strings stay strings. *)
 
 type opt_mode = Orders | Bb | Local
-(** Compaction-order search, as [amgen build --optimize]. *)
+(** Compaction-order search strategy — the one declaration the CLI, the
+    daemon and the sweep share. *)
+
+val opt_modes : (string * opt_mode) list
+(** Every strategy under its name, as [--optimize] and the sweep spec's
+    ["optimize"] spell it. *)
+
+val opt_to_string : opt_mode -> string
+val opt_of_string : string -> opt_mode option
 
 type payload_format = Cif | Svg | No_payload
 (** What layout rendering the response should carry. *)

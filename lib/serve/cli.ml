@@ -10,22 +10,6 @@ let exit_ok = 0
 let exit_diag = 1
 let exit_usage = 2
 
-let convert_exn = function
-  | Amg_core.Env.Rejected msg ->
-      Some (Diag.v Diag.Layout ~code:"layout.rejected" msg)
-  | Unix.Unix_error (e, fn, arg) ->
-      Some
-        (Diag.v Diag.Cli ~code:"cli.io-error"
-           (Fmt.str "%s: %s%s" fn (Unix.error_message e)
-              (if arg = "" then "" else " (" ^ arg ^ ")")))
-  | Sys_error msg -> Some (Diag.v Diag.Cli ~code:"cli.io-error" msg)
-  | Failure msg -> Some (Diag.v Diag.Cli ~code:"cli.error" msg)
-  | e ->
-      Some
-        (Diag.v Diag.Internal ~code:"internal.uncaught"
-           ~hint:"this is a bug in amgend; please report it"
-           (Printexc.to_string e))
-
 let read_file file =
   let ic = open_in file in
   let src = really_input_string ic (in_channel_length ic) in
@@ -40,6 +24,32 @@ let int_at_least lo what =
     | None -> Error (`Msg (Fmt.str "%s expects an integer, got %s" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* Run [f] with instrumentation enabled when any sink asked for it, and
+   flush the sinks on the way out — in particular before a caller's
+   non-zero exit.  Recorded data stays readable after [disable] (amgen
+   prints its `--explain` table afterwards). *)
+let with_obs ?(explain = false) ~stats ~trace f =
+  let on = stats || explain || trace <> None in
+  if on then Obs.enable ();
+  let finish () =
+    if on then begin
+      Obs.disable ();
+      Option.iter
+        (fun path ->
+          Amg_obs.Trace.write path;
+          Fmt.pr "wrote %s@." path)
+        trace;
+      if stats then Fmt.pr "%a" Obs.pp_stats ()
+    end
+  in
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception e ->
+      finish ();
+      raise e
 
 (* --- shared arguments -------------------------------------------------- *)
 
@@ -228,21 +238,9 @@ let run_serve socket tcp library tech jobs queue_limit max_frame memo_limit
     tenant_limit no_warm cache_mb stats trace trace_dir trace_sample slow_ms
     access_log store sweep_limit =
   Option.iter Amg_core.Prefix_cache.set_default_budget_mb cache_mb;
-  let on = stats || trace <> None in
-  if on then Obs.enable ();
-  let finish () =
-    if on then begin
-      Obs.disable ();
-      Option.iter
-        (fun path ->
-          Amg_obs.Trace.write path;
-          Fmt.pr "wrote %s@." path)
-        trace;
-      if stats then Fmt.pr "%a" Obs.pp_stats ()
-    end
-  in
   let result =
-    Diag.guard ~convert:convert_exn (fun () ->
+    with_obs ~stats ~trace @@ fun () ->
+    Diag.guard ~convert:Amg_lang.Generate.convert_exn (fun () ->
         let source, source_file =
           match library with
           | None -> (Amg_lang.Stdlib.all, None)
@@ -263,7 +261,6 @@ let run_serve socket tcp library tech jobs queue_limit max_frame memo_limit
         Fmt.pr "amgend: shut down@.";
         exit_ok)
   in
-  finish ();
   match result with
   | Ok code -> code
   | Error d ->
@@ -301,12 +298,9 @@ let params_arg =
   Arg.(value & opt_all string [] & info [ "p"; "param" ] ~docv:"K=V" ~doc)
 
 let optimize_arg =
-  let modes =
-    [ ("orders", Wire.Orders); ("bb", Wire.Bb); ("local", Wire.Local) ]
-  in
   Arg.(
     value
-    & opt (some (enum modes)) None
+    & opt (some (enum Wire.opt_modes)) None
     & info [ "optimize" ] ~docv:"MODE"
         ~doc:
           "Compaction-order search mode: $(b,orders), $(b,bb) or $(b,local).")

@@ -16,3 +16,17 @@ val health_cmd : int Cmdliner.Cmd.t
 
 val daemon_main : unit -> int
 (** Evaluate the daemon command line and return the process exit code. *)
+
+(** {1 Helpers amgen's own subcommands share} *)
+
+val read_file : string -> string
+
+val int_at_least : int -> string -> int Cmdliner.Arg.conv
+(** [int_at_least lo what]: an int converter rejecting values below [lo]
+    as a cmdliner parse error naming [what]. *)
+
+val with_obs :
+  ?explain:bool -> stats:bool -> trace:string option -> (unit -> 'a) -> 'a
+(** Run with instrumentation on when [stats], [explain] or [trace] asks
+    for it; on the way out, also on an exception, switch it off, write
+    the trace file and print the stats summary. *)

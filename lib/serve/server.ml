@@ -20,8 +20,6 @@
 
 module Diag = Amg_robust.Diag
 module Policy = Amg_robust.Policy
-module Budget = Amg_robust.Budget
-module Inject = Amg_robust.Inject
 module Wire = Amg_robust.Wire
 module J = Amg_robust.Diag.Json
 module Obs = Amg_obs.Obs
@@ -29,6 +27,7 @@ module Metrics = Amg_obs.Metrics
 module Trace = Amg_obs.Trace
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
+module Generate = Amg_lang.Generate
 module Prefix_cache = Amg_core.Prefix_cache
 module Rating = Amg_core.Rating
 module Lobj = Amg_layout.Lobj
@@ -142,8 +141,8 @@ let sched_counts s =
 (* --- recorded-build memo ---------------------------------------------- *)
 
 type memo_entry = {
-  m_obj : Lobj.t;  (* canonical build; never mutated after capture *)
-  m_recorded : (Amg_lang.Interp.recorded, string) result;
+  m_canonical : Lobj.t * (Amg_lang.Interp.recorded, string) result;
+      (* canonical build and its replay record; never mutated *)
   m_diags : Diag.t list;  (* warnings the canonical build reported *)
   mutable m_best : (Wire.opt_mode * (Lobj.t * Diag.t list)) list;
       (* finished unbudgeted search results per mode: final layout and
@@ -283,52 +282,25 @@ let rec read_line r =
 
 (* --- request handling ------------------------------------------------- *)
 
-let convert_exn = function
-  | Env.Rejected msg ->
-      Some
-        (Diag.v Diag.Layout ~code:"layout.rejected"
-           ~hint:
-             "every topology alternative failed a design-rule check; relax \
-              the parameters or add a fallback variant"
-           msg)
-  | Inject.Fault (site, hit) -> Some (Inject.to_diag site hit)
-  | Sys_error msg -> Some (Diag.v Diag.Cli ~code:"cli.io-error" msg)
-  | Failure msg -> Some (Diag.v Diag.Cli ~code:"cli.error" msg)
-  | e ->
-      Some
-        (Diag.v Diag.Internal ~code:"internal.uncaught"
-           ~hint:"this is a bug in amgend; please report it"
-           (Printexc.to_string e))
+(* One name feeds both views of a serving counter: the Obs stream and the
+   Prometheus registry. *)
+let bump name =
+  Obs.count name 1;
+  Metrics.incr (Metrics.counter name)
 
 let reject ?id ~code msg =
   Wire.response ?id
     ~diagnostics:[ Diag.v Diag.Cli ~code msg ]
     Wire.status_reject
 
-(* Canonical signature of a build: tenant stamp, entity, sorted params.
-   Every token is length-prefixed, so the encoding is injective even for
-   keys or string values containing separator bytes; the float image is
-   hexadecimal, so equal floats always collide and distinct floats never
-   do. *)
-let signature env entity params =
-  let b = Buffer.create 64 in
-  let token s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  Buffer.add_string b (string_of_int (Env.stamp env));
-  Buffer.add_char b '/';
-  token entity;
-  List.iter
+let values params =
+  List.map
     (fun (k, p) ->
-      token k;
-      token
-        (match p with
-        | Wire.Pnum f -> Printf.sprintf "n%h" f
-        | Wire.Pstr s -> "s" ^ s))
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) params);
-  Buffer.contents b
+      ( k,
+        match p with
+        | Wire.Pnum f -> Amg_lang.Value.Num f
+        | Wire.Pstr s -> Amg_lang.Value.Str s ))
+    params
 
 (* Per-tenant environments are LRU-bounded like the memo: an unauthenticated
    stream of fresh tenant names must not grow the daemon without limit.  An
@@ -355,8 +327,7 @@ let tenant_env t = function
             match victim with
             | Some (k, _) ->
                 Hashtbl.remove t.tenants k;
-                Obs.count "serve.tenant.evictions" 1;
-                Metrics.incr (Metrics.counter "serve.tenant.evictions")
+                bump "serve.tenant.evictions"
             | None -> ()
           end;
           let env = Env.create (Env.tech t.env_default) in
@@ -364,39 +335,24 @@ let tenant_env t = function
           Atomic.set t.tenant_count (Hashtbl.length t.tenants);
           env)
 
-(* Canonical build of (entity, params) under [env], memoized.  Returns
-   the layout, the replay record, the diagnostics the build reported and
-   whether the memo served it.  Only strict, fault-free requests may use
-   the memo: a permissive or fault-injected build can differ from the
-   canonical one.  Failed builds are not memoized (the diagnostic is
-   rebuilt per request). *)
-let canonical_build t env ~memoizable entity params =
-  let sg = signature env entity params in
+(* Canonical build of (entity, args) under [env], memoized under [sg].
+   Returns the layout with its replay record, and whether the memo served
+   it; the diagnostics the build reported are re-reported on a memo hit.
+   Failed builds are not memoized (the diagnostic is rebuilt per
+   request). *)
+let canonical_build t env ~memoizable ~sg entity args =
   match if memoizable then Hashtbl.find_opt t.memo sg else None with
   | Some e ->
       t.memo_tick <- t.memo_tick + 1;
       e.m_tick <- t.memo_tick;
-      Obs.count "serve.memo.hits" 1;
-      Metrics.incr (Metrics.counter "serve.memo.hits");
+      bump "serve.memo.hits";
       (* Replay the canonical build's diagnostics so a memo-served
          response carries the same report as the cold one. *)
       List.iter Policy.report e.m_diags;
-      (e.m_obj, e.m_recorded, true)
+      (e.m_canonical, true)
   | None ->
-      Obs.count "serve.memo.misses" 1;
-      Metrics.incr (Metrics.counter "serve.memo.misses");
-      let args =
-        List.map
-          (fun (k, p) ->
-            ( k,
-              match p with
-              | Wire.Pnum f -> Amg_lang.Value.Num f
-              | Wire.Pstr s -> Amg_lang.Value.Str s ))
-          params
-      in
-      let obj, recorded =
-        Amg_lang.Interp.build_recorded env t.program entity args
-      in
+      bump "serve.memo.misses";
+      let canonical = Amg_lang.Interp.build_recorded env t.program entity args in
       let build_diags = Policy.drain () in
       List.iter Policy.report build_diags;
       if memoizable then begin
@@ -420,48 +376,19 @@ let canonical_build t env ~memoizable entity params =
                        (-List.length victim_e.m_best))
               | None -> ());
               Hashtbl.remove t.memo k;
-              Obs.count "serve.memo.evictions" 1;
-              Metrics.incr (Metrics.counter "serve.memo.evictions")
+              bump "serve.memo.evictions"
           | None -> ()
         end;
         Hashtbl.add t.memo sg
           {
-            m_obj = obj;
-            m_recorded = recorded;
+            m_canonical = canonical;
             m_diags = build_diags;
             m_best = [];
             m_tick = t.memo_tick;
           };
         Atomic.set t.memo_count (Hashtbl.length t.memo)
       end;
-      (obj, recorded, false)
-
-(* The optimizer replays compacts only; ports are re-derived on the
-   winning layout the same way PORT() derives them — as the hull of the
-   port's net/layer shapes (mirrors the CLI). *)
-let transplant_ports ~from obj =
-  List.iter
-    (fun (p : Amg_layout.Port.t) ->
-      let shapes =
-        List.filter
-          (fun (s : Amg_layout.Shape.t) -> Amg_layout.Shape.on_layer s p.layer)
-          (Lobj.shapes_on_net obj p.net)
-      in
-      match
-        Amg_geometry.Rect.hull_list
-          (List.map (fun (s : Amg_layout.Shape.t) -> s.rect) shapes)
-      with
-      | Some rect ->
-          ignore (Lobj.add_port obj ~name:p.name ~net:p.net ~layer:p.layer ~rect)
-      | None ->
-          Policy.report
-            (Diag.v ~severity:Diag.Warning Diag.Optimize
-               ~code:"optimize.port-dropped"
-               (Fmt.str
-                  "port %s: no shapes of net %s on layer %s in the optimized \
-                   layout"
-                  p.name p.net p.layer)))
-    (Lobj.ports from)
+      (canonical, false)
 
 (* What a request did, for the latency histograms and the access log.
    [ro_outcome] is the cache-outcome label: memo-hit (either memo layer
@@ -491,198 +418,145 @@ let eval_counter_names =
 let evals_now () =
   List.fold_left (fun acc n -> acc + Obs.counter n) 0 eval_counter_names
 
+(* Close a compute request: measure its prefix-cache and search effort
+   since the [before] snapshot, attach the stats object when the request
+   asked for it, and label the outcome — [label] picks it given the
+   request's prefix-cache hits. *)
+let measured (req : Wire.request) ~queue_depth (started, cache0, evals0) resp
+    label =
+  let cache1 = Prefix_cache.stats (Prefix_cache.default ()) in
+  let ro_hits = cache1.Prefix_cache.hits - cache0.Prefix_cache.hits in
+  let ro_misses = cache1.Prefix_cache.misses - cache0.Prefix_cache.misses in
+  let stats =
+    if req.stats then
+      Some
+        {
+          Wire.elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.;
+          queue_depth;
+          cache_hits = ro_hits;
+          cache_misses = ro_misses;
+        }
+    else None
+  in
+  ( { resp with Wire.stats },
+    {
+      ro_outcome = label ro_hits;
+      ro_evals = evals_now () - evals0;
+      ro_hits;
+      ro_misses;
+    } )
+
+let snapshot () =
+  ( Unix.gettimeofday (),
+    Prefix_cache.stats (Prefix_cache.default ()),
+    evals_now () )
+
 (* Run one build request.  Called from the serialized section only. *)
 let handle_build t (req : Wire.request) ~queue_depth =
-  let started = Unix.gettimeofday () in
-  let cache_before = Prefix_cache.stats (Prefix_cache.default ()) in
-  let evals_before = evals_now () in
-  (* True when the response was served whole from a memo layer: a best
-     result hit, or a canonical memo hit with no search to run. *)
-  let served_from_memo = ref false in
-  Policy.reset ();
-  Policy.set_mode (if req.permissive then Policy.Permissive else Policy.Strict);
-  let armed =
-    match req.inject with
-    | None ->
-        Inject.disarm ();
-        Ok ()
-    | Some spec -> (
-        match Inject.parse_spec spec with
-        | Ok sched ->
-            Inject.arm sched;
-            Ok ()
-        | Error msg -> Error msg)
+  let before = snapshot () in
+  let store_hits_before =
+    match t.result_store with
+    | Some st -> (Store.stats st).Store.hits
+    | None -> 0
   in
-  match armed with
+  let env = tenant_env t req.tenant in
+  (* Only strict, fault-free requests may use the memo layers or consult
+     and feed the durable store: a permissive or fault-injected build can
+     differ from the canonical one. *)
+  let memoizable = (not req.permissive) && req.inject = None in
+  let params = values req.params in
+  (* The memo key is the store key with the tenant's process-local stamp
+     in place of the deck fingerprint. *)
+  let sg =
+    Generate.store_key ~tech:(string_of_int (Env.stamp env)) req.entity params
+  in
+  (* Finished optimized results are deterministic for strict, fault-free,
+     unbudgeted requests, so they are memoized whole next to the canonical
+     build: a repeated identical request skips the search and replays the
+     stored report byte-for-byte.  Budgeted requests bypass this memo —
+     their result depends on the budget — and resume from the resident
+     prefix cache instead. *)
+  let best_opt =
+    match (req.optimize, req.max_time, req.max_evals) with
+    | Some opt, None, None when memoizable -> Some opt
+    | _ -> None
+  in
+  let best_hit =
+    Option.bind best_opt (fun opt ->
+        Option.bind (Hashtbl.find_opt t.memo sg) (fun e ->
+            Option.map
+              (fun hit ->
+                t.memo_tick <- t.memo_tick + 1;
+                e.m_tick <- t.memo_tick;
+                bump "serve.memo.best_hits";
+                hit)
+              (List.assoc_opt opt e.m_best)))
+  in
+  (* [served]: the guarded result, the diagnostics, the degraded flag and
+     whether a memo layer answered whole — a best result hit, or a
+     canonical memo hit with no search to run. *)
+  let served =
+    match best_hit with
+    | Some (obj, diags) -> Ok (Ok obj, diags, false, true)
+    | None -> (
+        let from_memo = ref false in
+        let run () =
+          let canonical, memo_hit =
+            canonical_build t env ~memoizable ~sg req.entity params
+          in
+          from_memo := memo_hit && req.optimize = None;
+          (* Durable-store key: restart-stable (tech fingerprint, not the
+             process-local Env.stamp) and tenant-free — stored results are
+             pure functions of tech/entity/params.  The record is frozen
+             together with its base, so the searches may share cached
+             prefixes across requests under the tenant's stable scope. *)
+          let store, scope =
+            if memoizable then
+              ( Option.map
+                  (fun st ->
+                    (st, Generate.store_key ~tech:t.tech_fp req.entity params))
+                  t.result_store,
+                Some (Optimize.env_scope env) )
+            else (None, None)
+          in
+          Generate.run ~canonical env t.program
+            (Generate.request ?search:req.optimize ?max_time:req.max_time
+               ?max_evals:req.max_evals
+               ~domains:(Option.value req.jobs ~default:(pool_size t))
+               ?scope ?store req.entity params)
+        in
+        let mode = if req.permissive then Policy.Permissive else Policy.Strict in
+        match Generate.guarded ~mode ?inject:req.inject run with
+        | Error msg -> Error msg
+        | Ok (result, reported) ->
+            let degraded =
+              match result with Ok o -> o.Generate.degraded | Error _ -> false
+            in
+            if degraded then Obs.count "serve.degraded" 1;
+            (match (result, best_opt) with
+            | Ok o, Some opt
+              when not
+                     (List.exists
+                        (fun d -> d.Diag.severity = Diag.Error)
+                        reported) -> (
+                match Hashtbl.find_opt t.memo sg with
+                | Some e when not (List.mem_assoc opt e.m_best) ->
+                    e.m_best <- (opt, (o.Generate.layout, reported)) :: e.m_best;
+                    ignore (Atomic.fetch_and_add t.best_count 1)
+                | _ -> ())
+            | _ -> ());
+            Ok
+              ( Result.map (fun o -> o.Generate.layout) result,
+                reported,
+                degraded,
+                !from_memo ))
+  in
+  match served with
   | Error msg ->
-      Policy.reset ();
       ( reject ?id:req.id ~code:"serve.bad-inject"
           (Printf.sprintf "bad inject spec: %s" msg),
         { quiet_obs with ro_outcome = "error" } )
-  | Ok () ->
-      let budget =
-        match (req.max_time, req.max_evals) with
-        | None, None -> None
-        | max_time, max_evals ->
-            (* Budget deadlines are relative: seconds from now. *)
-            Some (Budget.create ?deadline:max_time ?max_evals ())
-      in
-      let env = tenant_env t req.tenant in
-      let memoizable = (not req.permissive) && req.inject = None in
-      let sg = signature env req.entity req.params in
-      (* Durable-store key: like the memo signature but restart-stable —
-         tech fingerprint instead of the process-local Env.stamp, and no
-         tenant (stored results are pure functions of tech/entity/params,
-         so all tenants share them).  Only strict fault-free requests may
-         consult or feed the store, mirroring the memo gate. *)
-      let store_handle =
-        match (t.result_store, req.optimize) with
-        | Some st, Some _ when memoizable ->
-            Some
-              ( st,
-                Store.signature ~tech:t.tech_fp ~entity:req.entity
-                  ~params:
-                    (List.map
-                       (fun (k, p) ->
-                         ( k,
-                           match p with
-                           | Wire.Pnum f -> Store.Num f
-                           | Wire.Pstr s -> Store.Str s ))
-                       req.params) )
-        | _ -> None
-      in
-      let store_hits_before =
-        match t.result_store with
-        | Some st -> (Store.stats st).Store.hits
-        | None -> 0
-      in
-      (* Finished optimized results are deterministic for strict,
-         fault-free, unbudgeted requests, so they are memoized whole next
-         to the canonical build: a repeated identical request skips the
-         search and replays the stored report byte-for-byte.  Budgeted
-         requests bypass this memo — their result depends on the budget —
-         and resume from the resident prefix cache instead. *)
-      let best_hit =
-        match (req.optimize, budget) with
-        | Some opt, None when memoizable -> (
-            match Hashtbl.find_opt t.memo sg with
-            | Some e -> (
-                match List.assoc_opt opt e.m_best with
-                | Some _ as hit ->
-                    t.memo_tick <- t.memo_tick + 1;
-                    e.m_tick <- t.memo_tick;
-                    Obs.count "serve.memo.best-hits" 1;
-                    Metrics.incr (Metrics.counter "serve.memo.best_hits");
-                    hit
-                | None -> None)
-            | None -> None)
-        | _ -> None
-      in
-      let result, reported, degraded =
-        match best_hit with
-        | Some (obj, diags) ->
-            served_from_memo := true;
-            Inject.disarm ();
-            Policy.reset ();
-            (Ok obj, diags, false)
-        | None ->
-      let result =
-        Diag.guard ~convert:convert_exn (fun () ->
-            let obj, recorded, from_memo =
-              canonical_build t env ~memoizable req.entity req.params
-            in
-            if from_memo && req.optimize = None then served_from_memo := true;
-            match req.optimize with
-            | None -> obj
-            | Some opt -> (
-                match recorded with
-                | Error why ->
-                    Policy.report
-                      (Diag.v ~severity:Diag.Warning Diag.Optimize
-                         ~code:"optimize.not-replayable"
-                         ~hint:
-                           "the entity must perform at least two top-level \
-                            compacts and draw no shapes between or after them"
-                         (Fmt.str
-                            "%s: cannot reorder compacts (%s); emitting the \
-                             canonical build"
-                            req.entity why));
-                    obj
-                | Ok { Amg_lang.Interp.base; steps } ->
-                    (* The record is frozen together with its base, so the
-                       searches may share cached prefixes across requests
-                       under the tenant's stable scope. *)
-                    let scope =
-                      if memoizable then Some (Optimize.env_scope env)
-                      else None
-                    in
-                    let domains =
-                      match req.jobs with
-                      | Some j -> Some j
-                      | None -> t.cfg.default_jobs
-                    in
-                    let best, _rating, order =
-                      match opt with
-                      | Wire.Orders ->
-                          Optimize.optimize env ~name:req.entity ~base
-                            ?domains ?budget ?scope ?store:store_handle steps
-                      | Wire.Bb ->
-                          let o, r, ord, _nodes =
-                            Optimize.optimize_bb env ~name:req.entity ~base
-                              ?domains ?budget ?scope ?store:store_handle steps
-                          in
-                          (o, r, ord)
-                      | Wire.Local ->
-                          let o, r, ord, _evals =
-                            Optimize.optimize_local env ~name:req.entity ~base
-                              ?domains ?budget ?scope ?store:store_handle steps
-                          in
-                          (o, r, ord)
-                    in
-                    let canonical_won =
-                      List.length order = List.length steps
-                      && List.for_all2 ( == ) order steps
-                    in
-                    if canonical_won then obj
-                    else begin
-                      transplant_ports ~from:obj best;
-                      best
-                    end))
-      in
-      Inject.disarm ();
-      let degraded =
-        match budget with Some b -> Budget.degraded b | None -> false
-      in
-      if degraded then begin
-        Obs.count "serve.degraded" 1;
-        Policy.report
-          (Diag.v ~severity:Diag.Warning Diag.Optimize
-             ~code:"optimize.degraded"
-             ~hint:
-               "raise max_time/max_evals to search further; the emitted \
-                layout is valid but possibly not the optimum"
-             (Fmt.str "%s: search stopped by the budget after %s" req.entity
-                (match budget with
-                | Some b -> Fmt.str "%d evaluations" (Budget.spent b)
-                | None -> "?")))
-      end;
-      let reported = Policy.drain () in
-      Policy.reset ();
-      (match (result, req.optimize, budget) with
-      | Ok obj, Some opt, None
-        when memoizable && (not degraded)
-             && not
-                  (List.exists
-                     (fun d -> d.Diag.severity = Diag.Error)
-                     reported) -> (
-          match Hashtbl.find_opt t.memo sg with
-          | Some e when not (List.mem_assoc opt e.m_best) ->
-              e.m_best <- (opt, (obj, reported)) :: e.m_best;
-              ignore (Atomic.fetch_and_add t.best_count 1)
-          | _ -> ())
-      | _ -> ());
-      (result, reported, degraded)
-      in
+  | Ok (result, reported, degraded, from_memo) ->
       let resp =
         match result with
         | Error d ->
@@ -709,24 +583,6 @@ let handle_build t (req : Wire.request) ~queue_depth =
             Wire.response ?id:req.id ~rating ~format:req.format ?payload
               ~diagnostics:reported status
       in
-      let cache_after = Prefix_cache.stats (Prefix_cache.default ()) in
-      let ro_hits =
-        cache_after.Prefix_cache.hits - cache_before.Prefix_cache.hits
-      in
-      let ro_misses =
-        cache_after.Prefix_cache.misses - cache_before.Prefix_cache.misses
-      in
-      let stats =
-        if req.stats then
-          Some
-            {
-              Wire.elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.;
-              queue_depth;
-              cache_hits = ro_hits;
-              cache_misses = ro_misses;
-            }
-        else None
-      in
       let store_hits =
         match t.result_store with
         | Some st -> (Store.stats st).Store.hits - store_hits_before
@@ -735,21 +591,13 @@ let handle_build t (req : Wire.request) ~queue_depth =
       (* A store hit replays one order through the prefix cache, so it
          usually also scores prefix-cache hits; rank it above search-warm
          to keep the label specific. *)
-      let outcome =
-        if resp.Wire.status = Wire.status_diag then "error"
-        else if resp.Wire.status = Wire.status_degraded then "degraded"
-        else if !served_from_memo then "memo-hit"
-        else if store_hits > 0 then "store-hit"
-        else if ro_hits > 0 then "search-warm"
-        else "cold"
-      in
-      ( { resp with Wire.stats = stats },
-        {
-          ro_outcome = outcome;
-          ro_evals = evals_now () - evals_before;
-          ro_hits;
-          ro_misses;
-        } )
+      measured req ~queue_depth before resp (fun ro_hits ->
+          if resp.Wire.status = Wire.status_diag then "error"
+          else if resp.Wire.status = Wire.status_degraded then "degraded"
+          else if from_memo then "memo-hit"
+          else if store_hits > 0 then "store-hit"
+          else if ro_hits > 0 then "search-warm"
+          else "cold")
 
 (* Run one sweep request: expand the spec into a bounded grid, run it
    under the same tenant environment / prefix cache / result store as
@@ -759,133 +607,86 @@ let handle_build t (req : Wire.request) ~queue_depth =
    run.  Called from the serialized section only, so the streamed rows
    can never interleave with another request's response line. *)
 let handle_sweep t conn (req : Wire.request) ~queue_depth =
-  let started = Unix.gettimeofday () in
-  let cache_before = Prefix_cache.stats (Prefix_cache.default ()) in
-  let evals_before = evals_now () in
-  Policy.reset ();
-  Policy.set_mode (if req.permissive then Policy.Permissive else Policy.Strict);
-  let error_resp d reported =
-    Policy.reset ();
-    ( Wire.response ?id:req.id ~diagnostics:(reported @ [ d ]) Wire.status_diag,
-      { quiet_obs with ro_outcome = "error" } )
+  let before = snapshot () in
+  let rejected code msg =
+    (reject ?id:req.id ~code msg, { quiet_obs with ro_outcome = "error" })
   in
   match req.spec with
-  | None ->
-      Policy.reset ();
-      ( reject ?id:req.id ~code:"serve.bad-request" "sweep request carries no spec",
-        { quiet_obs with ro_outcome = "error" } )
+  | None -> rejected "serve.bad-request" "sweep request carries no spec"
   | Some spec_src -> (
-      match
-        Diag.guard ~convert:convert_exn (fun () -> Sweep.parse_spec spec_src)
-      with
-      | Error d -> error_resp d (Policy.drain ())
-      | Ok spec ->
-          let gs = Sweep.grid_size spec in
-          if gs > t.cfg.sweep_limit then begin
-            Policy.reset ();
-            ( reject ?id:req.id ~code:"serve.sweep-too-large"
-                (Printf.sprintf "grid expands to %d instances (limit %d)" gs
-                   t.cfg.sweep_limit),
-              { quiet_obs with ro_outcome = "error" } )
-          end
-          else begin
-            let env = tenant_env t req.tenant in
-            let domains =
-              match req.jobs with
-              | Some j -> j
-              | None -> (
-                  match t.cfg.default_jobs with
-                  | Some j -> j
-                  | None -> Pool.default_domains ())
-            in
-            (* Stream rows as raw event lines ahead of the response.  A
-               peer that vanished mid-sweep stops the writes (the sweep
-               itself runs to completion — its rows also feed the store)
-               and the final send surfaces the close as EPIPE upstream. *)
-            let index = ref 0 in
-            let alive = ref true in
-            let on_line line =
-              if !alive then begin
-                try
-                  write_all conn.c_fd (Wire.encode_sweep_row ~index:!index line ^ "\n")
-                with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-                  alive := false
-              end;
-              incr index
-            in
-            let result =
-              Diag.guard ~convert:convert_exn (fun () ->
-                  Sweep.run ~domains ?store:t.result_store
-                    ?source_file:t.cfg.source_file ~on_line ~env
-                    ~source:t.cfg.source spec)
-            in
-            let reported = Policy.drain () in
-            Policy.reset ();
-            let cache_after = Prefix_cache.stats (Prefix_cache.default ()) in
-            let ro_hits =
-              cache_after.Prefix_cache.hits - cache_before.Prefix_cache.hits
-            in
-            let ro_misses =
-              cache_after.Prefix_cache.misses - cache_before.Prefix_cache.misses
-            in
-            match result with
-            | Error d ->
-                ( Wire.response ?id:req.id
-                    ~diagnostics:(reported @ [ d ])
-                    Wire.status_diag,
-                  {
-                    ro_outcome = "error";
-                    ro_evals = evals_now () - evals_before;
-                    ro_hits;
-                    ro_misses;
-                  } )
-            | Ok r ->
-                let status =
-                  if r.Sweep.failures > 0 then Wire.status_degraded
-                  else Wire.status_ok
-                in
-                let payload =
-                  J.to_string
-                    (J.Jobj
-                       [
-                         ("rows", J.Jnum (float_of_int r.Sweep.rows));
-                         ("failures", J.Jnum (float_of_int r.Sweep.failures));
-                         ( "duplicates",
-                           J.Jnum (float_of_int r.Sweep.duplicates) );
-                         ( "store_hits",
-                           J.Jnum (float_of_int r.Sweep.store_hits) );
-                       ])
-                in
-                let resp =
-                  Wire.response ?id:req.id ~payload ~diagnostics:reported
-                    status
-                in
-                let stats =
-                  if req.stats then
-                    Some
-                      {
-                        Wire.elapsed_ms =
-                          (Unix.gettimeofday () -. started) *. 1000.;
-                        queue_depth;
-                        cache_hits = ro_hits;
-                        cache_misses = ro_misses;
-                      }
-                  else None
-                in
-                let outcome =
+      (* Stream rows as raw event lines ahead of the response.  A peer
+         that vanished mid-sweep stops the writes (the sweep itself runs
+         to completion — its rows also feed the store) and the final send
+         surfaces the close as EPIPE upstream. *)
+      let index = ref 0 in
+      let alive = ref true in
+      let on_line line =
+        if !alive then begin
+          try
+            write_all conn.c_fd (Wire.encode_sweep_row ~index:!index line ^ "\n")
+          with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
+            alive := false
+        end;
+        incr index
+      in
+      let parsed =
+        Diag.guard ~convert:Generate.convert_exn (fun () ->
+            Sweep.parse_spec spec_src)
+      in
+      match parsed with
+      | Error d ->
+          ( Wire.response ?id:req.id ~diagnostics:[ d ] Wire.status_diag,
+            { quiet_obs with ro_outcome = "error" } )
+      | Ok spec when Sweep.grid_size spec > t.cfg.sweep_limit ->
+          rejected "serve.sweep-too-large"
+            (Printf.sprintf "grid expands to %d instances (limit %d)"
+               (Sweep.grid_size spec) t.cfg.sweep_limit)
+      | Ok spec -> (
+          let domains = Option.value req.jobs ~default:(pool_size t) in
+          (* The store gate of builds: strict, fault-free runs only. *)
+          let store =
+            if (not req.permissive) && req.inject = None then t.result_store
+            else None
+          in
+          let run () =
+            Sweep.run ~domains ?store ?source_file:t.cfg.source_file ~on_line
+              ~env:(tenant_env t req.tenant) ~source:t.cfg.source spec
+          in
+          let mode =
+            if req.permissive then Policy.Permissive else Policy.Strict
+          in
+          match Generate.guarded ~mode ?inject:req.inject run with
+          | Error msg ->
+              rejected "serve.bad-inject"
+                (Printf.sprintf "bad inject spec: %s" msg)
+          | Ok (Error d, reported) ->
+              measured req ~queue_depth before
+                (Wire.response ?id:req.id
+                   ~diagnostics:(reported @ [ d ])
+                   Wire.status_diag)
+                (fun _ -> "error")
+          | Ok (Ok r, reported) ->
+              let payload =
+                J.to_string
+                  (J.Jobj
+                     [
+                       ("rows", J.Jnum (float_of_int r.Sweep.rows));
+                       ("failures", J.Jnum (float_of_int r.Sweep.failures));
+                       ("duplicates", J.Jnum (float_of_int r.Sweep.duplicates));
+                       ("store_hits", J.Jnum (float_of_int r.Sweep.store_hits));
+                     ])
+              in
+              let status =
+                if r.Sweep.failures > 0 then Wire.status_degraded
+                else Wire.status_ok
+              in
+              measured req ~queue_depth before
+                (Wire.response ?id:req.id ~payload ~diagnostics:reported status)
+                (fun ro_hits ->
                   if r.Sweep.failures > 0 then "degraded"
                   else if r.Sweep.store_hits > 0 then "store-hit"
                   else if ro_hits > 0 then "search-warm"
-                  else "cold"
-                in
-                ( { resp with Wire.stats = stats },
-                  {
-                    ro_outcome = outcome;
-                    ro_evals = evals_now () - evals_before;
-                    ro_hits;
-                    ro_misses;
-                  } )
-          end)
+                  else "cold")))
 
 (* --- telemetry: scrape payloads, access log, request traces ----------- *)
 

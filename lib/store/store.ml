@@ -70,19 +70,17 @@ let max_payload = 1 lsl 24
 (* --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ------------------- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s pos len =
-  let table = Lazy.force crc_table in
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := table.((!crc lxor Char.code (Bytes.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
+    crc := crc_table.((!crc lxor Char.code (Bytes.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
 
@@ -158,16 +156,9 @@ let decode_payload data pos len =
 
 (* --- metrics ------------------------------------------------------------ *)
 
-let m_hits = lazy (Metrics.counter "store.hits")
-let m_misses = lazy (Metrics.counter "store.misses")
-let m_writes = lazy (Metrics.counter "store.writes")
-let m_write_failures = lazy (Metrics.counter "store.write_failures")
-let m_recoveries = lazy (Metrics.counter "store.recoveries")
-let m_recovered = lazy (Metrics.counter "store.recovered_records")
-let m_torn = lazy (Metrics.counter "store.torn_tail_truncations")
-let m_corrupt = lazy (Metrics.counter "store.corrupt_records")
-let m_checkpoints = lazy (Metrics.counter "store.checkpoints")
-let bump m = Metrics.incr (Lazy.force m)
+(* Registration is idempotent under the registry lock, so the counter is
+   looked up at the point of use — safe from any domain. *)
+let bump ?(by = 1) name = Metrics.add (Metrics.counter name) by
 
 (* --- contained I/O failures -------------------------------------------- *)
 
@@ -384,8 +375,8 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
         t.log_bytes <- sc.s_good_end;
         diags := List.rev_append sc.s_diags !diags;
         if sc.s_records > 0 then begin
-          bump m_recoveries;
-          Metrics.add (Lazy.force m_recovered) sc.s_records;
+          bump "store.recoveries";
+          bump "store.recovered_records" ~by:sc.s_records;
           diags :=
             Diag.v ~severity:Diag.Info Diag.Store ~code:"store.recovered"
               ~payload:
@@ -422,9 +413,9 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
         end);
     ignore !fresh;
     if t.torn_tail_truncations > 0 then
-      Metrics.add (Lazy.force m_torn) t.torn_tail_truncations;
+      bump "store.torn_tail_truncations" ~by:t.torn_tail_truncations;
     if t.corrupt_records > 0 then
-      Metrics.add (Lazy.force m_corrupt) t.corrupt_records;
+      bump "store.corrupt_records" ~by:t.corrupt_records;
     Unix.close fd;
     if not readonly then
       t.log_fd <- Some (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
@@ -451,12 +442,12 @@ let find t key =
       match Hashtbl.find_opt t.tbl key with
       | Some e ->
           t.hits <- t.hits + 1;
-          bump m_hits;
+          bump "store.hits";
           Obs.count "store.hits" 1;
           Some e
       | None ->
           t.misses <- t.misses + 1;
-          bump m_misses;
+          bump "store.misses";
           Obs.count "store.misses" 1;
           None)
 
@@ -469,7 +460,7 @@ let iter f t =
 
 let report_failure t ~code exn =
   t.write_failures <- t.write_failures + 1;
-  bump m_write_failures;
+  bump "store.write_failures";
   Policy.report (diag_of_io_exn ~code ~path:t.path exn)
 
 (* Caller holds the lock.  The probe sits *between* two half-writes when
@@ -487,7 +478,7 @@ let append_locked t rcd =
         t.log_records <- t.log_records + 1;
         t.log_bytes <- t.log_bytes + len;
         t.writes <- t.writes + 1;
-        bump m_writes;
+        bump "store.writes";
         t.unsynced <- t.unsynced + 1;
         if t.unsynced >= t.fsync_every then begin
           t.unsynced <- 0;
@@ -601,7 +592,7 @@ let checkpoint t =
             t.log_bytes <- n_bytes;
             t.unsynced <- 0;
             t.checkpoints <- t.checkpoints + 1;
-            bump m_checkpoints
+            bump "store.checkpoints"
         | exception e when io_exn e ->
             cleanup ();
             report_failure t ~code:"store.checkpoint_failed" e

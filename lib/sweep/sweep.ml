@@ -9,30 +9,22 @@
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
-module Prefix_cache = Amg_core.Prefix_cache
-module Interp = Amg_lang.Interp
+module Generate = Amg_lang.Generate
 module Value = Amg_lang.Value
-module Lobj = Amg_layout.Lobj
 module Stats = Amg_layout.Stats
 module Connectivity = Amg_extract.Connectivity
 module Rect = Amg_geometry.Rect
 module Units = Amg_geometry.Units
 module Diag = Amg_robust.Diag
 module Policy = Amg_robust.Policy
+module Wire = Amg_robust.Wire
 module Pool = Amg_parallel.Pool
 module Store = Amg_store.Store
 module Obs = Amg_obs.Obs
 module Metrics = Amg_obs.Metrics
 
-type mode = Orders | Bb | Local
-
-let mode_to_string = function
-  | Orders -> "orders"
-  | Bb -> "bb"
-  | Local -> "local"
-
 type axis = { a_name : string; a_values : Value.t list }
-type spec = { s_entity : string; s_axes : axis list; s_mode : mode }
+type spec = { s_entity : string; s_axes : axis list; s_mode : Wire.opt_mode }
 
 let max_grid = 1_000_000
 let bad_spec fmt = Diag.failf Diag.Cli ~code:"sweep.bad-spec" fmt
@@ -112,13 +104,11 @@ let parse_spec ?file src =
   in
   let mode =
     match J.member "optimize" j with
-    | None -> Local
+    | None -> Wire.Local
     | Some m -> (
-        match J.str m with
-        | Some "orders" -> Orders
-        | Some "bb" -> Bb
-        | Some "local" -> Local
-        | _ -> bad_spec "\"optimize\" must be \"orders\", \"bb\" or \"local\"")
+        match Option.bind (J.str m) Wire.opt_of_string with
+        | Some m -> m
+        | None -> bad_spec "\"optimize\" must be \"orders\", \"bb\" or \"local\"")
   in
   let axes =
     match J.member "params" j with
@@ -176,20 +166,6 @@ let rec gray_walk = function
                (fun tl -> i :: tl)
                (if i mod 2 = 0 then sub else rsub)))
 
-let store_params params =
-  List.map
-    (fun (k, v) ->
-      ( k,
-        match v with
-        | Value.Num f -> Store.Num f
-        | Value.Str s -> Store.Str s
-        | Value.Bool b -> Store.Str (string_of_bool b)
-        | Value.Obj _ | Value.Unit -> Store.Str "" ))
-    params
-
-let instance_signature ~tech entity params =
-  Store.signature ~tech ~entity ~params:(store_params params)
-
 let instances spec =
   let axes = Array.of_list spec.s_axes in
   let values = Array.map (fun a -> Array.of_list a.a_values) axes in
@@ -200,7 +176,7 @@ let instances spec =
       let inst =
         List.mapi (fun ax i -> (axes.(ax).a_name, values.(ax).(i))) digits
       in
-      let key = instance_signature ~tech:"" spec.s_entity inst in
+      let key = Generate.store_key ~tech:"" spec.s_entity inst in
       if Hashtbl.mem seen key then None
       else begin
         Hashtbl.replace seen key ();
@@ -244,7 +220,7 @@ let header_line spec ~rows =
        [
          ("sweep", J.Jnum 1.);
          ("entity", J.Jstr spec.s_entity);
-         ("mode", J.Jstr (mode_to_string spec.s_mode));
+         ("mode", J.Jstr (Wire.opt_to_string spec.s_mode));
          ( "axes",
            J.Jarr
              (List.map
@@ -267,40 +243,6 @@ let header_line spec ~rows =
 let column_line spec = String.concat "," (List.map fst (columns spec))
 
 (* --- per-instance execution -------------------------------------------- *)
-
-(* Ports are re-derived on the winning layout exactly like amgen build
-   --optimize does: the optimizer replays compacts only. *)
-let transplant_ports ~from obj =
-  List.iter
-    (fun (p : Amg_layout.Port.t) ->
-      let shapes =
-        List.filter
-          (fun (s : Amg_layout.Shape.t) -> Amg_layout.Shape.on_layer s p.layer)
-          (Lobj.shapes_on_net obj p.net)
-      in
-      match
-        Rect.hull_list
-          (List.map (fun (s : Amg_layout.Shape.t) -> s.rect) shapes)
-      with
-      | Some rect ->
-          ignore (Lobj.add_port obj ~name:p.name ~net:p.net ~layer:p.layer ~rect)
-      | None ->
-          Policy.report
-            (Diag.v ~severity:Diag.Warning Diag.Optimize
-               ~code:"optimize.port-dropped"
-               (Fmt.str
-                  "port %s: no shapes of net %s on layer %s in the optimized \
-                   layout" p.name p.net p.layer)))
-    (Lobj.ports from)
-
-let convert_exn = function
-  | Env.Rejected msg ->
-      Some (Diag.v Diag.Layout ~code:"layout.rejected" msg)
-  | Stack_overflow | Out_of_memory -> None
-  | e ->
-      Some
-        (Diag.v Diag.Internal ~code:"internal.uncaught"
-           (Printexc.to_string e))
 
 type metrics_row = {
   m_rating : float;
@@ -342,50 +284,16 @@ let measure env rating obj =
    domain — the sweep parallelizes across instances, and §7 makes the
    result independent of the split — and under a per-row diagnostic
    capture, so a parallel sweep can attribute reports to their row. *)
-let run_instance ~env ~program ~entity ~mode ~cache ~scope ~store params =
-  let body () =
-    let obj, record = Interp.build_recorded env program entity params in
-    match record with
-    | Error why ->
-        Policy.report
-          (Diag.v ~severity:Diag.Warning Diag.Optimize
-             ~code:"optimize.not-replayable"
-             (Fmt.str "%s: cannot reorder compacts (%s); rating the \
-                       canonical build" entity why));
-        measure env (Rating.rate env Rating.default obj) obj
-    | Ok { Interp.base; steps } ->
-        let best, rating, order =
-          match mode with
-          | Orders ->
-              Optimize.optimize env ~name:entity ~base ~domains:1 ?cache ~scope
-                ?store steps
-          | Bb ->
-              let o, r, ord, _nodes =
-                Optimize.optimize_bb env ~name:entity ~base ~domains:1 ?cache
-                  ~scope ?store steps
-              in
-              (o, r, ord)
-          | Local ->
-              let o, r, ord, _evals =
-                Optimize.optimize_local env ~name:entity ~base ~domains:1
-                  ?cache ~scope ?store steps
-              in
-              (o, r, ord)
-        in
-        let canonical_won =
-          List.length order = List.length steps
-          && List.for_all2 ( == ) order steps
-        in
-        let final =
-          if canonical_won then obj
-          else begin
-            transplant_ports ~from:obj best;
-            best
-          end
-        in
-        measure env rating final
+let run_instance env program request =
+  Policy.capture @@ fun () ->
+  Diag.guard ~convert:Generate.convert_exn @@ fun () ->
+  let o = Generate.run env program request in
+  let rating =
+    match o.Generate.searched with
+    | Some s -> s.Generate.rating
+    | None -> Rating.rate env Rating.default o.Generate.layout
   in
-  Policy.capture (fun () -> Diag.guard ~convert:convert_exn body)
+  measure env rating o.Generate.layout
 
 (* --- rendering --------------------------------------------------------- *)
 
@@ -439,18 +347,6 @@ let writer_push w i line =
         w.w_next <- w.w_next + 1
       done)
 
-(* --- metrics ----------------------------------------------------------- *)
-
-let m_instances_ok =
-  lazy (Metrics.counter "sweep_instances_total" ~labels:[ ("status", "ok") ])
-
-let m_instances_err =
-  lazy (Metrics.counter "sweep_instances_total" ~labels:[ ("status", "error") ])
-
-let m_rows = lazy (Metrics.counter "sweep_rows_total")
-let m_sweeps = lazy (Metrics.counter "sweep_runs_total")
-let g_progress = lazy (Metrics.fgauge "sweep_progress")
-
 (* --- the engine -------------------------------------------------------- *)
 
 type result = {
@@ -466,7 +362,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   if domains < 1 then invalid_arg "Sweep.run: domains < 1";
   if chunk < 1 then invalid_arg "Sweep.run: chunk < 1";
   let t0 = Unix.gettimeofday () in
-  Metrics.incr (Lazy.force m_sweeps);
+  Metrics.incr (Metrics.counter "sweep_runs_total");
   let program = Amg_lang.Parser.parse_program ?file:source_file source in
   let insts = Array.of_list (instances spec) in
   let n = Array.length insts in
@@ -474,17 +370,17 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   let store_hits0 =
     match store with None -> 0 | Some st -> (Store.stats st).Store.hits
   in
-  let tech_fp =
-    lazy
-      (Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env)))
+  (* The fingerprint is taken before the pool starts: tasks only read it. *)
+  let store = Option.map (fun st -> (st, Generate.tech_fingerprint env)) store in
+  let request params =
+    Generate.request ~search:spec.s_mode ~domains:1 ?cache
+      ~scope:(Optimize.env_scope env)
+      ?store:
+        (Option.map
+           (fun (st, tech) -> (st, Generate.store_key ~tech spec.s_entity params))
+           store)
+      spec.s_entity params
   in
-  let store_of params =
-    Option.map
-      (fun st ->
-        (st, instance_signature ~tech:(Lazy.force tech_fp) spec.s_entity params))
-      store
-  in
-  let scope = Optimize.env_scope env in
   let w =
     {
       w_lock = Mutex.create ();
@@ -505,20 +401,21 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   let run_one i =
     let params = insts.(i) in
     Obs.count "sweep.instances" 1;
-    let outcome, diags =
-      run_instance ~env ~program ~entity:spec.s_entity ~mode:spec.s_mode
-        ~cache ~scope ~store:(store_of params) params
+    let outcome, diags = run_instance env program (request params) in
+    let status =
+      match outcome with
+      | Ok _ -> "ok"
+      | Error d ->
+          errs.(i) <- Some d;
+          Atomic.incr failures;
+          "error"
     in
-    (match outcome with
-    | Ok _ -> Metrics.incr (Lazy.force m_instances_ok)
-    | Error d ->
-        errs.(i) <- Some d;
-        Atomic.incr failures;
-        Metrics.incr (Lazy.force m_instances_err));
+    Metrics.incr
+      (Metrics.counter "sweep_instances_total" ~labels:[ ("status", status) ]);
     writer_push w i (render_row ~entity:spec.s_entity params outcome diags);
-    Metrics.incr (Lazy.force m_rows);
+    Metrics.incr (Metrics.counter "sweep_rows_total");
     let done_ = Atomic.fetch_and_add completed 1 + 1 in
-    Metrics.set_f (Lazy.force g_progress)
+    Metrics.set_f (Metrics.fgauge "sweep_progress")
       (if n = 0 then 1. else float_of_int done_ /. float_of_int n)
   in
   (* Scheduling order: the walk itself, or a deterministically shuffled
@@ -552,7 +449,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   let store_hits =
     match store with
     | None -> 0
-    | Some st -> (Store.stats st).Store.hits - store_hits0
+    | Some (st, _) -> (Store.stats st).Store.hits - store_hits0
   in
   {
     rows = n;

@@ -21,8 +21,6 @@
     [?domains], every [?chunk], shuffled or locality scheduling, and
     with the cache or store on or off (§7 contract). *)
 
-type mode = Orders | Bb | Local
-
 type axis = {
   a_name : string;
   a_values : Amg_lang.Value.t list;  (** in spec order; length >= 1 *)
@@ -31,10 +29,8 @@ type axis = {
 type spec = {
   s_entity : string;
   s_axes : axis list;  (** sorted by parameter name *)
-  s_mode : mode;
+  s_mode : Amg_robust.Wire.opt_mode;
 }
-
-val mode_to_string : mode -> string
 
 val parse_spec : ?file:string -> string -> spec
 (** Parse a sweep spec document:

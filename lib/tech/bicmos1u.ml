@@ -81,6 +81,4 @@ cutspace contact 1.5
 cutspace via 1.5
 |}
 
-let tech = lazy (Tech_file.parse_string source)
-
-let get () = Lazy.force tech
+let get = Amg_robust.Once.make (fun () -> Tech_file.parse_string source)

@@ -70,6 +70,4 @@ cutspace contact 1.2
 cutspace via 1.2
 |}
 
-let tech = lazy (Tech_file.parse_string source)
-
-let get () = Lazy.force tech
+let get = Amg_robust.Once.make (fun () -> Tech_file.parse_string source)

@@ -212,6 +212,177 @@ let test_failure_rows () =
          && List.mem_assoc "row" d.Diag.payload)
        reported)
 
+(* --- the CI sweep shape on two domains ------------------------------------
+
+   The CI `sweep` job's spec: 64 DiffPair instances of the built-in
+   library under local search, on a 2-domain pool, cold then warm against
+   one durable store.  Every pool task derives its instance's store key;
+   the tech fingerprint behind it must be ready before the pool starts —
+   a lazily forced one raises [CamlinternalLazy.Undefined] when two
+   domains reach it at once. *)
+
+let ci_spec =
+  {|{ "entity": "DiffPair",
+      "params": { "W": { "from": 8, "to": 23, "step": 1 }, "L": [4, 5, 6, 7] },
+      "optimize": "local" }|}
+
+let lib_lines ?store ~domains spec_src =
+  let buf = Buffer.create 8192 in
+  let on_line l =
+    Buffer.add_string buf l;
+    Buffer.add_char buf '\n'
+  in
+  let res =
+    Sweep.run ~domains ?store ~on_line ~env:(Env.bicmos ())
+      ~source:Amg_lang.Stdlib.all (Sweep.parse_spec spec_src)
+  in
+  (res, Buffer.contents buf)
+
+let test_ci_shape_two_domains () =
+  Amg_parallel.Pool.set_oversubscribe true;
+  Test_util.with_tmp_dir "amgsw" @@ fun dir ->
+  let path = Filename.concat dir "ci.store" in
+  let pass () =
+    let st, _ = Store.open_ path in
+    Fun.protect
+      ~finally:(fun () -> Store.close st)
+      (fun () -> lib_lines ~store:st ~domains:2 ci_spec)
+  in
+  let cold, cold_lines = pass () in
+  check int "cold: 64 rows" 64 cold.Sweep.rows;
+  check int "cold: no failures" 0 cold.Sweep.failures;
+  let warm, warm_lines = pass () in
+  check int "warm: every row from the store" 64 warm.Sweep.store_hits;
+  check string "cold and warm rows byte-identical" cold_lines warm_lines
+
+(* --- an injected fault is a fault row, not an internal error ------------ *)
+
+let test_injected_fault_row () =
+  let module Inject = Amg_robust.Inject in
+  let spec =
+    {|{ "entity": "DiffPair", "params": { "W": [10, 11], "L": [5] },
+        "optimize": "local" }|}
+  in
+  Policy.reset ();
+  (match Inject.parse_spec "rule-lookup@3" with
+  | Ok sched -> Inject.arm sched
+  | Error e -> failf "schedule: %s" e);
+  let res, lines =
+    Fun.protect ~finally:Inject.disarm (fun () -> lib_lines ~domains:1 spec)
+  in
+  let reported = Policy.drain () in
+  Policy.reset ();
+  check int "one failed row" 1 res.Sweep.failures;
+  let statuses =
+    List.filteri (fun i _ -> i >= 2) (String.split_on_char '\n' lines)
+    |> List.filter_map (fun l ->
+           match String.split_on_char ',' l with
+           | _ :: _ :: _ :: status :: _ -> Some status
+           | _ -> None)
+  in
+  check (list string) "row statuses" [ "inject.fault"; "ok" ] statuses;
+  match List.filter (fun d -> d.Diag.severity = Diag.Error) reported with
+  | [ d ] ->
+      check string "row diagnostic code" "inject.fault" d.Diag.code;
+      List.iter
+        (fun (k, v) ->
+          check (option string) ("payload " ^ k) (Some v)
+            (List.assoc_opt k d.Diag.payload))
+        [ ("row", "0"); ("site", "rule-lookup"); ("hit", "3") ]
+  | ds -> failf "expected one row diagnostic, got %d" (List.length ds)
+
+(* --- the three adapters agree --------------------------------------------
+
+   amgen build, the daemon and the sweep all run Generate.run: for the
+   same entity, parameters and strategy, the pipeline's CIF and rating,
+   the daemon's build response and the sweep row's rating cell match, and
+   a store the sweep fed answers the daemon's request for the same
+   instance. *)
+
+module Generate = Amg_lang.Generate
+module Wire = Amg_robust.Wire
+module Client = Amg_serve.Client
+
+let adapter_cases =
+  [ ("DiffPair", [ ("L", 5.); ("W", 10.) ]); ("Ladder", [ ("N", 4.); ("W", 4.) ]) ]
+
+let spec_of entity params strategy =
+  Printf.sprintf {|{ "entity": %S, "params": { %s }, "optimize": %S }|} entity
+    (String.concat ", "
+       (List.map (fun (k, v) -> Printf.sprintf "%S: [%g]" k v) params))
+    (Wire.opt_to_string strategy)
+
+let daemon_build sock ?(format = Wire.Cif) entity params strategy =
+  let req =
+    Wire.build ~optimize:strategy ~jobs:1 ~format
+      ~params:(List.map (fun (k, v) -> (k, Wire.Pnum v)) params)
+      entity
+  in
+  match Client.oneshot sock req with
+  | Ok r -> r
+  | Error e -> failf "%s: request failed: %s" entity e
+
+let test_adapters_agree () =
+  let program = Amg_lang.Parser.parse_program Amg_lang.Stdlib.all in
+  Test_util.with_server @@ fun _ sock ->
+  List.iter
+    (fun (entity, params) ->
+      List.iter
+        (fun (name, strategy) ->
+          let what = entity ^ " " ^ name in
+          let env = Env.bicmos () in
+          let o =
+            Generate.run env program
+              (Generate.request ~search:strategy ~domains:1 entity
+                 (List.map (fun (k, v) -> (k, Value.Num v)) params))
+          in
+          let rating =
+            match o.Generate.searched with
+            | Some s -> s.Generate.rating
+            | None -> failf "%s: no search ran" what
+          in
+          let cif = Amg_layout.Cif.of_lobj ~tech:(Env.tech env) o.Generate.layout in
+          let resp = daemon_build sock entity params strategy in
+          check int (what ^ ": daemon status") Wire.status_ok resp.Wire.status;
+          check (option string) (what ^ ": daemon CIF") (Some cif)
+            resp.Wire.payload;
+          check (option (float 0.)) (what ^ ": daemon rating") (Some rating)
+            resp.Wire.rating;
+          let _, lines = lib_lines ~domains:1 (spec_of entity params strategy) in
+          let row = List.nth (String.split_on_char '\n' lines) 2 in
+          (* entity, one cell per axis, status, then the rating *)
+          let cells = String.split_on_char ',' row in
+          check string (what ^ ": sweep status") "ok"
+            (List.nth cells (1 + List.length params));
+          check string (what ^ ": sweep rating cell")
+            (Diag.Json.to_string (Diag.Json.Jnum rating))
+            (List.nth cells (2 + List.length params)))
+        Wire.opt_modes)
+    adapter_cases
+
+let test_sweep_store_feeds_daemon () =
+  Test_util.with_tmp_dir "amgsw" @@ fun dir ->
+  let path = Filename.concat dir "s.store" in
+  let entity, params = List.hd adapter_cases in
+  let st, _ = Store.open_ path in
+  let res, _ =
+    Fun.protect
+      ~finally:(fun () -> Store.close st)
+      (fun () ->
+        lib_lines ~store:st ~domains:1 (spec_of entity params Wire.Local))
+  in
+  check int "sweep ran clean" 0 res.Sweep.failures;
+  Test_util.with_server ~store:path @@ fun _ sock ->
+  let store_hits =
+    Amg_obs.Metrics.counter "serve.requests"
+      ~labels:[ ("cache", "store-hit"); ("op", "build"); ("status", "0") ]
+  in
+  let before = Amg_obs.Metrics.counter_value store_hits in
+  let resp = daemon_build sock ~format:Wire.No_payload entity params Wire.Local in
+  check int "daemon status" Wire.status_ok resp.Wire.status;
+  check int "answered as a store-hit" (before + 1)
+    (Amg_obs.Metrics.counter_value store_hits)
+
 (* --- the columnar file validator --------------------------------------- *)
 
 let test_check_file () =
@@ -274,4 +445,12 @@ let suite =
       test_failure_rows;
     test_case "check_file accepts crash prefixes, rejects corruption" `Quick
       test_check_file;
+    test_case "CI shape: 2 domains + store, cold = warm bytes" `Quick
+      test_ci_shape_two_domains;
+    test_case "injected fault rows carry inject.fault" `Quick
+      test_injected_fault_row;
+    test_case "CLI pipeline, daemon and sweep agree" `Quick
+      test_adapters_agree;
+    test_case "a sweep-fed store answers the daemon" `Quick
+      test_sweep_store_feeds_daemon;
   ]
