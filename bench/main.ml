@@ -17,7 +17,6 @@ module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
 module Successive = Amg_compact.Successive
 module Edge_graph = Amg_compact.Edge_graph
-module Budget = Amg_robust.Budget
 module Pcache = Amg_core.Prefix_cache
 module Wire = Amg_robust.Wire
 module Server = Amg_serve.Server
@@ -715,11 +714,6 @@ let compact_steps env n =
       in
       Optimize.step row (if i mod 2 = 0 then Dir.South else Dir.West))
 
-(* Past exhaustive reach the bb search runs under a deterministic eval
-   cap (a per-sub-search node quota), so the n=8 and n=12 rows report a
-   real best-so-far instead of being skipped. *)
-let bb_node_cap n = if n <= 6 then None else Some (500 * n)
-
 (* Returns its result rows; [write_bench_json] merges them with the
    parallel-scaling rows into one BENCH_compact.json.
 
@@ -784,22 +778,16 @@ let compact_scaling env =
           median_time ~repeats:3 (fun () ->
               ignore (Optimize.optimize_local env ~name:"pack" steps))
         in
-        let run_bb () =
-          match bb_node_cap n with
-          | None -> Optimize.optimize_bb env ~name:"pack" steps
-          | Some cap ->
-              let budget = Budget.create ~max_evals:cap () in
-              Optimize.optimize_bb env ~name:"pack" ~budget steps
-        in
+        (* Uncapped at every n: symmetry classes keep n=12 within seconds. *)
+        let run_bb () = Optimize.optimize_bb env ~name:"pack" steps in
         let (_, r_bb, _, nodes), t_bb_cold = wall run_bb in
         let t_bb = median_time ~repeats:3 (fun () -> ignore (run_bb ())) in
-        let bb = (t_bb_cold, t_bb, r_bb, nodes, bb_node_cap n <> None) in
-        Fmt.pr "%4d %10.2f %11.2f %11.2f %8.1f %8d %10.1f/%.1f ms%s@." n
+        let bb = (t_bb_cold, t_bb, r_bb, nodes) in
+        Fmt.pr "%4d %10.2f %11.2f %11.2f %8.1f %8d %10.1f/%.1f ms@." n
           (t_apply *. 1000.)
           (t_local_cold *. 1000.)
           (t_local *. 1000.) r_local evals (t_bb_cold *. 1000.)
-          (t_bb *. 1000.)
-          (if bb_node_cap n <> None then " (capped)" else "");
+          (t_bb *. 1000.);
         (* One instrumented (untimed) build per n: the work counters are
            deterministic, so they diff cleanly across runs — unlike wall
            times.  Captured after the timing loops so the probes' cost
@@ -898,17 +886,16 @@ let parallel_scaling env =
    order, and timings are rounded to 0.1 ms, so diffs between runs touch
    only the digits that actually moved.  [*_cold_s] is the first
    (cache-cold) run, [*_s] the median of 3 cache-warm repeats — see
-   [compact_scaling]; [bb_capped] marks rows searched under the
-   deterministic node cap.  The per-row "counters" object holds the
+   [compact_scaling].  The per-row "counters" object holds the
    deterministic work counters from one instrumented cache-free build;
    the top-level "prefix_cache" object is this process's cumulative cache
    traffic (machine-dependent in detail, but hits must be far from 0). *)
 let write_bench_json compact_rows parallel_rows =
   let oc = open_out "BENCH_compact.json" in
-  let bb_json (t_cold, t, r, nodes, capped) =
+  let bb_json (t_cold, t, r, nodes) =
     Printf.sprintf
-      "\"bb_cold_s\":%.4f,\"bb_s\":%.4f,\"bb_rating\":%.4f,\"bb_nodes\":%d,\"bb_capped\":%b"
-      t_cold t r nodes capped
+      "\"bb_cold_s\":%.4f,\"bb_s\":%.4f,\"bb_rating\":%.4f,\"bb_nodes\":%d"
+      t_cold t r nodes
   in
   let counters_json cs =
     String.concat ","
@@ -1095,13 +1082,7 @@ let compact_smoke env ns =
       else
         Fmt.pr "  ok   n=%d warm hit-rate %.3f (%d hits, %d misses)@." n
           warm_rate warm_hits warm_misses;
-      let _, r_bb, _, _ =
-        match bb_node_cap n with
-        | None -> Optimize.optimize_bb env ~name:"pack" steps
-        | Some cap ->
-            let budget = Budget.create ~max_evals:cap () in
-            Optimize.optimize_bb env ~name:"pack" ~budget steps
-      in
+      let _, r_bb, _, _ = Optimize.optimize_bb env ~name:"pack" steps in
       check "bb_rating" n (float_after json "bb_rating" row) r_bb)
     ns;
   if !failures > 0 then begin

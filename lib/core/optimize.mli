@@ -60,6 +60,20 @@ val permutations : 'a list -> 'a list Seq.t
 (** All permutations, lazily: forcing the head never materializes the
     tail, so taking a few orders of a long list stays cheap. *)
 
+val step_classes :
+  ?base:Amg_layout.Lobj.t -> ?rating:Rating.t -> step list -> int array
+(** Mover symmetry classes: [(step_classes steps).(i)] is the index of the
+    first step equivalent to step [i] ([i] itself when none comes before
+    it).  Two steps are equivalent when they have equal [dir], [align],
+    [ignore_layers] and [variable_edges], and objects that are equal once
+    each object's nets are renamed to first-occurrence indices (shapes in
+    insertion order, ports, array specs; the object name is ignored),
+    while every net of both steps is private: in no other step, not in
+    [?base], and not among [rating]'s [sensitive_nets].  Swapping two
+    equivalent steps anywhere in an order yields the same layout under
+    renamed nets, so the same rating.  Under the permissive policy every
+    step is its own class. *)
+
 val env_scope : Env.t -> int
 (** The prefix-cache scope the searches use for base-free runs: entries
     are keyed under the environment's stamp and shared across calls.
@@ -154,19 +168,25 @@ val optimize_bb :
     back to the partial box alone) and is checked both at node entry —
     pruning a whole subtree before any placement, counted as
     [optimize.bb_pruned_by_bound] — and per child ([optimize.bb_pruned]),
-    where a cached child bounding box decides without placing.  The search
-    decomposes into one sub-search per first step, each seeded with the
-    canonical order's rating as initial incumbent, and merges the
-    sub-search winners in canonical order — the chosen order, rating and
-    node count (the last component) are identical for every [?domains].
+    where a cached child bounding box decides without placing.  A child
+    is expanded only when no {!step_classes} class-mate with a lower index
+    is still unplaced, so only class-canonical orders are visited; the
+    returned optimum — the lexicographically first one — is always
+    class-canonical, so rating, order and bytes match the exhaustive
+    search.  The search decomposes into one sub-search per class-canonical
+    first step, each seeded with the canonical order's rating as initial
+    incumbent, and merges the sub-search winners in canonical order — the
+    chosen order, rating and node count (the last component, which
+    excludes class-equivalent children) are identical for every
+    [?domains].
 
     With [?budget], an eval cap is turned into a per-sub-search node quota
-    (a pure function of the cap and the step count): each sub-search
-    explores a deterministic DFS prefix and returns its best within it, so
-    the degraded result is identical for every domain count; the canonical
-    order is always rated and is the guaranteed best-so-far fallback.  A
-    real wall-clock deadline additionally stops sub-searches mid-DFS
-    (best-effort).
+    (a pure function of the cap and the number of class-canonical first
+    steps): each sub-search explores a deterministic DFS prefix and returns
+    its best within it, so the degraded result is identical for every
+    domain count; the canonical order is always rated and is the
+    guaranteed best-so-far fallback.  A real wall-clock deadline
+    additionally stops sub-searches mid-DFS (best-effort).
     @raise Env.Rejected when every order is rejected. *)
 
 val optimize_local :
@@ -185,21 +205,26 @@ val optimize_local :
   Amg_layout.Lobj.t * float * step list * int
 (** Heuristic order search for step counts beyond exhaustive reach:
     steepest-descent hill climbing over pairwise swaps — each round
-    evaluates the full swap neighbourhood (in parallel) and accepts the
+    evaluates the swap neighbourhood (in parallel) and accepts the
     best improving candidate, ties to the lowest swap index — with
     [restarts] deterministically shuffled starting orders ([seed] makes
     runs reproducible).  Never worse than the best starting order; not
     guaranteed optimal.  Only the returned layout is retained: a swap
     candidate that is not the round's best improvement so far drops its
     layout as soon as it is rated, so a round holds one candidate layout
-    (plus one in flight per domain), not the whole neighbourhood.  The
-    last component is the number of rebuild-and-rate evaluations
-    performed, which is also independent of [?domains].
+    (plus one in flight per domain), not the whole neighbourhood.  A swap
+    of two {!step_classes} class-mates rebuilds the current layout under
+    renamed nets, so it is not rated; the trajectory is that of the full
+    neighbourhood.  The last component is the number of rebuild-and-rate
+    evaluations performed (class-equivalent swaps excluded), which is also
+    independent of [?domains].
 
     With [?budget], whole rounds (and whole restarts) are refused once the
-    budget is out: an eval cap never splits a round, so the climbing
-    trajectory — and the degraded best-so-far — is a pure function of the
-    budget parameters for every domain count.  The first start is always
-    rated, so a best-so-far exists even under a zero budget.  A real
-    wall-clock deadline may additionally cut a round short (best-effort).
+    budget is out; a round costs the number of swaps it rates, which is
+    the same for every round of a step set.  An eval cap never splits a
+    round, so the climbing trajectory — and the degraded best-so-far — is
+    a pure function of the budget parameters for every domain count.  The
+    first start is always rated, so a best-so-far exists even under a zero
+    budget.  A real wall-clock deadline may additionally cut a round short
+    (best-effort).
     @raise Env.Rejected when every order is rejected. *)

@@ -112,6 +112,8 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
+let id_bound t = t.next_id
+
 (* --- the id table --- *)
 
 let slot_of t id = if id >= 0 && id < Array.length t.id2slot then t.id2slot.(id) else -1

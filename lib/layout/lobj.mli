@@ -35,6 +35,11 @@ val shapes : t -> Shape.t list
 
 val shape_count : t -> int
 
+val id_bound : t -> int
+(** The id the next added shape gets.  {!absorb} advances the target's
+    bound by the source's, so it shapes the ids of everything absorbed
+    later. *)
+
 val find : t -> int -> Shape.t option
 (** [None] for an id with no shape: removed, never handed out, or
     negative. *)

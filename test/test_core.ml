@@ -328,11 +328,21 @@ let test_optimize_local () =
 
 (* A random step set: one metal1 bar per step, each on its own net,
    compacted in a random direction. *)
-let step_set_gen lo hi =
+let bar_gen =
   QCheck2.Gen.(
-    list_size (int_range lo hi)
-      (triple (int_range 1 12) (int_range 1 12)
-         (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ])))
+    triple (int_range 1 12) (int_range 1 12)
+      (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ]))
+
+let step_set_gen lo hi = QCheck2.Gen.(list_size (int_range lo hi) bar_gen)
+
+(* A step set that repeats movers: n draws from a pool of fewer than n
+   bars, so some bar always occurs at least twice and symmetry classes of
+   size 2–3 are common. *)
+let dup_step_set_gen lo hi =
+  QCheck2.Gen.(
+    let* n = int_range lo hi in
+    let* pool = list_size (int_range (max 1 (n / 2)) (max 1 (n - 1))) bar_gen in
+    list_repeat n (oneofl pool))
 
 let show_step_set dims =
   String.concat "; "
@@ -356,17 +366,32 @@ let bar_steps dims =
 let uids order = List.map (fun s -> s.Optimize.uid) order
 let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
 
+(* Each bar step named by its generator triple: two steps with the same
+   (w, h, dir) are the same mover on different private nets.  Derived from
+   the generator alone, independently of [Optimize.step_classes]. *)
+let bar_key dims steps =
+  let keys = List.combine (uids steps) dims in
+  fun (s : Optimize.step) -> List.assoc s.Optimize.uid keys
+
 let exhaustive e steps =
   Optimize.optimize e ~name:"x" ~max_orders:(factorial (List.length steps)) steps
 
+type reference = {
+  best : (Lobj.t * float * Optimize.step list) option;
+  evals : int;  (** every rebuild, rejected ones and same-mover swaps included *)
+  moves : int;  (** accepted moves *)
+  same_swaps : int;  (** swaps between two steps with equal [key] *)
+  same_rate_current : bool;  (** every such swap rated exactly the current order *)
+}
+
 (* Reference steepest descent: every candidate is a plain [Optimize.apply]
-   rated with [Rating.rate] — no prefix cache, no pool.  Same restarts
-   (the LCG shuffles, drawn up front), same neighbourhood (all pairwise
-   swaps), ties to the lowest swap, and every evaluation counted, rejected
-   ones included.  Returns the winner, its rating and order, the eval count
-   and the number of accepted moves. *)
-let reference_local e ~restarts ~seed steps =
+   rated with [Rating.rate] — no prefix cache, no pool, no symmetry
+   classes.  Same restarts (the LCG shuffles, drawn up front), same
+   neighbourhood (all pairwise swaps, same-mover ones too), ties to the
+   lowest swap, and every evaluation counted. *)
+let reference_local e ~key ~restarts ~seed steps =
   let evals = ref 0 and moves = ref 0 in
+  let same_swaps = ref 0 and same_rate_current = ref true in
   let rate order =
     incr evals;
     match Optimize.apply e ~name:"x" order with
@@ -398,11 +423,19 @@ let reference_local e ~restarts ~seed steps =
   in
   let rec descend ((_, r, order) as cur) =
     let best = ref None in
+    let at = Array.of_list order in
     for i = 0 to n - 2 do
       for j = i + 1 to n - 1 do
         let cand = swap order i j in
         let bar = match !best with Some (_, b, _) -> b | None -> r in
-        match rate cand with
+        let rated = rate cand in
+        if key at.(i) = key at.(j) then begin
+          incr same_swaps;
+          match rated with
+          | Some (_, rc) when Float.equal rc r -> ()
+          | _ -> same_rate_current := false
+        end;
+        match rated with
         | Some (m, rc) when rc < bar -> best := Some (m, rc, cand)
         | _ -> ()
       done
@@ -430,14 +463,25 @@ let reference_local e ~restarts ~seed steps =
       None
       (steps :: List.rev !shuffled)
   in
-  (best, !evals, !moves)
+  {
+    best;
+    evals = !evals;
+    moves = !moves;
+    same_swaps = !same_swaps;
+    same_rate_current = !same_rate_current;
+  }
 
 let local_case_gen =
-  QCheck2.Gen.(triple (step_set_gen 3 7) (int_range 0 10_000) (int_range 1 3))
+  QCheck2.Gen.(
+    triple
+      (oneof [ step_set_gen 3 7; dup_step_set_gen 3 7 ])
+      (int_range 0 10_000) (int_range 1 3))
 
-(* [optimize_local] (prefix cache, pool, incumbent cell) agrees with the
-   reference on rating, order, eval count and CIF bytes for every domain
-   count. *)
+(* [optimize_local] (prefix cache, pool, incumbent cell, symmetry classes)
+   agrees with the reference on rating, order and CIF bytes for every
+   domain count.  Every same-mover swap the reference rates equals the
+   current rating — the soundness of skipping them — and [optimize_local]
+   rates exactly the others. *)
 let prop_local_matches_reference =
   QCheck2.Test.make ~name:"local search matches reference descent" ~count:100
     ~print:(fun (dims, seed, restarts) ->
@@ -448,45 +492,59 @@ let prop_local_matches_reference =
       let e = env () in
       let steps = bar_steps dims in
       let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
-      match reference_local e ~restarts ~seed steps with
-      | None, _, _ -> QCheck2.assume_fail ()
-      | Some (rm, rr, rorder), revals, _ ->
-          List.for_all
-            (fun d ->
-              let m, r, order, evals =
-                Optimize.optimize_local e ~name:"x" ~restarts ~seed ~domains:d
-                  steps
-              in
-              Float.equal r rr && uids order = uids rorder && evals = revals
-              && String.equal (cif m) (cif rm))
-            Test_util.domain_counts)
+      let ref_ = reference_local e ~key:(bar_key dims steps) ~restarts ~seed steps in
+      match ref_.best with
+      | None -> QCheck2.assume_fail ()
+      | Some (rm, rr, rorder) ->
+          ref_.same_rate_current
+          && List.for_all
+               (fun d ->
+                 let m, r, order, evals =
+                   Optimize.optimize_local e ~name:"x" ~restarts ~seed ~domains:d
+                     steps
+                 in
+                 Float.equal r rr && uids order = uids rorder
+                 && evals = ref_.evals - ref_.same_swaps
+                 && String.equal (cif m) (cif rm))
+               Test_util.domain_counts)
 
 (* The property above only covers the path where a candidate keeps its
-   layout if some round accepts a move; pin that the generator reaches it. *)
+   layout if some round accepts a move, and the skip only matters when a
+   same-mover swap exists; pin that the generator reaches both. *)
 let test_local_reference_accepts_moves () =
   let e = env () in
   let cases =
     QCheck2.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:20 local_case_gen
   in
-  let accepting =
-    List.filter
+  let runs =
+    List.map
       (fun (dims, seed, restarts) ->
-        let _, _, moves = reference_local e ~restarts ~seed (bar_steps dims) in
-        moves > 0)
+        let steps = bar_steps dims in
+        reference_local e ~key:(bar_key dims steps) ~restarts ~seed steps)
       cases
   in
-  check_bool "some generated case accepts a move" true (accepting <> [])
+  check_bool "some generated case accepts a move" true
+    (List.exists (fun r -> r.moves > 0) runs);
+  check_bool "some generated case swaps equal movers" true
+    (List.exists (fun r -> r.same_swaps > 0) runs)
 
 (* ROADMAP oracles: branch-and-bound reaches the exhaustive optimum, and
-   local search never beats it. *)
+   local search never beats it.  On step sets that repeat movers bb visits
+   only class-canonical orders; the exhaustive search rates all n! orders
+   and returns the first optimum, which is class-canonical, so the two
+   agree on rating, order and every byte. *)
 let prop_bb_matches_exhaustive =
-  QCheck2.Test.make ~name:"bb rating equals exhaustive" ~count:30
-    ~print:show_step_set (step_set_gen 2 7) (fun dims ->
+  QCheck2.Test.make ~name:"bb rating equals exhaustive" ~count:40
+    ~print:show_step_set
+    (QCheck2.Gen.oneof [ step_set_gen 2 7; dup_step_set_gen 2 7 ])
+    (fun dims ->
       let e = env () in
       let steps = bar_steps dims in
-      let _, exhaustive_best, _ = exhaustive e steps in
-      let _, bb_best, _, _ = Optimize.optimize_bb e ~name:"x" steps in
-      Float.equal exhaustive_best bb_best)
+      let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
+      let xm, xr, xorder = exhaustive e steps in
+      let bm, br, border, _ = Optimize.optimize_bb e ~name:"x" steps in
+      Float.equal xr br && uids xorder = uids border
+      && String.equal (cif xm) (cif bm))
 
 let prop_local_never_beats_exhaustive =
   QCheck2.Test.make ~name:"local never beats exhaustive" ~count:30
@@ -497,6 +555,134 @@ let prop_local_never_beats_exhaustive =
       let _, local_best, _, _ = Optimize.optimize_local e ~name:"x" steps in
       local_best >= exhaustive_best)
 
+(* --- mover symmetry classes --- *)
+
+module Policy = Amg_robust.Policy
+module Budget = Amg_robust.Budget
+
+let check_classes = Alcotest.(check (array int))
+
+let bar ?(layers = [ "metal1" ]) name net =
+  let o = Lobj.create name in
+  List.iteri
+    (fun i layer ->
+      ignore
+        (Lobj.add_shape o ~layer
+           ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um (float_of_int (4 + i))) ~h:(um 2.))
+           ~net ()))
+    layers;
+  o
+
+let with_permissive f =
+  Policy.set_mode Policy.Permissive;
+  Fun.protect ~finally:(fun () -> Policy.set_mode Policy.Strict) f
+
+let test_step_classes_singletons () =
+  let twins ?(align = `Keep) ?(ignore_layers = []) ?layers () =
+    [
+      Optimize.step (bar ?layers "p" "a") Dir.South;
+      Optimize.step ~align ~ignore_layers (bar ?layers "q" "b") Dir.South;
+    ]
+  in
+  check_classes "private twins share a class" [| 0; 0 |]
+    (Optimize.step_classes (twins ()));
+  check_classes "net in base" [| 0; 1 |]
+    (Optimize.step_classes ~base:(bar "base" "a") (twins ()));
+  check_classes "net in another step" [| 0; 1; 2 |]
+    (Optimize.step_classes
+       (twins () @ [ Optimize.step (bar ~layers:[ "poly" ] "r" "a") Dir.West ]));
+  check_classes "one net on both" [| 0; 1 |]
+    (Optimize.step_classes
+       [ Optimize.step (bar "p" "a") Dir.South; Optimize.step (bar "q" "a") Dir.South ]);
+  check_classes "sensitive net" [| 0; 1 |]
+    (Optimize.step_classes
+       ~rating:(Rating.with_sensitive_nets Rating.default [ "a" ])
+       (twins ()));
+  check_classes "different align" [| 0; 1 |]
+    (Optimize.step_classes (twins ~align:`Min ()));
+  check_classes "different ignore_layers" [| 0; 1 |]
+    (Optimize.step_classes (twins ~ignore_layers:[ "poly" ] ()));
+  check_classes "same two-layer objects" [| 0; 0 |]
+    (Optimize.step_classes (twins ~layers:[ "metal1"; "poly" ] ()));
+  check_classes "different shape order" [| 0; 1 |]
+    (Optimize.step_classes
+       [
+         Optimize.step (bar ~layers:[ "metal1"; "poly" ] "p" "a") Dir.South;
+         Optimize.step (bar ~layers:[ "poly"; "metal1" ] "q" "b") Dir.South;
+       ]);
+  check_classes "permissive policy" [| 0; 1 |]
+    (with_permissive (fun () -> Optimize.step_classes (twins ())))
+
+(* The benchmark's 10-row pack: widths cycle W, W+12, W+24, W+36 and
+   directions alternate, so rows i and i+4 differ only in their net. *)
+let test_pack10_classes () =
+  let n = 10 in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "ENT Pack10(<W>, <L>)\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b
+      "  x%d = ContactRow(layer = \"metal1\", W = W + %d, L = L, net = \"n%d\")\n\
+      \  compact(x%d, %s, align = \"MIN\")\n"
+      i (i mod 4 * 12) i i
+      (if i mod 2 = 0 then "SOUTH" else "WEST")
+  done;
+  let program =
+    Amg_lang.Parser.parse_program ~file:"pack.amg"
+      (Buffer.contents b ^ Amg_lang.Stdlib.all)
+  in
+  let e = env () in
+  match
+    Amg_lang.Interp.build_recorded e program "Pack10"
+      [ ("W", Amg_lang.Value.Num 12.); ("L", Amg_lang.Value.Num 3.5) ]
+  with
+  | _, Error why -> Alcotest.fail why
+  | _, Ok { Amg_lang.Interp.base; steps } ->
+      check_classes "{0,4,8} {1,5,9} {2,6} {3,7}"
+        [| 0; 1; 2; 3; 0; 1; 2; 3; 0; 1 |]
+        (Optimize.step_classes ~base steps)
+
+(* Five bars, two of them the same mover: 10 swaps, 9 rated per round. *)
+let twin_dims =
+  [ (10, 2, Dir.South); (2, 6, Dir.West); (4, 2, Dir.South); (2, 6, Dir.West); (6, 2, Dir.South) ]
+
+(* An eval-capped round is charged the swaps it rates, not all of them:
+   a cap of one start plus one round admits that round. *)
+let test_local_round_charges_rated_swaps () =
+  let e = env () in
+  let steps = bar_steps twin_dims in
+  let _, _, _, evals = Optimize.optimize_local e ~name:"x" ~restarts:1 ~domains:1 steps in
+  check "rounds rate 9 swaps" 0 ((evals - 1) mod 9);
+  let budget = Budget.create ~max_evals:10 () in
+  let _, _, _, evals =
+    Optimize.optimize_local e ~name:"x" ~restarts:1 ~domains:1 ~budget steps
+  in
+  check "start plus one round" 10 evals
+
+(* bb's node quota divides the cap among the class-canonical first steps:
+   four copies of one mover have one, whose sub-search (four nodes down a
+   single path) fits a cap of five. *)
+let test_bb_quota_counts_canonical_firsts () =
+  let e = env () in
+  let steps = bar_steps (List.init 4 (fun _ -> (4, 2, Dir.South))) in
+  let _, r, order, _ = Optimize.optimize_bb e ~name:"x" ~domains:1 steps in
+  let budget = Budget.create ~max_evals:5 () in
+  let _, r', order', _ = Optimize.optimize_bb e ~name:"x" ~domains:1 ~budget steps in
+  check_bool "not degraded" false (Budget.degraded budget);
+  Alcotest.(check (float 0.)) "same rating" r r';
+  Alcotest.(check (list int)) "same order" (uids order) (uids order')
+
+(* Under the permissive policy every candidate is built (and may report
+   its own diagnostics): local search rates every swap. *)
+let test_permissive_rates_every_swap () =
+  with_permissive @@ fun () ->
+  let e = env () in
+  let steps = bar_steps twin_dims in
+  let ref_ =
+    reference_local e ~key:(bar_key twin_dims steps) ~restarts:1 ~seed:1 steps
+  in
+  let _, _, _, evals = Optimize.optimize_local e ~name:"x" ~restarts:1 ~domains:1 steps in
+  check_bool "the case has same-mover swaps" true (ref_.same_swaps > 0);
+  check "every swap rated" ref_.evals evals
 
 (* --- slicing floorplanner --- *)
 
@@ -602,6 +788,14 @@ let suite =
       test_local_reference_accepts_moves;
     QCheck_alcotest.to_alcotest prop_bb_matches_exhaustive;
     QCheck_alcotest.to_alcotest prop_local_never_beats_exhaustive;
+    Alcotest.test_case "step classes: singletons" `Quick test_step_classes_singletons;
+    Alcotest.test_case "step classes: pack10" `Quick test_pack10_classes;
+    Alcotest.test_case "local round charges rated swaps" `Quick
+      test_local_round_charges_rated_swaps;
+    Alcotest.test_case "bb quota counts canonical firsts" `Quick
+      test_bb_quota_counts_canonical_firsts;
+    Alcotest.test_case "permissive local rates every swap" `Quick
+      test_permissive_rates_every_swap;
     Alcotest.test_case "slicing floorplanner" `Quick test_floorplan_basics;
     QCheck_alcotest.to_alcotest prop_floorplan_optimal;
   ]
