@@ -17,7 +17,6 @@ module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
 module Successive = Amg_compact.Successive
 module Edge_graph = Amg_compact.Edge_graph
-module Pcache = Amg_core.Prefix_cache
 module Wire = Amg_robust.Wire
 module Server = Amg_serve.Server
 module Client = Amg_serve.Client
@@ -714,18 +713,8 @@ let compact_steps env n =
       in
       Optimize.step row (if i mod 2 = 0 then Dir.South else Dir.West))
 
-(* Returns its result rows; [write_bench_json] merges them with the
-   parallel-scaling rows into one BENCH_compact.json.
-
-   Methodology: [*_cold_s] is the first run at that n — the prefix cache
-   holds nothing for these steps yet, so it measures a from-scratch
-   search; [*_s] is the median of 3 further runs sharing the cache, the
-   steady state of a generator that re-optimizes the same module.  Both
-   return byte-identical results (the cache only changes time), and
-   [apply] never touches the cache, so [apply_s] stays a raw compaction
-   measurement. *)
-(* The deterministic work counters of one instrumented, cache-free build
-   of a pack, under their BENCH_compact.json keys. *)
+(* The deterministic work counters of one instrumented build of a pack,
+   under their BENCH_compact.json keys. *)
 let pack_counters env steps =
   Amg_obs.Obs.enable ();
   ignore (Optimize.apply env ~name:"pack" steps);
@@ -756,13 +745,17 @@ let pack_counters env steps =
 let invariant_counters =
   [ "placements"; "binding_limits"; "same_potential_merges"; "var_edge_shrinks" ]
 
+(* Returns its result rows; [write_bench_json] merges them with the
+   parallel-scaling rows into one BENCH_compact.json.  Searches share no
+   state between calls, so every run is a cold search: [*_cold_s] is the
+   median of 3 runs. *)
 let compact_scaling env =
   section "COMPACT-SCALING  apply / optimize_bb / optimize_local vs n";
   (* Settle the heap left behind by the preceding sections so the medians
      compare across runs (and against a standalone build of this section). *)
   Gc.compact ();
-  Fmt.pr "%4s %10s %11s %11s %8s %8s %22s@." "n" "apply/ms" "localC/ms"
-    "localW/ms" "rating" "evals" "bb cold/warm";
+  Fmt.pr "%4s %10s %11s %8s %8s %12s %10s@." "n" "apply/ms" "local/ms"
+    "rating" "evals" "bb/ms" "bb nodes";
   let rows =
     List.map
       (fun n ->
@@ -771,29 +764,23 @@ let compact_scaling env =
           median_time ~repeats:5 (fun () ->
               ignore (Optimize.apply env ~name:"pack" steps))
         in
-        let (_, r_local, _, evals), t_local_cold =
-          wall (fun () -> Optimize.optimize_local env ~name:"pack" steps)
-        in
-        let t_local =
-          median_time ~repeats:3 (fun () ->
-              ignore (Optimize.optimize_local env ~name:"pack" steps))
-        in
+        let run_local () = Optimize.optimize_local env ~name:"pack" steps in
+        let _, r_local, _, evals = run_local () in
+        let t_local = median_time ~repeats:3 (fun () -> ignore (run_local ())) in
         (* Uncapped at every n: symmetry classes keep n=12 within seconds. *)
         let run_bb () = Optimize.optimize_bb env ~name:"pack" steps in
-        let (_, r_bb, _, nodes), t_bb_cold = wall run_bb in
+        let _, r_bb, _, nodes = run_bb () in
         let t_bb = median_time ~repeats:3 (fun () -> ignore (run_bb ())) in
-        let bb = (t_bb_cold, t_bb, r_bb, nodes) in
-        Fmt.pr "%4d %10.2f %11.2f %11.2f %8.1f %8d %10.1f/%.1f ms@." n
-          (t_apply *. 1000.)
-          (t_local_cold *. 1000.)
-          (t_local *. 1000.) r_local evals (t_bb_cold *. 1000.)
-          (t_bb *. 1000.);
+        let bb = (t_bb, r_bb, nodes) in
+        Fmt.pr "%4d %10.2f %11.2f %8.1f %8d %12.1f %10d@." n
+          (t_apply *. 1000.) (t_local *. 1000.) r_local evals
+          (t_bb *. 1000.) nodes;
         (* One instrumented (untimed) build per n: the work counters are
            deterministic, so they diff cleanly across runs — unlike wall
            times.  Captured after the timing loops so the probes' cost
            never lands in the medians. *)
         let counters = pack_counters env steps in
-        (n, t_apply, t_local_cold, t_local, r_local, evals, bb, counters))
+        (n, t_apply, t_local, r_local, evals, bb, counters))
       [ 4; 6; 8; 12 ]
   in
   rows
@@ -825,17 +812,10 @@ let parallel_scaling env =
         Optimize.optimize_local env ~name:"pack" ~domains:1 steps
       in
       let names o = List.map (fun s -> Lobj.name s.Optimize.obj) o in
-      (* The searches share the process prefix cache, whose admission
-         hysteresis keeps deepening entries over the first few repeats —
-         left uncontrolled, later domain counts measure a warmer cache
-         than sequential did, and the speedup column reports cache
-         trajectory, not scheduling.  Two untimed passes saturate
-         admission before anything is timed; every timing then compacts
-         the heap first (heap growth drifts later measurements) and takes
-         min-of-5 (the repeats compute identical results, so the fastest
-         observation is the least noise-polluted). *)
-      ignore (Optimize.optimize_local env ~name:"pack" ~domains:1 steps);
-      ignore (Optimize.optimize_local env ~name:"pack" ~domains:1 steps);
+      (* Every timing compacts the heap first (heap growth drifts later
+         measurements) and takes min-of-5 (the repeats compute identical
+         results, so the fastest observation is the least
+         noise-polluted). *)
       let measure d =
         Gc.compact ();
         min_time ~repeats:5 (fun () ->
@@ -884,58 +864,28 @@ let parallel_scaling env =
 
 (* The JSON schema is fixed: every row carries the same keys in the same
    order, and timings are rounded to 0.1 ms, so diffs between runs touch
-   only the digits that actually moved.  [*_cold_s] is the first
-   (cache-cold) run, [*_s] the median of 3 cache-warm repeats — see
-   [compact_scaling].  The per-row "counters" object holds the
-   deterministic work counters from one instrumented cache-free build;
-   the top-level "prefix_cache" object is this process's cumulative cache
-   traffic (machine-dependent in detail, but hits must be far from 0). *)
+   only the digits that actually moved.  [*_cold_s] is the median of 3
+   runs — see [compact_scaling].  The per-row "counters" object holds the
+   deterministic work counters from one instrumented build. *)
 let write_bench_json compact_rows parallel_rows =
   let oc = open_out "BENCH_compact.json" in
-  let bb_json (t_cold, t, r, nodes) =
-    Printf.sprintf
-      "\"bb_cold_s\":%.4f,\"bb_s\":%.4f,\"bb_rating\":%.4f,\"bb_nodes\":%d"
-      t_cold t r nodes
+  let bb_json (t, r, nodes) =
+    Printf.sprintf "\"bb_cold_s\":%.4f,\"bb_rating\":%.4f,\"bb_nodes\":%d" t r
+      nodes
   in
   let counters_json cs =
     String.concat ","
       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) cs)
   in
-  let cs = Pcache.stats (Pcache.default ()) in
-  let bytes_per_entry =
-    if cs.Pcache.entries = 0 then 0
-    else cs.Pcache.bytes / cs.Pcache.entries
-  in
-  (* Per-depth rows: only buckets with any traffic, so the schema stays
-     stable for a given workload without a dozen all-zero lines. *)
-  let per_depth_json =
-    String.concat ","
-      (List.filter_map
-         (fun (d : Pcache.depth_stats) ->
-           if
-             d.Pcache.d_hits = 0 && d.Pcache.d_misses = 0
-             && d.Pcache.d_evictions = 0 && d.Pcache.d_entries = 0
-           then None
-           else
-             Some
-               (Printf.sprintf
-                  "{\"depth\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d}"
-                  d.Pcache.d_depth d.Pcache.d_hits d.Pcache.d_misses
-                  d.Pcache.d_evictions d.Pcache.d_entries d.Pcache.d_bytes))
-         cs.Pcache.per_depth)
-  in
   Printf.fprintf oc
-    "{\n  \"workload\": \"contact rows, w=20+(i mod 4)*12 um, S/W alternating\",\n  \"times\": \"cold = first run, warm = median of 3 repeats sharing the prefix cache; wall seconds, rounded to 0.1 ms\",\n  \"host_recommended_domains\": %d,\n  \"parallel_note\": \"requested domains are clamped to the recommended count (oversubscription adds cost, never compute); overhead_x = t / t_seq\",\n  \"prefix_cache\": {\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"admitted\":%d,\"rejected\":%d,\"entries\":%d,\"bytes\":%d,\"bytes_per_entry\":%d,\n    \"per_depth\":[%s]},\n  \"rows\": [\n%s\n  ],\n  \"parallel_scaling\": [\n%s\n  ]\n}\n"
+    "{\n  \"workload\": \"contact rows, w=20+(i mod 4)*12 um, S/W alternating\",\n  \"times\": \"median of 3 runs, each a cold search (searches share no state); wall seconds, rounded to 0.1 ms\",\n  \"host_recommended_domains\": %d,\n  \"parallel_note\": \"requested domains are clamped to the recommended count (oversubscription adds cost, never compute); overhead_x = t / t_seq\",\n  \"rows\": [\n%s\n  ],\n  \"parallel_scaling\": [\n%s\n  ]\n}\n"
     (Amg_parallel.Pool.recommended ())
-    cs.Pcache.hits cs.Pcache.misses cs.Pcache.evictions cs.Pcache.admitted
-    cs.Pcache.rejected cs.Pcache.entries cs.Pcache.bytes bytes_per_entry
-    per_depth_json
     (String.concat ",\n"
        (List.map
-          (fun (n, ta, tlc, tl, r, evals, bb, counters) ->
+          (fun (n, ta, tl, r, evals, bb, counters) ->
             Printf.sprintf
-              "    {\"n\":%d,\"apply_s\":%.4f,\"local_cold_s\":%.4f,\"local_s\":%.4f,\"local_rating\":%.4f,\"local_evals\":%d,%s,\"counters\":{%s}}"
-              n ta tlc tl r evals (bb_json bb) (counters_json counters))
+              "    {\"n\":%d,\"apply_s\":%.4f,\"local_cold_s\":%.4f,\"local_rating\":%.4f,\"local_evals\":%d,%s,\"counters\":{%s}}"
+              n ta tl r evals (bb_json bb) (counters_json counters))
           compact_rows))
     (String.concat ",\n"
        (List.map
@@ -949,10 +899,10 @@ let write_bench_json compact_rows parallel_rows =
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (CI): `bench compact_scaling 4,6` re-runs the optimizer  *)
-(* rows for the given n and asserts the ratings and the invariant work *)
-(* counters match the committed BENCH_compact.json exactly and that    *)
-(* the prefix cache actually hits for optimize_local.  Never rewrites  *)
-(* the JSON; exits 1 on mismatch.                                      *)
+(* rows for the given n and asserts the ratings, the search counts and *)
+(* the invariant work counters match the committed BENCH_compact.json  *)
+(* exactly, and that a back-to-back rerun agrees.  Never rewrites the  *)
+(* JSON; exits 1 on mismatch.                                          *)
 (* ------------------------------------------------------------------ *)
 
 let find_sub s sub from =
@@ -1046,44 +996,19 @@ let compact_smoke env ns =
                 if List.mem k invariant_counters then None
                 else Some (Printf.sprintf "%s=%d" k v))
               counters));
-      let st0 = Pcache.stats (Pcache.default ()) in
-      (* Twice: the second run must resume from the first one's prefixes. *)
-      let _, r1, _, _ = Optimize.optimize_local env ~name:"pack" steps in
-      let st1 = Pcache.stats (Pcache.default ()) in
+      (* Twice: back-to-back runs in one process must agree. *)
+      let _, r1, _, evals = Optimize.optimize_local env ~name:"pack" steps in
       let _, r2, _, _ = Optimize.optimize_local env ~name:"pack" steps in
-      let st2 = Pcache.stats (Pcache.default ()) in
-      let hits = st2.Pcache.hits - st0.Pcache.hits in
       check "local_rating" n (float_after json "local_rating" row) r1;
+      check "local_evals" n (float_after json "local_evals" row)
+        (float_of_int evals);
       if not (Float.equal r1 r2) then begin
         incr failures;
-        Fmt.pr "  FAIL n=%d warm rerun rating %.4f <> cold %.4f@." n r2 r1
+        Fmt.pr "  FAIL n=%d rerun rating %.4f <> first %.4f@." n r2 r1
       end;
-      if hits = 0 then begin
-        incr failures;
-        Fmt.pr "  FAIL n=%d optimize_local never hit the prefix cache@." n
-      end
-      else Fmt.pr "  ok   n=%d prefix-cache hits %d@." n hits;
-      (* Warm hit-rate floor: the second run walks prefixes the first one
-         published, so its lookups must overwhelmingly hit.  A rate below
-         the floor means the cache is thrashing (eviction storm, admission
-         bug, keying change) even though results still agree — exactly the
-         regression this smoke job exists to catch. *)
-      let warm_hits = st2.Pcache.hits - st1.Pcache.hits in
-      let warm_misses = st2.Pcache.misses - st1.Pcache.misses in
-      let warm_rate =
-        if warm_hits + warm_misses = 0 then 0.
-        else float_of_int warm_hits /. float_of_int (warm_hits + warm_misses)
-      in
-      if warm_rate < 0.9 then begin
-        incr failures;
-        Fmt.pr "  FAIL n=%d warm hit-rate %.3f < 0.9 (%d hits, %d misses)@." n
-          warm_rate warm_hits warm_misses
-      end
-      else
-        Fmt.pr "  ok   n=%d warm hit-rate %.3f (%d hits, %d misses)@." n
-          warm_rate warm_hits warm_misses;
-      let _, r_bb, _, _ = Optimize.optimize_bb env ~name:"pack" steps in
-      check "bb_rating" n (float_after json "bb_rating" row) r_bb)
+      let _, r_bb, _, nodes = Optimize.optimize_bb env ~name:"pack" steps in
+      check "bb_rating" n (float_after json "bb_rating" row) r_bb;
+      check "bb_nodes" n (float_after json "bb_nodes" row) (float_of_int nodes))
     ns;
   if !failures > 0 then begin
     Fmt.pr "bench smoke: %d failure(s)@." !failures;
@@ -1094,12 +1019,11 @@ let compact_smoke env ns =
 (* ------------------------------------------------------------------ *)
 (* Serving benchmark (daemon): `bench serve [CLIENTS] [SECONDS] [P99]`.*)
 (* Phase 1 measures the request latency of the n=12 contact-row pack   *)
-(* through an in-process daemon: cold (a fresh tenant per request),    *)
-(* warm (an identical repeat — replays the whole-result memo) and      *)
-(* search-warm (a budgeted repeat — re-runs the search against the     *)
-(* resident prefix cache).  Phase 2 runs CLIENTS closed-loop           *)
-(* connections for SECONDS over a warm mix and reports client-side     *)
-(* p50/p99 and throughput.  The numbers are spliced into               *)
+(* through an in-process daemon: cold (a fresh tenant per request)     *)
+(* and warm (an identical repeat — replays the whole-result memo).     *)
+(* Phase 2 runs CLIENTS closed-loop connections for SECONDS over a     *)
+(* warm mix and reports client-side p50/p99 and throughput.  The       *)
+(* numbers are spliced into                                            *)
 (* BENCH_compact.json as "serving"; exits 1 when result identity, the  *)
 (* warm speedup, the error count or the p99 bound regresses.           *)
 (* ------------------------------------------------------------------ *)
@@ -1250,9 +1174,9 @@ let serve_bench nclients seconds p99_bound_ms =
       Fmt.pr "  FAIL %s@." what
     end
   in
-  let request ?max_evals ~tenant id =
+  let request ~tenant id =
     Wire.build ~id ~jobs:1 ~optimize:Wire.Local ~format:Wire.Cif ~stats:true
-      ~tenant ?max_evals
+      ~tenant
       ~params:[ ("W", Wire.Pnum 20.) ]
       entity
   in
@@ -1270,7 +1194,7 @@ let serve_bench nclients seconds p99_bound_ms =
       | Error e -> failwith ("bench serve: " ^ e)
       | Ok resp -> (resp, (Unix.gettimeofday () -. t0) *. 1000.)
     in
-    (* cold: a fresh tenant (fresh cache scope, fresh memo key) each time *)
+    (* cold: a fresh tenant (fresh memo key) each time *)
     let cold =
       List.init 3 (fun i ->
           let tenant = Printf.sprintf "cold-%d" i in
@@ -1312,43 +1236,24 @@ let serve_bench nclients seconds p99_bound_ms =
       List.init 5 (fun i ->
           timed (request ~tenant:"warm" (Printf.sprintf "warm-%d" i)))
     in
-    (* budgeted repeats bypass the memo and re-run the search against the
-       resident prefix cache *)
-    let swarm =
-      List.init 3 (fun i ->
-          timed
-            (request ~max_evals:1_000_000 ~tenant:"warm"
-               (Printf.sprintf "swarm-%d" i)))
-    in
     let payload (r : Wire.response) = Option.value ~default:"" r.Wire.payload in
     let rating (r : Wire.response) = Option.value ~default:nan r.Wire.rating in
-    let all = cold @ (prime :: warm) @ swarm in
+    let all = cold @ (prime :: warm) in
     let p0 = payload (fst (List.hd all)) and r0 = rating (fst (List.hd all)) in
     ensure (p0 <> "") "responses carry a CIF payload";
     ensure
       (List.for_all (fun (r, _) -> String.equal (payload r) p0) all)
-      "identical CIF bytes across cold/warm/search-warm";
+      "identical CIF bytes across cold/warm";
     ensure
       (List.for_all (fun (r, _) -> Float.equal (rating r) r0) all)
-      "identical ratings across cold/warm/search-warm";
+      "identical ratings across cold/warm";
     ensure
       (List.for_all (fun (r, _) -> r.Wire.status = Wire.status_ok) all)
       "status 0 everywhere";
-    let cache_hits (r : Wire.response) =
-      match r.Wire.stats with Some s -> s.Wire.cache_hits | None -> 0
-    in
-    let swarm_hits = List.fold_left (fun a (r, _) -> a + cache_hits r) 0 swarm in
-    ensure (swarm_hits > 0)
-      (Printf.sprintf "search-warm requests hit the resident prefix cache (%d)"
-         swarm_hits);
     let warm_p50 = percentile 0.5 (List.map snd warm) in
-    let swarm_p50 = percentile 0.5 (List.map snd swarm) in
     let speedup = cold_p50 /. warm_p50 in
-    let sspeedup = cold_p50 /. swarm_p50 in
-    Fmt.pr
-      "  cold p50 %.1f ms; warm p50 %.2f ms (%.1fx); search-warm p50 %.1f ms \
-       (%.1fx)@."
-      cold_p50 warm_p50 speedup swarm_p50 sspeedup;
+    Fmt.pr "  cold p50 %.1f ms; warm p50 %.2f ms (%.1fx)@." cold_p50 warm_p50
+      speedup;
     ensure (speedup >= 5.)
       (Printf.sprintf "warm p50 at least 5x faster than cold (%.1fx)" speedup);
     (* phase 2: a closed loop of pings, warm optimized packs and plain
@@ -1444,9 +1349,8 @@ let serve_bench nclients seconds p99_bound_ms =
       (Printf.sprintf "server/client build p99 agree (%.2f vs %.2f ms)"
          server_p99 client_bp99);
     Printf.sprintf
-      "{\"clients\":%d,\"seconds\":%.0f,\"n\":%d,\"cold_p50_ms\":%.2f,\"warm_p50_ms\":%.2f,\"warm_speedup_x\":%.1f,\"search_warm_p50_ms\":%.2f,\"search_warm_speedup_x\":%.1f,\"search_warm_cache_hits\":%d,\n    \"loop_requests\":%d,\"loop_errors\":%d,\"conn_retries\":%d,\"throughput_rps\":%.1f,\"loop_p50_ms\":%.2f,\"loop_p99_ms\":%.2f,\n    \"scrape_ms\":%.2f,\"server_build_p50_ms\":%.2f,\"server_build_p99_ms\":%.2f}"
-      nclients seconds n cold_p50 warm_p50 speedup swarm_p50 sspeedup
-      swarm_hits total errs retries rps p50 p99 scrape_ms server_p50 server_p99
+      "{\"clients\":%d,\"seconds\":%.0f,\"n\":%d,\"cold_p50_ms\":%.2f,\"warm_p50_ms\":%.2f,\"warm_speedup_x\":%.1f,\n    \"loop_requests\":%d,\"loop_errors\":%d,\"conn_retries\":%d,\"throughput_rps\":%.1f,\"loop_p50_ms\":%.2f,\"loop_p99_ms\":%.2f,\n    \"scrape_ms\":%.2f,\"server_build_p50_ms\":%.2f,\"server_build_p99_ms\":%.2f}"
+      nclients seconds n cold_p50 warm_p50 speedup total errs retries rps p50 p99 scrape_ms server_p50 server_p99
   in
   splice_serving serving;
   Fmt.pr "(serving section spliced into BENCH_compact.json)@.";
@@ -1458,9 +1362,9 @@ let serve_bench nclients seconds p99_bound_ms =
 
 (* ------------------------------------------------------------------ *)
 (* Sweep benchmark: `bench sweep [N]`.  One N-instance parameter grid  *)
-(* over a two-parameter pack entity, swept five ways: shuffled or the  *)
-(* locality walk, prefix cache off or on, and with a result store cold *)
-(* then warm.  The determinism contract makes every pass emit the      *)
+(* over a two-parameter pack entity, swept four ways: shuffled, in     *)
+(* walk order, and in walk order with a result store cold then warm.   *)
+(* The determinism contract makes every pass emit the                  *)
 (* same bytes, so the timings are directly comparable; the section is  *)
 (* spliced into BENCH_compact.json as "sweep" and exits 1 when row     *)
 (* identity, the store hit count or the warm speedup floor regresses.  *)
@@ -1491,7 +1395,7 @@ let sweep_source n =
 let sweep_bench instances =
   section
     (Printf.sprintf
-       "sweep: %d-instance grid, locality/cache/store vs shuffled cache-off"
+       "sweep: %d-instance grid, shuffled / walk order / store cold / store warm"
        instances);
   let env = Env.bicmos () in
   let n = 8 in
@@ -1525,7 +1429,7 @@ let sweep_bench instances =
   in
   Unix.mkdir dir 0o700;
   let store_path = Filename.concat dir "store.amg" in
-  let run_pass ~label ~shuffle ~cache ~store =
+  let run_pass ~label ~shuffle ~store =
     Gc.compact ();
     let buf = Buffer.create 8192 in
     let on_line l =
@@ -1534,8 +1438,7 @@ let sweep_bench instances =
     in
     let t0 = Unix.gettimeofday () in
     let res =
-      Sweep.run ~domains:2 ~chunk:8 ~shuffle ?cache ?store ~on_line ~env
-        ~source spec
+      Sweep.run ~domains:2 ~chunk:8 ~shuffle ?store ~on_line ~env ~source spec
     in
     let t = Unix.gettimeofday () -. t0 in
     Fmt.pr "  %-28s %8.1f ms  (%d rows, %d store hits)@." label (t *. 1000.)
@@ -1548,83 +1451,35 @@ let sweep_bench instances =
         (try Unix.unlink store_path with Unix.Unix_error _ -> ());
         try Unix.rmdir dir with Unix.Unix_error _ -> ())
     @@ fun () ->
-    let nocache = Pcache.disabled in
-    let t_shuf_off, r0, rows0 =
-      run_pass ~label:"shuffled, cache off" ~shuffle:true ~cache:(Some nocache)
-        ~store:None
-    in
-    let t_loc_off, _, rows1 =
-      run_pass ~label:"locality, cache off" ~shuffle:false
-        ~cache:(Some nocache) ~store:None
-    in
-    let t_shuf_on, _, rows2 =
-      run_pass ~label:"shuffled, cache on" ~shuffle:true ~cache:None
-        ~store:None
-    in
+    let t_shuf, r0, rows0 = run_pass ~label:"shuffled" ~shuffle:true ~store:None in
+    let t_walk, _, rows1 = run_pass ~label:"walk order" ~shuffle:false ~store:None in
     let st, diags = Store.open_ store_path in
     List.iter (fun d -> Fmt.epr "%a@." Amg_robust.Diag.pp d) diags;
-    let depth_before = (Pcache.stats (Pcache.default ())).Pcache.per_depth in
-    let t_loc_cold, r_cold, rows3 =
-      run_pass ~label:"locality, cache+store cold" ~shuffle:false ~cache:None
-        ~store:(Some st)
+    let t_cold, r_cold, rows2 =
+      run_pass ~label:"walk order, store cold" ~shuffle:false ~store:(Some st)
     in
-    let depth_after = (Pcache.stats (Pcache.default ())).Pcache.per_depth in
-    let t_loc_warm, r_warm, rows4 =
-      run_pass ~label:"locality, cache+store warm" ~shuffle:false ~cache:None
-        ~store:(Some st)
+    let t_warm, r_warm, rows3 =
+      run_pass ~label:"walk order, store warm" ~shuffle:false ~store:(Some st)
     in
     Store.close st;
-    ensure
-      (List.for_all (String.equal rows0) [ rows1; rows2; rows3; rows4 ])
-      "identical bytes across all five passes";
+    let identical = List.for_all (String.equal rows0) [ rows1; rows2; rows3 ] in
+    ensure identical "identical bytes across all four passes";
     ensure (r0.Sweep.failures = 0) "no per-instance failures";
     ensure
       (r_warm.Sweep.store_hits = r_warm.Sweep.rows)
       (Printf.sprintf "warm pass answered every row from the store (%d/%d)"
          r_warm.Sweep.store_hits r_warm.Sweep.rows);
-    let speedup = t_shuf_off /. t_loc_warm in
+    let speedup = t_shuf /. t_warm in
     ensure (speedup >= 3.)
       (Printf.sprintf
-         "locality+cache+store sweep at least 3x faster than shuffled \
-          cache-off (%.1fx)"
+         "store-warm sweep at least 3x faster than the shuffled sweep (%.1fx)"
          speedup);
-    (* Per-depth hit rates of the store-cold locality pass: the searches
-       inside each instance republish and resume their own prefixes. *)
-    let depth_rows =
-      List.filter_map
-        (fun (a : Pcache.depth_stats) ->
-          let b =
-            List.find_opt
-              (fun (b : Pcache.depth_stats) ->
-                b.Pcache.d_depth = a.Pcache.d_depth)
-              depth_before
-          in
-          let hits =
-            a.Pcache.d_hits
-            - (match b with Some b -> b.Pcache.d_hits | None -> 0)
-          and misses =
-            a.Pcache.d_misses
-            - (match b with Some b -> b.Pcache.d_misses | None -> 0)
-          in
-          if hits = 0 && misses = 0 then None
-          else
-            Some
-              (Printf.sprintf
-                 "{\"depth\":%d,\"hits\":%d,\"misses\":%d,\"rate\":%.3f}"
-                 a.Pcache.d_depth hits misses
-                 (float_of_int hits /. float_of_int (max 1 (hits + misses)))))
-        depth_after
-    in
     Printf.sprintf
       "{\"instances\":%d,\"entity_rows\":%d,\"domains\":2,\"chunk\":8,\n    \
-       \"shuffled_nocache_s\":%.4f,\"locality_nocache_s\":%.4f,\"shuffled_cache_s\":%.4f,\n    \
-       \"locality_cache_store_cold_s\":%.4f,\"locality_cache_store_warm_s\":%.4f,\n    \
-       \"store_hits_cold\":%d,\"store_hits_warm\":%d,\"warm_speedup_x\":%.1f,\"rows_identical\":%b,\n    \
-       \"cold_cache_per_depth\":[%s]}"
-      r0.Sweep.rows n t_shuf_off t_loc_off t_shuf_on t_loc_cold t_loc_warm
-      r_cold.Sweep.store_hits r_warm.Sweep.store_hits speedup
-      (List.for_all (String.equal rows0) [ rows1; rows2; rows3; rows4 ])
-      (String.concat "," depth_rows)
+       \"shuffled_s\":%.4f,\"walk_s\":%.4f,\"store_cold_s\":%.4f,\"store_warm_s\":%.4f,\n    \
+       \"store_hits_cold\":%d,\"store_hits_warm\":%d,\"warm_speedup_x\":%.1f,\"rows_identical\":%b}"
+      r0.Sweep.rows n t_shuf t_walk t_cold t_warm r_cold.Sweep.store_hits
+      r_warm.Sweep.store_hits speedup identical
   in
   splice_section "sweep" result;
   Fmt.pr "(sweep section spliced into BENCH_compact.json)@.";
@@ -1698,11 +1553,6 @@ let micro env =
   List.iter (fun (name, ns) -> Fmt.pr "%-28s %12.0f ns/run@." name ns) rows
 
 let () =
-  (* The optimizer rows want the whole workload resident: an evicting
-     cache churns out exactly the entries the next round resumes from.
-     256 MiB is far more than the delta-suffix entries need — kept at the
-     seed's budget so the hit/miss trajectory stays comparable. *)
-  Pcache.set_default_budget_mb 256;
   (match Array.to_list Sys.argv with
   | _ :: "compact_scaling" :: rest ->
       let ns =

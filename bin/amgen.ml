@@ -99,41 +99,6 @@ let jobs_arg =
 
 let set_jobs jobs = Option.iter Amg_parallel.Pool.set_default_domains jobs
 
-let cache_mb_arg =
-  let doc =
-    "Byte budget (MiB) of the prefix cache the optimization-mode searches \
-     share; already-compacted order prefixes are stored as delta suffixes \
-     against their parent prefix and replayed instead of rebuilt.  0 \
-     disables the cache; negative values are rejected.  Results are \
-     identical for every value — only the search time changes."
-  in
-  Arg.(value & opt (some (int_at_least 0 "--cache-mb")) None
-       & info [ "cache-mb" ] ~docv:"MB" ~doc)
-
-let set_cache_mb mb = Option.iter Amg_core.Prefix_cache.set_default_budget_mb mb
-
-let cache_admit_depth_arg =
-  let doc =
-    "Prefix depth up to which the cache admits every order prefix \
-     unconditionally; deeper prefixes must be visited \
-     $(b,--cache-admit-visits) times first.  Admission affects memory and \
-     time only, never results."
-  in
-  Arg.(value & opt (some (int_at_least 1 "--cache-admit-depth")) None
-       & info [ "cache-admit-depth" ] ~docv:"D" ~doc)
-
-let cache_admit_visits_arg =
-  let doc =
-    "Visit count a prefix deeper than $(b,--cache-admit-depth) needs \
-     before the cache stores it."
-  in
-  Arg.(value & opt (some (int_at_least 1 "--cache-admit-visits")) None
-       & info [ "cache-admit-visits" ] ~docv:"K" ~doc)
-
-let set_cache_policy admit_depth admit_visits =
-  if admit_depth <> None || admit_visits <> None then
-    Amg_core.Prefix_cache.set_default_policy ?admit_depth ?admit_visits ()
-
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
@@ -319,12 +284,9 @@ let build_cmd =
                    --store); inspect with $(b,amgen store).  Only meaningful \
                    with --optimize.")
   in
-  let run tech_file jobs cache_mb admit_depth admit_visits file entity params
-      svg cif gds ascii stats trace explain optimize max_time max_evals store
-      mode inject diag_json =
+  let run tech_file jobs file entity params svg cif gds ascii stats trace
+      explain optimize max_time max_evals store mode inject diag_json =
     set_jobs jobs;
-    set_cache_mb cache_mb;
-    set_cache_policy admit_depth admit_visits;
     run_guarded ~mode ?inject ?diag_json @@ fun () ->
     let code =
       with_obs ~explain ~stats ~trace (fun () ->
@@ -371,8 +333,7 @@ let build_cmd =
   in
   Cmd.v
     (Cmd.info "build" ~doc:"Build an entity from a module source file.")
-    Term.(const run $ tech_arg $ jobs_arg $ cache_mb_arg
-          $ cache_admit_depth_arg $ cache_admit_visits_arg $ file_arg
+    Term.(const run $ tech_arg $ jobs_arg $ file_arg
           $ entity_arg $ params_arg $ svg_arg $ cif_arg $ gds_arg $ ascii_arg
           $ stats_arg $ trace_arg $ explain_arg $ optimize_arg $ max_time_arg
           $ max_evals_arg $ store_arg $ mode_arg $ inject_arg $ diag_json_arg)
@@ -800,15 +761,15 @@ let sweep_cmd =
   let chunk_arg =
     Arg.(value & opt (int_at_least 1 "--chunk") 8
          & info [ "chunk" ] ~docv:"N"
-             ~doc:"Walk-consecutive instances scheduled as one pool task; \
-                   neighbours in a chunk stay on one cache shard.  Results \
-                   are identical for every value.")
+             ~doc:"Number of walk-consecutive instances scheduled as one \
+                   pool task (the task granularity).  Results are identical \
+                   for every value.")
   in
   let shuffle_arg =
     Arg.(value & flag
          & info [ "shuffle" ]
              ~doc:"Schedule the instances in a deterministically shuffled \
-                   order instead of the locality walk (an ablation switch: \
+                   order instead of the walk order (an ablation switch: \
                    rows and ratings are identical, only timings change).")
   in
   let sweep_store_arg =
@@ -826,8 +787,8 @@ let sweep_cmd =
                    header (column arity and cell types) and exit without \
                    running a sweep.")
   in
-  let run tech_file jobs cache_mb admit_depth admit_visits library spec out
-      chunk shuffle store check stats trace mode inject diag_json =
+  let run tech_file jobs library spec out chunk shuffle store check stats trace
+      mode inject diag_json =
     match check with
     | Some path -> (
         match Amg_sweep.Sweep.check_file path with
@@ -844,8 +805,6 @@ let sweep_cmd =
             exit_usage
         | Some spec_file ->
             set_jobs jobs;
-            set_cache_mb cache_mb;
-            set_cache_policy admit_depth admit_visits;
             run_guarded ~mode ?inject ?diag_json @@ fun () ->
             with_obs ~stats ~trace @@ fun () ->
             let spec =
@@ -899,17 +858,16 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Expand a parameter-grid spec into its canonical instance list \
-             (Gray-code locality walk, duplicates removed), build and \
+             (a Gray-code walk, duplicates removed), build and \
              order-optimize every instance on the domain pool, and emit one \
              layout-derived metric row per instance into a columnar result \
              file.  Rows are byte-identical for every --jobs, --chunk and \
              --shuffle setting; a partial sweep (some instances failed) \
              exits 3 with per-row diagnostics.")
     Term.(
-      const run $ tech_arg $ jobs_arg $ cache_mb_arg $ cache_admit_depth_arg
-      $ cache_admit_visits_arg $ library_arg $ spec_arg $ out_arg $ chunk_arg
-      $ shuffle_arg $ sweep_store_arg $ check_arg $ stats_arg $ trace_arg
-      $ mode_arg $ inject_arg $ diag_json_arg)
+      const run $ tech_arg $ jobs_arg $ library_arg $ spec_arg $ out_arg
+      $ chunk_arg $ shuffle_arg $ sweep_store_arg $ check_arg $ stats_arg
+      $ trace_arg $ mode_arg $ inject_arg $ diag_json_arg)
 
 let () =
   let doc = "analog module generator environment (DATE'96 reproduction)" in

@@ -3,9 +3,9 @@ module Rules = Amg_tech.Rules
 
 type t = { tech : Technology.t; stamp : int }
 
-(* Process-unique environment stamp: cache keys derived from step ids are
-   scoped by it, so entries can never leak between environments (different
-   technology decks build different geometry from the same steps). *)
+(* Process-unique environment stamp: in-memory memo keys are scoped by it,
+   so entries can never leak between environments (tenants, or different
+   technology decks that build different geometry from the same source). *)
 let next_stamp = Atomic.make 0
 
 let create tech = { tech; stamp = Atomic.fetch_and_add next_stamp 1 }

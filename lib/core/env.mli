@@ -15,8 +15,9 @@ val tech : t -> Amg_tech.Technology.t
 
 val stamp : t -> int
 (** Process-unique id of this environment, assigned at {!create}.  The
-    optimizer's prefix cache scopes its keys by it, so entries built under
-    one technology can never serve another. *)
+    serving daemon keys its in-memory memo by it, so a build recorded
+    under one environment (one tenant) never serves another.  It is not
+    restart-stable: durable keys use a deck fingerprint instead. *)
 val rules : t -> Amg_tech.Rules.t
 val grid : t -> int
 

@@ -12,8 +12,8 @@
    are collected in canonical candidate order and reduced with strict
    comparisons, so the chosen winner — rating, order and the layout bytes —
    is identical for every domain count, including 1.  Workers only mutate
-   fresh [Lobj.copy]s; shared step objects and cached prefixes are
-   read-only (see Pool's concurrency contract). *)
+   fresh [Lobj.copy]s; shared step objects are read-only (see Pool's
+   concurrency contract). *)
 
 module Dir = Amg_geometry.Dir
 module Rect = Amg_geometry.Rect
@@ -34,9 +34,9 @@ type step = {
   variable_edges : bool;
 }
 
-(* Canonical step identity for the prefix cache: two [step] values never
-   share a uid, so a cache key (scope, uid prefix) can only ever name one
-   placement sequence. *)
+(* Step identity: two [step] values never share a uid, so a search that
+   holds the steps in another order can still look each one up (the
+   symmetry classes are keyed by it). *)
 let uid_counter = Atomic.make 0
 
 let step ?(ignore_layers = []) ?(align = (`Keep : Successive.align))
@@ -58,93 +58,6 @@ let apply ?base env ~name steps =
     match base with None -> Lobj.create name | Some b -> Lobj.copy ~name b
   in
   List.iter (apply_step env main) steps;
-  main
-
-(* --- prefix-cache plumbing shared by the searches ---
-
-   Scope: for a search over a fresh main, prefix → layout is a pure
-   function of the environment, so entries are keyed under the env stamp
-   and shared across calls.  When the search is seeded from a [?base]
-   object the layout also depends on the base's bytes, so each call gets a
-   fresh token and only shares within itself (swap candidates, DFS
-   siblings, restart rounds — where the redundancy lives anyway).  Even /
-   odd keeps the two keyspaces disjoint. *)
-let scope_counter = Atomic.make 0
-
-let env_scope env = 2 * Env.stamp env
-
-let cache_scope ?scope env ~base =
-  match (scope, base) with
-  | Some s, _ -> s
-  | None, None -> env_scope env
-  | None, Some _ -> (2 * Atomic.fetch_and_add scope_counter 1) + 1
-
-let resolve_cache cache =
-  match cache with Some c -> c | None -> Prefix_cache.default ()
-
-(* Evaluate one full order through the cache: resume from the deepest
-   cached prefix and publish every prefix built along the way.  The build
-   runs under a snapshot so the journal is live; each step's delta window
-   ([Lobj.mark] before, [delta_since] after) is offered to the cache as
-   the suffix entry for that prefix — the cache forces it only when the
-   admission policy admits the entry.  A step whose placement rejects (or
-   faults) stores nothing, so the cache only ever holds fully applied
-   prefixes; a cache hit replays a faithful redo log of a deterministic
-   build, so the result is byte-identical to [apply] — sharing changes
-   time, never results. *)
-let cached_apply ?base env ~cache ~scope ~name steps =
-  let uids = List.map (fun s -> s.uid) steps in
-  let start, main =
-    match Prefix_cache.find_longest cache ~scope ~name uids with
-    | Some (k, m) -> (k, m)
-    | None -> (
-        ( 0,
-          match base with
-          | None -> Lobj.create name
-          | Some b -> Lobj.copy ~name b ))
-  in
-  if not (Prefix_cache.enabled cache) then
-    List.iter (apply_step env main) steps
-  else begin
-    (* Journal only while the stored chain is live: once a store is
-       rejected no deeper prefix can be admitted (the live-parent
-       invariant), so the tail of the order applies plain — the snapshot
-       is released, each remaining prefix only notes its visit so a later
-       search over the same path can still reach the admission
-       threshold. *)
-    let snap = ref (Some (Lobj.snapshot main)) in
-    let release () =
-      match !snap with
-      | Some sn ->
-          snap := None;
-          Lobj.release main sn
-      | None -> ()
-    in
-    Fun.protect ~finally:release (fun () ->
-        let rec go k rev_uids steps =
-          match steps with
-          | [] -> ()
-          | s :: tl ->
-              let rev_uids = s.uid :: rev_uids in
-              if k >= start then
-                if !snap <> None then begin
-                  let m = Lobj.mark main in
-                  apply_step env main s;
-                  let live =
-                    Prefix_cache.store cache ~scope (List.rev rev_uids)
-                      ~delta:(fun () -> Lobj.delta_since main m)
-                      main
-                  in
-                  if not live then release ()
-                end
-                else begin
-                  apply_step env main s;
-                  Prefix_cache.note_visit cache ~scope (List.rev rev_uids)
-                end;
-              go (k + 1) rev_uids tl
-        in
-        go 0 [] steps)
-  end;
   main
 
 (* Lazy permutations, so capping the searched orders costs nothing. *)
@@ -283,17 +196,15 @@ let batch_size = 16
    (canonical permutation) order regardless of scheduling.  The walk is
    shared by [evaluate_orders], which keeps every result, and [optimize],
    which keeps only the incumbent. *)
-let rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget ?cache
-    ?scope steps keep =
+let rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget steps
+    keep =
   Obs.span "optimize.evaluate_orders" @@ fun () ->
-  let cache = resolve_cache cache in
-  let scope = cache_scope ?scope env ~base in
   let orders =
     permutations steps |> Seq.take max_orders |> Array.of_seq
     |> Array.mapi (fun i order -> (i, order))
   in
   let eval (i, order) =
-    match cached_apply ?base env ~cache ~scope ~name order with
+    match apply ?base env ~name order with
     | main ->
         Obs.count "optimize.orders_ok" 1;
         keep i order main (Rating.rate env rating main)
@@ -360,9 +271,9 @@ let rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget ?cache
   |> List.filter_map Fun.id
 
 let evaluate_orders env ~name ?base ?(rating = Rating.default)
-    ?(max_orders = 720) ?domains ?budget ?cache ?scope steps =
-  rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget ?cache
-    ?scope steps (fun _ order main r -> Some (main, r, order))
+    ?(max_orders = 720) ?domains ?budget steps =
+  rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget steps
+    (fun _ order main r -> Some (main, r, order))
 
 (* --- durable store seeding (ROADMAP item 4) ----------------------------
 
@@ -376,8 +287,8 @@ let evaluate_orders env ~name ?base ?(rating = Rating.default)
    searches with the default rating (a budgeted or custom-rated run may
    legitimately settle for a different order), and written back only when
    the search was not degraded.  A hit replays the stored permutation
-   through [cached_apply] — one rebuild instead of a search — and re-rates
-   it, so even the returned rating is computed, never trusted from disk.
+   with [apply] — one rebuild instead of a search — and re-rates it, so
+   even the returned rating is computed, never trusted from disk.
    A stored record whose permutation no longer matches the step count
    (the module definition changed under the same key) is diagnosed as
    [store.stale_record] and ignored. *)
@@ -401,7 +312,7 @@ let perm_is_bijection perm n =
        true))
     perm
 
-let store_lookup env ~name ~base ~rating ~cache ~scope ~mode store steps =
+let store_lookup env ~name ~base ~rating ~mode store steps =
   let st, key = store in
   if rating != Rating.default then None
   else
@@ -427,7 +338,7 @@ let store_lookup env ~name ~base ~rating ~cache ~scope ~mode store steps =
         end
         else
           let order = Array.to_list (Array.map (fun i -> arr.(i)) e.Store.perm) in
-          match cached_apply ?base env ~cache ~scope ~name order with
+          match apply ?base env ~name order with
           | main ->
               Obs.count "optimize.store_hits" 1;
               Some (main, Rating.rate env rating main, order)
@@ -470,26 +381,23 @@ let store_record ~budget ~rating ~mode store steps r order =
                })
       end
 
-let store_hit env ~name ~base ~rating ?cache ?scope ~budget ~mode store steps =
+let store_hit env ~name ~base ~rating ~budget ~mode store steps =
   match (store, budget) with
-  | Some store, None ->
-      let cache = resolve_cache cache in
-      let scope = cache_scope ?scope env ~base in
-      store_lookup env ~name ~base ~rating ~cache ~scope ~mode store steps
+  | Some store, None -> store_lookup env ~name ~base ~rating ~mode store steps
   | _ -> None
 
 let optimize env ~name ?base ?(rating = Rating.default) ?(max_orders = 720)
-    ?domains ?budget ?cache ?scope ?store steps =
+    ?domains ?budget ?store steps =
   let mode = Printf.sprintf "orders:%d" max_orders in
-  match store_hit env ~name ~base ~rating ?cache ?scope ~budget ~mode store steps with
+  match store_hit env ~name ~base ~rating ~budget ~mode store steps with
   | Some hit -> hit
   | None -> (
       (* Ratings only: every order but the incumbent drops its layout as
          soon as it is rated, so at most one layout per participant is
          alive beside the incumbent instead of all [max_orders]. *)
       let cell = Atomic.make None in
-      rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget ?cache
-        ?scope steps (fun index order main r ->
+      rate_orders env ~name ?base ~rating ~max_orders ?domains ?budget steps
+        (fun index order main r ->
           offer cell ~rating:r ~index (main, order);
           None)
       |> ignore;
@@ -521,17 +429,16 @@ let optimize env ~name ?base ?(rating = Rating.default) ?(max_orders = 720)
    with strict [<], which picks the same winner the incumbent-sharing
    sequential search picks (a tied optimum found later never displaces an
    earlier one either way).  Node counts are the sum over sub-searches —
-   deterministic, identical for every domain count, and independent of the
-   cache state: every prune decision is computed from bounding boxes that
-   are byte-identical whether the prefix was replayed or fetched. *)
+   deterministic and identical for every domain count.
+
+   Each child extends its parent's layout: a copy of the parent plus one
+   placement, so a node costs one placement whatever its depth. *)
 let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
-    ?cache ?scope ?store steps =
+    ?store steps =
   Obs.span "optimize.bb" @@ fun () ->
-  match store_hit env ~name ~base ~rating ?cache ?scope ~budget ~mode:"bb" store steps with
+  match store_hit env ~name ~base ~rating ~budget ~mode:"bb" store steps with
   | Some (main, r, order) -> (main, r, order, 0)
   | None ->
-  let cache = resolve_cache cache in
-  let scope = cache_scope ?scope env ~base in
   (* Sampled once, so every node of this search agrees on the bound. *)
   let strengthen = not (Amg_robust.Policy.permissive ()) in
   (* The children worth expanding: the first unplaced step of each
@@ -582,59 +489,11 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
   let fresh_main () =
     match base with None -> Lobj.create name | Some b -> Lobj.copy ~name b
   in
-  (* The layout after the prefix [rev_uids] (which already includes [s]):
-     fetched from the cache when some search already built it, placed and
-     published otherwise.  Byte-identical either way.  [parent_live] says
-     whether the parent prefix's entry is live in this shard; when it is
-     not, neither lookup nor admission can succeed (live-parent
-     invariant), so the step applies without journaling and only notes
-     the visit — the second result reports this node's liveness for its
-     own children. *)
-  let materialize ~parent_live parent rev_uids s =
-    let uids = List.rev rev_uids in
-    let build () =
-      let m =
-        match parent with None -> fresh_main () | Some p -> Lobj.copy p
-      in
-      apply_step env m s;
-      m
-    in
-    if not (Prefix_cache.enabled cache) then (build (), false)
-    else if not parent_live then begin
-      let m = build () in
-      Prefix_cache.note_visit cache ~scope uids;
-      (m, false)
-    end
-    else
-      match Prefix_cache.find cache ~scope ~name uids with
-      | Some m -> (m, true)
-      | None ->
-          let m =
-            match parent with None -> fresh_main () | Some p -> Lobj.copy p
-          in
-          let snap = Lobj.snapshot m in
-          let live =
-            Fun.protect
-              ~finally:(fun () -> Lobj.release m snap)
-              (fun () ->
-                let mk = Lobj.mark m in
-                apply_step env m s;
-                Prefix_cache.store cache ~scope uids
-                  ~delta:(fun () -> Lobj.delta_since m mk)
-                  m)
-          in
-          (m, live)
-  in
-  (* Prune a child from its cached bounding box alone — no copy, no
-     placement.  Decides exactly as the materialized path would, so the
-     node set stays cache-independent. *)
-  let pruned_by_peek rev_uids rest bound_ref =
-    match bound_ref with
-    | None -> false
-    | Some b -> (
-        match Prefix_cache.peek_bbox cache ~scope (List.rev rev_uids) with
-        | Some bbox -> completion_bound bbox rest >= b
-        | None -> false)
+  (* A child: its parent's layout (a fresh main at the root) plus [s]. *)
+  let extend parent s =
+    let m = match parent with None -> fresh_main () | Some p -> Lobj.copy p in
+    apply_step env m s;
+    m
   in
   let cancel =
     match budget with None -> fun () -> false | Some b -> Budget.task_cancel b
@@ -646,7 +505,7 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
      explores the same deterministic DFS prefix for every domain count, and
      its best-within-prefix is deterministic too.  [cancel] additionally
      stops mid-search on a real wall-clock deadline (best-effort). *)
-  let subtree ~incumbent ~quota main live rev_uids placed remaining =
+  let subtree ~incumbent ~quota main placed remaining =
     let best = ref None in
     let nodes = ref 0 in
     let complete = ref true in
@@ -659,7 +518,7 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
     let over_quota () =
       match quota with Some q -> !nodes >= q | None -> false
     in
-    let rec go main live rev_uids placed remaining =
+    let rec go main placed remaining =
       if !complete then
         if over_quota () || cancel () then complete := false
         else begin
@@ -685,29 +544,22 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
                   (fun s ->
                     if !complete then begin
                       let rest = List.filter (fun s' -> s' != s) remaining in
-                      let rev' = s.uid :: rev_uids in
-                      (* A dead node cannot have cached children, so the
-                         peek is skipped — it would walk the trie only to
-                         return [None]. *)
-                      if live && pruned_by_peek rev' rest (br ()) then
-                        Obs.count "optimize.bb_pruned" 1
-                      else
-                        match materialize ~parent_live:live (Some main) rev' s with
-                        | main', live' ->
-                            let prune =
-                              match br () with
-                              | Some b ->
-                                  completion_bound (Lobj.bbox main') rest >= b
-                              | None -> false
-                            in
-                            if prune then Obs.count "optimize.bb_pruned" 1
-                            else go main' live' rev' (s :: placed) rest
-                        | exception Env.Rejected _ -> ()
+                      match extend (Some main) s with
+                      | main' ->
+                          let prune =
+                            match br () with
+                            | Some b ->
+                                completion_bound (Lobj.bbox main') rest >= b
+                            | None -> false
+                          in
+                          if prune then Obs.count "optimize.bb_pruned" 1
+                          else go main' (s :: placed) rest
+                      | exception Env.Rejected _ -> ()
                     end)
                   (movers remaining)
         end
     in
-    go main live rev_uids placed remaining;
+    go main placed remaining;
     (!best, !nodes, !complete)
   in
   match steps with
@@ -720,7 +572,7 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
          is the first leaf of the canonical depth-first traversal) — and
          under a budget it is the guaranteed best-so-far fallback. *)
       let seed =
-        match cached_apply ?base env ~cache ~scope ~name steps with
+        match apply ?base env ~name steps with
         | main -> Some (main, Rating.rate env rating main, steps)
         | exception Env.Rejected _ -> None
       in
@@ -741,31 +593,23 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
       (match budget with Some b -> Budget.poll b | None -> ());
       let task s =
         let rest = List.filter (fun s' -> s' != s) steps in
-        let rev0 = [ s.uid ] in
-        if pruned_by_peek rev0 rest incumbent then begin
-          Obs.count "optimize.bb_pruned" 1;
-          (None, 1, true)
-        end
-        else
-          (* Depth-1 entries have no parent to be live: the root is always
-             admissible. *)
-          match materialize ~parent_live:true None rev0 s with
-          | main, live ->
-              let prune =
-                match incumbent with
-                | Some b -> completion_bound (Lobj.bbox main) rest >= b
-                | None -> false
+        match extend None s with
+        | main ->
+            let prune =
+              match incumbent with
+              | Some b -> completion_bound (Lobj.bbox main) rest >= b
+              | None -> false
+            in
+            if prune then begin
+              Obs.count "optimize.bb_pruned" 1;
+              (None, 1, true)
+            end
+            else
+              let best, nodes, complete =
+                subtree ~incumbent ~quota main [ s ] rest
               in
-              if prune then begin
-                Obs.count "optimize.bb_pruned" 1;
-                (None, 1, true)
-              end
-              else
-                let best, nodes, complete =
-                  subtree ~incumbent ~quota main live rev0 [ s ] rest
-                in
-                (best, nodes + 1, complete)
-          | exception Env.Rejected _ -> (None, 1, true)
+              (best, nodes + 1, complete)
+        | exception Env.Rejected _ -> (None, 1, true)
       in
       let results =
         Pool.with_pool ?domains (fun pool ->
@@ -822,14 +666,12 @@ let optimize_bb env ~name ?base ?(rating = Rating.default) ?domains ?budget
    count.  Not guaranteed optimal, but every accepted move is a full
    rebuild-and-rate, so the result is always a real, valid layout. *)
 let optimize_local env ~name ?base ?(rating = Rating.default) ?(restarts = 3)
-    ?(seed = 1) ?domains ?budget ?cache ?scope ?store steps =
+    ?(seed = 1) ?domains ?budget ?store steps =
   Obs.span "optimize.local" @@ fun () ->
   let mode = Printf.sprintf "local:r%d:s%d" restarts seed in
-  match store_hit env ~name ~base ~rating ?cache ?scope ~budget ~mode store steps with
+  match store_hit env ~name ~base ~rating ~budget ~mode store steps with
   | Some (main, r, order) -> (main, r, order, 0)
   | None ->
-  let cache = resolve_cache cache in
-  let scope = cache_scope ?scope env ~base in
   let evals = Atomic.make 0 in
   let spend () =
     ignore (Atomic.fetch_and_add evals 1);
@@ -851,18 +693,11 @@ let optimize_local env ~name ?base ?(rating = Rating.default) ?(restarts = 3)
         end
         else false
   in
-  (* Every evaluation goes through the prefix cache: a pairwise swap at
-     (i, j) leaves the first i steps untouched, so the candidate resumes
-     from the cached depth-i snapshot of the current best order (stored
-     when that order was rated) instead of replaying the whole order — and
-     unlike the per-round prefix arrays this replaces, the cache also
-     carries across rounds, restarts and whole searches.  The rebuild is
-     deterministic, so the result is identical either way; an evaluation
-     costs one [spend] whether it hits or misses, so the eval count is
-     cache-independent. *)
+  (* Every evaluation is a full rebuild of its order; it costs one [spend]
+     whether it is accepted or not. *)
   let rate_order order =
     spend ();
-    match cached_apply ?base env ~cache ~scope ~name order with
+    match apply ?base env ~name order with
     | main -> Some (main, Rating.rate env rating main)
     | exception Env.Rejected _ -> None
   in

@@ -17,18 +17,13 @@
     scheduling can never change the winner.  Node and evaluation counts are
     equally domain-count-independent.
 
-    All searches share a {!Prefix_cache}: the layout after a step prefix
-    is a pure function of the environment and the prefix, so an evaluation
-    resumes from the deepest already-built prefix instead of replaying it.
-    [?cache] overrides the process-wide default
-    ({!Prefix_cache.default}; pass {!Prefix_cache.disabled} to opt out).
-    Sharing never changes results: a hit is a faithful copy of a
-    deterministic build, so ratings, chosen orders, layout bytes, node and
-    eval counts are all identical with the cache on or off — only wall
-    time and the [prefix_cache.*] counters differ. *)
+    Every search builds its own candidates: orders mode and local search
+    replay each order with {!apply}; the branch-and-bound DFS extends its
+    parent's layout by one placement.  Nothing is shared between searches
+    or calls, so a search's result and cost depend only on its inputs. *)
 
 type step = {
-  uid : int;  (** canonical identity; the prefix-cache key component *)
+  uid : int;  (** process-unique identity, allocated by {!step} *)
   obj : Amg_layout.Lobj.t;
   dir : Amg_geometry.Dir.t;
   ignore_layers : string list;
@@ -45,8 +40,7 @@ val step :
   step
 (** One [compact(obj, dir, …)] call of a module description.  Each call
     allocates a fresh [uid], so building "the same" step twice yields two
-    cache-distinct steps; searches over a shared step list share cached
-    prefixes, across calls too. *)
+    distinct steps. *)
 
 val apply :
   ?base:Amg_layout.Lobj.t -> Env.t -> name:string -> step list -> Amg_layout.Lobj.t
@@ -74,18 +68,6 @@ val step_classes :
     renamed nets, so the same rating.  Under the permissive policy every
     step is its own class. *)
 
-val env_scope : Env.t -> int
-(** The prefix-cache scope the searches use for base-free runs: entries
-    are keyed under the environment's stamp and shared across calls.
-    A search seeded with [?base] normally gets a fresh private scope
-    (the layout depends on the base's bytes, which the cache cannot
-    check); a caller that replays a {e frozen} (base, steps) record —
-    the serving daemon's memoized builds — may pass [~scope:(env_scope
-    env)] to the searches to opt back into cross-call sharing.  Sound
-    exactly when every step uid is only ever replayed against the same
-    base bytes, which holds when base and steps are captured together
-    and never mutated. *)
-
 val evaluate_orders :
   Env.t ->
   name:string ->
@@ -94,8 +76,6 @@ val evaluate_orders :
   ?max_orders:int ->
   ?domains:int ->
   ?budget:Amg_robust.Budget.t ->
-  ?cache:Prefix_cache.t ->
-  ?scope:int ->
   step list ->
   (Amg_layout.Lobj.t * float * step list) list
 (** Build and rate every order (up to [max_orders], default 720 = 6!);
@@ -121,8 +101,6 @@ val optimize :
   ?max_orders:int ->
   ?domains:int ->
   ?budget:Amg_robust.Budget.t ->
-  ?cache:Prefix_cache.t ->
-  ?scope:int ->
   ?store:Amg_store.Store.t * string ->
   step list ->
   Amg_layout.Lobj.t * float * step list
@@ -140,8 +118,8 @@ val optimize :
     [?store] is [(store, key)]: a durable result store plus the canonical
     key for this module instance (see {!Amg_store.Store.signature}).  On an
     exact key hit — the search strategy and its parameters are appended to
-    the key internally — the stored order replays through the prefix cache
-    and the search is skipped entirely; the rating is recomputed from the
+    the key internally — the stored order is replayed with {!apply} and
+    the search is skipped entirely; the rating is recomputed from the
     rebuilt layout, never trusted from disk.  The store is only consulted
     for unbudgeted, default-rated searches and only written back (strictly
     better ratings win) by non-degraded ones, so results stay byte-identical
@@ -155,8 +133,6 @@ val optimize_bb :
   ?rating:Rating.t ->
   ?domains:int ->
   ?budget:Amg_robust.Budget.t ->
-  ?cache:Prefix_cache.t ->
-  ?scope:int ->
   ?store:Amg_store.Store.t * string ->
   step list ->
   Amg_layout.Lobj.t * float * step list * int
@@ -167,8 +143,8 @@ val optimize_bb :
     under the permissive policy, which may skip objects, the bound falls
     back to the partial box alone) and is checked both at node entry —
     pruning a whole subtree before any placement, counted as
-    [optimize.bb_pruned_by_bound] — and per child ([optimize.bb_pruned]),
-    where a cached child bounding box decides without placing.  A child
+    [optimize.bb_pruned_by_bound] — and per child ([optimize.bb_pruned])
+    right after the child is placed.  A child
     is expanded only when no {!step_classes} class-mate with a lower index
     is still unplaced, so only class-canonical orders are visited; the
     returned optimum — the lexicographically first one — is always
@@ -198,8 +174,6 @@ val optimize_local :
   ?seed:int ->
   ?domains:int ->
   ?budget:Amg_robust.Budget.t ->
-  ?cache:Prefix_cache.t ->
-  ?scope:int ->
   ?store:Amg_store.Store.t * string ->
   step list ->
   Amg_layout.Lobj.t * float * step list * int

@@ -1,565 +1,14 @@
-(* Transposition cache over compaction-order prefixes.
+(* Read-only stub of the removed prefix cache (DESIGN.md §11).  Searches
+   build their own prefixes now; nothing in the library, the executables
+   or the tests may use this module.  It remains only because the frozen
+   per-layer bench (bench/perf/layers.ml) still reads these counters:
+   [stats] always returns zeros, which that bench reports as "layer not
+   exercised".  Delete it together with those bench rows. *)
 
-   Every optimizer search (exhaustive, branch-and-bound, local) evaluates
-   orders that share long common prefixes, and the successive compactor is
-   deterministic: the layout after placing steps [s1; …; sk] is a pure
-   function of the environment and that prefix.  The cache maps each
-   explored prefix — keyed by the environment stamp and the steps'
-   canonical uids — to the partial layout plus its partial rating
-   ingredient (the bounding-box area), so a later evaluation resumes
-   from the deepest cached prefix instead of replaying it.
+type t = unit
 
-   Storage (DESIGN.md §11): a depth-1 entry holds a compact full copy of
-   its (one-step) layout — the chain anchor; a deeper entry holds only the
-   [Lobj.delta] between its parent prefix and itself, extracted from the
-   snapshot journal by the optimizer while it applied the step.  A lookup
-   materializes a layout by copying the anchor and replaying the delta
-   chain down to the requested depth.  The invariant that makes every
-   entry materializable: an entry exists only if its parent's entry
-   exists — enforced at store time and preserved by evicting whole entry
-   subtrees.
+type stats = { hits : int; misses : int; admitted : int; rejected : int; bytes : int }
 
-   Admission: storing every prefix of every candidate order floods the
-   budget with one-shot deep suffixes and evicts the shareable shallow
-   state before it is ever reused (the seed benchmark measured 28k hits
-   against 933k misses).  Prefixes at depth <= [admit_depth] are admitted
-   unconditionally; deeper ones only once their trie node has been
-   visited [admit_visits] times — so only demonstrably shared deep
-   prefixes cost bytes.  Admission changes only which entries exist,
-   i.e. time, never results.
+let default () = ()
 
-   Determinism: a hit replays a faithful redo log of a deterministic
-   build, so it produces observably identical state to a fresh rebuild —
-   sharing changes time, never results (the §7 contract).  Ratings,
-   chosen orders, node and eval counts are therefore cache-independent;
-   only the hit/miss/eviction counters (and wall time) depend on cache
-   state.
-
-   Concurrency: one shard per pool participant ({!Amg_parallel.Pool.self}),
-   so shard internals (trie, LRU list, counters) are only ever touched by
-   their owning domain — no locks on the hot path.  The global byte total
-   is an atomic; when it exceeds the budget the storing participant evicts
-   from its own shard, least-recently-used first.
-
-   Accounting is conservative by construction: every admitted entry is
-   counted once, every evicted entry once, so
-   [admitted = entries (live) + evictions] holds at any quiescent point —
-   the stats test asserts it. *)
-
-module Lobj = Amg_layout.Lobj
-module Pool = Amg_parallel.Pool
-module Obs = Amg_obs.Obs
-
-(* Per-depth counters are bucketed: depths beyond the last bucket fold
-   into it.  12 buckets cover every workload in the bench suite. *)
-let depth_buckets = 12
-
-let bucket depth = min depth depth_buckets
-
-(* Obs counter names per bucket, precomputed so the hot path never
-   allocates a string. *)
-let obs_names stem =
-  Array.init (depth_buckets + 1) (fun d ->
-      if d = depth_buckets then Printf.sprintf "prefix_cache.%s.d%d+" stem d
-      else Printf.sprintf "prefix_cache.%s.d%d" stem d)
-
-let hit_names = obs_names "hits"
-let miss_names = obs_names "misses"
-let eviction_names = obs_names "evictions"
-
-type data =
-  | Anchor of Lobj.t     (* depth 1: private full copy, the chain root *)
-  | Suffix of Lobj.delta (* depth >= 2: steps from the parent prefix *)
-
-type node = {
-  key : int; (* uid, or the scope at depth 0 *)
-  depth : int;
-  parent : node option;
-  children : (int, node) Hashtbl.t;
-  mutable entry : entry option;
-  mutable visits : int; (* store attempts; drives admission *)
-}
-
-and entry = {
-  e_data : data;
-  e_bbox : Amg_geometry.Rect.t option; (* bbox at store time — the bound peek *)
-  e_bytes : int;
-  e_node : node;
-  mutable e_prev : entry option; (* toward most-recently-used *)
-  mutable e_next : entry option; (* toward least-recently-used *)
-}
-
-type shard = {
-  root : node;
-  mutable mru : entry option;
-  mutable lru : entry option;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  mutable s_admitted : int;
-  mutable s_rejected : int;
-  mutable s_bytes : int;
-  mutable s_entries : int;
-  (* index 0 unused; index [bucket depth] for depth >= 1 *)
-  sd_hits : int array;
-  sd_misses : int array;
-  sd_evictions : int array;
-  sd_entries : int array;
-  sd_bytes : int array;
-}
-
-type t = {
-  budget : int; (* bytes; 0 = disabled *)
-  admit_depth : int;  (* depths <= this admitted unconditionally *)
-  admit_visits : int; (* deeper: admitted from this many store attempts *)
-  bytes : int Atomic.t;
-  shards : shard array Atomic.t; (* index = participant; grown on demand *)
-  grow : Mutex.t;
-}
-
-type depth_stats = {
-  d_depth : int; (** bucket: 1 .. {!depth_buckets}, the last aggregates deeper *)
-  d_hits : int;
-  d_misses : int;
-  d_evictions : int;
-  d_entries : int;
-  d_bytes : int;
-}
-
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  admitted : int;
-  rejected : int;
-  bytes : int;
-  entries : int;
-  per_depth : depth_stats list;
-}
-
-let mk_node ?parent ~depth key =
-  { key; depth; parent; children = Hashtbl.create 4; entry = None; visits = 0 }
-
-let mk_shard () =
-  {
-    root = mk_node ~depth:(-1) 0;
-    mru = None;
-    lru = None;
-    s_hits = 0;
-    s_misses = 0;
-    s_evictions = 0;
-    s_admitted = 0;
-    s_rejected = 0;
-    s_bytes = 0;
-    s_entries = 0;
-    sd_hits = Array.make (depth_buckets + 1) 0;
-    sd_misses = Array.make (depth_buckets + 1) 0;
-    sd_evictions = Array.make (depth_buckets + 1) 0;
-    sd_entries = Array.make (depth_buckets + 1) 0;
-    sd_bytes = Array.make (depth_buckets + 1) 0;
-  }
-
-let default_admit_depth = 4
-let default_admit_visits = 2
-
-let create ?(budget_bytes = 64 * 1024 * 1024)
-    ?(admit_depth = default_admit_depth)
-    ?(admit_visits = default_admit_visits) () =
-  {
-    budget = max 0 budget_bytes;
-    admit_depth = max 1 admit_depth;
-    admit_visits = max 1 admit_visits;
-    bytes = Atomic.make 0;
-    shards = Atomic.make [| mk_shard () |];
-    grow = Mutex.create ();
-  }
-
-let disabled = create ~budget_bytes:0 ()
-
-let enabled t = t.budget > 0
-
-(* The calling participant's shard; other participants' shards are never
-   read — their owner may be mutating them. *)
-let shard (t : t) =
-  let i = Pool.self () in
-  let a = Atomic.get t.shards in
-  if i < Array.length a then a.(i)
-  else begin
-    Mutex.lock t.grow;
-    let a = Atomic.get t.shards in
-    let a =
-      if i < Array.length a then a
-      else begin
-        let b =
-          Array.init (i + 1) (fun j ->
-              if j < Array.length a then a.(j) else mk_shard ())
-        in
-        Atomic.set t.shards b;
-        b
-      end
-    in
-    Mutex.unlock t.grow;
-    a.(i)
-  end
-
-(* --- LRU list maintenance (shard-local) --- *)
-
-let unlink sh e =
-  (match e.e_prev with Some p -> p.e_next <- e.e_next | None -> sh.mru <- e.e_next);
-  (match e.e_next with Some n -> n.e_prev <- e.e_prev | None -> sh.lru <- e.e_prev);
-  e.e_prev <- None;
-  e.e_next <- None
-
-let push_front sh e =
-  e.e_next <- sh.mru;
-  e.e_prev <- None;
-  (match sh.mru with Some m -> m.e_prev <- Some e | None -> sh.lru <- Some e);
-  sh.mru <- Some e
-
-let touch sh e =
-  unlink sh e;
-  push_front sh e
-
-(* --- counter helpers --- *)
-
-let count_hit sh depth =
-  let b = bucket depth in
-  sh.s_hits <- sh.s_hits + 1;
-  sh.sd_hits.(b) <- sh.sd_hits.(b) + 1;
-  Obs.count "prefix_cache.hits" 1;
-  Obs.count hit_names.(b) 1
-
-(* A miss is attributed to the depth at which the chain broke: the first
-   prefix depth with no entry.  Diagnosable per depth — an eviction storm
-   at depth d shows up as misses at d. *)
-let count_miss sh broke_at =
-  let b = bucket broke_at in
-  sh.s_misses <- sh.s_misses + 1;
-  sh.sd_misses.(b) <- sh.sd_misses.(b) + 1;
-  Obs.count "prefix_cache.misses" 1;
-  Obs.count miss_names.(b) 1
-
-(* --- trie walk --- *)
-
-let child node key = Hashtbl.find_opt node.children key
-
-let drop_one (t : t) sh node e =
-  node.entry <- None;
-  unlink sh e;
-  let b = bucket node.depth in
-  sh.s_bytes <- sh.s_bytes - e.e_bytes;
-  sh.s_entries <- sh.s_entries - 1;
-  sh.sd_bytes.(b) <- sh.sd_bytes.(b) - e.e_bytes;
-  sh.sd_entries.(b) <- sh.sd_entries.(b) - 1;
-  sh.s_evictions <- sh.s_evictions + 1;
-  sh.sd_evictions.(b) <- sh.sd_evictions.(b) + 1;
-  ignore (Atomic.fetch_and_add t.bytes (-e.e_bytes));
-  Obs.count "prefix_cache.evictions" 1;
-  Obs.count eviction_names.(b) 1
-
-(* Evicting an entry orphans every entry below it (they could no longer be
-   materialized), so the whole entry subtree goes with it — children
-   first, each counted as its own eviction.  Entry-less children cannot
-   have entried descendants (the store-time invariant), so the recursion
-   stops at them. *)
-let rec drop_subtree (t : t) sh node =
-  Hashtbl.iter
-    (fun _ c -> if c.entry <> None then drop_subtree t sh c)
-    node.children;
-  match node.entry with
-  | None -> ()
-  | Some e -> drop_one t sh node e
-
-let evict_to_budget (t : t) sh =
-  let continue = ref true in
-  while !continue && Atomic.get t.bytes > t.budget do
-    match sh.lru with
-    | None -> continue := false (* own shard dry; others own their bytes *)
-    | Some e -> drop_subtree t sh e.e_node
-  done
-
-(* --- chain walk + materialization --- *)
-
-(* Deepest contiguous run of entries along [uids]: returns the depth
-   reached and the entries, deepest first.  Contiguity equals
-   materializability by the store-time invariant. *)
-let deepest_chain sh ~scope uids =
-  match child sh.root scope with
-  | None -> (0, [])
-  | Some scope_node ->
-      let rec go node depth chain uids =
-        match uids with
-        | [] -> (depth, chain)
-        | uid :: rest -> (
-            match child node uid with
-            | Some c -> (
-                match c.entry with
-                | Some e -> go c (depth + 1) (e :: chain) rest
-                | None -> (depth, chain))
-            | None -> (depth, chain))
-      in
-      go scope_node 0 [] uids
-
-(* Copy the anchor and replay the suffixes down the chain.  Touch order is
-   deepest-first so the anchor ends up most-recently-used: it is the most
-   load-bearing entry (evicting it takes the whole subtree). *)
-let materialize sh ~name chain_deepest_first =
-  List.iter (touch sh) chain_deepest_first;
-  let chain = List.rev chain_deepest_first in
-  match chain with
-  | { e_data = Anchor o; _ } :: suffixes ->
-      let main = Lobj.copy ~name o in
-      List.iter
-        (fun e ->
-          match e.e_data with
-          | Suffix d -> Lobj.replay main d
-          | Anchor _ -> assert false (* anchors only at depth 1 *))
-        suffixes;
-      Lobj.set_name main name;
-      main
-  | _ -> assert false (* non-empty chains start at a depth-1 anchor *)
-
-(* --- public operations --- *)
-
-let find (t : t) ~scope ~name uids =
-  if t.budget = 0 then None
-  else begin
-    let sh = shard t in
-    let want = List.length uids in
-    let depth, chain = deepest_chain sh ~scope uids in
-    if depth = want && depth > 0 then begin
-      count_hit sh depth;
-      Some (materialize sh ~name chain)
-    end
-    else begin
-      count_miss sh (depth + 1);
-      None
-    end
-  end
-
-let find_longest (t : t) ~scope ~name uids =
-  if t.budget = 0 then None
-  else begin
-    let sh = shard t in
-    let depth, chain = deepest_chain sh ~scope uids in
-    if depth > 0 then begin
-      count_hit sh depth;
-      Some (depth, materialize sh ~name chain)
-    end
-    else begin
-      count_miss sh 1;
-      None
-    end
-  end
-
-(* Bound peek for branch-and-bound: the stored partial bounding box
-   without materializing the entry (no counters, no LRU touch). *)
-let peek_bbox (t : t) ~scope uids =
-  if t.budget = 0 then None
-  else begin
-    let sh = shard t in
-    let rec walk node uids =
-      match uids with
-      | [] -> node.entry
-      | uid :: rest -> (
-          match child node uid with Some c -> walk c rest | None -> None)
-    in
-    match child sh.root scope with
-    | None -> None
-    | Some n -> (
-        match walk n uids with Some e -> Some e.e_bbox | None -> None)
-  end
-
-(* Walk (and create) the trie path for [uids], bumping the target node's
-   visit count — the admission signal. *)
-let visit_node sh ~scope uids =
-  let node =
-    List.fold_left
-      (fun n uid ->
-        match child n uid with
-        | Some c -> c
-        | None ->
-            let c = mk_node ~parent:n ~depth:(n.depth + 1) uid in
-            Hashtbl.replace n.children uid c;
-            c)
-      (match child sh.root scope with
-      | Some s -> s
-      | None ->
-          let s = mk_node ~parent:sh.root ~depth:0 scope in
-          Hashtbl.replace sh.root.children scope s;
-          s)
-      uids
-  in
-  node.visits <- node.visits + 1;
-  node
-
-let note_visit (t : t) ~scope uids =
-  if t.budget > 0 && uids <> [] then begin
-    let sh = shard t in
-    ignore (visit_node sh ~scope uids);
-    sh.s_rejected <- sh.s_rejected + 1;
-    Obs.count "prefix_cache.rejected" 1
-  end
-
-let store (t : t) ~scope uids ~delta obj =
-  if t.budget = 0 || uids = [] then false
-  else begin
-    let sh = shard t in
-    let node = visit_node sh ~scope uids in
-    match node.entry with
-    | Some e ->
-        touch sh e (* identical by determinism; just refresh *);
-        true
-    | None ->
-        let depth = node.depth in
-        (* Chain invariant: a deeper entry needs its parent's entry live
-           (otherwise it could never be materialized).  Optimizer stores
-           run shallow-to-deep, so the parent is normally present; it is
-           absent exactly when the parent itself was rejected or evicted —
-           then the child is rejected too. *)
-        let parent_live =
-          depth = 1
-          || (match node.parent with Some p -> p.entry <> None | None -> false)
-        in
-        let admit =
-          parent_live
-          && (depth <= t.admit_depth || node.visits >= t.admit_visits)
-        in
-        if not admit then begin
-          sh.s_rejected <- sh.s_rejected + 1;
-          Obs.count "prefix_cache.rejected" 1;
-          false
-        end
-        else begin
-          let data, bytes =
-            if depth = 1 then
-              let c = Lobj.copy obj in
-              (Anchor c, Lobj.approx_bytes c)
-            else
-              let d = delta () in
-              (Suffix d, Lobj.delta_bytes d)
-          in
-          let e =
-            {
-              e_data = data;
-              e_bbox = Lobj.bbox obj;
-              e_bytes = bytes;
-              e_node = node;
-              e_prev = None;
-              e_next = None;
-            }
-          in
-          node.entry <- Some e;
-          push_front sh e;
-          let b = bucket depth in
-          sh.s_bytes <- sh.s_bytes + bytes;
-          sh.s_entries <- sh.s_entries + 1;
-          sh.s_admitted <- sh.s_admitted + 1;
-          sh.sd_bytes.(b) <- sh.sd_bytes.(b) + bytes;
-          sh.sd_entries.(b) <- sh.sd_entries.(b) + 1;
-          ignore (Atomic.fetch_and_add t.bytes bytes);
-          Obs.count "prefix_cache.bytes" bytes;
-          Obs.count "prefix_cache.admitted" 1;
-          evict_to_budget t sh;
-          (* Eviction under a tiny budget may reclaim the entry (or an
-             ancestor) we just pushed; report what is actually live. *)
-          node.entry <> None
-        end
-  end
-
-let stats (t : t) =
-  let shards = Atomic.get t.shards in
-  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 shards in
-  let sum_d f b = Array.fold_left (fun acc sh -> acc + (f sh).(b)) 0 shards in
-  let per_depth =
-    List.init depth_buckets (fun i ->
-        let b = i + 1 in
-        {
-          d_depth = b;
-          d_hits = sum_d (fun sh -> sh.sd_hits) b;
-          d_misses = sum_d (fun sh -> sh.sd_misses) b;
-          d_evictions = sum_d (fun sh -> sh.sd_evictions) b;
-          d_entries = sum_d (fun sh -> sh.sd_entries) b;
-          d_bytes = sum_d (fun sh -> sh.sd_bytes) b;
-        })
-  in
-  {
-    hits = sum (fun sh -> sh.s_hits);
-    misses = sum (fun sh -> sh.s_misses);
-    evictions = sum (fun sh -> sh.s_evictions);
-    admitted = sum (fun sh -> sh.s_admitted);
-    rejected = sum (fun sh -> sh.s_rejected);
-    bytes = sum (fun sh -> sh.s_bytes);
-    entries = sum (fun sh -> sh.s_entries);
-    per_depth;
-  }
-
-(* --- the process-wide default (amgen --cache-mb / --cache-admit-…) --- *)
-
-let default_budget_mb = Atomic.make 64
-let default_admit_depth_v = Atomic.make default_admit_depth
-let default_admit_visits_v = Atomic.make default_admit_visits
-
-let default_cache : t option Atomic.t = Atomic.make None
-
-let default () =
-  match Atomic.get default_cache with
-  | Some c -> c
-  | None ->
-      let c =
-        match Atomic.get default_budget_mb with
-        | 0 -> disabled
-        | mb ->
-            create ~budget_bytes:(mb * 1024 * 1024)
-              ~admit_depth:(Atomic.get default_admit_depth_v)
-              ~admit_visits:(Atomic.get default_admit_visits_v) ()
-      in
-      (* First-use race: both candidates are empty, either wins. *)
-      if Atomic.compare_and_set default_cache None (Some c) then c
-      else Option.get (Atomic.get default_cache)
-
-let set_default_budget_mb mb =
-  Atomic.set default_budget_mb (max 0 mb);
-  Atomic.set default_cache None
-
-let set_default_policy ?admit_depth ?admit_visits () =
-  Option.iter
-    (fun d -> Atomic.set default_admit_depth_v (max 1 d))
-    admit_depth;
-  Option.iter
-    (fun v -> Atomic.set default_admit_visits_v (max 1 v))
-    admit_visits;
-  Atomic.set default_cache None
-
-(* --- serving metrics registration -------------------------------------
-
-   Callback-backed instruments over the process default cache, for the
-   serve daemon's scrape surface.  Callbacks run [stats (default ())] at
-   snapshot time, so they follow budget/policy resets that swap the
-   default instance out.  Registration is idempotent (re-registering
-   replaces the callbacks). *)
-
-module Metrics = Amg_obs.Metrics
-
-let register_metrics () =
-  let st f () = f (stats (default ())) in
-  Metrics.counter_fn "prefix_cache.hits" (st (fun s -> s.hits));
-  Metrics.counter_fn "prefix_cache.misses" (st (fun s -> s.misses));
-  Metrics.counter_fn "prefix_cache.evictions" (st (fun s -> s.evictions));
-  Metrics.counter_fn "prefix_cache.admitted" (st (fun s -> s.admitted));
-  Metrics.counter_fn "prefix_cache.rejected" (st (fun s -> s.rejected));
-  Metrics.gauge_fn "prefix_cache.bytes" (st (fun s -> float_of_int s.bytes));
-  Metrics.gauge_fn "prefix_cache.entries" (st (fun s -> float_of_int s.entries));
-  for b = 1 to depth_buckets do
-    let label =
-      if b = depth_buckets then Printf.sprintf "%d+" b else string_of_int b
-    in
-    Metrics.gauge_fn ~labels:[ ("depth", label) ] "prefix_cache.hit_rate"
-      (st (fun s ->
-           match List.find_opt (fun d -> d.d_depth = b) s.per_depth with
-           | None -> 0.
-           | Some d ->
-               let total = d.d_hits + d.d_misses in
-               if total = 0 then 0.
-               else float_of_int d.d_hits /. float_of_int total))
-  done
+let stats () = { hits = 0; misses = 0; admitted = 0; rejected = 0; bytes = 0 }

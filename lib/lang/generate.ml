@@ -18,14 +18,11 @@ type request = {
   max_time : float option;
   max_evals : int option;
   domains : int option;
-  cache : Amg_core.Prefix_cache.t option;
-  scope : int option;
   store : (Store.t * string) option;
 }
 
-let request ?search ?max_time ?max_evals ?domains ?cache ?scope ?store entity
-    params =
-  { entity; params; search; max_time; max_evals; domains; cache; scope; store }
+let request ?search ?max_time ?max_evals ?domains ?store entity params =
+  { entity; params; search; max_time; max_evals; domains; store }
 
 type searched = { rating : float; compacts : int; canonical_kept : bool }
 type outcome = { layout : Lobj.t; searched : searched option; degraded : bool }
@@ -59,21 +56,17 @@ let transplant_ports ~from obj =
 
 (* The one place a strategy picks its search. *)
 let search env r strategy ~base ?budget steps =
-  let { entity = name; domains; cache; scope; store; _ } = r in
+  let { entity = name; domains; store; _ } = r in
   match strategy with
-  | Wire.Orders ->
-      Optimize.optimize env ~name ~base ?domains ?budget ?cache ?scope ?store
-        steps
+  | Wire.Orders -> Optimize.optimize env ~name ~base ?domains ?budget ?store steps
   | Wire.Bb ->
       let o, rating, order, _nodes =
-        Optimize.optimize_bb env ~name ~base ?domains ?budget ?cache ?scope
-          ?store steps
+        Optimize.optimize_bb env ~name ~base ?domains ?budget ?store steps
       in
       (o, rating, order)
   | Wire.Local ->
       let o, rating, order, _evals =
-        Optimize.optimize_local env ~name ~base ?domains ?budget ?cache ?scope
-          ?store steps
+        Optimize.optimize_local env ~name ~base ?domains ?budget ?store steps
       in
       (o, rating, order)
 

@@ -20,16 +20,14 @@ val request :
   ?max_time:float ->
   ?max_evals:int ->
   ?domains:int ->
-  ?cache:Amg_core.Prefix_cache.t ->
-  ?scope:int ->
   ?store:Amg_store.Store.t * string ->
   string ->
   (string * Value.t) list ->
   request
 (** [request entity params]: no [?search] builds the canonical layout
     only.  [?max_time] (seconds, counted from the search's start) and
-    [?max_evals] budget the search; [?domains], [?cache], [?scope] and
-    [?store] (handle and {!store_key}) go to {!Amg_core.Optimize}. *)
+    [?max_evals] budget the search; [?domains] and [?store] (handle and
+    {!store_key}) go to {!Amg_core.Optimize}. *)
 
 type searched = {
   rating : float;  (** the search's rating of its winner *)

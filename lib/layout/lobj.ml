@@ -582,132 +582,6 @@ let with_snapshot t f =
         restore t snap;
         raise e)
 
-(* --- journal deltas ---
-
-   The journal records inverses; read forward (oldest first) each inverse
-   names exactly the store mutation that produced it, so a journal window
-   doubles as a redo log.  A [delta] is such a window plus the scalar
-   fields at its end — applying it to an object in the window's start
-   state reproduces the end state.  This is what the prefix cache stores
-   per trie node: the steps between a parent prefix and its child, instead
-   of a full copy of the child layout. *)
-
-type delta_op =
-  | D_enter of Shape.t
-  | D_absorb of Shape.t array
-  | D_remove of int
-  | D_replace of Shape.t
-  | D_translate of int * int
-  | D_new_layer of string
-
-type delta = {
-  d_ops : delta_op array; (* oldest first *)
-  d_name : string;
-  d_ports : Port.t list;
-  d_arrays : (int * array_spec) list;
-  d_next_id : int;
-  d_layer_order : string list;
-}
-
-type mark = int
-
-let mark t =
-  if not (journaling t) then
-    Fmt.invalid_arg "Lobj.mark: %s has no live snapshot (not journaling)"
-      t.name;
-  t.j_len
-
-let forward_op = function
-  | U_enter s -> D_enter s
-  | U_absorb batch -> D_absorb batch
-  | U_remove (_, s) -> D_remove s.Shape.id
-  | U_replace (_, _, s) -> D_replace s
-  | U_translate (dx, dy) -> D_translate (dx, dy)
-  | U_new_layer layer -> D_new_layer layer
-
-let delta_since t m =
-  if m > t.j_len then
-    Fmt.invalid_arg "Lobj.delta_since: stale mark on %s" t.name;
-  let n = t.j_len - m in
-  let ops = Array.make n (D_translate (0, 0)) in
-  (* The journal is newest-first; fill the array back to front. *)
-  let rec fill src k =
-    if k >= 0 then
-      match src with
-      | u :: rest ->
-          ops.(k) <- forward_op u;
-          fill rest (k - 1)
-      | [] -> assert false
-  in
-  fill t.journal (n - 1);
-  {
-    d_ops = ops;
-    d_name = t.name;
-    d_ports = t.ports;
-    d_arrays = t.arrays;
-    d_next_id = t.next_id;
-    d_layer_order = t.layer_order;
-  }
-
-(* Replaying an enter re-enters the recorded shape verbatim (recorded ids,
-   not fresh ones), so the replayed store is observably identical to the
-   original build: same shapes, same ids, same insertion order, same
-   spatial-index answers.  Slot packing may differ (squeezing was
-   suppressed during the journaled build) but slot indexes are not
-   observable.  The scalar fields are installed afterwards, overwriting
-   whatever the ops touched in passing. *)
-let replay t d =
-  Array.iter
-    (function
-      | D_enter s -> enter t s
-      | D_absorb batch -> enter_batch t batch
-      | D_remove id -> remove t id
-      | D_replace s -> replace t s
-      | D_translate (dx, dy) -> translate t ~dx ~dy
-      | D_new_layer layer -> ignore (layer_of t layer))
-    d.d_ops;
-  t.name <- d.d_name;
-  t.ports <- d.d_ports;
-  t.arrays <- d.d_arrays;
-  t.next_id <- d.d_next_id;
-  t.layer_order <- d.d_layer_order
-
-(* An absorb record counts as the k shape enters it batches, so the
-   length and the byte estimate are those of the per-shape log. *)
-let delta_length d =
-  Array.fold_left
-    (fun n -> function D_absorb batch -> n + Array.length batch | _ -> n + 1)
-    0 d.d_ops
-
-(* Rough heap footprint of a delta for cache byte budgets: the op array
-   spine plus the shapes retained by enter/absorb/replace ops; the scalar
-   lists are shared immutable values, count their spines only. *)
-let delta_bytes d =
-  let shape_bytes =
-    Array.fold_left
-      (fun acc -> function
-        | D_enter _ | D_replace _ -> acc + 200
-        | D_absorb batch -> acc + (200 * Array.length batch)
-        | D_remove _ | D_translate _ | D_new_layer _ -> acc)
-      0 d.d_ops
-  in
-  256
-  + (48 * delta_length d)
-  + shape_bytes
-  + (16 * List.length d.d_ports)
-  + (16 * List.length d.d_arrays)
-
-(* Rough heap footprint of the store, for the prefix cache's byte budget.
-   Per live shape: the record (~9 fields + a rect), one id-table entry and
-   a handful of spatial-index bin slots; per dead slot one word; plus the
-   fixed tables.  An estimate — eviction needs proportionality, not
-   exactness. *)
-let approx_bytes t =
-  2048 + (320 * t.live) + (16 * (t.n_slots - t.live))
-  + (160 * List.length t.ports)
-  + (96 * List.length t.arrays)
-  + (512 * Hashtbl.length t.by_layer)
-
 let add_port t ~name ~net ~layer ~rect =
   let p = Port.make ~name ~net ~layer ~rect in
   t.ports <- t.ports @ [ p ];

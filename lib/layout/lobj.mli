@@ -70,8 +70,8 @@ val iter_near :
 
 val keep_clear_on : t -> string -> int
 (** Number of keep-clear shapes on the layer (0 for an absent layer).
-    Maintained incrementally by every store mutation, journal undo and
-    replay, {!copy} and {!absorb}. *)
+    Maintained incrementally by every store mutation, journal undo,
+    {!copy} and {!absorb}. *)
 
 val shapes_on_net : t -> string -> Shape.t list
 val rects : t -> Amg_geometry.Rect.t list
@@ -139,56 +139,6 @@ val release : t -> snapshot -> unit
 val with_snapshot : t -> (unit -> 'a) -> 'a
 (** [with_snapshot t f] runs [f] under a fresh snapshot, restores on any
     exception, and releases the snapshot either way. *)
-
-(** {2 Journal deltas}
-
-    Read forward, the snapshot journal doubles as a redo log: each inverse
-    names exactly the store mutation that produced it.  A {!delta} captures
-    a window of that log (plus the scalar fields at its end), and {!replay}
-    applies it to another object that is in the window's start state —
-    reproducing an observably identical end state: same shapes with the
-    same ids in the same insertion order, same ports, arrays, name, layer
-    set and spatial-index answers.  The prefix cache stores one delta per
-    trie node (the steps between a parent prefix and its child) instead of
-    a full layout copy, and materializes a lookup by replaying the delta
-    chain from its anchor (see DESIGN.md §11). *)
-
-type mark
-(** A position in the journal.  Only meaningful while the snapshot that
-    started the journal is live. *)
-
-val mark : t -> mark
-(** The current journal position.
-    @raise Invalid_argument when no snapshot is live (nothing is being
-    journaled, so there is no position to name). *)
-
-type delta
-
-val delta_since : t -> mark -> delta
-(** The mutations between [mark] and now, as a replayable forward log,
-    plus the current scalar fields.  O(mutations in the window).  The
-    shapes inside are shared immutable values; the delta stays valid after
-    the journal is dropped.
-    @raise Invalid_argument when the journal has been rewound past the
-    mark. *)
-
-val replay : t -> delta -> unit
-(** Apply the delta's mutations in order, then install its scalar fields.
-    The target must be in the state the delta was extracted from (i.e. a
-    copy of the object as it stood at the delta's mark) — replaying
-    elsewhere is undefined (typically [Invalid_argument] from a missing
-    shape id). *)
-
-val delta_bytes : delta -> int
-(** Rough heap footprint of the delta, for cache byte budgets. *)
-
-val delta_length : delta -> int
-(** Number of store mutations in the delta.  An {!absorb} of k shapes is
-    one record but counts as its k shape enters, here and in
-    {!delta_bytes}. *)
-
-val approx_bytes : t -> int
-(** Rough heap footprint of the store, for cache byte budgets. *)
 
 val add_port :
   t -> name:string -> net:string -> layer:string -> rect:Amg_geometry.Rect.t -> Port.t

@@ -42,16 +42,6 @@ type t = {
 
 let size t = t.n
 
-(* Participant index of the calling domain: 0 for the caller (and for any
-   domain that never joined a pool), k for the k-th spawned worker of the
-   pool it belongs to.  Stored in domain-local state — two participants
-   never share a domain, so the value is stable for the whole life of the
-   worker.  Consumers (the optimizer's prefix cache) use it to pick a
-   participant-private shard without locking. *)
-let participant_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let self () = Domain.DLS.get participant_key
-
 let recommended () = Domain.recommended_domain_count ()
 
 (* Process-wide default, settable from the command line (amgen --jobs). *)
@@ -192,9 +182,7 @@ let create ?domains () =
   in
   t.workers <-
     List.init (n - 1) (fun k ->
-        Domain.spawn (fun () ->
-            Domain.DLS.set participant_key (k + 1);
-            worker_loop t (k + 1) 0));
+        Domain.spawn (fun () -> worker_loop t (k + 1) 0));
   t
 
 let shutdown t =
@@ -212,11 +200,9 @@ let shutdown t =
    dominant cost of small parallel searches.  Instead, idle pools are
    parked per size and handed back out: a checked-out pool is exclusively
    owned (re-entry stays impossible), a parked pool's workers sleep on
-   the condition variable.  Workers keep their domain — and with it their
-   {!self} participant index — across checkouts, so consumers keyed on
-   the participant index (the prefix cache's shards) keep their state
-   warm too.  Parked pools are shut down at exit so the process never
-   waits on a sleeping domain. *)
+   the condition variable.  Workers keep their domain across checkouts.
+   Parked pools are shut down at exit so the process never waits on a
+   sleeping domain. *)
 let parked : (int, t list) Hashtbl.t = Hashtbl.create 4
 let park_lock = Mutex.create ()
 

@@ -28,12 +28,6 @@ val create : ?domains:int -> unit -> t
 val size : t -> int
 (** Number of participants, including the calling domain. *)
 
-val self : unit -> int
-(** Participant index of the calling domain: [0] for a pool's calling
-    domain (and for any domain outside a pool), [k] for the [k]-th worker
-    of the pool it belongs to.  Stable for a domain's whole life, so it can
-    select participant-private state (e.g. a cache shard) without locks. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Only for pools from
     {!create}; {!with_pool} pools are managed by the checkout registry. *)
@@ -42,9 +36,9 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with an exclusively owned pool of the requested
     size and returns it afterwards (also on exception).  Pools are checked
     out of a process-wide registry keyed by size — spawning domains costs
-    milliseconds, so the workers (and their {!self} participant indices)
-    persist across calls, idling on a condition variable between jobs.
-    Parked pools are shut down at process exit.
+    milliseconds, so the workers persist across calls, idling on a
+    condition variable between jobs.  Parked pools are shut down at
+    process exit.
 
     The checkout registry is mutex-guarded, so concurrent system threads
     (the serving daemon's request handlers) may call [with_pool] freely:

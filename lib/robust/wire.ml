@@ -91,12 +91,7 @@ let stop ?id () = control Stop ?id ()
 let metrics ?id ?json () = control Metrics ?id ?json ()
 let health ?id () = control Health ?id ()
 
-type server_stats = {
-  elapsed_ms : float;
-  queue_depth : int;
-  cache_hits : int;
-  cache_misses : int;
-}
+type server_stats = { elapsed_ms : float; queue_depth : int }
 
 type response = {
   id : string option;
@@ -213,8 +208,6 @@ let encode_response (r : response) =
                 [
                   ("elapsed_ms", Jnum s.elapsed_ms);
                   ("queue_depth", Jnum (float_of_int s.queue_depth));
-                  ("cache_hits", Jnum (float_of_int s.cache_hits));
-                  ("cache_misses", Jnum (float_of_int s.cache_misses));
                 ] ))
           r.stats;
       ]
@@ -397,9 +390,7 @@ let decode_response line =
             in
             let* elapsed_ms = need "elapsed_ms" in
             let* queue_depth = need_int "queue_depth" in
-            let* cache_hits = need_int "cache_hits" in
-            let* cache_misses = need_int "cache_misses" in
-            Ok (Some { elapsed_ms; queue_depth; cache_hits; cache_misses })
+            Ok (Some { elapsed_ms; queue_depth })
         | Some _ -> Error "field \"stats\" must be an object"
       in
       Ok { id; status; rating; format; payload; diagnostics; stats }

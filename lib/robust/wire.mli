@@ -50,11 +50,11 @@ type request = {
   max_evals : int option;  (** Per-request {!Budget} eval cap. *)
   max_time : float option;  (** Per-request deadline, seconds. *)
   jobs : int option;  (** Domains for the search pool. *)
-  tenant : string option;  (** Cache scope; [None] = shared default. *)
+  tenant : string option;  (** Memo scope; [None] = shared default. *)
   format : payload_format;
   permissive : bool;  (** Per-request {!Policy} mode. *)
   stats : bool;
-      (** Ask for timing/cache counters in the response.  Responses with
+      (** Ask for timing counters in the response.  Responses with
           [stats = false] are byte-deterministic; the stats object is the
           one deliberately nondeterministic field. *)
   json : bool;
@@ -100,8 +100,6 @@ val health : ?id:string -> unit -> request
 type server_stats = {
   elapsed_ms : float;  (** Wall time inside the request handler. *)
   queue_depth : int;  (** Requests ahead in the queue at admission. *)
-  cache_hits : int;  (** Prefix-cache hits during this request. *)
-  cache_misses : int;  (** Prefix-cache misses during this request. *)
 }
 
 type response = {

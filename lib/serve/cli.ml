@@ -143,7 +143,7 @@ let tenant_limit_arg =
     & info [ "tenant-limit" ] ~docv:"N"
         ~doc:
           "Tenant environments kept resident (LRU); an evicted tenant that \
-           returns starts from a cold cache scope.")
+           returns starts with an empty memo.")
 
 let no_warm_arg =
   Arg.(
@@ -152,15 +152,6 @@ let no_warm_arg =
         ~doc:
           "Do not pre-spawn the shared domain pool at startup (the first \
            optimizing request pays the spawn cost instead).")
-
-let cache_mb_arg =
-  Arg.(
-    value
-    & opt (some (int_at_least 0 "--cache-mb")) None
-    & info [ "cache-mb" ] ~docv:"MB"
-        ~doc:
-          "Byte budget (MiB) of the resident prefix cache shared by all \
-           requests; 0 disables it.  Results are identical either way.")
 
 let stats_arg =
   Arg.(
@@ -211,8 +202,8 @@ let access_log_arg =
     & info [ "access-log" ] ~docv:"FILE"
         ~doc:
           "Append one JSON line per request (id, tenant, op, status, cache \
-           outcome, latency, queue wait, evals, cache hits/misses).  \
-           Reopened on SIGHUP for log rotation.")
+           outcome, latency, queue wait, evals).  Reopened on SIGHUP for \
+           log rotation.")
 
 let store_arg =
   Arg.(
@@ -235,9 +226,8 @@ let sweep_limit_arg =
            specs are rejected with status 2 before any compute runs.")
 
 let run_serve socket tcp library tech jobs queue_limit max_frame memo_limit
-    tenant_limit no_warm cache_mb stats trace trace_dir trace_sample slow_ms
+    tenant_limit no_warm stats trace trace_dir trace_sample slow_ms
     access_log store sweep_limit =
-  Option.iter Amg_core.Prefix_cache.set_default_budget_mb cache_mb;
   let result =
     with_obs ~stats ~trace @@ fun () ->
     Diag.guard ~convert:Amg_lang.Generate.convert_exn (fun () ->
@@ -271,7 +261,7 @@ let serve_term =
   Term.(
     const run_serve $ socket_arg $ tcp_arg $ library_arg $ tech_arg $ jobs_arg
     $ queue_limit_arg $ max_frame_arg $ memo_limit_arg $ tenant_limit_arg
-    $ no_warm_arg $ cache_mb_arg $ stats_arg $ trace_arg $ trace_dir_arg
+    $ no_warm_arg $ stats_arg $ trace_arg $ trace_dir_arg
     $ trace_sample_arg $ slow_ms_arg $ access_log_arg $ store_arg
     $ sweep_limit_arg)
 
@@ -280,7 +270,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the generator daemon: newline-delimited JSON requests over a \
-          Unix-domain socket, served against the resident prefix cache.  \
+          Unix-domain socket, served against resident memoized builds.  \
           SIGTERM/SIGINT shut down gracefully; SIGUSR1 checkpoints the \
           --store; SIGHUP reopens the --access-log.")
     serve_term
@@ -325,8 +315,8 @@ let tenant_arg =
     & opt (some string) None
     & info [ "tenant" ] ~docv:"NAME"
         ~doc:
-          "Cache scope: requests of different tenants never share cached \
-           prefixes or memoized builds.")
+          "Memo scope: requests of different tenants never share memoized \
+           builds or results.")
 
 let format_arg =
   let formats =
@@ -348,7 +338,7 @@ let rstats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Ask for timing and cache counters; printed to stderr.")
+        ~doc:"Ask for timing counters; printed to stderr.")
 
 let permissive_arg =
   Arg.(
@@ -427,6 +417,10 @@ let parse_params params =
 (* Sweep exchanges are streams, not one-line roundtrips: connect (with
    the same retry policy as oneshot), forward every row event line's
    payload to the sink, then report the final response like a build. *)
+let print_server_stats (s : Wire.server_stats) =
+  Fmt.epr "served in %.1f ms, queue depth %d@." s.Wire.elapsed_ms
+    s.Wire.queue_depth
+
 let run_sweep_request socket spec_file id jobs tenant rstats out retries =
   let spec = read_file spec_file in
   let req = Wire.sweep ?id ?jobs ?tenant ~stats:rstats spec in
@@ -459,13 +453,7 @@ let run_sweep_request socket spec_file id jobs tenant rstats out retries =
   | Ok resp ->
       List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) resp.Wire.diagnostics;
       Option.iter (fun p -> Fmt.epr "sweep %s@." p) resp.Wire.payload;
-      Option.iter
-        (fun (s : Wire.server_stats) ->
-          Fmt.epr
-            "served in %.1f ms, queue depth %d, cache %d hits / %d misses@."
-            s.Wire.elapsed_ms s.Wire.queue_depth s.Wire.cache_hits
-            s.Wire.cache_misses)
-        resp.Wire.stats;
+      Option.iter print_server_stats resp.Wire.stats;
       (match (out, resp.Wire.status) with
       | Some path, (0 | 3) -> Fmt.epr "wrote %s@." path
       | _ -> ());
@@ -511,14 +499,7 @@ let run_request socket ping stop sweep entity params optimize max_evals
             (fun d -> Fmt.epr "%a@." Diag.pp d)
             resp.Wire.diagnostics;
           Option.iter (fun r -> Fmt.epr "rating %g@." r) resp.Wire.rating;
-          Option.iter
-            (fun (s : Wire.server_stats) ->
-              Fmt.epr
-                "served in %.1f ms, queue depth %d, cache %d hits / %d \
-                 misses@."
-                s.Wire.elapsed_ms s.Wire.queue_depth s.Wire.cache_hits
-                s.Wire.cache_misses)
-            resp.Wire.stats;
+          Option.iter print_server_stats resp.Wire.stats;
           (match (resp.Wire.payload, out) with
           | Some p, None -> print_string p
           | Some p, Some path ->

@@ -11,12 +11,11 @@
    only from the serialized section (so they need no locks):
 
    - per-tenant environments: each tenant gets its own [Env.t], whose
-     stamp keys the prefix-cache scope — tenants can never hit each
-     other's entries;
-   - a memo of recorded canonical builds keyed by (tenant, entity,
-     params): repeated requests replay the same frozen step list, so
-     their searches share cached prefixes across requests
-     ([Optimize.env_scope]). *)
+     stamp keys the memo — tenants can never hit each other's entries;
+   - a memo keyed by (tenant, entity, params) holding the recorded
+     canonical build and, for unbudgeted strict searches, the finished
+     result per search strategy.  Behind it sits the durable result
+     store, when one is configured. *)
 
 module Diag = Amg_robust.Diag
 module Policy = Amg_robust.Policy
@@ -26,9 +25,7 @@ module Obs = Amg_obs.Obs
 module Metrics = Amg_obs.Metrics
 module Trace = Amg_obs.Trace
 module Env = Amg_core.Env
-module Optimize = Amg_core.Optimize
 module Generate = Amg_lang.Generate
-module Prefix_cache = Amg_core.Prefix_cache
 module Rating = Amg_core.Rating
 module Lobj = Amg_layout.Lobj
 module Pool = Amg_parallel.Pool
@@ -304,8 +301,9 @@ let values params =
 
 (* Per-tenant environments are LRU-bounded like the memo: an unauthenticated
    stream of fresh tenant names must not grow the daemon without limit.  An
-   evicted tenant that returns simply gets a fresh [Env] (new stamp, cold
-   cache scope); its orphaned memo entries age out of the memo LRU. *)
+   evicted tenant that returns simply gets a fresh [Env] (new stamp, so
+   no memo entry of its old one matches); its orphaned memo entries age
+   out of the memo LRU. *)
 let tenant_env t = function
   | None -> t.env_default
   | Some name -> (
@@ -392,17 +390,12 @@ let canonical_build t env ~memoizable ~sg entity args =
 
 (* What a request did, for the latency histograms and the access log.
    [ro_outcome] is the cache-outcome label: memo-hit (either memo layer
-   answered), search-warm (the search resumed from prefix-cache entries),
-   cold (neither helped), degraded, error or — set by the caller, not
-   here — overloaded. *)
-type req_obs = {
-  ro_outcome : string;
-  ro_evals : int;
-  ro_hits : int;
-  ro_misses : int;
-}
+   answered), store-hit (the durable result store answered), cold
+   (neither helped), degraded, error or — set by the caller, not here —
+   overloaded. *)
+type req_obs = { ro_outcome : string; ro_evals : int }
 
-let quiet_obs = { ro_outcome = "none"; ro_evals = 0; ro_hits = 0; ro_misses = 0 }
+let quiet_obs = { ro_outcome = "none"; ro_evals = 0 }
 
 (* Search-effort counters the optimizer records per mode; their delta
    over a request is the access log's [evals] field.  Zero when Obs is
@@ -418,38 +411,23 @@ let eval_counter_names =
 let evals_now () =
   List.fold_left (fun acc n -> acc + Obs.counter n) 0 eval_counter_names
 
-(* Close a compute request: measure its prefix-cache and search effort
-   since the [before] snapshot, attach the stats object when the request
-   asked for it, and label the outcome — [label] picks it given the
-   request's prefix-cache hits. *)
-let measured (req : Wire.request) ~queue_depth (started, cache0, evals0) resp
-    label =
-  let cache1 = Prefix_cache.stats (Prefix_cache.default ()) in
-  let ro_hits = cache1.Prefix_cache.hits - cache0.Prefix_cache.hits in
-  let ro_misses = cache1.Prefix_cache.misses - cache0.Prefix_cache.misses in
+(* Close a compute request: measure its search effort since the [before]
+   snapshot, attach the stats object when the request asked for it, and
+   label the outcome. *)
+let measured (req : Wire.request) ~queue_depth (started, evals0) resp outcome =
   let stats =
     if req.stats then
       Some
         {
           Wire.elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.;
           queue_depth;
-          cache_hits = ro_hits;
-          cache_misses = ro_misses;
         }
     else None
   in
   ( { resp with Wire.stats },
-    {
-      ro_outcome = label ro_hits;
-      ro_evals = evals_now () - evals0;
-      ro_hits;
-      ro_misses;
-    } )
+    { ro_outcome = outcome; ro_evals = evals_now () - evals0 } )
 
-let snapshot () =
-  ( Unix.gettimeofday (),
-    Prefix_cache.stats (Prefix_cache.default ()),
-    evals_now () )
+let snapshot () = (Unix.gettimeofday (), evals_now ())
 
 (* Run one build request.  Called from the serialized section only. *)
 let handle_build t (req : Wire.request) ~queue_depth =
@@ -474,8 +452,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
      unbudgeted requests, so they are memoized whole next to the canonical
      build: a repeated identical request skips the search and replays the
      stored report byte-for-byte.  Budgeted requests bypass this memo —
-     their result depends on the budget — and resume from the resident
-     prefix cache instead. *)
+     their result depends on the budget — and always search. *)
   let best_opt =
     match (req.optimize, req.max_time, req.max_evals) with
     | Some opt, None, None when memoizable -> Some opt
@@ -507,23 +484,20 @@ let handle_build t (req : Wire.request) ~queue_depth =
           from_memo := memo_hit && req.optimize = None;
           (* Durable-store key: restart-stable (tech fingerprint, not the
              process-local Env.stamp) and tenant-free — stored results are
-             pure functions of tech/entity/params.  The record is frozen
-             together with its base, so the searches may share cached
-             prefixes across requests under the tenant's stable scope. *)
-          let store, scope =
+             pure functions of tech/entity/params. *)
+          let store =
             if memoizable then
-              ( Option.map
-                  (fun st ->
-                    (st, Generate.store_key ~tech:t.tech_fp req.entity params))
-                  t.result_store,
-                Some (Optimize.env_scope env) )
-            else (None, None)
+              Option.map
+                (fun st ->
+                  (st, Generate.store_key ~tech:t.tech_fp req.entity params))
+                t.result_store
+            else None
           in
           Generate.run ~canonical env t.program
             (Generate.request ?search:req.optimize ?max_time:req.max_time
                ?max_evals:req.max_evals
                ~domains:(Option.value req.jobs ~default:(pool_size t))
-               ?scope ?store req.entity params)
+               ?store req.entity params)
         in
         let mode = if req.permissive then Policy.Permissive else Policy.Strict in
         match Generate.guarded ~mode ?inject:req.inject run with
@@ -588,19 +562,15 @@ let handle_build t (req : Wire.request) ~queue_depth =
         | Some st -> (Store.stats st).Store.hits - store_hits_before
         | None -> 0
       in
-      (* A store hit replays one order through the prefix cache, so it
-         usually also scores prefix-cache hits; rank it above search-warm
-         to keep the label specific. *)
-      measured req ~queue_depth before resp (fun ro_hits ->
-          if resp.Wire.status = Wire.status_diag then "error"
-          else if resp.Wire.status = Wire.status_degraded then "degraded"
-          else if from_memo then "memo-hit"
-          else if store_hits > 0 then "store-hit"
-          else if ro_hits > 0 then "search-warm"
-          else "cold")
+      measured req ~queue_depth before resp
+        (if resp.Wire.status = Wire.status_diag then "error"
+         else if resp.Wire.status = Wire.status_degraded then "degraded"
+         else if from_memo then "memo-hit"
+         else if store_hits > 0 then "store-hit"
+         else "cold")
 
 (* Run one sweep request: expand the spec into a bounded grid, run it
-   under the same tenant environment / prefix cache / result store as
+   under the same tenant environment and result store as
    build requests, stream one {!Wire.encode_sweep_row} event line per
    output line over the connection as the canonical prefix completes,
    and finish with an ordinary response whose payload summarizes the
@@ -664,7 +634,7 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
                 (Wire.response ?id:req.id
                    ~diagnostics:(reported @ [ d ])
                    Wire.status_diag)
-                (fun _ -> "error")
+                "error"
           | Ok (Ok r, reported) ->
               let payload =
                 J.to_string
@@ -682,11 +652,9 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
               in
               measured req ~queue_depth before
                 (Wire.response ?id:req.id ~payload ~diagnostics:reported status)
-                (fun ro_hits ->
-                  if r.Sweep.failures > 0 then "degraded"
-                  else if r.Sweep.store_hits > 0 then "store-hit"
-                  else if ro_hits > 0 then "search-warm"
-                  else "cold")))
+                (if r.Sweep.failures > 0 then "degraded"
+                 else if r.Sweep.store_hits > 0 then "store-hit"
+                 else "cold")))
 
 (* --- telemetry: scrape payloads, access log, request traces ----------- *)
 
@@ -783,8 +751,6 @@ let access_line t ~rid ~(req : Wire.request) ~status ~lat_ms ~queue_ms
                   Some ("latency_ms", J.Jnum lat_ms);
                   Some ("queue_ms", J.Jnum queue_ms);
                   Some ("evals", J.Jnum (float_of_int ro.ro_evals));
-                  Some ("cache_hits", J.Jnum (float_of_int ro.ro_hits));
-                  Some ("cache_misses", J.Jnum (float_of_int ro.ro_misses));
                 ]))
       in
       Mutex.lock lock;
@@ -844,8 +810,7 @@ let register_metrics t =
   g "serve.pool.size" (fun () -> float_of_int (pool_size t));
   g "serve.pool.parked" (fun () -> float_of_int (Pool.parked_count ()));
   Metrics.counter_fn "serve.pool.steals" Pool.steals;
-  Metrics.counter_fn "serve.obs_events_dropped" Obs.dropped_events;
-  Prefix_cache.register_metrics ()
+  Metrics.counter_fn "serve.obs_events_dropped" Obs.dropped_events
 
 (* --- connection loop -------------------------------------------------- *)
 

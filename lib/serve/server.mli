@@ -1,5 +1,5 @@
 (** The generator service: a long-running daemon serving module builds
-    over a Unix-domain socket (and optionally TCP) with the prefix cache
+    over a Unix-domain socket (and optionally TCP) with memoized builds
     resident between requests.
 
     {b Protocol.}  Newline-delimited JSON ({!Amg_robust.Wire}): one
@@ -17,10 +17,10 @@
     safe without sprinkling locks through the engine.
 
     {b Warm serving.}  The daemon keeps per-tenant environments (distinct
-    {!Amg_core.Env.stamp} → distinct prefix-cache scopes) and memoizes
-    the recorded canonical build per (tenant, entity, params) signature,
-    so repeated requests replay the same frozen step list and hit the
-    resident cache across requests.
+    {!Amg_core.Env.stamp} → distinct memo keys) and memoizes the recorded
+    canonical build per (tenant, entity, params) signature, plus the
+    finished result of each unbudgeted strict search, so a repeated
+    request skips the build and, when it searches, the search.
 
     {b Shutdown.}  A [stop] request or {!request_stop} (wired to SIGTERM
     by {!run}) drains in-flight requests, wakes idle connections, rejects
@@ -29,9 +29,9 @@
     {b Telemetry.}  Every request updates the {!Amg_obs.Metrics}
     registry: a [serve.requests] counter and a [serve.latency] histogram,
     both labelled by op, response status and cache outcome
-    ([memo-hit]/[store-hit]/[search-warm]/[cold]/[degraded]/[error]/[overloaded]),
+    ([memo-hit]/[store-hit]/[cold]/[degraded]/[error]/[overloaded]),
     plus callback gauges over the queue, the memo layers, the tenant
-    table, the domain pool and the prefix cache.  The [metrics] and
+    table and the domain pool.  The [metrics] and
     [health] wire ops are answered straight from the connection thread —
     never queued behind compute — so a scrape stays fast under load.
     Optional extras: an ndjson access log ([access_log]), and per-request

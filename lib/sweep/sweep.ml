@@ -1,13 +1,14 @@
-(* Batch parameter-grid sweeps: Gray-code locality walk, chunked
-   scheduling onto the domain pool, incremental columnar output.
+(* Batch parameter-grid sweeps: Gray-code walk as the canonical row
+   order, chunked scheduling onto the domain pool, incremental columnar
+   output.
 
-   The canonical row order IS the locality walk, so the result file is a
-   pure function of the spec — scheduling (domain count, chunk size,
-   shuffled ablation) and warm state (prefix cache, result store) can
-   only move wall time, never bytes.  See DESIGN.md §15. *)
+   The result file is a pure function of the spec — scheduling (domain
+   count, chunk size, shuffled ablation) and the result store can only
+   move wall time, never bytes.  Instances share no search state: each
+   one's canonical build allocates fresh steps, so neighbours on the walk
+   are not cheaper to build together.  See DESIGN.md §15. *)
 
 module Env = Amg_core.Env
-module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
 module Generate = Amg_lang.Generate
 module Value = Amg_lang.Value
@@ -357,7 +358,7 @@ type result = {
   elapsed_s : float;
 }
 
-let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
+let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
     ?source_file ~on_line ~env ~source spec =
   if domains < 1 then invalid_arg "Sweep.run: domains < 1";
   if chunk < 1 then invalid_arg "Sweep.run: chunk < 1";
@@ -373,8 +374,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   (* The fingerprint is taken before the pool starts: tasks only read it. *)
   let store = Option.map (fun st -> (st, Generate.tech_fingerprint env)) store in
   let request params =
-    Generate.request ~search:spec.s_mode ~domains:1 ?cache
-      ~scope:(Optimize.env_scope env)
+    Generate.request ~search:spec.s_mode ~domains:1
       ?store:
         (Option.map
            (fun (st, tech) -> (st, Generate.store_key ~tech spec.s_entity params))

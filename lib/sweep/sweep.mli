@@ -1,4 +1,4 @@
-(** Batch parameter-grid sweeps with locality-aware scheduling.
+(** Batch parameter-grid sweeps.
 
     A sweep expands a small JSON spec — one entity, one value axis per
     parameter — into a canonical instance list, builds and
@@ -7,19 +7,19 @@
     followed by CSV rows, written incrementally in canonical order so a
     killed sweep keeps its completed prefix).
 
-    The canonical instance order {e is} the locality walk: a mixed-radix
-    reflected Gray-code path over the grid, so consecutive instances
-    differ in exactly one parameter by one grid step.  Scheduling chunks
-    consecutive walk indices onto the domain pool, keeping
-    parameter-neighbours on the same pool participant — and therefore on
-    the same prefix-cache shard and in the same result-store access
-    pattern — while rows are re-serialized into walk order for output.
+    The canonical instance order is a mixed-radix reflected Gray-code
+    walk over the grid, so consecutive rows differ in exactly one
+    parameter by one grid step.  Scheduling cuts the walk into chunks of
+    consecutive instances, one pool task per chunk, and rows are
+    re-serialized into walk order for output.  Instances share no search
+    state (each canonical build allocates fresh steps), so the chunk size
+    only sets the task granularity.
 
     Determinism: a row is a pure function of (environment, entity,
     parameters, search mode).  Inner searches always run on one domain,
     so rows — and the whole result file — are byte-identical for every
-    [?domains], every [?chunk], shuffled or locality scheduling, and
-    with the cache or store on or off (§7 contract). *)
+    [?domains], every [?chunk], shuffled or walk-order scheduling, and
+    with the store on or off (§7 contract). *)
 
 type axis = {
   a_name : string;
@@ -55,7 +55,7 @@ val grid_size : spec -> int
 (** Product of the axis lengths (before deduplication). *)
 
 val instances : spec -> (string * Amg_lang.Value.t) list list
-(** The canonical instance list: the Gray-code locality walk over the
+(** The canonical instance list: the Gray-code walk over the
     grid, with instances whose canonical parameter signature already
     appeared earlier in the walk removed.  Each instance binds every
     axis, in axis (= sorted name) order. *)
@@ -82,7 +82,6 @@ val run :
   ?domains:int ->
   ?chunk:int ->
   ?shuffle:bool ->
-  ?cache:Amg_core.Prefix_cache.t ->
   ?store:Amg_store.Store.t ->
   ?source_file:string ->
   on_line:(string -> unit) ->
@@ -98,11 +97,9 @@ val run :
     order, as soon as the prefix up to that row is complete (flush in
     [on_line] to keep the file crash-safe).
 
-    [?shuffle] replaces the locality-preserving schedule with a
-    deterministic shuffle of the instance order — an ablation hook: rows
-    are identical, only timings move.  [?cache] is the prefix cache for
-    the inner searches (default the process cache; pass
-    {!Amg_core.Prefix_cache.disabled} to opt out); [?store] consults and
+    [?shuffle] replaces the walk-order schedule with a deterministic
+    shuffle of the instance order — an ablation hook: rows are
+    identical, only timings move.  [?store] consults and
     populates the durable result store under each instance's canonical
     signature.
 

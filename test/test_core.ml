@@ -385,8 +385,8 @@ type reference = {
 }
 
 (* Reference steepest descent: every candidate is a plain [Optimize.apply]
-   rated with [Rating.rate] — no prefix cache, no pool, no symmetry
-   classes.  Same restarts (the LCG shuffles, drawn up front), same
+   rated with [Rating.rate] — no pool, no symmetry classes.  Same
+   restarts (the LCG shuffles, drawn up front), same
    neighbourhood (all pairwise swaps, same-mover ones too), ties to the
    lowest swap, and every evaluation counted. *)
 let reference_local e ~key ~restarts ~seed steps =
@@ -477,7 +477,7 @@ let local_case_gen =
       (oneof [ step_set_gen 3 7; dup_step_set_gen 3 7 ])
       (int_range 0 10_000) (int_range 1 3))
 
-(* [optimize_local] (prefix cache, pool, incumbent cell, symmetry classes)
+(* [optimize_local] (pool, incumbent cell, symmetry classes)
    agrees with the reference on rating, order and CIF bytes for every
    domain count.  Every same-mover swap the reference rates equals the
    current rating — the soundness of skipping them — and [optimize_local]

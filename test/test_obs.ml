@@ -188,11 +188,7 @@ let test_pool_determinism () =
     domain_counts
 
 (* The real pipeline: an order search records identical counters (work
-   done, not time spent) for every domain count.  The prefix cache is
-   disabled here: search *results* are cache-independent, but the work
-   counters (placements, sindex traffic, cache hits) depend on what is
-   cached and on which participant warmed its shard, so the counter
-   identity only holds in pure-work mode. *)
+   done, not time spent) for every domain count. *)
 let search_counters env d =
   finally_reset @@ fun () ->
   Obs.enable ();
@@ -211,11 +207,7 @@ let search_counters env d =
       Optimize.step (mk "d" (um 2.) (um 2.) "d") Dir.West;
     ]
   in
-  let _, _, _, nodes =
-    Optimize.optimize_bb env ~name:"p" ~domains:d
-      ~cache:Amg_core.Prefix_cache.disabled steps
-  in
-  ignore nodes;
+  ignore (Optimize.optimize_bb env ~name:"p" ~domains:d steps);
   Obs.counters ()
 
 let test_search_counters_deterministic () =

@@ -219,60 +219,6 @@ let test_unhit_budget_is_noop () =
     (order_indices steps order);
   check string "same layout" (fingerprint plain_obj) (fingerprint obj)
 
-(* --- budgets, faults and the shared prefix cache --- *)
-
-(* A search interrupted mid-way — by an eval cap or by an injected fault —
-   must leave the shared prefix cache consistent: only fully applied
-   prefixes are stored, so a later uncapped search resuming from that
-   cache returns exactly what a cache-free search returns.  The steps are
-   base-free so the cache scope is the environment stamp and entries are
-   shared across the calls. *)
-let test_interrupted_search_leaves_cache_consistent () =
-  let e = env () in
-  let um = Amg_geometry.Units.of_um in
-  let steps =
-    List.init 5 (fun i ->
-        let name = Printf.sprintf "cs%d" i in
-        let o = Lobj.create name in
-        ignore
-          (Lobj.add_shape o ~layer:"metal1"
-             ~rect:
-               (Amg_geometry.Rect.of_size ~x:0 ~y:0
-                  ~w:(um (float_of_int ((i mod 3) + 2)))
-                  ~h:(um (float_of_int (((i * 2) mod 4) + 2))))
-             ~net:name ());
-        Optimize.step o
-          (if i mod 2 = 0 then Amg_geometry.Dir.South
-           else Amg_geometry.Dir.West))
-  in
-  let cache = Amg_core.Prefix_cache.create () in
-  (* 1: an eval cap stops the local search after a handful of rebuilds *)
-  let budget = Budget.create ~max_evals:4 () in
-  ignore
-    (Optimize.optimize_local e ~name:"cs" ~domains:1 ~budget ~cache steps);
-  check bool "cap actually hit" true (Budget.degraded budget);
-  (* 2: a seeded fault schedule (plus one guaranteed early rule-lookup
-     fault) aborts another search mid-placement *)
-  Inject.arm (Inject.of_seed ~faults:2 7 @ [ (Inject.Rule_lookup, 3) ]);
-  (try
-     Fun.protect ~finally:Inject.disarm (fun () ->
-         ignore (Optimize.optimize_bb e ~name:"cs" ~domains:1 ~cache steps))
-   with Inject.Fault _ | Env.Rejected _ -> ());
-  (* 3: the warm cache must now be indistinguishable from no cache *)
-  let uids = List.map (fun (s : Optimize.step) -> s.Optimize.uid) in
-  let o_ref, r_ref, ord_ref, n_ref =
-    Optimize.optimize_bb e ~name:"cs" ~domains:1
-      ~cache:Amg_core.Prefix_cache.disabled steps
-  in
-  let hits0 = (Amg_core.Prefix_cache.stats cache).Amg_core.Prefix_cache.hits in
-  let o, r, ord, n = Optimize.optimize_bb e ~name:"cs" ~domains:1 ~cache steps in
-  check bool "verification run resumed from the interrupted cache" true
-    ((Amg_core.Prefix_cache.stats cache).Amg_core.Prefix_cache.hits > hits0);
-  check (float 1e-9) "rating identical" r_ref r;
-  check (list int) "order identical" (uids ord_ref) (uids ord);
-  check int "node count identical" n_ref n;
-  check string "layout byte-identical" (fingerprint o_ref) (fingerprint o)
-
 (* --- diagnostics JSON --- *)
 
 let sample_diags =
@@ -469,8 +415,6 @@ let suite =
     test_case "max-evals: degraded result identical for domains 1/2/4" `Quick
       test_max_evals_deterministic;
     test_case "unhit budget changes nothing" `Quick test_unhit_budget_is_noop;
-    test_case "interrupted searches leave the prefix cache consistent" `Quick
-      test_interrupted_search_leaves_cache_consistent;
     test_case "diag report JSON round-trip" `Quick test_diag_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_diag_json_roundtrip;
     test_case "inject spec parsing" `Quick test_parse_spec;

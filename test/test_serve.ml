@@ -1,5 +1,5 @@
 (* The generator service: wire protocol round-trips, malformed frames,
-   response-byte determinism, tenant cache isolation, concurrent clients,
+   response-byte determinism, tenant isolation, concurrent clients,
    per-request budgets and graceful shutdown.  Every daemon here runs
    in-process on a fresh temp socket (Test_util.with_server), so the tests
    need no subprocess plumbing and teardown is exception-safe. *)
@@ -12,7 +12,7 @@ module Client = Amg_serve.Client
 
 (* A parameterized stack of four contact rows: the same shape as the
    robustness suite's Stack, but taking W so different requests produce
-   different layouts (and different cache signatures). *)
+   different layouts (and different memo signatures). *)
 let pack_source =
   {|
 ENT Pack(<W>)
@@ -142,9 +142,7 @@ let gen_response =
     option
       (let* elapsed_ms = map Float.abs gen_num in
        let* queue_depth = int_range 0 64 in
-       let* cache_hits = int_range 0 10_000 in
-       let* cache_misses = int_range 0 10_000 in
-       pure { Wire.elapsed_ms; queue_depth; cache_hits; cache_misses })
+       pure { Wire.elapsed_ms; queue_depth })
   in
   pure { Wire.id; status; rating; format; payload; diagnostics; stats }
 
@@ -321,68 +319,71 @@ let test_determinism () =
     (fun i line -> check string (Printf.sprintf "jobs=2 run %d" i) reference line)
     l2
 
-(* --- tenant cache isolation -------------------------------------------- *)
+(* --- tenant isolation ---------------------------------------------------- *)
+
+(* The daemon's counters, read in-process: a request's cache-outcome label
+   ([serve.requests] by [cache]) and the canonical-build memo layer. *)
+let counter ?(labels = []) name =
+  Amg_obs.Metrics.counter_value (Amg_obs.Metrics.counter ~labels name)
+
+let outcomes () =
+  List.map
+    (fun o ->
+      counter "serve.requests"
+        ~labels:[ ("cache", o); ("op", "build"); ("status", "0") ])
+    [ "cold"; "memo-hit" ]
+
+let memo () = (counter "serve.memo.hits", counter "serve.memo.misses")
+
+(* Run [f] and return what it did to the outcome labels and memo counters:
+   ([cold; memo-hit] deltas, (memo hits, memo misses) deltas). *)
+let counted f =
+  let o0 = outcomes () and h0, m0 = memo () in
+  f ();
+  let h1, m1 = memo () in
+  (List.map2 ( - ) (outcomes ()) o0, (h1 - h0, m1 - m0))
 
 let test_tenant_isolation () =
   with_server @@ fun _t sock ->
-  let req tenant = pack ~optimize:Wire.Local ~tenant ~stats:true () in
-  let st r =
-    match r.Wire.stats with
-    | Some s -> s
-    | None -> fail "stats requested but absent"
+  let run ?max_evals tenant () =
+    let r = get sock (pack ~optimize:Wire.Local ?max_evals ~tenant ()) in
+    check int "status ok" Wire.status_ok r.Wire.status
   in
-  let a1 = st (get sock (req "tenant-a")) in
-  let a2 = st (get sock (req "tenant-a")) in
-  let b1 = st (get sock (req "tenant-b")) in
-  (* a budgeted repeat bypasses the whole-result memo, so it re-runs the
-     search against the tenant's warm prefix cache *)
-  let a3 =
-    st
-      (get sock
-         (pack ~optimize:Wire.Local ~max_evals:100_000 ~tenant:"tenant-a"
-            ~stats:true ()))
-  in
+  let a1 = counted (run "tenant-a") in
+  check (pair (list int) (pair int int)) "tenant-a first request is cold"
+    ([ 1; 0 ], (0, 1)) a1;
+  (* an identical unbudgeted repeat is answered by the memo *)
+  check (pair (list int) (pair int int)) "tenant-a repeat is a memo hit"
+    ([ 0; 1 ], (0, 0))
+    (counted (run "tenant-a"));
   (* same module, same params: tenant-b's first request must look exactly
-     as cold as tenant-a's did — nothing leaked across scopes *)
-  check int "tenant-b cold hits = tenant-a cold hits" a1.Wire.cache_hits
-    b1.Wire.cache_hits;
-  check int "tenant-b cold misses = tenant-a cold misses" a1.Wire.cache_misses
-    b1.Wire.cache_misses;
-  (* an identical unbudgeted repeat replays the memoized result without
-     touching the prefix cache at all *)
-  check int "tenant-a memo repeat does no cache work" 0
-    (a2.Wire.cache_hits + a2.Wire.cache_misses);
-  (* while a budgeted repeat inside one tenant is visibly warmer *)
-  check bool "tenant-a warm search hits more" true
-    (a3.Wire.cache_hits > a1.Wire.cache_hits)
+     as cold as tenant-a's did — nothing leaked across tenants *)
+  check (pair (list int) (pair int int)) "tenant-b first request is cold" a1
+    (counted (run "tenant-b"));
+  (* a budgeted repeat bypasses the whole-result memo and searches, but
+     inside its own tenant it reuses the memoized canonical build *)
+  check (pair (list int) (pair int int))
+    "tenant-a budgeted repeat reuses its canonical build"
+    ([ 1; 0 ], (1, 0))
+    (counted (run ~max_evals:100_000 "tenant-a"))
 
 (* The tenant table is LRU-bounded: a stream of fresh tenant names cannot
    grow the daemon without limit.  An evicted tenant that returns gets a
    fresh environment — observably cold again — while residents stay
    warm.  Budgeted requests bypass the whole-result memo, so warmth shows
-   up in the prefix-cache counters. *)
+   up in the canonical-build memo counters. *)
 let test_tenant_eviction () =
   with_server ~tenant_limit:2 @@ fun _t sock ->
-  let budgeted tenant =
-    pack ~optimize:Wire.Local ~max_evals:100_000 ~tenant ~stats:true ()
+  let budgeted tenant () =
+    ignore (get sock (pack ~optimize:Wire.Local ~max_evals:100_000 ~tenant ()))
   in
-  let st r =
-    match r.Wire.stats with
-    | Some s -> s
-    | None -> fail "stats requested but absent"
-  in
-  let a1 = st (get sock (budgeted "ta")) in
-  let a2 = st (get sock (budgeted "ta")) in
-  check bool "resident tenant runs warm" true
-    (a2.Wire.cache_hits > a1.Wire.cache_hits);
+  let memo_delta tenant = snd (counted (budgeted tenant)) in
+  check (pair int int) "first request is a memo miss" (0, 1) (memo_delta "ta");
+  check (pair int int) "resident tenant runs warm" (1, 0) (memo_delta "ta");
   (* fill the table past the limit: inserting "tc" evicts "ta" (LRU) *)
-  ignore (get sock (budgeted "tb"));
-  ignore (get sock (budgeted "tc"));
-  let a3 = st (get sock (budgeted "ta")) in
-  check int "evicted tenant is cold again (hits)" a1.Wire.cache_hits
-    a3.Wire.cache_hits;
-  check int "evicted tenant is cold again (misses)" a1.Wire.cache_misses
-    a3.Wire.cache_misses
+  budgeted "tb" ();
+  budgeted "tc" ();
+  check (pair int int) "evicted tenant is cold again" (0, 1) (memo_delta "ta")
 
 (* --- concurrent clients ------------------------------------------------ *)
 
@@ -609,7 +610,7 @@ let test_access_log () =
         (fun k ->
           check bool (Printf.sprintf "access: %s is a number" k) true
             (Option.bind (Json.member k j) Json.num <> None))
-        [ "ts"; "status"; "latency_ms"; "evals"; "cache_hits"; "cache_misses" ])
+        [ "ts"; "status"; "latency_ms"; "evals" ])
     parsed;
   let rids = List.filter_map (str "request_id") parsed in
   check int "request ids are distinct" 4
@@ -657,8 +658,8 @@ let test_request_traces () =
 
 (* The determinism discipline extended to the registry: a fixed request
    sequence must leave byte-identical request-labelled counters at jobs=1
-   and jobs=2 — outcome classification (cold / memo-hit / search-warm /
-   error) may not depend on the parallel schedule. *)
+   and jobs=2 — outcome classification (cold / memo-hit / error) may not
+   depend on the parallel schedule. *)
 let request_counter_signature jobs =
   with_server @@ fun _t sock ->
   Metrics.reset ();

@@ -491,8 +491,8 @@ let test_warm_restart () =
   in
   check int "cold request ok" Wire.status_ok cold.Wire.status;
   check bool "store persisted on drain" true (Sys.file_exists store);
-  (* a fresh daemon: empty memo, empty prefix cache — only the store is
-     warm, and it must answer byte-identically *)
+  (* a fresh daemon: empty memo — only the store is warm, and it must
+     answer byte-identically *)
   Test_util.with_server ~source:pack_source ~store @@ fun _t sock ->
   let warm = get sock (pack ~id:"warm" ~tenant:"wr" ()) in
   check int "warm request ok" Wire.status_ok warm.Wire.status;

@@ -1,12 +1,11 @@
-(* The batch sweep engine: spec parsing, the Gray-code locality walk,
-   dedup, the §7 determinism contract over every scheduling knob
-   (domains, chunk size, shuffle, cache, store), failure rows, and the
-   columnar file validator.
+(* The batch sweep engine: spec parsing, the Gray-code walk, dedup, the
+   §7 determinism contract over every scheduling knob (domains, chunk
+   size, shuffle, store), failure rows, and the columnar file validator.
 
    The centrepiece is the determinism property: the emitted bytes are a
    pure function of (env, spec, source) — domains in {1,2,4}, chunks in
-   {1,8,64}, shuffled or locality scheduling, cache or store on or off
-   must all produce the identical file. *)
+   {1,8,64}, shuffled or walk-order scheduling, store on or off must all
+   produce the identical file. *)
 
 open Alcotest
 module Env = Amg_core.Env
@@ -40,7 +39,7 @@ let spec_src =
       "params": { "W": { "from": 3, "to": 6, "step": 1 }, "L": [4, 6] },
       "optimize": "local" }|}
 
-let run_lines ?domains ?chunk ?shuffle ?cache ?store () =
+let run_lines ?domains ?chunk ?shuffle ?store () =
   let buf = Buffer.create 2048 in
   let on_line l =
     Buffer.add_string buf l;
@@ -48,7 +47,7 @@ let run_lines ?domains ?chunk ?shuffle ?cache ?store () =
   in
   let env = Env.bicmos () in
   let res =
-    Sweep.run ?domains ?chunk ?shuffle ?cache ?store ~on_line ~env ~source
+    Sweep.run ?domains ?chunk ?shuffle ?store ~on_line ~env ~source
       (Sweep.parse_spec spec_src)
   in
   (res, Buffer.contents buf)
@@ -142,17 +141,13 @@ let reference = lazy (snd (run_lines ~domains:1 ~chunk:1 ()))
 
 let prop_schedule_invariance =
   QCheck2.Test.make
-    ~name:"rows byte-identical for any domains/chunk/shuffle/cache"
-    ~print:(fun (d, c, sh, cache) ->
-      Printf.sprintf "domains=%d chunk=%d shuffle=%b cache=%b" d c sh cache)
+    ~name:"rows byte-identical for any domains/chunk/shuffle"
+    ~print:(fun (d, c, sh) ->
+      Printf.sprintf "domains=%d chunk=%d shuffle=%b" d c sh)
     ~count:12
-    QCheck2.Gen.(
-      quad (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 8; 64 ]) bool bool)
-    (fun (domains, chunk, shuffle, cache) ->
-      let cache =
-        if cache then None else Some Amg_core.Prefix_cache.disabled
-      in
-      let res, lines = run_lines ~domains ~chunk ~shuffle ?cache () in
+    QCheck2.Gen.(triple (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 8; 64 ]) bool)
+    (fun (domains, chunk, shuffle) ->
+      let res, lines = run_lines ~domains ~chunk ~shuffle () in
       res.Sweep.failures = 0
       && String.equal (Lazy.force reference) lines)
 
