@@ -2,7 +2,12 @@
    (DESIGN.md's per-experiment index).  Each section prints paper-vs-measured;
    Bechamel micro-benchmarks time the underlying kernels.
 
-     dune exec bench/main.exe
+     dune exec bench/main.exe                             every section
+     dune exec bench/main.exe -- compact_scaling 4,6,8,12  CI search smoke
+
+   The daemon, the sweep engine and the result store are measured by
+   amgperf (bench/perf, workloads serve_mix and sweep_store), not here:
+   none of the paper's experiments needs them.
 *)
 
 module Rect = Amg_geometry.Rect
@@ -17,11 +22,6 @@ module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
 module Successive = Amg_compact.Successive
 module Edge_graph = Amg_compact.Edge_graph
-module Wire = Amg_robust.Wire
-module Server = Amg_serve.Server
-module Client = Amg_serve.Client
-module Store = Amg_store.Store
-module Sweep = Amg_sweep.Sweep
 module M = Amg_modules
 module A = Amg_amplifier.Amplifier
 
@@ -1017,479 +1017,6 @@ let compact_smoke env ns =
   Fmt.pr "bench smoke: all checks passed@."
 
 (* ------------------------------------------------------------------ *)
-(* Serving benchmark (daemon): `bench serve [CLIENTS] [SECONDS] [P99]`.*)
-(* Phase 1 measures the request latency of the n=12 contact-row pack   *)
-(* through an in-process daemon: cold (a fresh tenant per request)     *)
-(* and warm (an identical repeat — replays the whole-result memo).     *)
-(* Phase 2 runs CLIENTS closed-loop connections for SECONDS over a     *)
-(* warm mix and reports client-side p50/p99 and throughput.  The       *)
-(* numbers are spliced into                                            *)
-(* BENCH_compact.json as "serving"; exits 1 when result identity, the  *)
-(* warm speedup, the error count or the p99 bound regresses.           *)
-(* ------------------------------------------------------------------ *)
-
-(* The n-row pack of compact_scaling, written in the layout language:
-   widths cycle W, W+12, W+24, W+36 um and the compaction direction
-   alternates SOUTH/WEST — the language has no modulo, so the cycle is
-   unrolled here. *)
-let serve_source n =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "ENT Pack%d(<W>)\n" n);
-  for i = 0 to n - 1 do
-    let w =
-      match i mod 4 * 12 with
-      | 0 -> "W"
-      | off -> Printf.sprintf "W + %d" off
-    in
-    Buffer.add_string b
-      (Printf.sprintf
-         "  x%d = ContactRow(layer = \"metal1\", W = %s, L = 6, net = \
-          \"n%d\")\n"
-         i w i);
-    Buffer.add_string b
-      (Printf.sprintf "  compact(x%d, %s, align = \"MIN\")\n" i
-         (if i mod 2 = 0 then "SOUTH" else "WEST"))
-  done;
-  Buffer.contents b ^ Amg_lang.Stdlib.all
-
-let percentile p xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.
-  else a.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
-
-(* Merge the scraped [serve.latency] histograms of op="build" label sets
-   (one per status/cache-outcome combination) into one
-   {!Amg_obs.Metrics.hsnap}, so the server-side percentiles come from the
-   same bucket math the registry uses. *)
-let server_build_hist payload =
-  let module J = Amg_robust.Diag.Json in
-  let nums = function
-    | Some (J.Jarr xs) ->
-        Some
-          (Array.of_list
-             (List.map (function J.Jnum f -> f | _ -> nan) xs))
-    | _ -> None
-  in
-  match J.of_string payload with
-  | Error _ -> None
-  | Ok v -> (
-      match J.member "metrics" v with
-      | Some (J.Jarr items) -> (
-          let parts =
-            List.filter_map
-              (fun item ->
-                match (J.member "name" item, J.member "labels" item) with
-                | Some (J.Jstr "serve.latency"), Some labels
-                  when J.member "op" labels = Some (J.Jstr "build") -> (
-                    match
-                      ( nums (J.member "bounds" item),
-                        nums (J.member "counts" item),
-                        J.member "sum" item )
-                    with
-                    | Some bounds, Some counts, Some (J.Jnum sum) ->
-                        Some (bounds, counts, sum)
-                    | _ -> None)
-                | _ -> None)
-              items
-          in
-          match parts with
-          | [] -> None
-          | (bounds0, counts0, _) :: _ ->
-              let counts = Array.make (Array.length counts0) 0 in
-              let sum = ref 0. in
-              List.iter
-                (fun (_, cs, s) ->
-                  Array.iteri
-                    (fun i c -> counts.(i) <- counts.(i) + int_of_float c)
-                    cs;
-                  sum := !sum +. s)
-                parts;
-              Some
-                {
-                  Amg_obs.Metrics.h_bounds = bounds0;
-                  h_counts = counts;
-                  h_count = Array.fold_left ( + ) 0 counts;
-                  h_sum = !sum;
-                })
-      | _ -> None)
-
-(* Splice (or replace) a machine-written top-level section at the end of
-   the committed BENCH_compact.json without disturbing the keys before
-   it.  Sections are spliced in a fixed order (serving, then sweep), so
-   cutting at the key's first occurrence also discards anything after
-   it — re-splicing restores the later sections. *)
-let splice_section key value =
-  let json =
-    let ic = open_in "BENCH_compact.json" in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let base =
-    match find_sub json (Printf.sprintf ",\n  \"%s\"" key) 0 with
-    | Some i -> String.sub json 0 i
-    | None ->
-        (* drop the final closing brace *)
-        let n = ref (String.length json - 1) in
-        while !n > 0 && json.[!n] <> '}' do
-          decr n
-        done;
-        String.sub json 0 !n
-  in
-  let base =
-    let n = ref (String.length base) in
-    while !n > 0 && (base.[!n - 1] = '\n' || base.[!n - 1] = ' ') do
-      decr n
-    done;
-    String.sub base 0 !n
-  in
-  let oc = open_out "BENCH_compact.json" in
-  output_string oc
-    (base ^ Printf.sprintf ",\n  \"%s\": " key ^ value ^ "\n}\n");
-  close_out oc
-
-let splice_serving = splice_section "serving"
-
-let serve_bench nclients seconds p99_bound_ms =
-  section
-    (Printf.sprintf "serving (daemon): %d clients, %.0f s closed loop"
-       nclients seconds);
-  let n = 12 in
-  let entity = Printf.sprintf "Pack%d" n in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "amgbench.%d" (Unix.getpid ()))
-  in
-  Unix.mkdir dir 0o700;
-  let socket = Filename.concat dir "d.sock" in
-  let t = Server.start (Server.config ~source:(serve_source n) socket) in
-  let failures = ref 0 in
-  let ensure ok what =
-    if ok then Fmt.pr "  ok   %s@." what
-    else begin
-      incr failures;
-      Fmt.pr "  FAIL %s@." what
-    end
-  in
-  let request ~tenant id =
-    Wire.build ~id ~jobs:1 ~optimize:Wire.Local ~format:Wire.Cif ~stats:true
-      ~tenant
-      ~params:[ ("W", Wire.Pnum 20.) ]
-      entity
-  in
-  let serving =
-    Fun.protect
-      ~finally:(fun () ->
-        Server.stop t;
-        try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    let c = Client.connect socket in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let timed req =
-      let t0 = Unix.gettimeofday () in
-      match Client.roundtrip c req with
-      | Error e -> failwith ("bench serve: " ^ e)
-      | Ok resp -> (resp, (Unix.gettimeofday () -. t0) *. 1000.)
-    in
-    (* cold: a fresh tenant (fresh memo key) each time *)
-    let cold =
-      List.init 3 (fun i ->
-          let tenant = Printf.sprintf "cold-%d" i in
-          timed (request ~tenant tenant))
-    in
-    let cold_p50 = percentile 0.5 (List.map snd cold) in
-    (* Mid-load scrape drill: while a cold build occupies the serialized
-       compute section, metrics and health must answer straight from the
-       connection thread, never queueing behind the build. *)
-    let scrape_ms =
-      let builder =
-        Thread.create
-          (fun () ->
-            let c2 = Client.connect socket in
-            Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
-            ignore
-              (Client.roundtrip c2 (request ~tenant:"scrape-cold" "scrape-cold")))
-          ()
-      in
-      Thread.yield ();
-      let t0 = Unix.gettimeofday () in
-      let h = Client.roundtrip c (Wire.health ()) in
-      let m = Client.roundtrip c (Wire.metrics ~json:true ()) in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Thread.join builder;
-      let ok = function
-        | Ok (r : Wire.response) -> r.Wire.status = Wire.status_ok
-        | Error _ -> false
-      in
-      ensure (ok h && ok m) "metrics/health answered during a cold build";
-      let bound = Float.max 50. (cold_p50 /. 2.) in
-      ensure (ms <= bound)
-        (Printf.sprintf "mid-load scrape in %.2f ms (bound %.0f ms)" ms bound);
-      ms
-    in
-    let prime = timed (request ~tenant:"warm" "prime") in
-    (* identical unbudgeted repeats replay the whole-result memo *)
-    let warm =
-      List.init 5 (fun i ->
-          timed (request ~tenant:"warm" (Printf.sprintf "warm-%d" i)))
-    in
-    let payload (r : Wire.response) = Option.value ~default:"" r.Wire.payload in
-    let rating (r : Wire.response) = Option.value ~default:nan r.Wire.rating in
-    let all = cold @ (prime :: warm) in
-    let p0 = payload (fst (List.hd all)) and r0 = rating (fst (List.hd all)) in
-    ensure (p0 <> "") "responses carry a CIF payload";
-    ensure
-      (List.for_all (fun (r, _) -> String.equal (payload r) p0) all)
-      "identical CIF bytes across cold/warm";
-    ensure
-      (List.for_all (fun (r, _) -> Float.equal (rating r) r0) all)
-      "identical ratings across cold/warm";
-    ensure
-      (List.for_all (fun (r, _) -> r.Wire.status = Wire.status_ok) all)
-      "status 0 everywhere";
-    let warm_p50 = percentile 0.5 (List.map snd warm) in
-    let speedup = cold_p50 /. warm_p50 in
-    Fmt.pr "  cold p50 %.1f ms; warm p50 %.2f ms (%.1fx)@." cold_p50 warm_p50
-      speedup;
-    ensure (speedup >= 5.)
-      (Printf.sprintf "warm p50 at least 5x faster than cold (%.1fx)" speedup);
-    (* phase 2: a closed loop of pings, warm optimized packs and plain
-       DiffPair builds *)
-    let lat = Array.make nclients [] in
-    let blat = Array.make nclients [] in
-    let errors = Array.make nclients 0 in
-    let conn_retries = Array.make nclients 0 in
-    let stop_at = Unix.gettimeofday () +. seconds in
-    let worker i =
-      (* a transient connect failure (accept backlog pressure under many
-         simultaneous dials) is retried with bounded deterministic
-         backoff, and counted rather than hidden *)
-      let c =
-        Client.connect_retry ~attempts:5 ~seed:(i + 1)
-          ~on_retry:(fun _ -> conn_retries.(i) <- conn_retries.(i) + 1)
-          socket
-      in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      let k = ref 0 in
-      while Unix.gettimeofday () < stop_at do
-        let id = Printf.sprintf "w%d-%d" i !k in
-        let is_build = !k mod 3 <> 0 in
-        let req =
-          match !k mod 3 with
-          | 0 -> Wire.ping ~id ()
-          | 1 -> request ~tenant:"warm" id
-          | _ ->
-              Wire.build ~id ~jobs:1 ~format:Wire.Cif
-                ~params:[ ("W", Wire.Pnum 10.); ("L", Wire.Pnum 5.) ]
-                "DiffPair"
-        in
-        let t0 = Unix.gettimeofday () in
-        (try
-           match Client.roundtrip c req with
-           | Ok resp when resp.Wire.status = Wire.status_ok ->
-               let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-               lat.(i) <- ms :: lat.(i);
-               if is_build then blat.(i) <- ms :: blat.(i)
-           | Ok _ | Error _ -> errors.(i) <- errors.(i) + 1
-         with _ -> errors.(i) <- errors.(i) + 1);
-        incr k
-      done
-    in
-    let t0 = Unix.gettimeofday () in
-    let threads = List.init nclients (fun i -> Thread.create worker i) in
-    List.iter Thread.join threads;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let lats = Array.to_list lat |> List.concat in
-    let total = List.length lats in
-    let errs = Array.fold_left ( + ) 0 errors in
-    let retries = Array.fold_left ( + ) 0 conn_retries in
-    let p50 = percentile 0.5 lats and p99 = percentile 0.99 lats in
-    let rps = float_of_int total /. elapsed in
-    Fmt.pr
-      "  loop: %d requests in %.1f s (%.0f rps); p50 %.2f ms, p99 %.2f ms, \
-       %d errors, %d connect retries@."
-      total elapsed rps p50 p99 errs retries;
-    ensure (errs = 0) "no errors in the closed loop";
-    ensure (total > 0) "the loop made progress";
-    ensure (p99 <= p99_bound_ms)
-      (Printf.sprintf "loop p99 %.2f ms within the %.0f ms bound" p99
-         p99_bound_ms);
-    (* Cross-check: the daemon's own latency histograms (scraped over the
-       wire) must tell the same story as the client-side stopwatch.  The
-       registry quantile is a bucket upper bound (factor-2 buckets) and
-       the client adds wire overhead, so the agreement bound is a
-       generous factor, not an equality. *)
-    let client_bp50 = percentile 0.5 (Array.to_list blat |> List.concat) in
-    let client_bp99 = percentile 0.99 (Array.to_list blat |> List.concat) in
-    let server_p50, server_p99 =
-      match Client.roundtrip c (Wire.metrics ~json:true ()) with
-      | Ok { Wire.payload = Some p; _ } -> (
-          match server_build_hist p with
-          | Some h ->
-              ( Amg_obs.Metrics.quantile h 0.5 *. 1000.,
-                Amg_obs.Metrics.quantile h 0.99 *. 1000. )
-          | None -> (0., 0.))
-      | _ -> (0., 0.)
-    in
-    Fmt.pr
-      "  build latency: server p50 %.2f ms / p99 %.2f ms (scraped); client \
-       p50 %.2f ms / p99 %.2f ms@."
-      server_p50 server_p99 client_bp50 client_bp99;
-    ensure (server_p50 > 0.) "scraped server latency histogram is populated";
-    let agree factor a b = a <= b *. factor && b <= a *. factor in
-    ensure
-      (agree 4. server_p50 client_bp50)
-      (Printf.sprintf "server/client build p50 agree (%.2f vs %.2f ms)"
-         server_p50 client_bp50);
-    ensure
-      (agree 8. server_p99 client_bp99)
-      (Printf.sprintf "server/client build p99 agree (%.2f vs %.2f ms)"
-         server_p99 client_bp99);
-    Printf.sprintf
-      "{\"clients\":%d,\"seconds\":%.0f,\"n\":%d,\"cold_p50_ms\":%.2f,\"warm_p50_ms\":%.2f,\"warm_speedup_x\":%.1f,\n    \"loop_requests\":%d,\"loop_errors\":%d,\"conn_retries\":%d,\"throughput_rps\":%.1f,\"loop_p50_ms\":%.2f,\"loop_p99_ms\":%.2f,\n    \"scrape_ms\":%.2f,\"server_build_p50_ms\":%.2f,\"server_build_p99_ms\":%.2f}"
-      nclients seconds n cold_p50 warm_p50 speedup total errs retries rps p50 p99 scrape_ms server_p50 server_p99
-  in
-  splice_serving serving;
-  Fmt.pr "(serving section spliced into BENCH_compact.json)@.";
-  if !failures > 0 then begin
-    Fmt.pr "bench serve: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Fmt.pr "bench serve: all checks passed@."
-
-(* ------------------------------------------------------------------ *)
-(* Sweep benchmark: `bench sweep [N]`.  One N-instance parameter grid  *)
-(* over a two-parameter pack entity, swept four ways: shuffled, in     *)
-(* walk order, and in walk order with a result store cold then warm.   *)
-(* The determinism contract makes every pass emit the                  *)
-(* same bytes, so the timings are directly comparable; the section is  *)
-(* spliced into BENCH_compact.json as "sweep" and exits 1 when row     *)
-(* identity, the store hit count or the warm speedup floor regresses.  *)
-(* ------------------------------------------------------------------ *)
-
-(* Like [serve_source], but parameterized on the contact-row length as
-   well, so the sweep has a genuine two-axis grid. *)
-let sweep_source n =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "ENT SweepPack%d(<W>, <L>)\n" n);
-  for i = 0 to n - 1 do
-    let w =
-      match i mod 4 * 12 with
-      | 0 -> "W"
-      | off -> Printf.sprintf "W + %d" off
-    in
-    Buffer.add_string b
-      (Printf.sprintf
-         "  x%d = ContactRow(layer = \"metal1\", W = %s, L = L, net = \
-          \"n%d\")\n"
-         i w i);
-    Buffer.add_string b
-      (Printf.sprintf "  compact(x%d, %s, align = \"MIN\")\n" i
-         (if i mod 2 = 0 then "SOUTH" else "WEST"))
-  done;
-  Buffer.contents b ^ Amg_lang.Stdlib.all
-
-let sweep_bench instances =
-  section
-    (Printf.sprintf
-       "sweep: %d-instance grid, shuffled / walk order / store cold / store warm"
-       instances);
-  let env = Env.bicmos () in
-  let n = 8 in
-  let source = sweep_source n in
-  (* Axes sized to the requested instance count: W gets the larger
-     factor, L the smaller; both step by one grid unit of their range. *)
-  let wn = int_of_float (ceil (sqrt (float_of_int instances))) in
-  let ln = (instances + wn - 1) / wn in
-  let spec_src =
-    Printf.sprintf
-      "{ \"entity\": \"SweepPack%d\", \"params\": { \"W\": { \"from\": 20, \
-       \"to\": %d, \"step\": 4 }, \"L\": { \"from\": 6, \"to\": %d, \"step\": 1 \
-       } }, \"optimize\": \"local\" }"
-      n
-      (20 + ((wn - 1) * 4))
-      (6 + ln - 1)
-  in
-  let spec = Sweep.parse_spec spec_src in
-  let failures = ref 0 in
-  let ensure ok what =
-    if ok then Fmt.pr "  ok   %s@." what
-    else begin
-      incr failures;
-      Fmt.pr "  FAIL %s@." what
-    end
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "amgsweep.%d" (Unix.getpid ()))
-  in
-  Unix.mkdir dir 0o700;
-  let store_path = Filename.concat dir "store.amg" in
-  let run_pass ~label ~shuffle ~store =
-    Gc.compact ();
-    let buf = Buffer.create 8192 in
-    let on_line l =
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n'
-    in
-    let t0 = Unix.gettimeofday () in
-    let res =
-      Sweep.run ~domains:2 ~chunk:8 ~shuffle ?store ~on_line ~env ~source spec
-    in
-    let t = Unix.gettimeofday () -. t0 in
-    Fmt.pr "  %-28s %8.1f ms  (%d rows, %d store hits)@." label (t *. 1000.)
-      res.Sweep.rows res.Sweep.store_hits;
-    (t, res, Buffer.contents buf)
-  in
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.unlink store_path with Unix.Unix_error _ -> ());
-        try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    let t_shuf, r0, rows0 = run_pass ~label:"shuffled" ~shuffle:true ~store:None in
-    let t_walk, _, rows1 = run_pass ~label:"walk order" ~shuffle:false ~store:None in
-    let st, diags = Store.open_ store_path in
-    List.iter (fun d -> Fmt.epr "%a@." Amg_robust.Diag.pp d) diags;
-    let t_cold, r_cold, rows2 =
-      run_pass ~label:"walk order, store cold" ~shuffle:false ~store:(Some st)
-    in
-    let t_warm, r_warm, rows3 =
-      run_pass ~label:"walk order, store warm" ~shuffle:false ~store:(Some st)
-    in
-    Store.close st;
-    let identical = List.for_all (String.equal rows0) [ rows1; rows2; rows3 ] in
-    ensure identical "identical bytes across all four passes";
-    ensure (r0.Sweep.failures = 0) "no per-instance failures";
-    ensure
-      (r_warm.Sweep.store_hits = r_warm.Sweep.rows)
-      (Printf.sprintf "warm pass answered every row from the store (%d/%d)"
-         r_warm.Sweep.store_hits r_warm.Sweep.rows);
-    let speedup = t_shuf /. t_warm in
-    ensure (speedup >= 3.)
-      (Printf.sprintf
-         "store-warm sweep at least 3x faster than the shuffled sweep (%.1fx)"
-         speedup);
-    Printf.sprintf
-      "{\"instances\":%d,\"entity_rows\":%d,\"domains\":2,\"chunk\":8,\n    \
-       \"shuffled_s\":%.4f,\"walk_s\":%.4f,\"store_cold_s\":%.4f,\"store_warm_s\":%.4f,\n    \
-       \"store_hits_cold\":%d,\"store_hits_warm\":%d,\"warm_speedup_x\":%.1f,\"rows_identical\":%b}"
-      r0.Sweep.rows n t_shuf t_walk t_cold t_warm r_cold.Sweep.store_hits
-      r_warm.Sweep.store_hits speedup identical
-  in
-  splice_section "sweep" result;
-  Fmt.pr "(sweep section spliced into BENCH_compact.json)@.";
-  if !failures > 0 then begin
-    Fmt.pr "bench sweep: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Fmt.pr "bench sweep: all checks passed@."
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core kernels.                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1563,23 +1090,6 @@ let () =
       in
       compact_smoke (Env.bicmos ()) ns;
       exit 0
-  | _ :: "sweep" :: rest ->
-      let instances =
-        match rest with [] -> 64 | spec :: _ -> int_of_string spec
-      in
-      sweep_bench instances;
-      exit 0
-  | _ :: "serve" :: rest ->
-      let nclients, seconds, p99 =
-        match rest with
-        | [] -> (4, 10., 1000.)
-        | [ k ] -> (int_of_string k, 10., 1000.)
-        | [ k; s ] -> (int_of_string k, float_of_string s, 1000.)
-        | k :: s :: p :: _ ->
-            (int_of_string k, float_of_string s, float_of_string p)
-      in
-      serve_bench nclients seconds p99;
-      exit 0
   | _ -> ());
   let env = Env.bicmos () in
   Fmt.pr "Analog module generator environment — benchmark harness@.";
@@ -1600,6 +1110,5 @@ let () =
   let compact_rows = compact_scaling env in
   let parallel_rows = parallel_scaling env in
   write_bench_json compact_rows parallel_rows;
-  sweep_bench 64;
   micro env;
   Fmt.pr "@.done.@."

@@ -95,7 +95,10 @@ let jobs_arg =
      use.  Defaults to the machine's recommended domain count; results are \
      identical for every value."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (int_at_least 1 "--jobs")) None
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let set_jobs jobs = Option.iter Amg_parallel.Pool.set_default_domains jobs
 

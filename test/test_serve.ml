@@ -696,6 +696,160 @@ let test_counter_determinism () =
     (contains_sub s1 "cache=error");
   check string "request counters byte-identical at jobs 1 and 2" s1 s2
 
+(* --- scrape under load, server/client latency agreement --------------- *)
+
+(* The compact_scaling workload as a language entity: [n] metal1 contact
+   rows whose widths cycle W, W+12, W+24, W+36 um, compacted alternately
+   SOUTH and WEST (the language has no modulo, so the cycle is unrolled). *)
+let row_pack n =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "ENT Rows%d(<W>)\n" n;
+  for i = 0 to n - 1 do
+    let w =
+      match i mod 4 with 0 -> "W" | k -> Printf.sprintf "W + %d" (k * 12)
+    in
+    Printf.bprintf b
+      "  x%d = ContactRow(layer = \"metal1\", W = %s, L = 6, net = \"n%d\")\n"
+      i w i;
+    Printf.bprintf b "  compact(x%d, %s, align = \"MIN\")\n" i
+      (if i mod 2 = 0 then "SOUTH" else "WEST")
+  done;
+  Buffer.contents b
+
+let json_num key payload =
+  match Json.of_string payload with
+  | Ok j -> Option.bind (Json.member key j) Json.num
+  | Error _ -> None
+
+(* While a cold optimized build occupies the serialized compute section,
+   health and metrics answer straight from their connection thread: one
+   health plus one JSON metrics roundtrip takes at most half the build's
+   own latency (and never has to beat 50 ms).  The scrape still waits for
+   the build's thread to hand over the runtime lock at each of its ticks
+   (50 ms apart), so the build is a cold local search of 28 rows, which
+   lasts over a second; a scrape that queued behind it would take the
+   whole build. *)
+let test_scrape_mid_load () =
+  Test_util.with_server ~source:(row_pack 28 ^ pack_source) @@ fun _t sock ->
+  let answered = Atomic.make false in
+  let build_result = ref (Error "never ran") and build_ms = ref 0. in
+  let builder =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        build_result :=
+          Client.oneshot sock
+            (Wire.build ~id:"load" ~jobs:1 ~optimize:Wire.Local
+               ~tenant:"scrape-cold"
+               ~params:[ ("W", Wire.Pnum 20.) ]
+               "Rows28");
+        build_ms := (Unix.gettimeofday () -. t0) *. 1000.;
+        Atomic.set answered true)
+      ()
+  in
+  let c = Client.connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let roundtrip req =
+    match Client.roundtrip c req with
+    | Ok r -> r
+    | Error e -> failf "scrape: %s" e
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec await_in_flight () =
+    let h = roundtrip (Wire.health ()) in
+    match Option.bind h.Wire.payload (json_num "in_flight") with
+    | Some n when n >= 1. -> ()
+    | _ when Atomic.get answered -> fail "the build finished unseen"
+    | _ when Unix.gettimeofday () > deadline -> fail "the build never started"
+    | _ ->
+        Thread.delay 0.001;
+        await_in_flight ()
+  in
+  await_in_flight ();
+  let t0 = Unix.gettimeofday () in
+  let h = roundtrip (Wire.health ()) in
+  let m = roundtrip (Wire.metrics ~json:true ()) in
+  let scrape_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let overtook = not (Atomic.get answered) in
+  Thread.join builder;
+  check int "health status ok" Wire.status_ok h.Wire.status;
+  check int "metrics status ok" Wire.status_ok m.Wire.status;
+  (match !build_result with
+  | Ok r -> check int "build status ok" Wire.status_ok r.Wire.status
+  | Error e -> failf "build: %s" e);
+  check bool "the scrape answered before the build did" true overtook;
+  let bound = Float.max 50. (!build_ms /. 2.) in
+  if scrape_ms > bound then
+    failf "mid-load scrape took %.2f ms, bound %.0f ms (build %.0f ms)"
+      scrape_ms bound !build_ms
+
+(* The merged [serve.latency] op="build" histogram (one label set per
+   status and cache outcome) from the in-process registry. *)
+let server_build_hist () =
+  let parts =
+    List.filter_map
+      (fun (s : Metrics.sample) ->
+        match s.Metrics.m_value with
+        | Metrics.Histogram h
+          when s.Metrics.m_name = "serve.latency"
+               && List.assoc_opt "op" s.Metrics.m_labels = Some "build" ->
+            Some h
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  match parts with
+  | [] -> fail "no serve.latency build histogram"
+  | h0 :: rest ->
+      List.fold_left
+        (fun (acc : Metrics.hsnap) (h : Metrics.hsnap) ->
+          {
+            acc with
+            Metrics.h_counts =
+              Array.map2 ( + ) acc.Metrics.h_counts h.Metrics.h_counts;
+            h_count = acc.Metrics.h_count + h.Metrics.h_count;
+            h_sum = acc.Metrics.h_sum +. h.Metrics.h_sum;
+          })
+        h0 rest
+
+(* The nearest-rank percentile, [p] in (0, 1]. *)
+let percentile p xs =
+  let a = Array.of_list (List.sort compare xs) in
+  a.(max 0 (int_of_float (ceil (p *. float_of_int (Array.length a))) - 1))
+
+(* The daemon's own latency histogram tells the same story as a client's
+   stopwatch.  Registry quantiles are bucket upper bounds (factor-2
+   buckets) and the client adds wire time, so agreement is a factor:
+   4x at p50, 8x at p99. *)
+let test_latency_cross_check () =
+  with_server @@ fun _t sock ->
+  Metrics.reset ();
+  let c = Client.connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let n = 30 in
+  let client_ms =
+    List.init n (fun i ->
+        (* distinct widths: every request is a real build, not a memo hit *)
+        let req =
+          pack ~id:(string_of_int i) ~optimize:Wire.Local ~format:Wire.Cif
+            ~w:(4. +. float_of_int i) ()
+        in
+        let t0 = Unix.gettimeofday () in
+        match Client.roundtrip c req with
+        | Ok r when r.Wire.status = Wire.status_ok ->
+            (Unix.gettimeofday () -. t0) *. 1000.
+        | Ok r -> failf "build %d: status %d" i r.Wire.status
+        | Error e -> failf "build %d: %s" i e)
+  in
+  let h = server_build_hist () in
+  check int "every build observed once" n h.Metrics.h_count;
+  let agree what factor server client =
+    if not (server <= client *. factor && client <= server *. factor) then
+      failf "%s: server %.3f ms vs client %.3f ms, beyond %.0fx" what server
+        client factor
+  in
+  agree "p50" 4. (Metrics.quantile h 0.5 *. 1000.) (percentile 0.5 client_ms);
+  agree "p99" 8. (Metrics.quantile h 0.99 *. 1000.) (percentile 0.99 client_ms)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -727,4 +881,8 @@ let suite =
       test_request_traces;
     test_case "request counters deterministic across jobs" `Quick
       test_counter_determinism;
+    test_case "metrics and health answer while a cold build runs" `Quick
+      test_scrape_mid_load;
+    test_case "server and client build latencies agree" `Quick
+      test_latency_cross_check;
   ]
