@@ -737,6 +737,16 @@ let pack_counters env steps =
   Amg_obs.Obs.reset ();
   r
 
+(* The placements one cold local search makes.  The prefix ladder fixes
+   this count (DESIGN.md §10); it is the same for every domain count. *)
+let local_placements env steps =
+  Amg_obs.Obs.enable ();
+  ignore (Optimize.optimize_local env ~name:"pack" steps);
+  Amg_obs.Obs.disable ();
+  let p = Amg_obs.Obs.counter "compact.placements" in
+  Amg_obs.Obs.reset ();
+  p
+
 (* The counters a compactor speed-up must leave unchanged: they count
    placements, the limits that bound them and the merges and shrinks
    made, not the candidates examined to find them.  [limits] and
@@ -780,7 +790,8 @@ let compact_scaling env =
            times.  Captured after the timing loops so the probes' cost
            never lands in the medians. *)
         let counters = pack_counters env steps in
-        (n, t_apply, t_local, r_local, evals, bb, counters))
+        let placements = local_placements env steps in
+        (n, t_apply, t_local, r_local, evals, placements, bb, counters))
       [ 4; 6; 8; 12 ]
   in
   rows
@@ -882,10 +893,10 @@ let write_bench_json compact_rows parallel_rows =
     (Amg_parallel.Pool.recommended ())
     (String.concat ",\n"
        (List.map
-          (fun (n, ta, tl, r, evals, bb, counters) ->
+          (fun (n, ta, tl, r, evals, placements, bb, counters) ->
             Printf.sprintf
-              "    {\"n\":%d,\"apply_s\":%.4f,\"local_cold_s\":%.4f,\"local_rating\":%.4f,\"local_evals\":%d,%s,\"counters\":{%s}}"
-              n ta tl r evals (bb_json bb) (counters_json counters))
+              "    {\"n\":%d,\"apply_s\":%.4f,\"local_cold_s\":%.4f,\"local_rating\":%.4f,\"local_evals\":%d,\"local_placements\":%d,%s,\"counters\":{%s}}"
+              n ta tl r evals placements (bb_json bb) (counters_json counters))
           compact_rows))
     (String.concat ",\n"
        (List.map
@@ -899,10 +910,11 @@ let write_bench_json compact_rows parallel_rows =
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (CI): `bench compact_scaling 4,6` re-runs the optimizer  *)
-(* rows for the given n and asserts the ratings, the search counts and *)
-(* the invariant work counters match the committed BENCH_compact.json  *)
-(* exactly, and that a back-to-back rerun agrees.  Never rewrites the  *)
-(* JSON; exits 1 on mismatch.                                          *)
+(* rows for the given n and asserts the ratings, the search counts     *)
+(* (local evaluations and placements, bb nodes) and the invariant work *)
+(* counters match the committed BENCH_compact.json exactly, and that a *)
+(* back-to-back rerun agrees.  Never rewrites the JSON; exits 1 on     *)
+(* mismatch.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let find_sub s sub from =
@@ -1002,6 +1014,8 @@ let compact_smoke env ns =
       check "local_rating" n (float_after json "local_rating" row) r1;
       check "local_evals" n (float_after json "local_evals" row)
         (float_of_int evals);
+      check "local_placements" n (float_after json "local_placements" row)
+        (float_of_int (local_placements env steps));
       if not (Float.equal r1 r2) then begin
         incr failures;
         Fmt.pr "  FAIL n=%d rerun rating %.4f <> first %.4f@." n r2 r1

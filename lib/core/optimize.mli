@@ -4,7 +4,8 @@
     are compacted; optimization mode re-runs the sequence over permutations
     of the order and keeps the result the {!Rating} function likes best.
 
-    Candidate evaluations are independent full-layout rebuilds, so every
+    An evaluation is one rated candidate: a layout built for one order
+    and rated.  Evaluations are independent of each other, so every
     search here fans them out over a {!Amg_parallel.Pool} of OCaml domains.
     [?domains] picks the participant count and defaults to
     {!Amg_parallel.Pool.default_domains} (the machine's recommended domain
@@ -17,10 +18,12 @@
     scheduling can never change the winner.  Node and evaluation counts are
     equally domain-count-independent.
 
-    Every search builds its own candidates: orders mode and local search
-    replay each order with {!apply}; the branch-and-bound DFS extends its
-    parent's layout by one placement.  Nothing is shared between searches
-    or calls, so a search's result and cost depend only on its inputs. *)
+    Every search builds its own candidates: orders mode replays each order
+    with {!apply}; local search resumes each swap from a copy of the
+    incumbent's layout at the swap depth; the branch-and-bound DFS extends
+    its parent's layout by one placement.  Nothing is shared between
+    searches or calls, so a search's result and cost depend only on its
+    inputs. *)
 
 type step = {
   uid : int;  (** process-unique identity, allocated by {!step} *)
@@ -189,9 +192,18 @@ val optimize_local :
     (plus one in flight per domain), not the whole neighbourhood.  A swap
     of two {!step_classes} class-mates rebuilds the current layout under
     renamed nets, so it is not rated; the trajectory is that of the full
-    neighbourhood.  The last component is the number of rebuild-and-rate
-    evaluations performed (class-equivalent swaps excluded), which is also
+    neighbourhood.  The last component is the number of evaluations
+    (rated candidates, class-equivalent swaps excluded), which is also
     independent of [?domains].
+
+    Each round starts with a prefix ladder: one replay of the incumbent
+    order that keeps a copy of its layout after each of its first n-2
+    placements.  Swap (i, j) keeps the first i steps, so its candidate is
+    a copy of the ladder's depth-i layout plus steps i … n-1 of the
+    swapped order — byte-identical to replaying the whole order, at n-i
+    placements instead of n.  The ladder lives for one round.  Under the
+    permissive policy, where a placement may report a diagnostic, every
+    candidate replays whole.
 
     With [?budget], whole rounds (and whole restarts) are refused once the
     budget is out; a round costs the number of swaps it rates, which is

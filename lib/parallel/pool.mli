@@ -1,16 +1,16 @@
 (** A work-stealing pool of OCaml 5 domains for the optimization mode.
 
-    The optimization layer evaluates many independent full-layout
-    candidates (order permutations, swap neighbourhoods, topology
-    variants); a pool fans those evaluations out over domains while
-    keeping results in input order, so reductions over them are
-    deterministic regardless of scheduling.
+    The optimization layer evaluates many independent layout candidates
+    (order permutations, swap neighbourhoods, topology variants); a pool
+    fans those evaluations out over domains while keeping results in input
+    order, so reductions over them are deterministic regardless of
+    scheduling.
 
     Concurrency contract: a task must only mutate state it owns.  Layout
     objects are mutable, so a task must work on its own {!Amg_layout.Lobj.copy}
-    (and anything shared — step objects, cached prefixes, the technology
-    deck — must only be read).  Tasks must not submit work to the pool
-    they run on: {!map_array} is not re-entrant. *)
+    (and anything shared — step objects, a search's prefix ladder, the
+    technology deck — must only be read).  Tasks must not submit work to
+    the pool they run on: {!map_array} is not re-entrant. *)
 
 type t
 (** A pool of [size t] participants: [size t - 1] worker domains plus the

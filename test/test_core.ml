@@ -336,13 +336,15 @@ let bar_gen =
 let step_set_gen lo hi = QCheck2.Gen.(list_size (int_range lo hi) bar_gen)
 
 (* A step set that repeats movers: n draws from a pool of fewer than n
-   bars, so some bar always occurs at least twice and symmetry classes of
-   size 2–3 are common. *)
-let dup_step_set_gen lo hi =
+   [elt]s, so some mover always occurs at least twice and symmetry classes
+   of size 2–3 are common. *)
+let dup_set_gen elt lo hi =
   QCheck2.Gen.(
     let* n = int_range lo hi in
-    let* pool = list_size (int_range (max 1 (n / 2)) (max 1 (n - 1))) bar_gen in
+    let* pool = list_size (int_range (max 1 (n / 2)) (max 1 (n - 1))) elt in
     list_repeat n (oneofl pool))
+
+let dup_step_set_gen lo hi = dup_set_gen bar_gen lo hi
 
 let show_step_set dims =
   String.concat "; "
@@ -363,13 +365,54 @@ let bar_steps dims =
       Optimize.step o d)
     dims
 
+(* Movers that carry more state than a bar: a contact row has a landing,
+   its metal and a registered contact array, and the listed edges are
+   variable, so a placement may shrink the row and rederive its cuts. *)
+type mover = Bar of int * int | Row of string * int * Dir.t list
+
+let mover_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun w h -> Bar (w, h)) (int_range 1 12) (int_range 1 12);
+        map3
+          (fun layer w var_edges -> Row (layer, w, var_edges))
+          (oneofl [ "metal1"; "poly" ])
+          (int_range 3 14)
+          (oneofl [ []; [ Dir.North; Dir.South ]; [ Dir.East; Dir.West ] ]);
+      ])
+
+let show_mover = function
+  | Bar (w, h) -> Printf.sprintf "bar %dx%d" w h
+  | Row (layer, w, var_edges) ->
+      Printf.sprintf "row %s w=%d var=%s" layer w
+        (String.concat "" (List.map Dir.to_string var_edges))
+
+let mover_obj e ~name = function
+  | Bar (w, h) ->
+      let o = Lobj.create name in
+      ignore
+        (Lobj.add_shape o ~layer:"metal1"
+           ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um (float_of_int w)) ~h:(um (float_of_int h)))
+           ~net:name ());
+      o
+  | Row (layer, w, var_edges) ->
+      Amg_modules.Contact_row.make e ~name ~layer ~w:(um (float_of_int w)) ~net:name
+        ~var_edges ()
+
+let mover_steps e dims =
+  List.mapi
+    (fun i (m, d) -> Optimize.step (mover_obj e ~name:(Printf.sprintf "s%d" i) m) d)
+    dims
+
 let uids order = List.map (fun s -> s.Optimize.uid) order
 let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
 
-(* Each bar step named by its generator triple: two steps with the same
-   (w, h, dir) are the same mover on different private nets.  Derived from
-   the generator alone, independently of [Optimize.step_classes]. *)
-let bar_key dims steps =
+(* Each step named by the generator value it was built from: two steps
+   built from equal values are the same mover on different private nets.
+   Derived from the generator alone, independently of
+   [Optimize.step_classes]. *)
+let mover_key dims steps =
   let keys = List.combine (uids steps) dims in
   fun (s : Optimize.step) -> List.assoc s.Optimize.uid keys
 
@@ -380,6 +423,7 @@ type reference = {
   best : (Lobj.t * float * Optimize.step list) option;
   evals : int;  (** every rebuild, rejected ones and same-mover swaps included *)
   moves : int;  (** accepted moves *)
+  resumed : int;  (** accepted swaps (i, j) with i > 0: resumed past a prefix *)
   same_swaps : int;  (** swaps between two steps with equal [key] *)
   same_rate_current : bool;  (** every such swap rated exactly the current order *)
 }
@@ -389,12 +433,12 @@ type reference = {
    restarts (the LCG shuffles, drawn up front), same
    neighbourhood (all pairwise swaps, same-mover ones too), ties to the
    lowest swap, and every evaluation counted. *)
-let reference_local e ~key ~restarts ~seed steps =
-  let evals = ref 0 and moves = ref 0 in
+let reference_local ?base e ~key ~restarts ~seed steps =
+  let evals = ref 0 and moves = ref 0 and resumed = ref 0 in
   let same_swaps = ref 0 and same_rate_current = ref true in
   let rate order =
     incr evals;
-    match Optimize.apply e ~name:"x" order with
+    match Optimize.apply ?base e ~name:"x" order with
     | m -> Some (m, Rating.rate e Rating.default m)
     | exception Env.Rejected _ -> None
   in
@@ -427,7 +471,7 @@ let reference_local e ~key ~restarts ~seed steps =
     for i = 0 to n - 2 do
       for j = i + 1 to n - 1 do
         let cand = swap order i j in
-        let bar = match !best with Some (_, b, _) -> b | None -> r in
+        let bar = match !best with Some (_, b, _, _) -> b | None -> r in
         let rated = rate cand in
         if key at.(i) = key at.(j) then begin
           incr same_swaps;
@@ -436,14 +480,15 @@ let reference_local e ~key ~restarts ~seed steps =
           | _ -> same_rate_current := false
         end;
         match rated with
-        | Some (m, rc) when rc < bar -> best := Some (m, rc, cand)
+        | Some (m, rc) when rc < bar -> best := Some (m, rc, cand, i)
         | _ -> ()
       done
     done;
     match !best with
-    | Some next ->
+    | Some (m, rc, cand, i) ->
         incr moves;
-        descend next
+        if i > 0 then incr resumed;
+        descend (m, rc, cand)
     | None -> cur
   in
   let climb start =
@@ -467,32 +512,43 @@ let reference_local e ~key ~restarts ~seed steps =
     best;
     evals = !evals;
     moves = !moves;
+    resumed = !resumed;
     same_swaps = !same_swaps;
     same_rate_current = !same_rate_current;
   }
 
+(* Bars and contact rows, all distinct or with repeats, descending into
+   an empty main or onto a [?base] object (a mover on net "base"). *)
 let local_case_gen =
   QCheck2.Gen.(
-    triple
-      (oneof [ step_set_gen 3 7; dup_step_set_gen 3 7 ])
-      (int_range 0 10_000) (int_range 1 3))
+    let movers = pair mover_gen (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ]) in
+    quad
+      (oneof [ list_size (int_range 3 7) movers; dup_set_gen movers 3 7 ])
+      (int_range 0 10_000) (int_range 1 3) (opt ~ratio:0.5 mover_gen))
 
-(* [optimize_local] (pool, incumbent cell, symmetry classes)
-   agrees with the reference on rating, order and CIF bytes for every
-   domain count.  Every same-mover swap the reference rates equals the
-   current rating — the soundness of skipping them — and [optimize_local]
-   rates exactly the others. *)
+let show_local_case (dims, seed, restarts, base) =
+  Printf.sprintf "seed=%d restarts=%d base=%s [%s]" seed restarts
+    (Option.fold ~none:"-" ~some:show_mover base)
+    (String.concat "; "
+       (List.map (fun (m, d) -> show_mover m ^ " " ^ Dir.to_string d) dims))
+
+let local_case e (dims, _, _, base) =
+  let steps = mover_steps e dims in
+  (steps, Option.map (mover_obj e ~name:"base") base, mover_key dims steps)
+
+(* [optimize_local] (pool, incumbent cell, symmetry classes, prefix
+   ladder) agrees with the reference on rating, order, evaluation count
+   and CIF bytes for every domain count.  Every same-mover swap the
+   reference rates equals the current rating — the soundness of skipping
+   them — and [optimize_local] rates exactly the others. *)
 let prop_local_matches_reference =
   QCheck2.Test.make ~name:"local search matches reference descent" ~count:100
-    ~print:(fun (dims, seed, restarts) ->
-      Printf.sprintf "seed=%d restarts=%d [%s]" seed restarts
-        (show_step_set dims))
-    local_case_gen
-    (fun (dims, seed, restarts) ->
+    ~print:show_local_case local_case_gen
+    (fun ((_, seed, restarts, _) as case) ->
       let e = env () in
-      let steps = bar_steps dims in
+      let steps, base, key = local_case e case in
       let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
-      let ref_ = reference_local e ~key:(bar_key dims steps) ~restarts ~seed steps in
+      let ref_ = reference_local ?base e ~key ~restarts ~seed steps in
       match ref_.best with
       | None -> QCheck2.assume_fail ()
       | Some (rm, rr, rorder) ->
@@ -500,8 +556,8 @@ let prop_local_matches_reference =
           && List.for_all
                (fun d ->
                  let m, r, order, evals =
-                   Optimize.optimize_local e ~name:"x" ~restarts ~seed ~domains:d
-                     steps
+                   Optimize.optimize_local e ~name:"x" ?base ~restarts ~seed
+                     ~domains:d steps
                  in
                  Float.equal r rr && uids order = uids rorder
                  && evals = ref_.evals - ref_.same_swaps
@@ -509,8 +565,10 @@ let prop_local_matches_reference =
                Test_util.domain_counts)
 
 (* The property above only covers the path where a candidate keeps its
-   layout if some round accepts a move, and the skip only matters when a
-   same-mover swap exists; pin that the generator reaches both. *)
+   layout if some round accepts a move, the ladder only if an accepted
+   swap resumes past a prefix, and the skip only when a same-mover swap
+   exists; pin that the generator reaches all three, the resumed move
+   with contact rows on a base object. *)
 let test_local_reference_accepts_moves () =
   let e = env () in
   let cases =
@@ -518,15 +576,19 @@ let test_local_reference_accepts_moves () =
   in
   let runs =
     List.map
-      (fun (dims, seed, restarts) ->
-        let steps = bar_steps dims in
-        reference_local e ~key:(bar_key dims steps) ~restarts ~seed steps)
+      (fun ((dims, seed, restarts, base) as case) ->
+        let steps, base_obj, key = local_case e case in
+        let has_row = List.exists (function Row _, _ -> true | _ -> false) dims in
+        ( has_row && base <> None,
+          reference_local ?base:base_obj e ~key ~restarts ~seed steps ))
       cases
   in
   check_bool "some generated case accepts a move" true
-    (List.exists (fun r -> r.moves > 0) runs);
+    (List.exists (fun (_, r) -> r.moves > 0) runs);
   check_bool "some generated case swaps equal movers" true
-    (List.exists (fun r -> r.same_swaps > 0) runs)
+    (List.exists (fun (_, r) -> r.same_swaps > 0) runs);
+  check_bool "some case with rows on a base resumes an accepted swap" true
+    (List.exists (fun (rows_on_base, r) -> rows_on_base && r.resumed > 0) runs)
 
 (* ROADMAP oracles: branch-and-bound reaches the exhaustive optimum, and
    local search never beats it.  On step sets that repeat movers bb visits
@@ -559,6 +621,7 @@ let prop_local_never_beats_exhaustive =
 
 module Policy = Amg_robust.Policy
 module Budget = Amg_robust.Budget
+module Obs = Amg_obs.Obs
 
 let check_classes = Alcotest.(check (array int))
 
@@ -678,11 +741,58 @@ let test_permissive_rates_every_swap () =
   let e = env () in
   let steps = bar_steps twin_dims in
   let ref_ =
-    reference_local e ~key:(bar_key twin_dims steps) ~restarts:1 ~seed:1 steps
+    reference_local e ~key:(mover_key twin_dims steps) ~restarts:1 ~seed:1 steps
   in
   let _, _, _, evals = Optimize.optimize_local e ~name:"x" ~restarts:1 ~domains:1 steps in
   check_bool "the case has same-mover swaps" true (ref_.same_swaps > 0);
   check "every swap rated" ref_.evals evals
+
+(* The prefix ladder fixes how many placements a search makes (the first
+   step into an empty main is copied in, not placed): a start places
+   n - 1 objects; a round replays the incumbent's first n - 2 steps once
+   (n - 3 placements) and swap (i, j) places steps i … n-1 onto a copy of
+   the incumbent's layout after i steps.  Under the permissive policy the
+   ladder stops at depth 0, so every candidate replays whole — exactly
+   the reference's plain rebuilds. *)
+let placements f =
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      Obs.enable ();
+      ignore (f ());
+      Obs.counter "compact.placements")
+
+let test_local_placements_follow_ladder () =
+  let e = env () in
+  (* Five distinct bars: no swap is skipped as same-mover. *)
+  let dims =
+    [ (10, 2, Dir.South); (2, 6, Dir.West); (4, 2, Dir.South); (2, 2, Dir.West); (6, 2, Dir.South) ]
+  in
+  let steps = bar_steps dims in
+  let n = List.length steps in
+  let local d () = Optimize.optimize_local e ~name:"x" ~restarts:1 ~domains:d steps in
+  let ref_ = reference_local e ~key:(mover_key dims steps) ~restarts:1 ~seed:1 steps in
+  check_bool "the descent resumes an accepted swap" true (ref_.resumed > 0);
+  let round =
+    (n - 3)
+    + List.fold_left ( + ) 0
+        (List.init (n - 1) (fun i -> (n - 1 - i) * (n - max i 1)))
+  in
+  let ladder_total = (n - 1) + ((ref_.moves + 1) * round) in
+  check_bool "fewer than whole replays" true (ladder_total < ref_.evals * (n - 1));
+  List.iter
+    (fun d -> check "strict: suffixes from the ladder" ladder_total (placements (local d)))
+    Test_util.domain_counts;
+  with_permissive @@ fun () ->
+  let whole =
+    placements (fun () ->
+        reference_local e ~key:(mover_key dims steps) ~restarts:1 ~seed:1 steps)
+  in
+  List.iter
+    (fun d -> check "permissive: whole replays" whole (placements (local d)))
+    Test_util.domain_counts
 
 (* --- slicing floorplanner --- *)
 
@@ -798,4 +908,11 @@ let suite =
       test_permissive_rates_every_swap;
     Alcotest.test_case "slicing floorplanner" `Quick test_floorplan_basics;
     QCheck_alcotest.to_alcotest prop_floorplan_optimal;
+  ]
+
+(* The prefix ladder's replay-depth pin, run as its own suite. *)
+let ladder_suite =
+  [
+    Alcotest.test_case "local placements follow the ladder" `Quick
+      test_local_placements_follow_ladder;
   ]

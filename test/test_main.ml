@@ -4,6 +4,11 @@
    assert). *)
 let () = Amg_parallel.Pool.set_oversubscribe true
 
+(* Alcotest sizes the suite column by the longest suite id and cuts each
+   test name to fit the rest of an 80-column line, so that id's length
+   fixes every shortened test id in the report.  The longest id is 12
+   characters ("local-ladder"); a longer or shorter longest id renames
+   every test whose name is cut. *)
 let () =
   Alcotest.run "amg"
     [
@@ -15,7 +20,8 @@ let () =
       ("drc", Test_drc.suite);
       ("latchup", Test_latchup.suite);
       ("core", Test_core.suite);
-      ("prefix-cache", Test_prefix_cache.suite);
+      ("local-ladder", Test_core.ladder_suite);
+      ("incremental", Test_incremental.suite);
       ("parallel", Test_parallel.suite);
       ("obs", Test_obs.suite);
       ("metrics", Test_metrics.suite);
