@@ -156,7 +156,7 @@ let max_time_arg =
                  Implies --optimize orders unless --optimize is given.")
 
 let max_evals_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (int_at_least 0 "--max-evals")) None
        & info [ "max-evals" ] ~docv:"N"
            ~doc:"Evaluation budget (candidate layout rebuilds) for the \
                  optimization search; deterministic for every --jobs value.  \

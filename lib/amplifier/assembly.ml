@@ -152,7 +152,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
     let min_port_width net =
       List.fold_left
         (fun acc (p : Port.t) ->
-          if String.equal p.Port.net net then min acc (Rect.width p.Port.rect)
+          if String.equal p.Port.net net then Int.min acc (Rect.width p.Port.rect)
           else acc)
         max_int (Lobj.ports amp)
     in
@@ -197,7 +197,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
     match (ys : int list) with
     | [] -> ()
     | y :: _ ->
-        let lo = List.fold_left min y ys and hi = List.fold_left max y ys in
+        let lo = List.fold_left Int.min y ys and hi = List.fold_left Int.max y ys in
         ignore (Path.draw amp ~layer:"metal2" ~width:m2w ~net [ (x, lo); (x, hi) ])
   in
   tie ~net:vdd ~x:((Lobj.bbox_exn amp).Rect.x1 + um 6.);

@@ -85,7 +85,7 @@ let generate env netlist (c : Partition.cluster) =
         ()
   | Partition.Interdigitated, [ a ] ->
       let m = mos_exn netlist a in
-      let fingers = max 2 (m.D.w / Units.of_um 12.) in
+      let fingers = Int.max 2 (m.D.w / Units.of_um 12.) in
       let well_tap = if m.D.polarity = D.Pmos then Some m.D.b else None in
       M.Interdigitated.make env ~name ?well_tap
         ~polarity:(polarity_of m.D.polarity)

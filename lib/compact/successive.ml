@@ -91,7 +91,7 @@ type layer_pair = {
 
 let layer_pairs rules ?ignore_layers d ~main obj =
   let sign = Dir.sign d in
-  let tighter x y = if sign < 0 then x > y else x < y in
+  let tighter (x : int) (y : int) = if sign < 0 then x > y else x < y in
   let mains =
     List.filter_map
       (fun lb ->
@@ -113,7 +113,7 @@ let layer_pairs rules ?ignore_layers d ~main obj =
         List.fold_left
           (fun acc (s : Shape.t) ->
             let side = Rect.side s.Shape.rect d in
-            if sign < 0 then min acc side else max acc side)
+            if sign < 0 then Int.min acc side else Int.max acc side)
           (if sign < 0 then max_int else min_int)
           movers
       in
@@ -130,7 +130,7 @@ let layer_pairs rules ?ignore_layers d ~main obj =
           else
             let margin = Constraints.margin_cls cls in
             let reach =
-              Rect.side main_hull (Dir.opposite d) - (sign * max margin 0)
+              Rect.side main_hull (Dir.opposite d) - (sign * Int.max margin 0)
             in
             Some
               {
@@ -173,7 +173,7 @@ let by_mover_target (m1, t1) (m2, t2) =
 let visit ~prune d ~main ~mb pairs =
   let axis = Dir.axis d in
   let sign = Dir.sign d in
-  let tighter x y = if sign < 0 then x > y else x < y in
+  let tighter (x : int) (y : int) = if sign < 0 then x > y else x < y in
   let obs = Obs.enabled () in
   (* The tightest bound and the runner-up, each valid once its flag is
      set; unboxed so that offering a bound allocates nothing unless it
@@ -276,7 +276,7 @@ let min_extent rules owner (s : Shape.t) =
   let cut_layers = Lobj.array_cut_layers_of_container owner s.id in
   List.fold_left
     (fun acc cut_layer ->
-      max acc (Derive.min_container_extent rules ~container_layer:s.layer ~cut_layer))
+      Int.max acc (Derive.min_container_extent rules ~container_layer:s.layer ~cut_layer))
     (Rules.width rules s.layer) cut_layers
 
 (* Shrink the [facing] edge of shape [s] (owned by [owner]) inward by
@@ -290,7 +290,7 @@ let shrink_edge rules owner (s : Shape.t) facing amount =
   let axis = Dir.axis facing in
   let extent = Interval.length (Rect.span axis s.rect) in
   let slack = extent - min_extent rules owner s in
-  let step = if slack <= 0 then 0 else min (Lazy.force amount) slack in
+  let step = if slack <= 0 then 0 else Int.min (Lazy.force amount) slack in
   if step <= 0 then 0
   else begin
     let r = Rect.grow_side s.rect facing (-step) in
@@ -396,7 +396,7 @@ let extension_safe rules ?ignore_layers ~main ~obj (s : Shape.t) r' =
     | Constraints.Separation sep ->
         let dx = Rect.gap Dir.Horizontal r' other.Shape.rect in
         let dy = Rect.gap Dir.Vertical r' other.Shape.rect in
-        max dx dy >= sep
+        Int.max dx dy >= sep
   in
   let clear owner =
     List.for_all
@@ -427,7 +427,7 @@ let auto_connect rules ?ignore_layers d ~main ~pass obj =
       match (Lobj.find obj a_id, Lobj.find main b_id) with
       | Some a, Some b when stretchable b ->
           let sa = Rect.span axis a.rect and sb = Rect.span axis b.rect in
-          let gap = max (sa.Interval.lo - sb.Interval.hi) (sb.Interval.lo - sa.Interval.hi) in
+          let gap = Int.max (sa.Interval.lo - sb.Interval.hi) (sb.Interval.lo - sa.Interval.hi) in
           if gap > 0 then begin
             (* Extend b toward a. *)
             let facing =
@@ -474,8 +474,8 @@ let stage ~align ~grid d ~main obj =
       let along =
         if Dir.sign d < 0 then
           (* moving low-ward: start above/right of main *)
-          max 0 (mi.Interval.hi + grid - oi.Interval.lo)
-        else min 0 (mi.Interval.lo - grid - oi.Interval.hi)
+          Int.max 0 (mi.Interval.hi + grid - oi.Interval.lo)
+        else Int.min 0 (mi.Interval.lo - grid - oi.Interval.hi)
       in
       if along <> 0 || across <> 0 then begin
         match Dir.axis d with

@@ -63,9 +63,9 @@ let shapes_by_subset ?(spacing = 0) blocks =
           let combine a b =
             [
               { sh_w = a.sh_w + b.sh_w + spacing;
-                sh_h = max a.sh_h b.sh_h;
+                sh_h = Int.max a.sh_h b.sh_h;
                 sh_tree = Beside (a.sh_tree, b.sh_tree) };
-              { sh_w = max a.sh_w b.sh_w;
+              { sh_w = Int.max a.sh_w b.sh_w;
                 sh_h = a.sh_h + b.sh_h + spacing;
                 sh_tree = Above (a.sh_tree, b.sh_tree) };
             ]
@@ -95,10 +95,10 @@ let positions ~spacing blocks tree =
     | Leaf i -> (blocks.(i).fp_w, blocks.(i).fp_h)
     | Beside (a, b) ->
         let wa, ha = dims a and wb, hb = dims b in
-        (wa + wb + spacing, max ha hb)
+        (wa + wb + spacing, Int.max ha hb)
     | Above (a, b) ->
         let wa, ha = dims a and wb, hb = dims b in
-        (max wa wb, ha + hb + spacing)
+        (Int.max wa wb, ha + hb + spacing)
   in
   let out = ref [] in
   let rec place t ~x ~y =
@@ -153,14 +153,14 @@ let optimize ?(spacing = 0) ?aspect blocks =
 let rows_area ?(spacing = 0) rows =
   let row_dims blocks =
     List.fold_left
-      (fun (w, h) b -> (w + b.fp_w + (if w = 0 then 0 else spacing), max h b.fp_h))
+      (fun (w, h) b -> (w + b.fp_w + (if w = 0 then 0 else spacing), Int.max h b.fp_h))
       (0, 0) blocks
   in
   let w, h =
     List.fold_left
       (fun (w, h) row ->
         let rw, rh = row_dims row in
-        (max w rw, h + rh + (if h = 0 then 0 else spacing)))
+        (Int.max w rw, h + rh + (if h = 0 then 0 else spacing)))
       (0, 0) rows
   in
   w * h

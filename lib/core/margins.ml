@@ -33,4 +33,4 @@ let inside rules ~outer ~inner =
             | None -> None)
           outer_cuts
       in
-      List.fold_left max 0 derived
+      List.fold_left Int.max 0 derived

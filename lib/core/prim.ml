@@ -76,7 +76,7 @@ let inner_window env obj cs inner_layer =
 let center_span ~grid ~lo ~hi want =
   let slack = hi - lo - want in
   let x0 = Units.snap_down ~grid (lo + (slack / 2)) in
-  let x0 = max lo (min x0 (hi - want)) in
+  let x0 = Int.max lo (Int.min x0 (hi - want)) in
   (x0, x0 + want)
 
 let inbox env obj ~layer ?w ?l ?net ?sides ?keep_clear () =
@@ -114,8 +114,8 @@ let inbox env obj ~layer ?w ?l ?net ?sides ?keep_clear () =
               expand_axis env obj cs Dir.Vertical (2 * minw);
               place (attempt + 1)
           | Some win ->
-              let want_x = max minw (Option.value ~default:(Rect.width win) l) in
-              let want_y = max minw (Option.value ~default:(Rect.height win) w) in
+              let want_x = Int.max minw (Option.value ~default:(Rect.width win) l) in
+              let want_y = Int.max minw (Option.value ~default:(Rect.height win) w) in
               let gx = want_x - Rect.width win and gy = want_y - Rect.height win in
               if gx > 0 || gy > 0 then begin
                 if gx > 0 then expand_axis env obj cs Dir.Horizontal gx;
@@ -208,7 +208,7 @@ let around env obj ~layer ?margin ?net () =
         | None ->
             List.fold_left
               (fun acc (s : Shape.t) ->
-                max acc (Margins.inside rules ~outer:layer ~inner:s.Shape.layer))
+                Int.max acc (Margins.inside rules ~outer:layer ~inner:s.Shape.layer))
               0 (Lobj.shapes obj)
       in
       Lobj.add_shape obj ~layer ~rect:(Rect.inflate bbox m) ?net ()
@@ -229,7 +229,7 @@ let ring env obj ~layer ?width ?margin ?net () =
             List.fold_left
               (fun acc (s : Shape.t) ->
                 match Rules.space rules layer s.Shape.layer with
-                | Some d -> max acc d
+                | Some d -> Int.max acc d
                 | None -> acc)
               0 (Lobj.shapes obj)
       in

@@ -33,7 +33,7 @@ let check_widths ~tech obj =
           match Rules.width_opt rules s.layer with
           | None -> None
           | Some req ->
-              let actual = min (Rect.width s.rect) (Rect.height s.rect) in
+              let actual = Int.min (Rect.width s.rect) (Rect.height s.rect) in
               if actual < req then
                 Some
                   (Violation.make
@@ -272,7 +272,7 @@ let check_spacings ~tech obj =
           else begin
             let dx = Rect.gap Dir.Horizontal a.rect b.rect in
             let dy = Rect.gap Dir.Vertical a.rect b.rect in
-            let actual = max dx dy in
+            let actual = Int.max dx dy in
             if actual < sep then
               out :=
                 Violation.make
@@ -378,28 +378,28 @@ let check_extensions ~tech obj =
         (match endcap_req with
         | Some req ->
             mk ~of_:p.layer ~past:d.layer ~required:req
-              ~actual:(min (dr.Rect.y0 - pr.Rect.y0) (pr.Rect.y1 - dr.Rect.y1))
+              ~actual:(Int.min (dr.Rect.y0 - pr.Rect.y0) (pr.Rect.y1 - dr.Rect.y1))
               pr
         | None -> [])
         @
         (match sd_req with
         | Some req ->
             mk ~of_:d.layer ~past:p.layer ~required:req
-              ~actual:(min (pr.Rect.x0 - dr.Rect.x0) (dr.Rect.x1 - pr.Rect.x1))
+              ~actual:(Int.min (pr.Rect.x0 - dr.Rect.x0) (dr.Rect.x1 - pr.Rect.x1))
               dr
         | None -> [])
       else if crosses_horizontally then
         (match endcap_req with
         | Some req ->
             mk ~of_:p.layer ~past:d.layer ~required:req
-              ~actual:(min (dr.Rect.x0 - pr.Rect.x0) (pr.Rect.x1 - dr.Rect.x1))
+              ~actual:(Int.min (dr.Rect.x0 - pr.Rect.x0) (pr.Rect.x1 - dr.Rect.x1))
               pr
         | None -> [])
         @
         (match sd_req with
         | Some req ->
             mk ~of_:d.layer ~past:p.layer ~required:req
-              ~actual:(min (pr.Rect.y0 - dr.Rect.y0) (dr.Rect.y1 - pr.Rect.y1))
+              ~actual:(Int.min (pr.Rect.y0 - dr.Rect.y0) (dr.Rect.y1 - pr.Rect.y1))
               dr
         | None -> [])
       else

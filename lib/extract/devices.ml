@@ -210,7 +210,7 @@ let extract_resistors ~tech conn obj =
           let film_area = List.fold_left (fun a (s : Shape.t) -> a + Rect.area s.Shape.rect) 0 films in
           let w =
             List.fold_left (fun a (s : Shape.t) ->
-                min a (min (Rect.width s.Shape.rect) (Rect.height s.Shape.rect)))
+                Int.min a (Int.min (Rect.width s.Shape.rect) (Rect.height s.Shape.rect)))
               max_int films
           in
           let squares = if w = 0 then 0. else float_of_int film_area /. float_of_int (w * w) in

@@ -19,14 +19,14 @@ let contains i x = i.lo <= x && x <= i.hi
 let contains_interval outer inner = outer.lo <= inner.lo && inner.hi <= outer.hi
 
 let inter a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo <= hi then Some { lo; hi } else None
 
 let overlaps a b = a.lo < b.hi && b.lo < a.hi
 
 let touches a b = a.lo <= b.hi && b.lo <= a.hi
 
-let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let hull a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let translate i d = { lo = i.lo + d; hi = i.hi + d }
 

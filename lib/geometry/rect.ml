@@ -2,7 +2,7 @@ type t = { x0 : int; y0 : int; x1 : int; y1 : int }
 [@@deriving show { with_path = false }, eq, ord]
 
 let make ~x0 ~y0 ~x1 ~y1 =
-  { x0 = min x0 x1; y0 = min y0 y1; x1 = max x0 x1; y1 = max y0 y1 }
+  { x0 = Int.min x0 x1; y0 = Int.min y0 y1; x1 = Int.max x0 x1; y1 = Int.max y0 y1 }
 
 let of_corners (x0, y0) (x1, y1) = make ~x0 ~y0 ~x1 ~y1
 
@@ -54,10 +54,10 @@ let with_side r (d : Dir.t) pos =
 let grow_side r d amount = with_side r d (side r d + (Dir.sign d * amount))
 
 let inter a b =
-  let x0 = max a.x0 b.x0
-  and y0 = max a.y0 b.y0
-  and x1 = min a.x1 b.x1
-  and y1 = min a.y1 b.y1 in
+  let x0 = Int.max a.x0 b.x0
+  and y0 = Int.max a.y0 b.y0
+  and x1 = Int.min a.x1 b.x1
+  and y1 = Int.min a.y1 b.y1 in
   if x0 < x1 && y0 < y1 then Some { x0; y0; x1; y1 } else None
 
 let overlaps a b =
@@ -74,10 +74,10 @@ let contains_rect outer inner =
 let contains_point r ~x ~y = r.x0 <= x && x <= r.x1 && r.y0 <= y && y <= r.y1
 
 let hull a b =
-  { x0 = min a.x0 b.x0;
-    y0 = min a.y0 b.y0;
-    x1 = max a.x1 b.x1;
-    y1 = max a.y1 b.y1 }
+  { x0 = Int.min a.x0 b.x0;
+    y0 = Int.min a.y0 b.y0;
+    x1 = Int.max a.x1 b.x1;
+    y1 = Int.max a.y1 b.y1 }
 
 let hull_list = function
   | [] -> None
@@ -87,7 +87,7 @@ let hull_list = function
    along [axis], ignoring the other axis.  Negative when they overlap. *)
 let gap axis a b =
   let ia = span axis a and ib = span axis b in
-  max (ib.Interval.lo - ia.Interval.hi) (ia.Interval.lo - ib.Interval.hi)
+  Int.max (ib.Interval.lo - ia.Interval.hi) (ia.Interval.lo - ib.Interval.hi)
 
 (* Subtract [b] from [a].  This is the kernel used by the latch-up rule check
    of the paper's Fig. 1: the residue is returned as up to four disjoint

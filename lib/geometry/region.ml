@@ -33,7 +33,7 @@ let area rects =
   | _ ->
       let xs =
         List.concat_map (fun (r : Rect.t) -> [ r.x0; r.x1 ]) rects
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       let rec slabs acc = function
         | x0 :: (x1 :: _ as rest) ->
@@ -43,7 +43,9 @@ let area rects =
                 (fun (r : Rect.t) ->
                   if r.x0 <= x0 && x1 <= r.x1 then Some (r.y0, r.y1) else None)
                 rects
-              |> List.sort compare
+              |> List.sort (fun (a0, a1) (b0, b1) ->
+                     let c = Int.compare a0 b0 in
+                     if c <> 0 then c else Int.compare a1 b1)
             in
             let covered_h =
               let rec go acc cur = function
@@ -53,7 +55,7 @@ let area rects =
                     match cur with
                     | None -> go acc (Some (y0, y1)) tl
                     | Some (lo, hi) ->
-                        if y0 <= hi then go acc (Some (lo, max hi y1)) tl
+                        if y0 <= hi then go acc (Some (lo, Int.max hi y1)) tl
                         else go (acc + hi - lo) (Some (y0, y1)) tl)
               in
               go 0 None spans

@@ -35,7 +35,7 @@ let max_bins = 32
 
 let create ?(cell = 4000) () =
   {
-    cell = max 1 cell;
+    cell = Int.max 1 cell;
     ox = 0;
     oy = 0;
     count = 0;
@@ -61,10 +61,10 @@ let cover ax b0 b1 =
   let n = Array.length ax.arr in
   if n = 0 then begin
     ax.lo <- b0;
-    ax.arr <- Array.make (max 8 (b1 - b0 + 1)) []
+    ax.arr <- Array.make (Int.max 8 (b1 - b0 + 1)) []
   end
   else if b0 < ax.lo || b1 >= ax.lo + n then begin
-    let lo = min b0 ax.lo and hi = max b1 (ax.lo + n - 1) in
+    let lo = Int.min b0 ax.lo and hi = Int.max b1 (ax.lo + n - 1) in
     let n' = ref (2 * n) in
     while !n' < hi - lo + 1 do
       n' := 2 * !n'
@@ -85,7 +85,7 @@ let bin_add ax b0 b1 entry =
 
 (* Drop the first entry under [key], keeping the order of the rest and
    sharing the tail behind it. *)
-let rec drop key = function
+let rec drop (key : int) = function
   | [] -> []
   | ((k, _) as e) :: rest -> if k = key then rest else e :: drop key rest
 
@@ -155,7 +155,7 @@ let iter_query t rect ~margin f =
     let scan ~on_x ax wide b0 b1 =
       List.iter (fun (key, r) -> report key r) wide;
       let a = ax.arr in
-      let s0 = max b0 ax.lo and s1 = min b1 (ax.lo + Array.length a - 1) in
+      let s0 = Int.max b0 ax.lo and s1 = Int.min b1 (ax.lo + Array.length a - 1) in
       for b = s0 to s1 do
         let edge = b * t.cell in
         List.iter

@@ -18,11 +18,11 @@ let render ~tech ?(width = 72) obj =
   match Lobj.bbox obj with
   | None -> "(empty)\n"
   | Some bbox ->
-      let w_nm = max 1 (Rect.width bbox) and h_nm = max 1 (Rect.height bbox) in
+      let w_nm = Int.max 1 (Rect.width bbox) and h_nm = Int.max 1 (Rect.height bbox) in
       let cols = width in
       (* Terminal cells are roughly twice as tall as wide. *)
-      let rows = max 1 (h_nm * cols / w_nm / 2) in
-      let rows = min rows 120 in
+      let rows = Int.max 1 (h_nm * cols / w_nm / 2) in
+      let rows = Int.min rows 120 in
       let grid = Array.make_matrix rows cols ' ' in
       (* Cuts draw last so contacts stay visible over their metal. *)
       let order (s : Shape.t) =
@@ -42,8 +42,8 @@ let render ~tech ?(width = 72) obj =
             let cy0 = (bbox.Rect.y1 - r.Rect.y1) * rows / h_nm in
             let cy1 = (bbox.Rect.y1 - r.Rect.y0) * rows / h_nm in
             let g = layer_glyph tech s.Shape.layer in
-            for y = max 0 cy0 to min (rows - 1) (max cy0 (cy1 - 1)) do
-              for x = max 0 cx0 to min (cols - 1) (max cx0 (cx1 - 1)) do
+            for y = Int.max 0 cy0 to Int.min (rows - 1) (Int.max cy0 (cy1 - 1)) do
+              for x = Int.max 0 cx0 to Int.min (cols - 1) (Int.max cx0 (cx1 - 1)) do
                 grid.(y).(x) <- g
               done
             done

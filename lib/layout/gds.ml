@@ -167,8 +167,8 @@ let parse bytes =
       (match !cur_xy with
       | (x0, y0) :: _ as pts ->
           let xs = List.map fst pts and ys = List.map snd pts in
-          let x1 = List.fold_left max x0 xs and y1 = List.fold_left max y0 ys in
-          let x0 = List.fold_left min x0 xs and y0 = List.fold_left min y0 ys in
+          let x1 = List.fold_left Int.max x0 xs and y1 = List.fold_left Int.max y0 ys in
+          let x0 = List.fold_left Int.min x0 xs and y0 = List.fold_left Int.min y0 ys in
           shapes := (!cur_layer, Rect.make ~x0 ~y0 ~x1 ~y1) :: !shapes
       | [] -> ());
       cur_xy := []

@@ -121,7 +121,7 @@ let slot_of t id = if id >= 0 && id < Array.length t.id2slot then t.id2slot.(id)
 let set_slot t id slot =
   let n = Array.length t.id2slot in
   if id >= n then begin
-    let a = Array.make (max 16 (max (2 * n) (id + 1))) (-1) in
+    let a = Array.make (Int.max 16 (Int.max (2 * n) (id + 1))) (-1) in
     Array.blit t.id2slot 0 a 0 n;
     t.id2slot <- a
   end;
@@ -185,7 +185,7 @@ let reindex t (old : Shape.t) (s : Shape.t) =
 let reserve t k =
   let n = Array.length t.slots in
   if t.n_slots + k > n then begin
-    let n' = ref (max 8 (2 * n)) in
+    let n' = ref (Int.max 8 (2 * n)) in
     while !n' < t.n_slots + k do
       n' := 2 * !n'
     done;
@@ -342,7 +342,7 @@ let shapes_on t layer =
   | Some l ->
       let ids = ref [] in
       Sindex.iter l.ix (fun id _ -> ids := id :: !ids);
-      List.sort compare !ids |> List.map (find_exn t)
+      List.sort Int.compare !ids |> List.map (find_exn t)
 
 let near t ~layer rect ~margin =
   match Hashtbl.find_opt t.by_layer layer with
@@ -362,7 +362,9 @@ let keep_clear_on t layer =
   | Some l -> l.keep_clear
 
 let shapes_on_net t net =
-  List.filter (fun (s : Shape.t) -> s.net = Some net) (shapes t)
+  List.filter
+    (fun (s : Shape.t) -> Option.equal String.equal s.net (Some net))
+    (shapes t)
 
 let rects t = List.map (fun (s : Shape.t) -> s.rect) (shapes t)
 
@@ -602,7 +604,9 @@ let remove_port t pname =
 let rename_net t ~from_ ~to_ =
   no_snapshots t "rename_net";
   map_shapes_in_place t (fun (s : Shape.t) ->
-      if s.net = Some from_ then Shape.with_net s (Some to_) else s);
+      if Option.equal String.equal s.net (Some from_) then
+        Shape.with_net s (Some to_)
+      else s);
   t.ports <-
     List.map
       (fun (p : Port.t) ->
@@ -611,7 +615,8 @@ let rename_net t ~from_ ~to_ =
   t.arrays <-
     List.map
       (fun (id, spec) ->
-        if spec.array_net = Some from_ then (id, { spec with array_net = Some to_ })
+        if Option.equal String.equal spec.array_net (Some from_) then
+          (id, { spec with array_net = Some to_ })
         else (id, spec))
       t.arrays
 
@@ -644,7 +649,7 @@ let array_member_count t array_id =
   let n = ref 0 in
   for i = 0 to t.n_slots - 1 do
     match t.slots.(i) with
-    | Some s when s.Shape.origin = Shape.Array_member array_id -> incr n
+    | Some { Shape.origin = Shape.Array_member a; _ } when a = array_id -> incr n
     | _ -> ()
   done;
   !n
@@ -665,8 +670,8 @@ let rederive t rules =
       let members = ref [] in
       for i = 0 to t.n_slots - 1 do
         match t.slots.(i) with
-        | Some s when s.Shape.origin = Shape.Array_member array_id ->
-            members := s.Shape.id :: !members
+        | Some { Shape.origin = Shape.Array_member a; id; _ } when a = array_id ->
+            members := id :: !members
         | _ -> ()
       done;
       List.iter (remove t) !members;

@@ -27,10 +27,10 @@ let contact_row env ?(name = "contact_row_baseline") ~layer ?w ?l ?net () =
      both the landing layer and the metal. *)
   let need_land = cut + (2 * encl_land) in
   let need_via_metal = cut + (2 * encl_metal) in
-  let h0 = max (Option.value ~default:land_min w) land_min in
-  let h = max h0 (max need_land need_via_metal) in
-  let l0 = max (Option.value ~default:land_min l) land_min in
-  let len = max l0 (max need_land need_via_metal) in
+  let h0 = Int.max (Option.value ~default:land_min w) land_min in
+  let h = Int.max h0 (Int.max need_land need_via_metal) in
+  let l0 = Int.max (Option.value ~default:land_min l) land_min in
+  let len = Int.max l0 (Int.max need_land need_via_metal) in
   let obj = Lobj.create name in
   (* Landing rectangle at the origin. *)
   let _ =
@@ -38,7 +38,7 @@ let contact_row env ?(name = "contact_row_baseline") ~layer ?w ?l ?net () =
   in
   (* Metal inside it: the tighter of the two enclosure constraints decides
      the inset on each side. *)
-  let inset = max 0 (encl_land - encl_metal) in
+  let inset = Int.max 0 (encl_land - encl_metal) in
   let mx0 = inset and my0 = inset in
   let mx1 = len - inset and my1 = h - inset in
   let mx1 = if mx1 - mx0 < metal_min then mx0 + metal_min else mx1 in
@@ -50,10 +50,10 @@ let contact_row env ?(name = "contact_row_baseline") ~layer ?w ?l ?net () =
   in
   (* Contact array: window is the landing shrunk by its enclosure,
      intersected with the metal shrunk by its enclosure. *)
-  let wx0 = max encl_land (mx0 + encl_metal) in
-  let wy0 = max encl_land (my0 + encl_metal) in
-  let wx1 = min (len - encl_land) (mx1 - encl_metal) in
-  let wy1 = min (h - encl_land) (my1 - encl_metal) in
+  let wx0 = Int.max encl_land (mx0 + encl_metal) in
+  let wy0 = Int.max encl_land (my0 + encl_metal) in
+  let wx1 = Int.min (len - encl_land) (mx1 - encl_metal) in
+  let wy1 = Int.min (h - encl_land) (my1 - encl_metal) in
   let fit extent = if extent < cut then 0 else 1 + ((extent - cut) / (cut + cut_space)) in
   let nx = fit (wx1 - wx0) and ny = fit (wy1 - wy0) in
   let place lo hi n =
@@ -63,7 +63,7 @@ let contact_row env ?(name = "contact_row_baseline") ~layer ?w ?l ?net () =
     if equal_gap >= cut_space || n = 1 then
       let rem = total_gap mod (n + 1) in
       List.init n (fun i ->
-          let extra = min i rem in
+          let extra = Int.min i rem in
           lo + ((i + 1) * equal_gap) + extra + (i * cut))
     else
       let margin = (total_gap - ((n - 1) * cut_space)) / 2 in
@@ -140,7 +140,7 @@ let diff_pair env ?(name = "diff_pair_baseline") ~w ~l () =
       let total_gap = extent - (n_cuts * cut) in
       let equal_gap = total_gap / (n_cuts + 1) in
       for i = 0 to n_cuts - 1 do
-        let gap = max equal_gap cut_space in
+        let gap = Int.max equal_gap cut_space in
         let margin =
           if equal_gap >= cut_space then equal_gap
           else (total_gap - ((n_cuts - 1) * cut_space)) / 2
@@ -194,7 +194,7 @@ let diff_pair env ?(name = "diff_pair_baseline") ~w ~l () =
       let total_gap = extent - (n_cuts * cut) in
       let equal_gap = total_gap / (n_cuts + 1) in
       for i = 0 to n_cuts - 1 do
-        let gap = max equal_gap cut_space in
+        let gap = Int.max equal_gap cut_space in
         let margin =
           if equal_gap >= cut_space then equal_gap
           else (total_gap - ((n_cuts - 1) * cut_space)) / 2

@@ -101,8 +101,8 @@ let symmetric_pair env ?(name = "npn_pair") ~we ~le ?(nets_1 = ("e1", "b1", "c1"
           else None)
         (Lobj.shapes obj)
     in
-    let lo = List.fold_left min b.Amg_geometry.Rect.x1 exs - m2w in
-    let hi = List.fold_left max b.Amg_geometry.Rect.x0 exs + m2w in
+    let lo = List.fold_left Int.min b.Amg_geometry.Rect.x1 exs - m2w in
+    let hi = List.fold_left Int.max b.Amg_geometry.Rect.x0 exs + m2w in
     let _ =
       Lobj.add_shape obj ~layer:"metal2"
         ~rect:(Amg_geometry.Rect.make ~x0:lo ~y0 ~x1:hi ~y1:(y0 + m2w))

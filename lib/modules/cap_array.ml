@@ -130,9 +130,9 @@ let make env ?(name = "cap_array") ~unit_ff ~units_a ~units_b
   let side = Capacitor.plate_side env ~cap_ff:unit_ff in
   let m1w = Rules.width rules "metal1" in
   let m1s = Rules.space_exn rules "metal1" "metal1" in
-  let strap_w = max m1w (Units.of_um 2.) in
+  let strap_w = Int.max m1w (Units.of_um 2.) in
   let p2s = Rules.space_exn rules "poly2" "poly2" in
-  let gap_x = max p2s (Units.of_um 2.) in
+  let gap_x = Int.max p2s (Units.of_um 2.) in
   (* Between consecutive rows: A strap of the lower row, B strap of the
      upper one, with metal spacing everywhere. *)
   let gap_y = (3 * m1s) + (2 * strap_w) in
@@ -282,7 +282,7 @@ let make env ?(name = "cap_array") ~unit_ff ~units_a ~units_b
       ~cut_layer:"contact"
     + Rules.width rules "poly"
   in
-  let tab_y1 = min (below - m1s) plate.Rect.y0 in
+  let tab_y1 = Int.min (below - m1s) plate.Rect.y0 in
   let tab =
     Rect.make ~x0:plate.Rect.x0 ~y0:(tab_y1 - tab_h) ~x1:plate.Rect.x1 ~y1:tab_y1
   in
@@ -300,7 +300,7 @@ let make env ?(name = "cap_array") ~unit_ff ~units_a ~units_b
   | [] -> ()
   | _ ->
       let ring_bottom =
-        List.fold_left (fun acc (r : Rect.t) -> min acc r.Rect.y0) max_int !ring_rects
+        List.fold_left (fun acc (r : Rect.t) -> Int.min acc r.Rect.y0) max_int !ring_rects
       in
       let tm = tab_metal.Amg_layout.Shape.rect in
       (* Vertical tie overlapping both the tab metal and the ring's bottom

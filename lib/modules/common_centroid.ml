@@ -140,8 +140,8 @@ let make env ?(name = "common_centroid") ?(spec = paper_spec) ?well_tap
   rail ~layer:"metal1" ~h:m1w ~y:s3_y ~net:net_da ~x0:bbox.Rect.x0
     ~x1:bbox.Rect.x1;
   rail ~layer:"metal2" ~h:m2w ~y:s2_y ~net:net_db
-    ~x0:(List.fold_left min max_int db_xs - margin)
-    ~x1:(List.fold_left max min_int db_xs + margin);
+    ~x0:(List.fold_left Int.min max_int db_xs - margin)
+    ~x1:(List.fold_left Int.max min_int db_xs + margin);
   (* Drop each drain row to its rail on metal2, crossing the metal1 rails
      freely: drain A changes back to metal1 with a via at S3, drain B
      merges into its metal2 rail S2. *)
@@ -173,7 +173,7 @@ let make env ?(name = "common_centroid") ?(spec = paper_spec) ?well_tap
      through the array to the source rail. *)
   let pads = arr.Mos_array.pads in
   let pads_top =
-    List.fold_left (fun acc (_, r) -> max acc r.Rect.y1) min_int pads
+    List.fold_left (fun acc (_, r) -> Int.max acc r.Rect.y1) min_int pads
   in
   List.iter
     (fun (g, pr) ->
@@ -221,7 +221,7 @@ let make env ?(name = "common_centroid") ?(spec = paper_spec) ?well_tap
   in
   let ga_left = side_pads net_ga `Left and ga_right = side_pads net_ga `Right in
   let gb_left = side_pads net_gb `Left and gb_right = side_pads net_gb `Right in
-  let span xs = (List.fold_left min max_int xs, List.fold_left max min_int xs) in
+  let span xs = (List.fold_left Int.min max_int xs, List.fold_left Int.max min_int xs) in
   let la0, la1 = span ga_left and ra0, ra1 = span ga_right in
   let lb0, lb1 = span gb_left and rb0, rb1 = span gb_right in
   (* TL: A left at y_hi, extended east to its crossover riser xc-g1.

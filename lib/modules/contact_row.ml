@@ -68,7 +68,7 @@ let well_tap env ?(name = "welltap") ?w ?l ?(net = "vdd") () =
 let guard_ring env obj ~layer ?(net = "vss") () =
   let rules = Env.rules env in
   let width =
-    max
+    Int.max
       (Amg_tech.Rules.width rules layer)
       (Amg_layout.Derive.min_container_extent rules ~container_layer:layer
          ~cut_layer:"contact")

@@ -53,8 +53,8 @@ let connect_diode env obj ~net =
       let px = Rect.center_x pc.Shape.rect and py = Rect.center_y pc.Shape.rect in
       let sy = Rect.center_y st.Shape.rect in
       let sx =
-        min (st.Shape.rect.Rect.x1 - Amg_geometry.Units.of_um 1.)
-          (max (st.Shape.rect.Rect.x0 + Amg_geometry.Units.of_um 1.) px)
+        Int.min (st.Shape.rect.Rect.x1 - Amg_geometry.Units.of_um 1.)
+          (Int.max (st.Shape.rect.Rect.x0 + Amg_geometry.Units.of_um 1.) px)
       in
       let _ = Amg_route.Wire.via env obj ~at:(px, py) ~net () in
       let _ =

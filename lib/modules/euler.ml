@@ -145,7 +145,7 @@ let trails devs =
           add e.a e;
           if not (String.equal e.a e.b) then add e.b e)
         edges;
-      let max_id = List.fold_left (fun m e -> max m e.id) 0 edges in
+      let max_id = List.fold_left (fun m e -> Int.max m e.id) 0 edges in
       let used = Array.make (max_id + 1) false in
       let start = match odds with o :: _ -> o | [] -> root in
       let s0, trail = walk_trail ~adj ~used start in

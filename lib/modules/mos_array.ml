@@ -166,7 +166,7 @@ let make env ?(name = "mos_array") ?(gate_tracks = true) ?well_tap ~polarity ~w 
         gate_nets
   in
   let pads_top =
-    List.fold_left (fun acc (_, r) -> max acc r.Rect.y1) min_int pads
+    List.fold_left (fun acc (_, r) -> Int.max acc r.Rect.y1) min_int pads
   in
   let m1w = Rules.width rules "metal1" in
   let m2w = Rules.width rules "metal2" in
@@ -179,7 +179,7 @@ let make env ?(name = "mos_array") ?(gate_tracks = true) ?well_tap ~polarity ~w 
             (fun (g', r) -> if String.equal g g' then Some (Rect.center_x r) else None)
             pads
         in
-        let lo = List.fold_left min max_int xs and hi = List.fold_left max min_int xs in
+        let lo = List.fold_left Int.min max_int xs and hi = List.fold_left Int.max min_int xs in
         (g, lo, hi))
       multi_pad_nets
     |> List.sort (fun (_, lo1, hi1) (_, lo2, hi2) -> compare (hi1 - lo1) (hi2 - lo2))
@@ -239,7 +239,7 @@ let make env ?(name = "mos_array") ?(gate_tracks = true) ?well_tap ~polarity ~w 
             match xs with
             | [] -> span
             | x :: _ ->
-                let lo = List.fold_left min x xs and hi = List.fold_left max x xs in
+                let lo = List.fold_left Int.min x xs and hi = List.fold_left Int.max x xs in
                 hi - lo + (2 * Rules.width rules "metal2")
           in
           let bar =

@@ -57,7 +57,7 @@ let merge_diff_gaps env obj ~diff =
             then begin
               let r = row.Shape.rect and c = ch.Shape.rect in
               let y_overlap =
-                min r.Rect.y1 c.Rect.y1 > max r.Rect.y0 c.Rect.y0
+                Int.min r.Rect.y1 c.Rect.y1 > Int.max r.Rect.y0 c.Rect.y0
               in
               let gap_east = c.Rect.x0 - r.Rect.x1 (* channel east of row *)
               and gap_west = r.Rect.x0 - c.Rect.x1 in

@@ -23,12 +23,12 @@ let corner_squares = 0.56
 let serpentine ~w ~gap ~squares ~max_leg =
   if squares <= 0. then invalid_arg "Resistor.serpentine: squares <= 0";
   let total_len = int_of_float (squares *. float_of_int w) in
-  let leg = max w (min max_leg total_len) in
+  let leg = Int.max w (Int.min max_leg total_len) in
   let pitch = w + gap in
   let rec go remaining x_start y dir acc =
     if remaining <= 0 then List.rev acc
     else begin
-      let run = min leg remaining in
+      let run = Int.min leg remaining in
       let x_end = if dir > 0 then x_start + run else x_start - run in
       let acc = (x_end, y) :: acc in
       let remaining = remaining - run in
@@ -38,13 +38,13 @@ let serpentine ~w ~gap ~squares ~max_leg =
            against the requested squares (at least one unit of leg must
            remain so the far head lands on a horizontal run). *)
         let acc = (x_end, y + pitch) :: acc in
-        go (max w (remaining - pitch)) x_end (y + pitch) (-dir) acc
+        go (Int.max w (remaining - pitch)) x_end (y + pitch) (-dir) acc
     end
   in
   go total_len 0 0 1 [ (0, 0) ]
 
 let squares_of_points ~w points =
-  let bends = max 0 (List.length points - 2) in
+  let bends = Int.max 0 (List.length points - 2) in
   let len = Path.length points in
   (float_of_int len /. float_of_int w)
   -. (float_of_int bends *. (1. -. corner_squares))
@@ -65,7 +65,7 @@ let make env ?(name = "resistor") ?(layer = "poly") ~squares ?width
       ~cut_layer:"contact"
   in
   let spacing = Option.value ~default:w (Rules.space rules layer layer) in
-  let gap = spacing + max 0 (head_extent - w) in
+  let gap = spacing + Int.max 0 (head_extent - w) in
   let points = serpentine ~w ~gap ~squares ~max_leg in
   let body = Lobj.create name in
   (* The body carries no net: both heads contact the same resistive film. *)

@@ -33,13 +33,13 @@ let make env ?(name = "resistor_pair") ?(layer = "poly") ~squares ?width
   in
   if squares <= 0. then Env.reject "Resistor_pair: squares <= 0";
   (* Two strips per resistor; strip length carries half the squares. *)
-  let strip_len = max w (int_of_float (squares /. 2. *. float_of_int w)) in
+  let strip_len = Int.max w (int_of_float (squares /. 2. *. float_of_int w)) in
   let head_extent =
     Amg_layout.Derive.min_container_extent rules ~container_layer:layer
       ~cut_layer:"contact"
   in
   let spacing = Option.value ~default:w (Rules.space rules layer layer) in
-  let pitch = w + spacing + max 0 (head_extent - w) in
+  let pitch = w + spacing + Int.max 0 (head_extent - w) in
   let m1w = Rules.width rules "metal1" in
   let m1s = Rules.space_exn rules "metal1" "metal1" in
   let obj = Lobj.create name in
@@ -80,7 +80,7 @@ let make env ?(name = "resistor_pair") ?(layer = "poly") ~squares ?width
     let stub (hb : Rect.t) =
       let x = Rect.center_x hb in
       (* Span through both the head and the lane so they solidly overlap. *)
-      let y0 = min hb.Rect.y0 lane_y0 and y1 = max hb.Rect.y1 lane_y1 in
+      let y0 = Int.min hb.Rect.y0 lane_y0 and y1 = Int.max hb.Rect.y1 lane_y1 in
       ignore
         (Lobj.add_shape obj ~layer:"metal1"
            ~rect:(Rect.make ~x0:(x - (m1w / 2)) ~y0 ~x1:(x + (m1w / 2)) ~y1)
@@ -88,18 +88,18 @@ let make env ?(name = "resistor_pair") ?(layer = "poly") ~squares ?width
     in
     List.iter stub heads;
     let xs = List.map (fun (h : Rect.t) -> Rect.center_x h) heads in
-    let x0 = List.fold_left min (List.hd xs) xs - (m1w / 2)
-    and x1 = List.fold_left max (List.hd xs) xs + (m1w / 2) in
+    let x0 = List.fold_left Int.min (List.hd xs) xs - (m1w / 2)
+    and x1 = List.fold_left Int.max (List.hd xs) xs + (m1w / 2) in
     ignore
       (Lobj.add_shape obj ~layer:"metal1"
          ~rect:(Rect.make ~x0 ~y0:lane_y0 ~x1 ~y1:lane_y1)
          ())
   in
-  let bot_edge = min a_bot0.Rect.y0 b_bot1.Rect.y0 in
+  let bot_edge = Int.min a_bot0.Rect.y0 b_bot1.Rect.y0 in
   link ~heads:[ a_bot0; a_bot3 ]
     ~lane_y0:(bot_edge - m1s - (2 * m1w))
     ~lane_y1:(bot_edge - m1s);
-  let top_edge = max b_top1.Rect.y1 b_top2.Rect.y1 in
+  let top_edge = Int.max b_top1.Rect.y1 b_top2.Rect.y1 in
   link ~heads:[ b_top1; b_top2 ]
     ~lane_y0:(top_edge + m1s)
     ~lane_y1:(top_edge + m1s + (2 * m1w));

@@ -42,7 +42,7 @@ let candidates ~dist residue =
     [ (cx + r, cy); (cx - r, cy); (cx, cy + r); (cx, cy - r);
       (cx + r, cy + r); (cx - r, cy + r); (cx + r, cy - r); (cx - r, cy - r) ]
   in
-  let step = max (Units.of_um 5.) (dist / 8) in
+  let step = Int.max (Units.of_um 5.) (dist / 8) in
   (cx, cy)
   :: List.concat_map (fun k -> ring (k * step)) [ 1; 2; 3; 4; 5; 6 ]
 

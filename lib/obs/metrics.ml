@@ -176,8 +176,8 @@ let hist_snap h =
 let quantile s q =
   if s.h_count = 0 then 0.
   else begin
-    let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int s.h_count))) in
-    let rank = min rank s.h_count in
+    let rank = Int.max 1 (int_of_float (Float.ceil (q *. float_of_int s.h_count))) in
+    let rank = Int.min rank s.h_count in
     let nb = Array.length s.h_bounds in
     let rec go i cum =
       if i >= nb then infinity

@@ -97,7 +97,7 @@ let dropped_events () = Atomic.get dropped
 let truncate_strand s cap =
   let arr = Array.of_list s.events in
   (* newest first *)
-  let keep = min cap (Array.length arr) in
+  let keep = Int.min cap (Array.length arr) in
   let n_dropped = ref (Array.length arr - keep) in
   let out = ref [] and n_out = ref 0 and depth = ref 0 in
   for i = keep - 1 downto 0 do
@@ -405,7 +405,7 @@ let pp_stats ppf () =
       List.iter
         (fun (name, { calls; total_s }) ->
           Fmt.pf ppf "  %-36s %10d %12.3f %12.4f@." name calls (total_s *. 1000.)
-            (total_s *. 1000. /. float_of_int (max 1 calls)))
+            (total_s *. 1000. /. float_of_int (Int.max 1 calls)))
         sp
     end;
     if cs <> [] then begin
@@ -418,7 +418,7 @@ let pp_stats ppf () =
       List.iter
         (fun (name, { s_count; s_min; s_max; s_sum }) ->
           Fmt.pf ppf "  %-36s %10d %10.1f %10.2f %10.1f@." name s_count s_min
-            (s_sum /. float_of_int (max 1 s_count))
+            (s_sum /. float_of_int (Int.max 1 s_count))
             s_max)
         ss
     end

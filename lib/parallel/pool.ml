@@ -50,7 +50,7 @@ let configured : int option Atomic.t = Atomic.make None
 let default_domains () =
   match Atomic.get configured with Some n -> n | None -> recommended ()
 
-let set_default_domains n = Atomic.set configured (Some (max 1 n))
+let set_default_domains n = Atomic.set configured (Some (Int.max 1 n))
 
 (* Oversubscription clamp.  Domains beyond the host's recommended count
    add no compute — only stop-the-world GC synchronization and scheduling
@@ -64,15 +64,15 @@ let oversubscribe = Atomic.make false
 let set_oversubscribe b = Atomic.set oversubscribe b
 
 let effective_size n =
-  let n = max 1 n in
-  if Atomic.get oversubscribe then n else min n (recommended ())
+  let n = Int.max 1 n in
+  if Atomic.get oversubscribe then n else Int.min n (recommended ())
 
 (* Tiny optimizer tasks make the per-index claim traffic (one RMW per
    task) a measurable fraction of the work on a busy memory bus; claiming
    [grain] indices per RMW amortizes it.  The grain caps the stealable
    tail a claimant can hold hostage, so it stays small relative to the
    per-participant share. *)
-let grain_of n total = max 1 (min 8 (total / (4 * n)))
+let grain_of n total = Int.max 1 (Int.min 8 (total / (4 * n)))
 
 (* Cumulative count of tasks executed out of another participant's
    chunk, process-wide.  Purely a load gauge for the serving metrics
@@ -95,7 +95,7 @@ let drain_chunk job (next, stop) =
       let i = Atomic.fetch_and_add next job.grain in
       if i >= stop then continue := false
       else begin
-        let hi = min stop (i + job.grain) in
+        let hi = Int.min stop (i + job.grain) in
         for k = i to hi - 1 do
           job.run k
         done;
@@ -257,7 +257,7 @@ let parked_count () =
 let chunks_of n total =
   let base = total / n and rem = total mod n in
   Array.init n (fun k ->
-      let lo = (k * base) + min k rem in
+      let lo = (k * base) + Int.min k rem in
       let len = base + if k < rem then 1 else 0 in
       (Atomic.make lo, lo + len))
 

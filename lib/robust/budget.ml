@@ -45,7 +45,7 @@ let would_exceed t n =
   match t.max_evals with Some m -> spent t + n > m | None -> false
 
 let remaining_evals t =
-  Option.map (fun m -> max 0 (m - spent t)) t.max_evals
+  Option.map (fun m -> Int.max 0 (m - spent t)) t.max_evals
 
 let task_cancel t () =
   Atomic.get t.stop_flag

@@ -50,7 +50,7 @@ let intervals spec =
     (fun (x, net) ->
       let lo, hi =
         match Hashtbl.find_opt tbl net with
-        | Some (lo, hi) -> (min lo x, max hi x)
+        | Some (lo, hi) -> (Int.min lo x, Int.max hi x)
         | None -> (x, x)
       in
       Hashtbl.replace tbl net (lo, hi))
@@ -68,7 +68,7 @@ let density spec =
           (fun _net (lo, hi) n -> if lo <= x && x <= hi then n + 1 else n)
           iv 0
       in
-      max acc crossing)
+      Int.max acc crossing)
     0 xs
 
 (* Vertical constraint graph: top pin net -> bottom pin net per column. *)
@@ -186,7 +186,7 @@ let route env obj ~spec ~y_top ~y_bottom ~x0 =
   let pitch =
     (* Track pitch leaves room for a via pad plus spacing on both metal
        levels: adjacent tracks can carry vias in the same column. *)
-    max
+    Int.max
       (Wire.pad_size rules ~layer:"metal1" ~cut:"via"
       + Rules.space_exn rules "metal1" "metal1")
       (Wire.pad_size rules ~layer:"metal2" ~cut:"via"
@@ -217,9 +217,9 @@ let route env obj ~spec ~y_top ~y_bottom ~x0 =
       (Lobj.add_shape obj ~layer:"metal2"
          ~rect:
            (Rect.make ~x0:(x - (m2w / 2))
-              ~y0:(min y from_y)
+              ~y0:(Int.min y from_y)
               ~x1:(x + (m2w / 2))
-              ~y1:(max y from_y))
+              ~y1:(Int.max y from_y))
          ~net ());
     ignore (Wire.via env obj ~at:(x, y) ~net ())
   in
@@ -352,7 +352,7 @@ let route_dogleg env obj ~spec ~y_top ~y_bottom ~x0 =
   let pitch =
     (* Track pitch leaves room for a via pad plus spacing on both metal
        levels: adjacent tracks can carry vias in the same column. *)
-    max
+    Int.max
       (Wire.pad_size rules ~layer:"metal1" ~cut:"via"
       + Rules.space_exn rules "metal1" "metal1")
       (Wire.pad_size rules ~layer:"metal2" ~cut:"via"
@@ -383,7 +383,7 @@ let route_dogleg env obj ~spec ~y_top ~y_bottom ~x0 =
         (fun s -> track_y (List.assoc (seg_name s) tracks) + (m1w / 2))
         incident
     in
-    let lo = List.fold_left min from_y ys and hi = List.fold_left max from_y ys in
+    let lo = List.fold_left Int.min from_y ys and hi = List.fold_left Int.max from_y ys in
     ignore
       (Lobj.add_shape obj ~layer:"metal2"
          ~rect:(Rect.make ~x0:(x - (m2w / 2)) ~y0:lo ~x1:(x + (m2w / 2)) ~y1:hi)

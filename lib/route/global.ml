@@ -49,7 +49,7 @@ let corridor_clear env obj ~net ~x ~y_from ~y_to ~via_y =
   let half = (Wire.pad_size rules ~layer:"metal2" ~cut:"via" / 2) + m2s in
   let corridor =
     Rect.inflate
-      (Rect.make ~x0:x ~y0:(min y_from y_to) ~x1:x ~y1:(max y_from y_to))
+      (Rect.make ~x0:x ~y0:(Int.min y_from y_to) ~x1:x ~y1:(Int.max y_from y_to))
       half
   in
   let pad =
@@ -168,7 +168,7 @@ let drop env obj ?(avoid = []) ~net ~track_y (p : Port.t) =
 
 (* Nearest channel to a y coordinate. *)
 let nearest_channel channels y =
-  let dist c = min (abs (y - c.ch_y0)) (abs (y - c.ch_y1)) in
+  let dist c = Int.min (abs (y - c.ch_y0)) (abs (y - c.ch_y1)) in
   match channels with
   | [] -> None
   | c :: cs -> Some (List.fold_left (fun best c -> if dist c < dist best then c else best) c cs)
@@ -208,13 +208,13 @@ let comb_route env obj ?(share_tracks = false) ~nets ~channels ~spine_x0 () =
                     Option.value ~default:(x, x)
                       (Hashtbl.find_opt chs (c.ch_y0, c.ch_y1))
                   in
-                  Hashtbl.replace chs (c.ch_y0, c.ch_y1) (min lo x, max hi x)
+                  Hashtbl.replace chs (c.ch_y0, c.ch_y1) (Int.min lo x, Int.max hi x)
               | None -> ())
             pins;
           let multi = Hashtbl.length chs > 1 in
           Hashtbl.iter
             (fun ch (lo, hi) ->
-              let hi = if multi then max hi (spine_x0 + (i * pitch)) else hi in
+              let hi = if multi then Int.max hi (spine_x0 + (i * pitch)) else hi in
               (* Slack for drop shifts and via pads. *)
               let cur = Option.value ~default:[] (Hashtbl.find_opt intervals ch) in
               Hashtbl.replace intervals ch ((net, lo - um 6., hi + um 6.) :: cur))
@@ -319,9 +319,9 @@ let comb_route env obj ?(share_tracks = false) ~nets ~channels ~spine_x0 () =
                       Printf.sprintf "no drop succeeded in channel y=%d" (fst ch)
                       :: !failures
                 | _ ->
-                    let lo = List.fold_left min (List.hd xs) xs in
-                    let hi = List.fold_left max (List.hd xs) xs in
-                    let hi = if multi then max hi spine_x else hi in
+                    let lo = List.fold_left Int.min (List.hd xs) xs in
+                    let hi = List.fold_left Int.max (List.hd xs) xs in
+                    let hi = if multi then Int.max hi spine_x else hi in
                     let _ =
                       Path.draw obj ~layer:"metal1" ~width:m1w ~net
                         [ (lo, track_y); (hi, track_y) ]
@@ -341,6 +341,6 @@ let comb_route env obj ?(share_tracks = false) ~nets ~channels ~spine_x0 () =
             else unrouted := (net, String.concat "; " !failures) :: !unrouted
           end))
     nets;
-  let max_tracks = Hashtbl.fold (fun _ n acc -> max acc n) tracks_used 0 in
+  let max_tracks = Hashtbl.fold (fun _ n acc -> Int.max acc n) tracks_used 0 in
   { routed = List.rev !routed; unrouted = List.rev !unrouted;
     tracks = (if share_tracks then max_tracks else List.length nets) }

@@ -14,10 +14,10 @@ type point = int * int
 let segment_rect ~width (ax, ay) (bx, by) =
   let h = width / 2 in
   if ax = bx then
-    Rect.make ~x0:(ax - h) ~y0:(min ay by - h) ~x1:(ax - h + width)
-      ~y1:(max ay by + (width - h))
+    Rect.make ~x0:(ax - h) ~y0:(Int.min ay by - h) ~x1:(ax - h + width)
+      ~y1:(Int.max ay by + (width - h))
   else if ay = by then
-    Rect.make ~x0:(min ax bx - h) ~y0:(ay - h) ~x1:(max ax bx + (width - h))
+    Rect.make ~x0:(Int.min ax bx - h) ~y0:(ay - h) ~x1:(Int.max ax bx + (width - h))
       ~y1:(ay - h + width)
   else invalid_arg "Path.segment_rect: diagonal segment"
 
@@ -56,7 +56,7 @@ let crossings a b =
     go [] points
   in
   let crosses ((ax, ay), (bx, by)) ((cx, cy), (dx, dy)) =
-    let strictly_between lo hi v = min lo hi < v && v < max lo hi in
+    let strictly_between lo hi v = Int.min lo hi < v && v < Int.max lo hi in
     if ax = bx && cy = dy then
       (* vertical x horizontal *)
       strictly_between cx dx ax && strictly_between ay by cy

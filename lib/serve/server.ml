@@ -74,7 +74,7 @@ let config ?tcp ?(source = Amg_lang.Stdlib.all) ?source_file ?tech
     slow_ms;
     access_log;
     store;
-    sweep_limit = max 1 sweep_limit;
+    sweep_limit = Int.max 1 sweep_limit;
   }
 
 (* --- FIFO admission queue --------------------------------------------- *)
@@ -95,7 +95,7 @@ let sched_create limit =
     s_next = 0;
     s_serving = 0;
     s_inflight = 0;
-    s_limit = max 1 limit;
+    s_limit = Int.max 1 limit;
   }
 
 (* Returns [Some depth] (requests ahead at admission) once it is our
@@ -133,7 +133,7 @@ let sched_counts s =
   Mutex.lock s.s_lock;
   let inflight = s.s_inflight in
   Mutex.unlock s.s_lock;
-  (inflight, max 0 (inflight - 1))
+  (inflight, Int.max 0 (inflight - 1))
 
 (* --- recorded-build memo ---------------------------------------------- *)
 
@@ -313,7 +313,7 @@ let tenant_env t = function
           tick := t.tenant_tick;
           env
       | None ->
-          if Hashtbl.length t.tenants >= max 1 t.cfg.tenant_limit then begin
+          if Hashtbl.length t.tenants >= Int.max 1 t.cfg.tenant_limit then begin
             let victim =
               Hashtbl.fold
                 (fun k (_, tick) acc ->
@@ -355,7 +355,7 @@ let canonical_build t env ~memoizable ~sg entity args =
       List.iter Policy.report build_diags;
       if memoizable then begin
         t.memo_tick <- t.memo_tick + 1;
-        if Hashtbl.length t.memo >= max 1 t.cfg.memo_limit then begin
+        if Hashtbl.length t.memo >= Int.max 1 t.cfg.memo_limit then begin
           (* Evict the least recently used signature. *)
           let victim =
             Hashtbl.fold

@@ -341,7 +341,7 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
   let t =
     {
       path;
-      fsync_every = max 1 fsync_every;
+      fsync_every = Int.max 1 fsync_every;
       readonly;
       lock = Mutex.create ();
       tbl = Hashtbl.create 64;

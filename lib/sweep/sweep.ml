@@ -397,7 +397,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
      order, reported after the pool joins, so boundaries that drain the
      sink (CLI stderr, the daemon's response diagnostics) stay
      byte-deterministic for every schedule. *)
-  let errs = Array.make (max n 1) None in
+  let errs = Array.make (Int.max n 1) None in
   let run_one i =
     let params = insts.(i) in
     Obs.count "sweep.instances" 1;
@@ -433,7 +433,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
   let n_chunks = (n + chunk - 1) / chunk in
   let chunks =
     Array.init n_chunks (fun c ->
-        Array.sub sched (c * chunk) (min chunk (n - (c * chunk))))
+        Array.sub sched (c * chunk) (Int.min chunk (n - (c * chunk))))
   in
   if n > 0 then
     Pool.with_pool ~domains (fun pool ->

@@ -52,7 +52,7 @@ let space_or_zero t a b =
   match space t a b with Some d -> d | None -> 0
 
 let max_space t =
-  Hashtbl.fold (fun _ d acc -> max d acc) t.spaces 0
+  Hashtbl.fold (fun _ d acc -> Int.max d acc) t.spaces 0
 
 let space_exn t a b =
   match space t a b with

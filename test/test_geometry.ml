@@ -297,6 +297,113 @@ let prop_orientation_inverse =
           and ti = Transform.of_orientation inv in
           Transform.rect ti (Transform.rect t rc) = rc)
 
+(* --- min/max kernel against point membership ---
+
+   [Rect] and [Interval] are built from [Int.min]/[Int.max]; a slip from
+   one to the other still type-checks.  These properties check the
+   results against a reference that only tests whether a grid point lies
+   between two bounds, so it shares no min/max with the code under test.
+   A point lies in a rectangle only between its low and high corner, so
+   a result with crossed corners contains nothing.  Coordinates stay in
+   [-8, 8] and [inflate] grows by at most 3, so the grid [-12, 12] holds
+   every point involved. *)
+
+let grid = List.init 25 (fun i -> i - 12)
+let grid2 = List.concat_map (fun x -> List.map (fun y -> (x, y)) grid) grid
+let between a b v = (a <= v && v <= b) || (b <= v && v <= a)
+let in_rect (r : Rect.t) (x, y) = r.x0 <= x && x <= r.x1 && r.y0 <= y && y <= r.y1
+let in_interval (i : Interval.t) v = i.lo <= v && v <= i.hi
+
+(* The unit cell with lower-left corner (x, y) lies inside [r]: interiors
+   meet exactly when some cell lies inside both. *)
+let cell_in (r : Rect.t) (x, y) =
+  r.x0 <= x && x + 1 <= r.x1 && r.y0 <= y && y + 1 <= r.y1
+
+let small = QCheck2.Gen.int_range (-8) 8
+let corners_gen = QCheck2.Gen.(tup4 small small small small)
+let small_rect_gen =
+  QCheck2.Gen.map (fun (x0, y0, x1, y1) -> Rect.make ~x0 ~y0 ~x1 ~y1) corners_gen
+let small_interval_gen =
+  QCheck2.Gen.(map (fun (a, b) -> Interval.make a b) (tup2 small small))
+
+let prop_rect_make_normalises =
+  QCheck2.Test.make ~name:"rect make normalises corners" ~count:300 corners_gen
+    (fun (x0, y0, x1, y1) ->
+      let r = Rect.make ~x0 ~y0 ~x1 ~y1 in
+      List.for_all
+        (fun ((x, y) as p) -> in_rect r p = (between x0 x1 x && between y0 y1 y))
+        grid2)
+
+let prop_rect_hull_least =
+  QCheck2.Test.make ~name:"rect hull is the least cover" ~count:300
+    QCheck2.Gen.(tup2 small_rect_gen small_rect_gen)
+    (fun (a, b) ->
+      let h = Rect.hull a b in
+      let in_ab p = in_rect a p || in_rect b p in
+      (* Contains both, and every side of the hull holds a point of [a] or
+         [b], so no smaller rectangle contains both. *)
+      let on_side f = List.exists (fun p -> in_ab p && f p) grid2 in
+      List.for_all (fun p -> (not (in_ab p)) || in_rect h p) grid2
+      && on_side (fun (x, _) -> x = h.x0)
+      && on_side (fun (x, _) -> x = h.x1)
+      && on_side (fun (_, y) -> y = h.y0)
+      && on_side (fun (_, y) -> y = h.y1))
+
+let prop_interval_hull_least =
+  QCheck2.Test.make ~name:"interval hull is the least cover" ~count:300
+    QCheck2.Gen.(tup2 small_interval_gen small_interval_gen)
+    (fun (a, b) ->
+      let h = Interval.hull a b in
+      let in_ab v = in_interval a v || in_interval b v in
+      List.for_all (fun v -> (not (in_ab v)) || in_interval h v) grid
+      && in_ab h.lo && in_ab h.hi)
+
+let prop_rect_inter =
+  (* [Rect.inter] answers [Some] exactly when the interiors meet; the
+     result is then the closed intersection. *)
+  QCheck2.Test.make ~name:"rect inter matches point membership" ~count:300
+    QCheck2.Gen.(tup2 small_rect_gen small_rect_gen)
+    (fun (a, b) ->
+      let meet = List.exists (fun p -> cell_in a p && cell_in b p) grid2 in
+      match Rect.inter a b with
+      | None -> not meet
+      | Some i ->
+          meet
+          && List.for_all
+               (fun p -> in_rect i p = (in_rect a p && in_rect b p))
+               grid2)
+
+let prop_interval_inter =
+  (* [Interval.inter] answers [Some] exactly when the closed intervals
+     share a point; the result is the set of shared points. *)
+  QCheck2.Test.make ~name:"interval inter matches point membership" ~count:300
+    QCheck2.Gen.(tup2 small_interval_gen small_interval_gen)
+    (fun (a, b) ->
+      let shared v = in_interval a v && in_interval b v in
+      match Interval.inter a b with
+      | None -> not (List.exists shared grid)
+      | Some i -> List.for_all (fun v -> in_interval i v = shared v) grid)
+
+let prop_rect_inflate =
+  (* Growing by [d >= 0] adds every point within Chebyshev distance [d];
+     any [d] moves each side outward by [d] and normalises. *)
+  QCheck2.Test.make ~name:"rect inflate matches point membership" ~count:300
+    QCheck2.Gen.(tup2 small_rect_gen (int_range (-3) 3))
+    (fun (r, d) ->
+      let g = Rect.inflate r d in
+      let steps = List.init ((2 * abs d) + 1) (fun i -> i - abs d) in
+      let near (x, y) =
+        List.exists
+          (fun dx -> List.exists (fun dy -> in_rect r (x + dx, y + dy)) steps)
+          steps
+      in
+      List.for_all
+        (fun ((x, y) as p) ->
+          in_rect g p
+          = (between (r.x0 - d) (r.x1 + d) x && between (r.y0 - d) (r.y1 + d) y)
+          && (d < 0 || in_rect g p = near p))
+        grid2)
+
 let suite =
   [
     Alcotest.test_case "units" `Quick test_units;
@@ -315,4 +422,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_residue_exact;
     QCheck_alcotest.to_alcotest prop_region_contains_point;
     QCheck_alcotest.to_alcotest prop_orientation_inverse;
+    QCheck_alcotest.to_alcotest prop_rect_make_normalises;
+    QCheck_alcotest.to_alcotest prop_rect_hull_least;
+    QCheck_alcotest.to_alcotest prop_interval_hull_least;
+    QCheck_alcotest.to_alcotest prop_rect_inter;
+    QCheck_alcotest.to_alcotest prop_interval_inter;
+    QCheck_alcotest.to_alcotest prop_rect_inflate;
   ]
