@@ -12,7 +12,6 @@
 module Pool = Amg_parallel.Pool
 module Obs = Amg_obs.Obs
 module Budget = Amg_robust.Budget
-module Lobj = Amg_layout.Lobj
 
 let budget_exhausted = "variants: budget exhausted before this alternative"
 
@@ -29,31 +28,6 @@ let exhausted = function
       else false
 
 let spend = function None -> () | Some b -> Budget.spend b 1
-
-(* Run one alternative body under a snapshot of every rollback object: a
-   branch that raises — [Env.Rejected] backtracking, a budget stop, an
-   injected fault — rewinds the shared objects to their pre-branch state
-   instead of leaving partial placements behind, so the next alternative
-   starts clean.  Successful branches keep their mutations (accumulation
-   across alternatives stays the caller's call).  O(1) when [rollback] is
-   empty; snapshots are released either way (see Lobj's LIFO rule, which
-   proper nesting of alternatives respects per object). *)
-let protected rollback f =
-  match rollback with
-  | [] -> f ()
-  | roots -> (
-      let snaps = List.map (fun o -> (o, Lobj.snapshot o)) roots in
-      let release () =
-        List.iter (fun (o, s) -> Lobj.release o s) (List.rev snaps)
-      in
-      match f () with
-      | v ->
-          release ();
-          v
-      | exception e ->
-          List.iter (fun (o, s) -> Lobj.restore o s) snaps;
-          release ();
-          raise e)
 
 type 'a t =
   | Return : 'a -> 'a t
@@ -83,28 +57,27 @@ let ( let+ ) m f = map f m
    evaluated and appear as [Error budget_exhausted] entries, so the result
    list always has one entry per leaf and positional consumers stay
    aligned.  The budget is consulted at alternative boundaries only. *)
-let rec run_seq :
-    type a. Budget.t option -> Lobj.t list -> a t -> (a, string) result list =
- fun b rb -> function
+let rec run_seq : type a. Budget.t option -> a t -> (a, string) result list =
+ fun b -> function
   | Return x -> [ Ok x ]
   | Delay f ->
       if exhausted b then [ Error budget_exhausted ]
       else begin
         spend b;
-        try [ Ok (protected rb f) ] with Env.Rejected m -> [ Error m ]
+        try [ Ok (f ()) ] with Env.Rejected m -> [ Error m ]
       end
   | Alt ts ->
       List.concat_map
         (fun t ->
           (match b with Some bu -> Budget.poll bu | None -> ());
-          run_seq b rb t)
+          run_seq b t)
         ts
   | Bind (m, f) ->
-      run_seq b rb m
+      run_seq b m
       |> List.concat_map (function
            | Error m -> [ Error m ]
            | Ok v -> (
-               try run_seq b rb (f v) with Env.Rejected m -> [ Error m ]))
+               try run_seq b (f v) with Env.Rejected m -> [ Error m ]))
 
 (* With a pool, sibling alternatives reachable from the caller's domain are
    evaluated concurrently (each branch sequentially within itself — a
@@ -117,13 +90,13 @@ let rec run_par : type a. Budget.t option -> Pool.t -> a t -> (a, string) result
  fun b pool -> function
   | Alt ts -> (
       match b with
-      | None -> List.concat (Pool.map_list pool (run_seq None []) ts)
+      | None -> List.concat (Pool.map_list pool (run_seq None) ts)
       | Some bu ->
           (* Branches the cancellation flag skipped appear as single
              [Error budget_exhausted] entries in branch order. *)
           let branches =
             Pool.map_array_cancel pool ~cancel:(Budget.task_cancel bu)
-              (run_seq b []) (Array.of_list ts)
+              (run_seq b) (Array.of_list ts)
           in
           Array.to_list branches
           |> List.concat_map (function
@@ -137,17 +110,14 @@ let rec run_par : type a. Budget.t option -> Pool.t -> a t -> (a, string) result
            | Error m -> [ Error m ]
            | Ok v -> (
                try run_par b pool (f v) with Env.Rejected m -> [ Error m ]))
-  | t -> run_seq b [] t
+  | t -> run_seq b t
 
-let run ?pool ?budget ?(rollback = []) m =
+let run ?pool ?budget m =
   Obs.span "variants.run" @@ fun () ->
   let results =
-    (* Rollback snapshots mutate the shared roots in place, so branches
-       must run one at a time: rollback forces the sequential path even
-       when a pool is available. *)
-    match (pool, rollback) with
-    | Some pool, [] when Pool.size pool > 1 -> run_par budget pool m
-    | _ -> run_seq budget rollback m
+    match pool with
+    | Some pool when Pool.size pool > 1 -> run_par budget pool m
+    | _ -> run_seq budget m
   in
   if Obs.enabled () then begin
     let ok =
@@ -158,47 +128,36 @@ let run ?pool ?budget ?(rollback = []) m =
   end;
   results
 
-let successes ?pool ?budget ?rollback m =
-  List.filter_map
-    (function Ok x -> Some x | Error _ -> None)
-    (run ?pool ?budget ?rollback m)
+let successes ?pool ?budget m =
+  List.filter_map (function Ok x -> Some x | Error _ -> None) (run ?pool ?budget m)
 
-let failures ?pool ?budget ?rollback m =
-  List.filter_map
-    (function Error e -> Some e | Ok _ -> None)
-    (run ?pool ?budget ?rollback m)
+let failures ?pool ?budget m =
+  List.filter_map (function Error e -> Some e | Ok _ -> None) (run ?pool ?budget m)
 
-(* First success, depth first — plain backtracking. *)
-let first ?(rollback = []) m =
+(* First success, depth first — plain backtracking.  [k] is the success
+   continuation: each leaf's value goes straight to the rest of the
+   computation, and the walk stops at the first leaf whose continuation
+   succeeds, so no later alternative runs (not even under [bind]). *)
+let first m =
   Obs.span "variants.first" @@ fun () ->
-  let rec go : type a. a t -> a option = function
-    | Return x -> Some x
-    | Delay f -> ( try Some (protected rollback f) with Env.Rejected _ -> None)
-    | Alt ts ->
-        List.fold_left
-          (fun acc t -> match acc with Some _ -> acc | None -> go t)
-          None ts
-    | Bind (m, f) -> (
-        (* Try each solution of [m] in order until one continuation
-           succeeds. *)
-        let rec try_solutions = function
-          | [] -> None
-          | Ok v :: rest -> (
-              match (try go (f v) with Env.Rejected _ -> None) with
-              | Some r -> Some r
-              | None -> try_solutions rest)
-          | Error _ :: rest -> try_solutions rest
-        in
-        try_solutions (run_seq None rollback m))
+  let rec go : type a b. a t -> (a -> b option) -> b option =
+   fun m k ->
+    match m with
+    | Return x -> k x
+    | Delay f -> ( match f () with x -> k x | exception Env.Rejected _ -> None)
+    | Alt ts -> List.find_map (fun t -> go t k) ts
+    | Bind (m, f) ->
+        go m (fun v ->
+            match f v with n -> go n k | exception Env.Rejected _ -> None)
   in
-  let r = go m in
+  let r = go m Option.some in
   (match r with
   | Some _ -> Obs.count "variants.successes" 1
   | None -> Obs.count "variants.failures" 1);
   r
 
-let first_exn ?rollback m =
-  match first ?rollback m with
+let first_exn m =
+  match first m with
   | Some x -> x
   | None -> Env.reject "Variants.first_exn: all alternatives rejected"
 
@@ -206,10 +165,8 @@ let first_exn ?rollback m =
    "the rating function is also applied to select the best variant"
    (§2.4).  The fold runs over the enumeration order with a strict
    comparison, so the pick is the same with and without a pool. *)
-let best ?pool ?budget ?rollback ~rate m =
-  let rated =
-    List.map (fun x -> (x, rate x)) (successes ?pool ?budget ?rollback m)
-  in
+let best ?pool ?budget ~rate m =
+  let rated = List.map (fun x -> (x, rate x)) (successes ?pool ?budget m) in
   List.fold_left
     (fun acc (x, r) ->
       match acc with
@@ -217,7 +174,7 @@ let best ?pool ?budget ?rollback ~rate m =
       | _ -> Some (x, r))
     None rated
 
-let best_exn ?pool ?budget ?rollback ~rate m =
-  match best ?pool ?budget ?rollback ~rate m with
+let best_exn ?pool ?budget ~rate m =
+  match best ?pool ?budget ~rate m with
   | Some xr -> xr
   | None -> Env.reject "Variants.best_exn: all alternatives rejected"

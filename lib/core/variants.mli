@@ -29,25 +29,19 @@ val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t
 val run :
   ?pool:Amg_parallel.Pool.t ->
   ?budget:Amg_robust.Budget.t ->
-  ?rollback:Amg_layout.Lobj.t list ->
   'a t ->
   ('a, string) result list
 (** Depth-first enumeration of every alternative; rejections appear as
     [Error] with the rejection message.  With [?pool], sibling
     alternatives of each [alt] reachable from the calling domain are
-    evaluated concurrently (each branch sequentially within itself; branch
-    code must only mutate layout objects it created).  The result list is
-    identical to the sequential enumeration — branch results are
-    concatenated in branch order.
+    evaluated concurrently (each branch sequentially within itself).  The
+    result list is identical to the sequential enumeration — branch
+    results are concatenated in branch order.
 
-    [?rollback] (default [[]]) names shared layout objects the branch
-    bodies mutate in place: each [delay] body runs under an
-    {!Amg_layout.Lobj.snapshot} of every listed object, and a body that
-    raises — backtracking, a budget stop, an injected fault — restores
-    them before the next alternative runs, so a failed branch leaves no
-    partial placements behind.  Successful branches keep their mutations.
-    Because the snapshots rewind shared state, a non-empty [?rollback]
-    forces sequential evaluation even when [?pool] is given.
+    Nothing is rolled back between alternatives, with or without a pool:
+    branch code must only mutate layout objects it created (copying any
+    shared one it means to change), so a rejected branch leaves nothing
+    behind.
 
     With [?budget], alternatives beyond the budget are not evaluated and
     appear as [Error] entries ("budget exhausted"), in enumeration order;
@@ -59,28 +53,26 @@ val run :
 val successes :
   ?pool:Amg_parallel.Pool.t ->
   ?budget:Amg_robust.Budget.t ->
-  ?rollback:Amg_layout.Lobj.t list ->
   'a t ->
   'a list
 
 val failures :
   ?pool:Amg_parallel.Pool.t ->
   ?budget:Amg_robust.Budget.t ->
-  ?rollback:Amg_layout.Lobj.t list ->
   'a t ->
   string list
 
-val first : ?rollback:Amg_layout.Lobj.t list -> 'a t -> 'a option
-(** Plain backtracking: the first alternative that survives.  [?rollback]
-    as in {!run} — rejected branches restore the listed objects. *)
+val first : 'a t -> 'a option
+(** Plain backtracking: the first alternative that survives.  The walk is
+    lazy — it stops at the first leaf whose continuation succeeds, so later
+    alternatives never run, under {!bind} too. *)
 
-val first_exn : ?rollback:Amg_layout.Lobj.t list -> 'a t -> 'a
+val first_exn : 'a t -> 'a
 (** @raise Env.Rejected when every alternative is rejected. *)
 
 val best :
   ?pool:Amg_parallel.Pool.t ->
   ?budget:Amg_robust.Budget.t ->
-  ?rollback:Amg_layout.Lobj.t list ->
   rate:('a -> float) ->
   'a t ->
   ('a * float) option
@@ -92,7 +84,6 @@ val best :
 val best_exn :
   ?pool:Amg_parallel.Pool.t ->
   ?budget:Amg_robust.Budget.t ->
-  ?rollback:Amg_layout.Lobj.t list ->
   rate:('a -> float) ->
   'a t ->
   'a * float

@@ -555,11 +555,29 @@ and exec_stmt frame (s : Ast.stmt) =
       | _ -> error "FOR: bounds must be numbers")
   | Ast.Choose branches ->
       (* Backtracking (§2.1): try each branch; on a design-rule rejection
-         roll the frame back and try the next one.  An armed recorder is
-         rolled back with the frame: recorded step objects are frozen
-         copies, so restoring the lists restores the recording exactly. *)
-      let snapshot_obj = Lobj.copy frame.obj in
+         roll the frame back and try the next one.  Objects mutate in place
+         (RENAME_NET, MIRROR, a compact mover), so the rollback copies the
+         frame's object and every object bound in its variables, and each
+         restore installs fresh copies of those.  Each object is copied
+         once by physical identity, so aliases stay aliases.  An armed
+         recorder is rolled back with the frame: recorded step objects are
+         frozen copies, so restoring the lists restores the recording
+         exactly. *)
+      let copier () =
+        let seen = ref [] in
+        fun o ->
+          match List.assq_opt o !seen with
+          | Some c -> c
+          | None ->
+              let c = Lobj.copy o in
+              seen := (o, c) :: !seen;
+              c
+      in
+      let copy_value copy = function Value.Obj o -> Value.Obj (copy o) | v -> v in
+      let copy = copier () in
+      let snapshot_obj = copy frame.obj in
       let snapshot_vars = Hashtbl.copy frame.vars in
+      Hashtbl.filter_map_inplace (fun _ v -> Some (copy_value copy v)) snapshot_vars;
       let rec_snapshot =
         match frame.ctx.recorder with
         | Some r when frame.ctx.depth = 1 ->
@@ -567,9 +585,12 @@ and exec_stmt frame (s : Ast.stmt) =
         | _ -> None
       in
       let restore () =
-        frame.obj <- Lobj.copy snapshot_obj;
+        let copy = copier () in
+        frame.obj <- copy snapshot_obj;
         Hashtbl.reset frame.vars;
-        Hashtbl.iter (fun k v -> Hashtbl.replace frame.vars k v) snapshot_vars;
+        Hashtbl.iter
+          (fun k v -> Hashtbl.replace frame.vars k (copy_value copy v))
+          snapshot_vars;
         match rec_snapshot with
         | Some (r, base, steps, shapes, invalid) ->
             r.rec_base <- base;

@@ -10,23 +10,6 @@ type array_spec = {
   array_net : string option;
 }
 
-(* Delta-log journal behind [snapshot]/[restore].  While at least one
-   snapshot is live every store mutation pushes its inverse; [restore]
-   pops the log back to the snapshot's length and re-installs the scalar
-   fields (ports, arrays, name, next_id, layer order) captured in the
-   snapshot record — those are immutable lists, so capturing them is O(1)
-   and sharing them is safe.  Chosen over a copy-on-write generation on
-   the store: a snapshot costs nothing and a restore costs O(changes
-   since), while a COW generation taxes every read with a generation
-   check (see DESIGN.md §10 for the measured comparison). *)
-type undo =
-  | U_enter of Shape.t                    (* drop the newest slot *)
-  | U_absorb of Shape.t array             (* drop the newest k slots *)
-  | U_remove of int * Shape.t             (* slot: re-install the shape *)
-  | U_replace of int * Shape.t * Shape.t  (* slot, old, new *)
-  | U_translate of int * int              (* dx, dy: shift back *)
-  | U_new_layer of string                 (* drop the fresh layer index *)
-
 (* One layer of the store: its spatial index, how many of its shapes are
    keep-clear, and its cached hull.  The count lets the compactor skip a
    layer pair that has no spacing rule outright — without a keep-clear
@@ -62,29 +45,7 @@ type t = {
   mutable ports : Port.t list;
   mutable arrays : (int * array_spec) list;
   mutable next_id : int;
-  mutable journal : undo list; (* most recent first; only while snaps > 0 *)
-  mutable j_len : int;
-  mutable snaps : int;         (* live snapshots *)
 }
-
-type snapshot = {
-  s_owner : t;
-  s_len : int;
-  s_name : string;
-  s_ports : Port.t list;
-  s_arrays : (int * array_spec) list;
-  s_next_id : int;
-  s_layer_order : string list;
-  mutable s_live : bool;
-}
-
-let journaling t = t.snaps > 0
-
-let push t u =
-  if journaling t then begin
-    t.journal <- u :: t.journal;
-    t.j_len <- t.j_len + 1
-  end
 
 let create name =
   {
@@ -99,9 +60,6 @@ let create name =
     ports = [];
     arrays = [];
     next_id = 0;
-    journal = [];
-    j_len = 0;
-    snaps = 0;
   }
 
 let name t = t.name
@@ -151,7 +109,6 @@ let layer_of t name =
       let l = { ix = Sindex.create (); keep_clear = 0; hull = None } in
       Hashtbl.replace t.by_layer name l;
       t.layer_order <- t.layer_order @ [ name ];
-      push t (U_new_layer name);
       l
 
 (* Enter / withdraw a shape's index entry and keep-clear count. *)
@@ -203,23 +160,11 @@ let place t l (s : Shape.t) =
   t.live <- t.live + 1;
   index l s
 
-(* Undo [place] for a shape in one of the last slots; [drop_last] then
-   frees those slots. *)
-let unplace t l (s : Shape.t) =
-  unindex l s;
-  t.id2slot.(s.id) <- -1
-
-let drop_last t k =
-  t.n_slots <- t.n_slots - k;
-  Array.fill t.slots t.n_slots k None;
-  t.live <- t.live - k
-
 let enter t (s : Shape.t) =
   reserve t 1;
   let l = layer_of t s.layer in
   place t l s;
-  extend_caches t l s.rect;
-  push t (U_enter s)
+  extend_caches t l s.rect
 
 (* [f l i j] for each maximal run [batch.(i .. j-1)] of shapes on one
    layer, [l] that layer: one layer lookup per run, not per shape. *)
@@ -237,8 +182,7 @@ let iter_runs t (batch : Shape.t array) f =
   done
 
 (* Enter a batch of shapes with fresh ids as one mutation: each run's
-   layer hull and the object hull are extended once, and the journal gets
-   one record, which [undo] unwinds by dropping the last k slots. *)
+   layer hull and the object hull are extended once. *)
 let enter_batch t (batch : Shape.t array) =
   let k = Array.length batch in
   if k > 0 then begin
@@ -252,16 +196,13 @@ let enter_batch t (batch : Shape.t array) =
         done;
         l.hull <- extended l.hull !h;
         hull := Rect.hull !hull !h);
-    t.bb <- extended t.bb !hull;
-    push t (U_absorb batch)
+    t.bb <- extended t.bb !hull
   end
 
 (* Squeeze out removed slots once more than half the prefix is dead, so
-   iteration stays proportional to the live count.  Suppressed while a
-   snapshot is live: the journal records slot indices, and the append-only
-   discipline is what lets [restore] unwind enters by truncation. *)
+   iteration stays proportional to the live count. *)
 let maybe_squeeze t =
-  if (not (journaling t)) && t.n_slots > 16 && 2 * t.live < t.n_slots then begin
+  if t.n_slots > 16 && 2 * t.live < t.n_slots then begin
     let w = ref 0 in
     for r = 0 to t.n_slots - 1 do
       match t.slots.(r) with
@@ -305,7 +246,6 @@ let replace t (s : Shape.t) =
   if slot < 0 then
     Fmt.invalid_arg "Lobj.replace: no shape %d in %s" s.Shape.id t.name;
   let old = Option.get t.slots.(slot) in
-  push t (U_replace (slot, old, s));
   t.slots.(slot) <- Some s;
   reindex t old s;
   if not (String.equal old.Shape.layer s.layer) then begin
@@ -327,8 +267,7 @@ let remove t id =
     | Some s ->
         let l = layer_of t s.layer in
         unindex l s;
-        dirty_layer t l;
-        push t (U_remove (slot, s))
+        dirty_layer t l
     | None -> ());
     t.slots.(slot) <- None;
     t.id2slot.(id) <- -1;
@@ -433,7 +372,6 @@ let map_shapes_in_place t f =
   done
 
 let translate t ~dx ~dy =
-  push t (U_translate (dx, dy));
   map_shapes_in_place t (fun s -> Shape.translate s ~dx ~dy);
   t.ports <- List.map (fun p -> Port.translate p ~dx ~dy) t.ports;
   let shift = Option.map (Option.map (fun r -> Rect.translate r ~dx ~dy)) in
@@ -444,16 +382,11 @@ let translate t ~dx ~dy =
     t.by_layer;
   t.bb <- shift t.bb
 
-let no_snapshots t op =
-  if journaling t then
-    Fmt.invalid_arg "Lobj.%s: %s has a live snapshot (not journalable)" op t.name
-
 (* Arbitrary orientations invalidate the binning wholesale: rebuild.  The
    rebuild re-enters every layer, so the first-use order is saved and
    restored over it (minus layers the rebuild left out, which held no
    shape). *)
 let transform t tr =
-  no_snapshots t "transform";
   map_shapes_in_place t (fun s -> Shape.transform s tr);
   t.ports <- List.map (fun p -> Port.transform p tr) t.ports;
   let order = t.layer_order in
@@ -489,100 +422,7 @@ let copy ?name t =
     ports = t.ports;
     arrays = t.arrays;
     next_id = t.next_id;
-    (* Snapshots name a specific store; the copy starts a fresh history. *)
-    journal = [];
-    j_len = 0;
-    snaps = 0;
   }
-
-(* --- snapshot / restore --- *)
-
-let snapshot t =
-  t.snaps <- t.snaps + 1;
-  {
-    s_owner = t;
-    s_len = t.j_len;
-    s_name = t.name;
-    s_ports = t.ports;
-    s_arrays = t.arrays;
-    s_next_id = t.next_id;
-    s_layer_order = t.layer_order;
-    s_live = true;
-  }
-
-let undo t = function
-  | U_enter s ->
-      (* Enters append and squeezing is suppressed, so in reverse journal
-         order the enter being undone always owns the last used slot. *)
-      unplace t (layer_of t s.layer) s;
-      drop_last t 1
-  | U_absorb batch ->
-      (* Likewise the batch owns the last k slots. *)
-      iter_runs t batch (fun l i j ->
-          for n = i to j - 1 do
-            unplace t l batch.(n)
-          done);
-      drop_last t (Array.length batch)
-  | U_remove (slot, s) ->
-      t.slots.(slot) <- Some s;
-      t.id2slot.(s.id) <- slot;
-      t.live <- t.live + 1;
-      index (layer_of t s.layer) s
-  | U_replace (slot, old, s) ->
-      t.slots.(slot) <- Some old;
-      reindex t s old
-  | U_translate (dx, dy) ->
-      map_shapes_in_place t (fun s -> Shape.translate s ~dx:(-dx) ~dy:(-dy));
-      Hashtbl.iter (fun _ l -> Sindex.translate_all l.ix ~dx:(-dx) ~dy:(-dy)) t.by_layer
-  | U_new_layer layer ->
-      (* Every insert into the fresh index came after its creation, so it
-         has already been unwound; the index is empty. *)
-      Hashtbl.remove t.by_layer layer
-
-let restore t snap =
-  if snap.s_owner != t then
-    Fmt.invalid_arg "Lobj.restore: snapshot belongs to another object";
-  if (not snap.s_live) || snap.s_len > t.j_len then
-    Fmt.invalid_arg "Lobj.restore: snapshot of %s is no longer valid" t.name;
-  while t.j_len > snap.s_len do
-    (match t.journal with
-    | u :: rest ->
-        t.journal <- rest;
-        undo t u
-    | [] -> assert false);
-    t.j_len <- t.j_len - 1
-  done;
-  t.name <- snap.s_name;
-  t.ports <- snap.s_ports;
-  t.arrays <- snap.s_arrays;
-  t.next_id <- snap.s_next_id;
-  t.layer_order <- snap.s_layer_order;
-  (* The unwind retraces geometry exactly but not the incremental cache
-     extensions: drop the hull caches and let the next read re-derive them
-     from the (restored) indexes. *)
-  t.bb <- None;
-  Hashtbl.iter (fun _ l -> l.hull <- None) t.by_layer
-
-let release t snap =
-  if snap.s_owner != t then
-    Fmt.invalid_arg "Lobj.release: snapshot belongs to another object";
-  if snap.s_live then begin
-    snap.s_live <- false;
-    t.snaps <- t.snaps - 1;
-    if t.snaps = 0 then begin
-      t.journal <- [];
-      t.j_len <- 0
-    end
-  end
-
-let with_snapshot t f =
-  let snap = snapshot t in
-  Fun.protect ~finally:(fun () -> release t snap)
-    (fun () ->
-      try f ()
-      with e ->
-        restore t snap;
-        raise e)
 
 let add_port t ~name ~net ~layer ~rect =
   let p = Port.make ~name ~net ~layer ~rect in
@@ -602,7 +442,6 @@ let remove_port t pname =
   t.ports <- List.filter (fun (p : Port.t) -> not (String.equal p.name pname)) t.ports
 
 let rename_net t ~from_ ~to_ =
-  no_snapshots t "rename_net";
   map_shapes_in_place t (fun (s : Shape.t) ->
       if Option.equal String.equal s.net (Some from_) then
         Shape.with_net s (Some to_)
@@ -622,7 +461,6 @@ let rename_net t ~from_ ~to_ =
 
 (* Prefix every net of the object, giving instance-local net names. *)
 let qualify_nets t prefix =
-  no_snapshots t "qualify_nets";
   let q n = prefix ^ "." ^ n in
   map_shapes_in_place t (fun (s : Shape.t) -> Shape.with_net s (Option.map q s.net));
   t.ports <- List.map (fun (p : Port.t) -> { p with net = q p.net }) t.ports;

@@ -70,8 +70,8 @@ val iter_near :
 
 val keep_clear_on : t -> string -> int
 (** Number of keep-clear shapes on the layer (0 for an absent layer).
-    Maintained incrementally by every store mutation, journal undo,
-    {!copy} and {!absorb}. *)
+    Maintained incrementally by every store mutation, {!copy} and
+    {!absorb}. *)
 
 val shapes_on_net : t -> string -> Shape.t list
 val rects : t -> Amg_geometry.Rect.t list
@@ -100,45 +100,9 @@ val copy : ?name:string -> t -> t
     Immutable shape/port/array values are shared, but every mutable part of
     the store (slots, id table, spatial indexes, caches) is duplicated, so
     mutating either object never affects the other.  Not a deep copy of the
-    shape values themselves — they never mutate.  The copy starts with a
-    fresh (empty) snapshot history. *)
-
-(** {2 Snapshot / restore}
-
-    A snapshot marks a point in the object's mutation history; [restore]
-    rewinds the object to it byte-for-byte.  Taking one is O(1): while at
-    least one snapshot is live, every store mutation (shape enter, remove,
-    replace, translate) pushes its inverse onto a delta log, and the scalar
-    fields (name, ports, arrays, ids, layer order) are captured as shared
-    immutable values.  Restoring costs O(mutations since the snapshot) and
-    may be repeated — the engine behind backtracking and the optimizer's
-    incremental search (see DESIGN.md §10).
-
-    Discipline: snapshots are released LIFO ({!with_snapshot} enforces it);
-    while any snapshot is live the whole-object rewrites {!transform},
-    {!rename_net} and {!qualify_nets} raise [Invalid_argument] — they are
-    not journalable. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** O(1); starts journaling if this is the first live snapshot. *)
-
-val restore : t -> snapshot -> unit
-(** Rewind to the snapshot point.  The layout — shapes, ports, arrays,
-    indexes, ids, name — is byte-identical to the state at {!snapshot}
-    time; bounding-box caches are re-derived lazily.  The snapshot stays
-    valid, so a search can restore to the same point repeatedly.
-    @raise Invalid_argument on another object's or a released snapshot. *)
-
-val release : t -> snapshot -> unit
-(** Drop the snapshot (idempotent).  When the last live snapshot goes, the
-    delta log is discarded.  Restoring to an *older* still-live snapshot
-    invalidates younger ones — release youngest-first. *)
-
-val with_snapshot : t -> (unit -> 'a) -> 'a
-(** [with_snapshot t f] runs [f] under a fresh snapshot, restores on any
-    exception, and releases the snapshot either way. *)
+    shape values themselves — they never mutate.  Copying is also how a
+    build rolls back: the language's [CHOOSE] keeps a copy and reinstates
+    it when a branch is rejected. *)
 
 val add_port :
   t -> name:string -> net:string -> layer:string -> rect:Amg_geometry.Rect.t -> Port.t
@@ -185,7 +149,7 @@ val rederive : t -> Amg_tech.Rules.t -> unit
 val absorb : t -> t -> int
 (** [absorb t src] appends [src]'s shapes, ports and arrays into [t],
     renumbering ids; returns the id offset applied to [src]'s ids.  The
-    shapes are entered as one batch: one journal record, one layer lookup
-    per run of same-layer shapes, and each hull extended once. *)
+    shapes are entered as one batch: one layer lookup per run of
+    same-layer shapes, and each hull extended once. *)
 
 val pp : Format.formatter -> t -> unit

@@ -180,44 +180,26 @@ let test_variants_best () =
   check_bool "all rejected" true
     (Variants.best ~rate:(fun _ -> 0.) (Variants.fail "no" : int Variants.t) = None)
 
-(* Branch bodies mutating a shared main under ?rollback: a rejected branch
-   must leave the main exactly as it was before the branch ran, while a
-   successful branch keeps its mutations. *)
-let test_variants_rollback () =
-  let fingerprint o = String.concat ";" (List.map Shape.show (Lobj.shapes o)) in
-  let main = Lobj.create "m" in
-  ignore
-    (Lobj.add_shape main ~layer:"metal1"
-       ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um 4.) ~h:(um 4.)) ());
-  let before = fingerprint main in
-  let branch ok dx =
-    Variants.delay (fun () ->
-        ignore
-          (Lobj.add_shape main ~layer:"metal1"
-             ~rect:(Rect.of_size ~x:dx ~y:(um 10.) ~w:(um 2.) ~h:(um 2.)) ());
-        Lobj.translate main ~dx ~dy:0;
-        if ok then Lobj.shape_count main else Env.reject "branch rejected")
+(* [first] walks depth first and stops at the first surviving leaf, so
+   under [bind] the later alternatives never run: neither when the first
+   leaf's continuation succeeds nor past the one whose continuation does
+   after an earlier continuation rejected. *)
+let test_variants_first_lazy () =
+  let open Variants in
+  let ran = ref [] in
+  let body name x = delay (fun () -> ran := name :: !ran; x) in
+  let alts () = alt [ body "a" 1; body "b" 2; body "c" 3 ] in
+  let runs v =
+    ran := [];
+    let r = first v in
+    (r, List.rev !ran)
   in
-  (* Every branch rejected: the shared main is untouched. *)
-  let v = Variants.alt [ branch false (um 1.); branch false (um 2.) ] in
-  check_bool "all rejected" true
-    (Variants.successes ~rollback:[ main ] v = []);
-  Alcotest.(check string) "main restored after rejections" before
-    (fingerprint main);
-  (* Without rollback the same branches leave their partial placements. *)
-  let s = Lobj.snapshot main in
-  ignore (Variants.run (branch false (um 3.)));
-  check_bool "no rollback leaves mutations" true (fingerprint main <> before);
-  Lobj.restore main s;
-  Lobj.release main s;
-  Alcotest.(check string) "unwound for the next part" before (fingerprint main);
-  (* A mixed tree: the rejected first branch is rolled back, the surviving
-     second branch commits. *)
-  let v = Variants.alt [ branch false (um 1.); branch true (um 2.) ] in
-  (match Variants.first ~rollback:[ main ] v with
-  | Some n -> check "survivor sees only its own mutation" 2 n
-  | None -> Alcotest.fail "expected a survivor");
-  check "committed branch kept" 2 (Lobj.shape_count main)
+  check_bool "plain alt runs only a" true (runs (alts ()) = (Some 1, [ "a" ]));
+  check_bool "bound alt runs only a" true
+    (runs (bind (alts ()) (fun x -> return (x * 10))) = (Some 10, [ "a" ]));
+  check_bool "a rejected continuation runs b, not c" true
+    (runs (bind (alts ()) (fun x -> if x = 1 then fail "odd" else return (x * 10)))
+    = (Some 20, [ "a"; "b" ]))
 
 (* --- rating and optimization --- *)
 
@@ -887,7 +869,7 @@ let suite =
     Alcotest.test_case "variants backtracking" `Quick test_variants_backtracking;
     Alcotest.test_case "variants bind" `Quick test_variants_bind;
     Alcotest.test_case "variants best" `Quick test_variants_best;
-    Alcotest.test_case "variants rollback" `Quick test_variants_rollback;
+    Alcotest.test_case "variants first is lazy" `Quick test_variants_first_lazy;
     Alcotest.test_case "rating" `Quick test_rating;
     Alcotest.test_case "optimize orders" `Quick test_optimize_orders;
     Alcotest.test_case "branch and bound matches exhaustive" `Quick test_optimize_bb_matches_exhaustive;

@@ -1,7 +1,8 @@
-(* The incremental-search machinery of DESIGN.md §10: Lobj snapshot /
-   restore (rewinding must be indistinguishable from never having mutated,
-   down to the spatial-index query results), and the order searches'
-   results across domain counts, base objects and repeated runs. *)
+(* The incremental-search machinery of DESIGN.md §10: Lobj copy and
+   absorb (a copy must be indistinguishable from a fresh rebuild, down to
+   the spatial-index query results, and every store mutation must keep
+   the keep-clear counts exact), and the order searches' results across
+   domain counts, base objects and repeated runs. *)
 
 module Units = Amg_geometry.Units
 module Dir = Amg_geometry.Dir
@@ -82,15 +83,15 @@ let keep_clear_counts_exact o =
              (Lobj.shapes_on o layer)))
     ("metal1" :: "poly" :: Lobj.layers o)
 
-(* --- snapshot / restore --- *)
+(* --- copy --- *)
 
-(* Real compactions (placements, auto-connect, variable-edge relaxation)
-   after a snapshot, then restore: the object must be byte-identical both
-   to its own pre-snapshot state and to a fresh rebuild of the prefix.
-   Every per-layer keep-clear count must match a recount throughout:
-   after the journaled compactions, a replace that flips a shape's
-   keep-clear and a removal, the restore, a copy and an absorb. *)
-let prop_restore_is_rebuild =
+(* A copy of a built prefix, taken before more real compactions
+   (placements, auto-connect, variable-edge relaxation) go into the
+   original, must stay byte-identical to a fresh rebuild of the prefix.
+   Every per-layer keep-clear count must match a recount: after the
+   compactions, a replace that flips a shape's keep-clear and a removal,
+   and in a copy and an absorb of the result. *)
+let prop_copy_is_rebuild =
   let placement = QCheck2.Gen.(tup3 (int_range 2 8) (int_range 2 8) bool) in
   let gen =
     QCheck2.Gen.(
@@ -99,13 +100,13 @@ let prop_restore_is_rebuild =
         (list_size (int_range 1 4) placement)
         (int_range 0 15) (* bit i: placement i brings a keep-clear strip *))
   in
-  QCheck2.Test.make ~name:"restore rewinds to a byte-identical layout"
+  QCheck2.Test.make ~name:"copy equals a prefix rebuild"
     ~count:25 gen (fun (base, extra, kc_bits) ->
       let env = Env.bicmos () in
       let keep_clear i = (kc_bits lsr (i mod 4)) land 1 = 1 in
       let main = build ~keep_clear env base in
       let before = fingerprint env main in
-      let s = Lobj.snapshot main in
+      let prefix = Lobj.copy main in
       List.iteri
         (fun i sp ->
           compact_into ~keep_clear:(keep_clear (i + 1)) env main (1000 + i) sp)
@@ -117,42 +118,18 @@ let prop_restore_is_rebuild =
       (match List.rev (Lobj.shapes main) with
       | sh :: _ when sh.Shape.keep_clear -> Lobj.remove main sh.Shape.id
       | _ -> ());
-      let mutated_counts = keep_clear_counts_exact main in
       let mutated = fingerprint env main in
       let copied = Lobj.copy main in
       let absorbed = Lobj.create "a" in
       ignore (Lobj.absorb absorbed main);
-      Lobj.restore main s;
-      Lobj.release main s;
-      let after = fingerprint env main in
+      let kept = fingerprint env prefix in
       let rebuilt = fingerprint env (build ~keep_clear env base) in
-      after = before && after = rebuilt
+      kept = before && kept = rebuilt
       && (extra = [] || mutated <> before)
       && fingerprint env copied = mutated
-      && List.for_all keep_clear_counts_exact [ main; copied; absorbed ]
-      && mutated_counts)
+      && List.for_all keep_clear_counts_exact [ main; prefix; copied; absorbed ])
 
-let test_restore_repeatable () =
-  let env = Env.bicmos () in
-  let main = build env [ (4, 2, true); (2, 6, false) ] in
-  let before = fingerprint env main in
-  let s = Lobj.snapshot main in
-  (* The same snapshot serves several rewinds — the optimizer restores to
-     one depth once per sibling. *)
-  List.iter
-    (fun i ->
-      compact_into env main (100 + i) ((i mod 5) + 2, 3, i mod 2 = 0);
-      Lobj.restore main s;
-      check_bool
-        (Printf.sprintf "rewind %d identical" i)
-        true
-        (fingerprint env main = before))
-    [ 0; 1; 2 ];
-  Lobj.release main s;
-  check_bool "still identical after release" true
-    (fingerprint env main = before)
-
-(* --- the one-record absorb --- *)
+(* --- absorb --- *)
 
 (* Plain shapes, without ports or arrays (so an absorb and per-shape adds
    leave the same scalar fields): runs on metal1, a keep-clear poly shape,
@@ -173,31 +150,26 @@ let absorb_source () =
   Lobj.remove src gone.Shape.id;
   src
 
-(* An absorb is one journal record: restoring over it rewinds to a
-   byte-identical object, and the ids it took are free again. *)
-let test_absorb_record () =
+(* Two absorbs enter every live source shape at its offset id; on a copy
+   that keeps adding shapes, no id may find another's shape, and every
+   keep-clear count matches a recount. *)
+let test_absorb_batch () =
   let env = Env.bicmos () in
   let main = build ~keep_clear:(fun i -> i = 1) env [ (4, 2, true); (2, 6, false) ] in
   let src = absorb_source () in
   let k = Lobj.shape_count src in
   let n0 = Lobj.shape_count main in
-  let before = fingerprint env main in
-  let s = Lobj.snapshot main in
   let offset = Lobj.absorb main src in
   (* The second absorb finds every layer present. *)
   ignore (Lobj.absorb main src);
   check_int "two absorbs enter 2k shapes" (n0 + (2 * k)) (Lobj.shape_count main);
-  let absorbed_counts = keep_clear_counts_exact main in
-  Lobj.restore main s;
-  Lobj.release main s;
-  check_bool "restore rewinds to a byte-identical object" true
-    (fingerprint env main = before);
-  check_bool "absorbed ids are gone" true
+  check_bool "absorbed shapes sit at their offset ids" true
     (List.for_all
-       (fun (sh : Shape.t) -> Lobj.find main (sh.Shape.id + offset) = None)
+       (fun (sh : Shape.t) ->
+         match Lobj.find main (sh.Shape.id + offset) with
+         | Some a -> Rect.equal a.Shape.rect sh.Shape.rect
+         | None -> false)
        (Lobj.shapes src));
-  (* New shapes reuse the freed ids and slots; no id may find another's
-     shape. *)
   let probe = Lobj.copy main in
   for i = 0 to 1 do
     ignore
@@ -209,9 +181,9 @@ let test_absorb_record () =
     (List.for_all
        (fun id ->
          match Lobj.find probe id with None -> true | Some sh -> sh.Shape.id = id)
-       (List.init (offset + 20) Fun.id));
+       (List.init (Lobj.id_bound probe + 20) Fun.id));
   check_bool "keep-clear counts exact" true
-    (absorbed_counts && keep_clear_counts_exact main)
+    (List.for_all keep_clear_counts_exact [ main; probe ])
 
 (* --- the order searches --- *)
 
@@ -278,10 +250,8 @@ let test_searches_identical () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_restore_is_rebuild;
-    Alcotest.test_case "absorb is one journal record" `Quick test_absorb_record;
-    Alcotest.test_case "snapshot restores repeatedly" `Quick
-      test_restore_repeatable;
+    QCheck_alcotest.to_alcotest prop_copy_is_rebuild;
+    Alcotest.test_case "absorb enters every shape" `Quick test_absorb_batch;
     Alcotest.test_case "searches agree across domains/runs"
       `Quick test_searches_identical;
   ]

@@ -219,6 +219,57 @@ ENT F()
     | exception Diag.Fail _ -> true
     | _ -> false)
 
+(* A rejected branch may mutate an object bound before CHOOSE in place;
+   the rollback must undo that too, not only the frame's own object. *)
+let test_interp_choose_rollback_objects () =
+  let chosen mutation =
+    build
+      (Printf.sprintf
+         {|
+ENT Part()
+  INBOX("metal1", 2, 2, net = "a")
+
+ENT Top()
+  p = Part()
+  CHOOSE
+    %s
+    REJECT("no")
+  ORELSE
+    compact(p, "SOUTH")
+  END
+|}
+         mutation)
+      "Top" []
+  in
+  let o = chosen {|RENAME_NET(p, "a", "leaked")|} in
+  check_bool "renamed net rolled back" true (Lobj.nets o = [ "a" ]);
+  let y_span o = Option.map (fun r -> (r.Rect.y0, r.Rect.y1)) (Lobj.bbox o) in
+  check_bool "mirror rolled back" true
+    (y_span (chosen {|MIRROR(p, "X")|}) = Some (0, um 2.));
+  (* Two parameters bound to one object still share it after a restore:
+     the mirror through [q] moves what [r] compacts. *)
+  let o =
+    build
+      {|
+ENT Part()
+  INBOX("metal1", 2, 2, net = "a")
+
+ENT Pair(q, r)
+  CHOOSE
+    REJECT("no")
+  ORELSE
+    MIRROR(q, "X")
+    compact(r, "SOUTH")
+  END
+
+ENT Top()
+  p = Part()
+  compact(Pair(p, p), "SOUTH")
+|}
+      "Top" []
+  in
+  check_bool "aliases stay aliases" true (y_span o = Some (- um 2., 0))
+
 let test_interp_diff_pair () =
   let o =
     build Amg_lang.Stdlib.all "DiffPair" [ ("W", Value.Num 10.); ("L", Value.Num 5.) ]
@@ -553,6 +604,8 @@ let suite =
     Alcotest.test_case "object copy semantics" `Quick test_interp_copy_semantics;
     Alcotest.test_case "for loop" `Quick test_interp_for_loop;
     Alcotest.test_case "choose rollback" `Quick test_interp_choose_rollback;
+    Alcotest.test_case "choose rollback of objects" `Quick
+      test_interp_choose_rollback_objects;
     Alcotest.test_case "diff pair (fig 7)" `Quick test_interp_diff_pair;
     Alcotest.test_case "geometry queries" `Quick test_interp_geometry_queries;
     Alcotest.test_case "fit-row topology variants" `Quick test_interp_fit_row_variants;
