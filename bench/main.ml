@@ -20,6 +20,7 @@ module Env = Amg_core.Env
 module Build = Amg_core.Build
 module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
+module Wire = Amg_robust.Wire
 module Successive = Amg_compact.Successive
 module Edge_graph = Amg_compact.Edge_graph
 module M = Amg_modules
@@ -438,6 +439,15 @@ let claim_speed env =
 (* CLAIM-OPT: compaction-order optimization and variant selection.     *)
 (* ------------------------------------------------------------------ *)
 
+(* All orders of a step list in lexicographic order, lazily: the
+   exhaustive baseline the searches are measured against. *)
+let rec permutations = function
+  | [] -> Seq.return []
+  | xs ->
+      List.to_seq xs
+      |> Seq.concat_map (fun x ->
+             Seq.map (fun p -> x :: p) (permutations (List.filter (( != ) x) xs)))
+
 let claim_opt env =
   section "CLAIM-OPT  optimization mode: order permutations + rating";
   let mk name w h net =
@@ -453,12 +463,16 @@ let claim_opt env =
       Optimize.step (mk "small" (um 2.) (um 2.) "d") Dir.West;
     ]
   in
-  let results, dt = wall (fun () -> Optimize.evaluate_orders env ~name:"opt" steps) in
-  let ratings = List.map (fun (_, r, _) -> r) results in
+  let ratings, dt =
+    wall (fun () ->
+        List.of_seq (permutations steps)
+        |> List.map (fun order ->
+               Rating.rate env Rating.default (Optimize.apply env ~name:"opt" order)))
+  in
   let best = List.fold_left min infinity ratings in
   let worst = List.fold_left max 0. ratings in
   let default = match ratings with r :: _ -> r | [] -> nan in
-  Fmt.pr "orders evaluated: %d (4! = 24) in %.1f ms@." (List.length results) (dt *. 1000.);
+  Fmt.pr "orders evaluated: %d (4! = 24) in %.1f ms@." (List.length ratings) (dt *. 1000.);
   Fmt.pr "bounding-box area: best %.1f um2, default order %.1f um2, worst %.1f um2@."
     best default worst;
   Fmt.pr "best/worst improvement: %.1f%%@." (100. *. (worst -. best) /. worst);
@@ -503,9 +517,16 @@ let claim_opt env =
         (um 8., um 2., Dir.South); (um 2., um 4., Dir.West);
       ]
   in
-  let (_, r_ex, _), t_ex = wall (fun () -> Optimize.optimize env ~name:"bb" steps6) in
+  let r_ex, t_ex =
+    wall (fun () ->
+        Seq.fold_left
+          (fun best order ->
+            Float.min best
+              (Rating.rate env Rating.default (Optimize.apply env ~name:"bb" order)))
+          infinity (permutations steps6))
+  in
   let (_, r_bb, _, nodes), t_bb =
-    wall (fun () -> Optimize.optimize_bb env ~name:"bb" steps6)
+    wall (fun () -> Optimize.search env ~name:"bb" Wire.Bb steps6)
   in
   Fmt.pr "@.ablation, 6 objects (720 orders):@.";
   Fmt.pr "  exhaustive:   best %.1f in %.1f ms@." r_ex (t_ex *. 1000.);
@@ -532,7 +553,7 @@ let claim_opt env =
       ]
   in
   let (_, r_bb9, _, nodes9), t_bb9 =
-    wall (fun () -> Optimize.optimize_bb env ~name:"big" steps9)
+    wall (fun () -> Optimize.search env ~name:"big" Wire.Bb steps9)
   in
   let (_, r_lo9, _, evals9), t_lo9 =
     wall (fun () -> Optimize.optimize_local env ~name:"big" steps9)
@@ -737,11 +758,12 @@ let pack_counters env steps =
   Amg_obs.Obs.reset ();
   r
 
-(* The placements one cold local search makes.  The prefix ladder fixes
-   this count (DESIGN.md §10); it is the same for every domain count. *)
-let local_placements env steps =
+(* The placements one cold search makes.  Local search's prefix ladder
+   and the walk's one placement per node fix this count (DESIGN.md §10);
+   it is the same for every domain count. *)
+let search_placements mode env steps =
   Amg_obs.Obs.enable ();
-  ignore (Optimize.optimize_local env ~name:"pack" steps);
+  ignore (Optimize.search env ~name:"pack" mode steps);
   Amg_obs.Obs.disable ();
   let p = Amg_obs.Obs.counter "compact.placements" in
   Amg_obs.Obs.reset ();
@@ -760,12 +782,12 @@ let invariant_counters =
    state between calls, so every run is a cold search: [*_cold_s] is the
    median of 3 runs. *)
 let compact_scaling env =
-  section "COMPACT-SCALING  apply / optimize_bb / optimize_local vs n";
+  section "COMPACT-SCALING  apply / bb / local / orders search vs n";
   (* Settle the heap left behind by the preceding sections so the medians
      compare across runs (and against a standalone build of this section). *)
   Gc.compact ();
-  Fmt.pr "%4s %10s %11s %8s %8s %12s %10s@." "n" "apply/ms" "local/ms"
-    "rating" "evals" "bb/ms" "bb nodes";
+  Fmt.pr "%4s %10s %11s %8s %8s %12s %10s %8s@." "n" "apply/ms" "local/ms"
+    "rating" "evals" "bb/ms" "bb nodes" "orders";
   let rows =
     List.map
       (fun n ->
@@ -778,20 +800,22 @@ let compact_scaling env =
         let _, r_local, _, evals = run_local () in
         let t_local = median_time ~repeats:3 (fun () -> ignore (run_local ())) in
         (* Uncapped at every n: symmetry classes keep n=12 within seconds. *)
-        let run_bb () = Optimize.optimize_bb env ~name:"pack" steps in
+        let run_bb () = Optimize.search env ~name:"pack" Wire.Bb steps in
         let _, r_bb, _, nodes = run_bb () in
         let t_bb = median_time ~repeats:3 (fun () -> ignore (run_bb ())) in
         let bb = (t_bb, r_bb, nodes) in
-        Fmt.pr "%4d %10.2f %11.2f %8.1f %8d %12.1f %10d@." n
+        let _, r_orders, _, _ = Optimize.search env ~name:"pack" Wire.Orders steps in
+        Fmt.pr "%4d %10.2f %11.2f %8.1f %8d %12.1f %10d %8.1f@." n
           (t_apply *. 1000.) (t_local *. 1000.) r_local evals
-          (t_bb *. 1000.) nodes;
+          (t_bb *. 1000.) nodes r_orders;
         (* One instrumented (untimed) build per n: the work counters are
            deterministic, so they diff cleanly across runs — unlike wall
            times.  Captured after the timing loops so the probes' cost
            never lands in the medians. *)
         let counters = pack_counters env steps in
-        let placements = local_placements env steps in
-        (n, t_apply, t_local, r_local, evals, placements, bb, counters))
+        let placements = search_placements Wire.Local env steps in
+        let orders = (r_orders, search_placements Wire.Orders env steps) in
+        (n, t_apply, t_local, r_local, evals, placements, bb, orders, counters))
       [ 4; 6; 8; 12 ]
   in
   rows
@@ -893,10 +917,10 @@ let write_bench_json compact_rows parallel_rows =
     (Amg_parallel.Pool.recommended ())
     (String.concat ",\n"
        (List.map
-          (fun (n, ta, tl, r, evals, placements, bb, counters) ->
+          (fun (n, ta, tl, r, evals, placements, bb, (ro, po), counters) ->
             Printf.sprintf
-              "    {\"n\":%d,\"apply_s\":%.4f,\"local_cold_s\":%.4f,\"local_rating\":%.4f,\"local_evals\":%d,\"local_placements\":%d,%s,\"counters\":{%s}}"
-              n ta tl r evals placements (bb_json bb) (counters_json counters))
+              "    {\"n\":%d,\"apply_s\":%.4f,\"local_cold_s\":%.4f,\"local_rating\":%.4f,\"local_evals\":%d,\"local_placements\":%d,%s,\"orders_rating\":%.4f,\"orders_placements\":%d,\"counters\":{%s}}"
+              n ta tl r evals placements (bb_json bb) ro po (counters_json counters))
           compact_rows))
     (String.concat ",\n"
        (List.map
@@ -911,8 +935,9 @@ let write_bench_json compact_rows parallel_rows =
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (CI): `bench compact_scaling 4,6` re-runs the optimizer  *)
 (* rows for the given n and asserts the ratings, the search counts     *)
-(* (local evaluations and placements, bb nodes) and the invariant work *)
-(* counters match the committed BENCH_compact.json exactly, and that a *)
+(* (local evaluations and placements, bb nodes, orders placements) and *)
+(* the invariant work counters match the committed BENCH_compact.json  *)
+(* exactly, that orders mode equals bb up to six steps, and that a     *)
 (* back-to-back rerun agrees.  Never rewrites the JSON; exits 1 on     *)
 (* mismatch.                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1015,14 +1040,20 @@ let compact_smoke env ns =
       check "local_evals" n (float_after json "local_evals" row)
         (float_of_int evals);
       check "local_placements" n (float_after json "local_placements" row)
-        (float_of_int (local_placements env steps));
+        (float_of_int (search_placements Wire.Local env steps));
       if not (Float.equal r1 r2) then begin
         incr failures;
         Fmt.pr "  FAIL n=%d rerun rating %.4f <> first %.4f@." n r2 r1
       end;
-      let _, r_bb, _, nodes = Optimize.optimize_bb env ~name:"pack" steps in
+      let _, r_bb, _, nodes = Optimize.search env ~name:"pack" Wire.Bb steps in
       check "bb_rating" n (float_after json "bb_rating" row) r_bb;
-      check "bb_nodes" n (float_after json "bb_nodes" row) (float_of_int nodes))
+      check "bb_nodes" n (float_after json "bb_nodes" row) (float_of_int nodes);
+      let _, r_orders, _, _ = Optimize.search env ~name:"pack" Wire.Orders steps in
+      check "orders_rating" n (float_after json "orders_rating" row) r_orders;
+      check "orders_placements" n (float_after json "orders_placements" row)
+        (float_of_int (search_placements Wire.Orders env steps));
+      (* Up to six steps orders mode walks every order, as bb does. *)
+      if n <= 6 then check "orders_rating = bb_rating" n (Some r_bb) r_orders)
     ns;
   if !failures > 0 then begin
     Fmt.pr "bench smoke: %d failure(s)@." !failures;

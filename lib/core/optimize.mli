@@ -18,12 +18,12 @@
     scheduling can never change the winner.  Node and evaluation counts are
     equally domain-count-independent.
 
-    Every search builds its own candidates: orders mode replays each order
-    with {!apply}; local search resumes each swap from a copy of the
-    incumbent's layout at the swap depth; the branch-and-bound DFS extends
-    its parent's layout by one placement.  Nothing is shared between
-    searches or calls, so a search's result and cost depend only on its
-    inputs. *)
+    Every search builds its own candidates: orders mode and
+    branch-and-bound are one depth-first walk that extends its parent's
+    layout by one placement ({!search}); local search resumes each swap
+    from a copy of the incumbent's layout at the swap depth.  Nothing is
+    shared between searches or calls, so a search's result and cost
+    depend only on its inputs. *)
 
 type step = {
   uid : int;  (** process-unique identity, allocated by {!step} *)
@@ -53,10 +53,6 @@ val apply :
     object instead of an empty one — used to replay orders recorded from a
     language build whose entity placed shapes before its first compact. *)
 
-val permutations : 'a list -> 'a list Seq.t
-(** All permutations, lazily: forcing the head never materializes the
-    tail, so taking a few orders of a long list stays cheap. *)
-
 val step_classes :
   ?base:Amg_layout.Lobj.t -> ?rating:Rating.t -> step list -> int array
 (** Mover symmetry classes: [(step_classes steps).(i)] is the index of the
@@ -70,103 +66,6 @@ val step_classes :
     equivalent steps anywhere in an order yields the same layout under
     renamed nets, so the same rating.  Under the permissive policy every
     step is its own class. *)
-
-val evaluate_orders :
-  Env.t ->
-  name:string ->
-  ?base:Amg_layout.Lobj.t ->
-  ?rating:Rating.t ->
-  ?max_orders:int ->
-  ?domains:int ->
-  ?budget:Amg_robust.Budget.t ->
-  step list ->
-  (Amg_layout.Lobj.t * float * step list) list
-(** Build and rate every order (up to [max_orders], default 720 = 6!);
-    rejected orders are skipped.  The result list is in exploration
-    (canonical permutation) order for any [?domains].
-
-    [?budget] bounds the evaluation: orders are evaluated in fixed-size
-    batches walking the canonical permutation order, the budget is consulted
-    at batch boundaries, and the canonical order itself always runs first —
-    so a budgeted call always returns at least one candidate (unless every
-    order is rejected) and marks the budget
-    {{!Amg_robust.Budget.degraded} degraded} when it stopped early.  With an
-    injected clock or an eval cap the returned prefix is a pure function of
-    the budget parameters (identical for every domain count); a real
-    wall-clock deadline may additionally cut a batch short, still yielding a
-    canonical-order prefix of results. *)
-
-val optimize :
-  Env.t ->
-  name:string ->
-  ?base:Amg_layout.Lobj.t ->
-  ?rating:Rating.t ->
-  ?max_orders:int ->
-  ?domains:int ->
-  ?budget:Amg_robust.Budget.t ->
-  ?store:Amg_store.Store.t * string ->
-  step list ->
-  Amg_layout.Lobj.t * float * step list
-(** The best order's result, its rating, and the order itself; rating ties
-    go to the earliest order in exploration order.  With [?budget], the best
-    of the evaluated prefix (see {!evaluate_orders}) — best-so-far when the
-    budget marks degraded.
-
-    Walks the same orders and budget batches as {!evaluate_orders} and
-    returns its first minimum, but retains only the returned layout: each
-    order's layout is dropped as soon as it is rated unless it is the best
-    so far, so memory holds one layout (plus one in flight per domain), not
-    [max_orders].
-
-    [?store] is [(store, key)]: a durable result store plus the canonical
-    key for this module instance (see {!Amg_store.Store.signature}).  On an
-    exact key hit — the search strategy and its parameters are appended to
-    the key internally — the stored order is replayed with {!apply} and
-    the search is skipped entirely; the rating is recomputed from the
-    rebuilt layout, never trusted from disk.  The store is only consulted
-    for unbudgeted, default-rated searches and only written back (strictly
-    better ratings win) by non-degraded ones, so results stay byte-identical
-    to a store-less run.
-    @raise Env.Rejected when every order is rejected. *)
-
-val optimize_bb :
-  Env.t ->
-  name:string ->
-  ?base:Amg_layout.Lobj.t ->
-  ?rating:Rating.t ->
-  ?domains:int ->
-  ?budget:Amg_robust.Budget.t ->
-  ?store:Amg_store.Store.t * string ->
-  step list ->
-  Amg_layout.Lobj.t * float * step list * int
-(** Branch-and-bound over orders: same optimum as the exhaustive search,
-    usually visiting far fewer nodes.  The lower bound on a partial order
-    hulls the partial bounding box with the cross-axis spans of the
-    remaining [`Keep] objects (those spans are invariant under placement;
-    under the permissive policy, which may skip objects, the bound falls
-    back to the partial box alone) and is checked both at node entry —
-    pruning a whole subtree before any placement, counted as
-    [optimize.bb_pruned_by_bound] — and per child ([optimize.bb_pruned])
-    right after the child is placed.  A child
-    is expanded only when no {!step_classes} class-mate with a lower index
-    is still unplaced, so only class-canonical orders are visited; the
-    returned optimum — the lexicographically first one — is always
-    class-canonical, so rating, order and bytes match the exhaustive
-    search.  The search decomposes into one sub-search per class-canonical
-    first step, each seeded with the canonical order's rating as initial
-    incumbent, and merges the sub-search winners in canonical order — the
-    chosen order, rating and node count (the last component, which
-    excludes class-equivalent children) are identical for every
-    [?domains].
-
-    With [?budget], an eval cap is turned into a per-sub-search node quota
-    (a pure function of the cap and the number of class-canonical first
-    steps): each sub-search explores a deterministic DFS prefix and returns
-    its best within it, so the degraded result is identical for every
-    domain count; the canonical order is always rated and is the
-    guaranteed best-so-far fallback.  A real wall-clock deadline
-    additionally stops sub-searches mid-DFS (best-effort).
-    @raise Env.Rejected when every order is rejected. *)
 
 val optimize_local :
   Env.t ->
@@ -213,4 +112,71 @@ val optimize_local :
     first start is always rated, so a best-so-far exists even under a zero
     budget.  A real wall-clock deadline may additionally cut a round short
     (best-effort).
+    @raise Env.Rejected when every order is rejected. *)
+
+val search :
+  Env.t ->
+  name:string ->
+  ?base:Amg_layout.Lobj.t ->
+  ?rating:Rating.t ->
+  ?domains:int ->
+  ?budget:Amg_robust.Budget.t ->
+  ?store:Amg_store.Store.t * string ->
+  Amg_robust.Wire.opt_mode ->
+  step list ->
+  Amg_layout.Lobj.t * float * step list * int
+(** The one search entry point: the best order's layout, its rating, the
+    order itself and the search's cost — nodes visited for [Orders] and
+    [Bb] (the [optimize.bb_nodes] counter), evaluations for [Local] (see
+    {!optimize_local}, which [Local] runs with its default restarts and
+    seed).  Rating ties go to the earliest order in the lexicographic
+    (canonical-index) order of the permutations.
+
+    [Orders] and [Bb] are one depth-first walk over the tree of orders:
+    a child extends a copy of its parent's layout by one placement.  The
+    walk prunes with a lower bound on every completion of a partial order
+    — the partial bounding box hulled with the cross-axis spans of the
+    remaining [`Keep] objects (those spans are invariant under placement;
+    under the permissive policy, which may skip objects, the bound falls
+    back to the partial box alone) — checked both at node entry
+    ([optimize.bb_pruned_by_bound]) and per child right after the child is
+    placed ([optimize.bb_pruned]).  A child is expanded only when no
+    {!step_classes} class-mate with a lower index is still unplaced.
+    Neither cut can lose the first minimum, which is class-canonical and
+    rates strictly below every earlier leaf, so rating, order and bytes
+    match a replay of every order with {!apply}.
+
+    - [Bb] walks all n! orders.
+    - [Orders] (the paper's exhaustive mode) walks the first 720 = 6!
+      orders: the first n - 6 steps stay in canonical order and the last
+      [min n 6] are permuted.
+
+    The walk decomposes into one sub-search per class-canonical first
+    step, each seeded with the canonical order's rating as initial
+    incumbent, and merges the sub-search winners in canonical order — the
+    chosen order, rating and node count are identical for every
+    [?domains].
+
+    With [?budget] the canonical order is always rated and is the
+    guaranteed best-so-far fallback; the coordinator polls the deadline
+    before rating it and again before the walk.  Under an eval cap m,
+    [Orders] walks the first max(1, min(m, r!)) leaf ranks of its r free
+    steps (class-skipped and rejected subtrees count their ranks), charges
+    the budget that many evaluations and marks it
+    {{!Amg_robust.Budget.degraded} degraded} when that is fewer than r!;
+    [Bb] turns the cap into a per-sub-search node quota (a pure function of
+    the cap and the number of class-canonical first steps) and charges the
+    nodes it visited.  Either way the degraded result is identical for
+    every domain count.  A real wall-clock deadline additionally stops
+    sub-searches mid-walk (best-effort).
+
+    [?store] is [(store, key)]: a durable result store plus the canonical
+    key for this module instance (see {!Amg_store.Store.signature}).  On an
+    exact key hit — the search strategy and its parameters are appended to
+    the key internally — the stored order is replayed with {!apply}, the
+    search is skipped entirely and the cost is 0; the rating is recomputed
+    from the rebuilt layout, never trusted from disk.  The store is only
+    consulted for unbudgeted, default-rated searches and only written back
+    (strictly better ratings win) by non-degraded ones, so results stay
+    byte-identical to a store-less run.
     @raise Env.Rejected when every order is rejected. *)

@@ -54,22 +54,6 @@ let transplant_ports ~from obj =
                 layout" p.name p.net p.layer))
     (Lobj.ports from)
 
-(* The one place a strategy picks its search. *)
-let search env r strategy ~base ?budget steps =
-  let { entity = name; domains; store; _ } = r in
-  match strategy with
-  | Wire.Orders -> Optimize.optimize env ~name ~base ?domains ?budget ?store steps
-  | Wire.Bb ->
-      let o, rating, order, _nodes =
-        Optimize.optimize_bb env ~name ~base ?domains ?budget ?store steps
-      in
-      (o, rating, order)
-  | Wire.Local ->
-      let o, rating, order, _evals =
-        Optimize.optimize_local env ~name ~base ?domains ?budget ?store steps
-      in
-      (o, rating, order)
-
 let run ?canonical env program r =
   match r.search with
   | None ->
@@ -100,7 +84,10 @@ let run ?canonical env program r =
             | None, None -> None
             | deadline, max_evals -> Some (Budget.create ?deadline ?max_evals ())
           in
-          let best, rating, order = search env r strategy ~base ?budget steps in
+          let best, rating, order, _cost =
+            Optimize.search env ~name:r.entity ~base ?domains:r.domains ?budget
+              ?store:r.store strategy steps
+          in
           let canonical_kept =
             List.length order = List.length steps
             && List.for_all2 ( == ) order steps

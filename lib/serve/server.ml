@@ -397,16 +397,11 @@ type req_obs = { ro_outcome : string; ro_evals : int }
 
 let quiet_obs = { ro_outcome = "none"; ro_evals = 0 }
 
-(* Search-effort counters the optimizer records per mode; their delta
-   over a request is the access log's [evals] field.  Zero when Obs is
-   off (the daemon arms it whenever traces or the access log are on). *)
-let eval_counter_names =
-  [
-    "optimize.orders_ok";
-    "optimize.orders_rejected";
-    "optimize.bb_nodes";
-    "optimize.local_evals";
-  ]
+(* Search-effort counters the optimizer records: the walk's nodes (orders
+   and bb) and local search's evaluations.  Their delta over a request is
+   the access log's [evals] field.  Zero when Obs is off (the daemon arms
+   it whenever traces or the access log are on). *)
+let eval_counter_names = [ "optimize.bb_nodes"; "optimize.local_evals" ]
 
 let evals_now () =
   List.fold_left (fun acc n -> acc + Obs.counter n) 0 eval_counter_names

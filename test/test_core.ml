@@ -12,6 +12,7 @@ module Margins = Amg_core.Margins
 module Variants = Amg_core.Variants
 module Rating = Amg_core.Rating
 module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
 
 let um = Units.of_um
 let env () = Env.bicmos ()
@@ -222,6 +223,12 @@ let test_rating () =
   check_bool "cap cost counts" true
     (Rating.rate e weights noisy > Rating.rate e weights small)
 
+(* The first minimum over all n! orders, each replayed whole. *)
+let exhaustive e steps =
+  match Test_util.first_minimum e ~orders:max_int steps with
+  | Some best, _ -> best
+  | None, _ -> Alcotest.fail "every order was rejected"
+
 let test_optimize_orders () =
   let e = env () in
   (* Three bars of decreasing width: packing order changes the bbox. *)
@@ -237,13 +244,16 @@ let test_optimize_orders () =
       Optimize.step (mk "small" (um 4.) (um 2.) "c") Dir.South;
     ]
   in
-  let results = Optimize.evaluate_orders e ~name:"opt" steps in
-  check "3! orders" 6 (List.length results);
-  let ratings = List.map (fun (_, r, _) -> r) results in
+  let ratings =
+    List.of_seq (Test_util.permutations steps)
+    |> List.map (fun order ->
+           Rating.rate e Rating.default (Optimize.apply e ~name:"opt" order))
+  in
+  check "3! orders" 6 (List.length ratings);
   let best = List.fold_left min infinity ratings in
   let worst = List.fold_left max 0. ratings in
   check_bool "order matters" true (worst > best);
-  let _, r, _ = Optimize.optimize e ~name:"opt" steps in
+  let _, r, _, _ = Optimize.search e ~name:"opt" Wire.Orders steps in
   check_bool "optimize returns best" true (r = best)
 
 let test_optimize_bb_matches_exhaustive () =
@@ -262,8 +272,8 @@ let test_optimize_bb_matches_exhaustive () =
       Optimize.step (mk "e" (um 6.) (um 2.) "e") Dir.South;
     ]
   in
-  let _, exhaustive_best, _ = Optimize.optimize e ~name:"x" steps in
-  let _, bb_best, order, nodes = Optimize.optimize_bb e ~name:"x" steps in
+  let _, exhaustive_best, _ = exhaustive e steps in
+  let _, bb_best, order, nodes = Optimize.search e ~name:"x" Wire.Bb steps in
   Alcotest.(check (float 1e-6)) "same optimum" exhaustive_best bb_best;
   check "full order returned" 5 (List.length order);
   (* The full tree has sum_{k=1..5} 5!/k! = 206 internal+leaf nodes plus the
@@ -271,8 +281,8 @@ let test_optimize_bb_matches_exhaustive () =
   check_bool "pruned" true (nodes < 326)
 
 let test_permutations () =
-  check "3!" 6 (List.length (List.of_seq (Optimize.permutations [ 1; 2; 3 ])));
-  check "0!" 1 (List.length (List.of_seq (Optimize.permutations ([] : int list))))
+  check "3!" 6 (List.length (List.of_seq (Test_util.permutations [ 1; 2; 3 ])));
+  check "0!" 1 (List.length (List.of_seq (Test_util.permutations ([] : int list))))
 
 
 let test_optimize_local () =
@@ -291,7 +301,7 @@ let test_optimize_local () =
       Optimize.step (mk "e" (um 6.) (um 2.) "e") Dir.South;
     ]
   in
-  let _, exhaustive_best, _ = Optimize.optimize e ~name:"x" steps in
+  let _, exhaustive_best, _ = exhaustive e steps in
   let _, local_best, order, evals = Optimize.optimize_local e ~name:"x" steps in
   (* Never better than the true optimum, never worse than the start. *)
   check_bool "sound" true (local_best >= exhaustive_best -. 1e-9);
@@ -397,9 +407,6 @@ let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
 let mover_key dims steps =
   let keys = List.combine (uids steps) dims in
   fun (s : Optimize.step) -> List.assoc s.Optimize.uid keys
-
-let exhaustive e steps =
-  Optimize.optimize e ~name:"x" ~max_orders:(factorial (List.length steps)) steps
 
 type reference = {
   best : (Lobj.t * float * Optimize.step list) option;
@@ -586,9 +593,50 @@ let prop_bb_matches_exhaustive =
       let steps = bar_steps dims in
       let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
       let xm, xr, xorder = exhaustive e steps in
-      let bm, br, border, _ = Optimize.optimize_bb e ~name:"x" steps in
+      let bm, br, border, _ = Optimize.search e ~name:"x" Wire.Bb steps in
       Float.equal xr br && uids xorder = uids border
       && String.equal (cif xm) (cif bm))
+
+(* Orders mode is the walk restricted to the first 720 orders (the last
+   six steps permuted).  Under every eval cap it agrees with the
+   apply-based reference — the first minimum over the first
+   max(1, min(cap, 720)) orders — on rating, order and CIF bytes, charges
+   the budget the orders the reference walked, and is degraded exactly
+   when those are fewer than the window.  n = 7 and 8 exercise the fixed
+   prefix; repeated movers exercise the class skip. *)
+let orders_caps = [ None; Some 0; Some 1; Some 5; Some 40; Some 721 ]
+
+let prop_orders_matches_reference =
+  let movers =
+    QCheck2.Gen.(pair mover_gen (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ]))
+  in
+  QCheck2.Test.make ~name:"orders mode matches the reference" ~count:30
+    ~print:(fun dims ->
+      String.concat "; "
+        (List.map (fun (m, d) -> show_mover m ^ " " ^ Dir.to_string d) dims))
+    QCheck2.Gen.(oneof [ list_size (int_range 2 8) movers; dup_set_gen movers 2 8 ])
+    (fun dims ->
+      let e = env () in
+      let steps = mover_steps e dims in
+      let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
+      let window = Int.min 720 (factorial (List.length steps)) in
+      List.for_all
+        (fun cap ->
+          match Test_util.reference_orders ?cap e steps with
+          | None, _ -> false
+          | Some (xm, xr, xorder), walked ->
+              List.for_all
+                (fun domains ->
+                  let budget = Amg_robust.Budget.create ?max_evals:cap () in
+                  let m, r, order, _ =
+                    Optimize.search e ~name:"x" ~domains ~budget Wire.Orders steps
+                  in
+                  Float.equal xr r && uids xorder = uids order
+                  && String.equal (cif xm) (cif m)
+                  && Amg_robust.Budget.spent budget = walked
+                  && Amg_robust.Budget.degraded budget = (walked < window))
+                Test_util.domain_counts)
+        orders_caps)
 
 let prop_local_never_beats_exhaustive =
   QCheck2.Test.make ~name:"local never beats exhaustive" ~count:30
@@ -709,12 +757,74 @@ let test_local_round_charges_rated_swaps () =
 let test_bb_quota_counts_canonical_firsts () =
   let e = env () in
   let steps = bar_steps (List.init 4 (fun _ -> (4, 2, Dir.South))) in
-  let _, r, order, _ = Optimize.optimize_bb e ~name:"x" ~domains:1 steps in
+  let _, r, order, _ = Optimize.search e ~name:"x" ~domains:1 Wire.Bb steps in
   let budget = Budget.create ~max_evals:5 () in
-  let _, r', order', _ = Optimize.optimize_bb e ~name:"x" ~domains:1 ~budget steps in
+  let _, r', order', _ = Optimize.search e ~name:"x" ~domains:1 ~budget Wire.Bb steps in
   check_bool "not degraded" false (Budget.degraded budget);
   Alcotest.(check (float 0.)) "same rating" r r';
   Alcotest.(check (list int)) "same order" (uids order) (uids order')
+
+(* A permissive orders search where one placement falls back: [x]'s south
+   edge is variable and contains a cut array on a layer without a cut
+   size, so shrinking it while a spacing binds fails, and [x] is placed
+   from the north instead ([compact.direction-fallback]).  The rating and
+   CIF equal the apply-based reference under the same policy; the
+   reports come one per placement of [x] onto rows the walk made (a
+   first object is copied in, not placed), which is far fewer than the
+   reference's one per order. *)
+let test_permissive_orders_fallback () =
+  with_permissive @@ fun () ->
+  let e = env () in
+  let x = Lobj.create "x" in
+  let sh =
+    Lobj.add_shape x ~layer:"metal1"
+      ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um 6.) ~h:(um 2.))
+      ~net:"x"
+      ~sides:Amg_layout.Edge.(set all_fixed Dir.South Variable)
+      ()
+  in
+  ignore (Lobj.register_array x ~cut_layer:"metal2" ~container_ids:[ sh.Shape.id ] ());
+  let steps =
+    bar_steps [ (10, 2, Dir.South); (2, 6, Dir.West); (4, 2, Dir.South); (2, 2, Dir.West) ]
+    @ [ Optimize.step x Dir.South ]
+  in
+  let fallbacks ds =
+    List.length
+      (List.filter
+         (fun (d : Amg_robust.Diag.t) -> d.Amg_robust.Diag.code = "compact.direction-fallback")
+         ds)
+  in
+  let (reference, _), ref_diags =
+    Policy.capture (fun () -> Test_util.reference_orders e steps)
+  in
+  let xm, xr, xorder =
+    match reference with Some best -> best | None -> Alcotest.fail "reference rejected"
+  in
+  Obs.enable ();
+  let (m, r, order, _), diags =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Policy.capture (fun () ->
+            Optimize.search e ~name:"x" ~domains:1 Wire.Orders steps))
+  in
+  let x_placements =
+    List.length
+      (List.filter
+         (fun (name, args) ->
+           name = "compact.place"
+           && List.assoc_opt "obj" args = Some "x"
+           && List.assoc_opt "bound_by" args <> Some "first-object")
+         (Obs.marks ()))
+  in
+  Obs.reset ();
+  let cif o = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) o in
+  Alcotest.(check (float 0.)) "rating equals the reference" xr r;
+  Alcotest.(check (list int)) "order equals the reference" (uids xorder) (uids order);
+  Alcotest.(check string) "CIF equals the reference" (cif xm) (cif m);
+  check "the reference falls back once per order placing x onto rows" 96
+    (fallbacks ref_diags);
+  check_bool "the walk falls back" true (fallbacks diags > 0);
+  check "one fallback per placement of x" x_placements (fallbacks diags);
+  check_bool "fewer than one per order" true (fallbacks diags < 96)
 
 (* Under the permissive policy every candidate is built (and may report
    its own diagnostics): local search rates every swap. *)
@@ -879,6 +989,7 @@ let suite =
     Alcotest.test_case "local reference accepts moves" `Quick
       test_local_reference_accepts_moves;
     QCheck_alcotest.to_alcotest prop_bb_matches_exhaustive;
+    QCheck_alcotest.to_alcotest prop_orders_matches_reference;
     QCheck_alcotest.to_alcotest prop_local_never_beats_exhaustive;
     Alcotest.test_case "step classes: singletons" `Quick test_step_classes_singletons;
     Alcotest.test_case "step classes: pack10" `Quick test_pack10_classes;
@@ -888,6 +999,8 @@ let suite =
       test_bb_quota_counts_canonical_firsts;
     Alcotest.test_case "permissive local rates every swap" `Quick
       test_permissive_rates_every_swap;
+    Alcotest.test_case "permissive orders fall back once per node" `Quick
+      test_permissive_orders_fallback;
     Alcotest.test_case "slicing floorplanner" `Quick test_floorplan_basics;
     QCheck_alcotest.to_alcotest prop_floorplan_optimal;
   ]

@@ -13,6 +13,7 @@ module Cif = Amg_layout.Cif
 module Successive = Amg_compact.Successive
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
 
 let um = Units.of_um
 let check_bool = Alcotest.(check bool)
@@ -217,15 +218,17 @@ let test_searches_identical () =
        ~net:"b" ());
   let fp o = Cif.of_lobj ~tech:(Env.tech env) o in
   let runs ?base d =
-    let o, r, ord = Optimize.optimize env ~name:"p" ?base ~domains:d steps in
+    let o, r, ord, on =
+      Optimize.search env ~name:"p" ?base ~domains:d Wire.Orders steps
+    in
     let bo, br, bord, bn =
-      Optimize.optimize_bb env ~name:"p" ?base ~domains:d steps
+      Optimize.search env ~name:"p" ?base ~domains:d Wire.Bb steps
     in
     let lo, lr, lord, le =
       Optimize.optimize_local env ~name:"p" ?base ~domains:d ~restarts:2 steps
     in
     [
-      ("orders", (fp o, r, uids ord, 0));
+      ("orders", (fp o, r, uids ord, on));
       ("bb", (fp bo, br, uids bord, bn));
       ("local", (fp lo, lr, uids lord, le));
     ]

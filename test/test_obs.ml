@@ -11,6 +11,7 @@ module Rect = Amg_geometry.Rect
 module Lobj = Amg_layout.Lobj
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
 module Rating = Amg_core.Rating
 module Pool = Amg_parallel.Pool
 module M = Amg_modules
@@ -207,7 +208,7 @@ let search_counters env d =
       Optimize.step (mk "d" (um 2.) (um 2.) "d") Dir.West;
     ]
   in
-  ignore (Optimize.optimize_bb env ~name:"p" ~domains:d steps);
+  ignore (Optimize.search env ~name:"p" ~domains:d Wire.Bb steps);
   Obs.counters ()
 
 let test_search_counters_deterministic () =

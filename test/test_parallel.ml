@@ -10,6 +10,7 @@ module Lobj = Amg_layout.Lobj
 module Svg = Amg_layout.Svg
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
 module Variants = Amg_core.Variants
 module Rating = Amg_core.Rating
 module Pool = Amg_parallel.Pool
@@ -162,7 +163,7 @@ let test_local_determinism_contact8 () =
 let bb_determinism e steps =
   let runs =
     List.map
-      (fun d -> (d, Optimize.optimize_bb e ~name:"det" ~domains:d steps))
+      (fun d -> (d, Optimize.search e ~name:"det" ~domains:d Wire.Bb steps))
       domain_counts
   in
   match runs with
@@ -188,66 +189,53 @@ let test_bb_determinism_contact6 () =
   let e = env () in
   bb_determinism e (contact_row_steps e 6)
 
-(* --- exhaustive order evaluation: identical result lists --- *)
+(* --- orders mode: domains 1/2/4 identical --- *)
 
-let test_evaluate_orders_determinism () =
+let test_orders_determinism () =
   let e = env () in
   let steps = contact_row_steps e 5 in
   let runs =
     List.map
-      (fun d ->
-        Optimize.evaluate_orders e ~name:"det" ~domains:d steps
-        |> List.map (fun (_, r, o) -> (r, order_names o)))
+      (fun d -> (d, Optimize.search e ~name:"det" ~domains:d Wire.Orders steps))
       domain_counts
   in
   match runs with
   | [] -> assert false
-  | first :: rest ->
-      check "5! orders" 120 (List.length first);
+  | (_, (m1, r1, o1, nodes1)) :: rest ->
+      check_bool "walked some nodes" true (nodes1 > 0);
       List.iter
-        (fun run ->
-          check_bool "identical rated order list" true (run = first))
-        rest;
-      (* And the winner ties back to the same order for every count. *)
-      let winners =
-        List.map
-          (fun d ->
-            let _, r, o = Optimize.optimize e ~name:"det" ~domains:d steps in
-            (r, order_names o))
-          domain_counts
-      in
-      List.iter
-        (fun w -> check_bool "identical winner" true (w = List.hd winners))
-        winners
+        (fun (d, (m, r, o, nodes)) ->
+          let tag = Printf.sprintf "orders domains=%d" d in
+          check_float_identical (tag ^ " rating") r1 r;
+          Alcotest.(check (list string))
+            (tag ^ " chosen order") (order_names o1) (order_names o);
+          check (tag ^ " nodes") nodes1 nodes;
+          check_svg_identical e tag m1 m)
+        rest
 
-(* [optimize] keeps only its incumbent layout; it must still return exactly
-   the first minimum of [evaluate_orders]'s full result list — rating, order
-   and bytes — for every domain count, with and without an eval cap. *)
-let test_optimize_is_first_minimum () =
+(* Orders mode keeps only its incumbent layout; it must return exactly the
+   first minimum of the apply-based reference — rating, order and bytes —
+   for every domain count, with and without an eval cap. *)
+let test_orders_is_first_minimum () =
   let e = env () in
   let steps = contact_row_steps e 5 in
   let uids order = List.map (fun s -> s.Optimize.uid) order in
   List.iter
     (fun cap ->
-      let budget () = Option.map (fun m -> Budget.create ~max_evals:m ()) cap in
+      let fm, fr, forder =
+        match Test_util.reference_orders ?cap e steps with
+        | Some best, _ -> best
+        | None, _ -> Alcotest.fail "reference: every order rejected"
+      in
       List.iter
         (fun d ->
           let tag =
             Printf.sprintf "orders domains=%d cap=%s" d
               (match cap with Some m -> string_of_int m | None -> "none")
           in
-          let all =
-            Optimize.evaluate_orders e ~name:"det" ~domains:d ?budget:(budget ())
-              steps
-          in
-          let fm, fr, forder =
-            List.fold_left
-              (fun ((_, br, _) as best) ((_, r, _) as c) ->
-                if r < br then c else best)
-              (List.hd all) (List.tl all)
-          in
-          let m, r, order =
-            Optimize.optimize e ~name:"det" ~domains:d ?budget:(budget ()) steps
+          let budget = Option.map (fun m -> Budget.create ~max_evals:m ()) cap in
+          let m, r, order, _ =
+            Optimize.search e ~name:"x" ~domains:d ?budget Wire.Orders steps
           in
           check_float_identical (tag ^ " rating") fr r;
           Alcotest.(check (list int)) (tag ^ " order uids") (uids forder)
@@ -301,7 +289,7 @@ let test_variants_pool () =
           Alcotest.(check string) "same best variant" seq_best best))
     [ 2; 4 ]
 
-(* --- Optimize.permutations: qcheck properties + laziness --- *)
+(* --- the reference's enumerator: qcheck properties + laziness --- *)
 
 let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
 
@@ -310,22 +298,23 @@ let prop_permutations =
     QCheck2.Gen.(int_range 0 6)
     (fun n ->
       let l = List.init n Fun.id in
-      let perms = List.of_seq (Optimize.permutations l) in
+      let perms = List.of_seq (Test_util.permutations l) in
       let sorted_l = List.sort compare l in
+      (* lexicographic: the orders orders mode's window is a prefix of *)
       List.length perms = fact n
-      && List.length (List.sort_uniq compare perms) = fact n
+      && List.sort_uniq compare perms = perms
       && List.for_all (fun p -> List.sort compare p = sorted_l) perms)
 
 let test_permutations_lazy () =
   (* 20! ~ 2.4e18: forcing the head must not materialize the tail.  If the
      sequence were strict this would never return. *)
   let l = List.init 20 Fun.id in
-  (match (Optimize.permutations l) () with
+  (match (Test_util.permutations l) () with
   | Seq.Cons (first, _) -> Alcotest.(check (list int)) "head is identity" l first
   | Seq.Nil -> Alcotest.fail "no permutations");
   (* Taking a few of 10! = 3.6M orders is instant, and they are distinct. *)
   let some =
-    List.of_seq (Seq.take 5 (Optimize.permutations (List.init 10 Fun.id)))
+    List.of_seq (Seq.take 5 (Test_util.permutations (List.init 10 Fun.id)))
   in
   check "took 5" 5 (List.length some);
   check "distinct" 5 (List.length (List.sort_uniq compare some))
@@ -345,10 +334,9 @@ let suite =
       test_bb_determinism_diffpair;
     Alcotest.test_case "bb determinism (6 contact rows)" `Quick
       test_bb_determinism_contact6;
-    Alcotest.test_case "evaluate_orders determinism" `Quick
-      test_evaluate_orders_determinism;
-    Alcotest.test_case "optimize is evaluate_orders' first minimum" `Quick
-      test_optimize_is_first_minimum;
+    Alcotest.test_case "orders determinism" `Quick test_orders_determinism;
+    Alcotest.test_case "orders is the reference's first minimum" `Quick
+      test_orders_is_first_minimum;
     Alcotest.test_case "variants with a pool" `Quick test_variants_pool;
     QCheck_alcotest.to_alcotest prop_permutations;
     Alcotest.test_case "permutations lazy" `Quick test_permutations_lazy;

@@ -7,6 +7,7 @@
 open Alcotest
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
 module Budget = Amg_robust.Budget
 module Diag = Amg_robust.Diag
 module Inject = Amg_robust.Inject
@@ -151,8 +152,9 @@ let test_deadline_deterministic () =
         let budget =
           Budget.create ~deadline:1.0 ~clock:(clock_stop_after 2) ()
         in
-        let obj, rating, order =
-          Optimize.optimize e ~name:"stack" ~base ~domains ~budget steps
+        let obj, rating, order, _ =
+          Optimize.search e ~name:"stack" ~base ~domains ~budget Wire.Orders
+            steps
         in
         check bool
           (Printf.sprintf "domains=%d: degraded" domains)
@@ -180,11 +182,15 @@ let test_max_evals_deterministic () =
             let obj, rating, order =
               match which with
               | `Orders ->
-                  Optimize.optimize e ~name:"stack" ~base ~domains ~budget steps
+                  let o, r, ord, _ =
+                    Optimize.search e ~name:"stack" ~base ~domains ~budget
+                      Wire.Orders steps
+                  in
+                  (o, r, ord)
               | `Bb ->
                   let o, r, ord, _ =
-                    Optimize.optimize_bb e ~name:"stack" ~base ~domains ~budget
-                      steps
+                    Optimize.search e ~name:"stack" ~base ~domains ~budget
+                      Wire.Bb steps
                   in
                   (o, r, ord)
               | `Local ->
@@ -206,12 +212,12 @@ let test_max_evals_deterministic () =
 
 let test_unhit_budget_is_noop () =
   let e, { Interp.base; steps } = recorded () in
-  let plain_obj, plain_rating, plain_order =
-    Optimize.optimize e ~name:"stack" ~base steps
+  let plain_obj, plain_rating, plain_order, _ =
+    Optimize.search e ~name:"stack" ~base Wire.Orders steps
   in
   let budget = Budget.create ~max_evals:1_000_000 () in
-  let obj, rating, order =
-    Optimize.optimize e ~name:"stack" ~base ~budget steps
+  let obj, rating, order, _ =
+    Optimize.search e ~name:"stack" ~base ~budget Wire.Orders steps
   in
   check bool "not degraded" false (Budget.degraded budget);
   check (float 1e-9) "same rating" plain_rating rating;
@@ -362,7 +368,6 @@ let test_positioned_errors () =
    either a layout response or a structured diagnostic response — never a
    dropped connection, never a crashed daemon. *)
 let test_fault_schedule_served () =
-  let module Wire = Amg_robust.Wire in
   let module Client = Amg_serve.Client in
   Test_util.with_server @@ fun _t sock ->
   let test =

@@ -471,18 +471,27 @@ let test_deadline_degrades () =
 let test_graceful_shutdown () =
   Test_util.with_tmp_dir "amgs" @@ fun dir ->
   let socket = Filename.concat dir "d.sock" in
-  let t = Server.start (Server.config ~source:pack_source socket) in
-  (* park a slow request in flight (cold order search on a fresh scope) *)
+  let t =
+    Server.start
+      (Server.config ~source:(Test_util.row_pack 28 ^ pack_source) socket)
+  in
+  (* park a slow request in flight: a cold local search of 28 rows lasts
+     about a second *)
   let slow_result = ref (Error "never ran") in
+  let finished = Atomic.make false in
   let slow =
     Thread.create
       (fun () ->
         slow_result :=
           Client.oneshot socket
-            (pack ~id:"slow" ~optimize:Wire.Orders ~tenant:"shutdown" ()))
+            (Wire.build ~id:"slow" ~jobs:1 ~optimize:Wire.Local
+               ~tenant:"shutdown"
+               ~params:[ ("W", Wire.Pnum 20.) ]
+               "Rows28");
+        Atomic.set finished true)
       ()
   in
-  Thread.delay 0.05;
+  Test_util.await_in_flight socket ~finished:(fun () -> Atomic.get finished);
   (* ask the daemon to stop over the wire *)
   (match Client.oneshot socket (Wire.stop ~id:"bye" ()) with
   | Ok resp -> check int "stop acknowledged" Wire.status_ok resp.Wire.status
@@ -633,6 +642,29 @@ let test_access_log () =
     (Some Wire.status_diag)
     (Option.bind (Json.member "status" last) Json.int)
 
+(* An orders build's access-log [evals] is the walk's node count: nonzero,
+   and the same at jobs 1 and 2 (the count is domain-count-independent). *)
+let orders_logged_evals jobs =
+  Test_util.with_tmp_dir "amgl" @@ fun dir ->
+  let log = Filename.concat dir "access.ndjson" in
+  Test_util.with_server ~source:pack_source ~access_log:log (fun _t sock ->
+      let r = get sock (pack ~jobs ~optimize:Wire.Orders ()) in
+      check int "orders build ok" Wire.status_ok r.Wire.status);
+  let ic = open_in log in
+  let line = input_line ic in
+  close_in ic;
+  match Json.of_string line with
+  | Ok j -> (
+      match Option.bind (Json.member "evals" j) Json.int with
+      | Some n -> n
+      | None -> failf "access line without integral evals: %s" line)
+  | Error e -> failf "unparsable access line %S: %s" line e
+
+let test_orders_access_evals () =
+  let e1 = orders_logged_evals 1 in
+  check bool "orders build logs evals > 0" true (e1 > 0);
+  check int "same evals at jobs 1 and 2" e1 (orders_logged_evals 2)
+
 (* With --trace-sample 1 every compute request exports a Chrome trace
    named after its request id; scrape and ping requests record no events
    and must not litter the directory.  The file has to satisfy the same
@@ -698,24 +730,6 @@ let test_counter_determinism () =
 
 (* --- scrape under load, server/client latency agreement --------------- *)
 
-(* The compact_scaling workload as a language entity: [n] metal1 contact
-   rows whose widths cycle W, W+12, W+24, W+36 um, compacted alternately
-   SOUTH and WEST (the language has no modulo, so the cycle is unrolled). *)
-let row_pack n =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "ENT Rows%d(<W>)\n" n;
-  for i = 0 to n - 1 do
-    let w =
-      match i mod 4 with 0 -> "W" | k -> Printf.sprintf "W + %d" (k * 12)
-    in
-    Printf.bprintf b
-      "  x%d = ContactRow(layer = \"metal1\", W = %s, L = 6, net = \"n%d\")\n"
-      i w i;
-    Printf.bprintf b "  compact(x%d, %s, align = \"MIN\")\n" i
-      (if i mod 2 = 0 then "SOUTH" else "WEST")
-  done;
-  Buffer.contents b
-
 let json_num key payload =
   match Json.of_string payload with
   | Ok j -> Option.bind (Json.member key j) Json.num
@@ -730,7 +744,7 @@ let json_num key payload =
    lasts over a second; a scrape that queued behind it would take the
    whole build. *)
 let test_scrape_mid_load () =
-  Test_util.with_server ~source:(row_pack 28 ^ pack_source) @@ fun _t sock ->
+  Test_util.with_server ~source:(Test_util.row_pack 28 ^ pack_source) @@ fun _t sock ->
   let answered = Atomic.make false in
   let build_result = ref (Error "never ran") and build_ms = ref 0. in
   let builder =
@@ -754,18 +768,7 @@ let test_scrape_mid_load () =
     | Ok r -> r
     | Error e -> failf "scrape: %s" e
   in
-  let deadline = Unix.gettimeofday () +. 30. in
-  let rec await_in_flight () =
-    let h = roundtrip (Wire.health ()) in
-    match Option.bind h.Wire.payload (json_num "in_flight") with
-    | Some n when n >= 1. -> ()
-    | _ when Atomic.get answered -> fail "the build finished unseen"
-    | _ when Unix.gettimeofday () > deadline -> fail "the build never started"
-    | _ ->
-        Thread.delay 0.001;
-        await_in_flight ()
-  in
-  await_in_flight ();
+  Test_util.await_in_flight sock ~finished:(fun () -> Atomic.get answered);
   let t0 = Unix.gettimeofday () in
   let h = roundtrip (Wire.health ()) in
   let m = roundtrip (Wire.metrics ~json:true ()) in
@@ -877,6 +880,8 @@ let suite =
     test_case "metrics and health scrape over the wire" `Quick test_scrape_ops;
     test_case "access log lines parse and carry the schema" `Quick
       test_access_log;
+    test_case "access log counts an orders build's nodes" `Quick
+      test_orders_access_evals;
     test_case "sampled requests export valid per-request traces" `Quick
       test_request_traces;
     test_case "request counters deterministic across jobs" `Quick

@@ -16,6 +16,7 @@ module Technology = Amg_tech.Technology
 module Rules = Amg_tech.Rules
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
+module Wire = Amg_robust.Wire
 module M = Amg_modules
 
 let um = Units.of_um
@@ -547,7 +548,7 @@ let test_diffpair_bb_regression () =
       Optimize.step diffcon ~ignore_layers:[ "pdiff" ] Dir.South;
     ]
   in
-  let main, r, order, nodes = Optimize.optimize_bb env ~name:"dp" steps in
+  let main, r, order, nodes = Optimize.search env ~name:"dp" Wire.Bb steps in
   Alcotest.(check (float 0.0001)) "rating" 196.0 r;
   Alcotest.(check (list string)) "order"
     [ "diffcon"; "trans"; "polycon" ]

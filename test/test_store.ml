@@ -319,7 +319,7 @@ let test_optimize_seeding () =
   check eq "reopened hit == store-less" baseline r3;
   (* a different search mode never reuses this entry *)
   let st, _ = Store.open_ path in
-  let _, _, _, bb_nodes = Optimize.optimize_bb e ~name:"stack" ~base ~store:(st, key) steps in
+  let _, _, _, bb_nodes = Optimize.search e ~name:"stack" ~base ~store:(st, key) Wire.Bb steps in
   check bool "bb keyed separately from local" true (bb_nodes > 0);
   Store.close st
 
@@ -415,12 +415,13 @@ let prop_store_fault_schedule =
       let e, { Interp.base; steps } = recorded () in
       let key = key_of e in
       let reference =
-        let o, r, ord = Optimize.optimize e ~name:"stack" ~base steps in
+        let o, r, ord, _ = Optimize.search e ~name:"stack" ~base Wire.Orders steps in
         (fingerprint o, r, order_indices steps ord)
       in
       let run st =
-        let o, r, ord =
-          Optimize.optimize e ~name:"stack" ~base ~store:(st, key) steps
+        let o, r, ord, _ =
+          Optimize.search e ~name:"stack" ~base ~store:(st, key) Wire.Orders
+            steps
         in
         (fingerprint o, r, order_indices steps ord)
       in
@@ -530,7 +531,7 @@ let test_sigkill_restart () =
   let socket = Filename.concat dir "d.sock" in
   let store = Filename.concat dir "r.store" in
   let lib = Filename.concat dir "lib.amg" in
-  write_file lib pack_source;
+  write_file lib (Test_util.row_pack 28 ^ pack_source);
   let pid = spawn_amgend ~socket ~lib ~store in
   let killed = ref false in
   Fun.protect
@@ -545,22 +546,32 @@ let test_sigkill_restart () =
   Client.close c;
   let before = get socket (pack ~id:"populate" ~tenant:"e2e" ()) in
   check int "populate ok" Wire.status_ok before.Wire.status;
-  (* kill -9 mid-load: a second cold search is in flight when the daemon
-     dies, so the log's tail may be torn — recovery must not care *)
+  (* kill -9 mid-load: a second cold search — 28 rows, about a second of
+     local search — is in flight when the daemon dies, so the log's tail
+     may be torn; recovery must not care *)
+  let finished = Atomic.make false in
+  let victim = ref (Error "never ran") in
   let inflight =
     Thread.create
       (fun () ->
-        ignore
-          (Client.oneshot socket (pack ~id:"victim" ~tenant:"victim" ~optimize:Wire.Orders ())))
+        victim :=
+          Client.oneshot socket
+            (Wire.build ~id:"victim" ~tenant:"victim" ~jobs:1
+               ~optimize:Wire.Local
+               ~params:[ ("W", Wire.Pnum 20.) ]
+               "Rows28");
+        Atomic.set finished true)
       ()
   in
-  Thread.delay 0.05;
+  Test_util.await_in_flight socket ~finished:(fun () -> Atomic.get finished);
   Unix.kill pid Sys.sigkill;
   killed := true;
   (match Unix.waitpid [] pid with
   | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
   | _, _ -> fail "daemon did not die of SIGKILL");
   Thread.join inflight;
+  check bool "the kill cut the victim's search short" true
+    (Result.is_error !victim);
   (* the store survived the kill: it opens, and anything it recovered is
      intact (a torn tail from the in-flight append is expected and fine) *)
   let vs, _ = Store.verify store in

@@ -75,3 +75,95 @@ let with_server ?tcp ?source ?default_jobs ?queue_limit ?max_frame ?memo_limit
   Fun.protect
     ~finally:(fun () -> Amg_serve.Server.stop t)
     (fun () -> f t socket)
+
+(* --- the orders-mode reference ----------------------------------------
+
+   Rates orders independently of the search walker: every order is a
+   whole [Optimize.apply] replay, rated with [Rating.rate]. *)
+
+(* All permutations in lexicographic order of positions, lazily. *)
+let rec permutations : 'a list -> 'a list Seq.t = function
+  | [] -> Seq.return []
+  | xs ->
+      List.to_seq xs
+      |> Seq.concat_map (fun x ->
+             let rest = List.filter (fun y -> y != x) xs in
+             Seq.map (fun p -> x :: p) (permutations rest))
+
+(* The first strict-[<] minimum over the first [orders] permutations of
+   [steps] (rejected orders skipped, [None] when all are), and how many
+   orders that walked. *)
+let first_minimum ?base ?(rating = Amg_core.Rating.default) env ~orders steps
+    =
+  let module Optimize = Amg_core.Optimize in
+  Seq.take orders (permutations steps)
+  |> Seq.fold_left
+       (fun (best, walked) order ->
+         let best =
+           match Optimize.apply ?base env ~name:"x" order with
+           | m -> (
+               let r = Amg_core.Rating.rate env rating m in
+               match best with
+               | Some (_, br, _) when br <= r -> best
+               | _ -> Some (m, r, order))
+           | exception Amg_core.Env.Rejected _ -> best
+         in
+         (best, walked + 1))
+       (None, 0)
+
+(* Orders mode's reference under an eval cap: the first
+   [max 1 (min cap 720)] orders. *)
+let reference_orders ?base ?rating ?cap env steps =
+  let orders = match cap with Some m -> Int.max 1 (Int.min m 720) | None -> 720 in
+  first_minimum ?base ?rating env ~orders steps
+
+(* --- long daemon loads --------------------------------------------------
+
+   The compact_scaling workload as a language entity: [n] metal1 contact
+   rows whose widths cycle W, W+12, W+24, W+36 um, compacted alternately
+   SOUTH and WEST (the language has no modulo, so the cycle is unrolled).
+   A cold local search of [row_pack 28] lasts about a second, long enough
+   to act on a daemon while it is in flight. *)
+let row_pack n =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "ENT Rows%d(<W>)\n" n;
+  for i = 0 to n - 1 do
+    let w =
+      match i mod 4 with 0 -> "W" | k -> Printf.sprintf "W + %d" (k * 12)
+    in
+    Printf.bprintf b
+      "  x%d = ContactRow(layer = \"metal1\", W = %s, L = 6, net = \"n%d\")\n"
+      i w i;
+    Printf.bprintf b "  compact(x%d, %s, align = \"MIN\")\n" i
+      (if i mod 2 = 0 then "SOUTH" else "WEST")
+  done;
+  Buffer.contents b
+
+(* Poll the daemon's health until it reports a request in flight.  Fails
+   when [finished ()] turns true first — the load ended before anything
+   could act on it mid-flight — or after [timeout] seconds. *)
+let await_in_flight ?(timeout = 30.) socket ~finished =
+  let module Client = Amg_serve.Client in
+  let module Json = Amg_robust.Diag.Json in
+  let c = Client.connect_retry ~attempts:40 ~delay:0.05 socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let deadline = Unix.gettimeofday () +. timeout in
+  let in_flight () =
+    match Client.roundtrip c (Amg_robust.Wire.health ()) with
+    | Ok h ->
+        Option.bind h.Amg_robust.Wire.payload (fun p ->
+            match Json.of_string p with
+            | Ok j -> Option.bind (Json.member "in_flight" j) Json.num
+            | Error _ -> None)
+    | Error e -> Alcotest.failf "health: %s" e
+  in
+  let rec go () =
+    match in_flight () with
+    | Some n when n >= 1. -> ()
+    | _ when finished () -> Alcotest.fail "the load finished before it was seen in flight"
+    | _ when Unix.gettimeofday () > deadline -> Alcotest.fail "the load never started"
+    | _ ->
+        Thread.delay 0.001;
+        go ()
+  in
+  go ()
