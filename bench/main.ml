@@ -21,6 +21,7 @@ module Build = Amg_core.Build
 module Optimize = Amg_core.Optimize
 module Rating = Amg_core.Rating
 module Wire = Amg_robust.Wire
+module Json = Amg_robust.Diag.Json
 module Successive = Amg_compact.Successive
 module Edge_graph = Amg_compact.Edge_graph
 module M = Amg_modules
@@ -942,43 +943,26 @@ let write_bench_json compact_rows parallel_rows =
 (* mismatch.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
+(* The committed rows, parsed; a file that does not parse, or has no
+   "rows" array, fails the smoke before any search runs. *)
+let committed_rows () =
+  let fail fmt =
+    Fmt.kstr
+      (fun m ->
+        Fmt.pr "bench smoke: FAIL %s@." m;
+        exit 1)
+      fmt
   in
-  go from
-
-(* The committed value of "key":<float> at or after [from]; None when the
-   key is absent or null.  The JSON is machine-written with a fixed key
-   order, so plain substring scanning is reliable here. *)
-let float_after s key from =
-  match find_sub s (Printf.sprintf "\"%s\":" key) from with
-  | None -> None
-  | Some i -> (
-      let j = i + String.length key + 3 in
-      let k = ref j in
-      while
-        !k < String.length s
-        &&
-        match s.[!k] with
-        | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr k
-      done;
-      if !k = j then None
-      else Some (float_of_string (String.sub s j (!k - j))))
+  let text = In_channel.with_open_bin "BENCH_compact.json" In_channel.input_all in
+  match Json.of_string text with
+  | Error e -> fail "BENCH_compact.json is not valid JSON: %s" e
+  | Ok j -> (
+      match Json.member "rows" j with
+      | Some (Json.Jarr rows) -> rows
+      | _ -> fail "BENCH_compact.json has no \"rows\" array")
 
 let compact_smoke env ns =
-  let json =
-    let ic = open_in "BENCH_compact.json" in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let rows = committed_rows () in
   let failures = ref 0 in
   let check what n expected got =
     (* Compare at the JSON's own 0.1 ms-era rounding: 4 decimals. *)
@@ -997,63 +981,69 @@ let compact_smoke env ns =
         got
     end
   in
+  let check_row n row =
+    (* The committed value of a row key, or of a key in its "counters"
+       object; None when absent or not a number. *)
+    let committed key = Option.bind (Json.member key row) Json.num in
+    let counter key =
+      Option.bind (Option.bind (Json.member "counters" row) (Json.member key)) Json.num
+    in
+    let steps = compact_steps env n in
+    let counters = pack_counters env steps in
+    List.iter
+      (fun key ->
+        let got = List.assoc key counters in
+        match counter key with
+        | Some e when int_of_float e = got ->
+            Fmt.pr "  ok   n=%d %s = %d@." n key got
+        | e ->
+            incr failures;
+            Fmt.pr "  FAIL n=%d %s: committed %s, got %d@." n key
+              (match e with Some e -> Printf.sprintf "%.0f" e | None -> "absent")
+              got)
+      invariant_counters;
+    (* The candidate counters may move with the compactor's search
+       strategy; printed so a refresh of the committed rows is one
+       copy away. *)
+    Fmt.pr "  info n=%d %s@." n
+      (String.concat " "
+         (List.filter_map
+            (fun (k, v) ->
+              if List.mem k invariant_counters then None
+              else Some (Printf.sprintf "%s=%d" k v))
+            counters));
+    (* Twice: back-to-back runs in one process must agree. *)
+    let _, r1, _, evals = Optimize.optimize_local env ~name:"pack" steps in
+    let _, r2, _, _ = Optimize.optimize_local env ~name:"pack" steps in
+    check "local_rating" n (committed "local_rating") r1;
+    check "local_evals" n (committed "local_evals") (float_of_int evals);
+    check "local_placements" n (committed "local_placements")
+      (float_of_int (search_placements Wire.Local env steps));
+    if not (Float.equal r1 r2) then begin
+      incr failures;
+      Fmt.pr "  FAIL n=%d rerun rating %.4f <> first %.4f@." n r2 r1
+    end;
+    let _, r_bb, _, nodes = Optimize.search env ~name:"pack" Wire.Bb steps in
+    check "bb_rating" n (committed "bb_rating") r_bb;
+    check "bb_nodes" n (committed "bb_nodes") (float_of_int nodes);
+    let _, r_orders, _, _ = Optimize.search env ~name:"pack" Wire.Orders steps in
+    check "orders_rating" n (committed "orders_rating") r_orders;
+    check "orders_placements" n (committed "orders_placements")
+      (float_of_int (search_placements Wire.Orders env steps));
+    (* Up to six steps orders mode walks every order, as bb does. *)
+    if n <= 6 then check "orders_rating = bb_rating" n (Some r_bb) r_orders
+  in
   Fmt.pr "bench smoke: compact_scaling n in {%s}@."
     (String.concat "," (List.map string_of_int ns));
   List.iter
     (fun n ->
-      let row =
-        match find_sub json (Printf.sprintf "{\"n\":%d,\"apply_s\"" n) 0 with
-        | Some i -> i
-        | None ->
-            Fmt.pr "  FAIL no committed row for n=%d@." n;
-            incr failures;
-            0
-      in
-      let steps = compact_steps env n in
-      let counters = pack_counters env steps in
-      List.iter
-        (fun key ->
-          let got = List.assoc key counters in
-          match float_after json key row with
-          | Some e when int_of_float e = got ->
-              Fmt.pr "  ok   n=%d %s = %d@." n key got
-          | e ->
-              incr failures;
-              Fmt.pr "  FAIL n=%d %s: committed %s, got %d@." n key
-                (match e with Some e -> Printf.sprintf "%.0f" e | None -> "absent")
-                got)
-        invariant_counters;
-      (* The candidate counters may move with the compactor's search
-         strategy; printed so a refresh of the committed rows is one
-         copy away. *)
-      Fmt.pr "  info n=%d %s@." n
-        (String.concat " "
-           (List.filter_map
-              (fun (k, v) ->
-                if List.mem k invariant_counters then None
-                else Some (Printf.sprintf "%s=%d" k v))
-              counters));
-      (* Twice: back-to-back runs in one process must agree. *)
-      let _, r1, _, evals = Optimize.optimize_local env ~name:"pack" steps in
-      let _, r2, _, _ = Optimize.optimize_local env ~name:"pack" steps in
-      check "local_rating" n (float_after json "local_rating" row) r1;
-      check "local_evals" n (float_after json "local_evals" row)
-        (float_of_int evals);
-      check "local_placements" n (float_after json "local_placements" row)
-        (float_of_int (search_placements Wire.Local env steps));
-      if not (Float.equal r1 r2) then begin
-        incr failures;
-        Fmt.pr "  FAIL n=%d rerun rating %.4f <> first %.4f@." n r2 r1
-      end;
-      let _, r_bb, _, nodes = Optimize.search env ~name:"pack" Wire.Bb steps in
-      check "bb_rating" n (float_after json "bb_rating" row) r_bb;
-      check "bb_nodes" n (float_after json "bb_nodes" row) (float_of_int nodes);
-      let _, r_orders, _, _ = Optimize.search env ~name:"pack" Wire.Orders steps in
-      check "orders_rating" n (float_after json "orders_rating" row) r_orders;
-      check "orders_placements" n (float_after json "orders_placements" row)
-        (float_of_int (search_placements Wire.Orders env steps));
-      (* Up to six steps orders mode walks every order, as bb does. *)
-      if n <= 6 then check "orders_rating = bb_rating" n (Some r_bb) r_orders)
+      match
+        List.find_opt (fun r -> Option.bind (Json.member "n" r) Json.int = Some n) rows
+      with
+      | Some row -> check_row n row
+      | None ->
+          incr failures;
+          Fmt.pr "  FAIL no committed row for n=%d in BENCH_compact.json@." n)
     ns;
   if !failures > 0 then begin
     Fmt.pr "bench smoke: %d failure(s)@." !failures;

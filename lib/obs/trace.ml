@@ -4,185 +4,21 @@
    format of the Trace Event specification — loadable in about://tracing
    and Perfetto.  Spans become duration pairs ("ph":"B"/"E"), marks
    become instant events ("ph":"i"), and counter totals are appended as
-   one "C" event each so they show up as counter tracks.
+   one "C" event each so they show up as counter tracks.  The layout is
+   fixed (one event per line, microsecond timestamps to 0.001) and every
+   string goes through the shared JSON escaper, [Diag.Json].
 
    [validate] is the schema check the CI job (and `amgen trace-lint`)
    runs over an emitted file: well-formed JSON, the required keys on
    every event, per-(pid, tid) monotonic timestamps, and strictly
-   matched, properly nested B/E pairs.  It uses its own minimal JSON
-   reader so the library stays dependency-free. *)
+   matched, properly nested B/E pairs.  It reads through the same
+   [Diag.Json] parser as the wire protocol and the diagnostics reports. *)
 
-(* --- minimal JSON --- *)
+module Json = Amg_robust.Diag.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : (json, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail fmt = Fmt.kstr (fun m -> raise (Bad m)) fmt in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected %C at offset %d, got %C" c !pos c'
-    | None -> fail "expected %C at offset %d, got end of input" c !pos
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string at offset %d" !pos
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "dangling escape at offset %d" !pos
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !pos + 4 > n then fail "truncated \\u escape";
-                  let hex = String.sub s !pos 4 in
-                  let code =
-                    try int_of_string ("0x" ^ hex)
-                    with _ -> fail "bad \\u escape %S" hex
-                  in
-                  pos := !pos + 4;
-                  (* Non-ASCII escapes are preserved approximately; the
-                     validator only needs ASCII names. *)
-                  if code < 0x80 then Buffer.add_char b (Char.chr code)
-                  else Buffer.add_char b '?'
-              | c -> fail "bad escape \\%C" c);
-              go ())
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match float_of_string_opt lit with
-    | Some f -> Num f
-    | None -> fail "bad number %S at offset %d" lit start
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}' at offset %d" !pos
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Arr [])
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']' at offset %d" !pos
-          in
-          Arr (elements [])
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok v
-  with Bad m -> Error m
-
-(* --- writer --- *)
-
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* A string-valued object in the shared writer's bytes. *)
+let add_strings b kvs =
+  Json.to_buffer b (Json.Jobj (List.map (fun (k, v) -> (k, Json.Jstr v)) kvs))
 
 let us ts = ts *. 1.0e6
 
@@ -195,9 +31,9 @@ let events_to_string ?(metadata = []) ?(counters = []) evs =
     Buffer.add_string b "\n  "
   in
   let common ~name ~ph ~tid ~ts =
-    Buffer.add_string b "{\"name\":\"";
-    escape b name;
-    Buffer.add_string b (Printf.sprintf "\",\"cat\":\"amg\",\"ph\":\"%s\"" ph);
+    Buffer.add_string b "{\"name\":";
+    Json.to_buffer b (Json.Jstr name);
+    Buffer.add_string b (Printf.sprintf ",\"cat\":\"amg\",\"ph\":\"%s\"" ph);
     Buffer.add_string b (Printf.sprintf ",\"ts\":%.3f,\"pid\":0,\"tid\":%d" (us ts) tid)
   in
   let last_ts = ref 0. in
@@ -216,17 +52,9 @@ let events_to_string ?(metadata = []) ?(counters = []) evs =
       | Obs.Mark { name; tid; ts; args } ->
           last_ts := Float.max !last_ts ts;
           common ~name ~ph:"i" ~tid ~ts;
-          Buffer.add_string b ",\"s\":\"t\",\"args\":{";
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char b ',';
-              Buffer.add_char b '"';
-              escape b k;
-              Buffer.add_string b "\":\"";
-              escape b v;
-              Buffer.add_char b '"')
-            args;
-          Buffer.add_string b "}}"))
+          Buffer.add_string b ",\"s\":\"t\",\"args\":";
+          add_strings b args;
+          Buffer.add_char b '}'))
     evs;
   (* Counter totals as one "C" sample each, on the root thread at the
      final timestamp, so Perfetto shows them as counter tracks. *)
@@ -238,17 +66,8 @@ let events_to_string ?(metadata = []) ?(counters = []) evs =
     counters;
   Buffer.add_string b "\n]";
   if metadata <> [] then begin
-    Buffer.add_string b ",\"metadata\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '"';
-        escape b k;
-        Buffer.add_string b "\":\"";
-        escape b v;
-        Buffer.add_char b '"')
-      metadata;
-    Buffer.add_char b '}'
+    Buffer.add_string b ",\"metadata\":";
+    add_strings b metadata
   end;
   Buffer.add_string b "}\n";
   Buffer.contents b
@@ -276,36 +95,32 @@ type summary = {
   v_request_id : string option;
 }
 
-let field name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
 (* Per-request traces exported by the serve daemon carry a top-level
    "metadata" object; when present it must identify the request.  Whole-
    run traces have no metadata object and stay valid unchanged. *)
-let check_metadata (j : json) : (string option, string) result =
+let check_metadata (j : Json.t) : (string option, string) result =
   match j with
-  | Obj _ -> (
-      match field "metadata" j with
+  | Jobj _ -> (
+      match Json.member "metadata" j with
       | None -> Ok None
-      | Some (Obj kvs) -> (
-          match List.assoc_opt "request_id" kvs with
-          | Some (Str s) when s <> "" -> Ok (Some s)
-          | Some (Str _) -> Error "metadata.request_id is empty"
+      | Some (Jobj _ as m) -> (
+          match Json.member "request_id" m with
+          | Some (Jstr s) when s <> "" -> Ok (Some s)
+          | Some (Jstr _) -> Error "metadata.request_id is empty"
           | Some _ -> Error "metadata.request_id is not a string"
           | None -> Error "metadata object lacks \"request_id\"")
       | Some _ -> Error "\"metadata\" is not an object")
   | _ -> Ok None
 
-let validate (j : json) : (summary, string) result =
+let validate (j : Json.t) : (summary, string) result =
   let events =
     match j with
-    | Obj _ -> (
-        match field "traceEvents" j with
-        | Some (Arr evs) -> Ok evs
+    | Jobj _ -> (
+        match Json.member "traceEvents" j with
+        | Some (Jarr evs) -> Ok evs
         | Some _ -> Error "\"traceEvents\" is not an array"
         | None -> Error "missing \"traceEvents\" key")
-    | Arr evs -> Ok evs (* the spec's bare array format *)
+    | Jarr evs -> Ok evs (* the spec's bare array format *)
     | _ -> Error "top level is neither an object nor an array"
   in
   match (events, check_metadata j) with
@@ -319,13 +134,13 @@ let validate (j : json) : (summary, string) result =
       let spans = ref 0 and marks = ref 0 in
       let check i ev =
         let str k =
-          match field k ev with
-          | Some (Str s) -> Ok s
+          match Option.bind (Json.member k ev) Json.str with
+          | Some s -> Ok s
           | _ -> Error (Printf.sprintf "event %d: missing string %S" i k)
         in
         let num k =
-          match field k ev with
-          | Some (Num f) -> Ok f
+          match Option.bind (Json.member k ev) Json.num with
+          | Some f -> Ok f
           | _ -> Error (Printf.sprintf "event %d: missing number %S" i k)
         in
         let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
@@ -406,7 +221,9 @@ let validate (j : json) : (summary, string) result =
               })
 
 let validate_string s =
-  match parse s with Error e -> Error ("not valid JSON: " ^ e) | Ok j -> validate j
+  match Json.of_string s with
+  | Error e -> Error ("not valid JSON: " ^ e)
+  | Ok j -> validate j
 
 let validate_file path =
   let ic = open_in_bin path in

@@ -127,315 +127,10 @@ let guard ?convert f =
       | Some d -> Stdlib.Error d
       | None -> Printexc.raise_with_backtrace e bt)
 
-(* --- JSON encoding --------------------------------------------------- *)
-
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let buf_add_diag b d =
-  Buffer.add_string b "{\"code\":";
-  buf_add_json_string b d.code;
-  Buffer.add_string b ",\"severity\":";
-  buf_add_json_string b (severity_to_string d.severity);
-  Buffer.add_string b ",\"subsystem\":";
-  buf_add_json_string b (subsystem_to_string d.subsystem);
-  Buffer.add_string b ",\"message\":";
-  buf_add_json_string b d.message;
-  Buffer.add_string b ",\"span\":";
-  (match d.span with
-  | None -> Buffer.add_string b "null"
-  | Some s ->
-      Buffer.add_string b "{\"file\":";
-      (match s.file with
-      | None -> Buffer.add_string b "null"
-      | Some f -> buf_add_json_string b f);
-      Buffer.add_string b (Printf.sprintf ",\"line\":%d,\"col\":%d}" s.line s.col));
-  Buffer.add_string b ",\"hint\":";
-  (match d.hint with
-  | None -> Buffer.add_string b "null"
-  | Some h -> buf_add_json_string b h);
-  Buffer.add_string b ",\"payload\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_add_json_string b k;
-      Buffer.add_char b ':';
-      buf_add_json_string b v)
-    d.payload;
-  Buffer.add_string b "}}"
-
-let to_json d =
-  let b = Buffer.create 256 in
-  buf_add_diag b d;
-  Buffer.contents b
-
-let list_to_json ?(degraded = false) ds =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"version\":1,\"degraded\":";
-  Buffer.add_string b (if degraded then "true" else "false");
-  Buffer.add_string b ",\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_add_diag b d)
-    ds;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* --- JSON decoding --------------------------------------------------- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let err msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> err (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then (
-      pos := !pos + l;
-      v)
-    else err (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then err "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-            if !pos >= n then err "unterminated escape"
-            else
-              let e = s.[!pos] in
-              advance ();
-              match e with
-              | '"' | '\\' | '/' ->
-                  Buffer.add_char b e;
-                  go ()
-              | 'n' ->
-                  Buffer.add_char b '\n';
-                  go ()
-              | 'r' ->
-                  Buffer.add_char b '\r';
-                  go ()
-              | 't' ->
-                  Buffer.add_char b '\t';
-                  go ()
-              | 'b' ->
-                  Buffer.add_char b '\b';
-                  go ()
-              | 'f' ->
-                  Buffer.add_char b '\012';
-                  go ()
-              | 'u' ->
-                  if !pos + 4 > n then err "bad \\u escape"
-                  else begin
-                    let hex = String.sub s !pos 4 in
-                    pos := !pos + 4;
-                    let code =
-                      try int_of_string ("0x" ^ hex)
-                      with _ -> err "bad \\u escape"
-                    in
-                    (* Only BMP codepoints; encode as UTF-8. *)
-                    if code < 0x80 then Buffer.add_char b (Char.chr code)
-                    else if code < 0x800 then begin
-                      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                    end
-                    else begin
-                      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                      Buffer.add_char b
-                        (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                    end;
-                    go ()
-                  end
-              | _ -> err "bad escape")
-        | c ->
-            Buffer.add_char b c;
-            go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then err "expected number"
-    else
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> err "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> err "expected ',' or '}'"
-          in
-          Jobj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Jarr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> err "expected ',' or ']'"
-          in
-          Jarr (elems [])
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> err "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then err "trailing garbage";
-  v
-
-let field name = function
-  | Jobj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let as_string = function Jstr s -> Some s | _ -> None
-let as_int = function Jnum f -> Some (int_of_float f) | _ -> None
-
-let diag_of_value v =
-  let ( let* ) o f = match o with Some x -> f x | None -> Stdlib.Error "malformed diagnostic" in
-  let* code = Option.bind (field "code" v) as_string in
-  let* severity =
-    Option.bind (Option.bind (field "severity" v) as_string) severity_of_string
-  in
-  let* subsystem =
-    Option.bind (Option.bind (field "subsystem" v) as_string) subsystem_of_string
-  in
-  let* message = Option.bind (field "message" v) as_string in
-  let span =
-    match field "span" v with
-    | Some (Jobj _ as sp) ->
-        let file = Option.bind (field "file" sp) as_string in
-        let line = Option.value ~default:0 (Option.bind (field "line" sp) as_int) in
-        let col = Option.value ~default:0 (Option.bind (field "col" sp) as_int) in
-        Some { file; line; col }
-    | _ -> None
-  in
-  let hint = Option.bind (field "hint" v) (fun h -> as_string h) in
-  let payload =
-    match field "payload" v with
-    | Some (Jobj kvs) ->
-        List.filter_map
-          (fun (k, pv) -> Option.map (fun s -> (k, s)) (as_string pv))
-          kvs
-    | _ -> []
-  in
-  Stdlib.Ok { code; severity; subsystem; message; span; hint; payload }
-
-let of_json s =
-  match parse_json s with
-  | v -> diag_of_value v
-  | exception Bad_json msg -> Stdlib.Error msg
-
-let list_of_json s =
-  match parse_json s with
-  | exception Bad_json msg -> Stdlib.Error msg
-  | v -> (
-      let degraded =
-        match field "degraded" v with Some (Jbool b) -> b | _ -> false
-      in
-      match field "diagnostics" v with
-      | Some (Jarr items) ->
-          let rec go acc = function
-            | [] -> Stdlib.Ok (degraded, List.rev acc)
-            | item :: rest -> (
-                match diag_of_value item with
-                | Stdlib.Ok d -> go (d :: acc) rest
-                | Stdlib.Error msg -> Stdlib.Error msg)
-          in
-          go [] items
-      | _ -> Stdlib.Error "missing diagnostics array")
-
-(* --- public JSON value layer ------------------------------------------ *)
+(* --- JSON ------------------------------------------------------------- *)
 
 module Json = struct
-  type t = json =
+  type t =
     | Jnull
     | Jbool of bool
     | Jnum of float
@@ -443,10 +138,171 @@ module Json = struct
     | Jarr of t list
     | Jobj of (string * t) list
 
+  exception Bad of string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let err msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> err (Printf.sprintf "expected '%c'" c)
+    in
+    let literal lit v =
+      let l = String.length lit in
+      if !pos + l <= n && String.sub s !pos l = lit then (
+        pos := !pos + l;
+        v)
+      else err (Printf.sprintf "expected %s" lit)
+    in
+    (* Exactly four hex digits: one UTF-16 code unit. *)
+    let hex4 () =
+      if !pos + 4 > n then err "bad \\u escape";
+      let digit i =
+        match s.[!pos + i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> err "bad \\u escape"
+      in
+      let u = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
+      pos := !pos + 4;
+      u
+    in
+    (* A high surrogate must be followed by an escaped low one; the pair
+       names one code point outside the BMP.  Lone surrogates have no
+       UTF-8 encoding and are rejected. *)
+    let code_point () =
+      let u = hex4 () in
+      if u >= 0xDC00 && u <= 0xDFFF then err "lone low surrogate"
+      else if u < 0xD800 || u > 0xDBFF then u
+      else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+        pos := !pos + 2;
+        let lo = hex4 () in
+        if lo < 0xDC00 || lo > 0xDFFF then err "lone high surrogate"
+        else 0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+      end
+      else err "lone high surrogate"
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then err "unterminated string"
+        else
+          let c = s.[!pos] in
+          advance ();
+          match c with
+          | '"' -> Buffer.contents b
+          | '\\' ->
+              if !pos >= n then err "unterminated escape";
+              let e = s.[!pos] in
+              advance ();
+              (match e with
+              | '"' | '\\' | '/' -> Buffer.add_char b e
+              | 'n' -> Buffer.add_char b '\n'
+              | 'r' -> Buffer.add_char b '\r'
+              | 't' -> Buffer.add_char b '\t'
+              | 'b' -> Buffer.add_char b '\b'
+              | 'f' -> Buffer.add_char b '\012'
+              | 'u' -> Buffer.add_utf_8_uchar b (Uchar.of_int (code_point ()))
+              | _ -> err "bad escape");
+              go ()
+          | c ->
+              Buffer.add_char b c;
+              go ()
+      in
+      go ()
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        match c with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && is_num_char s.[!pos] do
+        advance ()
+      done;
+      if !pos = start then err "expected number"
+      else
+        match float_of_string_opt (String.sub s start (!pos - start)) with
+        | Some f -> f
+        | None -> err "bad number"
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | Some '"' -> Jstr (parse_string ())
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then (
+            advance ();
+            Jobj [])
+          else
+            let rec members acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  members ((k, v) :: acc)
+              | Some '}' ->
+                  advance ();
+                  List.rev ((k, v) :: acc)
+              | _ -> err "expected ',' or '}'"
+            in
+            Jobj (members [])
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then (
+            advance ();
+            Jarr [])
+          else
+            let rec elems acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  elems (v :: acc)
+              | Some ']' ->
+                  advance ();
+                  List.rev (v :: acc)
+              | _ -> err "expected ',' or ']'"
+            in
+            Jarr (elems [])
+      | Some 't' -> literal "true" (Jbool true)
+      | Some 'f' -> literal "false" (Jbool false)
+      | Some 'n' -> literal "null" Jnull
+      | Some _ -> Jnum (parse_number ())
+      | None -> err "unexpected end of input"
+    in
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then err "trailing garbage";
+    v
+
   let of_string s =
-    match parse_json s with
+    match parse s with
     | v -> Stdlib.Ok v
-    | exception Bad_json msg -> Stdlib.Error msg
+    | exception Bad msg -> Stdlib.Error msg
 
   (* Shortest image that parses back to the same float.  The serving
      protocol requires byte-deterministic responses, so the image must
@@ -464,12 +320,28 @@ module Json = struct
         let s = Printf.sprintf "%.16g" f in
         if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
+  let add_string b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
   let rec to_buffer b = function
     | Jnull -> Buffer.add_string b "null"
     | Jbool true -> Buffer.add_string b "true"
     | Jbool false -> Buffer.add_string b "false"
     | Jnum f -> Buffer.add_string b (float_to_string f)
-    | Jstr s -> buf_add_json_string b s
+    | Jstr s -> add_string b s
     | Jarr items ->
         Buffer.add_char b '[';
         List.iteri
@@ -483,7 +355,7 @@ module Json = struct
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
-            buf_add_json_string b k;
+            add_string b k;
             Buffer.add_char b ':';
             to_buffer b v)
           kvs;
@@ -494,15 +366,21 @@ module Json = struct
     to_buffer b v;
     Buffer.contents b
 
-  let member = field
-  let str = as_string
+  let member name = function
+    | Jobj kvs -> List.assoc_opt name kvs
+    | _ -> None
+
+  let str = function Jstr s -> Some s | _ -> None
   let num = function Jnum f -> Some f | _ -> None
-  let int = as_int
+  let int = function Jnum f -> Some (int_of_float f) | _ -> None
   let bool = function Jbool b -> Some b | _ -> None
 end
 
+(* --- diagnostics as JSON ---------------------------------------------- *)
+
 let to_value d =
   let open Json in
+  let opt_str = function None -> Jnull | Some s -> Jstr s in
   Jobj
     [
       ("code", Jstr d.code);
@@ -515,12 +393,64 @@ let to_value d =
         | Some s ->
             Jobj
               [
-                ("file", match s.file with None -> Jnull | Some f -> Jstr f);
+                ("file", opt_str s.file);
                 ("line", Jnum (float_of_int s.line));
                 ("col", Jnum (float_of_int s.col));
               ] );
-      ("hint", match d.hint with None -> Jnull | Some h -> Jstr h);
+      ("hint", opt_str d.hint);
       ("payload", Jobj (List.map (fun (k, v) -> (k, Jstr v)) d.payload));
     ]
 
-let of_value = diag_of_value
+let to_json d = Json.to_string (to_value d)
+
+let list_to_json ?(degraded = false) ds =
+  Json.(
+    to_string
+      (Jobj
+         [
+           ("version", Jnum 1.);
+           ("degraded", Jbool degraded);
+           ("diagnostics", Jarr (List.map to_value ds));
+         ]))
+
+let of_value v =
+  let open Json in
+  let ( let* ) o f =
+    match o with Some x -> f x | None -> Stdlib.Error "malformed diagnostic"
+  in
+  let field k = Option.bind (member k v) str in
+  let* code = field "code" in
+  let* severity = Option.bind (field "severity") severity_of_string in
+  let* subsystem = Option.bind (field "subsystem") subsystem_of_string in
+  let* message = field "message" in
+  let span =
+    match member "span" v with
+    | Some (Jobj _ as sp) ->
+        let at k = Option.value ~default:0 (Option.bind (member k sp) int) in
+        Some
+          { file = Option.bind (member "file" sp) str; line = at "line"; col = at "col" }
+    | _ -> None
+  in
+  let payload =
+    match member "payload" v with
+    | Some (Jobj kvs) ->
+        List.filter_map (fun (k, pv) -> Option.map (fun s -> (k, s)) (str pv)) kvs
+    | _ -> []
+  in
+  Stdlib.Ok { code; severity; subsystem; message; span; hint = field "hint"; payload }
+
+let of_json s = Result.bind (Json.of_string s) of_value
+
+let list_of_json s =
+  Result.bind (Json.of_string s) (fun v ->
+      let degraded =
+        Option.value ~default:false (Option.bind (Json.member "degraded" v) Json.bool)
+      in
+      match Json.member "diagnostics" v with
+      | Some (Json.Jarr items) ->
+          let rec go acc = function
+            | [] -> Stdlib.Ok (degraded, List.rev acc)
+            | item :: rest -> Result.bind (of_value item) (fun d -> go (d :: acc) rest)
+          in
+          go [] items
+      | _ -> Stdlib.Error "missing diagnostics array")

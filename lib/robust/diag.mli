@@ -109,11 +109,13 @@ val list_of_json : string -> (bool * t list, string) Stdlib.result
 
 (** {1 Generic JSON values}
 
-    The hand-rolled JSON layer the report document and the serving wire
-    protocol ({!Wire}) share.  The writer is deterministic: object fields
-    are emitted in construction order and each float prints as the
-    shortest image that parses back to the same value, so equal values
-    always serialize to equal bytes. *)
+    The repository's one JSON reader and writer: the report documents,
+    the serving wire protocol ({!Wire}), sweep headers, the access log,
+    trace export and validation, and the benchmark baseline all go
+    through it.  The writer is deterministic: object fields are emitted
+    in construction order and each float prints as the shortest image
+    that parses back to the same value, so equal values always
+    serialize to equal bytes. *)
 module Json : sig
   type t =
     | Jnull
@@ -124,7 +126,10 @@ module Json : sig
     | Jobj of (string * t) list
 
   val of_string : string -> (t, string) Stdlib.result
-  (** Parse one complete JSON document (rejects trailing garbage). *)
+  (** Parse one complete JSON document (rejects trailing garbage).
+      Strings decode to UTF-8: a [\u] escape takes exactly four hex
+      digits, a surrogate pair becomes one 4-byte sequence, and a lone
+      surrogate is an error. *)
 
   val to_buffer : Buffer.t -> t -> unit
   val to_string : t -> string
@@ -139,7 +144,7 @@ module Json : sig
 end
 
 val to_value : t -> Json.t
-(** The diagnostic as a JSON value;
-    [Json.to_string (to_value d) = to_json d]. *)
+(** The diagnostic as a JSON value; {!to_json} and {!list_to_json} are
+    its {!Json.to_string} images. *)
 
 val of_value : Json.t -> (t, string) Stdlib.result

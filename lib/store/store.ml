@@ -43,8 +43,6 @@ type stats = {
 
 type t = {
   path : string;
-  fsync_every : int;
-  readonly : bool;
   lock : Mutex.t;
   tbl : (string, entry) Hashtbl.t;
   mutable log_fd : Unix.file_descr option;
@@ -66,6 +64,9 @@ let magic = "AMGSTORE"
 let version = 1
 let header_len = String.length magic + 4
 let max_payload = 1 lsl 24
+
+(* Appended records between durability barriers. *)
+let fsync_every = 8
 
 (* --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ------------------- *)
 
@@ -327,12 +328,9 @@ let header_bytes () =
   add_u32 b version;
   Buffer.to_bytes b
 
-let open_ ?(fsync_every = 8) ?(readonly = false) path =
-  let flags =
-    if readonly then [ Unix.O_RDONLY ] else [ Unix.O_RDWR; Unix.O_CREAT ]
-  in
+let open_ path =
   let fd =
-    try Unix.openfile path flags 0o644
+    try Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
     with Unix.Unix_error (err, fn, _) ->
       Diag.fail Diag.Store ~code:"store.open_failed"
         ~payload:[ ("path", path); ("errno", Unix.error_message err); ("fn", fn) ]
@@ -341,8 +339,6 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
   let t =
     {
       path;
-      fsync_every = Int.max 1 fsync_every;
-      readonly;
       lock = Mutex.create ();
       tbl = Hashtbl.create 64;
       log_fd = None;
@@ -364,7 +360,6 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
     let data, read_failure = read_all fd path in
     let len = Bytes.length data in
     let diags = ref (match read_failure with Some d -> [ d ] | None -> []) in
-    let fresh = ref false in
     (match check_header ~path data len with
     | `Ok ->
         let sc = scan_log ~path data len (fun k e -> Hashtbl.replace t.tbl k e) in
@@ -392,33 +387,26 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
         end;
         (* silently repair a torn tail (and drop undecodable framing) so
            the next O_APPEND lands on a clean record boundary *)
-        if (not readonly) && read_failure = None && sc.s_good_end < len then
+        if read_failure = None && sc.s_good_end < len then
           Unix.ftruncate fd sc.s_good_end
     | `Empty ->
-        fresh := true;
-        if not readonly then begin
-          write_all fd (header_bytes ()) 0 header_len;
-          (try Unix.fsync fd with Unix.Unix_error _ -> ())
-        end
+        write_all fd (header_bytes ()) 0 header_len;
+        (try Unix.fsync fd with Unix.Unix_error _ -> ())
     | `Torn_header ->
         (* shorter than a header: only a crash during creation does this *)
         t.torn_tail_truncations <- 1;
-        if not readonly then begin
-          Unix.ftruncate fd 0;
-          (* the fd offset is past the torn bytes just read; rewind or the
-             fresh header lands after a hole of zeros *)
-          ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-          write_all fd (header_bytes ()) 0 header_len;
-          (try Unix.fsync fd with Unix.Unix_error _ -> ())
-        end);
-    ignore !fresh;
+        Unix.ftruncate fd 0;
+        (* the fd offset is past the torn bytes just read; rewind or the
+           fresh header lands after a hole of zeros *)
+        ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+        write_all fd (header_bytes ()) 0 header_len;
+        (try Unix.fsync fd with Unix.Unix_error _ -> ()));
     if t.torn_tail_truncations > 0 then
       bump "store.torn_tail_truncations" ~by:t.torn_tail_truncations;
     if t.corrupt_records > 0 then
       bump "store.corrupt_records" ~by:t.corrupt_records;
     Unix.close fd;
-    if not readonly then
-      t.log_fd <- Some (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
+    t.log_fd <- Some (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
     (t, List.rev !diags)
   in
   match finish_open () with
@@ -480,7 +468,7 @@ let append_locked t rcd =
         t.writes <- t.writes + 1;
         bump "store.writes";
         t.unsynced <- t.unsynced + 1;
-        if t.unsynced >= t.fsync_every then begin
+        if t.unsynced >= fsync_every then begin
           t.unsynced <- 0;
           try
             Inject.probe Inject.Store_fsync;
@@ -545,7 +533,7 @@ let sync t =
 
 let checkpoint t =
   with_lock t (fun () ->
-      if t.readonly || t.closed then ()
+      if t.closed then ()
       else begin
         let tmp = t.path ^ ".tmp" in
         let cleanup () = try Sys.remove tmp with Sys_error _ -> () in

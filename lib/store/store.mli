@@ -58,7 +58,7 @@ type stats = {
 
 type t
 
-val open_ : ?fsync_every:int -> ?readonly:bool -> string -> t * Amg_robust.Diag.t list
+val open_ : string -> t * Amg_robust.Diag.t list
 (** Open (creating if absent) the store at a path and replay its log.
     The returned diagnostics describe what recovery found: Warning
     [store.corrupt_record] per dropped interior record, Warning
@@ -69,10 +69,9 @@ val open_ : ?fsync_every:int -> ?readonly:bool -> string -> t * Amg_robust.Diag.
     [store.bad_header] if the file exists but is not an AMGSTORE-v1 log
     (never guesses at foreign bytes).
 
-    [fsync_every] (default 8) bounds the number of appended records
-    between durability barriers; [readonly] opens without write access
-    (recovery then never truncates, and {!record} is a contained no-op
-    failure). *)
+    Appends are fsynced every 8 records (and on {!sync}, {!checkpoint}
+    and {!close}).  The handle always has write access; {!verify} is the
+    read-only path. *)
 
 val path : t -> string
 val length : t -> int

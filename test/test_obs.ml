@@ -351,6 +351,54 @@ let test_trace_metadata () =
       | Ok _ -> Alcotest.failf "validator accepted %s" label)
     bad
 
+(* The export bytes are pinned: the one-event-per-line layout, %.3f
+   microsecond timestamps, escaped names, mark args and metadata, and the
+   trailing counter samples at the last timestamp. *)
+let test_trace_golden () =
+  let evs =
+    Obs.
+      [
+        Begin { name = "top"; tid = 0; ts = 0.001 };
+        Mark
+          {
+            name = "note \"1\"";
+            tid = 0;
+            ts = 0.0015;
+            args = [ ("quote", "say \"hi\"\n"); ("ctl", "\001\t\\/") ];
+          };
+        Begin { name = "sub"; tid = 1; ts = 0.002 };
+        End { name = "sub"; tid = 1; ts = 0.0025 };
+        Mark { name = "bare"; tid = 1; ts = 0.0026; args = [] };
+        End { name = "top"; tid = 0; ts = 0.003 };
+      ]
+  in
+  Alcotest.(check string)
+    "trace bytes"
+    ({|{"traceEvents":[|}
+    ^ {|
+  {"name":"top","cat":"amg","ph":"B","ts":1000.000,"pid":0,"tid":0},|}
+    ^ {|
+  {"name":"note \"1\"","cat":"amg","ph":"i","ts":1500.000,"pid":0,"tid":0,"s":"t","args":{"quote":"say \"hi\"\n","ctl":"\u0001\t\\/"}},|}
+    ^ {|
+  {"name":"sub","cat":"amg","ph":"B","ts":2000.000,"pid":0,"tid":1},|}
+    ^ {|
+  {"name":"sub","cat":"amg","ph":"E","ts":2500.000,"pid":0,"tid":1},|}
+    ^ {|
+  {"name":"bare","cat":"amg","ph":"i","ts":2600.000,"pid":0,"tid":1,"s":"t","args":{}},|}
+    ^ {|
+  {"name":"top","cat":"amg","ph":"E","ts":3000.000,"pid":0,"tid":0},|}
+    ^ {|
+  {"name":"k","cat":"amg","ph":"C","ts":3000.000,"pid":0,"tid":0,"args":{"value":3}},|}
+    ^ {|
+  {"name":"store.hits","cat":"amg","ph":"C","ts":3000.000,"pid":0,"tid":0,"args":{"value":0}}|}
+    ^ {|
+],"metadata":{"request_id":"r\"7","op":"build\n"}}|}
+    ^ "\n")
+    (Trace.events_to_string
+       ~metadata:[ ("request_id", "r\"7"); ("op", "build\n") ]
+       ~counters:[ ("k", 3); ("store.hits", 0) ]
+       evs)
+
 let suite =
   [
     Alcotest.test_case "span nesting and counters" `Quick test_span_nesting;
@@ -374,4 +422,5 @@ let suite =
       test_window_slices;
     Alcotest.test_case "per-request trace metadata validates" `Quick
       test_trace_metadata;
+    Alcotest.test_case "trace export golden bytes" `Quick test_trace_golden;
   ]

@@ -270,6 +270,68 @@ let prop_diag_json_roundtrip =
       | Ok d2 -> Diag.equal d d2
       | Error _ -> false)
 
+(* The report bytes are pinned: spans with and without a file (and a
+   negative column), no span, a hint with a quote, control characters,
+   an empty payload value and an empty payload. *)
+let golden_diags =
+  [
+    Diag.v Diag.Lang ~code:"lang.parse.expected"
+      ~span:(Diag.span ~file:"lib/a b.amg" ~col:(-3) 12)
+      ~hint:"close the \"(\" first"
+      ~payload:[ ("token", "\001x"); ("empty", "") ]
+      "line one\nline two";
+    Diag.v ~severity:Diag.Warning Diag.Optimize ~code:"optimize.degraded"
+      "search stopped";
+    Diag.v ~severity:Diag.Info Diag.Store ~code:"store.recovered"
+      ~span:(Diag.span 4) ~payload:[ ("path", "C:\\tmp\\s.log") ]
+      "tab\there";
+  ]
+
+let test_diag_json_golden () =
+  check string "report bytes"
+    ({|{"version":1,"degraded":true,"diagnostics":[|}
+    ^ {|{"code":"lang.parse.expected","severity":"error","subsystem":"lang",|}
+    ^ {|"message":"line one\nline two","span":{"file":"lib/a b.amg","line":12,"col":-3},|}
+    ^ {|"hint":"close the \"(\" first","payload":{"token":"\u0001x","empty":""}},|}
+    ^ {|{"code":"optimize.degraded","severity":"warning","subsystem":"optimize",|}
+    ^ {|"message":"search stopped","span":null,"hint":null,"payload":{}},|}
+    ^ {|{"code":"store.recovered","severity":"info","subsystem":"store",|}
+    ^ {|"message":"tab\there","span":{"file":null,"line":4,"col":0},"hint":null,|}
+    ^ {|"payload":{"path":"C:\\tmp\\s.log"}}]}|})
+    (Diag.list_to_json ~degraded:true golden_diags)
+
+(* A [\u] escape names one UTF-16 code unit: a surrogate pair decodes to
+   one 4-byte UTF-8 sequence, a lone surrogate is an error, and exactly
+   four hex digits must follow. *)
+let test_json_unicode_escapes () =
+  let decodes s expected =
+    match Diag.Json.of_string s with
+    | Ok (Diag.Json.Jstr got) -> check string s expected got
+    | Ok _ -> failf "%s: not a string" s
+    | Error e -> failf "%s rejected: %s" s e
+  in
+  let rejects s =
+    match Diag.Json.of_string s with
+    | Ok _ -> failf "%s accepted" s
+    | Error _ -> ()
+  in
+  decodes {|"\u0041\u00e9\u20ac"|} "A\xc3\xa9\xe2\x82\xac";
+  decodes {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  decodes {|"\uD800\uDC00"|} "\xf0\x90\x80\x80";
+  decodes {|"\udbff\udfff"|} "\xf4\x8f\xbf\xbf";
+  List.iter rejects
+    [
+      {|"\ud800"|};
+      {|"\udc00"|};
+      {|"\ud83dx"|};
+      {|"\ud83d\u0041"|};
+      {|"\ud83d\ud83d"|};
+      {|"\u0_41"|};
+      {|"\u+041"|};
+      {|"\u 041"|};
+      {|"\u00e"|};
+    ]
+
 (* --- fault-injection plumbing --- *)
 
 let test_parse_spec () =
@@ -422,6 +484,9 @@ let suite =
     test_case "unhit budget changes nothing" `Quick test_unhit_budget_is_noop;
     test_case "diag report JSON round-trip" `Quick test_diag_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_diag_json_roundtrip;
+    test_case "diag report JSON golden bytes" `Quick test_diag_json_golden;
+    test_case "JSON unicode escapes: surrogate pairs, four hex digits" `Quick
+      test_json_unicode_escapes;
     test_case "inject spec parsing" `Quick test_parse_spec;
     test_case "probe fires on the scheduled hit" `Quick
       test_probe_fires_on_scheduled_hit;
