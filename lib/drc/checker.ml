@@ -223,6 +223,29 @@ let check_spacings ~tech obj =
               | Some _ -> ()))
         conducting)
     by_layer;
+  (* Each (layer, layer) pair is classified once per call, not once per
+     (shape, layer): [cls.(la).(lb)] over the indices of [layers].  Shapes
+     on different layers without a spacing rule separate only when one of
+     them is keep-clear (the compactor's [may_constrain] test), so a shape
+     that is not keep-clear skips layer [lb] without an index query
+     unless [may_separate.(la).(lb)]: a rule, the same layer, or a
+     keep-clear shape on [lb]. *)
+  let layer_arr = Array.of_list layers in
+  let nl = Array.length layer_arr in
+  let layer_ix = Hashtbl.create nl in
+  Array.iteri (fun k l -> Hashtbl.replace layer_ix l k) layer_arr;
+  let cls =
+    Array.map
+      (fun la -> Array.map (fun lb -> Constraints.classify rules la lb) layer_arr)
+      layer_arr
+  in
+  let may_separate =
+    Array.map
+      (Array.mapi (fun lb (c : Constraints.pair_class) ->
+           c.same_layer || Option.is_some c.space
+           || Lobj.keep_clear_on obj layer_arr.(lb) > 0))
+      cls
+  in
   (* Pairwise spacing: for each shape, examine only index candidates within
      the layer pair's rule distance — any violating pair has both gaps
      below its separation, so it lies inside the inflated window.  Partners
@@ -231,22 +254,23 @@ let check_spacings ~tech obj =
      (i, j) emission order because ascending id is insertion order. *)
   for i = 0 to n - 1 do
     let a = shapes.(i) in
+    let la = Hashtbl.find layer_ix a.Shape.layer in
+    let partners = ref [] in
+    for lb = 0 to nl - 1 do
+      if a.Shape.keep_clear || may_separate.(la).(lb) then begin
+        let cls = cls.(la).(lb) in
+        Lobj.iter_near obj ~layer:layer_arr.(lb) a.Shape.rect
+          ~margin:(Constraints.margin_cls cls) (fun b ->
+            if b.Shape.id > a.Shape.id then
+              match Constraints.relation_cls cls a b with
+              | Constraints.Unconstrained | Constraints.Mergeable -> ()
+              | Constraints.Separation sep -> partners := (b, sep) :: !partners)
+      end
+    done;
     let partners =
-      List.concat_map
-        (fun layer ->
-          let cls = Constraints.classify rules a.Shape.layer layer in
-          let margin = Constraints.margin_cls cls in
-          List.filter_map
-            (fun (b : Shape.t) ->
-              if b.Shape.id > a.Shape.id then
-                match Constraints.relation_cls cls a b with
-                | Constraints.Unconstrained | Constraints.Mergeable -> None
-                | Constraints.Separation sep -> Some (b, sep)
-              else None)
-            (Lobj.near obj ~layer a.Shape.rect ~margin))
-        layers
-      |> List.sort (fun ((b1 : Shape.t), _) (b2, _) ->
-             Int.compare b1.Shape.id b2.Shape.id)
+      List.sort
+        (fun ((b1 : Shape.t), _) (b2, _) -> Int.compare b1.Shape.id b2.Shape.id)
+        !partners
     in
     List.iter
       (fun ((b : Shape.t), sep) ->

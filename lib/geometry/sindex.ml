@@ -116,6 +116,39 @@ let remove t key rect =
   else bin_remove t.ybins yb0 yb1 key;
   t.count <- t.count - 1
 
+(* Drop every entry whose key is [gone], keeping the order of the rest and
+   sharing the tail behind the last dropped one: the list [drop] would
+   leave after removing those keys one by one. *)
+let rec strip gone = function
+  | [] -> []
+  | ((k, _) as e) :: rest as l ->
+      let rest' = strip gone rest in
+      if gone k then rest' else if rest' == rest then l else e :: rest'
+
+(* Filter each marked bin of the axis once. *)
+let strip_marked ax marks gone =
+  let a = ax.arr in
+  Bytes.iteri (fun i m -> if m <> '\000' then a.(i) <- strip gone a.(i)) marks
+
+let remove_batch t entries ~gone =
+  let xmarks = Bytes.make (Array.length t.xbins.arr) '\000'
+  and ymarks = Bytes.make (Array.length t.ybins.arr) '\000' in
+  let xwide = ref false and ywide = ref false in
+  let mark ax marks b0 b1 = Bytes.fill marks (b0 - ax.lo) (b1 - b0 + 1) '\001' in
+  List.iter
+    (fun (_, rect) ->
+      let r = Rect.translate rect ~dx:(-t.ox) ~dy:(-t.oy) in
+      let xb0 = fdiv r.Rect.x0 t.cell and xb1 = fdiv r.Rect.x1 t.cell in
+      if xb1 - xb0 >= max_bins then xwide := true else mark t.xbins xmarks xb0 xb1;
+      let yb0 = fdiv r.Rect.y0 t.cell and yb1 = fdiv r.Rect.y1 t.cell in
+      if yb1 - yb0 >= max_bins then ywide := true else mark t.ybins ymarks yb0 yb1)
+    entries;
+  strip_marked t.xbins xmarks gone;
+  strip_marked t.ybins ymarks gone;
+  if !xwide then t.xwide <- strip gone t.xwide;
+  if !ywide then t.ywide <- strip gone t.ywide;
+  t.count <- t.count - List.length entries
+
 let translate_all t ~dx ~dy =
   t.ox <- t.ox + dx;
   t.oy <- t.oy + dy

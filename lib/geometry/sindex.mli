@@ -9,7 +9,8 @@
     supply rails) cannot blow up insertion or query cost.
 
     All operations are incremental: insert and remove touch only the bins
-    of the affected rectangle, and translating the whole index is O(1) (a
+    of the affected rectangle ({!remove_batch} only the bins of its
+    rectangles, each once), and translating the whole index is O(1) (a
     coordinate offset, not a re-binning).  Keys are arbitrary integers
     (shape ids, piece indices); the index never interprets them and keeps
     no key table, so [remove] takes the rectangle its caller entered.
@@ -40,6 +41,16 @@ val remove : t -> int -> Rect.t -> unit
 (** [remove t key rect] removes the entry [key] entered with [rect] (in
     current world coordinates, i.e. translated along with the index).
     The key must be present with that rectangle. *)
+
+val remove_batch : t -> (int * Rect.t) list -> gone:(int -> bool) -> unit
+(** [remove_batch t entries ~gone] removes every [(key, rect)] entry at
+    once, each as {!remove} would take it (the keys distinct and present
+    with those rectangles); among the keys present, [gone] must hold for
+    exactly those of [entries].  Every bin the entries cover is filtered
+    once, its survivors keeping their order, so the index ends up
+    exactly as a {!remove} per entry, in any order, leaves it — for
+    O(entries + the covered bins' contents) instead of a bin walk per
+    entry. *)
 
 val translate_all : t -> dx:int -> dy:int -> unit
 (** Shift every stored rectangle.  O(1): maintained as an offset. *)

@@ -500,34 +500,79 @@ let array_cut_layers_of_container t id =
       if List.mem id spec.container_ids then Some spec.cut_layer else None)
     t.arrays
 
+module Ids = Hashtbl.Make (Int)
+
+(* Take every member of a registered array out of the store in one slot
+   pass — slot, id table, live and keep-clear counts, the touched layers'
+   hulls marked dirty — then drop each touched layer's members from its
+   index in one [Sindex.remove_batch].  Survivors keep their slot and bin
+   order, so the store ends up as removing the members one by one leaves
+   it. *)
+let remove_members t =
+  let registered = Ids.create 16 in
+  List.iter (fun (id, _) -> Ids.replace registered id ()) t.arrays;
+  (* An array's members sit together: remember the last array seen. *)
+  let last = ref min_int in
+  let is_member a = a = !last || (Ids.mem registered a && (last := a; true)) in
+  (* Each touched layer: its name, its store and its members' entries. *)
+  let touched = ref [] in
+  let touch layer =
+    match List.find_opt (fun (name, _, _) -> String.equal name layer) !touched with
+    | Some (_, l, entries) -> (l, entries)
+    | None ->
+        let l = layer_of t layer in
+        dirty_layer t l;
+        let entries = ref [] in
+        touched := (layer, l, entries) :: !touched;
+        (l, entries)
+  in
+  for i = 0 to t.n_slots - 1 do
+    match t.slots.(i) with
+    | Some ({ Shape.origin = Shape.Array_member a; _ } as s) when is_member a ->
+        t.slots.(i) <- None;
+        t.id2slot.(s.id) <- -1;
+        t.live <- t.live - 1;
+        let l, entries = touch s.layer in
+        if s.keep_clear then l.keep_clear <- l.keep_clear - 1;
+        entries := (s.id, s.rect) :: !entries
+    | _ -> ()
+  done;
+  (* Every id the index of a touched layer holds is live, except the
+     members just taken out. *)
+  let gone id = slot_of t id < 0 in
+  List.iter (fun (_, l, entries) -> Sindex.remove_batch l.ix !entries ~gone) !touched;
+  maybe_squeeze t
+
+(* The derived cuts re-enter as one batch, array after array in
+   registration order, with fresh ids taken in that order: the ids, slots
+   and bin entries an [add_shape] per cut would give them. *)
 let rederive t rules =
   Amg_robust.Inject.(probe Contact_rebuild);
   Amg_obs.Obs.count "lobj.contact_array_rebuilds" (List.length t.arrays);
-  List.iter
-    (fun (array_id, spec) ->
-      let members = ref [] in
-      for i = 0 to t.n_slots - 1 do
-        match t.slots.(i) with
-        | Some { Shape.origin = Shape.Array_member a; id; _ } when a = array_id ->
-            members := id :: !members
-        | _ -> ()
-      done;
-      List.iter (remove t) !members;
-      let containers =
-        List.map
-          (fun id ->
-            let s = find_exn t id in
-            (s.Shape.layer, s.Shape.rect))
-          spec.container_ids
-      in
-      let cuts = Derive.cut_array rules ~containers ~cut_layer:spec.cut_layer in
+  match t.arrays with
+  | [] -> ()
+  | arrays ->
+      remove_members t;
+      let cuts = ref [] in
       List.iter
-        (fun rect ->
-          ignore
-            (add_shape t ~layer:spec.cut_layer ~rect ?net:spec.array_net
-               ~origin:(Shape.Array_member array_id) ()))
-        cuts)
-    t.arrays
+        (fun (array_id, spec) ->
+          let containers =
+            List.map
+              (fun id ->
+                let s = find_exn t id in
+                (s.Shape.layer, s.Shape.rect))
+              spec.container_ids
+          in
+          List.iter
+            (fun rect ->
+              let id = fresh_id t in
+              cuts :=
+                Shape.make ~id ~layer:spec.cut_layer ~rect ?net:spec.array_net
+                  ~origin:(Shape.Array_member array_id) ()
+                :: !cuts)
+            (Derive.cut_array rules ~containers ~cut_layer:spec.cut_layer))
+        arrays;
+      enter_batch t (Array.of_list (List.rev !cuts))
 
 (* Merge [src] into [t], renumbering ids; returns the id offset applied.
    The renumbered shapes are entered as one batch. *)

@@ -144,7 +144,15 @@ val array_cut_layers_of_container : t -> int -> string list
 
 val rederive : t -> Amg_tech.Rules.t -> unit
 (** Recompute all array members from the current container rectangles —
-    the automatic rebuild of §2.3. *)
+    the automatic rebuild of §2.3.  Every member of a registered array
+    leaves the object; then each array, in registration order, derives
+    its cuts from its containers, and the cuts enter at the end of the
+    object with fresh ids taken in that order.  The result is exactly
+    what removing each array's members and {!add_shape}-ing its cuts,
+    array by array, would leave: the same ids, {!id_bound}, shape order
+    and index contents.  A container must be a live shape that is not
+    itself an array member.  Cost: O(slots + members + cuts), one pass
+    over the store and one batch removal per touched layer index. *)
 
 val absorb : t -> t -> int
 (** [absorb t src] appends [src]'s shapes, ports and arrays into [t],

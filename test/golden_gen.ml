@@ -1,6 +1,8 @@
 (* Golden-file generator: renders the four showcase modules of examples/
    (contact row, diff pair, interdigitated device, common-centroid module E)
-   to CIF and SVG.  `dune runtest` diffs the output against the pinned
+   and a 2+2 unit capacitor array (the heaviest user of derived cut arrays:
+   thirteen registered arrays, rederived on every placement) to CIF and
+   SVG.  `dune runtest` diffs the output against the pinned
    copies under test/golden/; `dune promote` accepts a new baseline.  The
    renders must be byte-stable across runs — any timestamp or iteration-
    order leak in the writers shows up here. *)
@@ -31,6 +33,11 @@ let () =
        fun () ->
          M.Common_centroid.make env ~polarity:M.Mosfet.Pmos ~w:(um 8.)
            ~l:(um 1.6) ());
+      ("cap_array",
+       fun () ->
+         fst
+           (M.Cap_array.make env ~unit_ff:70. ~units_a:2 ~units_b:2
+              ~dummies:true ()));
     ]
   in
   List.iter

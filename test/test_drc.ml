@@ -225,6 +225,156 @@ let test_well_taps () =
   check "collector well exempt" 0
     (List.length (Amg_drc.Latchup.untapped_wells ~tech o3))
 
+(* --- the spacing pass against its per-(shape, layer) reference --- *)
+
+module Shape = Amg_layout.Shape
+module Dir = Amg_geometry.Dir
+module Layer = Amg_tech.Layer
+module Technology = Amg_tech.Technology
+module Constraints = Amg_compact.Constraints
+
+(* The pairwise spacing violations as the checker reported them before it
+   classified each layer pair once: every (shape, layer) classified on its
+   own and queried, whatever the pair's rule.  Same-layer components come
+   from an all-pairs union-find over touching shapes. *)
+let reference_spacings ~tech obj =
+  let rules = Technology.rules tech in
+  let shapes = Array.of_list (Lobj.shapes obj) in
+  let n = Array.length shapes in
+  let parent = Array.init n Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = shapes.(i) and b = shapes.(j) in
+      if String.equal a.Shape.layer b.Shape.layer && Rect.touches a.rect b.rect then begin
+        let ri = find i and rj = find j in
+        if ri <> rj then parent.(ri) <- rj
+      end
+    done
+  done;
+  let idx_of_id = Hashtbl.create n in
+  Array.iteri (fun i (s : Shape.t) -> Hashtbl.replace idx_of_id s.Shape.id i) shapes;
+  let gate_pair (a : Shape.t) (b : Shape.t) =
+    let kind_of (s : Shape.t) =
+      Option.map (fun l -> l.Layer.kind) (Technology.layer tech s.Shape.layer)
+    in
+    let is_gate (p : Shape.t) (d : Shape.t) =
+      match (kind_of p, kind_of d) with
+      | Some Layer.Poly, Some Layer.Diffusion -> Rect.overlaps p.rect d.rect
+      | _ -> false
+    in
+    is_gate a b || is_gate b a
+  in
+  let out = ref [] in
+  let report (a : Shape.t) (b : Shape.t) sep actual =
+    out :=
+      Violation.make
+        (Violation.Spacing
+           { layer_a = a.layer; layer_b = b.layer; required = sep; actual })
+        (Rect.hull a.rect b.rect)
+      :: !out
+  in
+  for i = 0 to n - 1 do
+    let a = shapes.(i) in
+    let partners =
+      List.concat_map
+        (fun layer ->
+          let cls = Constraints.classify rules a.Shape.layer layer in
+          List.filter_map
+            (fun (b : Shape.t) ->
+              if b.Shape.id > a.Shape.id then
+                match Constraints.relation_cls cls a b with
+                | Constraints.Unconstrained | Constraints.Mergeable -> None
+                | Constraints.Separation sep -> Some (b, sep)
+              else None)
+            (Lobj.near obj ~layer a.Shape.rect ~margin:(Constraints.margin_cls cls)))
+        (Lobj.layers obj)
+      |> List.sort (fun ((b1 : Shape.t), _) (b2, _) -> Int.compare b1.Shape.id b2.Shape.id)
+    in
+    List.iter
+      (fun ((b : Shape.t), sep) ->
+        let j = Hashtbl.find idx_of_id b.Shape.id in
+        if gate_pair a b then ()
+        else if String.equal a.layer b.layer && find i = find j then ()
+        else if Rect.touches a.rect b.rect then begin
+          if sep > 0 || Rect.overlaps a.rect b.rect then report a b sep 0
+        end
+        else
+          let actual =
+            Int.max
+              (Rect.gap Dir.Horizontal a.rect b.rect)
+              (Rect.gap Dir.Vertical a.rect b.rect)
+          in
+          if actual < sep then report a b sep actual)
+      partners
+  done;
+  List.rev !out
+
+(* Random layouts over every BiCMOS layer, in 0.5 um steps: plain shapes
+   (some keep-clear, most on one of three nets), gates (a poly stripe
+   across a diffusion) and resistor bodies (poly under [resmark]). *)
+let gen_dirty_layout =
+  let layers =
+    [ "nwell"; "pbase"; "pdiff"; "ndiff"; "poly"; "poly2"; "contact"; "metal1"; "via";
+      "metal2"; "subtap"; "resmark" ]
+  in
+  let rect (x, y, w, h) =
+    Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500)
+  in
+  QCheck2.Gen.(
+    let net = oneofl [ Some "a"; Some "b"; Some "c"; None ] in
+    let at = tup2 (int_range 0 40) (int_range 0 40) in
+    let plain =
+      let* layer = oneofl layers in
+      let* x, y = at in
+      let* w, h = tup2 (int_range 1 20) (int_range 1 20) in
+      let* net = net in
+      let* keep_clear = frequency [ (5, return false); (1, return true) ] in
+      return [ (layer, rect (x, y, w, h), net, keep_clear) ]
+    in
+    let gate =
+      let* diff = oneofl [ "pdiff"; "ndiff" ] in
+      let* x, y = at in
+      let* w, h = tup2 (int_range 4 20) (int_range 2 12) in
+      let* off, l = tup2 (int_range 0 10) (int_range 1 4) in
+      let* ext = int_range 0 3 in
+      let* net = net in
+      return
+        [
+          (diff, rect (x, y, w, h), net, false);
+          ( "poly",
+            rect (x + Int.min off (w - l), y - ext, l, h + (2 * ext)),
+            Some "g",
+            false );
+        ]
+    in
+    let resistor =
+      let* x, y = at in
+      let* w, h = tup2 (int_range 2 20) (int_range 1 4) in
+      let* m = int_range 0 2 in
+      return
+        [
+          ("poly", rect (x, y, w, h), Some "r", false);
+          ("resmark", rect (x - m, y - m, w + (2 * m), h + (2 * m)), None, false);
+        ]
+    in
+    map List.concat
+      (list_size (int_range 0 35) (frequency [ (6, plain); (2, gate); (1, resistor) ])))
+
+let prop_spacings_match_reference =
+  QCheck2.Test.make ~name:"spacing violations = per-(shape, layer) reference" ~count:300
+    gen_dirty_layout (fun specs ->
+      let tech = tech () in
+      let o = Lobj.create "dirty" in
+      List.iter
+        (fun (layer, rect, net, keep_clear) ->
+          ignore (Lobj.add_shape o ~layer ~rect ?net ~keep_clear ()))
+        specs;
+      let spacing (v : Violation.t) =
+        match v.kind with Violation.Spacing _ -> true | _ -> false
+      in
+      List.filter spacing (Checker.run ~tech o) = reference_spacings ~tech o)
+
 let suite =
   [
     Alcotest.test_case "clean object" `Quick test_clean_object;
@@ -241,4 +391,5 @@ let suite =
     Alcotest.test_case "min area (union semantics)" `Quick test_min_area;
     Alcotest.test_case "well-tap rule" `Quick test_well_taps;
     Alcotest.test_case "violation describe" `Quick test_describe;
+    QCheck_alcotest.to_alcotest prop_spacings_match_reference;
   ]

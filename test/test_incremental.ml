@@ -14,6 +14,7 @@ module Successive = Amg_compact.Successive
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
 module Wire = Amg_robust.Wire
+module Rules = Amg_tech.Rules
 
 let um = Units.of_um
 let check_bool = Alcotest.(check bool)
@@ -186,6 +187,165 @@ let test_absorb_batch () =
   check_bool "keep-clear counts exact" true
     (List.for_all keep_clear_counts_exact [ main; probe ])
 
+(* --- rederive --- *)
+
+(* Random objects with derived cut arrays, built step by step: a user
+   shape (layer, position and size in 0.5 um steps, net, keep-clear), or
+   a cut array over one or two of the user shapes drawn so far — two
+   arrays picking the same shape share a container — rebuilt right away
+   by the reference, as the ARRAY primitive rebuilds on registering. *)
+type rd_step =
+  | Draw of string * (int * int * int * int) * string option * bool
+  | Register of string * (int * int) * string option
+
+let gen_rd_step =
+  QCheck2.Gen.(
+    let net = oneofl [ Some "a"; Some "b"; None ] in
+    frequency
+      [
+        ( 3,
+          let* layer =
+            oneofl [ "metal1"; "metal1"; "poly"; "pdiff"; "metal2"; "contact" ]
+          in
+          let* x, y = tup2 (int_range 0 60) (int_range 0 60) in
+          let* w, h = tup2 (int_range 2 40) (int_range 2 40) in
+          let* net = net in
+          let* keep_clear = frequency [ (6, return false); (1, return true) ] in
+          return (Draw (layer, (x, y, w, h), net, keep_clear)) );
+        ( 2,
+          let* cut = oneofl [ "contact"; "via" ] in
+          let* picks = tup2 (int_range 0 99) (int_range 0 99) in
+          let* net = net in
+          return (Register (cut, picks, net)) );
+      ])
+
+let rd_build rules name steps =
+  let o = Lobj.create name in
+  let users = ref [] in
+  List.iter
+    (function
+      | Draw (layer, (x, y, w, h), net, keep_clear) ->
+          let s =
+            Lobj.add_shape o ~layer ?net ~keep_clear
+              ~rect:(Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500))
+              ()
+          in
+          users := !users @ [ s.Shape.id ]
+      | Register (cut_layer, (i, j), net) -> (
+          match !users with
+          | [] -> ()
+          | us ->
+              let n = List.length us in
+              let a = List.nth us (i mod n) and b = List.nth us (j mod n) in
+              let container_ids = if a = b then [ a ] else [ a; b ] in
+              ignore (Lobj.register_array o ~cut_layer ~container_ids ?net ());
+              Test_util.reference_rederive o rules))
+    steps;
+  o
+
+(* Everything a rederive can change, as the store answers it: the shapes
+   with ids, origins and keep-clear flags in order, the id bound, the
+   hulls, each layer's keep-clear count, what each layer's index answers
+   for the windows (as a list, and in the visiting order of [iter_near],
+   which follows the bins' entry order) and every array's member count. *)
+let rd_observe o windows =
+  let windows = match Lobj.bbox o with Some b -> b :: windows | None -> windows in
+  ( Fmt.str "%a" Lobj.pp o,
+    List.map Shape.show (Lobj.shapes o),
+    Lobj.id_bound o,
+    Lobj.bbox o,
+    List.map
+      (fun layer ->
+        ( layer,
+          Lobj.bbox_on o layer,
+          Lobj.keep_clear_on o layer,
+          List.map
+            (fun (w, margin) ->
+              let id (s : Shape.t) = s.Shape.id in
+              let visited = ref [] in
+              Lobj.iter_near o ~layer w ~margin (fun s -> visited := id s :: !visited);
+              (List.map id (Lobj.near o ~layer w ~margin), !visited))
+            (List.map (fun w -> (w, 0)) windows @ List.map (fun w -> (w, 1500)) windows) ))
+      ("metal1" :: "contact" :: "via" :: Lobj.layers o),
+    List.map (fun (a, _) -> Lobj.array_member_count o a) (Lobj.array_specs o) )
+
+(* [Lobj.rederive] against the member-by-member reference, both applied
+   to equal objects after an absorb, a translation, a member turned
+   keep-clear and a user keep-clear cut; then after a container shrink
+   that leaves one array without a cut; then once more unchanged.  The
+   two must agree on everything [rd_observe] sees after every call, and
+   a copy taken before the first call must not see any of it. *)
+let prop_rederive_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      tup4
+        (list_size (int_range 1 14) gen_rd_step)
+        (list_size (int_range 0 8) gen_rd_step)
+        (tup2 (int_range (-9_000) 9_000) (int_range (-9_000) 9_000))
+        (list_size (int_range 0 3)
+           (map
+              (fun (x, y, w, h) ->
+                Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500))
+              (tup4 (int_range (-10) 70) (int_range (-10) 70) (int_range 1 30)
+                 (int_range 1 30)))))
+  in
+  QCheck2.Test.make ~name:"rederive = member-by-member reference" ~count:300 gen
+    (fun (steps, src_steps, (dx, dy), windows) ->
+      let env = Env.bicmos () in
+      let rules = Env.rules env in
+      let real = rd_build rules "rd" steps in
+      ignore (Lobj.absorb real (rd_build rules "src" src_steps));
+      Lobj.translate real ~dx ~dy;
+      (match
+         List.find_opt
+           (fun (s : Shape.t) -> s.Shape.origin <> Shape.User)
+           (Lobj.shapes real)
+       with
+      | Some m -> Lobj.replace real { m with Shape.keep_clear = true }
+      | None -> ());
+      ignore
+        (Lobj.add_shape real ~layer:"contact" ~keep_clear:true
+           ~rect:(Rect.of_size ~x:dx ~y:dy ~w:(um 1.) ~h:(um 1.))
+           ());
+      let reference = Lobj.copy real in
+      let before = rd_observe real windows in
+      let snapshot = Lobj.copy real in
+      let agree () =
+        Lobj.rederive real rules;
+        Test_util.reference_rederive reference rules;
+        rd_observe real windows = rd_observe reference windows
+      in
+      let first = agree () in
+      (* Shrink a container of the first array holding a cut until its
+         cut window is half a cut wide. *)
+      let emptied =
+        List.find_opt
+          (fun (a, _) -> Lobj.array_member_count real a > 0)
+          (Lobj.array_specs real)
+      in
+      (match emptied with
+      | Some (_, { Lobj.container_ids = c :: _; cut_layer; _ }) ->
+          List.iter
+            (fun o ->
+              let s = Lobj.find_exn o c in
+              let side =
+                (2 * Rules.enclosure_or_zero rules ~outer:s.Shape.layer ~inner:cut_layer)
+                + (Rules.cut_size rules cut_layer / 2)
+              in
+              Lobj.replace o
+                (Shape.with_rect s
+                   (Rect.of_size ~x:s.Shape.rect.Rect.x0 ~y:s.Shape.rect.Rect.y0
+                      ~w:side ~h:side)))
+            [ real; reference ]
+      | _ -> ());
+      let second = agree () in
+      let third = agree () in
+      first && second && third
+      && (match emptied with
+         | Some (a, _) -> Lobj.array_member_count real a = 0
+         | None -> true)
+      && rd_observe snapshot windows = before)
+
 (* --- the order searches --- *)
 
 let mk_steps n =
@@ -254,6 +414,7 @@ let test_searches_identical () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_copy_is_rebuild;
+    QCheck_alcotest.to_alcotest prop_rederive_matches_reference;
     Alcotest.test_case "absorb enters every shape" `Quick test_absorb_batch;
     Alcotest.test_case "searches agree across domains/runs"
       `Quick test_searches_identical;

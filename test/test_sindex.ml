@@ -159,6 +159,67 @@ let prop_copy_independent =
       Sindex.translate_all victim ~dx:7_000 ~dy:(-3_000);
       before = expected model query && observe other query = before)
 
+(* Removing a key set in one [remove_batch] leaves the index exactly as a
+   [remove] per key does: the same query answers, the same visiting order
+   of [iter_query] and [iter] (so the same bin lists), the same count and
+   hull.  Rectangles may be wider or taller than the bins allow (the
+   overflow lists), and a copy taken before the removal sees none of
+   it. *)
+let prop_remove_batch_matches_remove =
+  let gen_tall =
+    QCheck2.Gen.map
+      (fun (r : Rect.t) ->
+        Rect.make ~x0:r.Rect.y0 ~y0:r.Rect.x0 ~x1:r.Rect.y1 ~y1:r.Rect.x1)
+      gen_rect
+  in
+  let gen =
+    QCheck2.Gen.(
+      tup4
+        (list_size (int_range 0 40)
+           (pair (frequency [ (4, gen_rect); (1, gen_tall) ]) bool))
+        (* each rectangle, and whether the batch removes it *)
+        (tup2 (int_range (-1_000) 1_000) (oneofl [ 1; 3; 1_000_003 ]))
+        (* keys: base + step * position *)
+        (tup2 (int_range (-30_000) 30_000) (int_range (-30_000) 30_000))
+        (list_size (int_range 1 4) gen_window))
+  in
+  QCheck2.Test.make ~name:"Sindex.remove_batch = one remove per key" ~count:500
+    gen (fun (entries, (base, step), (dx, dy), windows) ->
+      let keyed = List.mapi (fun i (r, gone) -> (base + (step * i), r, gone)) entries in
+      let build () =
+        let ix = Sindex.create () in
+        List.iter (fun (key, r, _) -> Sindex.insert ix key r) keyed;
+        Sindex.translate_all ix ~dx ~dy;
+        ix
+      in
+      let batch = build () and single = build () in
+      let gone =
+        List.filter_map
+          (fun (key, r, gone) ->
+            if gone then Some (key, Rect.translate r ~dx ~dy) else None)
+          keyed
+      in
+      let see ix =
+        let entries = ref [] in
+        Sindex.iter ix (fun key r -> entries := (key, r) :: !entries);
+        ( List.map
+            (fun (w, margin) ->
+              let visited = ref [] in
+              Sindex.iter_query ix w ~margin (fun key -> visited := key :: !visited);
+              (Sindex.query ix w ~margin, !visited))
+            windows,
+          !entries,
+          Sindex.cardinal ix,
+          Sindex.bbox ix )
+      in
+      let copy = Sindex.copy batch in
+      let before = see copy in
+      let gone_keys = Hashtbl.create 16 in
+      List.iter (fun (key, _) -> Hashtbl.replace gone_keys key ()) gone;
+      Sindex.remove_batch batch gone ~gone:(Hashtbl.mem gone_keys);
+      List.iter (fun (key, r) -> Sindex.remove single key r) (List.rev gone);
+      see batch = see single && see copy = before)
+
 (* --- random layouts shared by the consumer equivalence properties --- *)
 
 let layers = [ "metal1"; "poly"; "pdiff"; "contact" ]
@@ -562,6 +623,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_query_matches_model;
     QCheck_alcotest.to_alcotest prop_copy_independent;
+    QCheck_alcotest.to_alcotest prop_remove_batch_matches_remove;
     QCheck_alcotest.to_alcotest prop_near_matches_shapes;
     QCheck_alcotest.to_alcotest prop_pass_equiv;
     QCheck_alcotest.to_alcotest prop_auto_connect_equiv;

@@ -117,6 +117,40 @@ let reference_orders ?base ?rating ?cap env steps =
   let orders = match cap with Some m -> Int.max 1 (Int.min m 720) | None -> 720 in
   first_minimum ?base ?rating env ~orders steps
 
+(* --- the rederive reference ---------------------------------------------
+
+   [Lobj.rederive] member by member: for each registered array in
+   registration order, remove its members one at a time (last slot
+   first), then add each derived cut with [add_shape]. *)
+let reference_rederive obj rules =
+  let module Lobj = Amg_layout.Lobj in
+  let module Shape = Amg_layout.Shape in
+  List.iter
+    (fun (array_id, (spec : Lobj.array_spec)) ->
+      let members =
+        List.filter_map
+          (fun (s : Shape.t) ->
+            match s.origin with
+            | Shape.Array_member a when a = array_id -> Some s.id
+            | _ -> None)
+          (Lobj.shapes obj)
+      in
+      List.iter (Lobj.remove obj) (List.rev members);
+      let containers =
+        List.map
+          (fun id ->
+            let s = Lobj.find_exn obj id in
+            (s.Shape.layer, s.Shape.rect))
+          spec.container_ids
+      in
+      List.iter
+        (fun rect ->
+          ignore
+            (Lobj.add_shape obj ~layer:spec.cut_layer ~rect ?net:spec.array_net
+               ~origin:(Shape.Array_member array_id) ()))
+        (Amg_layout.Derive.cut_array rules ~containers ~cut_layer:spec.cut_layer))
+    (Lobj.array_specs obj)
+
 (* --- long daemon loads --------------------------------------------------
 
    The compact_scaling workload as a language entity: [n] metal1 contact
