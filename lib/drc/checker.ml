@@ -13,216 +13,246 @@ type check = Widths | Spacings | Enclosures | Extensions | Latch_up
 
 let all_checks = [ Widths; Spacings; Enclosures; Extensions; Latch_up ]
 
-let check_widths ~tech obj =
-  let rules = Technology.rules tech in
-  List.filter_map
-    (fun (s : Shape.t) ->
-      match Technology.layer tech s.Shape.layer with
-      | None -> None
-      | Some l when l.Layer.kind = Layer.Marker -> None
-      | Some l when Layer.is_cut l ->
-          let req = Rules.cut_size rules s.layer in
-          let w = Rect.width s.rect and h = Rect.height s.rect in
-          if w <> req || h <> req then
-            Some
-              (Violation.make
-                 (Violation.Cut_size { layer = s.layer; required = req; actual_w = w; actual_h = h })
-                 s.rect)
-          else None
-      | Some _ -> (
-          match Rules.width_opt rules s.layer with
-          | None -> None
-          | Some req ->
-              let actual = Int.min (Rect.width s.rect) (Rect.height s.rect) in
-              if actual < req then
-                Some
-                  (Violation.make
-                     (Violation.Width { layer = s.layer; required = req; actual })
-                     s.rect)
-              else None))
-    (Lobj.shapes obj)
+(* The layout as every check reads it, built once per [run].  A shape is
+   known by its index in [Lobj.shapes] order, which is ascending id order.
+   Per shape the view holds its layer's index into [names] (the object's
+   layers); per layer, the technology entry and the member indices,
+   descending — the order every pass visits them in.  Each layer's touch
+   graph is found when a pass first needs it, then shared. *)
+type view = {
+  obj : Lobj.t;
+  tech : Technology.t;
+  rules : Rules.t;
+  shapes : Shape.t array;
+  ix_of_id : int array;
+  names : string array;
+  tl : Layer.t option array;
+  layer : int array;
+  members : int list array;
+  first_use : int list;  (* layer indices by their first shape *)
+  edges : int array option array;
+  comp : int array;  (* union-find of same-layer components, per layer once [comp_ready] *)
+  comp_ready : bool array;
+}
 
+let view ~tech obj =
+  let shapes = Array.of_list (Lobj.shapes obj) in
+  let n = Array.length shapes in
+  let names = Array.of_list (Lobj.layers obj) in
+  let nl = Array.length names in
+  let ix_of_name = Hashtbl.create nl in
+  Array.iteri (fun l name -> Hashtbl.replace ix_of_name name l) names;
+  let ix_of_id = Array.make (Lobj.id_bound obj) (-1) in
+  let layer = Array.make n 0 and members = Array.make nl [] in
+  let first_use = ref [] in
+  Array.iteri
+    (fun i (s : Shape.t) ->
+      ix_of_id.(s.Shape.id) <- i;
+      let l = Hashtbl.find ix_of_name s.Shape.layer in
+      layer.(i) <- l;
+      (match members.(l) with [] -> first_use := l :: !first_use | _ -> ());
+      members.(l) <- i :: members.(l))
+    shapes;
+  {
+    obj; tech; rules = Technology.rules tech; shapes; ix_of_id; names;
+    tl = Array.map (Technology.layer tech) names;
+    layer; members; first_use = List.rev !first_use;
+    edges = Array.make nl None;
+    comp = Array.make n 0;
+    comp_ready = Array.make nl false;
+  }
+
+(* Shorts and min-area regions are reported layer by layer in the order a
+   name-keyed [Hashtbl.create 16], filled in first-use order, iterates:
+   the order the checker has always reported them in. *)
+let hashtbl_order v ls =
+  let t = Hashtbl.create 16 in
+  List.iter (fun l -> Hashtbl.replace t v.names.(l) l) ls;
+  List.rev (Hashtbl.fold (fun _ l acc -> l :: acc) t [])
+
+let exists_near v ~layer rect f =
+  let found = ref false in
+  Lobj.iter_near v.obj ~layer rect ~margin:0 (fun s -> if (not !found) && f s then found := true);
+  !found
 
 (* A poly shape overlapping an active shape is a (candidate) gate: spacing
    does not apply there — the extension checks validate the crossing. *)
-let gate_pair ~tech (a : Shape.t) (b : Shape.t) =
-  let kind_of s =
-    match Technology.layer tech s.Shape.layer with
-    | Some l -> Some l.Layer.kind
-    | None -> None
-  in
+let gate_pair v i j =
   let is_gate p d =
-    match (kind_of p, kind_of d) with
-    | Some Layer.Poly, Some Layer.Diffusion -> Rect.overlaps p.Shape.rect d.Shape.rect
+    match (v.tl.(v.layer.(p)), v.tl.(v.layer.(d))) with
+    | Some { Layer.kind = Layer.Poly; _ }, Some { Layer.kind = Layer.Diffusion; _ } ->
+        Rect.overlaps v.shapes.(p).Shape.rect v.shapes.(d).Shape.rect
     | _ -> false
   in
-  is_gate a b || is_gate b a
+  is_gate i j || is_gate j i
 
-(* Union-find over the shape indices of one layer, shapes linked when they
-   touch: same-layer spacing applies only between different connected
-   components (touching rectangles merge into one region), and a component
-   carrying two known different nets is a short.  Touch partners are found
-   with a margin-0 index query instead of an all-pairs scan; shapes outside
-   [idxs] (e.g. channel rectangles excluded from conduction) simply miss
-   the index-to-member table and are skipped. *)
-let components obj shapes idxs =
-  let parent = Hashtbl.create 16 in
-  let member = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      Hashtbl.replace parent i i;
-      Hashtbl.replace member shapes.(i).Shape.id i)
-    idxs;
-  let rec find i =
-    let p = Hashtbl.find parent i in
-    if p = i then i
-    else begin
-      let r = find p in
-      Hashtbl.replace parent i r;
-      r
-    end
-  in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then Hashtbl.replace parent ri rj
-  in
-  List.iter
-    (fun i ->
-      let s = shapes.(i) in
+(* Layer [l]'s touch graph as [i; j] pairs: for each member [i] in visiting
+   order, its touching partners [j > i] in ascending order.  That is the
+   union order of the per-pass union-find the checker used to run, so a
+   replay with its union rule, [parent.(find i) <- find j], ends at the
+   same roots. *)
+let edges v l =
+  match v.edges.(l) with
+  | Some e -> e
+  | None ->
+      let acc = ref [] in
       List.iter
-        (fun (b : Shape.t) ->
-          match Hashtbl.find_opt member b.Shape.id with
-          | Some j when i < j && Rect.touches s.Shape.rect b.Shape.rect ->
-              union i j
-          | _ -> ())
-        (Lobj.near obj ~layer:s.Shape.layer s.Shape.rect ~margin:0))
-    idxs;
-  find
+        (fun i ->
+          let r = v.shapes.(i).Shape.rect in
+          let partners = ref [] in
+          Lobj.iter_near v.obj ~layer:v.names.(l) r ~margin:0 (fun (b : Shape.t) ->
+              let j = v.ix_of_id.(b.Shape.id) in
+              if j > i && Rect.touches r b.Shape.rect then partners := j :: !partners);
+          List.iter (fun j -> acc := j :: i :: !acc) (List.sort Int.compare !partners))
+        v.members.(l);
+      let e = Array.of_list (List.rev !acc) in
+      v.edges.(l) <- Some e;
+      e
+
+let rec find parent i =
+  let p = parent.(i) in
+  if p = i then i
+  else begin
+    let r = find parent p in
+    parent.(i) <- r;
+    r
+  end
+
+(* Union-find over layer [l]'s members in [parent], from the touch edges
+   whose two ends pass [keep]. *)
+let replay v parent ~keep l =
+  List.iter (fun i -> parent.(i) <- i) v.members.(l);
+  let e = edges v l in
+  for k = 0 to (Array.length e / 2) - 1 do
+    let i = e.(2 * k) and j = e.((2 * k) + 1) in
+    if keep i && keep j then begin
+      let ri = find parent i and rj = find parent j in
+      if ri <> rj then parent.(ri) <- rj
+    end
+  done
+
+(* The root of shape [i]'s same-layer component: touching rectangles merge
+   into one region. *)
+let component v i =
+  let l = v.layer.(i) in
+  if not v.comp_ready.(l) then begin
+    replay v v.comp ~keep:(fun _ -> true) l;
+    v.comp_ready.(l) <- true
+  end;
+  find v.comp i
+
+let widths v =
+  let rule =
+    Array.mapi
+      (fun l tl ->
+        match tl with
+        | Some t when Layer.is_cut t -> `Cut (Rules.cut_size v.rules v.names.(l))
+        | Some t when t.Layer.kind <> Layer.Marker -> (
+            match Rules.width_opt v.rules v.names.(l) with Some req -> `Width req | None -> `Free)
+        | _ -> `Free)
+      v.tl
+  in
+  let out = ref [] in
+  Array.iteri
+    (fun i (s : Shape.t) ->
+      let w = Rect.width s.rect and h = Rect.height s.rect in
+      let add kind = out := Violation.make kind s.rect :: !out in
+      match rule.(v.layer.(i)) with
+      | `Cut req when w <> req || h <> req ->
+          add (Violation.Cut_size { layer = s.layer; required = req; actual_w = w; actual_h = h })
+      | `Width req when Int.min w h < req ->
+          add (Violation.Width { layer = s.layer; required = req; actual = Int.min w h })
+      | _ -> ())
+    v.shapes;
+  List.rev !out
 
 (* Minimum-area rules apply to connected same-layer regions (a large L
    drawn as several rectangles is one region), measured with the exact
    union area. *)
-let check_min_areas ~tech obj =
-  let rules = Technology.rules tech in
-  let shapes = Array.of_list (Lobj.shapes obj) in
+let min_areas v =
+  let area = Array.map (Rules.min_area v.rules) v.names in
   let out = ref [] in
-  let by_layer = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (s : Shape.t) ->
-      match Rules.min_area rules s.Shape.layer with
-      | None -> ()
-      | Some _ ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt by_layer s.layer) in
-          Hashtbl.replace by_layer s.layer (i :: cur))
-    shapes;
-  Hashtbl.iter
-    (fun layer idxs ->
-      let required = Option.get (Rules.min_area rules layer) in
-      let find = components obj shapes idxs in
+  List.iter
+    (fun l ->
+      let required = Option.get area.(l) in
       let groups = Hashtbl.create 8 in
       List.iter
         (fun i ->
-          let r = find i in
+          let r = component v i in
           let cur = Option.value ~default:[] (Hashtbl.find_opt groups r) in
-          Hashtbl.replace groups r (shapes.(i).Shape.rect :: cur))
-        idxs;
+          Hashtbl.replace groups r (v.shapes.(i).Shape.rect :: cur))
+        v.members.(l);
       Hashtbl.iter
         (fun _root rects ->
           let actual = Amg_geometry.Region.area rects in
           if actual < required then
-            let where =
-              match Amg_geometry.Rect.hull_list rects with
-              | Some h -> h
-              | None -> Rect.of_size ~x:0 ~y:0 ~w:0 ~h:0
-            in
             out :=
               Violation.make
-                (Violation.Min_area { layer; required; actual })
-                where
+                (Violation.Min_area { layer = v.names.(l); required; actual })
+                (Option.get (Rect.hull_list rects))
               :: !out)
         groups)
-    by_layer;
+    (hashtbl_order v (List.filter (fun l -> Option.is_some area.(l)) v.first_use));
   !out
 
-let check_spacings ~tech obj =
-  let rules = Technology.rules tech in
-  let shapes = Array.of_list (Lobj.shapes obj) in
-  let out = ref [] in
-  let n = Array.length shapes in
-  let layers = Lobj.layers obj in
-  let idx_of_id = Hashtbl.create n in
-  Array.iteri (fun i (s : Shape.t) -> Hashtbl.replace idx_of_id s.Shape.id i) shapes;
-  (* Connected components per layer, for same-layer merge semantics. *)
-  let by_layer = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (s : Shape.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_layer s.layer) in
-      Hashtbl.replace by_layer s.layer (i :: cur))
-    shapes;
-  let find_by_layer = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun layer idxs ->
-      Hashtbl.replace find_by_layer layer (components obj shapes idxs))
-    by_layer;
-  let same_component layer i j =
-    let find = Hashtbl.find find_by_layer layer in
-    find i = find j
-  in
-  (* A diffusion rectangle crossed by a gate is electrically interrupted by
-     the channel, and a shape under the [resmark] marker is a resistor
-     body: neither conducts for short detection.  Both tests only involve
-     shapes meeting [s], so a margin-0 query bounds them. *)
-  let poly_layers =
+(* Shorts: a same-layer component carrying two known different nets.  A
+   diffusion rectangle crossed by a gate is electrically interrupted by
+   the channel, and a shape under the [resmark] marker is a resistor body:
+   neither conducts, so source and drain stay distinct.  Both tests only
+   involve shapes meeting the rectangle, so a margin-0 query bounds them. *)
+let shorts v =
+  let n = Array.length v.shapes in
+  let polys =
     List.filter
-      (fun l ->
-        match Technology.layer tech l with
-        | Some tl -> tl.Layer.kind = Layer.Poly
-        | None -> false)
-      layers
+      (fun l -> match v.tl.(l) with Some { Layer.kind = Layer.Poly; _ } -> true | _ -> false)
+      (List.init (Array.length v.names) Fun.id)
   in
-  let is_channel i =
-    let s = shapes.(i) in
-    (match Technology.layer tech s.Shape.layer with
-    | Some l -> Layer.is_active l
-    | None -> false)
-    && List.exists
-         (fun pl ->
-           List.exists
-             (fun (p : Shape.t) -> p != s && gate_pair ~tech p s)
-             (Lobj.near obj ~layer:pl s.Shape.rect ~margin:0))
-         poly_layers
+  let conducts i =
+    let s = v.shapes.(i) in
+    let channel =
+      (match v.tl.(v.layer.(i)) with Some t -> Layer.is_active t | None -> false)
+      && List.exists
+           (fun pl ->
+             exists_near v ~layer:v.names.(pl) s.Shape.rect (fun (p : Shape.t) ->
+                 let j = v.ix_of_id.(p.Shape.id) in
+                 j <> i && gate_pair v j i))
+           polys
+    in
+    not
+      (channel
+      || exists_near v ~layer:"resmark" s.Shape.rect (fun (m : Shape.t) ->
+             Rect.contains_rect m.Shape.rect s.Shape.rect))
   in
-  let is_resistive i =
-    let s = shapes.(i) in
-    List.exists
-      (fun (m : Shape.t) -> Rect.contains_rect m.Shape.rect s.Shape.rect)
-      (Lobj.near obj ~layer:"resmark" s.Shape.rect ~margin:0)
-  in
-  let is_channel i = is_channel i || is_resistive i in
-  (* Shorts: a same-layer component carrying two known different nets.
-     Channel rectangles are excluded so source and drain stay distinct. *)
-  Hashtbl.iter
-    (fun layer idxs ->
-      let conducting = List.filter (fun i -> not (is_channel i)) idxs in
-      let find = components obj shapes conducting in
-      let net_of_root = Hashtbl.create 8 in
+  let conducting = Array.init n conducts in
+  let parent = Array.make n 0 and first = Array.make n (-1) in
+  let out = ref [] in
+  List.iter
+    (fun l ->
+      replay v parent ~keep:(fun i -> conducting.(i)) l;
       List.iter
         (fun i ->
-          match shapes.(i).Shape.net with
-          | None -> ()
-          | Some net -> (
-              let r = find i in
-              match Hashtbl.find_opt net_of_root r with
-              | None -> Hashtbl.replace net_of_root r (net, i)
-              | Some (other, j) when not (String.equal other net) ->
+          match v.shapes.(i).Shape.net with
+          | Some net when conducting.(i) ->
+              let r = find parent i in
+              let j = first.(r) in
+              if j < 0 then first.(r) <- i
+              else
+                let other = Option.get v.shapes.(j).Shape.net in
+                if not (String.equal other net) then
                   out :=
                     Violation.make
-                      (Violation.Short { layer; net_a = other; net_b = net })
-                      (Rect.hull shapes.(j).Shape.rect shapes.(i).Shape.rect)
+                      (Violation.Short { layer = v.names.(l); net_a = other; net_b = net })
+                      (Rect.hull v.shapes.(j).Shape.rect v.shapes.(i).Shape.rect)
                     :: !out
-              | Some _ -> ()))
-        conducting)
-    by_layer;
+          | _ -> ())
+        v.members.(l))
+    (hashtbl_order v v.first_use);
+  List.rev !out
+
+let spacings v =
+  let shapes = v.shapes and rules = v.rules and layer_arr = v.names in
+  let out = ref [] in
+  let n = Array.length shapes in
   (* Each (layer, layer) pair is classified once per call, not once per
      (shape, layer): [cls.(la).(lb)] over the indices of [layers].  Shapes
      on different layers without a spacing rule separate only when one of
@@ -230,10 +260,7 @@ let check_spacings ~tech obj =
      that is not keep-clear skips layer [lb] without an index query
      unless [may_separate.(la).(lb)]: a rule, the same layer, or a
      keep-clear shape on [lb]. *)
-  let layer_arr = Array.of_list layers in
   let nl = Array.length layer_arr in
-  let layer_ix = Hashtbl.create nl in
-  Array.iteri (fun k l -> Hashtbl.replace layer_ix l k) layer_arr;
   let cls =
     Array.map
       (fun la -> Array.map (fun lb -> Constraints.classify rules la lb) layer_arr)
@@ -243,7 +270,7 @@ let check_spacings ~tech obj =
     Array.map
       (Array.mapi (fun lb (c : Constraints.pair_class) ->
            c.same_layer || Option.is_some c.space
-           || Lobj.keep_clear_on obj layer_arr.(lb) > 0))
+           || Lobj.keep_clear_on v.obj layer_arr.(lb) > 0))
       cls
   in
   (* Pairwise spacing: for each shape, examine only index candidates within
@@ -254,12 +281,12 @@ let check_spacings ~tech obj =
      (i, j) emission order because ascending id is insertion order. *)
   for i = 0 to n - 1 do
     let a = shapes.(i) in
-    let la = Hashtbl.find layer_ix a.Shape.layer in
+    let la = v.layer.(i) in
     let partners = ref [] in
     for lb = 0 to nl - 1 do
       if a.Shape.keep_clear || may_separate.(la).(lb) then begin
         let cls = cls.(la).(lb) in
-        Lobj.iter_near obj ~layer:layer_arr.(lb) a.Shape.rect
+        Lobj.iter_near v.obj ~layer:layer_arr.(lb) a.Shape.rect
           ~margin:(Constraints.margin_cls cls) (fun b ->
             if b.Shape.id > a.Shape.id then
               match Constraints.relation_cls cls a b with
@@ -274,113 +301,87 @@ let check_spacings ~tech obj =
     in
     List.iter
       (fun ((b : Shape.t), sep) ->
-        if gate_pair ~tech a b then ()
-        else begin
-          let j = Hashtbl.find idx_of_id b.Shape.id in
-          let same_layer = String.equal a.Shape.layer b.Shape.layer in
-          if same_layer && same_component a.layer i j then ()
-          else if Rect.touches a.rect b.rect then begin
-            (* Different layers with a separation: abutment/overlap is a
-               violation when a positive distance is required; a
-               keep-clear (sep = 0) pair only objects to interior
-               overlap.  Same-layer touching pairs are same-component and
-               were skipped above. *)
-            if sep > 0 || Rect.overlaps a.rect b.rect then
-              out :=
-                Violation.make
-                  (Violation.Spacing
-                     { layer_a = a.layer; layer_b = b.layer; required = sep; actual = 0 })
-                  (Rect.hull a.rect b.rect)
-                :: !out
-          end
-          else begin
-            let dx = Rect.gap Dir.Horizontal a.rect b.rect in
-            let dy = Rect.gap Dir.Vertical a.rect b.rect in
-            let actual = Int.max dx dy in
-            if actual < sep then
-              out :=
-                Violation.make
-                  (Violation.Spacing
-                     { layer_a = a.layer; layer_b = b.layer; required = sep; actual })
-                  (Rect.hull a.rect b.rect)
-                :: !out
-          end
-        end)
+        let j = v.ix_of_id.(b.Shape.id) in
+        if gate_pair v i j then ()
+        else if la = v.layer.(j) && component v i = component v j then ()
+        else
+          (* Touching shapes are 0 apart.  Different layers with a
+             separation then violate when a positive distance is required,
+             while a keep-clear (sep = 0) pair only objects to interior
+             overlap.  Same-layer touching pairs are same-component and
+             were skipped above. *)
+          let actual =
+            if Rect.touches a.rect b.rect then 0
+            else Int.max (Rect.gap Dir.Horizontal a.rect b.rect) (Rect.gap Dir.Vertical a.rect b.rect)
+          in
+          if actual < sep || Rect.overlaps a.rect b.rect then
+            out :=
+              Violation.make
+                (Violation.Spacing { layer_a = a.layer; layer_b = b.layer; required = sep; actual })
+                (Rect.hull a.rect b.rect)
+              :: !out)
       partners
   done;
-  List.rev !out
+  shorts v @ List.rev !out
 
 (* A cut must be enclosed, with its rule margin, by every metal layer that
    has an enclosure rule for it, and by at least one of the non-metal
-   landing layers (poly/diffusion/poly2 for contacts). *)
-let check_enclosures ~tech obj =
-  let rules = Technology.rules tech in
-  let enclosed_by (c : Shape.t) outer margin =
-    (* A containing shape necessarily meets the needed rectangle, so the
-       margin-0 candidates around it are the only ones to test. *)
-    let needed = Rect.inflate c.rect margin in
-    List.exists
-      (fun (s : Shape.t) -> Rect.contains_rect s.rect needed)
-      (Lobj.near obj ~layer:outer needed ~margin:0)
+   landing layers (poly/diffusion/poly2 for contacts).  Each cut layer's
+   rules are split into the two kinds once. *)
+let enclosures v =
+  let outers =
+    Array.mapi
+      (fun l tl ->
+        match tl with
+        | Some t when Layer.is_cut t ->
+            List.partition
+              (fun (o, _) ->
+                match Technology.layer v.tech o with Some ol -> Layer.is_metal ol | None -> false)
+              (Rules.enclosing_layers v.rules ~inner:v.names.(l))
+        | _ -> ([], []))
+      v.tl
   in
-  List.concat_map
-    (fun (c : Shape.t) ->
-      match Technology.layer tech c.Shape.layer with
-      | Some l when Layer.is_cut l ->
-          let outers = Rules.enclosing_layers rules ~inner:c.layer in
-          let is_metal_outer (o, _) =
-            match Technology.layer tech o with
-            | Some ol -> Layer.is_metal ol
-            | None -> false
-          in
-          let metal_outers, landing_outers = List.partition is_metal_outer outers in
-          let missing_metals =
-            List.filter (fun (o, m) -> not (enclosed_by c o m)) metal_outers
-          in
-          let landing_ok =
-            landing_outers = []
-            || List.exists (fun (o, m) -> enclosed_by c o m) landing_outers
-          in
-          let vio_of (o, m) =
-            Violation.make
-              (Violation.Enclosure { outer = o; inner = c.layer; required = m })
-              c.rect
-          in
-          List.map vio_of missing_metals
-          @
-          (if landing_ok then []
-           else
-             match landing_outers with
-             | first :: _ -> [ vio_of first ]
-             | [] -> [])
-      | _ -> [])
-    (Lobj.shapes obj)
+  (* A containing shape necessarily meets the needed rectangle, so the
+     margin-0 candidates around it are the only ones to test. *)
+  let enclosed_by (c : Shape.t) (outer, margin) =
+    let needed = Rect.inflate c.rect margin in
+    exists_near v ~layer:outer needed (fun (s : Shape.t) -> Rect.contains_rect s.rect needed)
+  in
+  let out = ref [] in
+  Array.iteri
+    (fun i (c : Shape.t) ->
+      let vio (o, m) =
+        out :=
+          Violation.make (Violation.Enclosure { outer = o; inner = c.layer; required = m }) c.rect
+          :: !out
+      in
+      let metal_outers, landing_outers = outers.(v.layer.(i)) in
+      List.iter (fun om -> if not (enclosed_by c om) then vio om) metal_outers;
+      match landing_outers with
+      | first :: _ when not (List.exists (enclosed_by c) landing_outers) -> vio first
+      | _ -> ())
+    v.shapes;
+  List.rev !out
 
 (* Gate extension checks: wherever poly crosses diffusion, the poly end-caps
    and the source/drain extensions must meet their rules. *)
-let check_extensions ~tech obj =
-  let rules = Technology.rules tech in
+let extensions v =
+  let rules = v.rules in
   let polys =
-    List.filter
-      (fun (s : Shape.t) ->
-        match Technology.layer tech s.Shape.layer with
-        | Some l -> l.Layer.kind = Layer.Poly
-        | None -> false)
-      (Lobj.shapes obj)
+    List.filteri
+      (fun i _ -> match v.tl.(v.layer.(i)) with Some { Layer.kind = Layer.Poly; _ } -> true | _ -> false)
+      (Array.to_list v.shapes)
   in
   let active_layers =
-    List.filter
-      (fun l ->
-        match Technology.layer tech l with
-        | Some tl -> Layer.is_active tl
-        | None -> false)
-      (Lobj.layers obj)
+    List.filteri
+      (fun l _ -> match v.tl.(l) with Some tl -> Layer.is_active tl | None -> false)
+      (Array.to_list v.names)
   in
   (* Only crossings matter, so each poly is paired with the active shapes
      meeting it (margin-0 candidates), in id order like the full scan. *)
   let diffs_near (p : Shape.t) =
     List.concat_map
-      (fun l -> Lobj.near obj ~layer:l p.Shape.rect ~margin:0)
+      (fun l -> Lobj.near v.obj ~layer:l p.Shape.rect ~margin:0)
       active_layers
     |> List.sort (fun (a : Shape.t) (b : Shape.t) ->
            Int.compare a.Shape.id b.Shape.id)
@@ -389,50 +390,27 @@ let check_extensions ~tech obj =
     if not (Rect.overlaps p.rect d.rect) then []
     else begin
       let pr = p.rect and dr = d.rect in
-      let crosses_vertically = pr.Rect.y0 <= dr.Rect.y0 && pr.Rect.y1 >= dr.Rect.y1 in
-      let crosses_horizontally = pr.Rect.x0 <= dr.Rect.x0 && pr.Rect.x1 >= dr.Rect.x1 in
-      let endcap_req = Rules.extension rules ~of_:p.layer ~past:d.layer in
-      let sd_req = Rules.extension rules ~of_:d.layer ~past:p.layer in
-      let mk ~of_ ~past ~required ~actual where =
-        if actual < required then
-          [ Violation.make (Violation.Extension { of_; past; required; actual }) where ]
-        else []
+      let ext ~of_ ~past ~actual where =
+        match Rules.extension rules ~of_ ~past with
+        | Some required when actual < required ->
+            [ Violation.make (Violation.Extension { of_; past; required; actual }) where ]
+        | _ -> []
       in
-      if crosses_vertically then
-        (match endcap_req with
-        | Some req ->
-            mk ~of_:p.layer ~past:d.layer ~required:req
-              ~actual:(Int.min (dr.Rect.y0 - pr.Rect.y0) (pr.Rect.y1 - dr.Rect.y1))
-              pr
-        | None -> [])
-        @
-        (match sd_req with
-        | Some req ->
-            mk ~of_:d.layer ~past:p.layer ~required:req
-              ~actual:(Int.min (pr.Rect.x0 - dr.Rect.x0) (dr.Rect.x1 - pr.Rect.x1))
-              dr
-        | None -> [])
-      else if crosses_horizontally then
-        (match endcap_req with
-        | Some req ->
-            mk ~of_:p.layer ~past:d.layer ~required:req
-              ~actual:(Int.min (dr.Rect.x0 - pr.Rect.x0) (pr.Rect.x1 - dr.Rect.x1))
-              pr
-        | None -> [])
-        @
-        (match sd_req with
-        | Some req ->
-            mk ~of_:d.layer ~past:p.layer ~required:req
-              ~actual:(Int.min (pr.Rect.y0 - dr.Rect.y0) (dr.Rect.y1 - pr.Rect.y1))
-              dr
-        | None -> [])
+      let endcap actual = ext ~of_:p.layer ~past:d.layer ~actual pr in
+      let sd actual = ext ~of_:d.layer ~past:p.layer ~actual dr in
+      if pr.Rect.y0 <= dr.Rect.y0 && pr.Rect.y1 >= dr.Rect.y1 then
+        (* Crosses vertically. *)
+        endcap (Int.min (dr.Rect.y0 - pr.Rect.y0) (pr.Rect.y1 - dr.Rect.y1))
+        @ sd (Int.min (pr.Rect.x0 - dr.Rect.x0) (dr.Rect.x1 - pr.Rect.x1))
+      else if pr.Rect.x0 <= dr.Rect.x0 && pr.Rect.x1 >= dr.Rect.x1 then
+        endcap (Int.min (dr.Rect.x0 - pr.Rect.x0) (pr.Rect.x1 - dr.Rect.x1))
+        @ sd (Int.min (pr.Rect.y0 - dr.Rect.y0) (dr.Rect.y1 - pr.Rect.y1))
       else
         (* Poly overlaps active without fully crossing: a malformed gate. *)
-        match endcap_req with
-        | Some req ->
+        match Rules.extension rules ~of_:p.layer ~past:d.layer with
+        | Some required ->
             [ Violation.make
-                (Violation.Extension
-                   { of_ = p.layer; past = d.layer; required = req; actual = 0 })
+                (Violation.Extension { of_ = p.layer; past = d.layer; required; actual = 0 })
                 (Rect.hull pr dr) ]
         | None -> []
     end
@@ -446,18 +424,26 @@ let span_name = function
   | Extensions -> "drc.extensions"
   | Latch_up -> "drc.latchup"
 
+let check_widths ~tech obj = widths (view ~tech obj)
+let check_spacings ~tech obj = spacings (view ~tech obj)
+let check_enclosures ~tech obj = enclosures (view ~tech obj)
+let check_extensions ~tech obj = extensions (view ~tech obj)
+
 let run ?(checks = all_checks) ~tech obj =
   Obs.span "drc.run" @@ fun () ->
+  let v = lazy (view ~tech obj) in
   List.concat_map
     (fun c ->
       Obs.span (span_name c) @@ fun () ->
       Amg_robust.Inject.(probe Drc_check);
       let vs =
         match c with
-        | Widths -> check_widths ~tech obj @ check_min_areas ~tech obj
-        | Spacings -> check_spacings ~tech obj
-        | Enclosures -> check_enclosures ~tech obj
-        | Extensions -> check_extensions ~tech obj
+        | Widths ->
+            let v = Lazy.force v in
+            widths v @ min_areas v
+        | Spacings -> spacings (Lazy.force v)
+        | Enclosures -> enclosures (Lazy.force v)
+        | Extensions -> extensions (Lazy.force v)
         | Latch_up -> Latchup.check ~tech obj @ Latchup.check_well_taps ~tech obj
       in
       if Obs.enabled () then Obs.count "drc.violations" (List.length vs);

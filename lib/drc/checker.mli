@@ -8,7 +8,13 @@
     Enclosure policy for cuts: a cut must be enclosed by {e every} metal
     layer that declares an enclosure rule for it (a via needs both metals)
     and by {e at least one} non-metal landing layer (a contact may land on
-    poly, diffusion or poly2). *)
+    poly, diffusion or poly2).
+
+    Cost: {!run} reads the layout once into a view shared by every check
+    (arrays of shapes, layer indices and rules: O(shapes)); each layer's
+    touch graph takes one margin-0 index query per shape, and an int-array
+    union-find replays it for spacing, shorts and min-area.  Each
+    single-check function builds a view of its own. *)
 
 type check = Widths | Spacings | Enclosures | Extensions | Latch_up
 [@@deriving show, eq]

@@ -2,21 +2,23 @@ module Rect = Amg_geometry.Rect
 module Rules = Amg_tech.Rules
 
 (* Usable window inside the containers for a cut of [cut_layer]: each
-   container shrinks by its enclosure margin, then everything intersects. *)
+   container shrinks by its enclosure margin, then everything intersects.
+   A container narrower than twice its margin on either axis leaves no
+   window at all (shrinking must not swap its edges into a window the
+   container cannot enclose). *)
 let cut_window rules ~containers ~cut_layer =
-  let shrink (layer, rect) =
-    Rect.inflate rect (-Rules.enclosure_or_zero rules ~outer:layer ~inner:cut_layer)
+  let shrink (layer, (r : Rect.t)) =
+    let m = Rules.enclosure_or_zero rules ~outer:layer ~inner:cut_layer in
+    if r.x1 - r.x0 < 2 * m || r.y1 - r.y0 < 2 * m then None
+    else Some (Rect.inflate r (-m))
   in
   match List.map shrink containers with
   | [] -> None
   | r :: rs ->
-      let window =
-        List.fold_left
-          (fun acc r -> Option.bind acc (fun a -> Rect.inter a r))
-          (if Rect.is_degenerate r then None else Some r)
-          rs
-      in
-      window
+      List.fold_left
+        (fun acc r -> Option.bind acc (fun a -> Option.bind r (Rect.inter a)))
+        (Option.bind r (fun r -> if Rect.is_degenerate r then None else Some r))
+        rs
 
 (* Equidistant positions of [n] cuts of size [s] in an extent [lo, hi]:
    all gaps (including the two end margins) are as equal as integer

@@ -10,7 +10,8 @@ val cut_window :
   cut_layer:string ->
   Amg_geometry.Rect.t option
 (** Intersection of all containers, each shrunk by its enclosure margin for
-    [cut_layer]; [None] when empty. *)
+    [cut_layer]; [None] when empty, or when a container is narrower than
+    twice its margin on either axis. *)
 
 val spread : lo:int -> hi:int -> s:int -> space:int -> int -> (int * int) list
 (** [spread ~lo ~hi ~s ~space n] places [n] cuts of size [s] equidistantly

@@ -87,7 +87,8 @@ let enclosing_layers t ~inner =
   Hashtbl.fold
     (fun (o, i) d acc -> if String.equal i inner then (o, d) :: acc else acc)
     t.enclosures []
-  |> List.sort compare
+  |> List.sort (fun (o1, d1) (o2, d2) ->
+         match String.compare o1 o2 with 0 -> Int.compare d1 d2 | c -> c)
 
 let iter_widths t f = Hashtbl.iter f t.widths
 let iter_spaces t f = Hashtbl.iter (fun (a, b) d -> f a b d) t.spaces

@@ -5,14 +5,53 @@
    SVG.  `dune runtest` diffs the output against the pinned
    copies under test/golden/; `dune promote` accepts a new baseline.  The
    renders must be byte-stable across runs — any timestamp or iteration-
-   order leak in the writers shows up here. *)
+   order leak in the writers shows up here.
+
+   It also writes drc_reports.txt: the design-rule report of
+   [Checker.run], one line per violation in report order, for the
+   two-row metal1 contact-row pack (whose contacts have no landing layer)
+   and for 20 seeded dirty layouts per deck.  Report order includes the
+   hash-table iteration of the short and min-area passes, so any change
+   to their union-find roots shows up here. *)
 
 module Units = Amg_geometry.Units
 module Env = Amg_core.Env
 module Lobj = Amg_layout.Lobj
 module M = Amg_modules
+module Checker = Amg_drc.Checker
+module Violation = Amg_drc.Violation
 
 let um = Units.of_um
+
+(* Two rows of the benchmark packs' [ContactRow(layer = "metal1")]. *)
+let pack2 =
+  "ENT Pack2(<W>, <L>)\n\
+  \  x0 = ContactRow(layer = \"metal1\", W = W, L = L, net = \"n0\")\n\
+  \  compact(x0, SOUTH, align = \"MIN\")\n\
+  \  x1 = ContactRow(layer = \"metal1\", W = W + 12, L = L, net = \"n1\")\n\
+  \  compact(x1, WEST, align = \"MIN\")\n"
+
+let drc_reports () =
+  let oc = open_out "drc_reports.txt" in
+  let ppf = Format.formatter_of_out_channel oc in
+  let report name ?checks ~tech obj =
+    Format.fprintf ppf "== %s@.%a" name Violation.pp_report (Checker.run ?checks ~tech obj)
+  in
+  let env = Env.bicmos () in
+  report "Pack2 metal1 W=12 L=3.5 (widths, spacings, enclosures, extensions)"
+    ~checks:Checker.[ Widths; Spacings; Enclosures; Extensions ]
+    ~tech:(Env.tech env)
+    (Amg_lang.Interp.parse_and_build env (pack2 ^ Amg_lang.Stdlib.all) "Pack2"
+       [ ("W", Amg_lang.Value.Num 12.); ("L", Amg_lang.Value.Num 3.5) ]);
+  List.iter
+    (fun (deck, tech, layers) ->
+      for seed = 1 to 20 do
+        report (Printf.sprintf "%s dirty layout %d" deck seed) ~tech
+          (Dirty_layout.seeded layers seed)
+      done)
+    [ ("bicmos1u", Amg_tech.Bicmos1u.get (), Dirty_layout.bicmos_layers);
+      ("cmos08", Amg_tech.Cmos08.get (), Dirty_layout.cmos08_layers) ];
+  close_out oc
 
 let () =
   let env = Env.bicmos () in
@@ -45,4 +84,5 @@ let () =
       let obj = build () in
       Amg_layout.Cif.save ~tech obj (name ^ ".cif");
       Amg_layout.Svg.save ~tech obj (name ^ ".svg"))
-    modules
+    modules;
+  drc_reports ()

@@ -310,70 +310,209 @@ let reference_spacings ~tech obj =
   done;
   List.rev !out
 
-(* Random layouts over every BiCMOS layer, in 0.5 um steps: plain shapes
-   (some keep-clear, most on one of three nets), gates (a poly stripe
-   across a diffusion) and resistor bodies (poly under [resmark]). *)
-let gen_dirty_layout =
-  let layers =
-    [ "nwell"; "pbase"; "pdiff"; "ndiff"; "poly"; "poly2"; "contact"; "metal1"; "via";
-      "metal2"; "subtap"; "resmark" ]
+(* The rest of the report as the checker produced it before its per-call
+   view: every shape pays its own technology and rule lookups, and
+   same-layer components come from the Hashtbl union-find below, run
+   once per pass.  Shorts and min-area regions are reported in the
+   iteration order of Hashtbls keyed by that union-find's roots. *)
+let reference_components obj shapes idxs =
+  let parent = Hashtbl.create 16 in
+  let member = Hashtbl.create 16 in
+  List.iter
+    (fun i ->
+      Hashtbl.replace parent i i;
+      Hashtbl.replace member shapes.(i).Shape.id i)
+    idxs;
+  let rec find i =
+    let p = Hashtbl.find parent i in
+    if p = i then i
+    else begin
+      let r = find p in
+      Hashtbl.replace parent i r;
+      r
+    end
   in
-  let rect (x, y, w, h) =
-    Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500)
+  let union i j =
+    let ri = find i and rj = find j in
+    if ri <> rj then Hashtbl.replace parent ri rj
   in
-  QCheck2.Gen.(
-    let net = oneofl [ Some "a"; Some "b"; Some "c"; None ] in
-    let at = tup2 (int_range 0 40) (int_range 0 40) in
-    let plain =
-      let* layer = oneofl layers in
-      let* x, y = at in
-      let* w, h = tup2 (int_range 1 20) (int_range 1 20) in
-      let* net = net in
-      let* keep_clear = frequency [ (5, return false); (1, return true) ] in
-      return [ (layer, rect (x, y, w, h), net, keep_clear) ]
-    in
-    let gate =
-      let* diff = oneofl [ "pdiff"; "ndiff" ] in
-      let* x, y = at in
-      let* w, h = tup2 (int_range 4 20) (int_range 2 12) in
-      let* off, l = tup2 (int_range 0 10) (int_range 1 4) in
-      let* ext = int_range 0 3 in
-      let* net = net in
-      return
-        [
-          (diff, rect (x, y, w, h), net, false);
-          ( "poly",
-            rect (x + Int.min off (w - l), y - ext, l, h + (2 * ext)),
-            Some "g",
-            false );
-        ]
-    in
-    let resistor =
-      let* x, y = at in
-      let* w, h = tup2 (int_range 2 20) (int_range 1 4) in
-      let* m = int_range 0 2 in
-      return
-        [
-          ("poly", rect (x, y, w, h), Some "r", false);
-          ("resmark", rect (x - m, y - m, w + (2 * m), h + (2 * m)), None, false);
-        ]
-    in
-    map List.concat
-      (list_size (int_range 0 35) (frequency [ (6, plain); (2, gate); (1, resistor) ])))
-
-let prop_spacings_match_reference =
-  QCheck2.Test.make ~name:"spacing violations = per-(shape, layer) reference" ~count:300
-    gen_dirty_layout (fun specs ->
-      let tech = tech () in
-      let o = Lobj.create "dirty" in
+  List.iter
+    (fun i ->
+      let s = shapes.(i) in
       List.iter
-        (fun (layer, rect, net, keep_clear) ->
-          ignore (Lobj.add_shape o ~layer ~rect ?net ~keep_clear ()))
-        specs;
-      let spacing (v : Violation.t) =
-        match v.kind with Violation.Spacing _ -> true | _ -> false
-      in
-      List.filter spacing (Checker.run ~tech o) = reference_spacings ~tech o)
+        (fun (b : Shape.t) ->
+          match Hashtbl.find_opt member b.Shape.id with
+          | Some j when i < j && Rect.touches s.Shape.rect b.Shape.rect -> union i j
+          | _ -> ())
+        (Lobj.near obj ~layer:s.Shape.layer s.Shape.rect ~margin:0))
+    idxs;
+  find
+
+let kind_of ~tech (s : Shape.t) =
+  Option.map (fun l -> l.Layer.kind) (Technology.layer tech s.Shape.layer)
+
+let reference_widths ~tech obj =
+  let rules = Technology.rules tech in
+  List.filter_map
+    (fun (s : Shape.t) ->
+      match Technology.layer tech s.Shape.layer with
+      | None -> None
+      | Some l when l.Layer.kind = Layer.Marker -> None
+      | Some l when Layer.is_cut l ->
+          let req = Amg_tech.Rules.cut_size rules s.layer in
+          let w = Rect.width s.rect and h = Rect.height s.rect in
+          if w <> req || h <> req then
+            Some
+              (Violation.make
+                 (Violation.Cut_size { layer = s.layer; required = req; actual_w = w; actual_h = h })
+                 s.rect)
+          else None
+      | Some _ -> (
+          match Amg_tech.Rules.width_opt rules s.layer with
+          | None -> None
+          | Some req ->
+              let actual = Int.min (Rect.width s.rect) (Rect.height s.rect) in
+              if actual < req then
+                Some (Violation.make (Violation.Width { layer = s.layer; required = req; actual }) s.rect)
+              else None))
+    (Lobj.shapes obj)
+
+(* Shape indices per layer, each list in descending index order, in a
+   Hashtbl filled in shape order: the parent's iteration order. *)
+let by_layer ?(keep = fun _ -> true) shapes =
+  let t = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (s : Shape.t) ->
+      if keep s then
+        let cur = Option.value ~default:[] (Hashtbl.find_opt t s.layer) in
+        Hashtbl.replace t s.layer (i :: cur))
+    shapes;
+  t
+
+let reference_min_areas ~tech obj =
+  let rules = Technology.rules tech in
+  let shapes = Array.of_list (Lobj.shapes obj) in
+  let out = ref [] in
+  Hashtbl.iter
+    (fun layer idxs ->
+      let required = Option.get (Amg_tech.Rules.min_area rules layer) in
+      let find = reference_components obj shapes idxs in
+      let groups = Hashtbl.create 8 in
+      List.iter
+        (fun i ->
+          let r = find i in
+          let cur = Option.value ~default:[] (Hashtbl.find_opt groups r) in
+          Hashtbl.replace groups r (shapes.(i).Shape.rect :: cur))
+        idxs;
+      Hashtbl.iter
+        (fun _root rects ->
+          let actual = Amg_geometry.Region.area rects in
+          if actual < required then
+            out :=
+              Violation.make
+                (Violation.Min_area { layer; required; actual })
+                (Option.get (Rect.hull_list rects))
+              :: !out)
+        groups)
+    (by_layer
+       ~keep:(fun s -> Option.is_some (Amg_tech.Rules.min_area rules s.Shape.layer))
+       shapes);
+  !out
+
+let reference_shorts ~tech obj =
+  let shapes = Array.of_list (Lobj.shapes obj) in
+  let is_gate (p : Shape.t) (d : Shape.t) =
+    match (kind_of ~tech p, kind_of ~tech d) with
+    | Some Layer.Poly, Some Layer.Diffusion -> Rect.overlaps p.rect d.rect
+    | _ -> false
+  in
+  let poly_layers =
+    List.filter
+      (fun l -> Option.map (fun tl -> tl.Layer.kind) (Technology.layer tech l) = Some Layer.Poly)
+      (Lobj.layers obj)
+  in
+  let is_channel i =
+    let s = shapes.(i) in
+    (Option.map Layer.is_active (Technology.layer tech s.Shape.layer) = Some true
+    && List.exists
+         (fun pl ->
+           List.exists
+             (fun (p : Shape.t) -> p != s && (is_gate p s || is_gate s p))
+             (Lobj.near obj ~layer:pl s.Shape.rect ~margin:0))
+         poly_layers)
+    || List.exists
+         (fun (m : Shape.t) -> Rect.contains_rect m.Shape.rect s.Shape.rect)
+         (Lobj.near obj ~layer:"resmark" s.Shape.rect ~margin:0)
+  in
+  let out = ref [] in
+  Hashtbl.iter
+    (fun layer idxs ->
+      let conducting = List.filter (fun i -> not (is_channel i)) idxs in
+      let find = reference_components obj shapes conducting in
+      let net_of_root = Hashtbl.create 8 in
+      List.iter
+        (fun i ->
+          match shapes.(i).Shape.net with
+          | None -> ()
+          | Some net -> (
+              let r = find i in
+              match Hashtbl.find_opt net_of_root r with
+              | None -> Hashtbl.replace net_of_root r (net, i)
+              | Some (other, j) when not (String.equal other net) ->
+                  out :=
+                    Violation.make
+                      (Violation.Short { layer; net_a = other; net_b = net })
+                      (Rect.hull shapes.(j).Shape.rect shapes.(i).Shape.rect)
+                    :: !out
+              | Some _ -> ()))
+        conducting)
+    (by_layer shapes);
+  List.rev !out
+
+let reference_enclosures ~tech obj =
+  let rules = Technology.rules tech in
+  let enclosed_by (c : Shape.t) outer margin =
+    let needed = Rect.inflate c.rect margin in
+    List.exists
+      (fun (s : Shape.t) -> Rect.contains_rect s.rect needed)
+      (Lobj.near obj ~layer:outer needed ~margin:0)
+  in
+  List.concat_map
+    (fun (c : Shape.t) ->
+      match Technology.layer tech c.Shape.layer with
+      | Some l when Layer.is_cut l ->
+          let metal_outers, landing_outers =
+            List.partition
+              (fun (o, _) -> Option.map Layer.is_metal (Technology.layer tech o) = Some true)
+              (Amg_tech.Rules.enclosing_layers rules ~inner:c.layer)
+          in
+          let vio_of (o, m) =
+            Violation.make (Violation.Enclosure { outer = o; inner = c.layer; required = m }) c.rect
+          in
+          List.map vio_of (List.filter (fun (o, m) -> not (enclosed_by c o m)) metal_outers)
+          @
+          (match landing_outers with
+          | first :: _ when not (List.exists (fun (o, m) -> enclosed_by c o m) landing_outers) ->
+              [ vio_of first ]
+          | _ -> [])
+      | _ -> [])
+    (Lobj.shapes obj)
+
+(* The whole report, check by check in [Checker.all_checks] order.
+   Extensions and latch-up have no union-find; they come from their own
+   single-check entry points. *)
+let reference_report ~tech obj =
+  reference_widths ~tech obj @ reference_min_areas ~tech obj
+  @ reference_shorts ~tech obj @ reference_spacings ~tech obj
+  @ reference_enclosures ~tech obj
+  @ Checker.check_extensions ~tech obj
+  @ Latchup.check ~tech obj @ Latchup.check_well_taps ~tech obj
+
+let prop_report_matches_reference (deck, tech, layers) =
+  QCheck2.Test.make ~name:(deck ^ ": DRC report = reference, in order") ~count:300
+    (Dirty_layout.gen layers) (fun specs ->
+      let o = Dirty_layout.build specs in
+      Checker.run ~tech o = reference_report ~tech o)
 
 let suite =
   [
@@ -391,5 +530,10 @@ let suite =
     Alcotest.test_case "min area (union semantics)" `Quick test_min_area;
     Alcotest.test_case "well-tap rule" `Quick test_well_taps;
     Alcotest.test_case "violation describe" `Quick test_describe;
-    QCheck_alcotest.to_alcotest prop_spacings_match_reference;
+    QCheck_alcotest.to_alcotest
+      (prop_report_matches_reference
+         ("bicmos1u", tech (), Dirty_layout.bicmos_layers));
+    QCheck_alcotest.to_alcotest
+      (prop_report_matches_reference
+         ("cmos08", Amg_tech.Cmos08.get (), Dirty_layout.cmos08_layers));
   ]

@@ -189,6 +189,28 @@ let test_cut_window () =
       check "window x1" (um 3.5) w.Rect.x1
   | None -> Alcotest.fail "expected a window"
 
+(* A container narrower than twice its enclosure has no window: shrinking
+   it must not swap its edges into a window it cannot enclose. *)
+let test_cut_window_too_narrow () =
+  let rules = rules () in
+  let narrow = [ ("pdiff", Rect.of_size ~x:0 ~y:0 ~w:(um 1.) ~h:(um 4.)) ] in
+  check_bool "1 um pdiff, 0.75 um enclosure: no window" true
+    (Derive.cut_window rules ~containers:narrow ~cut_layer:"contact" = None);
+  let o = Lobj.create "narrowed" in
+  let diff = Lobj.add_shape o ~layer:"pdiff" ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um 4.) ~h:(um 4.)) () in
+  let _ = Lobj.register_array o ~cut_layer:"contact" ~container_ids:[ diff.Shape.id ] () in
+  Lobj.rederive o rules;
+  check "one cut in the 4 um container" 1 (List.length (Lobj.shapes_on o "contact"));
+  let narrowed = Rect.of_size ~x:0 ~y:0 ~w:(um 0.5) ~h:(um 4.) in
+  Lobj.replace o (Shape.with_rect diff narrowed);
+  Lobj.rederive o rules;
+  List.iter
+    (fun (c : Shape.t) ->
+      check_bool "cut enclosed by its container" true
+        (Rect.contains_rect narrowed (Rect.inflate c.Shape.rect (um 0.75))))
+    (Lobj.shapes_on o "contact");
+  check "no cut in the 0.5 um container" 0 (List.length (Lobj.shapes_on o "contact"))
+
 (* --- exporters and analysis --- *)
 
 let sample_obj () =
@@ -407,6 +429,7 @@ let suite =
     Alcotest.test_case "max cuts" `Quick test_max_cuts;
     Alcotest.test_case "cut array rederive" `Quick test_cut_array_and_rederive;
     Alcotest.test_case "cut window" `Quick test_cut_window;
+    Alcotest.test_case "cut window: container too narrow" `Quick test_cut_window_too_narrow;
     Alcotest.test_case "svg export" `Quick test_svg;
     Alcotest.test_case "cif export" `Quick test_cif;
     Alcotest.test_case "gds roundtrip" `Quick test_gds_roundtrip;
