@@ -41,8 +41,10 @@ let unconstrained = min_int
 let mergeable = min_int + 1
 
 (* Written against the record fields directly: the compactor's inner loop
-   calls this once per candidate pair. *)
-let code_cls cls (a : Shape.t) (b : Shape.t) =
+   calls this once per candidate pair.  [a] is read at its rectangle
+   displaced by (dx, dy), with integer adds, so a mover that has not been
+   translated yet is classified where it stands. *)
+let code_cls cls ~dx ~dy (a : Shape.t) (b : Shape.t) =
   let same_net =
     match (a.net, b.net) with
     | Some na, Some nb -> String.equal na nb
@@ -53,12 +55,14 @@ let code_cls cls (a : Shape.t) (b : Shape.t) =
     else match cls.space with Some d -> d | None -> 0
   else
     let ra = a.rect and rb = b.rect in
+    let ax0 = ra.x0 + dx and ay0 = ra.y0 + dy in
+    let ax1 = ra.x1 + dx and ay1 = ra.y1 + dy in
     if
       (* One rectangle fully inside the other on a different layer is an
          intended enclosure (a cut inside its landing shape), not a
          spacing situation. *)
-      (ra.x0 <= rb.x0 && ra.y0 <= rb.y0 && rb.x1 <= ra.x1 && rb.y1 <= ra.y1)
-      || (rb.x0 <= ra.x0 && rb.y0 <= ra.y0 && ra.x1 <= rb.x1 && ra.y1 <= rb.y1)
+      (ax0 <= rb.x0 && ay0 <= rb.y0 && rb.x1 <= ax1 && rb.y1 <= ay1)
+      || (rb.x0 <= ax0 && rb.y0 <= ay0 && ax1 <= rb.x1 && ay1 <= rb.y1)
     then unconstrained
     else
       (* Cross-layer spacing rules hold regardless of potential: a gate
@@ -81,7 +85,7 @@ let relation_of_code code =
   else if code = mergeable then Mergeable
   else Separation code
 
-let relation_cls cls a b = relation_of_code (code_cls cls a b)
+let relation_cls cls a b = relation_of_code (code_cls cls ~dx:0 ~dy:0 a b)
 
 let relation rules ?ignore_layers (a : Shape.t) (b : Shape.t) =
   relation_cls (classify rules ?ignore_layers a.Shape.layer b.Shape.layer) a b
@@ -98,11 +102,11 @@ let shadows ~axis ~sep (ra : Rect.t) (rb : Rect.t) =
    rectangle [a] must respect against stationary [b] under the pair's
    [code], or [no_bound] when the pair does not constrain this movement.
    The mover travels in direction [d]; the constraint keeps it from
-   travelling too far.  Arithmetic on the rectangles' sides only, so
-   nothing is allocated. *)
+   travelling too far.  Arithmetic on the rectangles' sides only, [a]'s
+   displaced by (dx, dy), so nothing is allocated. *)
 let no_bound = min_int
 
-let bound_code (d : Dir.t) code (a : Shape.t) (b : Shape.t) =
+let bound_code (d : Dir.t) code ~dx ~dy (a : Shape.t) (b : Shape.t) =
   if code = unconstrained then no_bound
   else begin
     (* A mergeable pair acts at distance 0: the mover's trailing edge must
@@ -114,13 +118,15 @@ let bound_code (d : Dir.t) code (a : Shape.t) (b : Shape.t) =
     let merge = code = mergeable in
     let sep = if merge then 0 else code in
     let ra = a.rect and rb = b.rect in
-    let cross_x = ra.x0 - sep < rb.x1 && rb.x0 < ra.x1 + sep in
-    let cross_y = ra.y0 - sep < rb.y1 && rb.y0 < ra.y1 + sep in
+    let ax0 = ra.x0 + dx and ay0 = ra.y0 + dy in
+    let ax1 = ra.x1 + dx and ay1 = ra.y1 + dy in
+    let cross_x = ax0 - sep < rb.x1 && rb.x0 < ax1 + sep in
+    let cross_y = ay0 - sep < rb.y1 && rb.y0 < ay1 + sep in
     match d with
-    | South when cross_x -> if merge then rb.y1 - ra.y1 else rb.y1 + sep - ra.y0
-    | North when cross_x -> if merge then rb.y0 - ra.y0 else rb.y0 - sep - ra.y1
-    | West when cross_y -> if merge then rb.x1 - ra.x1 else rb.x1 + sep - ra.x0
-    | East when cross_y -> if merge then rb.x0 - ra.x0 else rb.x0 - sep - ra.x1
+    | South when cross_x -> if merge then rb.y1 - ay1 else rb.y1 + sep - ay0
+    | North when cross_x -> if merge then rb.y0 - ay0 else rb.y0 - sep - ay1
+    | West when cross_y -> if merge then rb.x1 - ax1 else rb.x1 + sep - ax0
+    | East when cross_y -> if merge then rb.x0 - ax0 else rb.x0 - sep - ax1
     | South | North | West | East -> no_bound
   end
 

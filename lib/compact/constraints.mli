@@ -64,8 +64,11 @@ type code [@@immediate]
     compactor's inner loop classifies and bounds a pair without
     allocating. *)
 
-val code_cls : pair_class -> Amg_layout.Shape.t -> Amg_layout.Shape.t -> code
-(** The code of [relation_cls cls a b]. *)
+val code_cls :
+  pair_class -> dx:int -> dy:int -> Amg_layout.Shape.t -> Amg_layout.Shape.t -> code
+(** [code_cls cls ~dx ~dy a b] is the code of [relation_cls cls a' b], [a']
+    being [a] translated by [(dx, dy)]: the compactor reads a mover that
+    has not been translated yet through its displacement. *)
 
 val relation_of_code : code -> relation
 val is_mergeable : code -> bool
@@ -74,8 +77,15 @@ val no_bound : int
 (** The bound of a pair that does not constrain the move. *)
 
 val bound_code :
-  Amg_geometry.Dir.t -> code -> Amg_layout.Shape.t -> Amg_layout.Shape.t -> int
-(** [bound_code d code a b]: signed translation bound that stationary shape
-    [b] imposes on shape [a] moving in direction [d], given the pair's
-    code, or {!no_bound} when the pair does not constrain the move (it is
-    unconstrained, or out of the mover's shadow). *)
+  Amg_geometry.Dir.t ->
+  code ->
+  dx:int ->
+  dy:int ->
+  Amg_layout.Shape.t ->
+  Amg_layout.Shape.t ->
+  int
+(** [bound_code d code ~dx ~dy a b]: signed translation bound that
+    stationary shape [b] imposes on shape [a], translated by [(dx, dy)],
+    moving in direction [d], given the pair's code, or {!no_bound} when
+    the pair does not constrain the move (it is unconstrained, or out of
+    the mover's shadow). *)

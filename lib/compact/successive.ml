@@ -18,21 +18,60 @@ type limit = { bound : int; mover : Shape.t; target : Shape.t; rel : Constraints
 
 type align = [ `Keep | `Center | `Min | `Max ]
 
-(* A movement-axis slab: the mover's rectangle stretched along the axis to
-   cover the main structure's whole extent.  Along the movement axis any
-   distance still constrains the travel, so only the cross-axis shadow can
-   cull; the slab makes the index query unbounded (within main) on the
-   axis and tight on the cross axis. *)
-let slab ~axis (a : Shape.t) (mb : Rect.t) =
-  let sa = Rect.span axis a.Shape.rect and sm = Rect.span axis mb in
-  let h = Interval.hull sa sm in
+(* The mover of a placement: an object read through an integer
+   displacement.  Its shapes stand at their rectangles translated by
+   (dx, dy); staging and travel only add to the displacement, and the
+   candidate pass reads through it with integer adds.  [obj] is mutated
+   only when [owned]: the compactor materialises a private copy of a
+   read-only mover ([own]) only when the placement must shrink one of its
+   shapes or auto-connect to it, and [Lobj.absorb ~dx ~dy] writes its
+   shapes into the main structure once, at their final position. *)
+type mover = {
+  mutable obj : Lobj.t;
+  mutable owned : bool;
+  mutable dx : int;
+  mutable dy : int;
+}
+
+(* The displacement along [d]'s axis. *)
+let shift d ~dx ~dy = match Dir.axis d with Dir.Horizontal -> dx | Dir.Vertical -> dy
+
+(* Bring an owned mover's object to where the mover stands. *)
+let settle mv =
+  if mv.dx <> 0 || mv.dy <> 0 then begin
+    Lobj.translate mv.obj ~dx:mv.dx ~dy:mv.dy;
+    mv.dx <- 0;
+    mv.dy <- 0
+  end;
+  mv.obj
+
+(* The mover's object at its position, ready to mutate: a read-only
+   mover is copied first, once, counted under [why]. *)
+let own ~why mv =
+  if not mv.owned then begin
+    Obs.count why 1;
+    mv.obj <- Lobj.copy mv.obj;
+    mv.owned <- true
+  end;
+  settle mv
+
+(* A movement-axis slab: the mover's rectangle, displaced by (dx, dy),
+   stretched along the axis to cover the main structure's whole extent.
+   Along the movement axis any distance still constrains the travel, so
+   only the cross-axis shadow can cull; the slab makes the index query
+   unbounded (within main) on the axis and tight on the cross axis. *)
+let slab ~axis ~dx ~dy (a : Shape.t) (mb : Rect.t) =
+  let r = a.Shape.rect in
   match axis with
   | Dir.Horizontal ->
-      Rect.make ~x0:h.Interval.lo ~x1:h.Interval.hi ~y0:a.rect.Rect.y0
-        ~y1:a.rect.Rect.y1
+      Rect.make
+        ~x0:(Int.min (r.Rect.x0 + dx) mb.Rect.x0)
+        ~x1:(Int.max (r.Rect.x1 + dx) mb.Rect.x1)
+        ~y0:(r.Rect.y0 + dy) ~y1:(r.Rect.y1 + dy)
   | Dir.Vertical ->
-      Rect.make ~x0:a.rect.Rect.x0 ~x1:a.rect.Rect.x1 ~y0:h.Interval.lo
-        ~y1:h.Interval.hi
+      Rect.make ~x0:(r.Rect.x0 + dx) ~x1:(r.Rect.x1 + dx)
+        ~y0:(Int.min (r.Rect.y0 + dy) mb.Rect.y0)
+        ~y1:(Int.max (r.Rect.y1 + dy) mb.Rect.y1)
 
 (* Can a (mover shape, main layer) pair constrain anything?  Shapes on
    different layers without a spacing rule may overlap freely unless one
@@ -43,11 +82,12 @@ let may_constrain (cls : Constraints.pair_class) (a : Shape.t) owner layer =
   cls.same_layer || cls.space <> None || a.Shape.keep_clear
   || Lobj.keep_clear_on owner layer > 0
 
-(* Strict cross-axis overlap of two rectangles moving along [axis]. *)
-let cross_overlap ~axis (ra : Rect.t) (rb : Rect.t) =
+(* Strict cross-axis overlap of two rectangles moving along [axis], [ra]
+   displaced by (dx, dy). *)
+let cross_overlap ~axis ~dx ~dy (ra : Rect.t) (rb : Rect.t) =
   match axis with
-  | Dir.Horizontal -> ra.Rect.y0 < rb.Rect.y1 && rb.Rect.y0 < ra.Rect.y1
-  | Dir.Vertical -> ra.Rect.x0 < rb.Rect.x1 && rb.Rect.x0 < ra.Rect.x1
+  | Dir.Horizontal -> ra.Rect.y0 + dy < rb.Rect.y1 && rb.Rect.y0 < ra.Rect.y1 + dy
+  | Dir.Vertical -> ra.Rect.x0 + dx < rb.Rect.x1 && rb.Rect.x0 < ra.Rect.x1 + dx
 
 type pass = {
   tightest : int option;
@@ -89,8 +129,9 @@ type layer_pair = {
   optimistic : int;
 }
 
-let layer_pairs rules ?ignore_layers d ~main obj =
+let layer_pairs rules ?ignore_layers d ~main ~dx ~dy obj =
   let sign = Dir.sign d in
+  let shift = shift d ~dx ~dy in
   let tighter (x : int) (y : int) = if sign < 0 then x > y else x < y in
   let mains =
     List.filter_map
@@ -112,7 +153,7 @@ let layer_pairs rules ?ignore_layers d ~main obj =
       let lead =
         List.fold_left
           (fun acc (s : Shape.t) ->
-            let side = Rect.side s.Shape.rect d in
+            let side = Rect.side s.Shape.rect d + shift in
             if sign < 0 then Int.min acc side else Int.max acc side)
           (if sign < 0 then max_int else min_int)
           movers
@@ -170,9 +211,10 @@ let by_mover_target (m1, t1) (m2, t2) =
    while it is tied at the tightest value seen so far.  Returns the
    summary and whether anything was skipped; the runner-up is exact only
    when nothing was. *)
-let visit ~prune d ~main ~mb pairs =
+let visit ~prune d ~main ~mb ~dx ~dy pairs =
   let axis = Dir.axis d in
   let sign = Dir.sign d in
+  let shift = shift d ~dx ~dy in
   let tighter (x : int) (y : int) = if sign < 0 then x > y else x < y in
   let obs = Obs.enabled () in
   (* The tightest bound and the runner-up, each valid once its flag is
@@ -209,15 +251,16 @@ let visit ~prune d ~main ~mb pairs =
           (fun (a : Shape.t) ->
             let partners = p.connecting && a.Shape.net <> None in
             if p.keep_clear_only && not a.Shape.keep_clear then ()
-            else if cannot_bind (p.reach - Rect.side a.Shape.rect d) && not partners
+            else if
+              cannot_bind (p.reach - (Rect.side a.Shape.rect d + shift)) && not partners
             then skipped := true
             else begin
               let considered = ref 0 in
-              Lobj.iter_near main ~layer:p.layer (slab ~axis a mb) ~margin:p.margin
-                (fun (b : Shape.t) ->
+              Lobj.iter_near main ~layer:p.layer (slab ~axis ~dx ~dy a mb)
+                ~margin:p.margin (fun (b : Shape.t) ->
                   incr considered;
-                  let code = Constraints.code_cls p.cls a b in
-                  let bound = Constraints.bound_code d code a b in
+                  let code = Constraints.code_cls p.cls ~dx ~dy a b in
+                  let bound = Constraints.bound_code d code ~dx ~dy a b in
                   if bound <> Constraints.no_bound then begin
                     if obs then begin
                       Obs.count "compact.limits" 1;
@@ -228,7 +271,7 @@ let visit ~prune d ~main ~mb pairs =
                   end;
                   if
                     partners && Shape.same_net a b
-                    && cross_overlap ~axis a.Shape.rect b.Shape.rect
+                    && cross_overlap ~axis ~dx ~dy a.Shape.rect b.Shape.rect
                   then connect := (a.Shape.id, b.Shape.id) :: !connect);
               if obs then Obs.count "compact.pairs_considered" !considered
             end)
@@ -254,20 +297,25 @@ let visit ~prune d ~main ~mb pairs =
    runner-up bound for the variable-edge relaxation, and the same-layer
    same-net pairs auto-connection will examine.  When the pruned visit
    skipped something, the runner-up is left to a second, unpruned visit
-   of the same pairs, run only if it is forced. *)
-let scan rules ?ignore_layers d ~main obj =
+   of the same pairs, run only if it is forced.  [obj] is read displaced
+   by (dx, dy); the limits hold its shapes as they are stored. *)
+let scan_at rules ?ignore_layers d ~main ~dx ~dy obj =
   match Lobj.bbox main with
   | None -> no_pass
   | Some mb ->
-      let pairs = layer_pairs rules ?ignore_layers d ~main obj in
-      let pass, skipped = visit ~prune:true d ~main ~mb pairs in
+      let pairs = layer_pairs rules ?ignore_layers d ~main ~dx ~dy obj in
+      let pass, skipped = visit ~prune:true d ~main ~mb ~dx ~dy pairs in
       if not skipped then pass
       else
         {
           pass with
           runner_up =
-            lazy (Lazy.force (fst (visit ~prune:false d ~main ~mb pairs)).runner_up);
+            lazy
+              (Lazy.force (fst (visit ~prune:false d ~main ~mb ~dx ~dy pairs)).runner_up);
         }
+
+let scan rules ?ignore_layers d ~main obj =
+  scan_at rules ?ignore_layers d ~main ~dx:0 ~dy:0 obj
 
 (* Minimum extent a shape may be shrunk to along [axis]: its layer's minimum
    width, raised to the one-cut minimum when it is a container of a
@@ -279,33 +327,34 @@ let min_extent rules owner (s : Shape.t) =
       Int.max acc (Derive.min_container_extent rules ~container_layer:s.layer ~cut_layer))
     (Rules.width rules s.layer) cut_layers
 
-(* Shrink the [facing] edge of shape [s] (owned by [owner]) inward by
-   [amount], clamped to the minimum extent; rebuilds derived arrays.
-   [amount] is forced only when the shape has slack to give, before any
-   mutation.
-   A shrink that would slide the shape away from its array's other
-   containers (leaving the array without a single cut, i.e. disconnecting
-   the structure) is rolled back.  Returns how much was actually shrunk. *)
-let shrink_edge rules owner (s : Shape.t) facing amount =
+(* How far the [facing] edge of shape [s] (owned by [owner]) may move
+   inward: [amount], clamped to the minimum extent.  [amount] is forced
+   only when the shape has slack to give.  Pure query: it runs before any
+   mutation, and decides whether a read-only mover must be copied. *)
+let shrink_step rules owner (s : Shape.t) facing amount =
   let axis = Dir.axis facing in
   let extent = Interval.length (Rect.span axis s.rect) in
   let slack = extent - min_extent rules owner s in
-  let step = if slack <= 0 then 0 else Int.min (Lazy.force amount) slack in
-  if step <= 0 then 0
-  else begin
-    let r = Rect.grow_side s.rect facing (-step) in
-    Lobj.replace owner (Shape.with_rect s r);
+  if slack <= 0 then 0 else Int.min (Lazy.force amount) slack
+
+(* Shrink the [facing] edge of shape [s] (owned by [owner]) inward by
+   [step] > 0; rebuilds derived arrays.  A shrink that would slide the
+   shape away from its array's other containers (leaving the array
+   without a single cut, i.e. disconnecting the structure) is rolled
+   back.  Returns how much was actually shrunk. *)
+let shrink_edge rules owner (s : Shape.t) facing step =
+  let r = Rect.grow_side s.rect facing (-step) in
+  Lobj.replace owner (Shape.with_rect s r);
+  Lobj.rederive owner rules;
+  let arrays = Lobj.arrays_of_container owner s.Shape.id in
+  if List.exists (fun a -> Lobj.array_member_count owner a = 0) arrays then begin
+    Lobj.replace owner s;
     Lobj.rederive owner rules;
-    let arrays = Lobj.arrays_of_container owner s.Shape.id in
-    if List.exists (fun a -> Lobj.array_member_count owner a = 0) arrays then begin
-      Lobj.replace owner s;
-      Lobj.rederive owner rules;
-      0
-    end
-    else begin
-      Obs.count "compact.var_edge_shrinks" 1;
-      step
-    end
+    0
+  end
+  else begin
+    Obs.count "compact.var_edge_shrinks" 1;
+    step
   end
 
 (* One round of the variable-edge optimization of §2.3: while the binding
@@ -314,12 +363,12 @@ let shrink_edge rules owner (s : Shape.t) facing amount =
    constraint defines the minimum distance.  Returns the pass of the final
    round — the geometry has not changed since (the round made no
    progress), so the caller can reuse it instead of scanning again. *)
-let relax_variable_edges rules ?ignore_layers d ~main obj =
+let relax_variable_edges rules ?ignore_layers d ~main mv =
   let max_rounds = 64 in
   let rounds = ref 0 in
   let rec loop round =
     rounds := round;
-    let pass = scan rules ?ignore_layers d ~main obj in
+    let pass = scan_at rules ?ignore_layers d ~main ~dx:mv.dx ~dy:mv.dy mv.obj in
     if round >= max_rounds then pass
     else
       match pass.tightest with
@@ -346,17 +395,29 @@ let relax_variable_edges rules ?ignore_layers d ~main obj =
             (fun l ->
               if not !progressed then begin
                 (* The target's facing edge looks back at the mover
-                   (opposite d); the mover's facing edge looks ahead (d). *)
+                   (opposite d); the mover's facing edge looks ahead (d).
+                   The mover is shrunk in its own object, at its
+                   position. *)
                 let try_side role =
                   let owner, shape, facing =
                     match role with
                     | Target -> (main, l.target, Dir.opposite d)
-                    | Mover -> (obj, l.mover, d)
+                    | Mover -> (mv.obj, l.mover, d)
                   in
                   (* Re-fetch: a previous shrink may have replaced it. *)
                   match Lobj.find owner shape.Shape.id with
                   | Some s when Edge.is_variable s.Shape.sides facing ->
-                      shrink_edge rules owner s facing want > 0
+                      let step = shrink_step rules owner s facing want in
+                      step > 0
+                      &&
+                      let owner =
+                        match role with
+                        | Target -> main
+                        | Mover -> own ~why:"compact.mover_copies_shrink" mv
+                      in
+                      shrink_edge rules owner (Lobj.find_exn owner s.Shape.id) facing
+                        step
+                      > 0
                   | _ -> false
                 in
                 if try_side Target || try_side Mover then progressed := true
@@ -368,20 +429,23 @@ let relax_variable_edges rules ?ignore_layers d ~main obj =
   if Obs.enabled () then Obs.sample "compact.var_edge_rounds" (float_of_int !rounds);
   pass
 
-(* Fallback when no pair constrains the move: abut bounding boxes. *)
-let bbox_abut_delta d ~main obj =
+(* Fallback when no pair constrains the move: abut bounding boxes, [obj]
+   read displaced by (dx, dy). *)
+let bbox_abut_delta d ~main ~dx ~dy obj =
   match (Lobj.bbox main, Lobj.bbox obj) with
   | Some mb, Some ob ->
       let axis = Dir.axis d in
       let mi = Rect.span axis mb and oi = Rect.span axis ob in
-      if Dir.sign d < 0 then mi.Interval.hi - oi.Interval.lo
-      else mi.Interval.lo - oi.Interval.hi
+      let shift = shift d ~dx ~dy in
+      if Dir.sign d < 0 then mi.Interval.hi - (oi.Interval.lo + shift)
+      else mi.Interval.lo - (oi.Interval.hi + shift)
   | _ -> 0
 
-let translate_along d obj delta =
+(* The travel: the mover's displacement grows along the movement axis. *)
+let travel d mv delta =
   match Dir.axis d with
-  | Dir.Horizontal -> Lobj.translate obj ~dx:delta ~dy:0
-  | Dir.Vertical -> Lobj.translate obj ~dx:0 ~dy:delta
+  | Dir.Horizontal -> mv.dx <- mv.dx + delta
+  | Dir.Vertical -> mv.dy <- mv.dy + delta
 
 (* Would growing shape [s] of [owner] to [r'] violate a separation against
    any other shape of [main] or [obj]?  Shapes beyond the pair's spacing
@@ -448,7 +512,7 @@ let auto_connect rules ?ignore_layers d ~main ~pass obj =
 let delta rules ?ignore_layers d ~main obj =
   match (scan rules ?ignore_layers d ~main obj).tightest with
   | Some bound -> bound
-  | None -> bbox_abut_delta d ~main obj
+  | None -> bbox_abut_delta d ~main ~dx:0 ~dy:0 obj
 
 (* Where the mover starts: pre-aligned across the movement axis relative
    to the main structure's bounding box, and outside the structure beyond
@@ -456,9 +520,10 @@ let delta rules ?ignore_layers d ~main obj =
    "approaches" — otherwise a mover generated at the origin may begin
    inside the structure and position-dependent relations (containment)
    misfire.  The two shifts are on different axes, so both come from the
-   bounding boxes as they stand and the mover is translated once. *)
-let stage ~align ~grid d ~main obj =
-  match (Lobj.bbox main, Lobj.bbox obj) with
+   bounding boxes as they stand; they set the mover's displacement, and
+   nothing is translated. *)
+let stage ~align ~grid d ~main mv =
+  match (Lobj.bbox main, Lobj.bbox mv.obj) with
   | Some mb, Some ob ->
       let mc = Rect.span (Dir.cross_axis d) mb
       and oc = Rect.span (Dir.cross_axis d) ob in
@@ -477,11 +542,13 @@ let stage ~align ~grid d ~main obj =
           Int.max 0 (mi.Interval.hi + grid - oi.Interval.lo)
         else Int.min 0 (mi.Interval.lo - grid - oi.Interval.hi)
       in
-      if along <> 0 || across <> 0 then begin
-        match Dir.axis d with
-        | Dir.Horizontal -> Lobj.translate obj ~dx:along ~dy:across
-        | Dir.Vertical -> Lobj.translate obj ~dx:across ~dy:along
-      end
+      (match Dir.axis d with
+      | Dir.Horizontal ->
+          mv.dx <- along;
+          mv.dy <- across
+      | Dir.Vertical ->
+          mv.dx <- across;
+          mv.dy <- along)
   | _ -> ()
 
 (* The per-placement audit record behind `amgen build --explain`: which
@@ -530,32 +597,36 @@ let place_mark ~main ~obj ~d ~dl ~(binding : limit list) =
           ("target", side main l.target target_edge);
         ]
 
-(* The paper's compact(obj, DIR, layers): place [obj] against [main] moving
-   in direction [d], then absorb it into [main].  [main] empty means the
-   first compaction command simply copies the object in (§2.5). *)
-let place rules ~main ?ignore_layers ~align ~variable_edges obj d =
-  stage ~align ~grid:(Rules.grid rules) d ~main obj;
+(* The paper's compact(obj, DIR, layers): place the mover against [main]
+   moving in direction [d]; the caller then absorbs it into [main]. *)
+let place rules ~main ?ignore_layers ~align ~variable_edges mv d =
+  stage ~align ~grid:(Rules.grid rules) d ~main mv;
   (* The relaxation hands back the pass of its final (quiescent) round,
      so neither the placement delta nor auto-connection scans again. *)
   let pass =
-    if variable_edges then relax_variable_edges rules ?ignore_layers d ~main obj
-    else scan rules ?ignore_layers d ~main obj
+    if variable_edges then relax_variable_edges rules ?ignore_layers d ~main mv
+    else scan_at rules ?ignore_layers d ~main ~dx:mv.dx ~dy:mv.dy mv.obj
   in
   let dl =
     match pass.tightest with
     | Some bound -> bound
-    | None -> bbox_abut_delta d ~main obj
+    | None -> bbox_abut_delta d ~main ~dx:mv.dx ~dy:mv.dy mv.obj
   in
   if Obs.enabled () then begin
     Obs.count "compact.placements" 1;
     Obs.count "compact.binding_limits" (List.length pass.tied);
-    Obs.mark "compact.place" (place_mark ~main ~obj ~d ~dl ~binding:pass.tied)
+    Obs.mark "compact.place" (place_mark ~main ~obj:mv.obj ~d ~dl ~binding:pass.tied)
   end;
   Log.debug (fun m ->
-      m "compact %s into %s %s: delta=%d" (Lobj.name obj) (Lobj.name main)
+      m "compact %s into %s %s: delta=%d" (Lobj.name mv.obj) (Lobj.name main)
         (Dir.to_string d) dl);
-  translate_along d obj dl;
-  auto_connect rules ?ignore_layers d ~main ~pass obj
+  travel d mv dl;
+  (* Auto-connection re-reads the mover at its travelled position. *)
+  match pass.connect with
+  | [] -> ()
+  | _ ->
+      auto_connect rules ?ignore_layers d ~main ~pass
+        (own ~why:"compact.mover_copies_connect" mv)
 
 (* Exceptions the permissive fallback may absorb; resource exhaustion and
    assertion failures always escape. *)
@@ -581,7 +652,10 @@ let skip_diag ~obj ~main ~d exn =
        (Dir.to_string (Dir.opposite d))
        (Printexc.to_string exn))
 
-let compact ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
+(* The one placement pipeline behind both entries.  [owned]: [obj] is the
+   caller's to mutate, and is left at its final position; otherwise it is
+   only read. *)
+let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
     ?(variable_edges = true) obj d =
   Obs.span "compact" @@ fun () ->
   match Lobj.bbox main with
@@ -596,44 +670,51 @@ let compact ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
           ]);
       ignore (Lobj.absorb main obj)
   | Some _ ->
-      if not (Amg_robust.Policy.permissive ()) then begin
-        place rules ~main ?ignore_layers ~align ~variable_edges obj d;
-        ignore (Lobj.absorb main obj)
-      end
+      let attempt obj d =
+        let mv = { obj; owned; dx = 0; dy = 0 } in
+        place rules ~main ?ignore_layers ~align ~variable_edges mv d;
+        mv
+      in
+      let absorb mv =
+        if owned then ignore (settle mv);
+        ignore (Lobj.absorb ~dx:mv.dx ~dy:mv.dy main mv.obj)
+      in
+      if not (Amg_robust.Policy.permissive ()) then absorb (attempt obj d)
       else begin
-        (* Per-placement degradation: retry the opposite direction on a
-           fresh copy (the first attempt may have moved [obj]), then skip
-           the object and report, so one bad placement cannot sink the whole
-           run.  The pristine copy is taken up front — only in permissive
-           mode, so the strict path stays allocation-identical. *)
-        let pristine = Lobj.copy obj in
-        match place rules ~main ?ignore_layers ~align ~variable_edges obj d with
-        | () -> ignore (Lobj.absorb main obj)
+        (* Per-placement degradation: retry the opposite direction from
+           the object as it was (the first attempt may have moved or
+           shrunk an owned mover), then skip the object and report, so one
+           bad placement cannot sink the whole run.  A read-only mover is
+           never mutated, so only an owned one needs a pristine copy, taken
+           up front and only in permissive mode. *)
+        let pristine = if owned then Lobj.copy obj else obj in
+        match attempt obj d with
+        | mv -> absorb mv
         | exception e when recoverable e -> (
-            let retry = Lobj.copy pristine in
             let d' = Dir.opposite d in
-            match
-              place rules ~main ?ignore_layers ~align ~variable_edges retry d'
-            with
-            | () ->
+            match attempt pristine d' with
+            | mv ->
                 Amg_robust.Policy.report
                   (Amg_robust.Diag.v ~severity:Amg_robust.Diag.Warning
                      Amg_robust.Diag.Compact ~code:"compact.direction-fallback"
                      ~payload:
                        [
-                         ("obj", Lobj.name retry);
+                         ("obj", Lobj.name pristine);
                          ("into", Lobj.name main);
                          ("dir", Dir.to_string d);
                          ("fallback_dir", Dir.to_string d');
                          ("error", Printexc.to_string e);
                        ]
                      (Fmt.str "placed %s into %s along %s after %s failed"
-                        (Lobj.name retry) (Lobj.name main) (Dir.to_string d')
+                        (Lobj.name pristine) (Lobj.name main) (Dir.to_string d')
                         (Dir.to_string d)));
-                ignore (Lobj.absorb main retry)
+                absorb mv
             | exception e2 when recoverable e2 ->
-                Amg_robust.Policy.report (skip_diag ~obj:retry ~main ~d e2))
+                Amg_robust.Policy.report (skip_diag ~obj:pristine ~main ~d e2))
       end
+
+let compact = run ~owned:true
+let compact_readonly = run ~owned:false
 
 (* Render every recorded [compact.place] mark as the "successive
    abutment" audit table of `amgen build --explain`. *)

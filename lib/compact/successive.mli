@@ -106,7 +106,16 @@ val compact :
     relaxation (disable with [~variable_edges:false] to reproduce
     Fig. 5a vs 5b), translate the object to its minimum-distance position,
     auto-connect, and absorb it into [main].  When [main] is empty the
-    object is copied in unchanged.
+    object is copied in unchanged.  [obj] is left at its final position,
+    with its variable edges as the relaxation left them: the language
+    keeps using the object it compacted.
+
+    The object is read as a mover: the object plus an integer
+    displacement.  Pre-alignment and the travel only add to the
+    displacement, the candidate pass reads the shapes through it, and the
+    absorb writes each shape into [main] once, at its final position; a
+    shrink of one of the object's variable edges, or auto-connection,
+    first translates the object to where the mover stands.
 
     Failure policy: under {!Amg_robust.Policy.Strict} (the default) a
     placement failure escapes as an exception.  Under [Permissive] the
@@ -115,6 +124,33 @@ val compact :
     [compact.placement-skipped] diagnostic is
     {{!Amg_robust.Policy.report} reported} — the layout stays valid, the
     degradation is visible. *)
+
+val compact_readonly :
+  rules:Amg_tech.Rules.t ->
+  into:Amg_layout.Lobj.t ->
+  ?ignore_layers:string list ->
+  ?align:align ->
+  ?variable_edges:bool ->
+  Amg_layout.Lobj.t ->
+  Amg_geometry.Dir.t ->
+  unit
+(** [compact_readonly ~rules ~into:main obj d] leaves [main] exactly as
+    [compact ~rules ~into:main (Lobj.copy obj) d] leaves it — the same
+    shapes, ids, ports, arrays and diagnostics, or the same exception —
+    without mutating [obj] and, in most placements, without copying it.
+    Read-only entry of the order search, whose step objects are shared by
+    every order and every domain: [obj]'s hull caches must be filled
+    ({!Amg_layout.Lobj.fill_caches}) when domains share it.
+
+    The same pipeline as {!compact}, with [obj] read through the mover's
+    displacement.  The object is copied, once, only when the placement
+    must mutate it or re-read it where it stands:
+    - a variable edge of the mover shrinks (counted as
+      [compact.mover_copies_shrink]);
+    - auto-connection has partners to stretch towards the placed mover
+      ([compact.mover_copies_connect]).
+    Otherwise nothing of [obj] is written but its shapes' copies in
+    [main]. *)
 
 val pp_explain : Format.formatter -> unit -> unit
 (** Render the [compact.place] marks recorded by the observability layer

@@ -23,7 +23,15 @@
     layout by one placement ({!search}); local search resumes each swap
     from a copy of the incumbent's layout at the swap depth.  Nothing is
     shared between searches or calls, so a search's result and cost
-    depend only on its inputs. *)
+    depend only on its inputs.
+
+    Workers no longer copy step objects.  Every worker reads the same
+    step objects: a placement reads its step's object through a
+    displacement ({!Amg_compact.Successive.compact_readonly}) and writes
+    its shapes only into the worker's own main object.  The object is
+    copied only for a placement that must shrink one of its variable
+    edges or auto-connect to it.  A search leaves every step object as
+    it was. *)
 
 type step = {
   uid : int;  (** process-unique identity, allocated by {!step} *)
@@ -43,13 +51,16 @@ val step :
   step
 (** One [compact(obj, dir, …)] call of a module description.  Each call
     allocates a fresh [uid], so building "the same" step twice yields two
-    distinct steps. *)
+    distinct steps.  [obj] is the step's from now on: every search reads it
+    from every domain, so it must not be mutated afterwards.  Its hull
+    caches are filled here ({!Amg_layout.Lobj.fill_caches}), so those
+    reads never write. *)
 
 val apply :
   ?base:Amg_layout.Lobj.t -> Env.t -> name:string -> step list -> Amg_layout.Lobj.t
 (** Run the steps in the given order against a fresh main object; every
-    step compacts a fresh copy of its object, so the same steps can be
-    replayed in any order.  [?base] starts from a copy of an existing
+    step's object is only read, so the same steps can be replayed in any
+    order.  [?base] starts from a copy of an existing
     object instead of an empty one — used to replay orders recorded from a
     language build whose entity placed shapes before its first compact. *)
 

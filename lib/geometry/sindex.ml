@@ -96,7 +96,11 @@ let bin_remove ax b0 b1 key =
   done
 
 let insert t key rect =
-  let r = Rect.translate rect ~dx:(-t.ox) ~dy:(-t.oy) in
+  (* An index that was never translated stores the caller's rectangle as
+     it is, without a translated copy. *)
+  let r =
+    if t.ox = 0 && t.oy = 0 then rect else Rect.translate rect ~dx:(-t.ox) ~dy:(-t.oy)
+  in
   let entry = (key, r) in
   let xb0 = fdiv r.Rect.x0 t.cell and xb1 = fdiv r.Rect.x1 t.cell in
   if xb1 - xb0 >= max_bins then t.xwide <- entry :: t.xwide

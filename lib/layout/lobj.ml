@@ -166,37 +166,50 @@ let enter t (s : Shape.t) =
   place t l s;
   extend_caches t l s.rect
 
-(* [f l i j] for each maximal run [batch.(i .. j-1)] of shapes on one
-   layer, [l] that layer: one layer lookup per run, not per shape. *)
-let iter_runs t (batch : Shape.t array) f =
-  let k = Array.length batch in
-  let i = ref 0 in
-  while !i < k do
-    let layer = batch.(!i).layer in
-    let j = ref (!i + 1) in
-    while !j < k && String.equal batch.(!j).layer layer do
-      incr j
-    done;
-    f (layer_of t layer) !i !j;
-    i := !j
-  done
-
-(* Enter a batch of shapes with fresh ids as one mutation: each run's
-   layer hull and the object hull are extended once. *)
-let enter_batch t (batch : Shape.t array) =
-  let k = Array.length batch in
+(* Enter [k] shapes with fresh ids as one mutation; [shape i] yields the
+   i-th, and is called once for each i in ascending order.  One layer
+   lookup per run of same-layer shapes, and each run's layer hull and the
+   object hull are extended once, from bounds accumulated in ints. *)
+let enter_batch t k shape =
   if k > 0 then begin
     reserve t k;
-    let hull = ref batch.(0).rect in
-    iter_runs t batch (fun l i j ->
-        let h = ref batch.(i).rect in
-        for n = i to j - 1 do
-          place t l batch.(n);
-          h := Rect.hull !h batch.(n).rect
-        done;
-        l.hull <- extended l.hull !h;
-        hull := Rect.hull !hull !h);
-    t.bb <- extended t.bb !hull
+    let s0 : Shape.t = shape 0 in
+    let layer = ref s0.layer and l = ref (layer_of t s0.layer) in
+    (* the current run's hull, and the hull of the runs before it *)
+    let x0 = ref s0.rect.Rect.x0 and y0 = ref s0.rect.Rect.y0 in
+    let x1 = ref s0.rect.Rect.x1 and y1 = ref s0.rect.Rect.y1 in
+    let bx0 = ref max_int and by0 = ref max_int in
+    let bx1 = ref min_int and by1 = ref min_int in
+    let close_run () =
+      !l.hull <- extended !l.hull (Rect.make ~x0:!x0 ~y0:!y0 ~x1:!x1 ~y1:!y1);
+      bx0 := Int.min !bx0 !x0;
+      by0 := Int.min !by0 !y0;
+      bx1 := Int.max !bx1 !x1;
+      by1 := Int.max !by1 !y1
+    in
+    place t !l s0;
+    for i = 1 to k - 1 do
+      let s : Shape.t = shape i in
+      let r = s.rect in
+      if String.equal s.layer !layer then begin
+        x0 := Int.min !x0 r.Rect.x0;
+        y0 := Int.min !y0 r.Rect.y0;
+        x1 := Int.max !x1 r.Rect.x1;
+        y1 := Int.max !y1 r.Rect.y1
+      end
+      else begin
+        close_run ();
+        layer := s.layer;
+        l := layer_of t s.layer;
+        x0 := r.Rect.x0;
+        y0 := r.Rect.y0;
+        x1 := r.Rect.x1;
+        y1 := r.Rect.y1
+      end;
+      place t !l s
+    done;
+    close_run ();
+    t.bb <- extended t.bb (Rect.make ~x0:!bx0 ~y0:!by0 ~x1:!bx1 ~y1:!by1)
   end
 
 (* Squeeze out removed slots once more than half the prefix is dead, so
@@ -344,6 +357,12 @@ let bbox_exn t =
   | None -> Fmt.invalid_arg "Lobj.bbox_exn: %s is empty" t.name
 
 let bbox_area t = match bbox t with None -> 0 | Some r -> Rect.area r
+
+(* Every hull cache valid: afterwards [bbox]/[bbox_on] only read, until a
+   mutation dirties a hull again. *)
+let fill_caches t =
+  Hashtbl.iter (fun _ l -> ignore (layer_hull l)) t.by_layer;
+  ignore (bbox t)
 
 let union_area t = Region.area (rects t)
 
@@ -572,29 +591,37 @@ let rederive t rules =
                 :: !cuts)
             (Derive.cut_array rules ~containers ~cut_layer:spec.cut_layer))
         arrays;
-      enter_batch t (Array.of_list (List.rev !cuts))
+      let cuts = Array.of_list (List.rev !cuts) in
+      enter_batch t (Array.length cuts) (Array.get cuts)
 
-(* Merge [src] into [t], renumbering ids; returns the id offset applied.
-   The renumbered shapes are entered as one batch. *)
-let absorb t src =
+(* Merge [src] into [t], renumbering ids and displacing by (dx, dy);
+   returns the id offset applied.  Each shape is written once, with its
+   final id and position, and the shapes are entered as one batch. *)
+let absorb ?(dx = 0) ?(dy = 0) t src =
   let offset = t.next_id in
+  let moved = dx <> 0 || dy <> 0 in
   let bump (s : Shape.t) =
     let origin =
       match s.origin with
       | Shape.User -> Shape.User
       | Shape.Array_member a -> Shape.Array_member (a + offset)
     in
-    { s with id = s.id + offset; origin }
+    let rect = if moved then Rect.translate s.rect ~dx ~dy else s.rect in
+    { s with id = s.id + offset; rect; origin }
   in
-  (* [Array.init] fills in index order: the live shapes in slot order. *)
+  (* [enter_batch] asks for the shapes in order: the live ones in slot
+     order. *)
   let next = ref 0 in
-  let rec next_live () =
+  let rec next_live (_ : int) =
     let i = !next in
     incr next;
-    match src.slots.(i) with Some s -> bump s | None -> next_live ()
+    match src.slots.(i) with Some s -> bump s | None -> next_live 0
   in
-  enter_batch t (Array.init src.live (fun _ -> next_live ()));
-  t.ports <- t.ports @ src.ports;
+  enter_batch t src.live next_live;
+  t.ports <-
+    t.ports
+    @ (if moved then List.map (fun p -> Port.translate p ~dx ~dy) src.ports
+       else src.ports);
   t.arrays <-
     t.arrays
     @ List.map

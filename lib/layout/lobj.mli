@@ -77,12 +77,25 @@ val shapes_on_net : t -> string -> Shape.t list
 val rects : t -> Amg_geometry.Rect.t list
 val rects_on : t -> string -> Amg_geometry.Rect.t list
 
+(** {2 Hulls}
+
+    {!bbox}, {!bbox_exn}, {!bbox_area} and {!bbox_on} are the only reads
+    that may write: a hull cache that a mutation left dirty is filled on
+    the first read after it.  Every other read leaves the object as it
+    is.  Two domains may therefore read one object at once only after
+    {!fill_caches}, and while nobody mutates it. *)
+
 val bbox : t -> Amg_geometry.Rect.t option
 val bbox_exn : t -> Amg_geometry.Rect.t
 val bbox_on : t -> string -> Amg_geometry.Rect.t option
 
 val bbox_area : t -> int
 (** Area of the bounding box — the optimizer's primary rating term. *)
+
+val fill_caches : t -> unit
+(** Fill every hull cache, so that until the next mutation every read of
+    the object, hulls included, only reads.  Done once for an object
+    that placements on several domains share (a search step's). *)
 
 val union_area : t -> int
 (** Exact union area of all shapes. *)
@@ -154,10 +167,14 @@ val rederive : t -> Amg_tech.Rules.t -> unit
     itself an array member.  Cost: O(slots + members + cuts), one pass
     over the store and one batch removal per touched layer index. *)
 
-val absorb : t -> t -> int
-(** [absorb t src] appends [src]'s shapes, ports and arrays into [t],
-    renumbering ids; returns the id offset applied to [src]'s ids.  The
-    shapes are entered as one batch: one layer lookup per run of
+val absorb : ?dx:int -> ?dy:int -> t -> t -> int
+(** [absorb ~dx ~dy t src] appends [src]'s shapes, ports and arrays into
+    [t], renumbering ids and displacing them by [(dx, dy)] (default
+    [(0, 0)]); returns the id offset applied to [src]'s ids.  [src] is
+    only read: each of its shapes is written into [t] once, with its final
+    id and final position, so [absorb ~dx ~dy t src] leaves [t] exactly as
+    translating a copy of [src] by [(dx, dy)] and absorbing that would.
+    The shapes are entered as one batch: one layer lookup per run of
     same-layer shapes, and each hull extended once. *)
 
 val pp : Format.formatter -> t -> unit

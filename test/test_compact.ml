@@ -407,6 +407,207 @@ let prop_delta_translation_linear =
       let d1 = Successive.delta rules dir ~main mover in
       d1 = d0 - tn)
 
+
+(* --- copy-free placement = the mutating compact on a copy --- *)
+
+(* A random object over layers both decks have, in 0.5 um steps: plain
+   shapes (some keep-clear, some with variable edges) and contacts (a
+   metal1 container and a pdiff or poly landing container of one
+   registered contact array, with variable edges on either).  Nets come
+   from one pool, so a mover shares nets with its main structure.  Shapes
+   are up to [size] steps wide, placed near the origin, so a mover as
+   generated overlaps its main structure, and a shape of one often
+   contains a shape of the other. *)
+let gen_placement_obj ~size =
+  QCheck2.Gen.(
+    let net = oneofl [ Some "a"; Some "b"; Some "c"; None ] in
+    let at = tup2 (int_range 0 16) (int_range 0 16) in
+    let sides =
+      map
+        (fun vars ->
+          List.fold_left2
+            (fun acc d v -> if v then Edge.set acc d Edge.Variable else acc)
+            Edge.all_fixed Dir.all vars)
+        (list_repeat 4 (frequency [ (2, return false); (1, return true) ]))
+    in
+    let plain =
+      let* layer = oneofl [ "metal1"; "metal2"; "poly"; "pdiff"; "ndiff"; "nwell" ] in
+      let* pos = at and* size = tup2 (int_range 1 size) (int_range 1 size) in
+      let* net = net and* sides = sides in
+      let* keep_clear = frequency [ (5, return false); (1, return true) ] in
+      return (`Plain (layer, pos, size, net, sides, keep_clear))
+    in
+    let contact =
+      let* landing = oneofl [ "pdiff"; "poly" ] in
+      let* pos = at and* size = tup2 (int_range 4 12) (int_range 4 12) in
+      let* net = oneofl [ "a"; "b"; "c" ] in
+      let* metal_sides = sides and* landing_sides = sides in
+      return (`Contact (landing, pos, size, net, metal_sides, landing_sides))
+    in
+    list_size (int_range 1 6) (frequency [ (3, plain); (1, contact) ]))
+
+let build_placement_obj rules name pieces =
+  let o = Lobj.create name in
+  let rect (x, y) (w, h) = Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500) in
+  List.iter
+    (function
+      | `Plain (layer, pos, size, net, sides, keep_clear) ->
+          ignore (Lobj.add_shape o ~layer ~rect:(rect pos size) ?net ~sides ~keep_clear ())
+      | `Contact (landing, pos, size, net, metal_sides, landing_sides) ->
+          let m =
+            Lobj.add_shape o ~layer:"metal1" ~rect:(rect pos size) ~net ~sides:metal_sides ()
+          in
+          let l =
+            Lobj.add_shape o ~layer:landing ~rect:(rect pos size) ~net ~sides:landing_sides ()
+          in
+          ignore
+            (Lobj.register_array o ~cut_layer:"contact"
+               ~container_ids:[ m.Shape.id; l.Shape.id ] ~net ()))
+    pieces;
+  Lobj.rederive o rules;
+  o
+
+(* [compact_readonly] must leave the main structure byte-identical to
+   [compact] of a copy of the mover (the same Lobj.pp and CIF bytes, and
+   the same exception or diagnostics) without touching the mover, in
+   both decks, in all four directions under all four aligns, under both
+   policies; a third of the cases arm one injected fault (a rule lookup,
+   index query or contact rebuild), which must strike all runs alike.
+
+   Both entries run one pipeline, so a slip in reading the mover through
+   its displacement would show in neither.  A third run catches it: the
+   placement does not depend on where the mover starts, along the
+   movement axis under [`Keep] and anywhere under the other aligns, so
+   placing a copy translated far away (whose stored position is nowhere
+   near where the mover as generated stands, over its main structure)
+   must leave the same bytes.
+
+   The cases must reach both reasons to copy a read-only mover, a shrink
+   of one of its variable edges and auto-connection partners, and
+   auto-connection must stretch shapes; those counts are pinned from
+   below. *)
+let test_readonly_equals_copy () =
+  let module Policy = Amg_robust.Policy in
+  let module Inject = Amg_robust.Inject in
+  let module Obs = Amg_obs.Obs in
+  let decks =
+    [| ("bicmos1u", Amg_tech.Bicmos1u.get ()); ("cmos08", Amg_tech.Cmos08.get ()) |]
+  in
+  let fault =
+    QCheck2.Gen.(
+      frequency
+        [
+          (2, return []);
+          ( 1,
+            map2
+              (fun site hit -> [ (site, hit) ])
+              (oneofl Inject.[ Rule_lookup; Sindex_query; Contact_rebuild ])
+              (int_range 1 30) );
+        ])
+  in
+  let far =
+    QCheck2.Gen.(
+      frequency [ (1, return 0); (1, int_range 60 100); (1, int_range (-100) (-60)) ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      tup5
+        (tup2 (int_range 0 1) (frequency [ (3, return false); (1, return true) ]))
+        (gen_placement_obj ~size:16) (gen_placement_obj ~size:8) (tup2 far far) fault)
+  in
+  let n = 150 in
+  let cases = QCheck2.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n gen in
+  let placements = ref 0 and shrinks = ref 0 and connects = ref 0 in
+  let stretches = ref 0 and raised = ref 0 and diagnosed = ref 0 in
+  List.iteri
+    (fun k ((deck, permissive), main_pieces, mover_pieces, at, schedule) ->
+      let deck_name, tech = decks.(deck) in
+      let rules = Technology.rules tech in
+      let main = build_placement_obj rules "main" main_pieces in
+      let mover = build_placement_obj rules "mover" mover_pieces in
+      let bytes o =
+        String.concat "\n"
+          [ Fmt.str "%a" Lobj.pp o; Amg_layout.Cif.of_lobj ~tech o;
+            string_of_int (Lobj.id_bound o) ]
+      in
+      let mover_before = bytes mover in
+      let outcome f =
+        Policy.set_mode (if permissive then Policy.Permissive else Policy.Strict);
+        Inject.arm schedule;
+        Fun.protect
+          ~finally:(fun () ->
+            Inject.disarm ();
+            Policy.set_mode Policy.Strict)
+        @@ fun () ->
+        match Policy.capture f with
+        | (), diags -> Ok (List.map Amg_robust.Diag.to_json diags)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (align_name, align) ->
+              let into_ro = Lobj.copy main and into_mut = Lobj.copy main in
+              let into_far = Lobj.copy main and far = Lobj.copy mover in
+              (let dx = fst at * 500 and dy = snd at * 500 in
+               match (align, Dir.axis d) with
+               | `Keep, Dir.Horizontal -> Lobj.translate far ~dx ~dy:0
+               | `Keep, Dir.Vertical -> Lobj.translate far ~dx:0 ~dy
+               | _ -> Lobj.translate far ~dx ~dy);
+              Obs.reset ();
+              Obs.enable ();
+              let ro =
+                Fun.protect ~finally:Obs.disable (fun () ->
+                    outcome (fun () ->
+                        Successive.compact_readonly ~rules ~into:into_ro ~align mover d))
+              in
+              incr placements;
+              if Obs.counter "compact.mover_copies_shrink" > 0 then incr shrinks;
+              if Obs.counter "compact.mover_copies_connect" > 0 then incr connects;
+              if Obs.counter "compact.same_potential_merges" > 0 then incr stretches;
+              Obs.reset ();
+              let mut =
+                outcome (fun () ->
+                    Successive.compact ~rules ~into:into_mut ~align (Lobj.copy mover) d)
+              in
+              let moved =
+                outcome (fun () ->
+                    Successive.compact_readonly ~rules ~into:into_far ~align far d)
+              in
+              (match ro with
+              | Error _ -> incr raised
+              | Ok (_ :: _) -> incr diagnosed
+              | Ok [] -> ());
+              let show = function
+                | Ok ds -> String.concat ";" ds
+                | Error e -> "raised " ^ e
+              in
+              let differs what a b =
+                if not (String.equal a b) then
+                  Alcotest.failf "case %d (%s, %s, align %s%s): %s differs:\n%s\nvs\n%s" k
+                    deck_name (Dir.to_string d) align_name
+                    (if permissive then ", permissive" else "")
+                    what a b
+              in
+              differs "outcome" (show mut) (show ro);
+              differs "main" (bytes into_mut) (bytes into_ro);
+              differs "outcome of the far mover" (show ro) (show moved);
+              differs "main of the far mover" (bytes into_ro) (bytes into_far);
+              differs "mover" mover_before (bytes mover))
+            [ ("keep", `Keep); ("center", `Center); ("min", `Min); ("max", `Max) ])
+        Dir.all)
+    cases;
+  Printf.printf
+    "placements %d: mover shrinks %d, auto-connections %d (stretching %d), raised %d, \
+     diagnosed %d\n"
+    !placements !shrinks !connects !stretches !raised !diagnosed;
+  Alcotest.(check int) "placements" (n * 16) !placements;
+  Alcotest.(check bool) "mover shrinks copy the mover" true (!shrinks >= 200);
+  Alcotest.(check bool) "auto-connections copy the mover" true (!connects >= 200);
+  Alcotest.(check bool) "auto-connections stretch shapes" true (!stretches >= 50);
+  Alcotest.(check bool) "faults raise" true (!raised >= 50);
+  Alcotest.(check bool) "faults are diagnosed" true (!diagnosed >= 10)
+
 let suite =
   [
     Alcotest.test_case "relation classification" `Quick test_relation;
@@ -426,4 +627,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compaction_always_clean;
     QCheck_alcotest.to_alcotest prop_variable_edges_respect_min_width;
     QCheck_alcotest.to_alcotest prop_delta_translation_linear;
+    Alcotest.test_case "copy-free placement = compact of a copy" `Quick
+      test_readonly_equals_copy;
   ]

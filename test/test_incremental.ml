@@ -411,6 +411,57 @@ let test_searches_identical () =
         (List.concat_map (fun d -> [ (1, d); (2, d) ]) domain_counts))
     [ ("without base", None); ("with base", Some base) ]
 
+(* Every search places the step objects it was given without copying
+   them, on every domain: afterwards each step object must print exactly
+   as before.  The steps share nets and have variable edges, so some
+   placements copy their mover (to shrink it, or to auto-connect to it):
+   both counters must move, or the test would not reach those paths. *)
+let test_searches_leave_steps_untouched () =
+  let env = Env.bicmos () in
+  let bar name ~w ~h ~net ~sides =
+    let o = Lobj.create name in
+    ignore
+      (Lobj.add_shape o ~layer:"metal1"
+         ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um w) ~h:(um h))
+         ~net ~sides ());
+    o
+  in
+  let row name net =
+    let o = Amg_modules.Contact_row.make env ~layer:"pdiff" ~w:(um 8.) ~net () in
+    Lobj.set_name o name;
+    o
+  in
+  let objs =
+    [
+      (bar "a" ~w:10. ~h:3. ~net:"n" ~sides:Amg_layout.Edge.all_variable, Dir.South);
+      (bar "b" ~w:3. ~h:8. ~net:"m" ~sides:Amg_layout.Edge.all_variable, Dir.West);
+      (row "c" "n", Dir.South);
+      (bar "d" ~w:6. ~h:2. ~net:"n" ~sides:Amg_layout.Edge.all_fixed, Dir.South);
+      (row "e" "m", Dir.West);
+    ]
+  in
+  let steps = List.map (fun (o, d) -> Optimize.step o d) objs in
+  let prints () = List.map (fun s -> Fmt.str "%a" Lobj.pp s.Optimize.obj) steps in
+  let before = prints () in
+  Amg_obs.Obs.reset ();
+  Amg_obs.Obs.enable ();
+  Fun.protect ~finally:Amg_obs.Obs.disable (fun () ->
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun mode -> ignore (Optimize.search env ~name:"s" ~domains mode steps))
+            Wire.[ Orders; Bb; Local ];
+          ignore (Optimize.apply env ~name:"s" steps))
+        [ 1; 2 ]);
+  let copies why = Amg_obs.Obs.counter ("compact.mover_copies_" ^ why) in
+  check_bool "some placement shrinks its mover" true (copies "shrink" > 0);
+  check_bool "some placement auto-connects" true (copies "connect" > 0);
+  Amg_obs.Obs.reset ();
+  List.iter2
+    (fun (o, _) (b, a) -> Alcotest.(check string) (Lobj.name o) b a)
+    objs
+    (List.combine before (prints ()))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_copy_is_rebuild;
@@ -418,4 +469,6 @@ let suite =
     Alcotest.test_case "absorb enters every shape" `Quick test_absorb_batch;
     Alcotest.test_case "searches agree across domains/runs"
       `Quick test_searches_identical;
+    Alcotest.test_case "searches leave step objects untouched" `Quick
+      test_searches_leave_steps_untouched;
   ]
