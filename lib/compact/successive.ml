@@ -18,19 +18,100 @@ type limit = { bound : int; mover : Shape.t; target : Shape.t; rel : Constraints
 
 type align = [ `Keep | `Center | `Min | `Max ]
 
+(* One layer of a mover as every scan reads it: its shapes in store
+   order, the leading side of their hull along the digest's direction
+   (before any displacement), and whether any of them has a net or is
+   keep-clear. *)
+type mover_layer = {
+  layer : string;
+  shapes : Shape.t array;
+  lead : int;
+  netted : bool;
+  keep_clear : bool;
+}
+
+(* What the candidate pass reads of a mover moving in [dir], worked out
+   once: a step's mover is the same object in every placement of it. *)
+type digest = { obj : Lobj.t; dir : Dir.t; layers : mover_layer array }
+
+let digest obj d =
+  let sign = Dir.sign d in
+  let mover_layer (layer, shapes) =
+    let lead = ref (if sign < 0 then max_int else min_int) in
+    let netted = ref false and keep_clear = ref false in
+    for i = 0 to Array.length shapes - 1 do
+      let s : Shape.t = shapes.(i) in
+      let side = Rect.side s.Shape.rect d in
+      lead := if sign < 0 then Int.min !lead side else Int.max !lead side;
+      if Option.is_some s.Shape.net then netted := true;
+      if s.Shape.keep_clear then keep_clear := true
+    done;
+    { layer; shapes; lead = !lead; netted = !netted; keep_clear = !keep_clear }
+  in
+  { obj; dir = d; layers = Array.map mover_layer (Lobj.shapes_by_layer obj) }
+
+let equal_digest (g : digest) (g' : digest) =
+  g.obj == g'.obj && Dir.equal g.dir g'.dir
+  && Array.length g.layers = Array.length g'.layers
+  && Array.for_all2
+       (fun a b ->
+         String.equal a.layer b.layer
+         && Array.length a.shapes = Array.length b.shapes
+         && Array.for_all2 Shape.equal a.shapes b.shapes
+         && Int.equal a.lead b.lead && Bool.equal a.netted b.netted
+         && Bool.equal a.keep_clear b.keep_clear)
+       g.layers g'.layers
+
+(* The layer-level classification of every (mover layer, main layer) pair
+   a search can meet, worked out before the search fans out and only read
+   by its scans: [table.(i * n + j)] classifies [names.(i)] moving against
+   [names.(j)] with no layer ignored, and [cut.(i)] says whether
+   [names.(i)] is a cut layer (never stretched). *)
+type classes = {
+  names : string array;
+  cut : bool array;
+  table : Constraints.pair_class array;
+}
+
+let classes rules layers =
+  let names =
+    Array.of_list
+      (List.rev
+         (List.fold_left
+            (fun acc l -> if List.exists (String.equal l) acc then acc else l :: acc)
+            [] layers))
+  in
+  let n = Array.length names in
+  {
+    names;
+    cut = Array.map (fun l -> Rules.cut_size_opt rules l <> None) names;
+    table =
+      Array.init (n * n) (fun k -> Constraints.classify rules names.(k / n) names.(k mod n));
+  }
+
+(* The table's index of a layer, or -1 when it does not cover it. *)
+let class_index c name =
+  let n = Array.length c.names in
+  let rec go i = if i = n then -1 else if String.equal c.names.(i) name then i else go (i + 1) in
+  go 0
+
 (* The mover of a placement: an object read through an integer
    displacement.  Its shapes stand at their rectangles translated by
    (dx, dy); staging and travel only add to the displacement, and the
-   candidate pass reads through it with integer adds.  [obj] is mutated
-   only when [owned]: the compactor materialises a private copy of a
-   read-only mover ([own]) only when the placement must shrink one of its
-   shapes or auto-connect to it, and [Lobj.absorb ~dx ~dy] writes its
-   shapes into the main structure once, at their final position. *)
+   candidate pass reads through it with integer adds, from the mover's
+   digest.  [obj] is mutated only when [owned]: the compactor
+   materialises a private copy of a read-only mover ([own]) only when the
+   placement must shrink one of its shapes or auto-connect to it, and
+   [Lobj.absorb ~dx ~dy] writes its shapes into the main structure once,
+   at their final position.  [own] moves the object, so it drops the
+   digest, which the next scan rebuilds. *)
 type mover = {
   mutable obj : Lobj.t;
+  dir : Dir.t;
   mutable owned : bool;
   mutable dx : int;
   mutable dy : int;
+  mutable digest : digest option;
 }
 
 (* The displacement along [d]'s axis. *)
@@ -53,7 +134,16 @@ let own ~why mv =
     mv.obj <- Lobj.copy mv.obj;
     mv.owned <- true
   end;
+  mv.digest <- None;
   settle mv
+
+let mover_digest mv =
+  match mv.digest with
+  | Some g -> g
+  | None ->
+      let g = digest mv.obj mv.dir in
+      mv.digest <- Some g;
+      g
 
 (* A movement-axis slab: the mover's rectangle, displaced by (dx, dy),
    stretched along the axis to cover the main structure's whole extent.
@@ -114,8 +204,8 @@ let make_limit bound mover target code =
    over the mover layer's hull, than [optimistic].  The other directions
    mirror it. *)
 type layer_pair = {
-  movers : Shape.t list; (* the mover's shapes on the mover layer, by id *)
-  layer : string; (* the main layer *)
+  movers : Shape.t array; (* the mover's shapes on the mover layer, by id *)
+  handle : Lobj.layer; (* the main layer *)
   cls : Constraints.pair_class;
   margin : int;
   keep_clear_only : bool;
@@ -129,70 +219,88 @@ type layer_pair = {
   optimistic : int;
 }
 
-let layer_pairs rules ?ignore_layers d ~main ~dx ~dy obj =
+(* The layer pairs of a scan, from the mover's digest and one pass over
+   the main's layers.  With a class table, a pair's class is read from it
+   (a layer it does not cover is classified on the spot); without one,
+   each pair is classified once per scan. *)
+let layer_pairs rules ?(ignore_layers = []) ?classes ~main ~dx ~dy (g : digest) =
+  let d = g.dir in
   let sign = Dir.sign d in
   let shift = shift d ~dx ~dy in
   let tighter (x : int) (y : int) = if sign < 0 then x > y else x < y in
+  let index name = match classes with Some c -> class_index c name | None -> -1 in
   let mains =
-    List.filter_map
-      (fun lb ->
-        Option.map
-          (fun hull -> (lb, hull, Lobj.keep_clear_on main lb > 0))
-          (Lobj.bbox_on main lb))
-      (Lobj.layers main)
+    List.rev
+      (Lobj.fold_layers main
+         (fun acc lb handle hull keep_clear ->
+           (lb, index lb, handle, hull, keep_clear > 0) :: acc)
+         [])
   in
-  let shapes = Lobj.shapes obj in
-  List.concat_map
-    (fun la ->
-      let movers =
-        List.filter (fun (s : Shape.t) -> String.equal s.Shape.layer la) shapes
+  let pairs = ref [] in
+  Array.iter
+    (fun ml ->
+      let la = ml.layer in
+      let row = index la in
+      let ignored = List.exists (String.equal la) ignore_layers in
+      let stretchable =
+        match classes with
+        | Some c when row >= 0 -> not c.cut.(row)
+        | _ -> Rules.cut_size_opt rules la = None
       in
-      (* The leading side of the mover layer's hull, taken from its shapes:
-         they are at hand, while a fresh mover's layer hulls are rarely
-         cached. *)
-      let lead =
-        List.fold_left
-          (fun acc (s : Shape.t) ->
-            let side = Rect.side s.Shape.rect d + shift in
-            if sign < 0 then Int.min acc side else Int.max acc side)
-          (if sign < 0 then max_int else min_int)
-          movers
-      in
-      let stretchable = Rules.cut_size_opt rules la = None in
-      let netted = List.exists (fun (s : Shape.t) -> s.Shape.net <> None) movers in
-      let keep_clear_movers = Lobj.keep_clear_on obj la > 0 in
-      List.filter_map
-        (fun (lb, main_hull, keep_clear_targets) ->
-          let cls = Constraints.classify rules ?ignore_layers la lb in
+      let lead = ml.lead + shift in
+      List.iter
+        (fun (lb, col, handle, main_hull, keep_clear_targets) ->
+          let cls =
+            match classes with
+            | Some c when row >= 0 && col >= 0 ->
+                let cls = c.table.((row * Array.length c.names) + col) in
+                if ignored then { cls with ignored = true } else cls
+            | _ -> Constraints.classify rules ~ignore_layers la lb
+          in
           let keep_clear_only =
             not (cls.same_layer || cls.space <> None || keep_clear_targets)
           in
-          if keep_clear_only && not keep_clear_movers then None
-          else
+          if not (keep_clear_only && not ml.keep_clear) then begin
             let margin = Constraints.margin_cls cls in
             let reach =
               Rect.side main_hull (Dir.opposite d) - (sign * Int.max margin 0)
             in
-            Some
+            pairs :=
               {
-                movers;
-                layer = lb;
+                movers = ml.shapes;
+                handle;
                 cls;
                 margin;
                 keep_clear_only;
                 connecting = cls.same_layer && stretchable;
-                netted;
+                netted = ml.netted;
                 reach;
                 optimistic = reach - lead;
-              })
+              }
+              :: !pairs
+          end)
         mains)
-    (Lobj.layers obj)
+    g.layers;
   (* Tightest optimistic bound first; the sort is stable, so ties keep
      (mover layer, main layer) first-use order. *)
-  |> List.stable_sort (fun p q ->
-         if tighter p.optimistic q.optimistic then -1
-         else if tighter q.optimistic p.optimistic then 1
-         else 0)
+  List.stable_sort
+    (fun p q ->
+      if tighter p.optimistic q.optimistic then -1
+      else if tighter q.optimistic p.optimistic then 1
+      else 0)
+    (List.rev !pairs)
+
+(* The mover shape a visit is querying the main's index for, with what
+   its candidates need. *)
+type probe = {
+  mutable a : Shape.t;
+  mutable cls : Constraints.pair_class;
+  mutable partners : bool;
+  mutable considered : int;
+}
+
+let no_shape = Shape.make ~id:(-1) ~layer:"" ~rect:(Rect.make ~x0:0 ~y0:0 ~x1:0 ~y1:0) ()
+let no_class = { Constraints.same_layer = false; ignored = false; space = None }
 
 let by_mover_target (m1, t1) (m2, t2) =
   let c = Int.compare m1 m2 in
@@ -242,40 +350,48 @@ let visit ~prune d ~main ~mb ~dx ~dy pairs =
   in
   let cannot_bind optimistic = prune && !has_best && tighter !best optimistic in
   let connect = ref [] and skipped = ref false in
+  (* One candidate callback for the whole visit, reading the mover shape
+     being queried from [q]. *)
+  let q = { a = no_shape; cls = no_class; partners = false; considered = 0 } in
+  let candidate (b : Shape.t) =
+    let a = q.a in
+    q.considered <- q.considered + 1;
+    let code = Constraints.code_cls q.cls ~dx ~dy a b in
+    let bound = Constraints.bound_code d code ~dx ~dy a b in
+    if bound <> Constraints.no_bound then begin
+      if obs then begin
+        Obs.count "compact.limits" 1;
+        if Constraints.is_mergeable code then Obs.count "compact.merge_limits" 1
+      end;
+      offer bound a b code
+    end;
+    if
+      q.partners && Shape.same_net a b
+      && cross_overlap ~axis ~dx ~dy a.Shape.rect b.Shape.rect
+    then connect := (a.Shape.id, b.Shape.id) :: !connect
+  in
   List.iter
     (fun p ->
       if cannot_bind p.optimistic && not (p.connecting && p.netted) then
         skipped := true
       else
-        List.iter
-          (fun (a : Shape.t) ->
-            let partners = p.connecting && a.Shape.net <> None in
-            if p.keep_clear_only && not a.Shape.keep_clear then ()
-            else if
-              cannot_bind (p.reach - (Rect.side a.Shape.rect d + shift)) && not partners
-            then skipped := true
-            else begin
-              let considered = ref 0 in
-              Lobj.iter_near main ~layer:p.layer (slab ~axis ~dx ~dy a mb)
-                ~margin:p.margin (fun (b : Shape.t) ->
-                  incr considered;
-                  let code = Constraints.code_cls p.cls ~dx ~dy a b in
-                  let bound = Constraints.bound_code d code ~dx ~dy a b in
-                  if bound <> Constraints.no_bound then begin
-                    if obs then begin
-                      Obs.count "compact.limits" 1;
-                      if Constraints.is_mergeable code then
-                        Obs.count "compact.merge_limits" 1
-                    end;
-                    offer bound a b code
-                  end;
-                  if
-                    partners && Shape.same_net a b
-                    && cross_overlap ~axis ~dx ~dy a.Shape.rect b.Shape.rect
-                  then connect := (a.Shape.id, b.Shape.id) :: !connect);
-              if obs then Obs.count "compact.pairs_considered" !considered
-            end)
-          p.movers)
+        for i = 0 to Array.length p.movers - 1 do
+          let a = p.movers.(i) in
+          let partners = p.connecting && Option.is_some a.Shape.net in
+          if p.keep_clear_only && not a.Shape.keep_clear then ()
+          else if
+            cannot_bind (p.reach - (Rect.side a.Shape.rect d + shift)) && not partners
+          then skipped := true
+          else begin
+            q.a <- a;
+            q.cls <- p.cls;
+            q.partners <- partners;
+            q.considered <- 0;
+            Lobj.iter_near_layer main p.handle (slab ~axis ~dx ~dy a mb) ~margin:p.margin
+              candidate;
+            if obs then Obs.count "compact.pairs_considered" q.considered
+          end
+        done)
     pairs;
   ( {
       tightest = (if !has_best then Some !best else None);
@@ -297,13 +413,15 @@ let visit ~prune d ~main ~mb ~dx ~dy pairs =
    runner-up bound for the variable-edge relaxation, and the same-layer
    same-net pairs auto-connection will examine.  When the pruned visit
    skipped something, the runner-up is left to a second, unpruned visit
-   of the same pairs, run only if it is forced.  [obj] is read displaced
-   by (dx, dy); the limits hold its shapes as they are stored. *)
-let scan_at rules ?ignore_layers d ~main ~dx ~dy obj =
+   of the same pairs, run only if it is forced.  The mover is read from
+   its digest, displaced by (dx, dy); the limits hold its shapes as they
+   are stored. *)
+let scan_at rules ?ignore_layers ?classes ~main ~dx ~dy (g : digest) =
   match Lobj.bbox main with
   | None -> no_pass
   | Some mb ->
-      let pairs = layer_pairs rules ?ignore_layers d ~main ~dx ~dy obj in
+      let d = g.dir in
+      let pairs = layer_pairs rules ?ignore_layers ?classes ~main ~dx ~dy g in
       let pass, skipped = visit ~prune:true d ~main ~mb ~dx ~dy pairs in
       if not skipped then pass
       else
@@ -314,8 +432,11 @@ let scan_at rules ?ignore_layers d ~main ~dx ~dy obj =
               (Lazy.force (fst (visit ~prune:false d ~main ~mb ~dx ~dy pairs)).runner_up);
         }
 
+let scan_digest rules ?ignore_layers ?classes ~main g =
+  scan_at rules ?ignore_layers ?classes ~main ~dx:0 ~dy:0 g
+
 let scan rules ?ignore_layers d ~main obj =
-  scan_at rules ?ignore_layers d ~main ~dx:0 ~dy:0 obj
+  scan_digest rules ?ignore_layers ~main (digest obj d)
 
 (* Minimum extent a shape may be shrunk to along [axis]: its layer's minimum
    width, raised to the one-cut minimum when it is a container of a
@@ -363,12 +484,15 @@ let shrink_edge rules owner (s : Shape.t) facing step =
    constraint defines the minimum distance.  Returns the pass of the final
    round — the geometry has not changed since (the round made no
    progress), so the caller can reuse it instead of scanning again. *)
-let relax_variable_edges rules ?ignore_layers d ~main mv =
+let relax_variable_edges rules ?ignore_layers ?classes ~main mv =
+  let d = mv.dir in
   let max_rounds = 64 in
   let rounds = ref 0 in
   let rec loop round =
     rounds := round;
-    let pass = scan_at rules ?ignore_layers d ~main ~dx:mv.dx ~dy:mv.dy mv.obj in
+    let pass =
+      scan_at rules ?ignore_layers ?classes ~main ~dx:mv.dx ~dy:mv.dy (mover_digest mv)
+    in
     if round >= max_rounds then pass
     else
       match pass.tightest with
@@ -598,14 +722,16 @@ let place_mark ~main ~obj ~d ~dl ~(binding : limit list) =
         ]
 
 (* The paper's compact(obj, DIR, layers): place the mover against [main]
-   moving in direction [d]; the caller then absorbs it into [main]. *)
-let place rules ~main ?ignore_layers ~align ~variable_edges mv d =
+   moving in its direction; the caller then absorbs it into [main]. *)
+let place rules ~main ?ignore_layers ?classes ~align ~variable_edges mv =
+  let d = mv.dir in
   stage ~align ~grid:(Rules.grid rules) d ~main mv;
   (* The relaxation hands back the pass of its final (quiescent) round,
      so neither the placement delta nor auto-connection scans again. *)
   let pass =
-    if variable_edges then relax_variable_edges rules ?ignore_layers d ~main mv
-    else scan_at rules ?ignore_layers d ~main ~dx:mv.dx ~dy:mv.dy mv.obj
+    if variable_edges then relax_variable_edges rules ?ignore_layers ?classes ~main mv
+    else
+      scan_at rules ?ignore_layers ?classes ~main ~dx:mv.dx ~dy:mv.dy (mover_digest mv)
   in
   let dl =
     match pass.tightest with
@@ -654,9 +780,10 @@ let skip_diag ~obj ~main ~d exn =
 
 (* The one placement pipeline behind both entries.  [owned]: [obj] is the
    caller's to mutate, and is left at its final position; otherwise it is
-   only read. *)
+   only read.  [digest], when given, is [obj]'s along [d]: the placement
+   reads it instead of building its own. *)
 let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
-    ?(variable_edges = true) obj d =
+    ?(variable_edges = true) ?classes ?digest obj d =
   Obs.span "compact" @@ fun () ->
   match Lobj.bbox main with
   | None ->
@@ -671,8 +798,13 @@ let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
       ignore (Lobj.absorb main obj)
   | Some _ ->
       let attempt obj d =
-        let mv = { obj; owned; dx = 0; dy = 0 } in
-        place rules ~main ?ignore_layers ~align ~variable_edges mv d;
+        let digest =
+          match digest with
+          | Some (g : digest) when g.obj == obj && Dir.equal g.dir d -> Some g
+          | _ -> None
+        in
+        let mv = { obj; dir = d; owned; dx = 0; dy = 0; digest } in
+        place rules ~main ?ignore_layers ?classes ~align ~variable_edges mv;
         mv
       in
       let absorb mv =
@@ -713,8 +845,13 @@ let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
                 Amg_robust.Policy.report (skip_diag ~obj:pristine ~main ~d e2))
       end
 
-let compact = run ~owned:true
-let compact_readonly = run ~owned:false
+let compact ~rules ~into ?ignore_layers ?align ?variable_edges obj d =
+  run ~owned:true ~rules ~into ?ignore_layers ?align ?variable_edges obj d
+
+let compact_readonly ~rules ~into ?ignore_layers ?align ?variable_edges ?classes
+    (g : digest) =
+  run ~owned:false ~rules ~into ?ignore_layers ?align ?variable_edges ?classes ~digest:g
+    g.obj g.dir
 
 (* Render every recorded [compact.place] mark as the "successive
    abutment" audit table of `amgen build --explain`. *)

@@ -48,6 +48,45 @@ type pass = {
 (** What one candidate pass over the mover and the main structure yields:
     the only facts a placement uses. *)
 
+(** {2 Mover digests and class tables}
+
+    A placement reads its mover through a {e digest}: for each of the
+    mover's layers, its shapes as an array in store order, the leading
+    side of their hull along the movement direction (before any
+    displacement), and whether any of them has a net or is keep-clear.
+    A search step's mover is the same object in every placement, so
+    {!Amg_core.Optimize.step} builds its digest once and every placement
+    of the step, on every domain, only reads it.
+
+    A search also classifies every (mover layer, main layer) pair it can
+    meet once, before it fans out ({!classes}); its scans read the table
+    instead of the rule tables. *)
+
+type digest
+(** A mover object read along one direction.  It holds the object and
+    the direction, and stays valid only while the object is not mutated:
+    the object of a digest that placements share must not change after
+    the digest is built. *)
+
+val digest : Amg_layout.Lobj.t -> Amg_geometry.Dir.t -> digest
+(** [digest obj d]: one pass over [obj]'s store. *)
+
+val equal_digest : digest -> digest -> bool
+(** The same object (physically), direction, layers, shapes, leading
+    sides and flags. *)
+
+type classes
+(** The layer-level classification ({!Constraints.classify}) of every
+    pair of a set of layers, and which of them are cut layers.
+    Immutable: domains share it. *)
+
+val classes : Amg_tech.Rules.t -> string list -> classes
+(** [classes rules layers] classifies every ordered pair of [layers]
+    (duplicates are dropped).  A scan through the table classifies a
+    layer it does not cover on the spot, so the table only saves work:
+    it should cover every layer the main and the movers of the search
+    can carry. *)
+
 val scan :
   Amg_tech.Rules.t ->
   ?ignore_layers:string list ->
@@ -65,7 +104,22 @@ val scan :
     index, over its movement slab inflated by the pair's spacing rule; a
     pair on different layers with no spacing rule and no keep-clear shape
     on either side is never queried.  The result equals the summary of
-    the all-pairs scan.  Pure query: mutates nothing. *)
+    the all-pairs scan.  It reads the main through one pass over its
+    layers ({!Amg_layout.Lobj.fold_layers}) and queries each layer's
+    index through its handle.  [scan rules d ~main obj] is
+    [scan_digest rules ~main (digest obj d)].  Pure query: mutates
+    nothing but [main]'s lazily built indexes. *)
+
+val scan_digest :
+  Amg_tech.Rules.t ->
+  ?ignore_layers:string list ->
+  ?classes:classes ->
+  main:Amg_layout.Lobj.t ->
+  digest ->
+  pass
+(** {!scan} of a digest's object along its direction.  With [?classes]
+    each layer pair's class is read from the table; the pass is the
+    same. *)
 
 val delta :
   Amg_tech.Rules.t ->
@@ -111,7 +165,9 @@ val compact :
     keeps using the object it compacted.
 
     The object is read as a mover: the object plus an integer
-    displacement.  Pre-alignment and the travel only add to the
+    displacement, scanned through a {!digest} built once per placement
+    and reused by every relaxation round until a shrink of the object
+    replaces it.  Pre-alignment and the travel only add to the
     displacement, the candidate pass reads the shapes through it, and the
     absorb writes each shape into [main] once, at its final position; a
     shrink of one of the object's variable edges, or auto-connection,
@@ -131,16 +187,18 @@ val compact_readonly :
   ?ignore_layers:string list ->
   ?align:align ->
   ?variable_edges:bool ->
-  Amg_layout.Lobj.t ->
-  Amg_geometry.Dir.t ->
+  ?classes:classes ->
+  digest ->
   unit
-(** [compact_readonly ~rules ~into:main obj d] leaves [main] exactly as
-    [compact ~rules ~into:main (Lobj.copy obj) d] leaves it — the same
-    shapes, ids, ports, arrays and diagnostics, or the same exception —
-    without mutating [obj] and, in most placements, without copying it.
-    Read-only entry of the order search, whose step objects are shared by
-    every order and every domain: [obj]'s hull caches must be filled
-    ({!Amg_layout.Lobj.fill_caches}) when domains share it.
+(** [compact_readonly ~rules ~into:main (digest obj d)] leaves [main]
+    exactly as [compact ~rules ~into:main (Lobj.copy obj) d] leaves it —
+    the same shapes, ids, ports, arrays and diagnostics, or the same
+    exception — without mutating [obj] or the digest and, in most
+    placements, without copying [obj].  Read-only entry of the order
+    search, whose step objects and digests are shared by every order and
+    every domain: [obj] must be read-only ({!Amg_layout.Lobj.fill_caches})
+    when domains share it, and must not be mutated while its digest
+    lives.  [?classes] is the search's class table.
 
     The same pipeline as {!compact}, with [obj] read through the mover's
     displacement.  The object is copied, once, only when the placement
@@ -150,7 +208,9 @@ val compact_readonly :
     - auto-connection has partners to stretch towards the placed mover
       ([compact.mover_copies_connect]).
     Otherwise nothing of [obj] is written but its shapes' copies in
-    [main]. *)
+    [main].  A copy drops the digest: the placement's later scans read a
+    digest of the copy.  The permissive retry along the opposite direction
+    builds its own digest. *)
 
 val pp_explain : Format.formatter -> unit -> unit
 (** Render the [compact.place] marks recorded by the observability layer

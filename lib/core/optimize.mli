@@ -31,11 +31,22 @@
     its shapes only into the worker's own main object.  The object is
     copied only for a placement that must shrink one of its variable
     edges or auto-connect to it.  A search leaves every step object as
-    it was. *)
+    it was.
+
+    Each step carries its object's digest ({!Amg_compact.Successive.digest}),
+    built once by {!step}: every placement of the step, on every domain,
+    reads the mover's per-layer shapes, leading sides and flags from it.
+    Each search ({!search}, {!optimize_local}) also builds one class
+    table ({!Amg_compact.Successive.classes}) over every layer its base
+    and steps can bring into a main, before it fans out; its scans read
+    layer-pair classes from it.  {!apply} and a store hit, which place
+    each step once, classify per scan instead. *)
 
 type step = {
   uid : int;  (** process-unique identity, allocated by {!step} *)
   obj : Amg_layout.Lobj.t;
+  digest : Amg_compact.Successive.digest;
+      (** [obj]'s digest along [dir], built by {!step} *)
   dir : Amg_geometry.Dir.t;
   ignore_layers : string list;
   align : Amg_compact.Successive.align;
@@ -52,9 +63,14 @@ val step :
 (** One [compact(obj, dir, …)] call of a module description.  Each call
     allocates a fresh [uid], so building "the same" step twice yields two
     distinct steps.  [obj] is the step's from now on: every search reads it
-    from every domain, so it must not be mutated afterwards.  Its hull
-    caches are filled here ({!Amg_layout.Lobj.fill_caches}), so those
-    reads never write. *)
+    from every domain, so it must not be mutated afterwards — the step's
+    digest, built here, would no longer describe it — nor queried.  Its
+    hull caches are filled here ({!Amg_layout.Lobj.fill_caches}), so
+    those reads never write.  A placement reads the object's shapes
+    through the digest and copies the object before it queries it, so
+    the object's spatial indexes are never read: they are released
+    ({!Amg_layout.Lobj.release_indexes}), which saves about half of a
+    step object's memory. *)
 
 val apply :
   ?base:Amg_layout.Lobj.t -> Env.t -> name:string -> step list -> Amg_layout.Lobj.t

@@ -18,7 +18,7 @@ type mismatch =
 
 type result = { matched : int; mismatches : mismatch list }
 
-let clean r = r.mismatches = []
+let clean r = match r.mismatches with [] -> true | _ :: _ -> false
 
 let mos_key polarity l g s d =
   let s, d = if String.compare s d <= 0 then (s, d) else (d, s) in
@@ -72,14 +72,25 @@ let compare_mos ~tol golden extracted =
     ext;
   (!matched, !mismatches)
 
-let compare_terminal_sets ~kind golden extracted describe =
+(* Orders on the terminal tuples, at their types. *)
+let compare_pair (a, b) (a', b') =
+  let c = String.compare a a' in
+  if c <> 0 then c else String.compare b b'
+
+let compare_triple (a, b, c) (a', b', c') =
+  let k = String.compare a a' in
+  if k <> 0 then k else compare_pair (b, c) (b', c')
+
+let compare_terminal_sets ~kind ~compare golden extracted describe =
   (* Unordered terminal matching for two-terminal or three-terminal
      devices represented as string tuples; each golden device consumes at
-     most one extracted device (parallel bipolars are distinct). *)
+     most one extracted device (parallel bipolars are distinct).  Both
+     lists are sorted by [compare] first. *)
+  let golden = List.sort compare golden and extracted = List.sort compare extracted in
   let remove_one x l =
     let rec go acc = function
       | [] -> None
-      | y :: tl -> if y = x then Some (List.rev_append acc tl) else go (y :: acc) tl
+      | y :: tl -> if compare y x = 0 then Some (List.rev_append acc tl) else go (y :: acc) tl
     in
     go [] l
   in
@@ -108,10 +119,9 @@ let run ?(tol = 0.05) ~golden (e : Devices.extracted) =
   let golden_bjts =
     Netlist.bjt_devices golden
     |> List.map (fun (q : D.bjt) -> (q.D.c, q.D.bb, q.D.e))
-    |> List.sort compare
   in
   let b_matched, b_mis =
-    compare_terminal_sets ~kind:"NPN" golden_bjts (List.sort compare e.Devices.bjts)
+    compare_terminal_sets ~kind:"NPN" ~compare:compare_triple golden_bjts e.Devices.bjts
       (fun (c, b, em) -> Printf.sprintf "c=%s b=%s e=%s" c b em)
   in
   (* Passives: match on terminal pairs, values within 25%. *)
@@ -122,8 +132,8 @@ let run ?(tol = 0.05) ~golden (e : Devices.extracted) =
       (Netlist.devices golden)
   in
   let r_matched, r_mis =
-    compare_terminal_sets ~kind:"RES" (List.sort compare golden_res)
-      (List.sort compare (List.map (fun (a, b, _) -> norm_pair a b) e.Devices.resistors))
+    compare_terminal_sets ~kind:"RES" ~compare:compare_pair golden_res
+      (List.map (fun (a, b, _) -> norm_pair a b) e.Devices.resistors)
       (fun (a, b) -> a ^ "/" ^ b)
   in
   let golden_caps =
@@ -132,8 +142,8 @@ let run ?(tol = 0.05) ~golden (e : Devices.extracted) =
       (Netlist.devices golden)
   in
   let c_matched, c_mis =
-    compare_terminal_sets ~kind:"CAP" (List.sort compare golden_caps)
-      (List.sort compare (List.map (fun (a, b, _) -> norm_pair a b) e.Devices.capacitors))
+    compare_terminal_sets ~kind:"CAP" ~compare:compare_pair golden_caps
+      (List.map (fun (a, b, _) -> norm_pair a b) e.Devices.capacitors)
       (fun (a, b) -> a ^ "/" ^ b)
   in
   let shorts = List.map (fun nets -> Short nets) e.Devices.short_nets in

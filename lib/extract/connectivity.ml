@@ -69,7 +69,7 @@ let build ~tech obj =
     List.filter
       (fun l ->
         match Technology.layer tech l with
-        | Some tl -> tl.Layer.kind = Layer.Poly
+        | Some tl -> ( match tl.Layer.kind with Layer.Poly -> true | _ -> false)
         | None -> false)
       (Lobj.layers obj)
   in
@@ -199,8 +199,8 @@ let build ~tech obj =
         | Some net ->
             let r = find t i in
             let cur = Option.value ~default:[] (Hashtbl.find_opt t.labels r) in
-            if not (List.mem net cur) then
-              Hashtbl.replace t.labels r (List.sort compare (net :: cur)))
+            if not (List.exists (String.equal net) cur) then
+              Hashtbl.replace t.labels r (List.sort String.compare (net :: cur)))
     pieces;
   t
 
@@ -211,7 +211,7 @@ let node_at t ~layer ~x ~y =
   Array.iteri
     (fun i p ->
       if
-        !found = None && p.p_conducting
+        Option.is_none !found && p.p_conducting
         && String.equal p.p_layer layer
         && Rect.contains_point p.p_rect ~x ~y
       then found := Some (find t i))
@@ -240,13 +240,18 @@ let shorts t =
       match labels with _ :: _ :: _ -> labels :: acc | _ -> acc)
     t.labels []
 
+(* Does piece [p] carry the user label [label]?  Compared at its type,
+   without building an option per piece. *)
+let labelled p label =
+  match p.p_net with Some net -> String.equal net label | None -> false
+
 (* Number of distinct nodes carrying the given user label: 1 means the net
    is physically one piece; more means it relies on labels only. *)
 let label_node_count t label =
   let roots = Hashtbl.create 8 in
   Array.iteri
     (fun i p ->
-      if p.p_conducting && p.p_net = Some label then
+      if p.p_conducting && labelled p label then
         Hashtbl.replace roots (find t i) ())
     t.pieces;
   Hashtbl.length roots
@@ -258,7 +263,7 @@ let label_components t label =
   let tbl = Hashtbl.create 8 in
   Array.iteri
     (fun i p ->
-      if p.p_conducting && p.p_net = Some label then begin
+      if p.p_conducting && labelled p label then begin
         let r = find t i in
         let cur = Option.value ~default:[] (Hashtbl.find_opt tbl r) in
         Hashtbl.replace tbl r ((p.p_layer, p.p_rect) :: cur)
@@ -276,7 +281,7 @@ let net_wirelength_um t label =
   let hulls = Hashtbl.create 8 in
   Array.iteri
     (fun i p ->
-      if p.p_conducting && p.p_net = Some label then
+      if p.p_conducting && labelled p label then
         Hashtbl.replace hulls (find t i) None)
     t.pieces;
   Array.iteri

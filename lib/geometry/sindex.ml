@@ -157,60 +157,84 @@ let translate_all t ~dx ~dy =
   t.ox <- t.ox + dx;
   t.oy <- t.oy + dy
 
+(* A window query in local coordinates, already inflated, with its scan
+   counts: the one block a query allocates. *)
+type window = {
+  wx0 : int;
+  wx1 : int;
+  wy0 : int;
+  wy1 : int;
+  mutable scanned : int;
+  mutable hits : int;
+}
+
+let report w f key (r : Rect.t) =
+  w.scanned <- w.scanned + 1;
+  if r.Rect.x0 <= w.wx1 && w.wx0 <= r.Rect.x1 && r.Rect.y0 <= w.wy1 && w.wy0 <= r.Rect.y1
+  then begin
+    w.hits <- w.hits + 1;
+    f key
+  end
+
+let rec report_all w f = function
+  | [] -> ()
+  | (key, r) :: rest ->
+      report w f key r;
+      report_all w f rest
+
+(* The entries of one bin whose low edge on the scanned axis lies in it,
+   or all of them in the first bin scanned. *)
+let rec report_bin w f ~on_x ~first edge = function
+  | [] -> ()
+  | (key, (r : Rect.t)) :: rest ->
+      let lo = if on_x then r.Rect.x0 else r.Rect.y0 in
+      if first || lo >= edge then report w f key r else w.scanned <- w.scanned + 1;
+      report_bin w f ~on_x ~first edge rest
+
+let scan_axis t w f ~on_x ax wide b0 b1 =
+  report_all w f wide;
+  let a = ax.arr in
+  let s0 = Int.max b0 ax.lo and s1 = Int.min b1 (ax.lo + Array.length a - 1) in
+  for b = s0 to s1 do
+    report_bin w f ~on_x ~first:(b = s0) (b * t.cell) a.(b - ax.lo)
+  done
+
 (* The one scan loop behind every window query.  It gathers candidates
    from whichever axis covers fewer bins of the inflated window and
    reports each matching entry exactly once: an entry sits in every bin
    its span covers, so it is reported only from the first scanned bin it
    covers — the first bin scanned, or the bin holding its low edge.  That
    needs no division per entry (the low edge is compared against the
-   bin's lower boundary), no deduplication pass and no intermediate list.
-   The window's bins are clamped to the axis's array: bins outside it are
-   empty, and every entry in the array's first bin has its low edge
-   there. *)
+   bin's lower boundary), no deduplication pass and no intermediate list;
+   the loops are plain functions over one window record, so a query
+   allocates that record and nothing per bin or per entry.  The window's
+   bins are clamped to the axis's array: bins outside it are empty, and
+   every entry in the array's first bin has its low edge there. *)
 let iter_query t rect ~margin f =
   Amg_robust.Inject.(probe Sindex_query);
   if t.count > 0 then begin
     (* Window in local coordinates, inflated once up front. *)
-    let wx0 = rect.Rect.x0 - t.ox - margin
-    and wx1 = rect.Rect.x1 - t.ox + margin
-    and wy0 = rect.Rect.y0 - t.oy - margin
-    and wy1 = rect.Rect.y1 - t.oy + margin in
-    let scanned = ref 0 and hits = ref 0 in
-    let inside (r : Rect.t) =
-      r.Rect.x0 <= wx1 && wx0 <= r.Rect.x1 && r.Rect.y0 <= wy1
-      && wy0 <= r.Rect.y1
+    let w =
+      {
+        wx0 = rect.Rect.x0 - t.ox - margin;
+        wx1 = rect.Rect.x1 - t.ox + margin;
+        wy0 = rect.Rect.y0 - t.oy - margin;
+        wy1 = rect.Rect.y1 - t.oy + margin;
+        scanned = 0;
+        hits = 0;
+      }
     in
-    let report key r =
-      incr scanned;
-      if inside r then begin
-        incr hits;
-        f key
-      end
-    in
-    let xb0 = fdiv wx0 t.cell and xb1 = fdiv wx1 t.cell in
-    let yb0 = fdiv wy0 t.cell and yb1 = fdiv wy1 t.cell in
-    let scan ~on_x ax wide b0 b1 =
-      List.iter (fun (key, r) -> report key r) wide;
-      let a = ax.arr in
-      let s0 = Int.max b0 ax.lo and s1 = Int.min b1 (ax.lo + Array.length a - 1) in
-      for b = s0 to s1 do
-        let edge = b * t.cell in
-        List.iter
-          (fun (key, r) ->
-            let lo = if on_x then r.Rect.x0 else r.Rect.y0 in
-            if b = s0 || lo >= edge then report key r else incr scanned)
-          a.(b - ax.lo)
-      done
-    in
+    let xb0 = fdiv w.wx0 t.cell and xb1 = fdiv w.wx1 t.cell in
+    let yb0 = fdiv w.wy0 t.cell and yb1 = fdiv w.wy1 t.cell in
     (* Scan the axis covering fewer bins; a window much wider than the
        layout on one axis (the compactor's slab queries) then costs only
        the bounded axis's bins. *)
-    if xb1 - xb0 <= yb1 - yb0 then scan ~on_x:true t.xbins t.xwide xb0 xb1
-    else scan ~on_x:false t.ybins t.ywide yb0 yb1;
+    if xb1 - xb0 <= yb1 - yb0 then scan_axis t w f ~on_x:true t.xbins t.xwide xb0 xb1
+    else scan_axis t w f ~on_x:false t.ybins t.ywide yb0 yb1;
     if Amg_obs.Obs.enabled () then begin
       Amg_obs.Obs.count "sindex.queries" 1;
-      Amg_obs.Obs.count "sindex.scanned" !scanned;
-      Amg_obs.Obs.count "sindex.hits" !hits
+      Amg_obs.Obs.count "sindex.scanned" w.scanned;
+      Amg_obs.Obs.count "sindex.hits" w.hits
     end
   end
 

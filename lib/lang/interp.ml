@@ -510,7 +510,9 @@ and call_entity ctx name (entity : Ast.entity) raw_args caller =
   Fun.protect ~finally:(fun () -> ctx.depth <- ctx.depth - 1) @@ fun () ->
   let callee = new_frame ctx name in
   (* Bind parameters: positional in declaration order, then keywords;
-     omitted optional parameters become Unit. *)
+     omitted optional parameters become Unit.  An object argument is
+     bound as a copy, as an assignment binds one (§2.5): whatever the
+     callee does to its parameter never reaches the caller's object. *)
   List.iteri
     (fun i (p : Ast.param) ->
       let v =
@@ -519,6 +521,7 @@ and call_entity ctx name (entity : Ast.entity) raw_args caller =
         | None -> pos args i
       in
       match v with
+      | Some (Value.Obj o) -> Hashtbl.replace callee.vars p.Ast.pname (Value.Obj (Lobj.copy o))
       | Some v -> Hashtbl.replace callee.vars p.Ast.pname v
       | None ->
           if p.Ast.optional then Hashtbl.replace callee.vars p.Ast.pname Value.Unit
@@ -558,26 +561,15 @@ and exec_stmt frame (s : Ast.stmt) =
          roll the frame back and try the next one.  Objects mutate in place
          (RENAME_NET, MIRROR, a compact mover), so the rollback copies the
          frame's object and every object bound in its variables, and each
-         restore installs fresh copies of those.  Each object is copied
-         once by physical identity, so aliases stay aliases.  An armed
-         recorder is rolled back with the frame: recorded step objects are
-         frozen copies, so restoring the lists restores the recording
-         exactly. *)
-      let copier () =
-        let seen = ref [] in
-        fun o ->
-          match List.assq_opt o !seen with
-          | Some c -> c
-          | None ->
-              let c = Lobj.copy o in
-              seen := (o, c) :: !seen;
-              c
-      in
-      let copy_value copy = function Value.Obj o -> Value.Obj (copy o) | v -> v in
-      let copy = copier () in
-      let snapshot_obj = copy frame.obj in
+         restore installs fresh copies of those.  Assignment and parameter
+         binding both copy, so no two of them are one object and a plain
+         copy of each is exact.  An armed recorder is rolled back with the
+         frame: recorded step objects are frozen copies, so restoring the
+         lists restores the recording exactly. *)
+      let copy_value = function Value.Obj o -> Value.Obj (Lobj.copy o) | v -> v in
+      let snapshot_obj = Lobj.copy frame.obj in
       let snapshot_vars = Hashtbl.copy frame.vars in
-      Hashtbl.filter_map_inplace (fun _ v -> Some (copy_value copy v)) snapshot_vars;
+      Hashtbl.filter_map_inplace (fun _ v -> Some (copy_value v)) snapshot_vars;
       let rec_snapshot =
         match frame.ctx.recorder with
         | Some r when frame.ctx.depth = 1 ->
@@ -585,12 +577,9 @@ and exec_stmt frame (s : Ast.stmt) =
         | _ -> None
       in
       let restore () =
-        let copy = copier () in
-        frame.obj <- copy snapshot_obj;
+        frame.obj <- Lobj.copy snapshot_obj;
         Hashtbl.reset frame.vars;
-        Hashtbl.iter
-          (fun k v -> Hashtbl.replace frame.vars k (copy_value copy v))
-          snapshot_vars;
+        Hashtbl.iter (fun k v -> Hashtbl.replace frame.vars k (copy_value v)) snapshot_vars;
         match rec_snapshot with
         | Some (r, base, steps, shapes, invalid) ->
             r.rec_base <- base;

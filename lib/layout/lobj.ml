@@ -10,14 +10,28 @@ type array_spec = {
   array_net : string option;
 }
 
-(* One layer of the store: its spatial index, how many of its shapes are
-   keep-clear, and its cached hull.  The count lets the compactor skip a
-   layer pair that has no spacing rule outright — without a keep-clear
-   shape on either side such a pair is provably unconstrained. *)
+(* One layer of the store: its name, its spatial index, how many of its
+   shapes are live and how many keep-clear, and its cached hull.  The
+   keep-clear count lets the compactor skip a layer pair that has no
+   spacing rule outright — without a keep-clear shape on either side such
+   a pair is provably unconstrained.
+
+   The index is built lazily: entering a shape only moves [mark] back to
+   its slot if the layer had nothing pending, so every shape of the layer
+   at a slot below [mark] is in [ix] and none at or past it is.  The
+   first read or mutation that needs the index ([flush]) enters the
+   pending shapes in slot order — the order eager insertion would have
+   entered them, since every other index mutation flushes first — so the
+   bins end up exactly as eager insertion builds them.  A search never
+   queries most contact cuts, nor the last object it places, so most
+   entries are never built. *)
 type layer = {
-  ix : Sindex.t;
+  lname : string;
+  mutable ix : Sindex.t;
+  mutable count : int;
   mutable keep_clear : int;
   mutable hull : Rect.t option option; (* None = dirty *)
+  mutable mark : int; (* first unindexed slot; [max_int]: none pending *)
 }
 
 (* Indexed shape store.  Shapes live in [slots] in insertion order ([None]
@@ -40,7 +54,7 @@ type t = {
   mutable live : int;    (* slots holding a shape *)
   mutable id2slot : int array;
   mutable by_layer : (string, layer) Hashtbl.t;
-  mutable layer_order : string list; (* first-use order, never reordered *)
+  mutable layer_order : layer list; (* first-use order, never reordered *)
   mutable bb : Rect.t option option; (* None = dirty *)
   mutable ports : Port.t list;
   mutable arrays : (int * array_spec) list;
@@ -85,6 +99,24 @@ let set_slot t id slot =
   end;
   t.id2slot.(id) <- slot
 
+(* --- the lazy index --- *)
+
+let on_layer l (s : Shape.t) = s.layer == l.lname || String.equal s.layer l.lname
+
+(* Bring layer [l]'s index up to date: enter its pending shapes in slot
+   order. *)
+let flush t l =
+  if l.mark <> max_int then begin
+    for i = l.mark to t.n_slots - 1 do
+      match t.slots.(i) with
+      | Some s when on_layer l s -> Sindex.insert l.ix s.id s.rect
+      | _ -> ()
+    done;
+    l.mark <- max_int
+  end
+
+let flush_all t = List.iter (flush t) t.layer_order
+
 (* --- cache maintenance --- *)
 
 let dirty_layer t l =
@@ -106,25 +138,38 @@ let layer_of t name =
   match Hashtbl.find_opt t.by_layer name with
   | Some l -> l
   | None ->
-      let l = { ix = Sindex.create (); keep_clear = 0; hull = None } in
+      let l =
+        {
+          lname = name;
+          ix = Sindex.create ();
+          count = 0;
+          keep_clear = 0;
+          hull = None;
+          mark = max_int;
+        }
+      in
       Hashtbl.replace t.by_layer name l;
-      t.layer_order <- t.layer_order @ [ name ];
+      t.layer_order <- t.layer_order @ [ l ];
       l
 
-(* Enter / withdraw a shape's index entry and keep-clear count. *)
-let index l (s : Shape.t) =
-  Sindex.insert l.ix s.id s.rect;
+(* A shape joins / leaves layer [l]'s counts; the index is separate. *)
+let count_in l (s : Shape.t) =
+  l.count <- l.count + 1;
   if s.keep_clear then l.keep_clear <- l.keep_clear + 1
 
-let unindex l (s : Shape.t) =
-  Sindex.remove l.ix s.id s.rect;
+let count_out l (s : Shape.t) =
+  l.count <- l.count - 1;
   if s.keep_clear then l.keep_clear <- l.keep_clear - 1
 
-(* Move the index entry of shape [old] over to [s], which has its id. *)
+(* Move shape [old] over to [s], which has its id and already sits in its
+   slot; both layers are up to date. *)
 let reindex t (old : Shape.t) (s : Shape.t) =
   if not (String.equal old.layer s.layer) then begin
-    unindex (layer_of t old.layer) old;
-    index (layer_of t s.layer) s
+    let lo = layer_of t old.layer and ls = layer_of t s.layer in
+    Sindex.remove lo.ix old.id old.rect;
+    count_out lo old;
+    Sindex.insert ls.ix s.id s.rect;
+    count_in ls s
   end
   else begin
     let l = layer_of t s.layer in
@@ -151,14 +196,17 @@ let reserve t k =
     t.slots <- ns
   end
 
-(* Append [s] to the slots and enter it into the id table and layer [l]'s
-   index: the per-shape work behind [enter] and [enter_batch]. *)
+(* Append [s] to the slots and enter it into the id table and layer
+   [l]'s counts, pending for its index: the per-shape work behind [enter]
+   and [enter_batch]. *)
 let place t l (s : Shape.t) =
-  t.slots.(t.n_slots) <- Some s;
-  set_slot t s.id t.n_slots;
-  t.n_slots <- t.n_slots + 1;
+  let slot = t.n_slots in
+  t.slots.(slot) <- Some s;
+  set_slot t s.id slot;
+  t.n_slots <- slot + 1;
   t.live <- t.live + 1;
-  index l s
+  count_in l s;
+  if l.mark = max_int then l.mark <- slot
 
 let enter t (s : Shape.t) =
   reserve t 1;
@@ -213,9 +261,11 @@ let enter_batch t k shape =
   end
 
 (* Squeeze out removed slots once more than half the prefix is dead, so
-   iteration stays proportional to the live count. *)
+   iteration stays proportional to the live count.  Slots move, so every
+   layer is brought up to date first. *)
 let maybe_squeeze t =
   if t.n_slots > 16 && 2 * t.live < t.n_slots then begin
+    flush_all t;
     let w = ref 0 in
     for r = 0 to t.n_slots - 1 do
       match t.slots.(r) with
@@ -259,6 +309,8 @@ let replace t (s : Shape.t) =
   if slot < 0 then
     Fmt.invalid_arg "Lobj.replace: no shape %d in %s" s.Shape.id t.name;
   let old = Option.get t.slots.(slot) in
+  flush t (layer_of t old.layer);
+  flush t (layer_of t s.layer);
   t.slots.(slot) <- Some s;
   reindex t old s;
   if not (String.equal old.Shape.layer s.layer) then begin
@@ -279,7 +331,9 @@ let remove t id =
     (match t.slots.(slot) with
     | Some s ->
         let l = layer_of t s.layer in
-        unindex l s;
+        flush t l;
+        Sindex.remove l.ix s.id s.rect;
+        count_out l s;
         dirty_layer t l
     | None -> ());
     t.slots.(slot) <- None;
@@ -292,6 +346,7 @@ let shapes_on t layer =
   match Hashtbl.find_opt t.by_layer layer with
   | None -> []
   | Some l ->
+      flush t l;
       let ids = ref [] in
       Sindex.iter l.ix (fun id _ -> ids := id :: !ids);
       List.sort Int.compare !ids |> List.map (find_exn t)
@@ -300,13 +355,23 @@ let near t ~layer rect ~margin =
   match Hashtbl.find_opt t.by_layer layer with
   | None -> []
   | Some l ->
+      flush t l;
       (* Query ids arrive ascending, which is insertion order. *)
       List.map (find_exn t) (Sindex.query l.ix rect ~margin)
+
+let iter_near_layer t l rect ~margin f =
+  flush t l;
+  Sindex.iter_query l.ix rect ~margin (fun id -> f (find_exn t id))
 
 let iter_near t ~layer rect ~margin f =
   match Hashtbl.find_opt t.by_layer layer with
   | None -> ()
-  | Some l -> Sindex.iter_query l.ix rect ~margin (fun id -> f (find_exn t id))
+  | Some l -> iter_near_layer t l rect ~margin f
+
+let indexed t layer =
+  match Hashtbl.find_opt t.by_layer layer with
+  | None -> 0
+  | Some l -> Sindex.cardinal l.ix
 
 let keep_clear_on t layer =
   match Hashtbl.find_opt t.by_layer layer with
@@ -322,10 +387,11 @@ let rects t = List.map (fun (s : Shape.t) -> s.rect) (shapes t)
 
 let rects_on t layer = List.map (fun (s : Shape.t) -> s.rect) (shapes_on t layer)
 
-let layer_hull l =
+let layer_hull t l =
   match l.hull with
   | Some b -> b
   | None ->
+      flush t l;
       let b = Sindex.bbox l.ix in
       l.hull <- Some b;
       b
@@ -333,20 +399,20 @@ let layer_hull l =
 let bbox_on t layer =
   match Hashtbl.find_opt t.by_layer layer with
   | None -> None
-  | Some l -> layer_hull l
+  | Some l -> layer_hull t l
 
 let bbox t =
   match t.bb with
   | Some b -> b
   | None ->
       let b =
-        Hashtbl.fold
-          (fun _ l acc ->
-            match (layer_hull l, acc) with
+        List.fold_left
+          (fun acc l ->
+            match (layer_hull t l, acc) with
             | None, acc -> acc
             | Some r, None -> Some r
             | Some r, Some h -> Some (Rect.hull h r))
-          t.by_layer None
+          None t.layer_order
       in
       t.bb <- Some b;
       b
@@ -358,21 +424,61 @@ let bbox_exn t =
 
 let bbox_area t = match bbox t with None -> 0 | Some r -> Rect.area r
 
-(* Every hull cache valid: afterwards [bbox]/[bbox_on] only read, until a
-   mutation dirties a hull again. *)
+(* Every index up to date and every hull cache valid: afterwards every
+   read only reads, until a mutation. *)
 let fill_caches t =
-  Hashtbl.iter (fun _ l -> ignore (layer_hull l)) t.by_layer;
+  flush_all t;
+  List.iter (fun l -> ignore (layer_hull t l)) t.layer_order;
   ignore (bbox t)
+
+(* Every layer's index emptied and all its shapes pending again; the hull
+   caches stay.  A later flush enters them in slot order, into a fresh
+   index at offset 0 (the slots hold world coordinates), as [transform]'s
+   rebuild does. *)
+let release_indexes t =
+  List.iter
+    (fun l ->
+      l.ix <- Sindex.create ();
+      l.mark <- (if l.count > 0 then 0 else max_int))
+    t.layer_order
 
 let union_area t = Region.area (rects t)
 
 let layers t =
-  List.filter
-    (fun layer ->
-      match Hashtbl.find_opt t.by_layer layer with
-      | Some l -> Sindex.cardinal l.ix > 0
-      | None -> false)
-    t.layer_order
+  List.filter_map (fun l -> if l.count > 0 then Some l.lname else None) t.layer_order
+
+let fold_layers t f acc =
+  List.fold_left
+    (fun acc l ->
+      if l.count > 0 then f acc l.lname l (Option.get (layer_hull t l)) l.keep_clear
+      else acc)
+    acc t.layer_order
+
+(* Each layer of [layers] with its shapes in slot order, in one pass over
+   the store: a slot's layer is found by a physical comparison with the
+   last one's, or a scan of the few layers. *)
+let shapes_by_layer t =
+  let ls = Array.of_list (List.filter (fun l -> l.count > 0) t.layer_order) in
+  let out = Array.map (fun _ -> [||]) ls in
+  let fill = Array.make (Array.length ls) 0 in
+  let last = ref 0 in
+  for i = 0 to t.n_slots - 1 do
+    match t.slots.(i) with
+    | None -> ()
+    | Some s ->
+        if not (on_layer ls.(!last) s) then begin
+          let j = ref 0 in
+          while not (on_layer ls.(!j) s) do
+            incr j
+          done;
+          last := !j
+        end;
+        let j = !last in
+        if fill.(j) = 0 then out.(j) <- Array.make ls.(j).count s;
+        out.(j).(fill.(j)) <- s;
+        fill.(j) <- fill.(j) + 1
+  done;
+  Array.mapi (fun j l -> (l.lname, out.(j))) ls
 
 let nets t =
   List.fold_left
@@ -390,21 +496,24 @@ let map_shapes_in_place t f =
     | None -> ()
   done
 
+(* A pending shape moves with its slot: its layer's flush enters it
+   where it then stands, at the index's shifted offset, into the bins
+   eager insertion would have used. *)
 let translate t ~dx ~dy =
   map_shapes_in_place t (fun s -> Shape.translate s ~dx ~dy);
   t.ports <- List.map (fun p -> Port.translate p ~dx ~dy) t.ports;
   let shift = Option.map (Option.map (fun r -> Rect.translate r ~dx ~dy)) in
-  Hashtbl.iter
-    (fun _ l ->
+  List.iter
+    (fun l ->
       Sindex.translate_all l.ix ~dx ~dy;
       l.hull <- shift l.hull)
-    t.by_layer;
+    t.layer_order;
   t.bb <- shift t.bb
 
-(* Arbitrary orientations invalidate the binning wholesale: rebuild.  The
-   rebuild re-enters every layer, so the first-use order is saved and
-   restored over it (minus layers the rebuild left out, which held no
-   shape). *)
+(* Arbitrary orientations invalidate the binning wholesale: rebuild every
+   index, eagerly.  The rebuild re-enters every layer, so the first-use
+   order is saved and restored over it (minus layers the rebuild left out,
+   which held no shape). *)
 let transform t tr =
   map_shapes_in_place t (fun s -> Shape.transform s tr);
   t.ports <- List.map (fun p -> Port.transform p tr) t.ports;
@@ -414,10 +523,14 @@ let transform t tr =
   t.layer_order <- [];
   for i = 0 to t.n_slots - 1 do
     match t.slots.(i) with
-    | Some s -> index (layer_of t s.layer) s
+    | Some s ->
+        let l = layer_of t s.layer in
+        Sindex.insert l.ix s.id s.rect;
+        count_in l s
     | None -> ()
   done;
-  t.layer_order <- List.filter (Hashtbl.mem t.by_layer) order
+  t.layer_order <-
+    List.filter_map (fun l -> Hashtbl.find_opt t.by_layer l.lname) order
 
 (* Structural copy — the paper's "trans2 = trans1" (§2.5).  Shape, port and
    array values are immutable and may be shared, but every mutable piece of
@@ -425,10 +538,14 @@ let transform t tr =
    so no mutation of either object can ever reach the other. *)
 let copy ?name t =
   let by_layer = Hashtbl.create (Hashtbl.length t.by_layer) in
-  Hashtbl.iter
-    (fun name l ->
-      Hashtbl.replace by_layer name { l with ix = Sindex.copy l.ix })
-    t.by_layer;
+  let layer_order =
+    List.map
+      (fun l ->
+        let l' = { l with ix = Sindex.copy l.ix } in
+        Hashtbl.replace by_layer l.lname l';
+        l')
+      t.layer_order
+  in
   {
     name = Option.value ~default:t.name name;
     slots = Array.copy t.slots;
@@ -436,7 +553,7 @@ let copy ?name t =
     live = t.live;
     id2slot = Array.copy t.id2slot;
     by_layer;
-    layer_order = t.layer_order;
+    layer_order;
     bb = t.bb;
     ports = t.ports;
     arrays = t.arrays;
@@ -523,10 +640,10 @@ module Ids = Hashtbl.Make (Int)
 
 (* Take every member of a registered array out of the store in one slot
    pass — slot, id table, live and keep-clear counts, the touched layers'
-   hulls marked dirty — then drop each touched layer's members from its
-   index in one [Sindex.remove_batch].  Survivors keep their slot and bin
-   order, so the store ends up as removing the members one by one leaves
-   it. *)
+   hulls marked dirty — then drop each touched layer's indexed members
+   from its index in one [Sindex.remove_batch]; a pending member has no
+   entry to drop.  Survivors keep their slot and bin order, so the store
+   ends up as removing the members one by one leaves it. *)
 let remove_members t =
   let registered = Ids.create 16 in
   List.iter (fun (id, _) -> Ids.replace registered id ()) t.arrays;
@@ -552,8 +669,8 @@ let remove_members t =
         t.id2slot.(s.id) <- -1;
         t.live <- t.live - 1;
         let l, entries = touch s.layer in
-        if s.keep_clear then l.keep_clear <- l.keep_clear - 1;
-        entries := (s.id, s.rect) :: !entries
+        count_out l s;
+        if i < l.mark then entries := (s.id, s.rect) :: !entries
     | _ -> ()
   done;
   (* Every id the index of a touched layer holds is live, except the

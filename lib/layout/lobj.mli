@@ -10,7 +10,20 @@
     {!near} candidate query, and the bounding boxes of {!bbox}/{!bbox_on}
     are cached incrementally (extended on growth, invalidated on removal or
     shrinking, shifted on translation) instead of being re-hulled per call.
-    Iteration order everywhere remains insertion order. *)
+    Iteration order everywhere remains insertion order.
+
+    A layer's spatial index is built lazily.  Entering a shape
+    ({!add_shape}, {!absorb}, {!rederive}'s cuts) leaves it pending; the
+    first query of the layer ({!near}, {!iter_near}, {!iter_near_layer},
+    {!shapes_on}), a recompute of its hull, and every mutation that
+    rewrites its index ({!replace}, {!remove}, {!transform}, a slot
+    squeeze, {!fill_caches}) enter its pending shapes first, in insertion
+    order, so the index ends up exactly as eager insertion would have
+    built it (after {!release_indexes}, as entering every shape afresh
+    in insertion order would); {!translate} moves pending shapes with
+    the rest, and {!rederive} takes a pending member out without
+    entering it.  Counts ({!layers}, {!keep_clear_on},
+    {!shape_count}) never wait for the index. *)
 
 type t
 
@@ -68,6 +81,29 @@ val iter_near :
 (** The shapes {!near} returns, visited once each in an unspecified order,
     without building a list.  [f] must not mutate the object. *)
 
+type layer
+(** A handle on one layer of an object, from {!fold_layers}: it reaches
+    the layer's index without a lookup by name.  It stays valid until the
+    object's next {!transform}. *)
+
+val fold_layers : t -> ('a -> string -> layer -> Amg_geometry.Rect.t -> int -> 'a) -> 'a -> 'a
+(** [fold_layers t f acc] folds [f acc name handle hull keep_clear] over
+    the layers of {!layers}, in that order: each layer's name, handle,
+    hull ({!bbox_on}) and keep-clear count ({!keep_clear_on}). *)
+
+val iter_near_layer :
+  t -> layer -> Amg_geometry.Rect.t -> margin:int -> (Shape.t -> unit) -> unit
+(** {!iter_near} on the layer of a handle of [t]. *)
+
+val shapes_by_layer : t -> (string * Shape.t array) array
+(** Each layer of {!layers}, in that order, with its shapes in insertion
+    order: {!shapes} split by layer in one pass over the store. *)
+
+val indexed : t -> string -> int
+(** Entries the layer's spatial index holds right now: the layer's shape
+    count once a query brought it up to date, fewer while shapes are
+    pending.  For tests and instrumentation. *)
+
 val keep_clear_on : t -> string -> int
 (** Number of keep-clear shapes on the layer (0 for an absent layer).
     Maintained incrementally by every store mutation, {!copy} and
@@ -79,11 +115,14 @@ val rects_on : t -> string -> Amg_geometry.Rect.t list
 
 (** {2 Hulls}
 
-    {!bbox}, {!bbox_exn}, {!bbox_area} and {!bbox_on} are the only reads
+    The hull reads ({!bbox}, {!bbox_exn}, {!bbox_area}, {!bbox_on},
+    {!fold_layers}) and the index queries ({!near}, {!iter_near},
+    {!iter_near_layer}, {!shapes_on}, {!rects_on}) are the only reads
     that may write: a hull cache that a mutation left dirty is filled on
-    the first read after it.  Every other read leaves the object as it
-    is.  Two domains may therefore read one object at once only after
-    {!fill_caches}, and while nobody mutates it. *)
+    the first read after it, and a query brings its layer's index up to
+    date.  Every other read leaves the object as it is.  Two domains may
+    therefore read one object at once only after {!fill_caches}, and
+    while nobody mutates it. *)
 
 val bbox : t -> Amg_geometry.Rect.t option
 val bbox_exn : t -> Amg_geometry.Rect.t
@@ -93,9 +132,20 @@ val bbox_area : t -> int
 (** Area of the bounding box — the optimizer's primary rating term. *)
 
 val fill_caches : t -> unit
-(** Fill every hull cache, so that until the next mutation every read of
-    the object, hulls included, only reads.  Done once for an object
-    that placements on several domains share (a search step's). *)
+(** Bring every layer's index up to date and fill every hull cache, so
+    that until the next mutation every read of the object, hulls and
+    queries included, only reads: the object is read-only and may be
+    shared.  Done once for an object that placements on several domains
+    share (a search step's). *)
+
+val release_indexes : t -> unit
+(** Empty every layer's spatial index and leave all its shapes pending,
+    as if none had been queried yet; hull caches stay as they are.  The
+    next query of a layer rebuilds its index in insertion order, as
+    {!transform} does.  For an object whose index nobody will read again
+    (a search step's: placements read it through its digest and copy it
+    before any query).  Afterwards a query writes, so an object shared
+    by several domains must not be queried. *)
 
 val union_area : t -> int
 (** Exact union area of all shapes. *)

@@ -559,7 +559,8 @@ let test_readonly_equals_copy () =
               let ro =
                 Fun.protect ~finally:Obs.disable (fun () ->
                     outcome (fun () ->
-                        Successive.compact_readonly ~rules ~into:into_ro ~align mover d))
+                        Successive.compact_readonly ~rules ~into:into_ro ~align
+                          (Successive.digest mover d)))
               in
               incr placements;
               if Obs.counter "compact.mover_copies_shrink" > 0 then incr shrinks;
@@ -572,7 +573,8 @@ let test_readonly_equals_copy () =
               in
               let moved =
                 outcome (fun () ->
-                    Successive.compact_readonly ~rules ~into:into_far ~align far d)
+                    Successive.compact_readonly ~rules ~into:into_far ~align
+                      (Successive.digest far d))
               in
               (match ro with
               | Error _ -> incr raised

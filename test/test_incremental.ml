@@ -460,7 +460,22 @@ let test_searches_leave_steps_untouched () =
   List.iter2
     (fun (o, _) (b, a) -> Alcotest.(check string) (Lobj.name o) b a)
     objs
-    (List.combine before (prints ()))
+    (List.combine before (prints ()));
+  (* Every placement read the step's digest; it still describes the
+     step's object.  No placement queried the shared object itself: its
+     released indexes are still empty. *)
+  List.iter
+    (fun s ->
+      let o = s.Optimize.obj in
+      Alcotest.(check bool)
+        (Lobj.name o ^ " digest")
+        true
+        (Successive.equal_digest s.Optimize.digest (Successive.digest o s.Optimize.dir));
+      List.iter
+        (fun layer ->
+          Alcotest.(check int) (Lobj.name o ^ " " ^ layer ^ " index") 0 (Lobj.indexed o layer))
+        (Lobj.layers o))
+    steps
 
 let suite =
   [

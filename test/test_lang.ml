@@ -246,8 +246,9 @@ ENT Top()
   let y_span o = Option.map (fun r -> (r.Rect.y0, r.Rect.y1)) (Lobj.bbox o) in
   check_bool "mirror rolled back" true
     (y_span (chosen {|MIRROR(p, "X")|}) = Some (0, um 2.));
-  (* Two parameters bound to one object still share it after a restore:
-     the mirror through [q] moves what [r] compacts. *)
+  (* Each parameter is bound to its own copy of the argument: the mirror
+     through [q] leaves what [r] compacts where it was, after a restore
+     too. *)
   let o =
     build
       {|
@@ -268,7 +269,46 @@ ENT Top()
 |}
       "Top" []
   in
-  check_bool "aliases stay aliases" true (y_span o = Some (- um 2., 0))
+  check_bool "parameters are copies" true (y_span o = Some (0, um 2.))
+
+(* A callee's mutation of an object parameter never reaches the caller's
+   object, whether the branch that made it was rejected or kept. *)
+let test_interp_params_are_copies () =
+  let caller body =
+    build
+      (Printf.sprintf
+         {|
+ENT Part()
+  INBOX("metal1", 2, 2, net = "a")
+
+ENT Callee(q)
+%s
+
+ENT Top()
+  p = Part()
+  x = Callee(p)
+  compact(p, "SOUTH")
+|}
+         body)
+      "Top" []
+  in
+  check_bool "rejected branch's rename stays in the callee" true
+    (Lobj.nets
+       (caller
+          {|  CHOOSE
+    RENAME_NET(q, "a", "leaked")
+    REJECT("no")
+  ORELSE
+    compact(q, "SOUTH")
+  END|})
+    = [ "a" ]);
+  check_bool "kept rename stays in the callee" true
+    (Lobj.nets (caller {|  RENAME_NET(q, "a", "callee")
+  compact(q, "SOUTH")|}) = [ "a" ]);
+  let y_span o = Option.map (fun r -> (r.Rect.y0, r.Rect.y1)) (Lobj.bbox o) in
+  check_bool "kept mirror stays in the callee" true
+    (y_span (caller {|  MIRROR(q, "X")
+  compact(q, "SOUTH")|}) = Some (0, um 2.))
 
 let test_interp_diff_pair () =
   let o =
@@ -606,6 +646,8 @@ let suite =
     Alcotest.test_case "choose rollback" `Quick test_interp_choose_rollback;
     Alcotest.test_case "choose rollback of objects" `Quick
       test_interp_choose_rollback_objects;
+    Alcotest.test_case "object parameters are copies" `Quick
+      test_interp_params_are_copies;
     Alcotest.test_case "diff pair (fig 7)" `Quick test_interp_diff_pair;
     Alcotest.test_case "geometry queries" `Quick test_interp_geometry_queries;
     Alcotest.test_case "fit-row topology variants" `Quick test_interp_fit_row_variants;

@@ -313,6 +313,220 @@ let prop_near_matches_shapes =
       in
       Lobj.near o ~layer window ~margin = expected)
 
+(* --- the lazily built layer index vs. an eagerly indexed reference --- *)
+
+(* One operation of a random store history.  Shape picks are indices
+   into the live shapes, taken modulo their count. *)
+type spec = string * string option * (int * int) * ((int * int) * bool * Edge.sides)
+
+type store_op =
+  | Add of spec
+  | Absorb of spec list list * (int * int)
+  | Grow of int * Dir.t * int
+  | Shrink of int * Dir.t * int
+  | Relayer of int * string
+  | Remove of int
+  | Remove_most
+  | Register of int
+  | Rederive
+  | Translate of int * int
+  | Transform of Amg_geometry.Transform.orientation
+  | Copy of bool
+  | Fill
+  | Release
+  | Query of string * (int * int) * int
+
+let gen_store_op =
+  QCheck2.Gen.(
+    let pick = int_range 0 1000 in
+    frequency
+      [
+        (6, map (fun s -> Add s) gen_plain_spec);
+        ( 3,
+          map2
+            (fun specs at -> Absorb (specs, at))
+            (list_size (int_range 1 6) gen_shape_spec)
+            (tup2 (int_range (-20) 20) (int_range (-20) 20)) );
+        (2, map3 (fun k d a -> Grow (k, d, a)) pick (oneofl Dir.all) (int_range 1 8));
+        (2, map3 (fun k d a -> Shrink (k, d, a)) pick (oneofl Dir.all) (int_range 1 3));
+        (2, map2 (fun k l -> Relayer (k, l)) pick (oneofl layers));
+        (2, map (fun k -> Remove k) pick);
+        (1, return Remove_most);
+        (1, map (fun k -> Register k) pick);
+        (1, return Rederive);
+        (1, map2 (fun x y -> Translate (x, y)) (int_range (-10) 10) (int_range (-10) 10));
+        (1, map (fun o -> Transform o) (oneofl Amg_geometry.Transform.[ MX; MY; R90; R180 ]));
+        (1, map (fun b -> Copy b) bool);
+        (1, return Fill);
+        (1, return Release);
+        ( 4,
+          map3
+            (fun l at m -> Query (l, at, m))
+            (oneofl layers)
+            (tup2 (int_range (-20) 90) (int_range (-20) 90))
+            (int_range 0 6) );
+      ])
+
+(* Is shape [id] a container of a registered array?  Removing one, or
+   moving it to a layer no cut may sit in, would break [rederive]. *)
+let is_container o id = Lobj.arrays_of_container o id <> []
+
+let is_member (s : Shape.t) =
+  match s.Shape.origin with Shape.Array_member _ -> true | Shape.User -> false
+
+(* The lazy object [o] and its eagerly indexed twin [e] agree on every
+   read of [layer]: candidate queries (ids in order, against a naive
+   filter too), the visiting order of [iter_near] (the bins are the same),
+   [shapes_on], the hull, and afterwards the index holds every shape. *)
+let agree_on ~window ~margin o e layer =
+  let ids l = List.map (fun (s : Shape.t) -> s.Shape.id) l in
+  let visits x =
+    let acc = ref [] in
+    Lobj.iter_near x ~layer window ~margin (fun s -> acc := s.Shape.id :: !acc);
+    List.rev !acc
+  in
+  let inflated = Rect.inflate window margin in
+  let naive =
+    List.filter
+      (fun (s : Shape.t) ->
+        Shape.on_layer s layer
+        && s.rect.Rect.x0 <= inflated.Rect.x1
+        && inflated.Rect.x0 <= s.rect.Rect.x1
+        && s.rect.Rect.y0 <= inflated.Rect.y1
+        && inflated.Rect.y0 <= s.rect.Rect.y1)
+      (Lobj.shapes o)
+  in
+  let count = List.length (List.filter (fun s -> Shape.on_layer s layer) (Lobj.shapes o)) in
+  Lobj.indexed o layer <= count
+  && Option.equal Rect.equal (Lobj.bbox_on o layer) (Lobj.bbox_on e layer)
+  && ids (Lobj.near o ~layer window ~margin) = ids naive
+  && ids (Lobj.near e ~layer window ~margin) = ids naive
+  && visits o = visits e
+  && ids (Lobj.shapes_on o layer) = ids (Lobj.shapes_on e layer)
+  && Lobj.indexed o layer = count
+  && Lobj.indexed e layer = count
+
+let agree_everywhere o e =
+  let window = Rect.of_size ~x:(-20_000) ~y:(-20_000) ~w:100_000 ~h:100_000 in
+  List.equal Shape.equal (Lobj.shapes o) (Lobj.shapes e)
+  && List.equal String.equal (Lobj.layers o) (Lobj.layers e)
+  && Option.equal Rect.equal (Lobj.bbox o) (Lobj.bbox e)
+  && List.for_all
+       (fun layer ->
+         Lobj.keep_clear_on o layer = Lobj.keep_clear_on e layer
+         && agree_on ~window ~margin:1000 o e layer)
+       ("contact" :: layers)
+
+let prop_lazy_index_matches_eager =
+  let decks = [| Amg_tech.Bicmos1u.get (); Amg_tech.Cmos08.get () |] in
+  let gen =
+    QCheck2.Gen.(
+      tup3 (int_range 0 1)
+        (list_size (int_range 0 12) gen_shape_spec)
+        (list_size (int_range 1 40) gen_store_op))
+  in
+  QCheck2.Test.make ~name:"lazy layer index = eager index" ~count:400 gen
+    (fun (deck, start, ops) ->
+      let rules = Technology.rules decks.(deck) in
+      let o = build_lobj "lazy" start in
+      let e = Lobj.copy o in
+      Lobj.fill_caches e;
+      (* Both objects take every mutation; [e] is brought up to date after
+         each, as eager insertion would leave it.  Pairs a copy split off
+         are checked at the end too. *)
+      let cur = ref (o, e) and retired = ref [] and ok = ref true in
+      let both f =
+        let o, e = !cur in
+        f o;
+        f e;
+        Lobj.fill_caches e
+      in
+      let pick k f =
+        let o, _ = !cur in
+        match Lobj.shapes o with
+        | [] -> ()
+        | shapes -> f (List.nth shapes (k mod List.length shapes))
+      in
+      let step = function
+        | Add (layer, net, (x, y), ((w, h), keep_clear, sides)) ->
+            both (fun x' ->
+                ignore
+                  (Lobj.add_shape x' ~layer
+                     ~rect:(Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500))
+                     ?net ~sides ~keep_clear ()))
+        | Absorb (specs, (dx, dy)) ->
+            let src = build_lobj "src" specs in
+            both (fun x -> ignore (Lobj.absorb ~dx:(dx * 500) ~dy:(dy * 500) x src))
+        | Grow (k, d, a) | Shrink (k, d, a) as op ->
+            let a = match op with Shrink _ -> -a | _ -> a in
+            pick k (fun s ->
+                let r = Rect.grow_side s.Shape.rect d (a * 500) in
+                if Rect.width r > 0 && Rect.height r > 0 then
+                  both (fun x -> Lobj.replace x (Shape.with_rect s r)))
+        | Relayer (k, layer) ->
+            pick k (fun s ->
+                if not (is_container (fst !cur) s.Shape.id || is_member s) then
+                  both (fun x -> Lobj.replace x { s with Shape.layer }))
+        | Remove k ->
+            pick k (fun s ->
+                if not (is_container (fst !cur) s.Shape.id) then
+                  both (fun x -> Lobj.remove x s.Shape.id))
+        | Remove_most ->
+            let o, _ = !cur in
+            let doomed =
+              List.filteri
+                (fun i (s : Shape.t) -> i mod 4 <> 0 && not (is_container o s.Shape.id))
+                (Lobj.shapes o)
+            in
+            both (fun x -> List.iter (fun (s : Shape.t) -> Lobj.remove x s.Shape.id) doomed)
+        | Register k ->
+            pick k (fun s ->
+                if
+                  List.mem s.Shape.layer [ "metal1"; "pdiff"; "poly" ] && not (is_member s)
+                then
+                  both (fun x ->
+                      ignore
+                        (Lobj.register_array x ~cut_layer:"contact"
+                           ~container_ids:[ s.Shape.id ] ?net:s.Shape.net ())))
+        | Rederive -> both (fun x -> Lobj.rederive x rules)
+        | Translate (dx, dy) -> both (fun x -> Lobj.translate x ~dx:(dx * 500) ~dy:(dy * 500))
+        | Transform orient ->
+            both (fun x -> Lobj.transform x (Amg_geometry.Transform.of_orientation orient))
+        | Copy mutate_original ->
+            let o, e = !cur in
+            let copied = (Lobj.copy o, Lobj.copy e) in
+            let kept, other = if mutate_original then ((o, e), copied) else (copied, (o, e)) in
+            retired := other :: !retired;
+            cur := kept;
+            both (fun x ->
+                ignore
+                  (Lobj.add_shape x ~layer:"metal1"
+                     ~rect:(Rect.of_size ~x:0 ~y:0 ~w:2000 ~h:2000) ()))
+        | Fill -> both Lobj.fill_caches
+        | Release -> both Lobj.release_indexes
+        | Query (layer, (x, y), margin) ->
+            let o, e = !cur in
+            let window = Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:10_000 ~h:6_000 in
+            if not (agree_on ~window ~margin:(margin * 500) o e layer) then ok := false
+      in
+      List.iter step ops;
+      !ok && List.for_all (fun (o, e) -> agree_everywhere o e) (!cur :: !retired))
+
+(* Entering shapes leaves them pending: an absorb indexes nothing until a
+   query of the layer, which then holds every shape of it. *)
+let test_lazy_index_defers () =
+  let env = Env.bicmos () in
+  let row net = M.Contact_row.make env ~layer:"pdiff" ~w:(um 10.) ~net () in
+  let main = row "a" in
+  Lobj.fill_caches main;
+  let cuts o = List.length (Lobj.shapes_on (Lobj.copy o) "contact") in
+  let before = Lobj.indexed main "contact" in
+  ignore (Lobj.absorb ~dy:(um 20.) main (row "b"));
+  Alcotest.(check int) "absorbed cuts wait" before (Lobj.indexed main "contact");
+  Alcotest.(check bool) "cuts were absorbed" true (cuts main > before);
+  ignore (Lobj.near main ~layer:"contact" (Lobj.bbox_exn main) ~margin:0);
+  Alcotest.(check int) "a query enters them" (cuts main) (Lobj.indexed main "contact")
+
 (* --- the candidate pass vs. the all-pairs scan --- *)
 
 (* The bound stationary [b] imposes on [a] moving in [d], from the pair's
@@ -397,22 +611,31 @@ let pass_summary (pass : Successive.pass) =
     Lazy.force pass.runner_up,
     pass.connect )
 
+(* The pass is also run as a search runs it: through the mover's digest
+   and a class table, which covers every layer, or only some of them (a
+   layer it misses is classified on the spot). *)
 let prop_pass_equiv =
   let gen =
     QCheck2.Gen.(
-      tup4
+      tup5
         (list_size (int_range 1 25) gen_shape_spec)
         (list_size (int_range 1 5) gen_shape_spec)
         (oneofl Dir.all)
-        (oneofl [ []; [ "metal1" ]; [ "poly" ] ]))
+        (oneofl [ []; [ "metal1" ]; [ "poly" ] ])
+        (oneofl [ layers; [ "metal1"; "contact" ]; [] ]))
   in
   QCheck2.Test.make ~name:"candidate pass = all-pairs scan" ~count:500 gen
-    (fun (main_specs, obj_specs, d, ignore_layers) ->
+    (fun (main_specs, obj_specs, d, ignore_layers, covered) ->
       let rules = rules () in
       let main = build_lobj "main" main_specs in
       let obj = build_lobj "obj" obj_specs in
-      pass_summary (Successive.scan rules ~ignore_layers d ~main obj)
-      = naive_pass rules ~ignore_layers d ~main obj)
+      let expected = naive_pass rules ~ignore_layers d ~main obj in
+      let classes = Successive.classes rules covered in
+      pass_summary (Successive.scan rules ~ignore_layers d ~main obj) = expected
+      && pass_summary
+           (Successive.scan_digest rules ~ignore_layers ~classes ~main
+              (Successive.digest obj d))
+         = expected)
 
 (* --- what the pass skips --- *)
 
@@ -625,6 +848,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_copy_independent;
     QCheck_alcotest.to_alcotest prop_remove_batch_matches_remove;
     QCheck_alcotest.to_alcotest prop_near_matches_shapes;
+    QCheck_alcotest.to_alcotest prop_lazy_index_matches_eager;
+    Alcotest.test_case "lazy index defers absorbed shapes" `Quick test_lazy_index_defers;
     QCheck_alcotest.to_alcotest prop_pass_equiv;
     QCheck_alcotest.to_alcotest prop_auto_connect_equiv;
     Alcotest.test_case "contact rows: no contact x contact pair visited" `Quick
