@@ -12,7 +12,16 @@
    two-row metal1 contact-row pack (whose contacts have no landing layer)
    and for 20 seeded dirty layouts per deck.  Report order includes the
    hash-table iteration of the short and min-area passes, so any change
-   to their union-find roots shows up here. *)
+   to their union-find roots shows up here.
+
+   And it writes module_digests.txt: one line per (module class, deck,
+   parameter cell) over a small grid of every library module class the
+   signoff_library benchmark builds, in both decks (the capacitor array
+   in the BiCMOS deck only), plus the routed amplifier and the OTA.  Each
+   line holds the MD5 of the module's CIF and its design-rule violation
+   count (the geometric checks for a module, every check for the two
+   circuits), so any change to the bytes of any library module shows up
+   here without pinning whole CIF files. *)
 
 module Units = Amg_geometry.Units
 module Env = Amg_core.Env
@@ -53,6 +62,93 @@ let drc_reports () =
       ("cmos08", Amg_tech.Cmos08.get (), Dirty_layout.cmos08_layers) ];
   close_out oc
 
+let module_digests () =
+  let oc = open_out "module_digests.txt" in
+  let bicmos = Env.bicmos () in
+  let cmos08 = Env.create (Amg_tech.Tech_file.parse_string Amg_tech.Cmos08.source) in
+  let line cls deck cell ?checks env obj =
+    let tech = Env.tech env in
+    Printf.fprintf oc "%s %s %s %s %d\n" cls deck cell
+      (Digest.to_hex (Digest.string (Amg_layout.Cif.of_lobj ~tech obj)))
+      (List.length (Checker.run ?checks ~tech obj))
+  in
+  let geometric = Checker.[ Widths; Spacings; Enclosures; Extensions ] in
+  let pol = function M.Mosfet.Pmos -> "pmos" | M.Mosfet.Nmos -> "nmos" in
+  let mos = [ (M.Mosfet.Pmos, 4., 1.6); (M.Mosfet.Nmos, 12., 3.8); (M.Mosfet.Pmos, 20., 6.) ] in
+  let cells f xs = List.map f xs in
+  let classes env =
+    [
+      ( "contact_row",
+        cells
+          (fun (layer, w, l) ->
+            ( Printf.sprintf "layer=%s,W=%g,L=%g" layer w l,
+              fun () -> M.Contact_row.make env ~layer ~w:(um w) ~l:(um l) () ))
+          [ ("poly", 2., 2.); ("pdiff", 11., 21.); ("ndiff", 20., 40.) ] );
+      ( "diff_pair",
+        cells
+          (fun (p, w, l) ->
+            ( Printf.sprintf "%s,W=%g,L=%g" (pol p) w l,
+              fun () -> M.Diff_pair.make env ~polarity:p ~w:(um w) ~l:(um l) () ))
+          mos );
+      ( "diff_pair_lang",
+        cells
+          (fun (_, w, l) ->
+            ( Printf.sprintf "W=%g,L=%g" w l,
+              fun () ->
+                Amg_lang.Interp.parse_and_build env Amg_lang.Stdlib.all "DiffPair"
+                  [ ("W", Amg_lang.Value.Num w); ("L", Amg_lang.Value.Num l) ] ))
+          mos );
+      ( "interdigitated",
+        cells
+          (fun ((p, w, l), fingers) ->
+            ( Printf.sprintf "%s,W=%g,L=%g,fingers=%d" (pol p) w l fingers,
+              fun () ->
+                M.Interdigitated.make env ~polarity:p ~w:(um w) ~l:(um l) ~fingers () ))
+          (List.combine mos [ 2; 4; 6 ]) );
+      ( "mirror_symmetric",
+        cells
+          (fun (p, w, l) ->
+            ( Printf.sprintf "%s,W=%g,L=%g" (pol p) w l,
+              fun () -> M.Current_mirror.symmetric env ~polarity:p ~w:(um w) ~l:(um l) () ))
+          mos );
+      ( "module_e",
+        cells
+          (fun (p, w, l) ->
+            ( Printf.sprintf "%s,W=%g,L=%g" (pol p) w l,
+              fun () -> M.Common_centroid.make env ~polarity:p ~w:(um w) ~l:(um l) () ))
+          [ (M.Mosfet.Pmos, 6., 1.6); (M.Mosfet.Nmos, 8., 2.2); (M.Mosfet.Pmos, 10., 3.) ] );
+      ( "resistor_pair",
+        cells
+          (fun squares ->
+            ( Printf.sprintf "squares=%g" squares,
+              fun () -> fst (M.Resistor_pair.make env ~squares ()) ))
+          [ 10.; 45.; 80. ] );
+      ( "stacked",
+        cells
+          (fun ((p, w, l), stages) ->
+            ( Printf.sprintf "%s,W=%g,L=%g,stages=%d" (pol p) w l stages,
+              fun () -> M.Stacked.series env ~polarity:p ~w:(um w) ~l:(um l) ~stages () ))
+          (List.combine mos [ 1; 2; 4 ]) );
+    ]
+  in
+  List.iter
+    (fun (deck, env) ->
+      List.iter
+        (fun (cls, cells) ->
+          List.iter (fun (cell, build) -> line cls deck cell ~checks:geometric env (build ())) cells)
+        (classes env))
+    [ ("bicmos1u", bicmos); ("cmos08", cmos08) ];
+  List.iter
+    (fun (units_a, units_b, unit_ff) ->
+      line "cap_array" "bicmos1u"
+        (Printf.sprintf "units=%d+%d,unit_ff=%g" units_a units_b unit_ff)
+        ~checks:geometric bicmos
+        (fst (M.Cap_array.make bicmos ~unit_ff ~units_a ~units_b ())))
+    [ (1, 2, 60.); (2, 1, 70.); (2, 2, 80.) ];
+  line "amplifier" "bicmos1u" "fig9" bicmos (Amg_amplifier.Amplifier.build bicmos).obj;
+  line "ota" "bicmos1u" "5t" bicmos (Amg_amplifier.Ota.build bicmos).obj;
+  close_out oc
+
 let () =
   let env = Env.bicmos () in
   let tech = Env.tech env in
@@ -85,4 +181,5 @@ let () =
       Amg_layout.Cif.save ~tech obj (name ^ ".cif");
       Amg_layout.Svg.save ~tech obj (name ^ ".svg"))
     modules;
-  drc_reports ()
+  drc_reports ();
+  module_digests ()
