@@ -467,8 +467,7 @@ let shrink_edge rules owner (s : Shape.t) facing step =
   let r = Rect.grow_side s.rect facing (-step) in
   Lobj.replace owner (Shape.with_rect s r);
   Lobj.rederive owner rules;
-  let arrays = Lobj.arrays_of_container owner s.Shape.id in
-  if List.exists (fun a -> Lobj.array_member_count owner a = 0) arrays then begin
+  if Lobj.starved_array owner ~container:s.Shape.id then begin
     Lobj.replace owner s;
     Lobj.rederive owner rules;
     0

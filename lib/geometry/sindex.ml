@@ -153,6 +153,13 @@ let remove_batch t entries ~gone =
   if !ywide then t.ywide <- strip gone t.ywide;
   t.count <- t.count - List.length entries
 
+let clear t =
+  Array.fill t.xbins.arr 0 (Array.length t.xbins.arr) [];
+  Array.fill t.ybins.arr 0 (Array.length t.ybins.arr) [];
+  t.xwide <- [];
+  t.ywide <- [];
+  t.count <- 0
+
 let translate_all t ~dx ~dy =
   t.ox <- t.ox + dx;
   t.oy <- t.oy + dy

@@ -52,6 +52,10 @@ val remove_batch : t -> (int * Rect.t) list -> gone:(int -> bool) -> unit
     O(entries + the covered bins' contents) instead of a bin walk per
     entry. *)
 
+val clear : t -> unit
+(** Remove every entry: the index ends up exactly as a {!remove} per
+    entry leaves it (its offset included), for O(bins). *)
+
 val translate_all : t -> dx:int -> dy:int -> unit
 (** Shift every stored rectangle.  O(1): maintained as an offset. *)
 

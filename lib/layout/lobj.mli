@@ -15,15 +15,15 @@
     A layer's spatial index is built lazily.  Entering a shape
     ({!add_shape}, {!absorb}, {!rederive}'s cuts) leaves it pending; the
     first query of the layer ({!near}, {!iter_near}, {!iter_near_layer},
-    {!shapes_on}), a recompute of its hull, and every mutation that
-    rewrites its index ({!replace}, {!remove}, {!transform}, a slot
-    squeeze, {!fill_caches}) enter its pending shapes first, in insertion
-    order, so the index ends up exactly as eager insertion would have
-    built it (after {!release_indexes}, as entering every shape afresh
-    in insertion order would); {!translate} moves pending shapes with
-    the rest, and {!rederive} takes a pending member out without
-    entering it.  Counts ({!layers}, {!keep_clear_on},
-    {!shape_count}) never wait for the index. *)
+    {!shapes_on}) and every mutation that rewrites its index
+    ({!replace}, {!remove}, {!transform}, a slot squeeze, {!fill_caches})
+    enter its pending shapes first, in insertion order, so the index ends
+    up exactly as eager insertion would have built it (after
+    {!release_indexes}, as entering every shape afresh in insertion order
+    would); {!translate} moves pending shapes with the rest, a recompute
+    of the layer's hull reads them where they stand, and {!rederive}
+    takes a pending member out without entering it.  Counts ({!layers},
+    {!keep_clear_on}, {!shape_count}) never wait for the index. *)
 
 type t
 
@@ -160,9 +160,10 @@ val transform : t -> Amg_geometry.Transform.t -> unit
 
 val copy : ?name:string -> t -> t
 (** Structural copy — the paper's ["trans2 = trans1"] object copy (§2.5).
-    Immutable shape/port/array values are shared, but every mutable part of
-    the store (slots, id table, spatial indexes, caches) is duplicated, so
-    mutating either object never affects the other.  Not a deep copy of the
+    Immutable shape/port/array values are shared (the arrays' derivation
+    memos of {!rederive} included: none is copied), but every mutable part
+    of the store (slots, id table, spatial indexes, caches) is duplicated,
+    so mutating either object never affects the other.  Not a deep copy of the
     shape values themselves — they never mutate.  Copying is also how a
     build rolls back: the language's [CHOOSE] keeps a copy and reinstates
     it when a branch is rejected. *)
@@ -198,7 +199,15 @@ val arrays_of_container : t -> int -> int list
 (** Ids of the registered arrays using shape [id] as a container. *)
 
 val array_member_count : t -> int -> int
-(** Current number of members of the given array. *)
+(** Current number of members of the given array: a pass over the
+    store. *)
+
+val starved_array : t -> container:int -> bool
+(** Whether some registered array with shape [container] among its
+    containers got no cut at the object's last {!rederive}: read from the
+    arrays' memos (below), without a pass over the store.  An array that
+    no {!rederive} has derived yet counts its members instead.  The
+    variable-edge shrink's rollback check, right after a rederive. *)
 
 val array_cut_layers_of_container : t -> int -> string list
 (** Cut layers of every registered array that uses shape [id] as a
@@ -208,14 +217,23 @@ val array_cut_layers_of_container : t -> int -> string list
 val rederive : t -> Amg_tech.Rules.t -> unit
 (** Recompute all array members from the current container rectangles —
     the automatic rebuild of §2.3.  Every member of a registered array
-    leaves the object; then each array, in registration order, derives
-    its cuts from its containers, and the cuts enter at the end of the
-    object with fresh ids taken in that order.  The result is exactly
-    what removing each array's members and {!add_shape}-ing its cuts,
-    array by array, would leave: the same ids, {!id_bound}, shape order
-    and index contents.  A container must be a live shape that is not
-    itself an array member.  Cost: O(slots + members + cuts), one pass
-    over the store and one batch removal per touched layer index. *)
+    leaves the object; then each array, in registration order, gets its
+    cuts, and the cuts enter at the end of the object with fresh ids
+    taken in that order.  The result is exactly what removing each
+    array's members and {!add_shape}-ing its cuts, array by array, would
+    leave: the same ids, {!id_bound}, shape order and index contents.  A
+    container must be a live shape that is not itself an array member.
+
+    Each registered array keeps a memo of its last derivation: the rules
+    (compared physically), its containers' layers and rects, and its
+    cuts.  An array whose rules and containers still match its memo is
+    not derived again ([Derive.cut_array] runs only for the others, each
+    run counted as [lobj.cut_array_derivations]); its cuts re-enter from
+    the memo, sharing their rects and one origin value.  The memos live
+    in immutable array entries: {!copy} shares them, and every mutation
+    that moves a container is caught by the comparison, so no mutation
+    has to invalidate one.  Cost: O(slots + members + cuts) plus the
+    derivations of the arrays whose containers changed. *)
 
 val absorb : ?dx:int -> ?dy:int -> t -> t -> int
 (** [absorb ~dx ~dy t src] appends [src]'s shapes, ports and arrays into
@@ -225,6 +243,10 @@ val absorb : ?dx:int -> ?dy:int -> t -> t -> int
     id and final position, so [absorb ~dx ~dy t src] leaves [t] exactly as
     translating a copy of [src] by [(dx, dy)] and absorbing that would.
     The shapes are entered as one batch: one layer lookup per run of
-    same-layer shapes, and each hull extended once. *)
+    same-layer shapes, and each hull extended once.  A shape costs its
+    record, its slot box and, when displaced, its rect; the members of
+    one array share one renumbered origin.  The arrays keep their memos
+    (a displaced array's no longer match, and it is derived afresh at
+    [t]'s next {!rederive}). *)
 
 val pp : Format.formatter -> t -> unit
