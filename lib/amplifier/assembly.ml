@@ -206,12 +206,23 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
      a block with several same-net islands (e.g. a well tap plus a source
      strap) may leave one floating.  Extract the connectivity, find the
      remaining islands of each supply net, and drop each to its nearest
-     rail until the net is one node. *)
+     rail until the net is one node.  A connectivity build is kept until
+     the next drop is attempted: vss's first pass reads the layout vdd's
+     last pass found whole, unchanged. *)
+  let built = ref None in
+  let connectivity () =
+    match !built with
+    | Some conn -> conn
+    | None ->
+        let conn = Amg_extract.Connectivity.build ~tech:(Env.tech env) amp in
+        built := Some conn;
+        conn
+  in
   let repair_supply net =
     let rec pass n =
       if n <= 0 then ()
       else begin
-        let conn = Amg_extract.Connectivity.build ~tech:(Env.tech env) amp in
+        let conn = connectivity () in
         let comps = Amg_extract.Connectivity.label_components conn net in
         if List.length comps > 1 then begin
           (* The component containing a full-width rail is the hooked one;
@@ -240,6 +251,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
                   if
                     List.exists
                       (fun rail_y ->
+                        built := None;
                         match
                           Amg_route.Global.drop env amp ~net ~track_y:rail_y port
                         with
