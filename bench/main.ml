@@ -23,7 +23,10 @@ module Rating = Amg_core.Rating
 module Wire = Amg_robust.Wire
 module Json = Amg_robust.Diag.Json
 module Successive = Amg_compact.Successive
-module Edge_graph = Amg_compact.Edge_graph
+module Edge_graph = Amg_ablate.Edge_graph
+module Floorplan = Amg_ablate.Floorplan
+module Channel = Amg_ablate.Channel
+module Baseline = Amg_ablate.Baseline
 module M = Amg_modules
 module A = Amg_amplifier.Amplifier
 
@@ -373,8 +376,8 @@ let claim_code _env =
   in
   let row_dsl = dsl_lines Amg_lang.Stdlib.contact_row in
   let dp_dsl = dsl_lines Amg_lang.Stdlib.all in
-  let row_base = M.Baseline.contact_row_loc () in
-  let dp_base = M.Baseline.diff_pair_loc () in
+  let row_base = Baseline.contact_row_loc in
+  let dp_base = Baseline.diff_pair_loc in
   Fmt.pr "%-14s %14s %18s %8s@." "module" "language/LoC" "coordinates/LoC" "ratio";
   Fmt.pr "%-14s %14d %18d %8.1f@." "ContactRow" row_dsl row_base
     (float_of_int row_base /. float_of_int row_dsl);
@@ -487,14 +490,12 @@ let claim_opt env =
       ~w:(um (64. /. float_of_int fingers))
       ~l:(um 2.) ~fingers ~well:false ()
   in
-  let v =
-    Amg_core.Variants.alt
-      [ Amg_core.Variants.delay (variant 2); Amg_core.Variants.delay (variant 8) ]
-  in
+  (* The lower rating wins; a tie goes to the 2-finger variant. *)
   let pick weights =
-    match Amg_core.Variants.best ~rate:(Rating.rate env weights) v with
-    | Some (o, _) -> Lobj.name o
-    | None -> "none"
+    let rate = Rating.rate env weights in
+    let two = variant 2 () in
+    let eight = variant 8 () in
+    Lobj.name (if rate eight < rate two then eight else two)
   in
   let square = Rating.with_aspect Rating.area_only 1.0 in
   let flat = Rating.with_aspect Rating.area_only 6.0 in
@@ -623,7 +624,7 @@ let floorplan_ablation env =
       (fun (c : Amg_circuit.Partition.cluster) ->
         let b = Amg_amplifier.Blocks.generate env netlist c in
         let bb = Lobj.bbox_exn b in
-        Amg_core.Floorplan.block ~name:c.Amg_circuit.Partition.cluster_name
+        Floorplan.block ~name:c.Amg_circuit.Partition.cluster_name
           ~w:(Rect.width bb) ~h:(Rect.height bb))
       clusters
   in
@@ -633,11 +634,11 @@ let floorplan_ablation env =
        E/CC in the middle, B/D/RZ/F at the bottom. *)
     let by prefix =
       List.filter
-        (fun (b : Amg_core.Floorplan.block) ->
+        (fun (b : Floorplan.block) ->
           List.exists
             (fun p ->
-              String.length b.Amg_core.Floorplan.fp_name >= String.length p
-              && String.sub b.Amg_core.Floorplan.fp_name 0 (String.length p) = p)
+              String.length b.Floorplan.fp_name >= String.length p
+              && String.sub b.Floorplan.fp_name 0 (String.length p) = p)
             prefix)
         blocks
     in
@@ -645,12 +646,12 @@ let floorplan_ablation env =
       by [ "pair"; "passive_CC" ];
       by [ "sources"; "single_MT"; "cascode" ] ]
   in
-  let rows = Amg_core.Floorplan.rows_area ~spacing rows3 in
-  let (opt, dt) = wall (fun () -> Amg_core.Floorplan.optimize ~spacing blocks) in
+  let rows = Floorplan.rows_area ~spacing rows3 in
+  let (opt, dt) = wall (fun () -> Floorplan.optimize ~spacing blocks) in
   let sum =
     List.fold_left
-      (fun a (b : Amg_core.Floorplan.block) ->
-        a + (b.Amg_core.Floorplan.fp_w * b.Amg_core.Floorplan.fp_h))
+      (fun a (b : Floorplan.block) ->
+        a + (b.Floorplan.fp_w * b.Floorplan.fp_h))
       0 blocks
   in
   Fmt.pr "blocks: %d, total block area %.0f um2@." (List.length blocks)
@@ -658,9 +659,9 @@ let floorplan_ablation env =
   Fmt.pr "three-row stack (the script's plan): %.0f um2@."
     (float_of_int rows /. 1e6);
   Fmt.pr "optimal slicing floorplan:           %.0f um2 (%.1f%% smaller, %.0f ms)@."
-    (float_of_int opt.Amg_core.Floorplan.area /. 1e6)
+    (float_of_int opt.Floorplan.area /. 1e6)
     (100.
-    *. (float_of_int rows -. float_of_int opt.Amg_core.Floorplan.area)
+    *. (float_of_int rows -. float_of_int opt.Floorplan.area)
     /. float_of_int rows)
     (dt *. 1000.);
   Fmt.pr "(the row stack buys straight routing channels; the slicing plan@.";
@@ -697,23 +698,23 @@ let route_ablation () =
         in
         let ut = ref [] and ub = ref [] in
         {
-          Amg_route.Channel.top = List.init npins (fun _ -> pin ut);
+          Channel.top = List.init npins (fun _ -> pin ut);
           bottom = List.init npins (fun _ -> pin ub);
         }
       in
-      let per_net = List.length (Amg_route.Channel.nets_of spec) in
+      let per_net = List.length (Channel.nets_of spec) in
       let plain =
-        match Amg_route.Channel.assign spec with
+        match Channel.assign spec with
         | _, n -> string_of_int n
         | exception Amg_robust.Diag.Fail _ -> "cyclic"
       in
       let dogleg =
-        match Amg_route.Channel.assign_dogleg spec with
+        match Channel.assign_dogleg spec with
         | _, _, n -> string_of_int n
         | exception Amg_robust.Diag.Fail _ -> "cyclic"
       in
       Fmt.pr "%8d %8d %10d %10d %10s %10s@." (2 * npins) per_net
-        (Amg_route.Channel.density spec) per_net plain dogleg)
+        (Channel.density spec) per_net plain dogleg)
     [ (6, 4); (10, 6); (14, 8); (18, 10) ];
   Fmt.pr "(per-net is what the block-level comb router uses; the detailed@.";
   Fmt.pr " channel router packs disjoint intervals onto shared tracks)@."

@@ -91,9 +91,9 @@ let tech_arg =
 let jobs_arg =
   let doc =
     "Number of OCaml domains the optimization-mode searches (order \
-     permutations, branch-and-bound, local search, topology variants) may \
-     use.  Defaults to the machine's recommended domain count; results are \
-     identical for every value."
+     permutations, branch-and-bound, local search) may use.  Defaults to \
+     the machine's recommended domain count; results are identical for \
+     every value."
   in
   Arg.(
     value

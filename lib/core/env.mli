@@ -27,7 +27,7 @@ val um : float -> int
 exception Rejected of string
 (** Raised by a generator when a topology variant cannot satisfy the design
     rules ("If a rule cannot be fulfilled an error message occurs", §2.1);
-    the {!Variants} engine backtracks over it. *)
+    the language's CHOOSE backtracks over it. *)
 
 val reject : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Rejected} with a formatted message. *)

@@ -114,4 +114,4 @@ val raw :
   unit ->
   Amg_layout.Shape.t
 (** Escape hatch: place a rectangle at absolute coordinates.  Used by the
-    coordinate-level baseline generators for the code-length comparison. *)
+    capacitor generators for their plates and plate wiring. *)

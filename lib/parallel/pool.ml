@@ -366,5 +366,3 @@ let map_array t f arr =
        (function Some v -> v | None -> assert false (* every task ran *))
 
 let map_array_cancel t ~cancel f arr = map_array_opt t ~cancel f arr
-
-let map_list t f l = Array.to_list (map_array t f (Array.of_list l))

@@ -1,10 +1,9 @@
 (** A work-stealing pool of OCaml 5 domains for the optimization mode.
 
     The optimization layer evaluates many independent layout candidates
-    (order permutations, swap neighbourhoods, topology variants); a pool
-    fans those evaluations out over domains while keeping results in input
-    order, so reductions over them are deterministic regardless of
-    scheduling.
+    (order permutations, swap neighbourhoods); a pool fans those
+    evaluations out over domains while keeping results in input order, so
+    reductions over them are deterministic regardless of scheduling.
 
     Concurrency contract: a task must only mutate state it owns.  Layout
     objects are mutable, so a task must work on its own {!Amg_layout.Lobj.copy}
@@ -78,8 +77,6 @@ val map_array_cancel :
     already running always finish, so completed slots are in input order and
     any prefix-shaped reduction over them remains deterministic.  Errors
     propagate as in {!map_array}. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

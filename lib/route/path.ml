@@ -43,28 +43,3 @@ let length points =
     | [ _ ] | [] -> acc
   in
   go 0 points
-
-(* Number of times the open segments of [a] cross those of [b]
-   (perpendicular crossings of centre-lines).  Used to verify the "every
-   net has identical crossings" property of the module-E wiring. *)
-let crossings a b =
-  let segs points =
-    let rec go acc = function
-      | p :: (q :: _ as rest) -> go ((p, q) :: acc) rest
-      | [ _ ] | [] -> acc
-    in
-    go [] points
-  in
-  let crosses ((ax, ay), (bx, by)) ((cx, cy), (dx, dy)) =
-    let strictly_between lo hi v = Int.min lo hi < v && v < Int.max lo hi in
-    if ax = bx && cy = dy then
-      (* vertical x horizontal *)
-      strictly_between cx dx ax && strictly_between ay by cy
-    else if ay = by && cx = dx then
-      strictly_between ax bx cx && strictly_between cy dy ay
-    else false
-  in
-  List.fold_left
-    (fun acc sa ->
-      List.fold_left (fun acc sb -> if crosses sa sb then acc + 1 else acc) acc (segs b))
-    0 (segs a)

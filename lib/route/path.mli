@@ -23,7 +23,3 @@ val draw :
 
 val length : point list -> int
 (** Centre-line length. *)
-
-val crossings : point list -> point list -> int
-(** Perpendicular centre-line crossings between two paths; used to verify
-    the "every net has identical crossings" symmetry property (§3). *)

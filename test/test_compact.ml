@@ -1,5 +1,5 @@
 (* The successive compactor: constraint relations, placement, merging,
-   auto-connection, variable edges, and the edge-graph baseline. *)
+   auto-connection and variable edges. *)
 
 module Rect = Amg_geometry.Rect
 module Dir = Amg_geometry.Dir
@@ -9,7 +9,6 @@ module Shape = Amg_layout.Shape
 module Lobj = Amg_layout.Lobj
 module Constraints = Amg_compact.Constraints
 module Successive = Amg_compact.Successive
-module Edge_graph = Amg_compact.Edge_graph
 module Technology = Amg_tech.Technology
 
 let um = Units.of_um
@@ -229,74 +228,6 @@ let test_shrink_never_empties_array () =
   let conn = Amg_extract.Connectivity.build ~tech:(tech ()) main in
   check "row still connected" 1 (Amg_extract.Connectivity.label_node_count conn "s");
   check_bool "contacts survive" true (Lobj.shapes_on main "contact" <> [])
-
-(* --- edge-graph baseline --- *)
-
-let test_edge_graph_solve () =
-  let g =
-    { Edge_graph.node_count = 3;
-      arcs =
-        [ { Edge_graph.src = 0; dst = 1; weight = 10 };
-          { Edge_graph.src = 1; dst = 2; weight = 5 };
-          { Edge_graph.src = 0; dst = 2; weight = 20 } ] }
-  in
-  let pos = Edge_graph.solve g in
-  check "node0" 0 pos.(0);
-  check "node1" 10 pos.(1);
-  check "node2 longest path" 20 pos.(2)
-
-let test_edge_graph_positive_cycle () =
-  let g =
-    { Edge_graph.node_count = 2;
-      arcs =
-        [ { Edge_graph.src = 0; dst = 1; weight = 1 };
-          { Edge_graph.src = 1; dst = 0; weight = 1 } ] }
-  in
-  Alcotest.check_raises "cycle"
-    (Failure "Edge_graph.solve: positive cycle in constraints") (fun () ->
-      ignore (Edge_graph.solve g))
-
-let test_edge_graph_compacts () =
-  let rules = rules () in
-  (* Three spaced-out metal bars compact to minimum pitch. *)
-  let o = Lobj.create "loose" in
-  List.iteri
-    (fun i net ->
-      ignore
-        (Lobj.add_shape o ~layer:"metal1"
-           ~rect:(Rect.of_size ~x:(i * um 10.) ~y:0 ~w:(um 2.) ~h:(um 5.))
-           ~net ()))
-    [ "a"; "b"; "c" ];
-  let before = Lobj.bbox_exn o in
-  let _ = Edge_graph.compact_xy ~rules o in
-  let after = Lobj.bbox_exn o in
-  check "compacted width" (um 9.) (Rect.width after);
-  check_bool "smaller" true (Rect.width after < Rect.width before);
-  (* Still legal. *)
-  check "drc"
-    0
-    (List.length
-       (Amg_drc.Checker.run ~checks:[ Amg_drc.Checker.Spacings ] ~tech:(tech ()) o))
-
-let test_edge_graph_rigid_connectivity () =
-  let rules = rules () in
-  (* Touching same-net shapes keep their relative offset. *)
-  let o = Lobj.create "conn" in
-  let _ =
-    Lobj.add_shape o ~layer:"metal1" ~rect:(Rect.of_size ~x:(um 20.) ~y:0 ~w:(um 2.) ~h:(um 5.)) ~net:"a" ()
-  in
-  let _ =
-    Lobj.add_shape o ~layer:"metal1"
-      ~rect:(Rect.of_size ~x:(um 22.) ~y:0 ~w:(um 2.) ~h:(um 5.))
-      ~net:"a" ()
-  in
-  let _ = Edge_graph.compact_axis ~rules o Dir.Horizontal in
-  let rects = List.map (fun (s : Shape.t) -> s.Shape.rect) (Lobj.shapes o) in
-  (match rects with
-  | [ a; b ] ->
-      check "moved to origin" 0 a.Rect.x0;
-      check "offset preserved" (um 2.) b.Rect.x0
-  | _ -> Alcotest.fail "two rects")
 
 (* --- property: any compaction sequence is design-rule clean --- *)
 
@@ -622,10 +553,6 @@ let suite =
     Alcotest.test_case "variable edges (fig5)" `Quick test_variable_edges_fig5;
     Alcotest.test_case "cuts never stretched" `Quick test_cuts_never_stretched;
     Alcotest.test_case "shrink never empties arrays" `Quick test_shrink_never_empties_array;
-    Alcotest.test_case "edge graph longest path" `Quick test_edge_graph_solve;
-    Alcotest.test_case "edge graph cycle detection" `Quick test_edge_graph_positive_cycle;
-    Alcotest.test_case "edge graph compacts" `Quick test_edge_graph_compacts;
-    Alcotest.test_case "edge graph rigid connectivity" `Quick test_edge_graph_rigid_connectivity;
     QCheck_alcotest.to_alcotest prop_compaction_always_clean;
     QCheck_alcotest.to_alcotest prop_variable_edges_respect_min_width;
     QCheck_alcotest.to_alcotest prop_delta_translation_linear;

@@ -1,4 +1,4 @@
-(* The generator environment: automatic margins, primitives, backtracking
+(* The generator environment: automatic margins, primitives, topology
    variants, rating and compaction-order optimization. *)
 
 module Rect = Amg_geometry.Rect
@@ -9,7 +9,6 @@ module Shape = Amg_layout.Shape
 module Env = Amg_core.Env
 module Prim = Amg_core.Prim
 module Margins = Amg_core.Margins
-module Variants = Amg_core.Variants
 module Rating = Amg_core.Rating
 module Optimize = Amg_core.Optimize
 module Wire = Amg_robust.Wire
@@ -143,64 +142,70 @@ let test_angle () =
 
 (* --- variants --- *)
 
-let test_variants_enumeration () =
-  let v = Variants.alt [ Variants.return 1; Variants.return 2; Variants.return 3 ] in
-  check_bool "successes" true (Variants.successes v = [ 1; 2; 3 ]);
-  check_bool "first" true (Variants.first v = Some 1)
+(* Topology variants are CHOOSE branches: a design-rule rejection raised by
+   a primitive ends a branch, and the search moves on to the next one. *)
+let build_variants src entity =
+  Amg_lang.Interp.parse_and_build (env ()) src entity []
 
+(* A rejection deep inside a called entity still backtracks the caller's
+   CHOOSE: the first two variants fail a width rule, the third survives
+   alone. *)
 let test_variants_backtracking () =
-  let tried = ref [] in
-  let attempt name ok =
-    Variants.delay (fun () ->
-        tried := name :: !tried;
-        if ok then name else Env.reject "variant %s impossible" name)
-  in
-  let v = Variants.alt [ attempt "a" false; attempt "b" true; attempt "c" true ] in
-  check_bool "first success" true (Variants.first v = Some "b");
-  check_bool "a was tried" true (List.mem "a" !tried);
-  check_bool "failures recorded" true
-    (Variants.failures v = [ "variant a impossible" ])
+  let src = {|
+ENT Row()
+  CHOOSE
+    a = Narrow()
+    compact(a, NORTH)
+  ORELSE
+    INBOX("metal1", 2, 2, net = "b")
+    INBOX("metal1", 0.5, 0.5, net = "b")
+  ORELSE
+    INBOX("metal2", 2, 2, net = "c")
+  END
 
-let test_variants_bind () =
-  let open Variants in
-  let v =
-    let* x = of_list [ 1; 2 ] in
-    let* y = of_list [ 10; 20 ] in
-    if x = 2 && y = 10 then fail "skip" else return ((x * 100) + y)
-  in
-  check_bool "cartesian minus rejected" true
-    (successes v = [ 110; 120; 220 ])
+ENT Narrow()
+  INBOX("metal1", 2, 2, net = "a")
+  INBOX("metal1", 0.5, 0.5, net = "a")
+|} in
+  let o = build_variants src "Row" in
+  check "third variant only" 1 (Lobj.shape_count o);
+  check_bool "third variant's layer" true (Lobj.layers o = [ "metal2" ]);
+  check_bool "third variant's net" true (Lobj.nets o = [ "c" ])
 
-let test_variants_best () =
-  let v = Variants.of_list [ 5.; 1.; 3. ] in
-  (match Variants.best ~rate:(fun x -> x) v with
-  | Some (x, r) ->
-      check_bool "best value" true (x = 1.);
-      check_bool "best rating" true (r = 1.)
-  | None -> Alcotest.fail "expected a best");
-  check_bool "all rejected" true
-    (Variants.best ~rate:(fun _ -> 0.) (Variants.fail "no" : int Variants.t) = None)
-
-(* [first] walks depth first and stops at the first surviving leaf, so
-   under [bind] the later alternatives never run: neither when the first
-   leaf's continuation succeeds nor past the one whose continuation does
-   after an earlier continuation rejected. *)
+(* The search stops at the first surviving variant: the later branches
+   would raise a non-rule diagnostic, which CHOOSE does not catch, if they
+   ran.  The same holds for a CHOOSE nested inside the winning branch. *)
 let test_variants_first_lazy () =
-  let open Variants in
-  let ran = ref [] in
-  let body name x = delay (fun () -> ran := name :: !ran; x) in
-  let alts () = alt [ body "a" 1; body "b" 2; body "c" 3 ] in
-  let runs v =
-    ran := [];
-    let r = first v in
-    (r, List.rev !ran)
-  in
-  check_bool "plain alt runs only a" true (runs (alts ()) = (Some 1, [ "a" ]));
-  check_bool "bound alt runs only a" true
-    (runs (bind (alts ()) (fun x -> return (x * 10))) = (Some 10, [ "a" ]));
-  check_bool "a rejected continuation runs b, not c" true
-    (runs (bind (alts ()) (fun x -> if x = 1 then fail "odd" else return (x * 10)))
-    = (Some 20, [ "a"; "b" ]))
+  let flat = {|
+ENT Row()
+  CHOOSE
+    INBOX("metal1", 2, 2, net = "a")
+  ORELSE
+    x = 1 / 0
+  ORELSE
+    y = Missing()
+  END
+|} in
+  let nested = {|
+ENT Row()
+  CHOOSE
+    CHOOSE
+      INBOX("metal1", 2, 2, net = "a")
+    ORELSE
+      x = 1 / 0
+    END
+    INBOX("metal2", 2, 2, net = "a")
+  ORELSE
+    y = 1 / 0
+  END
+|} in
+  let o = build_variants flat "Row" in
+  check "flat: first variant" 1 (Lobj.shape_count o);
+  check_bool "flat: first variant's net" true (Lobj.nets o = [ "a" ]);
+  let o = build_variants nested "Row" in
+  check "nested: first variants" 2 (Lobj.shape_count o);
+  check_bool "nested: both layers" true
+    (List.sort compare (Lobj.layers o) = [ "metal1"; "metal2" ])
 
 (* --- rating and optimization --- *)
 
@@ -886,83 +891,6 @@ let test_local_placements_follow_ladder () =
     (fun d -> check "permissive: whole replays" whole (placements (local d)))
     Test_util.domain_counts
 
-(* --- slicing floorplanner --- *)
-
-module F = Amg_core.Floorplan
-
-let test_floorplan_basics () =
-  let r =
-    F.optimize
-      [ F.block ~name:"a" ~w:(um 2.) ~h:(um 1.);
-        F.block ~name:"b" ~w:(um 2.) ~h:(um 1.) ]
-  in
-  check "two blocks area" (um 2. * um 2.) r.F.area;
-  (* Four blocks that tile perfectly: the DP finds the zero-waste packing. *)
-  let blocks =
-    [ F.block ~name:"big" ~w:(um 10.) ~h:(um 10.);
-      F.block ~name:"wide" ~w:(um 10.) ~h:(um 5.);
-      F.block ~name:"s1" ~w:(um 5.) ~h:(um 5.);
-      F.block ~name:"s2" ~w:(um 5.) ~h:(um 5.) ]
-  in
-  let r = F.optimize blocks in
-  let sum =
-    List.fold_left (fun a b -> a + (b.F.fp_w * b.F.fp_h)) 0 blocks
-  in
-  check "zero waste" sum r.F.area;
-  (* Placements: every block present, pairwise disjoint, inside the box. *)
-  check "all placed" 4 (List.length r.F.positions);
-  let rects = List.map snd r.F.positions in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if i < j then check_bool "disjoint" false (Rect.overlaps a b))
-        rects)
-    rects;
-  let bbox = Rect.make ~x0:0 ~y0:0 ~x1:r.F.width ~y1:r.F.height in
-  List.iter (fun rc -> check_bool "inside" true (Rect.contains_rect bbox rc)) rects;
-  (* The aspect target steers the choice between transposed optima. *)
-  let flat = F.optimize ~aspect:3.0 blocks in
-  check_bool "flat wider than tall" true (flat.F.width > flat.F.height);
-  (* Spacing at cuts. *)
-  let sp =
-    F.optimize ~spacing:(um 1.)
-      [ F.block ~name:"a" ~w:(um 2.) ~h:(um 2.);
-        F.block ~name:"b" ~w:(um 2.) ~h:(um 2.) ]
-  in
-  check "spacing added" (um 2. * um 5.) sp.F.area;
-  Alcotest.check_raises "empty" (Amg_core.Env.Rejected "Floorplan: no blocks")
-    (fun () -> ignore (F.optimize []))
-
-(* Optimal slicing never loses to the row-stack baseline, placements are
-   always disjoint, and the area is at least the blocks' total. *)
-let prop_floorplan_optimal =
-  let gen =
-    QCheck2.Gen.(
-      list_size (int_range 1 6) (tup2 (int_range 1 12) (int_range 1 12)))
-  in
-  QCheck2.Test.make ~name:"floorplan beats row baseline" ~count:200 gen
-    (fun dims ->
-      let blocks =
-        List.mapi
-          (fun i (w, h) ->
-            F.block ~name:(string_of_int i) ~w:(um (float_of_int w))
-              ~h:(um (float_of_int h)))
-          dims
-      in
-      let r = F.optimize blocks in
-      let sum = List.fold_left (fun a b -> a + (b.F.fp_w * b.F.fp_h)) 0 blocks in
-      let rows = F.rows_area [ blocks ] in
-      let rects = List.map snd r.F.positions in
-      let disjoint =
-        List.for_all
-          (fun a ->
-            List.for_all (fun b -> a == b || not (Rect.overlaps a b)) rects)
-          rects
-      in
-      r.F.area >= sum && r.F.area <= rows && disjoint
-      && List.length r.F.positions = List.length blocks)
-
 let suite =
   [
     Alcotest.test_case "automatic margins" `Quick test_margins;
@@ -975,10 +903,7 @@ let suite =
     Alcotest.test_case "around" `Quick test_around;
     Alcotest.test_case "ring" `Quick test_ring;
     Alcotest.test_case "angle adaptor" `Quick test_angle;
-    Alcotest.test_case "variants enumeration" `Quick test_variants_enumeration;
     Alcotest.test_case "variants backtracking" `Quick test_variants_backtracking;
-    Alcotest.test_case "variants bind" `Quick test_variants_bind;
-    Alcotest.test_case "variants best" `Quick test_variants_best;
     Alcotest.test_case "variants first is lazy" `Quick test_variants_first_lazy;
     Alcotest.test_case "rating" `Quick test_rating;
     Alcotest.test_case "optimize orders" `Quick test_optimize_orders;
@@ -1001,8 +926,6 @@ let suite =
       test_permissive_rates_every_swap;
     Alcotest.test_case "permissive orders fall back once per node" `Quick
       test_permissive_orders_fallback;
-    Alcotest.test_case "slicing floorplanner" `Quick test_floorplan_basics;
-    QCheck_alcotest.to_alcotest prop_floorplan_optimal;
   ]
 
 (* The prefix ladder's replay-depth pin, run as its own suite. *)

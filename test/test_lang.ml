@@ -219,6 +219,29 @@ ENT F()
     | exception Diag.Fail _ -> true
     | _ -> false)
 
+(* Plain backtracking: the first branch that survives wins and later
+   branches never run.  The third branch would raise a non-rule diagnostic
+   (division by zero), which CHOOSE does not catch, if it were tried. *)
+let test_interp_choose_first_success () =
+  let src = {|
+ENT F()
+  CHOOSE
+    INBOX("metal1", 2, 2, net = "first")
+    REJECT("first branch refused")
+  ORELSE
+    INBOX("metal2", 2, 2, net = "second")
+  ORELSE
+    x = 1 / 0
+    INBOX("metal1", 2, 2, net = "third")
+  END
+|} in
+  match build src "F" [] with
+  | exception Diag.Fail d -> Alcotest.failf "unexpected diagnostic: %s" d.Diag.message
+  | o ->
+      check "one shape" 1 (Lobj.shape_count o);
+      check_bool "second branch's layer" true (Lobj.layers o = [ "metal2" ]);
+      check_bool "second branch's net" true (Lobj.nets o = [ "second" ])
+
 (* A rejected branch may mutate an object bound before CHOOSE in place;
    the rollback must undo that too, not only the frame's own object. *)
 let test_interp_choose_rollback_objects () =
@@ -319,17 +342,7 @@ let test_interp_diff_pair () =
     (List.length
        (Amg_drc.Checker.run
           ~checks:[ Widths; Spacings; Enclosures; Extensions ]
-          ~tech:(Env.tech (env ())) o));
-  (* The paper's headline: the hierarchical description is drastically
-     shorter than coordinate-level code. *)
-  let dsl_lines =
-    List.length
-      (List.filter
-         (fun l -> String.trim l <> "")
-         (String.split_on_char '\n' Amg_lang.Stdlib.diff_pair))
-  in
-  check_bool "dsl much shorter than baseline" true
-    (Amg_modules.Baseline.diff_pair_loc () > 2 * dsl_lines)
+          ~tech:(Env.tech (env ())) o))
 
 let test_interp_geometry_queries () =
   let src = {|
@@ -644,6 +657,8 @@ let suite =
     Alcotest.test_case "object copy semantics" `Quick test_interp_copy_semantics;
     Alcotest.test_case "for loop" `Quick test_interp_for_loop;
     Alcotest.test_case "choose rollback" `Quick test_interp_choose_rollback;
+    Alcotest.test_case "choose first success wins" `Quick
+      test_interp_choose_first_success;
     Alcotest.test_case "choose rollback of objects" `Quick
       test_interp_choose_rollback_objects;
     Alcotest.test_case "object parameters are copies" `Quick

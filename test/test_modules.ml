@@ -339,24 +339,6 @@ let test_module_connectivity () =
     (M.Stacked.series e ~polarity:M.Mosfet.Nmos ~w:(um 6.) ~l:(um 4.) ~stages:3 ())
     [ "a"; "b"; "g" ]
 
-let test_baseline_equivalence () =
-  let e = env () in
-  (* The coordinate-level generator produces the same contact row. *)
-  let base = M.Baseline.contact_row e ~layer:"poly" ~w:(um 2.) ~l:(um 10.) () in
-  let dsl = M.Contact_row.make e ~layer:"poly" ~w:(um 2.) ~l:(um 10.) () in
-  check "same contacts"
-    (List.length (Lobj.shapes_on dsl "contact"))
-    (List.length (Lobj.shapes_on base "contact"));
-  check_bool "same bbox" true (Lobj.bbox base = Lobj.bbox dsl);
-  check "baseline drc" 0 (drc base);
-  let bdp = M.Baseline.diff_pair e ~w:(um 10.) ~l:(um 5.) () in
-  check "baseline diff pair drc" 0 (drc bdp);
-  (* The code-length claim: the coordinate generators are several times
-     the DSL's line count. *)
-  check_bool "loc counted" true (M.Baseline.contact_row_loc () > 30);
-  check_bool "diff pair loc" true (M.Baseline.diff_pair_loc () > 80)
-
-
 (* --- common-centroid unit-capacitor array --- *)
 
 let plan_centroids (p : M.Cap_array.plan) =
@@ -490,182 +472,6 @@ let test_resistor_pair () =
   Alcotest.check_raises "zero squares"
     (Amg_core.Env.Rejected "Resistor_pair: squares <= 0") (fun () ->
       ignore (M.Resistor_pair.make e ~squares:0. ()))
-
-
-(* --- automatic latch-up repair --- *)
-
-let test_tap_repair () =
-  let e = env () in
-  let tech = Env.tech e in
-  (* Active strips spread over ~300 um with no taps at all. *)
-  let obj = Lobj.create "untapped" in
-  for i = 0 to 4 do
-    ignore
-      (Lobj.add_shape obj ~layer:"ndiff"
-         ~rect:(Rect.of_size ~x:(um (float_of_int i *. 70.)) ~y:0 ~w:(um 30.) ~h:(um 6.)) ())
-  done;
-  check_bool "fails before" true (Amg_drc.Latchup.uncovered ~tech obj <> []);
-  let n = M.Tap_repair.repair e obj in
-  check_bool "taps added" true (n > 0);
-  check "covered after" 0 (List.length (Amg_drc.Latchup.uncovered ~tech obj));
-  (* The inserted taps themselves violate nothing. *)
-  check "full drc clean" 0
-    (List.length (Amg_drc.Checker.run ~tech obj));
-  (* Already-clean structures are left untouched. *)
-  check "idempotent" 0 (M.Tap_repair.repair e obj)
-
-let test_tap_placement_legal () =
-  let e = env () in
-  let rules = Env.rules e in
-  let main = Lobj.create "main" in
-  ignore
-    (Lobj.add_shape main ~layer:"ndiff"
-       ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um 20.) ~h:(um 6.)) ());
-  let tap_at x =
-    let tap = M.Contact_row.substrate_tap e ~net:"vss" () in
-    let tb = Lobj.bbox_exn tap in
-    Lobj.translate tap ~dx:(x - tb.Amg_geometry.Rect.x0) ~dy:0;
-    tap
-  in
-  (* Overlapping the diffusion: illegal (pdiff tap vs ndiff spacing). *)
-  check_bool "overlap illegal" false
-    (M.Tap_repair.placement_legal rules main (tap_at (um 5.)));
-  (* Far away: legal. *)
-  check_bool "clear legal" true
-    (M.Tap_repair.placement_legal rules main (tap_at (um 40.)))
-
-
-(* --- Euler-path finger ordering --- *)
-
-let test_euler_mirror () =
-  (* The generator derives the classic mirror pattern from the schematic. *)
-  let devs =
-    [
-      M.Euler.device ~name:"M1" ~g:"vg" ~s:"vss" ~d:"vg" ();
-      M.Euler.device ~name:"M2" ~g:"vg" ~s:"vss" ~d:"dout" ();
-    ]
-  in
-  (match M.Euler.column_plans devs with
-  | [ cols ] ->
-      check "five columns" 5 (List.length cols);
-      (* Middle row is the shared source. *)
-      check_bool "shared vss in middle" true
-        (List.nth cols 2 = M.Mos_array.Row "vss")
-  | plans -> Alcotest.failf "expected one trail, got %d" (List.length plans));
-  (* Cascode shares the mid junction. *)
-  let casc =
-    [
-      M.Euler.device ~name:"A" ~g:"g1" ~s:"vss" ~d:"mid" ();
-      M.Euler.device ~name:"B" ~g:"g2" ~s:"mid" ~d:"out" ();
-    ]
-  in
-  let st = M.Euler.sharing_stats casc in
-  check "one trail" 1 st.M.Euler.trails_count;
-  check "three rows instead of four" 3 st.M.Euler.rows_shared
-
-let test_euler_trail_counts () =
-  (* Six devices fanning out of one node: 6 odd leaves -> 3 trails. *)
-  let star =
-    List.init 6 (fun i ->
-        M.Euler.device
-          ~name:(Printf.sprintf "S%d" i)
-          ~g:(Printf.sprintf "g%d" i)
-          ~s:"c"
-          ~d:(Printf.sprintf "n%d" i)
-          ())
-  in
-  let st = M.Euler.sharing_stats star in
-  check "three trails" 3 st.M.Euler.trails_count;
-  check "rows saved" 9 st.M.Euler.rows_shared;
-  (* Disconnected devices stay in separate trails. *)
-  let dis =
-    [
-      M.Euler.device ~name:"X" ~g:"gx" ~s:"a" ~d:"b" ();
-      M.Euler.device ~name:"Y" ~g:"gy" ~s:"c" ~d:"d" ();
-    ]
-  in
-  check "two components" 2 (M.Euler.sharing_stats dis).M.Euler.trails_count;
-  (* Two parallel fingers walk out and back: d g s g d. *)
-  (match M.Euler.column_plans [ M.Euler.device ~fingers:2 ~name:"P" ~g:"g" ~s:"s" ~d:"d" () ] with
-  | [ [ M.Mos_array.Row a; Fin _; Row b; Fin _; Row c ] ] ->
-      check_bool "out and back" true (a = c && a <> b)
-  | _ -> Alcotest.fail "expected one 5-column trail")
-
-let test_euler_builds_and_extracts () =
-  (* The derived ordering is directly buildable, and the layout extracts
-     back to the input schematic. *)
-  let e = env () in
-  let devs =
-    [
-      M.Euler.device ~name:"M1" ~g:"vg" ~s:"vss" ~d:"vg" ();
-      M.Euler.device ~name:"M2" ~g:"vg" ~s:"vss" ~d:"dout" ();
-    ]
-  in
-  let cols = List.hd (M.Euler.column_plans devs) in
-  let arr =
-    M.Mos_array.make e ~name:"euler_mirror" ~polarity:M.Mosfet.Nmos ~w:(um 8.)
-      ~l:(um 2.) ~columns:cols
-      ~straps:
-        [
-          { M.Mos_array.strap_net = "vss"; side = Amg_geometry.Dir.South; metal = M.Mos_array.M1 };
-          { M.Mos_array.strap_net = "dout"; side = Amg_geometry.Dir.North; metal = M.Mos_array.M1 };
-          { M.Mos_array.strap_net = "vg"; side = Amg_geometry.Dir.North; metal = M.Mos_array.M2 };
-        ]
-      ()
-  in
-  check "drc clean" 0 (drc arr.M.Mos_array.obj);
-  let x = Amg_extract.Devices.extract ~tech:(Env.tech e) arr.M.Mos_array.obj in
-  let golden =
-    Amg_circuit.Netlist.create ~name:"mirror"
-      [
-        Amg_circuit.Device.mos ~name:"M1" ~polarity:Amg_circuit.Device.Nmos
-          ~w:(um 8.) ~l:(um 2.) ~g:"vg" ~d:"vg" ~s:"vss" ~b:"vss";
-        Amg_circuit.Device.mos ~name:"M2" ~polarity:Amg_circuit.Device.Nmos
-          ~w:(um 8.) ~l:(um 2.) ~g:"vg" ~d:"dout" ~s:"vss" ~b:"vss";
-      ]
-  in
-  let cmp = Amg_extract.Compare.run ~golden x in
-  check_bool "LVS clean" true (Amg_extract.Compare.clean cmp)
-
-(* Every finger appears in exactly one trail; every trail alternates and is
-   buildable; trail count matches the Euler bound per component. *)
-let prop_euler_covers =
-  let gen =
-    QCheck2.Gen.(
-      list_size (int_range 1 7)
-        (tup3 (int_range 0 5) (int_range 0 5) (int_range 1 2)))
-  in
-  QCheck2.Test.make ~name:"euler trails cover all fingers" ~count:300 gen
-    (fun specs ->
-      let net i = Printf.sprintf "n%d" i in
-      let devs =
-        List.mapi
-          (fun i (s, d, f) ->
-            M.Euler.device ~fingers:f
-              ~name:(Printf.sprintf "D%d" i)
-              ~g:(Printf.sprintf "g%d" i)
-              ~s:(net s) ~d:(net d) ())
-          specs
-      in
-      let ts = M.Euler.trails devs in
-      let total = List.fold_left (fun a (_, es) -> a + List.length es) 0 ts in
-      let fingers = List.fold_left (fun a d -> a + d.M.Euler.e_fingers) 0 devs in
-      let ids =
-        List.concat_map (fun (_, es) -> List.map (fun (e : M.Euler.edge) -> e.M.Euler.id) es) ts
-      in
-      let distinct = List.sort_uniq compare ids in
-      let alternates cols =
-        let rec ok = function
-          | M.Mos_array.Row _ :: (M.Mos_array.Fin _ :: _ as rest) -> ok rest
-          | M.Mos_array.Fin _ :: (M.Mos_array.Row _ :: _ as rest) -> ok rest
-          | [ M.Mos_array.Row _ ] -> true
-          | _ -> false
-        in
-        ok cols
-      in
-      total = fingers
-      && List.length distinct = fingers
-      && List.for_all (fun t -> alternates (M.Euler.columns_of_trail t)) ts)
 
 
 (* --- parameter sweeps: every generator is rule-clean across its whole
@@ -820,17 +626,10 @@ let suite =
     Alcotest.test_case "stacked transistors" `Quick test_stacked;
     Alcotest.test_case "diode connected" `Quick test_diode_connected;
     Alcotest.test_case "module connectivity" `Quick test_module_connectivity;
-    Alcotest.test_case "baseline equivalence" `Quick test_baseline_equivalence;
     Alcotest.test_case "cap array: plan" `Quick test_cap_array_plan;
     Alcotest.test_case "cap array: layout, DRC, ratio" `Quick test_cap_array_layout;
     QCheck_alcotest.to_alcotest prop_cap_array_plan_symmetric;
     Alcotest.test_case "resistor pair: matched + reduced" `Quick test_resistor_pair;
-    Alcotest.test_case "tap repair: covers and stays clean" `Quick test_tap_repair;
-    Alcotest.test_case "tap repair: placement legality" `Quick test_tap_placement_legal;
-    Alcotest.test_case "euler: mirror and cascode orders" `Quick test_euler_mirror;
-    Alcotest.test_case "euler: trail counts" `Quick test_euler_trail_counts;
-    Alcotest.test_case "euler: builds and extracts" `Quick test_euler_builds_and_extracts;
-    QCheck_alcotest.to_alcotest prop_euler_covers;
     QCheck_alcotest.to_alcotest prop_sweep_interdigitated;
     QCheck_alcotest.to_alcotest prop_sweep_diff_pair;
     QCheck_alcotest.to_alcotest prop_sweep_mirror;

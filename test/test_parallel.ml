@@ -11,7 +11,6 @@ module Svg = Amg_layout.Svg
 module Env = Amg_core.Env
 module Optimize = Amg_core.Optimize
 module Wire = Amg_robust.Wire
-module Variants = Amg_core.Variants
 module Rating = Amg_core.Rating
 module Pool = Amg_parallel.Pool
 module Budget = Amg_robust.Budget
@@ -46,10 +45,7 @@ let test_pool_map () =
             (i, !acc)
           in
           let out = Pool.map_array p heavy (Array.init 64 Fun.id) in
-          Array.iteri (fun i (j, _) -> check "input order kept" i j) out;
-          Alcotest.(check (list int))
-            "map_list" [ 2; 4; 6 ]
-            (Pool.map_list p (fun x -> 2 * x) [ 1; 2; 3 ])))
+          Array.iteri (fun i (j, _) -> check "input order kept" i j) out))
     domain_counts
 
 let test_pool_empty_and_single () =
@@ -244,51 +240,6 @@ let test_orders_is_first_minimum () =
         domain_counts)
     [ None; Some 40 ]
 
-(* --- Variants with a pool --- *)
-
-let test_variants_pool () =
-  let e = env () in
-  let variant fingers () =
-    M.Interdigitated.make e
-      ~name:(Printf.sprintf "fingers%d" fingers)
-      ~polarity:M.Mosfet.Nmos
-      ~w:(um (64. /. float_of_int fingers))
-      ~l:(um 2.) ~fingers ~well:false ()
-  in
-  let v =
-    Variants.alt
-      [
-        Variants.delay (variant 2);
-        Variants.delay (variant 4);
-        Variants.fail "synthetic rejection";
-        Variants.delay (variant 8);
-      ]
-  in
-  let seq_names =
-    List.map Lobj.name (Variants.successes v)
-  in
-  let seq_failures = Variants.failures v in
-  let rate = Rating.rate e (Rating.with_aspect Rating.area_only 1.0) in
-  let seq_best =
-    match Variants.best ~rate v with Some (o, _) -> Lobj.name o | None -> "none"
-  in
-  List.iter
-    (fun d ->
-      Pool.with_pool ~domains:d (fun pool ->
-          Alcotest.(check (list string))
-            "successes in branch order" seq_names
-            (List.map Lobj.name (Variants.successes ~pool v));
-          Alcotest.(check (list string))
-            "failures kept" seq_failures
-            (Variants.failures ~pool v);
-          let best =
-            match Variants.best ~pool ~rate v with
-            | Some (o, _) -> Lobj.name o
-            | None -> "none"
-          in
-          Alcotest.(check string) "same best variant" seq_best best))
-    [ 2; 4 ]
-
 (* --- the reference's enumerator: qcheck properties + laziness --- *)
 
 let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
@@ -337,7 +288,6 @@ let suite =
     Alcotest.test_case "orders determinism" `Quick test_orders_determinism;
     Alcotest.test_case "orders is the reference's first minimum" `Quick
       test_orders_is_first_minimum;
-    Alcotest.test_case "variants with a pool" `Quick test_variants_pool;
     QCheck_alcotest.to_alcotest prop_permutations;
     Alcotest.test_case "permutations lazy" `Quick test_permutations_lazy;
   ]

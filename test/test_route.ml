@@ -1,4 +1,4 @@
-(* Routing routines: paths, vias, port connection, symmetric plans. *)
+(* Routing routines: paths, vias, port connection, global routing. *)
 
 module Rect = Amg_geometry.Rect
 module Units = Amg_geometry.Units
@@ -7,7 +7,6 @@ module Shape = Amg_layout.Shape
 module Port = Amg_layout.Port
 module Path = Amg_route.Path
 module Wire = Amg_route.Wire
-module Symmetric = Amg_route.Symmetric
 module Env = Amg_core.Env
 
 let um = Units.of_um
@@ -33,15 +32,6 @@ let test_path () =
   match Path.rects ~width:2 pts with
   | [ a; b ] -> check_bool "corner covered" true (Rect.overlaps a b)
   | _ -> Alcotest.fail "two rects"
-
-let test_crossings () =
-  let horizontal = [ (0, 5); (10, 5) ] in
-  let vertical = [ (5, 0); (5, 10) ] in
-  check "one crossing" 1 (Path.crossings horizontal vertical);
-  check "symmetric" 1 (Path.crossings vertical horizontal);
-  check "parallel" 0 (Path.crossings horizontal [ (0, 7); (10, 7) ]);
-  (* Touching at an endpoint is not a crossing. *)
-  check "endpoint touch" 0 (Path.crossings horizontal [ (10, 0); (10, 10) ])
 
 let test_via () =
   let e = env () in
@@ -88,27 +78,6 @@ let test_connect_ports () =
     (match Wire.connect_ports e o pa pd with
     | exception Env.Rejected _ -> true
     | _ -> false)
-
-let test_symmetric () =
-  let axis_x = um 50. in
-  let left =
-    [ Symmetric.plan ~layer:"metal2" ~width:(um 2.) [ (um 10., 0); (um 10., um 20.) ] ]
-  in
-  let right = List.map (Symmetric.mirror_plan ~axis_x) left in
-  check_bool "is symmetric" true (Symmetric.is_symmetric ~axis_x ~left ~right);
-  check_bool "not symmetric" false
-    (Symmetric.is_symmetric ~axis_x ~left
-       ~right:[ Symmetric.plan ~layer:"metal2" ~width:(um 2.) [ (0, 0); (0, um 20.) ] ]);
-  let o = Lobj.create "sym" in
-  let shapes = Symmetric.draw_pair o ~axis_x ~net_left:"l" ~net_right:"r" left in
-  check "both sides drawn" 2 (List.length shapes);
-  (* The mirrored copy is the reflection of the original. *)
-  (match shapes with
-  | [ a; b ] ->
-      check_bool "mirrored" true
-        (Amg_geometry.Transform.mirror_rect_x ~axis_x a.Shape.rect = b.Shape.rect)
-  | _ -> Alcotest.fail "two shapes");
-  check "crossing count helper" 0 (Symmetric.crossing_count left right)
 
 let test_global_comb_route () =
   let e = env () in
@@ -217,271 +186,15 @@ let test_drop_anchors_on_real_metal () =
     (Amg_extract.Connectivity.label_node_count conn "n" <= 2)
 
 
-(* --- detailed channel router --- *)
-
-module Channel = Amg_route.Channel
-
-let test_channel_left_edge () =
-  (* Disjoint intervals share a track; density is achieved. *)
-  let spec =
-    {
-      Channel.top = [ (um 0., "a"); (um 10., "b"); (um 20., "c"); (um 40., "a") ];
-      bottom = [ (um 5., "a"); (um 15., "b"); (um 30., "d"); (um 45., "d") ];
-    }
-  in
-  check "density" 2 (Channel.density spec);
-  let tracks, n = Channel.assign spec in
-  check "tracks = density" 2 n;
-  check "all nets placed" 4 (List.length tracks);
-  (* b, c, d have pairwise-disjoint intervals: all on one track. *)
-  let t net = List.assoc net tracks in
-  check_bool "b c d share" true (t "b" = t "c" && t "c" = t "d");
-  check_bool "a separate" true (t "a" <> t "b")
-
-let test_channel_vcg () =
-  (* A column with both pins orders the trunks. *)
-  let spec =
-    {
-      Channel.top = [ (um 0., "x"); (um 20., "x") ];
-      bottom = [ (um 0., "y"); (um 20., "y") ];
-    }
-  in
-  check_bool "edge x above y" true (List.mem ("x", "y") (Channel.vcg spec));
-  let tracks, n = Channel.assign spec in
-  (* Overlapping intervals AND a vertical constraint: two tracks, x above. *)
-  check "two tracks" 2 n;
-  check_bool "x on top" true
-    (List.assoc "x" tracks < List.assoc "y" tracks);
-  (* Cyclic constraints are rejected. *)
-  let cyc =
-    { Channel.top = [ (0, "p"); (um 1., "q") ];
-      bottom = [ (0, "q"); (um 1., "p") ] }
-  in
-  check_bool "cycle" true
-    (match Channel.assign cyc with
-    | exception Amg_robust.Diag.Fail d ->
-        String.equal d.Amg_robust.Diag.message
-          "cyclic vertical constraints (needs doglegs)"
-    | _ -> false);
-  (* Colliding pins on one edge are rejected. *)
-  let clash =
-    { Channel.top = [ (0, "p"); (0, "q") ]; bottom = [] }
-  in
-  check_bool "clash rejected" true
-    (match Channel.assign clash with
-    | exception Amg_robust.Diag.Fail _ -> true
-    | _ -> false)
-
-let test_channel_route_geometry () =
-  let env = env () in
-  let spec =
-    {
-      Channel.top = [ (um 0., "a"); (um 10., "b"); (um 20., "c"); (um 40., "a") ];
-      bottom = [ (um 5., "a"); (um 15., "b"); (um 30., "d"); (um 45., "d") ];
-    }
-  in
-  let obj = Amg_layout.Lobj.create "chan" in
-  let r = Channel.route env obj ~spec ~y_top:(um 40.) ~y_bottom:0 ~x0:0 in
-  check "two tracks" 2 r.Channel.track_count;
-  (* Rule-clean and every net one electrical node. *)
-  let tech = Env.tech env in
-  check "drc" 0
-    (List.length
-       (Amg_drc.Checker.run
-          ~checks:[ Amg_drc.Checker.Widths; Spacings; Enclosures ] ~tech obj));
-  let conn = Amg_extract.Connectivity.build ~tech obj in
-  List.iter
-    (fun net ->
-      check ("one node " ^ net) 1
-        (List.length (Amg_extract.Connectivity.label_components conn net)))
-    (Channel.nets_of spec);
-  (* Too-short channels are refused rather than mis-built. *)
-  check_bool "short refused" true
-    (match
-       Channel.route env (Amg_layout.Lobj.create "x") ~spec ~y_top:(um 5.)
-         ~y_bottom:0 ~x0:0
-     with
-    | exception Amg_robust.Diag.Fail _ -> true
-    | _ -> false)
-
-
-let test_channel_doglegs () =
-  let env = env () in
-  (* Whole-net cyclic VCG, breakable by splitting net a at its internal
-     pin: the classic dogleg case. *)
-  let spec =
-    {
-      Channel.top = [ (um 0., "a"); (um 20., "b") ];
-      bottom = [ (um 0., "b"); (um 10., "a"); (um 20., "a") ];
-    }
-  in
-  check_bool "plain is cyclic" true
-    (match Channel.assign spec with
-    | exception Amg_robust.Diag.Fail _ -> true
-    | _ -> false);
-  let segs, tracks, n = Channel.assign_dogleg spec in
-  check "three segments" 3 (List.length segs);
-  check "three tracks" 3 n;
-  (* a#0 above b, b above a#1 — the cycle resolved across the segments. *)
-  check_bool "a0 above b" true (List.assoc "a#0" tracks < List.assoc "b#0" tracks);
-  check_bool "b above a1" true (List.assoc "b#0" tracks < List.assoc "a#1" tracks);
-  (* The geometry is rule-clean and each net one node despite the split. *)
-  let obj = Amg_layout.Lobj.create "dog" in
-  let _ = Channel.route_dogleg env obj ~spec ~y_top:(um 40.) ~y_bottom:0 ~x0:0 in
-  let tech = Env.tech env in
-  check "drc" 0
-    (List.length
-       (Amg_drc.Checker.run
-          ~checks:[ Amg_drc.Checker.Widths; Spacings; Enclosures ] ~tech obj));
-  let conn = Amg_extract.Connectivity.build ~tech obj in
-  List.iter
-    (fun net ->
-      check ("one node " ^ net) 1
-        (List.length (Amg_extract.Connectivity.label_components conn net)))
-    [ "a"; "b" ]
-
-let test_channel_dogleg_density_escape () =
-  (* A long net pinned at both ends plus short nets under it: without
-     doglegs the long net occupies one full track; with doglegs its two
-     spans share tracks with the short nets. *)
-  let spec =
-    {
-      Channel.top =
-        [ (um 0., "long"); (um 20., "long"); (um 40., "long") ];
-      bottom = [ (um 10., "s1"); (um 30., "s2") ];
-    }
-  in
-  let _, plain = Channel.assign spec in
-  let _, _, dog = Channel.assign_dogleg spec in
-  check_bool "doglegs never worse" true (dog <= plain)
-
-
-(* Drawn geometry of the mirrored pair is an exact reflection: every
-   left-net rectangle has its mirror twin on the right net. *)
-let prop_symmetric_geometry =
-  let gen =
-    QCheck2.Gen.(
-      list_size (int_range 1 4)
-        (list_size (int_range 2 5) (tup2 (int_range 0 20) (int_range 0 20))))
-  in
-  QCheck2.Test.make ~name:"mirrored pair geometry exact" ~count:200 gen
-    (fun raw_plans ->
-      (* Orthogonalise each random point list (alternate h/v moves). *)
-      let orth pts =
-        let _, acc =
-          List.fold_left
-            (fun ((px, py), acc) (x, y) ->
-              match acc with
-              | [] -> ((x, y), [ (um (float_of_int x), um (float_of_int y)) ])
-              | _ ->
-                  let nx, ny =
-                    if List.length acc mod 2 = 1 then (x, py) else (px, y)
-                  in
-                  ((nx, ny), (um (float_of_int nx), um (float_of_int ny)) :: acc))
-            ((0, 0), []) pts
-        in
-        List.rev acc
-      in
-      let plans =
-        List.map
-          (fun pts -> Symmetric.plan ~layer:"metal1" ~width:(um 2.) (orth pts))
-          raw_plans
-      in
-      let axis_x = um 50. in
-      let obj = Amg_layout.Lobj.create "sym" in
-      let _ =
-        Symmetric.draw_pair obj ~axis_x ~net_left:"l" ~net_right:"r" plans
-      in
-      let rects net =
-        List.filter_map
-          (fun (s : Amg_layout.Shape.t) ->
-            if s.Amg_layout.Shape.net = Some net then Some s.Amg_layout.Shape.rect
-            else None)
-          (Amg_layout.Lobj.shapes obj)
-        |> List.sort compare
-      in
-      let mirror (r : Amg_geometry.Rect.t) =
-        Amg_geometry.Rect.make
-          ~x0:((2 * axis_x) - r.Amg_geometry.Rect.x1)
-          ~x1:((2 * axis_x) - r.Amg_geometry.Rect.x0)
-          ~y0:r.Amg_geometry.Rect.y0 ~y1:r.Amg_geometry.Rect.y1
-      in
-      rects "r" = List.sort compare (List.map mirror (rects "l")))
-
-(* Track assignment is always legal: no two nets with overlapping intervals
-   share a track, every VCG edge is respected, and the track count never
-   beats the density lower bound. *)
-let prop_channel_legal =
-  let gen =
-    QCheck2.Gen.(
-      tup2
-        (list_size (int_range 1 8) (tup2 (int_range 0 9) (int_range 0 4)))
-        (list_size (int_range 1 8) (tup2 (int_range 0 9) (int_range 0 4))))
-  in
-  QCheck2.Test.make ~name:"channel assignment legal" ~count:300 gen
-    (fun (top_raw, bot_raw) ->
-      let dedup pins =
-        (* One pin per column per edge (the router rejects collisions). *)
-        List.sort_uniq (fun (x, _) (x', _) -> compare x x') pins
-      in
-      let net i = Printf.sprintf "n%d" i in
-      let spec =
-        {
-          Channel.top = dedup (List.map (fun (x, n) -> (x * 2000, net n)) top_raw);
-          bottom = dedup (List.map (fun (x, n) -> (x * 2000, net n)) bot_raw);
-        }
-      in
-      match Channel.assign spec with
-      | exception Amg_robust.Diag.Fail _ -> true (* cyclic: rejection is legal *)
-      | tracks, count ->
-          let iv = Hashtbl.create 8 in
-          List.iter
-            (fun (x, n) ->
-              let lo, hi =
-                match Hashtbl.find_opt iv n with
-                | Some (lo, hi) -> (min lo x, max hi x)
-                | None -> (x, x)
-              in
-              Hashtbl.replace iv n (lo, hi))
-            (spec.Channel.top @ spec.Channel.bottom);
-          let overlap a b =
-            let la, ha = Hashtbl.find iv a and lb, hb = Hashtbl.find iv b in
-            not (ha < lb || hb < la)
-          in
-          let no_track_clash =
-            List.for_all
-              (fun (a, ta) ->
-                List.for_all
-                  (fun (b, tb) ->
-                    String.equal a b || ta <> tb || not (overlap a b))
-                  tracks)
-              tracks
-          in
-          let vcg_ok =
-            List.for_all
-              (fun (a, b) -> List.assoc a tracks < List.assoc b tracks)
-              (Channel.vcg spec)
-          in
-          no_track_clash && vcg_ok && count >= Channel.density spec)
-
 let suite =
   [
     Alcotest.test_case "segment rect" `Quick test_segment_rect;
     Alcotest.test_case "path" `Quick test_path;
-    Alcotest.test_case "crossings" `Quick test_crossings;
     Alcotest.test_case "via stack" `Quick test_via;
     Alcotest.test_case "point contact" `Quick test_contact_at;
     Alcotest.test_case "connect ports" `Quick test_connect_ports;
-    Alcotest.test_case "symmetric plans" `Quick test_symmetric;
     Alcotest.test_case "global comb route" `Quick test_global_comb_route;
     Alcotest.test_case "global too few pins" `Quick test_global_too_few_pins;
     Alcotest.test_case "track sharing (left edge)" `Quick test_track_sharing;
     Alcotest.test_case "drop anchors on metal" `Quick test_drop_anchors_on_real_metal;
-    Alcotest.test_case "channel: left edge packing" `Quick test_channel_left_edge;
-    Alcotest.test_case "channel: doglegs break cycles" `Quick test_channel_doglegs;
-    Alcotest.test_case "channel: doglegs never worse" `Quick test_channel_dogleg_density_escape;
-    Alcotest.test_case "channel: vertical constraints" `Quick test_channel_vcg;
-    Alcotest.test_case "channel: geometry clean" `Quick test_channel_route_geometry;
-    QCheck_alcotest.to_alcotest prop_symmetric_geometry;
-    QCheck_alcotest.to_alcotest prop_channel_legal;
   ]
