@@ -397,6 +397,13 @@ let test_baseline_equivalence () =
     Baseline.contact_row_loc;
   check "diff pair region" (region_line_count lines ~mark:"baseline_diff_pair")
     Baseline.diff_pair_loc;
+  (* FIG10's module E source length, from the file itself. *)
+  check "common centroid source"
+    (In_channel.with_open_text "../../lib/modules/common_centroid.ml" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.length)
+    Baseline.common_centroid_loc;
   (* The paper's headline: the hierarchical description is drastically
      shorter than coordinate-level code. *)
   let dsl_lines =

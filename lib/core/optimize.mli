@@ -20,8 +20,9 @@
 
     Every search builds its own candidates: orders mode and
     branch-and-bound are one depth-first walk that extends its parent's
-    layout by one placement ({!search}); local search resumes each swap
-    from a copy of the incumbent's layout at the swap depth.  Nothing is
+    layout by one placement ({!search}); local search resumes each group
+    of swaps from a copy of the incumbent's layout at the swap depth and
+    branches off one shared spine per group ({!optimize_local}).  Nothing is
     shared between searches or calls, so a search's result and cost
     depend only on its inputs.
 
@@ -124,12 +125,21 @@ val optimize_local :
 
     Each round starts with a prefix ladder: one replay of the incumbent
     order that keeps a copy of its layout after each of its first n-2
-    placements.  Swap (i, j) keeps the first i steps, so its candidate is
-    a copy of the ladder's depth-i layout plus steps i … n-1 of the
-    swapped order — byte-identical to replaying the whole order, at n-i
-    placements instead of n.  The ladder lives for one round.  Under the
-    permissive policy, where a placement may report a diagnostic, every
-    candidate replays whole.
+    placements; placement is deterministic, so a layout resumed from the
+    ladder is byte-identical to replaying the whole order.  The ladder
+    lives for one round.  The round's rated swaps are then built along
+    spines, one per group: swap depth i and the {!step_classes} class of
+    the incoming step, with members j1 < … < jm.  A spine resumes from
+    the ladder's depth-i layout, places step j1 at position i and walks
+    on, each member position taking the next class-mate; at each member
+    jk a branch places step i and the incumbent's steps after jk.  That
+    order is swap (i, jk) with class-mates permuted, so it rates and
+    rejects as swap (i, jk) does, at (jm - i) + Σk (n - jk) placements
+    for the group instead of Σk (n - i).  A branch past the first keeps
+    the swap's real order and a lazy rebuild of its layout, forced (not
+    counted as an evaluation) only if it is the layout returned.  Under
+    the permissive policy, where a placement may report a diagnostic,
+    every class is a singleton and every candidate replays whole.
 
     With [?budget], whole rounds (and whole restarts) are refused once the
     budget is out; a round costs the number of swaps it rates, which is
@@ -165,7 +175,9 @@ val search :
     — the partial bounding box hulled with the cross-axis spans of the
     remaining [`Keep] objects (those spans are invariant under placement;
     under the permissive policy, which may skip objects, the bound falls
-    back to the partial box alone) — checked both at node entry
+    back to the partial box alone, and when a relaxing step may shrink a
+    variable edge of the base or of a step it falls back to 0) — checked
+    both at node entry
     ([optimize.bb_pruned_by_bound]) and per child right after the child is
     placed ([optimize.bb_pruned]).  A child is expanded only when no
     {!step_classes} class-mate with a lower index is still unplaced.

@@ -58,12 +58,16 @@ type layer = {
 
 (* Indexed shape store.  Shapes live in [slots] in insertion order ([None]
    marks a removed shape); [id2slot] maps a shape id to its slot (-1 when
-   absent) for O(1) find/replace/remove, and [by_layer] keeps one spatial
-   index per layer for the candidate queries of the compactor, the DRC and
-   the extractor.  Ids are handed out monotonically from 0 (and [absorb]
-   bumps absorbed ids past every existing one), so they are dense enough
-   to index an array, and ascending id order IS insertion order — layer
-   queries sort by id to restore it.
+   absent) for O(1) find/replace/remove, and [layer_order] keeps one
+   spatial index per layer for the candidate queries of the compactor, the
+   DRC and the extractor.  An object has a handful of layers, so a layer is
+   found by a scan of [layer_order], comparing names physically first (a
+   shape's layer name is usually the very string its layer was made
+   from): [copy], which a search runs once per candidate, builds no table,
+   and a query hashes no string.  Ids are handed out monotonically from 0
+   (and [absorb] bumps absorbed ids past every existing one), so they are
+   dense enough to index an array, and ascending id order IS insertion
+   order — layer queries sort by id to restore it.
 
    Bounding boxes are cached: [bb] is the whole-object hull, each layer's
    [hull] its own.  A cache entry is either valid or dirty; growth (add,
@@ -81,7 +85,6 @@ type t = {
   mutable n_slots : int; (* used prefix of [slots] *)
   mutable live : int;    (* slots holding a shape *)
   mutable id2slot : int array;
-  mutable by_layer : (string, layer) Hashtbl.t;
   mutable layer_order : layer list; (* first-use order, never reordered *)
   mutable bb : Rect.t option option; (* None = dirty *)
   mutable ports : Port.t list;
@@ -98,7 +101,6 @@ let create name =
     n_slots = 0;
     live = 0;
     id2slot = [||];
-    by_layer = Hashtbl.create 8;
     layer_order = [];
     bb = Some None;
     ports = [];
@@ -166,8 +168,14 @@ let extend_caches t l rect =
   l.hull <- extended l.hull rect;
   t.bb <- extended t.bb rect
 
+let rec find_layer name = function
+  | [] -> None
+  | l :: rest ->
+      if l.lname == name || String.equal l.lname name then Some l
+      else find_layer name rest
+
 let layer_of t name =
-  match Hashtbl.find_opt t.by_layer name with
+  match find_layer name t.layer_order with
   | Some l -> l
   | None ->
       let l =
@@ -180,7 +188,6 @@ let layer_of t name =
           mark = max_int;
         }
       in
-      Hashtbl.replace t.by_layer name l;
       t.layer_order <- t.layer_order @ [ l ];
       l
 
@@ -380,7 +387,7 @@ let remove t id =
   end
 
 let shapes_on t layer =
-  match Hashtbl.find_opt t.by_layer layer with
+  match find_layer layer t.layer_order with
   | None -> []
   | Some l ->
       flush t l;
@@ -389,7 +396,7 @@ let shapes_on t layer =
       List.sort Int.compare !ids |> List.map (find_exn t)
 
 let near t ~layer rect ~margin =
-  match Hashtbl.find_opt t.by_layer layer with
+  match find_layer layer t.layer_order with
   | None -> []
   | Some l ->
       flush t l;
@@ -401,17 +408,17 @@ let iter_near_layer t l rect ~margin f =
   Sindex.iter_query l.ix rect ~margin (fun id -> f (find_exn t id))
 
 let iter_near t ~layer rect ~margin f =
-  match Hashtbl.find_opt t.by_layer layer with
+  match find_layer layer t.layer_order with
   | None -> ()
   | Some l -> iter_near_layer t l rect ~margin f
 
 let indexed t layer =
-  match Hashtbl.find_opt t.by_layer layer with
+  match find_layer layer t.layer_order with
   | None -> 0
   | Some l -> Sindex.cardinal l.ix
 
 let keep_clear_on t layer =
-  match Hashtbl.find_opt t.by_layer layer with
+  match find_layer layer t.layer_order with
   | None -> 0
   | Some l -> l.keep_clear
 
@@ -458,7 +465,7 @@ let layer_hull t l =
       b
 
 let bbox_on t layer =
-  match Hashtbl.find_opt t.by_layer layer with
+  match find_layer layer t.layer_order with
   | None -> None
   | Some l -> layer_hull t l
 
@@ -572,16 +579,21 @@ let translate t ~dx ~dy =
   t.bb <- shift t.bb
 
 (* Arbitrary orientations invalidate the binning wholesale: rebuild every
-   index, eagerly.  The rebuild re-enters every layer, so the first-use
-   order is saved and restored over it (minus layers the rebuild left out,
-   which held no shape). *)
+   index, eagerly.  Each layer is emptied in place and refilled, so the
+   first-use order stands (minus layers the rebuild left out, which held
+   no shape). *)
 let transform t tr =
   map_shapes_in_place t (fun s -> Shape.transform s tr);
   t.ports <- List.map (fun p -> Port.transform p tr) t.ports;
-  let order = t.layer_order in
-  Hashtbl.reset t.by_layer;
+  List.iter
+    (fun l ->
+      l.ix <- Sindex.create ();
+      l.count <- 0;
+      l.keep_clear <- 0;
+      l.hull <- None;
+      l.mark <- max_int)
+    t.layer_order;
   t.bb <- None;
-  t.layer_order <- [];
   for i = 0 to t.n_slots - 1 do
     match t.slots.(i) with
     | Some s ->
@@ -590,30 +602,20 @@ let transform t tr =
         count_in l s
     | None -> ()
   done;
-  t.layer_order <-
-    List.filter_map (fun l -> Hashtbl.find_opt t.by_layer l.lname) order
+  t.layer_order <- List.filter (fun l -> l.count > 0) t.layer_order
 
 (* Structural copy — the paper's "trans2 = trans1" (§2.5).  Shape, port and
    array values are immutable and may be shared, but every mutable piece of
    the store (slot array, id table, spatial indexes, caches) is duplicated,
    so no mutation of either object can ever reach the other. *)
 let copy ?name t =
-  let by_layer = Hashtbl.create (Hashtbl.length t.by_layer) in
-  let layer_order =
-    List.map
-      (fun l ->
-        let l' = { l with ix = Sindex.copy l.ix } in
-        Hashtbl.replace by_layer l.lname l';
-        l')
-      t.layer_order
-  in
+  let layer_order = List.map (fun l -> { l with ix = Sindex.copy l.ix }) t.layer_order in
   {
     name = Option.value ~default:t.name name;
     slots = Array.copy t.slots;
     n_slots = t.n_slots;
     live = t.live;
     id2slot = Array.copy t.id2slot;
-    by_layer;
     layer_order;
     bb = t.bb;
     ports = t.ports;

@@ -420,7 +420,21 @@ type reference = {
   resumed : int;  (** accepted swaps (i, j) with i > 0: resumed past a prefix *)
   same_swaps : int;  (** swaps between two steps with equal [key] *)
   same_rate_current : bool;  (** every such swap rated exactly the current order *)
+  rounds : Optimize.step list list;
+      (** the incumbent every round started from, in order *)
+  mate_wins : int;  (** accepted swaps brought in by a later class-mate *)
+  lazy_final : bool;
+      (** the returned layout is a later class-mate's: its climb's last
+          accepted swap (i, j) has a mover equal to the one at j between
+          i and j *)
 }
+
+(* Swap (i, j) of [order] brings in a mover that an earlier position past
+   i also holds: the swap is a later member of its spine group. *)
+let later_mate key order (i, j) =
+  let at = Array.of_list order in
+  let rec go k = k < j && (key at.(k) = key at.(j) || go (k + 1)) in
+  go (i + 1)
 
 (* Reference steepest descent: every candidate is a plain [Optimize.apply]
    rated with [Rating.rate] — no pool, no symmetry classes.  Same
@@ -429,6 +443,7 @@ type reference = {
    lowest swap, and every evaluation counted. *)
 let reference_local ?base e ~key ~restarts ~seed steps =
   let evals = ref 0 and moves = ref 0 and resumed = ref 0 in
+  let rounds = ref [] and mate_wins = ref 0 in
   let same_swaps = ref 0 and same_rate_current = ref true in
   let rate order =
     incr evals;
@@ -459,7 +474,7 @@ let reference_local ?base e ~key ~restarts ~seed steps =
     a.(j) <- t;
     Array.to_list a
   in
-  let rec descend ((_, r, order) as cur) =
+  let rec descend last ((_, r, order) as cur) =
     let best = ref None in
     let at = Array.of_list order in
     for i = 0 to n - 2 do
@@ -474,19 +489,24 @@ let reference_local ?base e ~key ~restarts ~seed steps =
           | _ -> same_rate_current := false
         end;
         match rated with
-        | Some (m, rc) when rc < bar -> best := Some (m, rc, cand, i)
+        | Some (m, rc) when rc < bar -> best := Some (m, rc, cand, (i, j))
         | _ -> ()
       done
     done;
     match !best with
-    | Some (m, rc, cand, i) ->
+    | Some (m, rc, cand, ((i, _) as ij)) ->
         incr moves;
         if i > 0 then incr resumed;
-        descend (m, rc, cand)
-    | None -> cur
+        rounds := order :: !rounds;
+        let mate = later_mate key order ij in
+        if mate then incr mate_wins;
+        descend mate (m, rc, cand)
+    | None ->
+        rounds := order :: !rounds;
+        (cur, last)
   in
   let climb start =
-    Option.map (fun (m, r) -> descend (m, r, start)) (rate start)
+    Option.map (fun (m, r) -> descend false (m, r, start)) (rate start)
   in
   let shuffled = ref [] in
   for _ = 2 to restarts do
@@ -497,13 +517,16 @@ let reference_local ?base e ~key ~restarts ~seed steps =
       (fun acc start ->
         match (acc, climb start) with
         | None, c | c, None -> c
-        | Some (_, ra, _), Some ((_, r, _) as c) when r < ra -> Some c
+        | Some ((_, ra, _), _), Some (((_, r, _), _) as c) when r < ra -> Some c
         | acc, _ -> acc)
       None
       (steps :: List.rev !shuffled)
   in
   {
-    best;
+    best = Option.map fst best;
+    rounds = List.rev !rounds;
+    mate_wins = !mate_wins;
+    lazy_final = (match best with Some (_, l) -> l | None -> false);
     evals = !evals;
     moves = !moves;
     resumed = !resumed;
@@ -566,7 +589,7 @@ let prop_local_matches_reference =
 let test_local_reference_accepts_moves () =
   let e = env () in
   let cases =
-    QCheck2.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:20 local_case_gen
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:150 local_case_gen
   in
   let runs =
     List.map
@@ -582,7 +605,55 @@ let test_local_reference_accepts_moves () =
   check_bool "some generated case swaps equal movers" true
     (List.exists (fun (_, r) -> r.same_swaps > 0) runs);
   check_bool "some case with rows on a base resumes an accepted swap" true
-    (List.exists (fun (rows_on_base, r) -> rows_on_base && r.resumed > 0) runs)
+    (List.exists (fun (rows_on_base, r) -> rows_on_base && r.resumed > 0) runs);
+  check_bool "some round is won by a later class-mate" true
+    (List.exists (fun (_, r) -> r.mate_wins > 0) runs);
+  check_bool "some case returns a later class-mate's layout" true
+    (List.exists (fun (_, r) -> r.lazy_final) runs)
+
+(* A case whose descent accepts a swap brought in by a later class-mate
+   and returns that layout (the first case of the generator above to do
+   so): the search keeps the swapped order with a lazy rebuild of its
+   layout, and the forced rebuild matches the reference, bytes and nets,
+   on every domain count. *)
+let later_mate_case =
+  let row layer w dir = (Row (layer, w, [ Dir.North; Dir.South ]), dir) in
+  ( [
+      row "metal1" 10 Dir.North;
+      row "poly" 3 Dir.West;
+      row "poly" 3 Dir.West;
+      row "metal1" 10 Dir.North;
+      row "poly" 3 Dir.West;
+    ],
+    3765,
+    1,
+    None )
+
+let test_local_later_mate_rebuild () =
+  let e = env () in
+  let ((_, seed, restarts, _) as case) = later_mate_case in
+  let steps, base, key = local_case e case in
+  let ref_ = reference_local ?base e ~key ~restarts ~seed steps in
+  check_bool "a later class-mate wins a round" true (ref_.mate_wins > 0);
+  check_bool "the returned layout is a later class-mate's" true ref_.lazy_final;
+  let rm, rr, rorder =
+    match ref_.best with Some b -> b | None -> Alcotest.fail "reference rejected"
+  in
+  let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
+  List.iter
+    (fun d ->
+      let m, r, order, evals =
+        Optimize.optimize_local e ~name:"x" ?base ~restarts ~seed ~domains:d steps
+      in
+      Alcotest.(check (float 0.)) "rating" rr r;
+      Alcotest.(check (list int)) "order" (uids rorder) (uids order);
+      check "evaluations" (ref_.evals - ref_.same_swaps) evals;
+      Alcotest.(check string) "CIF" (cif rm) (cif m);
+      (* CIF carries no net: the mates' nets must sit where the real
+         order puts them too. *)
+      check_bool "shapes, nets included" true
+        (List.equal Shape.equal (Lobj.shapes rm) (Lobj.shapes m)))
+    Test_util.domain_counts
 
 (* ROADMAP oracles: branch-and-bound reaches the exhaustive optimum, and
    local search never beats it.  On step sets that repeat movers bb visits
@@ -611,6 +682,29 @@ let prop_bb_matches_exhaustive =
    prefix; repeated movers exercise the class skip. *)
 let orders_caps = [ None; Some 0; Some 1; Some 5; Some 40; Some 721 ]
 
+let orders_match_reference dims =
+  let e = env () in
+  let steps = mover_steps e dims in
+  let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
+  let window = Int.min 720 (factorial (List.length steps)) in
+  List.for_all
+    (fun cap ->
+      match Test_util.reference_orders ?cap e steps with
+      | None, _ -> false
+      | Some (xm, xr, xorder), walked ->
+          List.for_all
+            (fun domains ->
+              let budget = Amg_robust.Budget.create ?max_evals:cap () in
+              let m, r, order, _ =
+                Optimize.search e ~name:"x" ~domains ~budget Wire.Orders steps
+              in
+              Float.equal xr r && uids xorder = uids order
+              && String.equal (cif xm) (cif m)
+              && Amg_robust.Budget.spent budget = walked
+              && Amg_robust.Budget.degraded budget = (walked < window))
+            Test_util.domain_counts)
+    orders_caps
+
 let prop_orders_matches_reference =
   let movers =
     QCheck2.Gen.(pair mover_gen (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ]))
@@ -620,28 +714,44 @@ let prop_orders_matches_reference =
       String.concat "; "
         (List.map (fun (m, d) -> show_mover m ^ " " ^ Dir.to_string d) dims))
     QCheck2.Gen.(oneof [ list_size (int_range 2 8) movers; dup_set_gen movers 2 8 ])
-    (fun dims ->
+    orders_match_reference
+
+(* Two counterexamples the property above once shrank to.  Placing a
+   relaxing step may shrink a variable edge of a row already in the main
+   and pull the bounding box in, so a partial bounding box is no lower
+   bound there: the walk pruned the subtree holding the reference's first
+   optimum and returned an equally rated later order.  Branch-and-bound
+   shares the bound, so it is held to the exhaustive search too. *)
+let test_orders_bound_variable_targets () =
+  let row layer w var dir = (Row (layer, w, var), dir) in
+  let ns = [ Dir.North; Dir.South ] in
+  List.iter
+    (fun (what, dims) ->
+      check_bool (what ^ ": orders") true (orders_match_reference dims);
       let e = env () in
       let steps = mover_steps e dims in
       let cif m = Amg_layout.Cif.of_lobj ~tech:(Env.tech e) m in
-      let window = Int.min 720 (factorial (List.length steps)) in
-      List.for_all
-        (fun cap ->
-          match Test_util.reference_orders ?cap e steps with
-          | None, _ -> false
-          | Some (xm, xr, xorder), walked ->
-              List.for_all
-                (fun domains ->
-                  let budget = Amg_robust.Budget.create ?max_evals:cap () in
-                  let m, r, order, _ =
-                    Optimize.search e ~name:"x" ~domains ~budget Wire.Orders steps
-                  in
-                  Float.equal xr r && uids xorder = uids order
-                  && String.equal (cif xm) (cif m)
-                  && Amg_robust.Budget.spent budget = walked
-                  && Amg_robust.Budget.degraded budget = (walked < window))
-                Test_util.domain_counts)
-        orders_caps)
+      let xm, xr, xorder = exhaustive e steps in
+      let bm, br, border, _ = Optimize.search e ~name:"x" Wire.Bb steps in
+      Alcotest.(check (float 0.)) (what ^ ": bb rating") xr br;
+      Alcotest.(check (list int)) (what ^ ": bb order") (uids xorder) (uids border);
+      Alcotest.(check string) (what ^ ": bb CIF") (cif xm) (cif bm))
+    [
+      ( "two bars, two shrinkable rows",
+        [
+          (Bar (1, 4), Dir.West);
+          (Bar (1, 4), Dir.West);
+          row "metal1" 6 ns Dir.South;
+          row "metal1" 6 ns Dir.South;
+        ] );
+      ( "rows on two layers",
+        [
+          row "metal1" 7 ns Dir.South;
+          (Bar (1, 1), Dir.East);
+          row "poly" 7 ns Dir.South;
+          row "poly" 3 [] Dir.East;
+        ] );
+    ]
 
 let prop_local_never_beats_exhaustive =
   QCheck2.Test.make ~name:"local never beats exhaustive" ~count:30
@@ -891,6 +1001,95 @@ let test_local_placements_follow_ladder () =
     (fun d -> check "permissive: whole replays" whole (placements (local d)))
     Test_util.domain_counts
 
+(* Spines fix the placements of a search with repeated movers.  A round
+   still replays the incumbent's first n - 2 steps once (n - 3
+   placements).  Its rated swaps form groups: depth i and the class of
+   the incoming mover, with members j1 < … < jm (every position past i
+   holding that class).  A group lays one spine, b[j1] at i and then
+   positions i+1 … jm-1 (jm - i placements, one fewer at i = 0, where
+   b[j1] is copied into the empty main), and each member jk places b[i]
+   and steps jk+1 … n-1 (n - jk).  A search that returns a later
+   member's layout rebuilds it once (n - 1).  That is strictly fewer than
+   resuming every swap from the ladder (n - max i 1 each), for every
+   domain count; under the permissive policy every class is a singleton
+   and every candidate replays whole, as in the reference. *)
+(* [key] as the position of the first step with an equal key. *)
+let first_equal key steps s =
+  let rec go i = function
+    | [] -> assert false
+    | s' :: rest -> if key s' = key s then i else go (i + 1) rest
+  in
+  go 0 steps
+
+let test_local_placements_follow_spines () =
+  let e = env () in
+  let bars = twin_dims @ [ (2, 6, Dir.West) ] in
+  let steps_bars = bar_steps bars in
+  let rows_steps, _, rows_key = local_case e later_mate_case in
+  List.iter
+    (fun (what, steps, key, fewer) ->
+      let n = List.length steps in
+      let local d () = Optimize.optimize_local e ~name:"x" ~restarts:1 ~domains:d steps in
+      let ref_ = reference_local e ~key ~restarts:1 ~seed:1 steps in
+      let positions lo = List.init (Int.max 0 (n - lo)) (fun k -> lo + k) in
+      let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+      let round order =
+        let at = Array.of_list (List.map key order) in
+        (* (i, members): j1 is the first position past i of its class *)
+        let first_past i j1 =
+          at.(j1) <> at.(i)
+          && not (List.exists (fun k -> k < j1 && at.(k) = at.(j1)) (positions (i + 1)))
+        in
+        let groups =
+          List.concat_map
+            (fun i ->
+              List.filter_map
+                (fun j1 ->
+                  if first_past i j1 then
+                    Some (i, List.filter (fun j -> at.(j) = at.(j1)) (positions j1))
+                  else None)
+                (positions (i + 1)))
+            (List.init (n - 1) Fun.id)
+        in
+        let spines =
+          sum
+            (fun (i, js) ->
+              let jm = List.nth js (List.length js - 1) in
+              jm - i - (if i = 0 then 1 else 0) + sum (fun j -> n - j) js)
+            groups
+        in
+        let ladder =
+          sum (fun (i, js) -> List.length js * (n - Int.max i 1)) groups
+        in
+        (spines, ladder)
+      in
+      check_bool (what ^ ": the descent accepts a move") true (ref_.moves > 0);
+      let rounds = List.map round ref_.rounds in
+      check_bool (what ^ ": some class has several members") true
+        (List.length (List.sort_uniq Int.compare (List.map key steps)) < n);
+      let spine_total =
+        (n - 1)
+        + sum (fun (spines, _) -> (n - 3) + spines) rounds
+        + if ref_.lazy_final then n - 1 else 0
+      in
+      let ladder_total = (n - 1) + sum (fun (_, ladder) -> (n - 3) + ladder) rounds in
+      if fewer then
+        check_bool (what ^ ": fewer than resuming each swap") true (spine_total < ladder_total);
+      List.iter
+        (fun d -> check (what ^ ": strict: spines") spine_total (placements (local d)))
+        Test_util.domain_counts;
+      with_permissive @@ fun () ->
+      let whole =
+        placements (fun () -> reference_local e ~key ~restarts:1 ~seed:1 steps)
+      in
+      List.iter
+        (fun d -> check (what ^ ": permissive: whole replays") whole (placements (local d)))
+        Test_util.domain_counts)
+    [
+      ("three bar mates", steps_bars, first_equal (mover_key bars steps_bars) steps_bars, true);
+      ("later-mate rows", rows_steps, first_equal rows_key rows_steps, false);
+    ]
+
 let suite =
   [
     Alcotest.test_case "automatic margins" `Quick test_margins;
@@ -913,8 +1112,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_local_matches_reference;
     Alcotest.test_case "local reference accepts moves" `Quick
       test_local_reference_accepts_moves;
+    Alcotest.test_case "local later class-mate rebuilds" `Quick
+      test_local_later_mate_rebuild;
     QCheck_alcotest.to_alcotest prop_bb_matches_exhaustive;
     QCheck_alcotest.to_alcotest prop_orders_matches_reference;
+    Alcotest.test_case "orders bound with shrinkable targets" `Quick
+      test_orders_bound_variable_targets;
     QCheck_alcotest.to_alcotest prop_local_never_beats_exhaustive;
     Alcotest.test_case "step classes: singletons" `Quick test_step_classes_singletons;
     Alcotest.test_case "step classes: pack10" `Quick test_pack10_classes;
@@ -933,4 +1136,6 @@ let ladder_suite =
   [
     Alcotest.test_case "local placements follow the ladder" `Quick
       test_local_placements_follow_ladder;
+    Alcotest.test_case "local placements follow the spines" `Quick
+      test_local_placements_follow_spines;
   ]

@@ -476,7 +476,7 @@ let test_graceful_shutdown () =
       (Server.config ~source:(Test_util.row_pack 28 ^ pack_source) socket)
   in
   (* park a slow request in flight: a cold local search of 28 rows lasts
-     about a second *)
+     a few hundred milliseconds *)
   let slow_result = ref (Error "never ran") in
   let finished = Atomic.make false in
   let slow =
@@ -740,11 +740,11 @@ let json_num key payload =
    health plus one JSON metrics roundtrip takes at most half the build's
    own latency (and never has to beat 50 ms).  The scrape still waits for
    the build's thread to hand over the runtime lock at each of its ticks
-   (50 ms apart), so the build is a cold local search of 28 rows, which
-   lasts over a second; a scrape that queued behind it would take the
-   whole build. *)
+   (50 ms apart), up to four of them on a loaded host, so the build is a
+   cold local search of 40 rows, which lasts about a second; a scrape that
+   queued behind it would take the whole build. *)
 let test_scrape_mid_load () =
-  Test_util.with_server ~source:(Test_util.row_pack 28 ^ pack_source) @@ fun _t sock ->
+  Test_util.with_server ~source:(Test_util.row_pack 40 ^ pack_source) @@ fun _t sock ->
   let answered = Atomic.make false in
   let build_result = ref (Error "never ran") and build_ms = ref 0. in
   let builder =
@@ -756,7 +756,7 @@ let test_scrape_mid_load () =
             (Wire.build ~id:"load" ~jobs:1 ~optimize:Wire.Local
                ~tenant:"scrape-cold"
                ~params:[ ("W", Wire.Pnum 20.) ]
-               "Rows28");
+               "Rows40");
         build_ms := (Unix.gettimeofday () -. t0) *. 1000.;
         Atomic.set answered true)
       ()

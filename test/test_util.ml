@@ -156,8 +156,9 @@ let reference_rederive obj rules =
    The compact_scaling workload as a language entity: [n] metal1 contact
    rows whose widths cycle W, W+12, W+24, W+36 um, compacted alternately
    SOUTH and WEST (the language has no modulo, so the cycle is unrolled).
-   A cold local search of [row_pack 28] lasts about a second, long enough
-   to act on a daemon while it is in flight. *)
+   A cold local search of [row_pack 28] lasts a few hundred milliseconds,
+   long enough to act on a daemon while it is in flight; one of
+   [row_pack 40] about a second. *)
 let row_pack n =
   let b = Buffer.create 1024 in
   Printf.bprintf b "ENT Rows%d(<W>)\n" n;
