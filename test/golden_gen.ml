@@ -21,7 +21,15 @@
    line holds the MD5 of the module's CIF and its design-rule violation
    count (the geometric checks for a module, every check for the two
    circuits), so any change to the bytes of any library module shows up
-   here without pinning whole CIF files. *)
+   here without pinning whole CIF files.
+
+   Over the same grid it writes extract_digests.txt: per line the MD5 of
+   the extracted device list ([Devices.pp_extracted]), the number of
+   connectivity nodes, the number of extracted shorts and the MD5 of
+   every piece's union-find root in piece order.  Synthetic node names
+   ("n<root>") appear in the device list; the root digest also pins the
+   roots of labelled nodes, so any change to the extractor's union order
+   shows up here. *)
 
 module Units = Amg_geometry.Units
 module Env = Amg_core.Env
@@ -29,6 +37,7 @@ module Lobj = Amg_layout.Lobj
 module M = Amg_modules
 module Checker = Amg_drc.Checker
 module Violation = Amg_drc.Violation
+module X = Amg_extract
 
 let um = Units.of_um
 
@@ -64,13 +73,25 @@ let drc_reports () =
 
 let module_digests () =
   let oc = open_out "module_digests.txt" in
+  let xc = open_out "extract_digests.txt" in
   let bicmos = Env.bicmos () in
   let cmos08 = Env.create (Amg_tech.Tech_file.parse_string Amg_tech.Cmos08.source) in
   let line cls deck cell ?checks env obj =
     let tech = Env.tech env in
     Printf.fprintf oc "%s %s %s %s %d\n" cls deck cell
       (Digest.to_hex (Digest.string (Amg_layout.Cif.of_lobj ~tech obj)))
-      (List.length (Checker.run ?checks ~tech obj))
+      (List.length (Checker.run ?checks ~tech obj));
+    let ex = X.Devices.extract ~tech obj in
+    let conn = X.Connectivity.build ~tech obj in
+    let roots =
+      List.init (Array.length (X.Connectivity.pieces conn)) (fun i ->
+          string_of_int (X.Connectivity.find conn i))
+    in
+    Printf.fprintf xc "%s %s %s %s %d %d %s\n" cls deck cell
+      (Digest.to_hex (Digest.string (Format.asprintf "%a" X.Devices.pp_extracted ex)))
+      (X.Connectivity.node_count conn)
+      (List.length ex.X.Devices.short_nets)
+      (Digest.to_hex (Digest.string (String.concat "," roots)))
   in
   let geometric = Checker.[ Widths; Spacings; Enclosures; Extensions ] in
   let pol = function M.Mosfet.Pmos -> "pmos" | M.Mosfet.Nmos -> "nmos" in
@@ -147,7 +168,8 @@ let module_digests () =
     [ (1, 2, 60.); (2, 1, 70.); (2, 2, 80.) ];
   line "amplifier" "bicmos1u" "fig9" bicmos (Amg_amplifier.Amplifier.build bicmos).obj;
   line "ota" "bicmos1u" "5t" bicmos (Amg_amplifier.Ota.build bicmos).obj;
-  close_out oc
+  close_out oc;
+  close_out xc
 
 let () =
   let env = Env.bicmos () in
