@@ -3,7 +3,12 @@
    Bechamel micro-benchmarks time the underlying kernels.
 
      dune exec bench/main.exe                             every section
+     dune exec bench/main.exe -- --json BENCH_compact.json  ... and write
+                                                          the scaling rows
      dune exec bench/main.exe -- compact_scaling 4,6,8,12  CI search smoke
+
+   Only [--json PATH] writes a file: a plain run prints and leaves the
+   committed BENCH_compact.json, which the smoke reads, as it is.
 
    The daemon, the sweep engine and the result store are measured by
    amgperf (bench/perf, workloads serve_mix and sweep_store), not here:
@@ -712,7 +717,7 @@ let route_ablation () =
 (* ------------------------------------------------------------------ *)
 (* COMPACT-SCALING: compaction and order optimization vs object count, *)
 (* the workload the indexed shape store is sized for.  Medians go to    *)
-(* BENCH_compact.json so runs are diffable.                             *)
+(* BENCH_compact.json (with --json) so runs are diffable.              *)
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic workload: n contact rows of cycling widths, alternating
@@ -894,8 +899,8 @@ let parallel_scaling env =
    only the digits that actually moved.  [*_cold_s] is the median of 3
    runs — see [compact_scaling].  The per-row "counters" object holds the
    deterministic work counters from one instrumented build. *)
-let write_bench_json compact_rows parallel_rows =
-  let oc = open_out "BENCH_compact.json" in
+let write_bench_json path compact_rows parallel_rows =
+  let oc = open_out path in
   let bb_json (t, r, nodes) =
     Printf.sprintf "\"bb_cold_s\":%.4f,\"bb_rating\":%.4f,\"bb_nodes\":%d" t r
       nodes
@@ -922,7 +927,7 @@ let write_bench_json compact_rows parallel_rows =
               n d t speedup overhead r evals same)
           parallel_rows));
   close_out oc;
-  Fmt.pr "(timings written to BENCH_compact.json)@."
+  Fmt.pr "(timings written to %s)@." path
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (CI): `bench compact_scaling 4,6` re-runs the optimizer  *)
@@ -1100,18 +1105,27 @@ let micro env =
   in
   List.iter (fun (name, ns) -> Fmt.pr "%-28s %12.0f ns/run@." name ns) rows
 
+let usage () =
+  prerr_endline
+    "usage: main.exe [--json PATH] | main.exe compact_scaling [N,N,...]";
+  exit 2
+
 let () =
-  (match Array.to_list Sys.argv with
-  | _ :: "compact_scaling" :: rest ->
-      let ns =
-        match rest with
-        | [] -> [ 4; 6 ]
-        | spec :: _ ->
-            List.map int_of_string (String.split_on_char ',' spec)
-      in
-      compact_smoke (Env.bicmos ()) ns;
-      exit 0
-  | _ -> ());
+  let json =
+    match Array.to_list Sys.argv with
+    | _ :: "compact_scaling" :: rest ->
+        let ns =
+          match rest with
+          | [] -> [ 4; 6 ]
+          | spec :: _ ->
+              List.map int_of_string (String.split_on_char ',' spec)
+        in
+        compact_smoke (Env.bicmos ()) ns;
+        exit 0
+    | [ _ ] -> None
+    | [ _; "--json"; path ] -> Some path
+    | _ -> usage ()
+  in
   let env = Env.bicmos () in
   Fmt.pr "Analog module generator environment — benchmark harness@.";
   Fmt.pr "technology: %s@." (Amg_tech.Technology.name (Env.tech env));
@@ -1130,6 +1144,6 @@ let () =
   route_ablation ();
   let compact_rows = compact_scaling env in
   let parallel_rows = parallel_scaling env in
-  write_bench_json compact_rows parallel_rows;
+  Option.iter (fun path -> write_bench_json path compact_rows parallel_rows) json;
   micro env;
   Fmt.pr "@.done.@."

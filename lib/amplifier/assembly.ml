@@ -44,7 +44,7 @@ let tap_row env ~width ~n =
 
 let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
     ?(tap_band = um 6.) ?(vdd = "vdd") ?(vss = "vss") () =
-  if rows = [] then Env.reject "Assembly: no rows";
+  if List.is_empty rows then Env.reject "Assembly: no rows";
   let amp = Lobj.create name in
   let place obj ~y =
     let b = Lobj.bbox_exn obj in
@@ -105,25 +105,25 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
   (* Hook every supply port to the nearest same-net rail (vss rails are the
      tap-row metals). *)
   let rail_rects net =
+    let half = Rect.width (Lobj.bbox_exn amp) / 2 in
     List.filter_map
       (fun (s : Shape.t) ->
         if
-          Shape.on_layer s "metal1"
-          && s.Shape.net = Some net
-          && Rect.width s.Shape.rect > Rect.width (Lobj.bbox_exn amp) / 2
+          Option.equal String.equal s.Shape.net (Some net)
+          && Rect.width s.Shape.rect > half
         then Some s.Shape.rect
         else None)
-      (Lobj.shapes amp)
+      (Lobj.shapes_on amp "metal1")
   in
   let rails_of net = List.map Rect.center_y (rail_rects net) in
   let unhooked = ref [] in
   List.iter
     (fun (p : Port.t) ->
-      if List.mem p.Port.net [ vdd; vss ] then begin
+      if String.equal p.Port.net vdd || String.equal p.Port.net vss then begin
         let py = Rect.center_y p.Port.rect in
         let rails =
           List.sort
-            (fun a b -> compare (abs (a - py)) (abs (b - py)))
+            (fun a b -> Int.compare (abs (a - py)) (abs (b - py)))
             (rails_of p.Port.net)
         in
         let ok =
@@ -145,7 +145,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
     let external_ = Amg_circuit.Netlist.external_ports netlist @ [ vdd; vss ] in
     let nets =
       List.filter
-        (fun n -> not (List.mem n external_))
+        (fun n -> not (List.exists (String.equal n) external_))
         (Amg_circuit.Netlist.nets netlist)
     in
     (* Small-pin nets first: they have the fewest corridor choices. *)
@@ -157,7 +157,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
         max_int (Lobj.ports amp)
     in
     List.stable_sort
-      (fun a b -> compare (min_port_width a) (min_port_width b))
+      (fun a b -> Int.compare (min_port_width a) (min_port_width b))
       nets
   in
   let routing =
@@ -235,7 +235,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
             (fun pieces ->
               let m1 =
                 List.filter (fun (l, _) -> String.equal l "metal1") pieces
-                |> List.sort (fun (_, a) (_, b) -> compare (Rect.area b) (Rect.area a))
+                |> List.sort (fun (_, a) (_, b) -> Int.compare (Rect.area b) (Rect.area a))
               in
               match m1 with
               | (_, rect) :: _ ->
@@ -245,7 +245,7 @@ let assemble env ~name ~netlist ~rows ?(track_zone = um 32.)
                   let py = Rect.center_y rect in
                   let rails =
                     List.sort
-                      (fun a b -> compare (abs (a - py)) (abs (b - py)))
+                      (fun a b -> Int.compare (abs (a - py)) (abs (b - py)))
                       (rails_of net)
                   in
                   if

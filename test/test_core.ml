@@ -534,13 +534,31 @@ let reference_local ?base e ~key ~restarts ~seed steps =
     same_rate_current = !same_rate_current;
   }
 
-(* Bars and contact rows, all distinct or with repeats, descending into
-   an empty main or onto a [?base] object (a mover on net "base"). *)
+(* Five to seven draws from two contact rows with variable north and
+   south edges, a wide metal1 row compacted north and a narrow poly row
+   compacted west: classes of mates spread across the order, so about one
+   case in five has a round won by a later class-mate and one in ten
+   returns its lazily rebuilt layout (the other two shapes of case: about
+   one in 150). *)
+let mates_gen =
+  QCheck2.Gen.(
+    let row layer widths dir =
+      map (fun w -> (Row (layer, w, [ Dir.North; Dir.South ]), dir)) widths
+    in
+    let* a = row "metal1" (int_range 6 12) Dir.North
+    and* b = row "poly" (int_range 2 5) Dir.West
+    and* n = int_range 5 7 in
+    list_repeat n (oneofl [ a; b ]))
+
+(* Bars and contact rows, all distinct, with repeats or as two-row mates
+   (half of the cases), descending into an empty main or onto a [?base]
+   object (a mover on net "base"). *)
 let local_case_gen =
   QCheck2.Gen.(
     let movers = pair mover_gen (oneofl [ Dir.South; Dir.West; Dir.North; Dir.East ]) in
     quad
-      (oneof [ list_size (int_range 3 7) movers; dup_set_gen movers 3 7 ])
+      (frequency
+         [ (1, list_size (int_range 3 7) movers); (1, dup_set_gen movers 3 7); (2, mates_gen) ])
       (int_range 0 10_000) (int_range 1 3) (opt ~ratio:0.5 mover_gen))
 
 let show_local_case (dims, seed, restarts, base) =
@@ -554,8 +572,10 @@ let local_case e (dims, _, _, base) =
   (steps, Option.map (mover_obj e ~name:"base") base, mover_key dims steps)
 
 (* [optimize_local] (pool, incumbent cell, symmetry classes, prefix
-   ladder) agrees with the reference on rating, order, evaluation count
-   and CIF bytes for every domain count.  Every same-mover swap the
+   ladder) agrees with the reference on rating, order, evaluation count,
+   CIF bytes and shapes with their nets in store order (CIF carries no
+   net, so only the shapes show a later class-mate's layout returned
+   without its rebuild) for every domain count.  Every same-mover swap the
    reference rates equals the current rating — the soundness of skipping
    them — and [optimize_local] rates exactly the others. *)
 let prop_local_matches_reference =
@@ -578,7 +598,8 @@ let prop_local_matches_reference =
                  in
                  Float.equal r rr && uids order = uids rorder
                  && evals = ref_.evals - ref_.same_swaps
-                 && String.equal (cif m) (cif rm))
+                 && String.equal (cif m) (cif rm)
+                 && List.equal Shape.equal (Lobj.shapes m) (Lobj.shapes rm))
                Test_util.domain_counts)
 
 (* The property above only covers the path where a candidate keeps its
