@@ -13,18 +13,6 @@ type result = {
   tracks : int;  (** maximum tracks used in any channel *)
 }
 
-val corridor_clear :
-  Amg_core.Env.t ->
-  Amg_layout.Lobj.t ->
-  net:string ->
-  x:int ->
-  y_from:int ->
-  y_to:int ->
-  via_y:int ->
-  bool
-(** Vertical metal2 corridor free of foreign metal2, via landing clear of
-    foreign metal1. *)
-
 val drop :
   Amg_core.Env.t ->
   Amg_layout.Lobj.t ->
