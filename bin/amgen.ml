@@ -33,16 +33,13 @@ module Wire = Amg_robust.Wire
 module Generate = Amg_lang.Generate
 module Store = Amg_store.Store
 
+module Cli = Amg_serve.Cli
+
 open Cmdliner
 
-let read_file = Amg_serve.Cli.read_file
-let int_at_least = Amg_serve.Cli.int_at_least
-let with_obs = Amg_serve.Cli.with_obs
-
-let exit_ok = 0
-let exit_diag = 1
-let exit_usage = 2
-let exit_degraded = 3
+let read_file = Cli.read_file
+let int_at_least = Cli.int_at_least
+let with_obs = Cli.with_obs
 
 (* --- the diagnostics boundary --- *)
 
@@ -53,21 +50,21 @@ let run_guarded ?mode ?inject ?diag_json f =
   match Generate.guarded ?mode ?inject f with
   | Error msg ->
       Fmt.epr "amgen: bad --inject spec: %s@." msg;
-      exit_usage
+      Cli.exit_usage
   | Ok (result, reported) ->
       let diags, code =
         match result with
         | Ok code -> (reported, code)
-        | Error d -> (reported @ [ d ], exit_diag)
+        | Error d -> (reported @ [ d ], Cli.exit_diag)
       in
       (* A permissive run that skipped placements emitted a valid but
          incomplete layout: error diagnostics force a non-zero exit even
          when the body itself succeeded. *)
       let code =
         if
-          code = exit_ok
+          code = Cli.exit_ok
           && List.exists (fun d -> d.Diag.severity = Diag.Error) diags
-        then exit_diag
+        then Cli.exit_diag
         else code
       in
       List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) diags;
@@ -75,7 +72,7 @@ let run_guarded ?mode ?inject ?diag_json f =
         (fun path ->
           let oc = open_out path in
           output_string oc
-            (Diag.list_to_json ~degraded:(code = exit_degraded) diags);
+            (Diag.list_to_json ~degraded:(code = Cli.exit_degraded) diags);
           output_char oc '\n';
           close_out oc;
           Fmt.pr "wrote %s@." path)
@@ -166,28 +163,14 @@ let env_of_tech = function
   | None -> Env.bicmos ()
   | Some path -> Env.create (Amg_tech.Tech_file.load path)
 
-let params_arg =
-  let doc = "Entity parameter, e.g. -p W=10 or -p layer=poly (numbers in um)." in
-  Arg.(value & opt_all string [] & info [ "p"; "param" ] ~docv:"K=V" ~doc)
-
+(* A malformed binding is a [cli.bad-param] diagnostic (exit 1), not a
+   usage error. *)
 let parse_params params =
-  List.map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | None ->
-          Diag.failf Diag.Cli ~code:"cli.bad-param"
-            ~hint:"parameters are written -p key=value, e.g. -p W=10"
-            "bad parameter %s (expected k=v)" kv
-      | Some i ->
-          let k = String.sub kv 0 i
-          and v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let value =
-            match float_of_string_opt v with
-            | Some f -> Amg_lang.Value.Num f
-            | None -> Amg_lang.Value.Str v
-          in
-          (k, value))
-    params
+  match Cli.parse_params params with
+  | Ok params -> Generate.values params
+  | Error msg ->
+      Diag.failf Diag.Cli ~code:"cli.bad-param"
+        ~hint:"parameters are written -p key=value, e.g. -p W=10" "%s" msg
 
 let svg_arg =
   Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Write an SVG rendering.")
@@ -329,7 +312,7 @@ let build_cmd =
                 (if o.degraded then ", budget exhausted (best-so-far)" else "")
           | _ -> ());
           emit env o.layout svg cif gds ascii;
-          if o.degraded then exit_degraded else exit_ok)
+          if o.degraded then Cli.exit_degraded else Cli.exit_ok)
     in
     if explain then Fmt.pr "%a" Amg_compact.Successive.pp_explain ();
     code
@@ -337,7 +320,7 @@ let build_cmd =
   Cmd.v
     (Cmd.info "build" ~doc:"Build an entity from a module source file.")
     Term.(const run $ tech_arg $ jobs_arg $ file_arg
-          $ entity_arg $ params_arg $ svg_arg $ cif_arg $ gds_arg $ ascii_arg
+          $ entity_arg $ Cli.params_arg $ svg_arg $ cif_arg $ gds_arg $ ascii_arg
           $ stats_arg $ trace_arg $ explain_arg $ optimize_arg $ max_time_arg
           $ max_evals_arg $ store_arg $ mode_arg $ inject_arg $ diag_json_arg)
 
@@ -368,11 +351,11 @@ let check_cmd =
           vios)
     in
     List.iter (fun v -> Policy.report (diag_of_violation v)) vios;
-    if vios <> [] then exit_diag else exit_ok
+    if vios <> [] then Cli.exit_diag else Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Build an entity and run the design-rule checker.")
-    Term.(const run $ tech_arg $ jobs_arg $ file_arg $ entity_arg $ params_arg
+    Term.(const run $ tech_arg $ jobs_arg $ file_arg $ entity_arg $ Cli.params_arg
           $ latchup_arg $ stats_arg $ trace_arg $ mode_arg $ inject_arg
           $ diag_json_arg)
 
@@ -397,13 +380,13 @@ let tech_cmd =
       let issues = Amg_tech.Lint.check tech in
       if issues = [] then begin
         Fmt.pr "%s: deck is clean@." (Amg_tech.Technology.name tech);
-        exit_ok
+        Cli.exit_ok
       end
       else begin
         List.iter (fun i -> Fmt.pr "%a@." Amg_tech.Lint.pp_issue i) issues;
         List.iter (fun d -> Policy.report d)
           (Amg_tech.Lint.to_diags ?file:tech_file issues);
-        if Amg_tech.Lint.errors issues <> [] then exit_diag else exit_ok
+        if Amg_tech.Lint.errors issues <> [] then Cli.exit_diag else Cli.exit_ok
       end
     end
     else begin
@@ -414,7 +397,7 @@ let tech_cmd =
           output_string oc Amg_tech.Bicmos1u.source;
           close_out oc;
           Fmt.pr "wrote %s@." path);
-      exit_ok
+      Cli.exit_ok
     end
   in
   Cmd.v
@@ -473,7 +456,7 @@ let synth_cmd =
     let lvs = Amg_extract.Compare.run ~golden:netlist x in
     Fmt.pr "%a" Amg_extract.Compare.pp_result lvs;
     emit env r.Amg_amplifier.Synth.obj svg cif gds ascii;
-    exit_ok
+    Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "synth"
@@ -510,7 +493,7 @@ let fmt_cmd =
         close_out oc;
         Fmt.pr "wrote %s@." path
     | false, None -> print_string formatted);
-    exit_ok
+    Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "fmt"
@@ -550,7 +533,7 @@ let gds_cmd =
           vios)
     in
     List.iter (fun v -> Policy.report (diag_of_violation v)) vios;
-    if vios <> [] then exit_diag else exit_ok
+    if vios <> [] then Cli.exit_diag else Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "gds"
@@ -578,12 +561,12 @@ let netlist_cmd =
     | Some path ->
         Amg_extract.Spice.write_file path deck;
         Fmt.pr "wrote %s@." path);
-    exit_ok
+    Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "netlist"
        ~doc:"Build an entity, extract its devices and print a SPICE deck.")
-    Term.(const run $ tech_arg $ file_arg $ entity_arg $ params_arg $ out
+    Term.(const run $ tech_arg $ file_arg $ entity_arg $ Cli.params_arg $ out
           $ stats_arg $ trace_arg)
 
 let amp_cmd =
@@ -616,7 +599,7 @@ let amp_cmd =
         Fmt.pr "wrote %s@." path)
       spice;
     emit env r.Amg_amplifier.Amplifier.obj svg cif gds ascii;
-    exit_ok
+    Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "amp" ~doc:"Generate the BiCMOS broad-band amplifier (paper §3).")
@@ -641,10 +624,10 @@ let trace_lint_cmd =
             | Some rid -> Fmt.pf ppf ", request %s" rid
             | None -> ())
           s.v_request_id;
-        exit_ok
+        Cli.exit_ok
     | Error msg ->
         Fmt.epr "%s: invalid trace: %s@." path msg;
-        exit_diag
+        Cli.exit_diag
   in
   Cmd.v
     (Cmd.info "trace-lint"
@@ -673,7 +656,7 @@ let store_stat_cmd =
     let s, diags = Store.verify path in
     List.iter Policy.report diags;
     Fmt.pr "%s: %a@." path pp_store_stats s;
-    exit_ok
+    Cli.exit_ok
   in
   Cmd.v
     (Cmd.info "stat"
@@ -688,11 +671,11 @@ let store_verify_cmd =
     List.iter Policy.report diags;
     if s.Store.corrupt_records > 0 then begin
       Fmt.pr "%s: CORRUPT — %a@." path pp_store_stats s;
-      exit_diag
+      Cli.exit_diag
     end
     else begin
       Fmt.pr "%s: ok — %a@." path pp_store_stats s;
-      exit_ok
+      Cli.exit_ok
     end
   in
   Cmd.v
@@ -721,7 +704,7 @@ let store_compact_cmd =
           end
           else false)
     in
-    if ok then exit_ok else exit_diag
+    if ok then Cli.exit_ok else Cli.exit_diag
   in
   Cmd.v
     (Cmd.info "compact"
@@ -797,15 +780,15 @@ let sweep_cmd =
         match Amg_sweep.Sweep.check_file path with
         | Ok rows ->
             Fmt.pr "%s: ok — %d rows@." path rows;
-            exit_ok
+            Cli.exit_ok
         | Error e ->
             Fmt.epr "%s: %s@." path e;
-            exit_diag)
+            Cli.exit_diag)
     | None -> (
         match spec with
         | None ->
             Fmt.epr "amgen: a SPEC.json file is required (or --check FILE)@.";
-            exit_usage
+            Cli.exit_usage
         | Some spec_file ->
             set_jobs jobs;
             run_guarded ~mode ?inject ?diag_json @@ fun () ->
@@ -855,8 +838,8 @@ let sweep_cmd =
               result.Amg_sweep.Sweep.store_hits
               result.Amg_sweep.Sweep.elapsed_s;
             Option.iter (fun p -> Fmt.epr "wrote %s@." p) out;
-            if result.Amg_sweep.Sweep.failures > 0 then exit_degraded
-            else exit_ok)
+            if result.Amg_sweep.Sweep.failures > 0 then Cli.exit_degraded
+            else Cli.exit_ok)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -876,10 +859,10 @@ let () =
   let doc = "analog module generator environment (DATE'96 reproduction)" in
   let exits =
     [
-      Cmd.Exit.info exit_ok ~doc:"on success.";
-      Cmd.Exit.info exit_diag ~doc:"on reported diagnostics (errors).";
-      Cmd.Exit.info exit_usage ~doc:"on command-line usage errors.";
-      Cmd.Exit.info exit_degraded
+      Cmd.Exit.info Cli.exit_ok ~doc:"on success.";
+      Cmd.Exit.info Cli.exit_diag ~doc:"on reported diagnostics (errors).";
+      Cmd.Exit.info Cli.exit_usage ~doc:"on command-line usage errors.";
+      Cmd.Exit.info Cli.exit_degraded
         ~doc:"when an optimization budget was exhausted and a valid \
               best-so-far layout was emitted.";
     ]
@@ -890,7 +873,7 @@ let () =
       (Cmd.group info
          [ build_cmd; check_cmd; tech_cmd; netlist_cmd; gds_cmd; fmt_cmd;
            synth_cmd; amp_cmd; trace_lint_cmd; store_cmd; sweep_cmd;
-           Amg_serve.Cli.serve_cmd; Amg_serve.Cli.request_cmd;
-           Amg_serve.Cli.metrics_cmd; Amg_serve.Cli.health_cmd ])
+           Cli.serve_cmd; Cli.request_cmd;
+           Cli.metrics_cmd; Cli.health_cmd ])
   in
-  exit (if code = Cmd.Exit.cli_error then exit_usage else code)
+  exit (if code = Cmd.Exit.cli_error then Cli.exit_usage else code)

@@ -1,15 +1,8 @@
 (* Thin wrappers binding the compactor to a generator environment, so module
    sources read like the paper's compact(obj, DIR, layer) calls. *)
 
-module Dir = Amg_geometry.Dir
-module Lobj = Amg_layout.Lobj
 module Successive = Amg_compact.Successive
 
 let compact env ~into ?ignore_layers ?align ?variable_edges obj dir =
   Successive.compact ~rules:(Env.rules env) ~into ?ignore_layers ?align
     ?variable_edges obj dir
-
-let south = Dir.South
-let north = Dir.North
-let east = Dir.East
-let west = Dir.West

@@ -10,8 +10,3 @@ val compact :
   Amg_layout.Lobj.t ->
   Amg_geometry.Dir.t ->
   unit
-
-val south : Amg_geometry.Dir.t
-val north : Amg_geometry.Dir.t
-val east : Amg_geometry.Dir.t
-val west : Amg_geometry.Dir.t

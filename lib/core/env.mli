@@ -1,8 +1,11 @@
-(** Generator environment: the technology under which modules are built.
+(** Generator environment: the technology under which modules are built,
+    and nothing else.
 
     Every primitive takes an environment so the same module source works in
     any technology ("the modules are written in a technology independent
-    way", §4). *)
+    way", §4).  Caches scope their keys themselves: the serving daemon keys
+    its memo by the request's tenant, the result store by a fingerprint of
+    the deck. *)
 
 type t
 
@@ -13,16 +16,8 @@ val bicmos : unit -> t
 
 val tech : t -> Amg_tech.Technology.t
 
-val stamp : t -> int
-(** Process-unique id of this environment, assigned at {!create}.  The
-    serving daemon keys its in-memory memo by it, so a build recorded
-    under one environment (one tenant) never serves another.  It is not
-    restart-stable: durable keys use a deck fingerprint instead. *)
 val rules : t -> Amg_tech.Rules.t
 val grid : t -> int
-
-val um : float -> int
-(** Convenience re-export of {!Amg_geometry.Units.of_um}. *)
 
 exception Rejected of string
 (** Raised by a generator when a topology variant cannot satisfy the design

@@ -12,11 +12,7 @@ let make lo hi = if lo <= hi then { lo; hi } else { lo = hi; hi = lo }
 
 let length i = i.hi - i.lo
 
-let is_point i = i.lo = i.hi
-
 let contains i x = i.lo <= x && x <= i.hi
-
-let contains_interval outer inner = outer.lo <= inner.lo && inner.hi <= outer.hi
 
 let inter a b =
   let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in

@@ -19,12 +19,7 @@ val make : int -> int -> t
 
 val length : t -> int
 
-val is_point : t -> bool
-
 val contains : t -> int -> bool
-
-val contains_interval : t -> t -> bool
-(** [contains_interval outer inner] is true iff [inner ⊆ outer]. *)
 
 val inter : t -> t -> t option
 (** Intersection, or [None] when the intervals do not even touch. *)

@@ -4,8 +4,6 @@ type t = { x0 : int; y0 : int; x1 : int; y1 : int }
 let make ~x0 ~y0 ~x1 ~y1 =
   { x0 = Int.min x0 x1; y0 = Int.min y0 y1; x1 = Int.max x0 x1; y1 = Int.max y0 y1 }
 
-let of_corners (x0, y0) (x1, y1) = make ~x0 ~y0 ~x1 ~y1
-
 let of_size ~x ~y ~w ~h =
   if w < 0 || h < 0 then invalid_arg "Rect.of_size: negative size";
   { x0 = x; y0 = y; x1 = x + w; y1 = y + h }
@@ -31,9 +29,6 @@ let span axis r =
 
 let side r (d : Dir.t) =
   match d with North -> r.y1 | South -> r.y0 | East -> r.x1 | West -> r.x0
-
-(* Extent of the [d] edge along the perpendicular axis. *)
-let edge_interval r (d : Dir.t) = span (Dir.cross_axis d) r
 
 let translate r ~dx ~dy =
   { x0 = r.x0 + dx; y0 = r.y0 + dy; x1 = r.x1 + dx; y1 = r.y1 + dy }

@@ -9,8 +9,6 @@ type t = { x0 : int; y0 : int; x1 : int; y1 : int } [@@deriving show, eq, ord]
 val make : x0:int -> y0:int -> x1:int -> y1:int -> t
 (** Normalising constructor. *)
 
-val of_corners : int * int -> int * int -> t
-
 val of_size : x:int -> y:int -> w:int -> h:int -> t
 (** Lower-left corner plus size. @raise Invalid_argument on negative size. *)
 
@@ -35,9 +33,6 @@ val span : Dir.axis -> t -> Interval.t
 
 val side : t -> Dir.t -> int
 (** Coordinate of the given edge. *)
-
-val edge_interval : t -> Dir.t -> Interval.t
-(** Extent of the given edge along the perpendicular axis. *)
 
 val translate : t -> dx:int -> dy:int -> t
 

@@ -123,6 +123,12 @@ let run ?canonical env program r =
 let tech_fingerprint env =
   Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env))
 
+let values params =
+  List.map
+    (fun (k, p) ->
+      (k, match p with Wire.Pnum f -> Value.Num f | Wire.Pstr s -> Value.Str s))
+    params
+
 let store_key ~tech entity params =
   Store.signature ~tech ~entity
     ~params:

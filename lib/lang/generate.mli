@@ -70,6 +70,10 @@ val store_key : tech:string -> string -> (string * Value.t) list -> string
 
 (** {1 Request boundary} *)
 
+val values : (string * Amg_robust.Wire.param) list -> (string * Value.t) list
+(** Wire parameters as interpreter values: the one conversion, shared by
+    the CLI's [-p k=v] and the daemon's requests. *)
+
 val convert_exn : exn -> Amg_robust.Diag.t option
 (** The one exception → diagnostic mapping, for {!Amg_robust.Diag.guard}:
     rejected generation, injected faults, I/O and usage failures get

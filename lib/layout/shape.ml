@@ -24,8 +24,6 @@ let with_rect s rect = { s with rect }
 
 let with_net s net = { s with net }
 
-let with_sides s sides = { s with sides }
-
 let translate s ~dx ~dy = { s with rect = Rect.translate s.rect ~dx ~dy }
 
 let same_net a b =

@@ -37,7 +37,6 @@ val make :
 
 val with_rect : t -> Amg_geometry.Rect.t -> t
 val with_net : t -> string option -> t
-val with_sides : t -> Edge.sides -> t
 
 val translate : t -> dx:int -> dy:int -> t
 

@@ -38,7 +38,7 @@ type op = Build | Sweep | Ping | Stop | Metrics | Health
     [Health] are scrape ops: the daemon answers them without entering
     the compute queue — [Metrics] with a registry snapshot (Prometheus
     text, or JSON when the request sets [json]), [Health] with a small
-    JSON liveness object (uptime, in-flight, queue depth, tenant count,
+    JSON liveness object (uptime, in-flight, queue depth, memo entries,
     pool size). *)
 
 type request = {

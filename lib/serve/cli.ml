@@ -9,6 +9,7 @@ open Cmdliner
 let exit_ok = 0
 let exit_diag = 1
 let exit_usage = 2
+let exit_degraded = 3
 
 let read_file file =
   let ic = open_in file in
@@ -52,6 +53,29 @@ let with_obs ?(explain = false) ~stats ~trace f =
       raise e
 
 (* --- shared arguments -------------------------------------------------- *)
+
+let params_arg =
+  let doc = "Entity parameter, e.g. -p W=10 or -p layer=poly (numbers in um)." in
+  Arg.(value & opt_all string [] & info [ "p"; "param" ] ~docv:"K=V" ~doc)
+
+(* Split each [k=v]; a value that parses as a float is a number. *)
+let parse_params params =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | kv :: rest -> (
+        match String.index_opt kv '=' with
+        | None -> Error (Fmt.str "bad parameter %s (expected k=v)" kv)
+        | Some i ->
+            let k = String.sub kv 0 i
+            and v = String.sub kv (i + 1) (String.length kv - i - 1) in
+            let p =
+              match float_of_string_opt v with
+              | Some f -> Wire.Pnum f
+              | None -> Wire.Pstr v
+            in
+            go ((k, p) :: acc) rest)
+  in
+  go [] params
 
 let default_socket =
   Filename.concat (Filename.get_temp_dir_name ()) "amgend.sock"
@@ -136,15 +160,6 @@ let memo_limit_arg =
     & info [ "memo-limit" ] ~docv:"N"
         ~doc:"Recorded canonical builds kept resident (LRU by signature).")
 
-let tenant_limit_arg =
-  Arg.(
-    value
-    & opt (int_at_least 1 "--tenant-limit") 64
-    & info [ "tenant-limit" ] ~docv:"N"
-        ~doc:
-          "Tenant environments kept resident (LRU); an evicted tenant that \
-           returns starts with an empty memo.")
-
 let no_warm_arg =
   Arg.(
     value & flag
@@ -226,7 +241,7 @@ let sweep_limit_arg =
            specs are rejected with status 2 before any compute runs.")
 
 let run_serve socket tcp library tech jobs queue_limit max_frame memo_limit
-    tenant_limit no_warm stats trace trace_dir trace_sample slow_ms
+    no_warm stats trace trace_dir trace_sample slow_ms
     access_log store sweep_limit =
   let result =
     with_obs ~stats ~trace @@ fun () ->
@@ -239,7 +254,7 @@ let run_serve socket tcp library tech jobs queue_limit max_frame memo_limit
         let tech = Option.map Amg_tech.Tech_file.load tech in
         let cfg =
           Server.config ?tcp ~source ?source_file ?tech ?default_jobs:jobs
-            ~queue_limit ~max_frame ~memo_limit ~tenant_limit
+            ~queue_limit ~max_frame ~memo_limit
             ~warm_pool:(not no_warm) ?trace_dir ~trace_sample ?slow_ms
             ?access_log ?store ~sweep_limit socket
         in
@@ -260,7 +275,7 @@ let run_serve socket tcp library tech jobs queue_limit max_frame memo_limit
 let serve_term =
   Term.(
     const run_serve $ socket_arg $ tcp_arg $ library_arg $ tech_arg $ jobs_arg
-    $ queue_limit_arg $ max_frame_arg $ memo_limit_arg $ tenant_limit_arg
+    $ queue_limit_arg $ max_frame_arg $ memo_limit_arg
     $ no_warm_arg $ stats_arg $ trace_arg $ trace_dir_arg
     $ trace_sample_arg $ slow_ms_arg $ access_log_arg $ store_arg
     $ sweep_limit_arg)
@@ -282,10 +297,6 @@ let entity_arg =
     value
     & pos 0 (some string) None
     & info [] ~docv:"ENTITY" ~doc:"Entity to build (see the daemon's --file).")
-
-let params_arg =
-  let doc = "Entity parameter, e.g. -p W=10 or -p layer=poly (numbers in um)." in
-  Arg.(value & opt_all string [] & info [ "p"; "param" ] ~docv:"K=V" ~doc)
 
 let optimize_arg =
   Arg.(
@@ -391,28 +402,6 @@ let retries_arg =
            ECONNRESET, missing socket) with exponential, deterministically \
            jittered backoff — enough to ride through a daemon restart.  \
            Default 1: fail fast.")
-
-let parse_params params =
-  List.map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | None -> Error (Fmt.str "bad parameter %s (expected k=v)" kv)
-      | Some i ->
-          let k = String.sub kv 0 i
-          and v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          Ok
-            ( k,
-              match float_of_string_opt v with
-              | Some f -> Wire.Pnum f
-              | None -> Wire.Pstr v ))
-    params
-  |> List.fold_left
-       (fun acc p ->
-         match (acc, p) with
-         | Error e, _ | _, Error e -> Error e
-         | Ok ps, Ok p -> Ok (p :: ps))
-       (Ok [])
-  |> Result.map List.rev
 
 (* Sweep exchanges are streams, not one-line roundtrips: connect (with
    the same retry policy as oneshot), forward every row event line's
@@ -570,8 +559,8 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:
          "Probe a running daemon's liveness: uptime, served count, queue \
-          depth, resident tenants and memo entries, pool size.  Answered \
-          without queueing behind compute.")
+          depth, memo entries, pool size.  Answered without queueing \
+          behind compute.")
     Term.(const (fun socket -> run_scrape socket (Wire.health ())) $ socket_arg)
 
 (* --- the standalone daemon --------------------------------------------- *)

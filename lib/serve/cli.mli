@@ -19,6 +19,21 @@ val daemon_main : unit -> int
 
 (** {1 Helpers amgen's own subcommands share} *)
 
+val exit_ok : int
+val exit_diag : int
+val exit_usage : int
+val exit_degraded : int
+(** The exit codes of [amgen] and [amgend], equal to the wire statuses:
+    success, reported diagnostics, usage error, budget exhausted. *)
+
+val params_arg : string list Cmdliner.Term.t
+(** The repeated [-p K=V] option. *)
+
+val parse_params :
+  string list -> ((string * Amg_robust.Wire.param) list, string) result
+(** Split each [k=v] (a value that parses as a float is a number), or
+    the message naming the first argument without a ['=']. *)
+
 val read_file : string -> string
 
 val int_at_least : int -> string -> int Cmdliner.Arg.conv

@@ -7,15 +7,13 @@
    §7 determinism contract — identical bytes for every jobs value and
    arrival order — follows directly when requests cannot interleave.
 
-   Warmth across requests comes from two resident structures, both touched
-   only from the serialized section (so they need no locks):
-
-   - per-tenant environments: each tenant gets its own [Env.t], whose
-     stamp keys the memo — tenants can never hit each other's entries;
-   - a memo keyed by (tenant, entity, params) holding the recorded
-     canonical build and, for unbudgeted strict searches, the finished
-     result per search strategy.  Behind it sits the durable result
-     store, when one is configured. *)
+   Warmth across requests comes from one resident memo, touched only from
+   the serialized section (so it needs no lock), keyed by (tenant, entity,
+   params) and holding the recorded canonical build and, for unbudgeted
+   strict searches, the finished result per search strategy.  The tenant
+   is part of the key, so tenants can never hit each other's entries.
+   Behind the memo sits the durable result store, when one is
+   configured. *)
 
 module Diag = Amg_robust.Diag
 module Policy = Amg_robust.Policy
@@ -23,6 +21,7 @@ module Wire = Amg_robust.Wire
 module J = Amg_robust.Diag.Json
 module Obs = Amg_obs.Obs
 module Metrics = Amg_obs.Metrics
+module Counters = Amg_obs.Counters
 module Trace = Amg_obs.Trace
 module Env = Amg_core.Env
 module Generate = Amg_lang.Generate
@@ -42,7 +41,6 @@ type config = {
   queue_limit : int;
   max_frame : int;
   memo_limit : int;
-  tenant_limit : int;
   warm_pool : bool;
   trace_dir : string option;
   trace_sample : int;
@@ -54,7 +52,7 @@ type config = {
 
 let config ?tcp ?(source = Amg_lang.Stdlib.all) ?source_file ?tech
     ?default_jobs ?(queue_limit = 64) ?(max_frame = 1 lsl 20)
-    ?(memo_limit = 128) ?(tenant_limit = 64) ?(warm_pool = false) ?trace_dir
+    ?(memo_limit = 128) ?(warm_pool = false) ?trace_dir
     ?(trace_sample = 0) ?slow_ms ?access_log ?store ?(sweep_limit = 256)
     socket_path =
   {
@@ -67,7 +65,6 @@ let config ?tcp ?(source = Amg_lang.Stdlib.all) ?source_file ?tech
     queue_limit;
     max_frame;
     memo_limit;
-    tenant_limit;
     warm_pool;
     trace_dir;
     trace_sample;
@@ -158,11 +155,9 @@ type conn = {
 type t = {
   cfg : config;
   program : Amg_lang.Ast.program;
-  env_default : Env.t;
-  tenants : (string, Env.t * int ref) Hashtbl.t;  (* serialized section only *)
+  env : Env.t;
   memo : (string, memo_entry) Hashtbl.t;  (* serialized section only *)
   mutable memo_tick : int;
-  mutable tenant_tick : int;
   sched : sched;
   listeners : Unix.file_descr list;
   (* Self-pipe: closing [wake_w] makes [wake_r] readable, which is how
@@ -179,12 +174,11 @@ type t = {
   (* --- telemetry ---
      The scrape ops answer from any connection thread, concurrently with
      serialized compute, so everything they read is either atomic or
-     behind a short-lived lock.  [tenant_count]/[memo_count]/[best_count]
-     mirror the sizes of the serialized-section hash tables (scanning the
-     tables themselves from another thread would race with resizes). *)
+     behind a short-lived lock.  [memo_count]/[best_count] mirror the
+     sizes of the serialized-section memo (scanning the table itself from
+     another thread would race with resizes). *)
   started_at : float;
   req_seq : int Atomic.t;
-  tenant_count : int Atomic.t;
   memo_count : int Atomic.t;
   best_count : int Atomic.t;
   (* The channel is behind a ref so SIGHUP can swing it to a freshly
@@ -197,7 +191,7 @@ type t = {
      SIGUSR1 and on drain.  The handle is internally locked — worker
      threads append while the wait loop checkpoints. *)
   result_store : Store.t option;
-  tech_fp : string;  (* restart-stable store key prefix, not Env.stamp *)
+  tech_fp : string;  (* restart-stable store key prefix *)
   checkpoint_req : bool Atomic.t;  (* set by SIGUSR1, drained by [wait] *)
   reopen_req : bool Atomic.t;  (* set by SIGHUP, drained by [wait] *)
 }
@@ -279,78 +273,38 @@ let rec read_line r =
 
 (* --- request handling ------------------------------------------------- *)
 
-(* One name feeds both views of a serving counter: the Obs stream and the
-   Prometheus registry. *)
-let bump name =
-  Obs.count name 1;
-  Metrics.incr (Metrics.counter name)
-
 let reject ?id ~code msg =
   Wire.response ?id
     ~diagnostics:[ Diag.v Diag.Cli ~code msg ]
     Wire.status_reject
 
-let values params =
-  List.map
-    (fun (k, p) ->
-      ( k,
-        match p with
-        | Wire.Pnum f -> Amg_lang.Value.Num f
-        | Wire.Pstr s -> Amg_lang.Value.Str s ))
-    params
+(* The memo key is the store key with the request's tenant in place of the
+   deck fingerprint (the daemon serves one deck).  The "t" prefix keeps
+   every tenant name, the empty one included, apart from no tenant.  A
+   stream of fresh tenant names holds nothing beyond its memo entries,
+   which the memo LRU bounds. *)
+let memo_key (req : Wire.request) params =
+  let scope = match req.tenant with None -> "" | Some name -> "t" ^ name in
+  Generate.store_key ~tech:scope req.entity params
 
-(* Per-tenant environments are LRU-bounded like the memo: an unauthenticated
-   stream of fresh tenant names must not grow the daemon without limit.  An
-   evicted tenant that returns simply gets a fresh [Env] (new stamp, so
-   no memo entry of its old one matches); its orphaned memo entries age
-   out of the memo LRU. *)
-let tenant_env t = function
-  | None -> t.env_default
-  | Some name -> (
-      t.tenant_tick <- t.tenant_tick + 1;
-      match Hashtbl.find_opt t.tenants name with
-      | Some (env, tick) ->
-          tick := t.tenant_tick;
-          env
-      | None ->
-          if Hashtbl.length t.tenants >= Int.max 1 t.cfg.tenant_limit then begin
-            let victim =
-              Hashtbl.fold
-                (fun k (_, tick) acc ->
-                  match acc with
-                  | Some (_, best) when best <= !tick -> acc
-                  | _ -> Some (k, !tick))
-                t.tenants None
-            in
-            match victim with
-            | Some (k, _) ->
-                Hashtbl.remove t.tenants k;
-                bump "serve.tenant.evictions"
-            | None -> ()
-          end;
-          let env = Env.create (Env.tech t.env_default) in
-          Hashtbl.add t.tenants name (env, ref t.tenant_tick);
-          Atomic.set t.tenant_count (Hashtbl.length t.tenants);
-          env)
-
-(* Canonical build of (entity, args) under [env], memoized under [sg].
+(* Canonical build of (entity, args), memoized under [sg].
    Returns the layout with its replay record, and whether the memo served
    it; the diagnostics the build reported are re-reported on a memo hit.
    Failed builds are not memoized (the diagnostic is rebuilt per
    request). *)
-let canonical_build t env ~memoizable ~sg entity args =
+let canonical_build t ~memoizable ~sg entity args =
   match if memoizable then Hashtbl.find_opt t.memo sg else None with
   | Some e ->
       t.memo_tick <- t.memo_tick + 1;
       e.m_tick <- t.memo_tick;
-      bump "serve.memo.hits";
+      Counters.incr Counters.serve_memo_hits;
       (* Replay the canonical build's diagnostics so a memo-served
          response carries the same report as the cold one. *)
       List.iter Policy.report e.m_diags;
       (e.m_canonical, true)
   | None ->
-      bump "serve.memo.misses";
-      let canonical = Amg_lang.Interp.build_recorded env t.program entity args in
+      Counters.incr Counters.serve_memo_misses;
+      let canonical = Amg_lang.Interp.build_recorded t.env t.program entity args in
       let build_diags = Policy.drain () in
       List.iter Policy.report build_diags;
       if memoizable then begin
@@ -374,7 +328,7 @@ let canonical_build t env ~memoizable ~sg entity args =
                        (-List.length victim_e.m_best))
               | None -> ());
               Hashtbl.remove t.memo k;
-              bump "serve.memo.evictions"
+              Counters.incr Counters.serve_memo_evictions
           | None -> ()
         end;
         Hashtbl.add t.memo sg
@@ -432,17 +386,12 @@ let handle_build t (req : Wire.request) ~queue_depth =
     | Some st -> (Store.stats st).Store.hits
     | None -> 0
   in
-  let env = tenant_env t req.tenant in
   (* Only strict, fault-free requests may use the memo layers or consult
      and feed the durable store: a permissive or fault-injected build can
      differ from the canonical one. *)
   let memoizable = (not req.permissive) && req.inject = None in
-  let params = values req.params in
-  (* The memo key is the store key with the tenant's process-local stamp
-     in place of the deck fingerprint. *)
-  let sg =
-    Generate.store_key ~tech:(string_of_int (Env.stamp env)) req.entity params
-  in
+  let params = Generate.values req.params in
+  let sg = memo_key req params in
   (* Finished optimized results are deterministic for strict, fault-free,
      unbudgeted requests, so they are memoized whole next to the canonical
      build: a repeated identical request skips the search and replays the
@@ -460,7 +409,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
               (fun hit ->
                 t.memo_tick <- t.memo_tick + 1;
                 e.m_tick <- t.memo_tick;
-                bump "serve.memo.best_hits";
+                Counters.incr Counters.serve_memo_best_hits;
                 hit)
               (List.assoc_opt opt e.m_best)))
   in
@@ -474,12 +423,12 @@ let handle_build t (req : Wire.request) ~queue_depth =
         let from_memo = ref false in
         let run () =
           let canonical, memo_hit =
-            canonical_build t env ~memoizable ~sg req.entity params
+            canonical_build t ~memoizable ~sg req.entity params
           in
           from_memo := memo_hit && req.optimize = None;
-          (* Durable-store key: restart-stable (tech fingerprint, not the
-             process-local Env.stamp) and tenant-free — stored results are
-             pure functions of tech/entity/params. *)
+          (* Durable-store key: restart-stable (tech fingerprint) and
+             tenant-free — stored results are pure functions of
+             tech/entity/params. *)
           let store =
             if memoizable then
               Option.map
@@ -488,7 +437,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
                 t.result_store
             else None
           in
-          Generate.run ~canonical env t.program
+          Generate.run ~canonical t.env t.program
             (Generate.request ?search:req.optimize ?max_time:req.max_time
                ?max_evals:req.max_evals
                ~domains:(Option.value req.jobs ~default:(pool_size t))
@@ -501,7 +450,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
             let degraded =
               match result with Ok o -> o.Generate.degraded | Error _ -> false
             in
-            if degraded then Obs.count "serve.degraded" 1;
+            if degraded then Counters.incr Counters.serve_degraded;
             (match (result, best_opt) with
             | Ok o, Some opt
               when not
@@ -541,14 +490,14 @@ let handle_build t (req : Wire.request) ~queue_depth =
               else if degraded then Wire.status_degraded
               else Wire.status_ok
             in
-            let tech = Env.tech env in
+            let tech = Env.tech t.env in
             let payload =
               match req.format with
               | Wire.No_payload -> None
               | Wire.Cif -> Some (Amg_layout.Cif.of_lobj ~tech obj)
               | Wire.Svg -> Some (Amg_layout.Svg.of_lobj ~tech obj)
             in
-            let rating = Rating.rate env Rating.default obj in
+            let rating = Rating.rate t.env Rating.default obj in
             Wire.response ?id:req.id ~rating ~format:req.format ?payload
               ~diagnostics:reported status
       in
@@ -565,8 +514,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
          else "cold")
 
 (* Run one sweep request: expand the spec into a bounded grid, run it
-   under the same tenant environment and result store as
-   build requests, stream one {!Wire.encode_sweep_row} event line per
+   under the daemon's environment and result store as build requests, stream one {!Wire.encode_sweep_row} event line per
    output line over the connection as the canonical prefix completes,
    and finish with an ordinary response whose payload summarizes the
    run.  Called from the serialized section only, so the streamed rows
@@ -615,7 +563,7 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
           in
           let run () =
             Sweep.run ~domains ?store ?source_file:t.cfg.source_file ~on_line
-              ~env:(tenant_env t req.tenant) ~source:t.cfg.source spec
+              ~env:t.env ~source:t.cfg.source spec
           in
           let mode =
             if req.permissive then Policy.Permissive else Policy.Strict
@@ -711,7 +659,6 @@ let health_payload t =
          ("served", J.Jnum (float_of_int (Atomic.get t.served_count)));
          ("in_flight", J.Jnum (float_of_int inflight));
          ("queue_depth", J.Jnum (float_of_int depth));
-         ("tenants", J.Jnum (float_of_int (Atomic.get t.tenant_count)));
          ("memo_entries", J.Jnum (float_of_int (Atomic.get t.memo_count)));
          ("pool_size", J.Jnum (float_of_int (pool_size t)));
          ("pool_parked", J.Jnum (float_of_int (Pool.parked_count ())));
@@ -798,7 +745,6 @@ let register_metrics t =
   g "serve.uptime_seconds" (fun () -> Unix.gettimeofday () -. t.started_at);
   g "serve.in_flight" (fun () -> float_of_int (fst (sched_counts t.sched)));
   g "serve.queue_depth" (fun () -> float_of_int (snd (sched_counts t.sched)));
-  g "serve.tenants" (fun () -> float_of_int (Atomic.get t.tenant_count));
   g "serve.memo.entries" (fun () -> float_of_int (Atomic.get t.memo_count));
   g "serve.memo.best_entries" (fun () ->
       float_of_int (Atomic.get t.best_count));
@@ -827,15 +773,10 @@ let handle_request t conn (req : Wire.request) =
   let finish ?(queue_ms = 0.) ?(ro = quiet_obs) resp =
     let lat_ms = (Unix.gettimeofday () -. arrived) *. 1000. in
     let labels =
-      [
-        ("cache", ro.ro_outcome);
-        ("op", op_name req.op);
-        ("status", string_of_int resp.Wire.status);
-      ]
+      [ ro.ro_outcome; op_name req.op; string_of_int resp.Wire.status ]
     in
-    Metrics.incr (Metrics.counter ~labels "serve.requests");
-    Metrics.observe (Metrics.histogram ~labels "serve.latency")
-      (lat_ms /. 1000.);
+    Counters.incr Counters.serve_requests ~labels;
+    Counters.observe Counters.serve_latency ~labels (lat_ms /. 1000.);
     access_line t ~rid ~req ~status:resp.Wire.status ~lat_ms ~queue_ms ~ro;
     Atomic.incr t.served_count;
     send_response conn resp
@@ -988,7 +929,7 @@ let start cfg =
   let program =
     Amg_lang.Parser.parse_program ?file:cfg.source_file cfg.source
   in
-  let env_default =
+  let env =
     match cfg.tech with None -> Env.bicmos () | Some tech -> Env.create tech
   in
   if cfg.warm_pool then Pool.warm ?domains:cfg.default_jobs ();
@@ -1028,7 +969,7 @@ let start cfg =
         Some st
   in
   let tech_fp =
-    Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env_default))
+    Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env))
   in
   let unix_fd = listen_unix cfg.socket_path in
   let tcp_fd =
@@ -1050,11 +991,9 @@ let start cfg =
     {
       cfg;
       program;
-      env_default;
-      tenants = Hashtbl.create 8;
+      env;
       memo = Hashtbl.create 64;
       memo_tick = 0;
-      tenant_tick = 0;
       sched = sched_create cfg.queue_limit;
       listeners;
       wake_r;
@@ -1067,7 +1006,6 @@ let start cfg =
       served_count = Atomic.make 0;
       started_at = Unix.gettimeofday ();
       req_seq = Atomic.make 0;
-      tenant_count = Atomic.make 0;
       memo_count = Atomic.make 0;
       best_count = Atomic.make 0;
       access;

@@ -16,11 +16,13 @@
     request state (policy sink, fault-injection schedule, Obs strands)
     safe without sprinkling locks through the engine.
 
-    {b Warm serving.}  The daemon keeps per-tenant environments (distinct
-    {!Amg_core.Env.stamp} → distinct memo keys) and memoizes the recorded
-    canonical build per (tenant, entity, params) signature, plus the
-    finished result of each unbudgeted strict search, so a repeated
-    request skips the build and, when it searches, the search.
+    {b Warm serving.}  The daemon builds under one environment and
+    memoizes the recorded canonical build per (tenant, entity, params)
+    signature, plus the finished result of each unbudgeted strict search,
+    so a repeated request skips the build and, when it searches, the
+    search.  The tenant is a component of the memo key and nothing else:
+    tenants never share memo entries, and a stream of fresh tenant names
+    is bounded by the memo's LRU like any other key.
 
     {b Shutdown.}  A [stop] request or {!request_stop} (wired to SIGTERM
     by {!run}) drains in-flight requests, wakes idle connections, rejects
@@ -30,8 +32,8 @@
     registry: a [serve.requests] counter and a [serve.latency] histogram,
     both labelled by op, response status and cache outcome
     ([memo-hit]/[store-hit]/[cold]/[degraded]/[error]/[overloaded]),
-    plus callback gauges over the queue, the memo layers, the tenant
-    table and the domain pool.  The [metrics] and
+    plus callback gauges over the queue, the memo layers and the domain
+    pool; the counters are declared in {!Amg_obs.Counters}.  The [metrics] and
     [health] wire ops are answered straight from the connection thread —
     never queued behind compute — so a scrape stays fast under load.
     Optional extras: an ndjson access log ([access_log]), and per-request
@@ -49,8 +51,8 @@ type config = {
   default_jobs : int option;  (** Domains when a request names none. *)
   queue_limit : int;  (** Admitted-but-unfinished request cap. *)
   max_frame : int;  (** Request line byte cap. *)
-  memo_limit : int;  (** Recorded-build signatures kept (LRU). *)
-  tenant_limit : int;  (** Tenant environments kept resident (LRU). *)
+  memo_limit : int;
+      (** Recorded-build signatures kept (LRU), over all tenants. *)
   warm_pool : bool;  (** Pre-spawn the domain pool at start. *)
   trace_dir : string option;
       (** Directory for per-request Chrome traces (created if absent). *)
@@ -79,7 +81,6 @@ val config :
   ?queue_limit:int ->
   ?max_frame:int ->
   ?memo_limit:int ->
-  ?tenant_limit:int ->
   ?warm_pool:bool ->
   ?trace_dir:string ->
   ?trace_sample:int ->
@@ -91,8 +92,7 @@ val config :
   config
 (** [config socket_path] with defaults: no TCP, the built-in
     {!Amg_lang.Stdlib.all} module library, built-in technology, queue
-    limit 64, 1 MiB frames, 128 memo signatures, 64 resident tenant
-    environments, no pool warm-up, no traces, no access log, no durable
+    limit 64, 1 MiB frames, 128 memo signatures, no pool warm-up, no traces, no access log, no durable
     store, sweep grids capped at 256 instances. *)
 
 type t

@@ -19,7 +19,7 @@ module Diag = Amg_robust.Diag
 module Policy = Amg_robust.Policy
 module Inject = Amg_robust.Inject
 module Metrics = Amg_obs.Metrics
-module Obs = Amg_obs.Obs
+module Counters = Amg_obs.Counters
 
 type entry = {
   rating : float;
@@ -154,12 +154,6 @@ let decode_payload data pos len =
   in
   if !cur <> limit then raise Malformed;
   (key, { rating; perm; meta })
-
-(* --- metrics ------------------------------------------------------------ *)
-
-(* Registration is idempotent under the registry lock, so the counter is
-   looked up at the point of use — safe from any domain. *)
-let bump ?(by = 1) name = Metrics.add (Metrics.counter name) by
 
 (* --- contained I/O failures -------------------------------------------- *)
 
@@ -370,8 +364,8 @@ let open_ path =
         t.log_bytes <- sc.s_good_end;
         diags := List.rev_append sc.s_diags !diags;
         if sc.s_records > 0 then begin
-          bump "store.recoveries";
-          bump "store.recovered_records" ~by:sc.s_records;
+          Counters.incr Counters.store_recoveries;
+          Counters.add Counters.store_recovered_records sc.s_records;
           diags :=
             Diag.v ~severity:Diag.Info Diag.Store ~code:"store.recovered"
               ~payload:
@@ -402,9 +396,9 @@ let open_ path =
         write_all fd (header_bytes ()) 0 header_len;
         (try Unix.fsync fd with Unix.Unix_error _ -> ()));
     if t.torn_tail_truncations > 0 then
-      bump "store.torn_tail_truncations" ~by:t.torn_tail_truncations;
+      Counters.add Counters.store_torn_tail_truncations t.torn_tail_truncations;
     if t.corrupt_records > 0 then
-      bump "store.corrupt_records" ~by:t.corrupt_records;
+      Counters.add Counters.store_corrupt_records t.corrupt_records;
     Unix.close fd;
     t.log_fd <- Some (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
     (t, List.rev !diags)
@@ -430,13 +424,11 @@ let find t key =
       match Hashtbl.find_opt t.tbl key with
       | Some e ->
           t.hits <- t.hits + 1;
-          bump "store.hits";
-          Obs.count "store.hits" 1;
+          Counters.incr Counters.store_hits;
           Some e
       | None ->
           t.misses <- t.misses + 1;
-          bump "store.misses";
-          Obs.count "store.misses" 1;
+          Counters.incr Counters.store_misses;
           None)
 
 let mem t key = find t key <> None
@@ -448,7 +440,7 @@ let iter f t =
 
 let report_failure t ~code exn =
   t.write_failures <- t.write_failures + 1;
-  bump "store.write_failures";
+  Counters.incr Counters.store_write_failures;
   Policy.report (diag_of_io_exn ~code ~path:t.path exn)
 
 (* Caller holds the lock.  The probe sits *between* two half-writes when
@@ -466,7 +458,7 @@ let append_locked t rcd =
         t.log_records <- t.log_records + 1;
         t.log_bytes <- t.log_bytes + len;
         t.writes <- t.writes + 1;
-        bump "store.writes";
+        Counters.incr Counters.store_writes;
         t.unsynced <- t.unsynced + 1;
         if t.unsynced >= fsync_every then begin
           t.unsynced <- 0;
@@ -580,7 +572,7 @@ let checkpoint t =
             t.log_bytes <- n_bytes;
             t.unsynced <- 0;
             t.checkpoints <- t.checkpoints + 1;
-            bump "store.checkpoints"
+            Counters.incr Counters.store_checkpoints
         | exception e when io_exn e ->
             cleanup ();
             report_failure t ~code:"store.checkpoint_failed" e

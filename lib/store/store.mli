@@ -131,10 +131,10 @@ val signature : tech:string -> entity:string -> params:(string * param) list -> 
 
 val tech_fingerprint : string -> string
 (** Restart-stable fingerprint of a technology file's canonical text
-    (process-local stamps like [Env.stamp] must never reach the disk). *)
+    (nothing process-local may reach the disk). *)
 
 val register_metrics : t -> unit
 (** Register [store.records] / [store.bytes] gauges backed by this handle
-    in the process-wide {!Amg_obs.Metrics} registry (event counters —
-    hits, misses, recoveries, torn-tail truncations — are bumped
-    unconditionally as they happen). *)
+    in the process-wide {!Amg_obs.Metrics} registry (the event counters —
+    hits, misses, recoveries, torn-tail truncations — are declared in
+    {!Amg_obs.Counters} and bumped unconditionally as they happen). *)

@@ -21,7 +21,7 @@ module Policy = Amg_robust.Policy
 module Wire = Amg_robust.Wire
 module Pool = Amg_parallel.Pool
 module Store = Amg_store.Store
-module Obs = Amg_obs.Obs
+module Counters = Amg_obs.Counters
 module Metrics = Amg_obs.Metrics
 
 type axis = { a_name : string; a_values : Value.t list }
@@ -363,7 +363,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
   if domains < 1 then invalid_arg "Sweep.run: domains < 1";
   if chunk < 1 then invalid_arg "Sweep.run: chunk < 1";
   let t0 = Unix.gettimeofday () in
-  Metrics.incr (Metrics.counter "sweep_runs_total");
+  Counters.incr Counters.sweep_runs;
   let program = Amg_lang.Parser.parse_program ?file:source_file source in
   let insts = Array.of_list (instances spec) in
   let n = Array.length insts in
@@ -400,7 +400,6 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
   let errs = Array.make (Int.max n 1) None in
   let run_one i =
     let params = insts.(i) in
-    Obs.count "sweep.instances" 1;
     let outcome, diags = run_instance env program (request params) in
     let status =
       match outcome with
@@ -410,10 +409,9 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
           Atomic.incr failures;
           "error"
     in
-    Metrics.incr
-      (Metrics.counter "sweep_instances_total" ~labels:[ ("status", status) ]);
+    Counters.incr Counters.sweep_instances ~labels:[ status ];
     writer_push w i (render_row ~entity:spec.s_entity params outcome diags);
-    Metrics.incr (Metrics.counter "sweep_rows_total");
+    Counters.incr Counters.sweep_rows;
     let done_ = Atomic.fetch_and_add completed 1 + 1 in
     Metrics.set_f (Metrics.fgauge "sweep_progress")
       (if n = 0 then 1. else float_of_int done_ /. float_of_int n)

@@ -6,30 +6,12 @@
    expand, DRC noise, extraction opens).  Linting the deck once at load
    time converts those into direct messages naming the offending rule. *)
 
-(* Hand-written printers/comparisons: ppx_deriving's generated code trips
-   over a constructor named [Error] (collision with [result]). *)
 type severity = Error | Warning
-
-let severity_str = function Error -> "Error" | Warning -> "Warning"
-let pp_severity ppf s = Format.pp_print_string ppf (severity_str s)
-let show_severity = severity_str
-let equal_severity (a : severity) b = a = b
-let compare_severity (a : severity) b = compare a b
-
 type issue = { severity : severity; code : string; message : string }
-
-let pp_issue_repr ppf i =
-  Format.fprintf ppf "{ severity = %s; code = %S; message = %S }"
-    (severity_str i.severity) i.code i.message
-
-let show_issue i = Format.asprintf "%a" pp_issue_repr i
-let equal_issue (a : issue) b = a = b
-let compare_issue (a : issue) b = compare a b
 
 let issue severity code fmt = Fmt.kstr (fun message -> { severity; code; message }) fmt
 
 let errors issues = List.filter (fun i -> i.severity = Error) issues
-let warnings issues = List.filter (fun i -> i.severity = Warning) issues
 
 let pp_issue ppf i =
   Fmt.pf ppf "%s %s: %s"

@@ -9,23 +9,12 @@
     generator or DRC failures later. *)
 
 type severity = Error | Warning
-
-val pp_severity : Format.formatter -> severity -> unit
-val show_severity : severity -> string
-val equal_severity : severity -> severity -> bool
-val compare_severity : severity -> severity -> int
-
 type issue = { severity : severity; code : string; message : string }
-
-val show_issue : issue -> string
-val equal_issue : issue -> issue -> bool
-val compare_issue : issue -> issue -> int
 
 val check : Technology.t -> issue list
 (** All findings, errors and warnings, in pass order. *)
 
 val errors : issue list -> issue list
-val warnings : issue list -> issue list
 
 val is_clean : Technology.t -> bool
 (** No {e errors} (warnings allowed). *)

@@ -51,9 +51,6 @@ let space t a b =
 let space_or_zero t a b =
   match space t a b with Some d -> d | None -> 0
 
-let max_space t =
-  Hashtbl.fold (fun _ d acc -> Int.max d acc) t.spaces 0
-
 let space_exn t a b =
   match space t a b with
   | Some d -> d

@@ -51,10 +51,6 @@ val space_or_zero : t -> string -> string -> int
     compactor or checker can derive for the pair (spacing, mergeable
     contact, keep-clear) acts within this distance. *)
 
-val max_space : t -> int
-(** Largest spacing rule of the deck — a conservative layer-independent
-    query margin. *)
-
 val enclosure : t -> outer:string -> inner:string -> int option
 val enclosure_or_zero : t -> outer:string -> inner:string -> int
 

@@ -27,10 +27,9 @@ ENT Pack(<W>)
 |}
   ^ Amg_lang.Stdlib.all
 
-let with_server ?default_jobs ?queue_limit ?max_frame ?memo_limit ?tenant_limit
-    f =
-  Test_util.with_server ~source:pack_source ?default_jobs ?queue_limit
-    ?max_frame ?memo_limit ?tenant_limit f
+let with_server ?tcp ?default_jobs ?queue_limit ?max_frame ?memo_limit f =
+  Test_util.with_server ~source:pack_source ?tcp ?default_jobs ?queue_limit
+    ?max_frame ?memo_limit f
 
 let get sock req =
   match Client.oneshot sock req with
@@ -319,6 +318,46 @@ let test_determinism () =
     (fun i line -> check string (Printf.sprintf "jobs=2 run %d" i) reference line)
     l2
 
+(* The optional TCP listener speaks the same protocol: a ping answers, and
+   a CIF build answers byte for byte as it does over the Unix socket.  The
+   port is one the kernel picked for a probe socket, closed before the
+   daemon binds it. *)
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> fail "probe socket has no port"
+
+let test_tcp_listener () =
+  let port = free_port () in
+  with_server ~tcp:("127.0.0.1", port) @@ fun _t sock ->
+  let exchange c req =
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    Client.send c req;
+    match Client.recv_line c with
+    | Some line -> line
+    | None -> fail "connection closed before the response"
+  in
+  let tcp req = exchange (Client.connect_tcp "127.0.0.1" port) req in
+  (match Wire.decode_response (tcp (Wire.ping ~id:"p" ())) with
+  | Ok r -> check int "ping over TCP: status ok" Wire.status_ok r.Wire.status
+  | Error e -> failf "ping over TCP: %s" e);
+  let build = pack ~id:"cif" ~format:Wire.Cif () in
+  let via_tcp = tcp build in
+  let via_unix = exchange (Client.connect sock) build in
+  (match Wire.decode_response via_tcp with
+  | Ok r ->
+      check int "build over TCP: status ok" Wire.status_ok r.Wire.status;
+      check bool "build over TCP: CIF payload" true
+        (match r.Wire.payload with
+        | Some cif -> String.length cif > 100
+        | None -> false)
+  | Error e -> failf "build over TCP: %s" e);
+  check string "TCP and Unix-socket responses are byte-identical" via_unix
+    via_tcp
+
 (* --- tenant isolation ---------------------------------------------------- *)
 
 (* The daemon's counters, read in-process: a request's cache-outcome label
@@ -367,20 +406,36 @@ let test_tenant_isolation () =
     ([ 1; 0 ], (1, 0))
     (counted (run ~max_evals:100_000 "tenant-a"))
 
-(* The tenant table is LRU-bounded: a stream of fresh tenant names cannot
-   grow the daemon without limit.  An evicted tenant that returns gets a
-   fresh environment — observably cold again — while residents stay
-   warm.  Budgeted requests bypass the whole-result memo, so warmth shows
-   up in the canonical-build memo counters. *)
+(* The empty tenant name is a tenant like any other: it shares no memo
+   entry with requests that name no tenant. *)
+let test_empty_tenant () =
+  with_server @@ fun _t sock ->
+  let run ?tenant () =
+    let r = get sock (pack ~optimize:Wire.Local ?tenant ()) in
+    check int "status ok" Wire.status_ok r.Wire.status
+  in
+  let cold = ([ 1; 0 ], (0, 1)) in
+  check (pair (list int) (pair int int)) "no tenant: cold" cold (counted run);
+  check (pair (list int) (pair int int)) "empty tenant: cold" cold
+    (counted (run ~tenant:""));
+  check (pair (list int) (pair int int)) "empty tenant repeat: memo hit"
+    ([ 0; 1 ], (0, 0))
+    (counted (run ~tenant:""))
+
+(* A tenant is a component of the memo key and owns nothing else, so the
+   memo LRU bounds a stream of fresh tenant names: a tenant whose entry
+   was evicted is observably cold again, while residents stay warm.
+   Budgeted requests bypass the whole-result memo, so warmth shows up in
+   the canonical-build memo counters. *)
 let test_tenant_eviction () =
-  with_server ~tenant_limit:2 @@ fun _t sock ->
+  with_server ~memo_limit:2 @@ fun _t sock ->
   let budgeted tenant () =
     ignore (get sock (pack ~optimize:Wire.Local ~max_evals:100_000 ~tenant ()))
   in
   let memo_delta tenant = snd (counted (budgeted tenant)) in
   check (pair int int) "first request is a memo miss" (0, 1) (memo_delta "ta");
   check (pair int int) "resident tenant runs warm" (1, 0) (memo_delta "ta");
-  (* fill the table past the limit: inserting "tc" evicts "ta" (LRU) *)
+  (* fill the memo past the limit: inserting "tc" evicts "ta" (LRU) *)
   budgeted "tb" ();
   budgeted "tc" ();
   check (pair int int) "evicted tenant is cold again" (0, 1) (memo_delta "ta")
@@ -545,7 +600,6 @@ let test_scrape_ops () =
           "served";
           "in_flight";
           "queue_depth";
-          "tenants";
           "memo_entries";
           "pool_size";
         ]
@@ -869,8 +923,10 @@ let suite =
     test_case "status mapping and payload formats" `Quick test_statuses;
     test_case "response bytes deterministic (cold/warm, jobs 1 and 2)" `Quick
       test_determinism;
+    test_case "TCP listener answers as the socket" `Quick test_tcp_listener;
     test_case "tenant cache scopes are isolated" `Quick test_tenant_isolation;
-    test_case "tenant table is LRU-bounded" `Quick test_tenant_eviction;
+    test_case "empty tenant is its own memo scope" `Quick test_empty_tenant;
+    test_case "memo LRU bounds fresh tenants" `Quick test_tenant_eviction;
     test_case "concurrent clients all answered in order" `Quick
       test_concurrent_clients;
     test_case "budgets degrade to status 3, daemon keeps serving" `Quick

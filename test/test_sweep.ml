@@ -378,6 +378,37 @@ let test_sweep_store_feeds_daemon () =
   check int "answered as a store-hit" (before + 1)
     (Amg_obs.Metrics.counter_value store_hits)
 
+(* --- counters ------------------------------------------------------------ *)
+
+(* The sweep's counters export under their Prometheus names (the exposition
+   appends [_total] to a counter's name once, never twice), and the Obs
+   view counts every instance under the same declaration. *)
+let test_sweep_counters () =
+  let module Obs = Amg_obs.Obs in
+  Obs.enable ();
+  let res, _ =
+    Fun.protect ~finally:Obs.disable (fun () -> run_lines ~domains:1 ())
+  in
+  check int "sweep ran clean" 0 res.Sweep.failures;
+  check int "Obs counts every instance" res.Sweep.rows
+    (Obs.counter "sweep.instances");
+  let lines =
+    String.split_on_char '\n' (Amg_obs.Metrics.to_prometheus ())
+  in
+  let has_series prefix =
+    List.exists (fun l -> String.starts_with ~prefix:(prefix ^ " ") l) lines
+  in
+  check bool "sweep_runs_total exported" true (has_series "sweep_runs_total");
+  check bool "sweep_instances_total{status=\"ok\"} exported" true
+    (has_series {|sweep_instances_total{status="ok"}|});
+  let doubled l =
+    let n = String.length l and m = String.length "_total_total" in
+    let rec go i = i + m <= n && (String.sub l i m = "_total_total" || go (i + 1)) in
+    go 0
+  in
+  check (list string) "no series named _total_total" []
+    (List.filter doubled lines)
+
 (* --- the columnar file validator --------------------------------------- *)
 
 let test_check_file () =
@@ -448,4 +479,5 @@ let suite =
       test_adapters_agree;
     test_case "a sweep-fed store answers the daemon" `Quick
       test_sweep_store_feeds_daemon;
+    test_case "counters export one _total suffix" `Quick test_sweep_counters;
   ]

@@ -63,13 +63,12 @@ let with_tmp_dir prefix f =
    exception. *)
 
 let with_server ?tcp ?source ?default_jobs ?queue_limit ?max_frame ?memo_limit
-    ?tenant_limit ?trace_dir ?trace_sample ?slow_ms ?access_log ?store f =
+    ?trace_dir ?trace_sample ?slow_ms ?access_log ?store f =
   with_tmp_dir "amgt" @@ fun dir ->
   let socket = Filename.concat dir "d.sock" in
   let cfg =
     Amg_serve.Server.config ?tcp ?source ?default_jobs ?queue_limit ?max_frame
-      ?memo_limit ?tenant_limit ?trace_dir ?trace_sample ?slow_ms ?access_log
-      ?store socket
+      ?memo_limit ?trace_dir ?trace_sample ?slow_ms ?access_log ?store socket
   in
   let t = Amg_serve.Server.start cfg in
   Fun.protect
