@@ -27,12 +27,10 @@ module Derive = Amg_layout.Derive
 let containers env obj =
   List.filter
     (fun (s : Shape.t) ->
-      s.Shape.origin = Shape.User
-      &&
       match Technology.layer (Env.tech env) s.Shape.layer with
       | Some l -> (not (Layer.is_cut l)) && l.Layer.kind <> Layer.Marker
       | None -> false)
-    (Lobj.shapes obj)
+    (Lobj.user_shapes obj)
 
 (* Grow every container symmetrically by [amount] total along [axis];
    per-side growth is snapped up to the grid.  Ids are stable, so array

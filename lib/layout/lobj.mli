@@ -12,12 +12,23 @@
     shrinking, shifted on translation) instead of being re-hulled per call.
     Iteration order everywhere remains insertion order.
 
+    A registered array's cuts are held as one block ({!Cut_arrays}): the
+    memo's cut rectangles, a displacement and a base id, in one place of
+    the insertion order.  {!rederive} and {!absorb} write blocks, not
+    shape records; a block becomes records, in this object's own store,
+    at the first operation that needs them: a flush of its layer's index
+    (below), {!find} of one of its ids, a read of the shapes ({!shapes},
+    {!shapes_by_layer}, {!fill_caches}, {!pp} and every writer built on
+    them), a single-cut {!replace} or {!remove}, or {!transform}.  No
+    observable depends on when that happens: ids, order, queries, hulls
+    and counts are those of the records.
+
     A layer's spatial index is built lazily.  Entering a shape
     ({!add_shape}, {!absorb}, {!rederive}'s cuts) leaves it pending; the
     first query of the layer ({!near}, {!iter_near}, {!iter_near_layer},
     {!shapes_on}) and every mutation that rewrites its index
-    ({!replace}, {!remove}, {!transform}, a slot squeeze, {!fill_caches})
-    enter its pending shapes first, in insertion order, so the index ends
+    ({!replace}, {!remove}, {!transform}, {!fill_caches}) enter its
+    pending shapes first, in insertion order, so the index ends
     up exactly as eager insertion would have built it (after
     {!release_indexes}, as entering every shape afresh in insertion order
     would); {!translate} moves pending shapes with the rest, a recompute
@@ -45,6 +56,10 @@ val add_shape :
 
 val shapes : t -> Shape.t list
 (** In insertion order (drawing order). *)
+
+val user_shapes : t -> Shape.t list
+(** The shapes of {!shapes} that a generator placed ([User] origin), in
+    insertion order.  Expands no cut array: every cut is a member. *)
 
 val shape_count : t -> int
 
@@ -116,13 +131,14 @@ val rects_on : t -> string -> Amg_geometry.Rect.t list
 (** {2 Hulls}
 
     The hull reads ({!bbox}, {!bbox_exn}, {!bbox_area}, {!bbox_on},
-    {!fold_layers}) and the index queries ({!near}, {!iter_near},
-    {!iter_near_layer}, {!shapes_on}, {!rects_on}) are the only reads
-    that may write: a hull cache that a mutation left dirty is filled on
-    the first read after it, and a query brings its layer's index up to
-    date.  Every other read leaves the object as it is.  Two domains may
-    therefore read one object at once only after {!fill_caches}, and
-    while nobody mutates it. *)
+    {!fold_layers}), the index queries ({!near}, {!iter_near},
+    {!iter_near_layer}, {!shapes_on}, {!rects_on}) and the reads that
+    expand cut blocks (above) are the only reads that may write: a hull
+    cache that a mutation left dirty is filled on the first read after
+    it, a query brings its layer's index up to date, and a block becomes
+    records.  Every other read leaves the object as it is.  Two domains
+    may therefore read one object at once only after {!fill_caches},
+    and while nobody mutates it. *)
 
 val bbox : t -> Amg_geometry.Rect.t option
 val bbox_exn : t -> Amg_geometry.Rect.t
@@ -161,12 +177,15 @@ val transform : t -> Amg_geometry.Transform.t -> unit
 val copy : ?name:string -> t -> t
 (** Structural copy — the paper's ["trans2 = trans1"] object copy (§2.5).
     Immutable shape/port/array values are shared (the arrays' derivation
-    memos of {!rederive} included: none is copied), but every mutable part
-    of the store (slots, id table, spatial indexes, caches) is duplicated,
-    so mutating either object never affects the other.  Not a deep copy of the
-    shape values themselves — they never mutate.  Copying is also how a
-    build rolls back: the language's [CHOOSE] keeps a copy and reinstates
-    it when a branch is rejected. *)
+    memos of {!rederive} and their cut blocks included: none is copied),
+    but every mutable part of the store (cells, id table, spatial
+    indexes, caches) is duplicated, so mutating either object never
+    affects the other.  Costs O(cells) and never expands a block: a
+    block the copy expands later becomes records in the copy alone, and
+    the source is left as it was.  Not a deep copy of the shape values
+    themselves — they never mutate.  Copying is also how a build rolls
+    back: the language's [CHOOSE] keeps a copy and reinstates it when a
+    branch is rejected. *)
 
 val add_port :
   t -> name:string -> net:string -> layer:string -> rect:Amg_geometry.Rect.t -> Port.t
@@ -219,10 +238,11 @@ val rederive : t -> Amg_tech.Rules.t -> unit
     the automatic rebuild of §2.3.  Every member of a registered array
     leaves the object; then each array, in registration order, gets its
     cuts, and the cuts enter at the end of the object with fresh ids
-    taken in that order.  The result is exactly what removing each
-    array's members and {!add_shape}-ing its cuts, array by array, would
-    leave: the same ids, {!id_bound}, shape order and index contents.  A
-    container must be a live shape that is not itself an array member.
+    taken in that order, each array's as one pending block.  The result
+    is exactly what removing each array's members and {!add_shape}-ing
+    its cuts, array by array, would leave: the same ids, {!id_bound},
+    shape order and index contents.  A container must be a live shape
+    that is not itself an array member.
 
     Each registered array keeps a memo of its last derivation: the rules
     (compared physically), its containers' layers and rects, and its
@@ -232,8 +252,10 @@ val rederive : t -> Amg_tech.Rules.t -> unit
     the memo, sharing their rects and one origin value.  The memos live
     in immutable array entries: {!copy} shares them, and every mutation
     that moves a container is caught by the comparison, so no mutation
-    has to invalidate one.  Cost: O(slots + members + cuts) plus the
-    derivations of the arrays whose containers changed. *)
+    has to invalidate one.  The members are found from the registry,
+    without a pass over the store.  Cost: O(arrays) plus the members of
+    expanded blocks and the derivations of the arrays whose containers
+    changed. *)
 
 val absorb : ?dx:int -> ?dy:int -> t -> t -> int
 (** [absorb ~dx ~dy t src] appends [src]'s shapes, ports and arrays into
@@ -244,9 +266,19 @@ val absorb : ?dx:int -> ?dy:int -> t -> t -> int
     translating a copy of [src] by [(dx, dy)] and absorbing that would.
     The shapes are entered as one batch: one layer lookup per run of
     same-layer shapes, and each hull extended once.  A shape costs its
-    record, its slot box and, when displaced, its rect; the members of
-    one array share one renumbered origin.  The arrays keep their memos
-    (a displaced array's no longer match, and it is derived afresh at
-    [t]'s next {!rederive}). *)
+    record, its cell and, when displaced, its rect; each of [src]'s cut
+    blocks, pending or expanded, enters as one pending block (a record
+    and a cell), so an array costs O(1) however many cuts it has.  The
+    arrays keep their memos (a displaced array's no longer match, and it
+    is derived afresh at [t]'s next {!rederive}); [t]'s own registry is
+    not copied. *)
 
 val pp : Format.formatter -> t -> unit
+
+val check : t -> unit
+(** Verify the store's invariants: the cut-array registry's
+    ({!Cut_arrays.check}), the id table, the used and live counts, each
+    layer's counts, and that each layer's index holds exactly its shapes
+    below its first pending slot, with every pending block of the layer
+    at or past it.  For tests.
+    @raise Failure naming the first violation. *)

@@ -20,14 +20,12 @@ type hist = {
 }
 
 type counter = int Atomic.t
-type gauge = int Atomic.t
 type fgauge = float Atomic.t
 type histogram = hist
 
 type instr =
   | I_counter of counter
   | I_counter_fn of (unit -> int) ref
-  | I_gauge of gauge
   | I_fgauge of fgauge
   | I_gauge_fn of (unit -> float) ref
   | I_hist of hist
@@ -50,7 +48,7 @@ let with_lock f =
 
 let kind_name = function
   | I_counter _ | I_counter_fn _ -> "counter"
-  | I_gauge _ | I_fgauge _ | I_gauge_fn _ -> "gauge"
+  | I_fgauge _ | I_gauge_fn _ -> "gauge"
   | I_hist _ -> "histogram"
 
 (* Find-or-register under the lock.  [make] builds the instrument;
@@ -78,7 +76,6 @@ let counter ?(labels = []) name =
     (fun () -> I_counter (Atomic.make 0))
     (function I_counter c -> Some c | _ -> None)
 
-let incr c = ignore (Atomic.fetch_and_add c 1)
 let add c n = if n > 0 then ignore (Atomic.fetch_and_add c n)
 let counter_value c = Atomic.get c
 
@@ -92,14 +89,6 @@ let counter_fn ?(labels = []) name f =
       (function I_counter_fn r -> Some r | _ -> None)
   in
   cell := f
-
-let gauge ?(labels = []) name =
-  intern name labels
-    (fun () -> I_gauge (Atomic.make 0))
-    (function I_gauge g -> Some g | _ -> None)
-
-let set g v = Atomic.set g v
-let gauge_value g = Atomic.get g
 
 let fgauge ?(labels = []) name =
   intern name labels
@@ -214,7 +203,6 @@ let snapshot () =
         match i with
         | I_counter c -> Counter (Atomic.get c)
         | I_counter_fn r -> Counter (call0 !r ~default:0 ~conv:(fun v -> v))
-        | I_gauge g -> Gauge (float_of_int (Atomic.get g))
         | I_fgauge g -> Gauge (Atomic.get g)
         | I_gauge_fn r -> Gauge (call0 !r ~default:0. ~conv:(fun v -> v))
         | I_hist h -> Histogram (hist_snap h)
@@ -227,7 +215,7 @@ let reset () =
   Hashtbl.iter
     (fun _ i ->
       match i with
-      | I_counter c | I_gauge c -> Atomic.set c 0
+      | I_counter c -> Atomic.set c 0
       | I_fgauge g -> Atomic.set g 0.
       | I_counter_fn _ | I_gauge_fn _ -> ()
       | I_hist h ->

@@ -30,7 +30,6 @@ val counter : ?labels:(string * string) list -> string -> counter
 (** Find or register.  A second call with the same name + labels returns
     the same instrument. *)
 
-val incr : counter -> unit
 val add : counter -> int -> unit
 (** [n] must be >= 0; negative amounts are ignored (counters are
     monotonic). *)
@@ -44,15 +43,9 @@ val counter_fn : ?labels:(string * string) list -> string -> (unit -> int) -> un
 
 (** {1 Gauges} — current-value instruments, settable or callback-backed. *)
 
-type gauge
-(** Integer gauge. *)
-
 type fgauge
 (** Float gauge. *)
 
-val gauge : ?labels:(string * string) list -> string -> gauge
-val set : gauge -> int -> unit
-val gauge_value : gauge -> int
 val fgauge : ?labels:(string * string) list -> string -> fgauge
 val set_f : fgauge -> float -> unit
 

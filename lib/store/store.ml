@@ -489,10 +489,26 @@ let append_locked t rcd =
            (try Unix.close fd with Unix.Unix_error _ -> ());
            t.log_fd <- None))
 
+(* The log appends the current domain holds back while it runs
+   [deferred]'s function: the store and its records, newest first. *)
+let held : (t * Bytes.t list ref) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* Caller holds the lock: append [rcd], or hold it back. *)
+let log_locked t rcd =
+  match Domain.DLS.get held with
+  | Some (h, buf) when h == t -> buf := rcd :: !buf
+  | _ -> append_locked t rcd
+
+let deferred t f =
+  let buf = ref [] and outer = Domain.DLS.get held in
+  Domain.DLS.set held (Some (t, buf));
+  let r = Fun.protect ~finally:(fun () -> Domain.DLS.set held outer) f in
+  (r, fun () -> with_lock t (fun () -> List.iter (append_locked t) (List.rev !buf)))
+
 let record t key e =
   with_lock t (fun () ->
       Hashtbl.replace t.tbl key e;
-      append_locked t (encode_record key e))
+      log_locked t (encode_record key e))
 
 let record_if t key ~keep e =
   with_lock t (fun () ->
@@ -503,7 +519,7 @@ let record_if t key ~keep e =
       in
       if write then begin
         Hashtbl.replace t.tbl key e;
-        append_locked t (encode_record key e)
+        log_locked t (encode_record key e)
       end;
       write)
 

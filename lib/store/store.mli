@@ -97,6 +97,14 @@ val record_better : t -> string -> entry -> bool
     (ratings are minimized); returns whether the entry was recorded.
     Equivalent to [record_if ~keep:(fun old -> old.rating <= e.rating)]. *)
 
+val deferred : t -> (unit -> 'a) -> 'a * (unit -> unit)
+(** [deferred t f] runs [f] with the log appends it makes to [t] on the
+    calling domain held back: the in-memory table is bound as usual, and
+    the held records are appended, in the order [f] made them, by the
+    returned action.  A caller that runs several [f]s in parallel runs
+    their actions in its own order, so the log's order does not depend
+    on which finished first (the sweep appends in walk order). *)
+
 val sync : t -> unit
 (** Force a durability barrier if there are unsynced appends. *)
 

@@ -328,27 +328,34 @@ let render_row ~entity params outcome diags =
 (* Rows complete in scheduling order but leave in canonical order: each
    finished row parks until the prefix before it is complete, then the
    whole ready run flushes.  A killed sweep therefore keeps exactly the
-   canonical prefix that was finished. *)
+   canonical prefix that was finished.  A row's store records leave with
+   it ([stored], right after its line), so the store's log follows the
+   same order. *)
 type writer = {
   w_lock : Mutex.t;
-  w_pending : (int, string) Hashtbl.t;
+  w_pending : (int, string * (unit -> unit)) Hashtbl.t;
   mutable w_next : int;
   w_emit : string -> unit;
 }
 
-let writer_push w i line =
+let writer_push w i line ~stored =
   Mutex.lock w.w_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.w_lock)
     (fun () ->
-      Hashtbl.replace w.w_pending i line;
+      Hashtbl.replace w.w_pending i (line, stored);
       while Hashtbl.mem w.w_pending w.w_next do
-        w.w_emit (Hashtbl.find w.w_pending w.w_next);
+        let line, stored = Hashtbl.find w.w_pending w.w_next in
+        w.w_emit line;
+        stored ();
         Hashtbl.remove w.w_pending w.w_next;
         w.w_next <- w.w_next + 1
       done)
 
 (* --- the engine -------------------------------------------------------- *)
+
+(* The share of the current sweep's rows that are finished. *)
+let progress = Metrics.fgauge "sweep_progress"
 
 type result = {
   rows : int;
@@ -400,7 +407,11 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
   let errs = Array.make (Int.max n 1) None in
   let run_one i =
     let params = insts.(i) in
-    let outcome, diags = run_instance env program (request params) in
+    let (outcome, diags), stored =
+      match store with
+      | Some (st, _) -> Store.deferred st (fun () -> run_instance env program (request params))
+      | None -> (run_instance env program (request params), ignore)
+    in
     let status =
       match outcome with
       | Ok _ -> "ok"
@@ -410,11 +421,10 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
           "error"
     in
     Counters.incr Counters.sweep_instances ~labels:[ status ];
-    writer_push w i (render_row ~entity:spec.s_entity params outcome diags);
+    writer_push w i (render_row ~entity:spec.s_entity params outcome diags) ~stored;
     Counters.incr Counters.sweep_rows;
     let done_ = Atomic.fetch_and_add completed 1 + 1 in
-    Metrics.set_f (Metrics.fgauge "sweep_progress")
-      (if n = 0 then 1. else float_of_int done_ /. float_of_int n)
+    Metrics.set_f progress (if n = 0 then 1. else float_of_int done_ /. float_of_int n)
   in
   (* Scheduling order: the walk itself, or a deterministically shuffled
      ablation of it.  Rows still leave in walk order either way. *)

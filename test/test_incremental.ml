@@ -428,6 +428,8 @@ let memo_run ops windows =
   let rederive ?(observe = true) (real, twin) deck =
     Lobj.rederive real (rules deck);
     Test_util.reference_rederive twin (rules deck);
+    Lobj.check real;
+    Lobj.check twin;
     (not observe) || rd_observe real windows = rd_observe twin windows
   in
   (* One step of [rd_build] on both objects of a pair. *)
@@ -701,7 +703,369 @@ let test_searches_leave_steps_untouched () =
         (fun layer ->
           Alcotest.(check int) (Lobj.name o ^ " " ^ layer ^ " index") 0 (Lobj.indexed o layer))
         (Lobj.layers o))
-    steps
+    steps;
+  (* A step's blocks were expanded once, in its own store, by
+     [Optimize.step], and no search expanded anything more in it: a copy
+     shares those records, so querying one builds no cut record. *)
+  let records () = Amg_obs.Obs.counter "lobj.cut_records" in
+  Amg_obs.Obs.reset ();
+  Amg_obs.Obs.enable ();
+  Fun.protect ~finally:Amg_obs.Obs.disable (fun () ->
+      List.iter
+        (fun s ->
+          let c = Lobj.copy s.Optimize.obj in
+          ignore (Lobj.near c ~layer:"contact" (Lobj.bbox_exn c) ~margin:0))
+        steps;
+      check_int "step copies build no cut record" 0 (records ()));
+  Amg_obs.Obs.reset ()
+
+(* --- cut blocks ---
+
+   Each registered array's cuts are one block of the store, expanded into
+   shape records only where an operation needs them (DESIGN §6).  The
+   lockstep property runs random edit sequences on triples: the real
+   object, whose blocks stay pending until a read or an edit needs them;
+   its twin, the same operations with every block expanded (by a whole
+   read) after each step; and the reference, the same again but rebuilt
+   by the member-by-member [Test_util.reference_rederive], so that it
+   never holds a block of its own (absorbed ones are expanded at once).
+   After every step the real object must pass [Lobj.check] and answer
+   every cheap observable — ids bound, counts, layers, hulls, keep-clear
+   counts, member counts, starved arrays — as both; its index holds what
+   the twin's holds (the reference indexes on every member removal, so
+   its index is not compared).  The whole store (the printout, the shapes
+   and every layer's [near] and [iter_near] answers) is compared through
+   copies, which never expand their source; queries and finds on the
+   real object expand only what they need. *)
+type blk_op =
+  | B_step of rd_step * bool (* a shape drawn, or an array registered and rederived under a deck *)
+  | B_resize of int * (int * int * int * int)
+  | B_remove of int
+  | B_adopt of int
+  | B_absorb of rd_step list * (int * int) * int (* source: 0 pending, 1 read, 2 a cut resized *)
+  | B_rederive of bool
+  | B_translate of int * int
+  | B_transform of Amg_geometry.Transform.orientation * (int * int)
+  | B_copy of bool (* keep working on the copy *)
+  | B_switch of int
+  | B_rename of string * string
+  | B_qualify
+  | B_query of string * (int * int) * int
+  | B_find of int
+  | B_whole
+
+let gen_blk_op =
+  QCheck2.Gen.(
+    let deck = bool in
+    let delta = int_range (-6) 6 in
+    frequency
+      [
+        (6, map2 (fun step deck -> B_step (step, deck)) gen_rd_step deck);
+        (4, map2 (fun i d -> B_resize (i, d)) (int_range 0 999) (tup4 delta delta delta delta));
+        (1, map (fun i -> B_remove i) (int_range 0 999));
+        (1, map (fun i -> B_adopt i) (int_range 0 999));
+        ( 3,
+          map3
+            (fun steps d state -> B_absorb (steps, d, state))
+            (list_size (int_range 1 6) gen_rd_step)
+            (tup2 (int_range (-40) 40) (int_range (-40) 40))
+            (int_range 0 2) );
+        (3, map (fun deck -> B_rederive deck) deck);
+        (1, map2 (fun dx dy -> B_translate (dx, dy)) (int_range (-20) 20) (int_range (-20) 20));
+        ( 1,
+          map2
+            (fun o d -> B_transform (o, d))
+            (oneofl Amg_geometry.Transform.[ R0; R90; R180; R270; MX; MY; MXR90; MYR90 ])
+            (tup2 (int_range (-20) 20) (int_range (-20) 20)) );
+        (1, map (fun keep -> B_copy keep) bool);
+        (1, map (fun i -> B_switch i) (int_range 0 9));
+        ( 1,
+          map2
+            (fun a b -> B_rename (a, b))
+            (oneofl [ "a"; "b"; "q.a" ])
+            (oneofl [ "a"; "b"; "c" ]) );
+        (1, return B_qualify);
+        ( 3,
+          map3
+            (fun l at m -> B_query (l, at, m))
+            (oneofl [ "contact"; "via"; "metal1"; "poly"; "metal2" ])
+            (tup2 (int_range (-20) 80) (int_range (-20) 80))
+            (int_range 0 4) );
+        (2, map (fun i -> B_find i) (int_range 0 999));
+        (1, return B_whole);
+      ])
+
+(* What an object answers without reading its shapes: no block of it is
+   expanded by these.  [starved_array] reads the memos of the object's
+   last [Lobj.rederive], which the reference never runs. *)
+let blk_cheap ?(starved = true) o =
+  let layers = "contact" :: "via" :: Lobj.layers o in
+  ( (Lobj.id_bound o, Lobj.shape_count o, Lobj.layers o, Lobj.bbox o),
+    List.map (fun l -> (Lobj.bbox_on o l, Lobj.keep_clear_on o l)) layers,
+    List.map
+      (fun (a, (spec : Lobj.array_spec)) ->
+        ( a,
+          spec,
+          Lobj.array_member_count o a,
+          (if starved then List.map (fun c -> Lobj.starved_array o ~container:c) spec.container_ids
+           else []),
+          List.map (Lobj.arrays_of_container o) spec.container_ids ))
+      (Lobj.array_specs o) )
+
+let blk_indexed o = List.map (Lobj.indexed o) ("contact" :: "via" :: Lobj.layers o)
+
+(* Everything the store answers, read from a copy: its shapes, and what
+   each layer's index answers for a window over all of them. *)
+let blk_whole o =
+  let c = Lobj.copy o in
+  let id (s : Shape.t) = s.Shape.id in
+  let window = Rect.of_size ~x:(-30_000) ~y:(-30_000) ~w:120_000 ~h:120_000 in
+  ( Lobj.shapes c,
+    List.map
+      (fun layer ->
+        let visited = ref [] in
+        Lobj.iter_near c ~layer window ~margin:0 (fun s -> visited := id s :: !visited);
+        ( List.map id (Lobj.near c ~layer window ~margin:500),
+          !visited,
+          List.map id (Lobj.shapes_on c layer) ))
+      ("contact" :: "via" :: Lobj.layers c),
+    Lobj.nets c )
+
+let blk_run ops =
+  let bicmos = Env.rules (Env.bicmos ()) in
+  let cmos08 = Env.rules (Env.create (Amg_tech.Cmos08.get ())) in
+  let rules deck = if deck then bicmos else cmos08 in
+  let fresh () = (Lobj.create "m", Lobj.create "m", Lobj.create "m") in
+  let triples = ref [| fresh () |] and cur = ref 0 in
+  let all f =
+    let real, twin, reference = !triples.(!cur) in
+    f real;
+    f twin;
+    f reference
+  in
+  let rederive deck =
+    let real, twin, reference = !triples.(!cur) in
+    Lobj.rederive real (rules deck);
+    Lobj.rederive twin (rules deck);
+    Test_util.reference_rederive reference (rules deck)
+  in
+  (* The [i]-th (mod count) shape of the reference satisfying [ok]: ids
+     agree across the triple. *)
+  let pick ok i =
+    let _, _, reference = !triples.(!cur) in
+    pick_shape reference ok i
+  in
+  let source steps state =
+    let src = Lobj.create "src" and users = ref [] in
+    List.iter
+      (function
+        | Draw (layer, (x, y, w, h), net, keep_clear) ->
+            let rect = Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500) in
+            users := !users @ [ (Lobj.add_shape src ~layer ?net ~keep_clear ~rect ()).Shape.id ]
+        | Register (cut_layer, (i, j), net) -> (
+            match !users with
+            | [] -> ()
+            | us ->
+                let n = List.length us in
+                let a = List.nth us (i mod n) and b = List.nth us (j mod n) in
+                let container_ids = if a = b then [ a ] else [ a; b ] in
+                ignore (Lobj.register_array src ~cut_layer ~container_ids ?net ());
+                Lobj.rederive src bicmos))
+      steps;
+    (match state with
+    | 1 -> ignore (Lobj.shapes src)
+    | 2 -> (
+        match List.find_opt is_member (Lobj.shapes src) with
+        | Some s ->
+            Lobj.replace src
+              (Shape.with_rect s (Rect.grow_side s.Shape.rect Dir.North 500))
+        | None -> ())
+    | _ -> ());
+    src
+  in
+  let step op =
+    match op with
+    | B_step (Draw (layer, (x, y, w, h), net, keep_clear), _) ->
+        let rect = Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:(w * 500) ~h:(h * 500) in
+        all (fun o -> ignore (Lobj.add_shape o ~layer ?net ~keep_clear ~rect ()))
+    | B_step (Register (cut_layer, (i, j), net), deck) -> (
+        match (pick is_user i, pick is_user j) with
+        | Some a, Some b ->
+            let container_ids = if a.Shape.id = b.Shape.id then [ a.id ] else [ a.id; b.id ] in
+            all (fun o -> ignore (Lobj.register_array o ~cut_layer ~container_ids ?net ()));
+            rederive deck
+        | _ -> ())
+    | B_resize (i, (a, b, c, d)) -> (
+        match pick (fun _ -> true) i with
+        | Some s ->
+            let r = s.Shape.rect in
+            let r' =
+              Rect.make ~x0:(r.Rect.x0 + (a * 500)) ~y0:(r.Rect.y0 + (b * 500))
+                ~x1:(r.Rect.x1 + (c * 500)) ~y1:(r.Rect.y1 + (d * 500))
+            in
+            if not (Rect.is_degenerate r') then
+              all (fun o -> Lobj.replace o (Shape.with_rect (Lobj.find_exn o s.id) r'))
+        | None -> ())
+    | B_remove i -> (
+        let _, _, reference = !triples.(!cur) in
+        match
+          pick (fun s -> is_member s || Lobj.arrays_of_container reference s.Shape.id = []) i
+        with
+        | Some s -> all (fun o -> Lobj.remove o s.Shape.id)
+        | None -> ())
+    | B_adopt i -> (
+        match pick is_member i with
+        | Some s ->
+            all (fun o ->
+                Lobj.replace o { (Lobj.find_exn o s.Shape.id) with Shape.origin = User })
+        | None -> ())
+    | B_absorb (steps, (dx, dy), state) ->
+        let src = source steps state in
+        all (fun o -> ignore (Lobj.absorb ~dx:(dx * 500) ~dy:(dy * 500) o src))
+    | B_rederive deck -> rederive deck
+    | B_translate (dx, dy) -> all (fun o -> Lobj.translate o ~dx:(dx * 500) ~dy:(dy * 500))
+    | B_transform (orient, (dx, dy)) ->
+        all (fun o ->
+            Lobj.transform o { Amg_geometry.Transform.orient; dx = dx * 500; dy = dy * 500 })
+    | B_copy keep ->
+        if Array.length !triples < 4 then begin
+          let real, twin, reference = !triples.(!cur) in
+          triples :=
+            Array.append !triples [| (Lobj.copy real, Lobj.copy twin, Lobj.copy reference) |];
+          if keep then cur := Array.length !triples - 1
+        end
+    | B_switch i -> cur := i mod Array.length !triples
+    | B_rename (from_, to_) -> all (fun o -> Lobj.rename_net o ~from_ ~to_)
+    | B_qualify -> all (fun o -> Lobj.qualify_nets o "q")
+    | B_query (layer, (x, y), m) ->
+        let window = Rect.of_size ~x:(x * 500) ~y:(y * 500) ~w:12_000 ~h:8_000 in
+        all (fun o ->
+            ignore (Lobj.near o ~layer window ~margin:(m * 500));
+            ignore (Lobj.bbox_on o layer))
+    | B_find i ->
+        let real, _, _ = !triples.(!cur) in
+        all (fun o -> ignore (Lobj.find o (i mod (Lobj.id_bound real + 2))))
+    | B_whole -> all (fun o -> ignore (Lobj.shapes o))
+  in
+  let agree ?(printed = false) () =
+    let real, twin, reference = !triples.(!cur) in
+    ignore (Lobj.shapes twin);
+    ignore (Lobj.shapes reference);
+    List.iter Lobj.check [ real; twin; reference ];
+    let whole = blk_whole real in
+    let pp o = if printed then Fmt.str "%a" Lobj.pp (Lobj.copy o) else "" in
+    blk_cheap real = blk_cheap twin
+    && blk_cheap ~starved:false real = blk_cheap ~starved:false reference
+    && blk_indexed real = blk_indexed twin
+    && whole = blk_whole twin
+    && whole = blk_whole reference
+    && String.equal (pp real) (pp twin)
+    && String.equal (pp real) (pp reference)
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      agree ())
+    ops
+  && Array.for_all
+       (fun triple ->
+         triples := [| triple |];
+         cur := 0;
+         rederive true;
+         agree ~printed:true ())
+       (Array.copy !triples)
+
+let show_rd_step = function
+  | Draw (layer, (x, y, w, h), net, kc) ->
+      Printf.sprintf "draw %s (%d,%d,%d,%d) %s%s" layer x y w h
+        (Option.value ~default:"-" net)
+        (if kc then " keep-clear" else "")
+  | Register (cut, (i, j), net) ->
+      Printf.sprintf "register %s (%d,%d) %s" cut i j (Option.value ~default:"-" net)
+
+let show_blk_op = function
+  | B_step (st, deck) -> Printf.sprintf "%s [%b]" (show_rd_step st) deck
+  | B_resize (i, (a, b, c, d)) -> Printf.sprintf "resize %d (%d,%d,%d,%d)" i a b c d
+  | B_remove i -> Printf.sprintf "remove %d" i
+  | B_adopt i -> Printf.sprintf "adopt %d" i
+  | B_absorb (steps, (dx, dy), state) ->
+      Printf.sprintf "absorb [%s] (%d,%d) state %d"
+        (String.concat "; " (List.map show_rd_step steps))
+        dx dy state
+  | B_rederive deck -> Printf.sprintf "rederive %b" deck
+  | B_translate (dx, dy) -> Printf.sprintf "translate (%d,%d)" dx dy
+  | B_transform (_, (dx, dy)) -> Printf.sprintf "transform (%d,%d)" dx dy
+  | B_copy keep -> Printf.sprintf "copy %b" keep
+  | B_switch i -> Printf.sprintf "switch %d" i
+  | B_rename (a, b) -> Printf.sprintf "rename %s %s" a b
+  | B_qualify -> "qualify"
+  | B_query (l, (x, y), m) -> Printf.sprintf "query %s (%d,%d) %d" l x y m
+  | B_find i -> Printf.sprintf "find %d" i
+  | B_whole -> "whole"
+
+let prop_blocks_match_expanded =
+  QCheck2.Test.make ~name:"cut blocks = expanded twin and reference" ~count:300
+    ~print:(fun ops -> String.concat "\n" (List.map show_blk_op ops))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_blk_op)
+    blk_run
+
+(* Absorbing a step places its arrays as blocks: no cut record is built
+   until a read needs one.  Querying another layer builds none; the first
+   query of the cut layer builds exactly the step's cuts, once. *)
+let test_absorb_builds_no_cut () =
+  let env = Env.bicmos () in
+  let main = Lobj.create "main" in
+  ignore
+    (Lobj.add_shape main ~layer:"metal1" ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um 12.) ~h:(um 2.)) ());
+  let row =
+    Optimize.step (Amg_modules.Contact_row.make env ~layer:"pdiff" ~w:(um 10.) ~net:"a" ()) Dir.South
+  in
+  let cuts = List.length (Lobj.shapes_on (Lobj.copy row.Optimize.obj) "contact") in
+  check_bool "the row has cuts" true (cuts > 0);
+  let records () = Amg_obs.Obs.counter "lobj.cut_records" in
+  Amg_obs.Obs.reset ();
+  Amg_obs.Obs.enable ();
+  Fun.protect ~finally:Amg_obs.Obs.disable (fun () ->
+      ignore (Lobj.absorb ~dy:(um 4.) main row.Optimize.obj);
+      check_int "absorb builds no cut record" 0 (records ());
+      ignore (Lobj.near main ~layer:"metal1" (Lobj.bbox_exn main) ~margin:0);
+      check_int "a metal1 query builds none" 0 (records ());
+      check_int "the contact query answers every cut" cuts
+        (List.length (Lobj.near main ~layer:"contact" (Lobj.bbox_exn main) ~margin:0));
+      check_int "the contact query builds the row's cuts" cuts (records ());
+      ignore (Lobj.near main ~layer:"contact" (Lobj.bbox_exn main) ~margin:0);
+      check_int "once" cuts (records ()));
+  Amg_obs.Obs.reset ();
+  Lobj.check main
+
+(* A copy shares its source's blocks as they are: copying builds no
+   record, a query of a copy expands that copy alone, and the source
+   stays pending — a later copy expands its own again. *)
+let test_copy_never_expands_source () =
+  let env = Env.bicmos () in
+  let main = Lobj.create "main" in
+  List.iter
+    (fun (dy, net) ->
+      ignore
+        (Lobj.absorb ~dy:(um dy) main
+           (Amg_modules.Contact_row.make env ~layer:"pdiff" ~w:(um 10.) ~net ())))
+    [ (0., "a"); (6., "b"); (12., "c") ];
+  let cuts = List.length (Lobj.shapes_on (Lobj.copy main) "contact") in
+  let records () = Amg_obs.Obs.counter "lobj.cut_records" in
+  let query o = List.length (Lobj.near o ~layer:"contact" (Lobj.bbox_exn o) ~margin:0) in
+  Amg_obs.Obs.reset ();
+  Amg_obs.Obs.enable ();
+  Fun.protect ~finally:Amg_obs.Obs.disable (fun () ->
+      let copies = List.init 3 (fun _ -> Lobj.copy main) in
+      let copies = Lobj.copy (List.hd copies) :: copies in
+      check_int "copies build no record" 0 (records ());
+      check_int "a copy answers every cut" cuts (query (List.hd copies));
+      check_int "and builds them in its own store" cuts (records ());
+      check_int "the source's contact index is empty" 0 (Lobj.indexed main "contact");
+      check_int "another copy builds its own" cuts (query (List.nth copies 2));
+      check_int "so the source was still pending" (2 * cuts) (records ()));
+  Amg_obs.Obs.reset ();
+  List.iter Lobj.check [ main ]
 
 let suite =
   [
@@ -715,4 +1079,8 @@ let suite =
       `Quick test_searches_identical;
     Alcotest.test_case "searches leave step objects untouched" `Quick
       test_searches_leave_steps_untouched;
+    QCheck_alcotest.to_alcotest prop_blocks_match_expanded;
+    Alcotest.test_case "absorb builds no cut record" `Quick test_absorb_builds_no_cut;
+    Alcotest.test_case "a copy never expands its source" `Quick
+      test_copy_never_expands_source;
   ]

@@ -39,29 +39,30 @@ let contains hay needle =
 let test_counters () =
   reset_after @@ fun () ->
   let c = Metrics.counter "tm.requests" in
-  Metrics.incr c;
+  Metrics.add c 1;
   Metrics.add c 4;
   Metrics.add c (-3);
-  check_int "incr/add accumulate; negative add ignored" 5
+  check_int "adds accumulate; negative add ignored" 5
     (Metrics.counter_value c);
   let c' = Metrics.counter "tm.requests" in
-  Metrics.incr c';
+  Metrics.add c' 1;
   check_int "same name+labels interns to one instrument" 6
     (Metrics.counter_value c);
   let l1 = Metrics.counter ~labels:[ ("op", "a"); ("cache", "x") ] "tm.requests" in
   let l2 = Metrics.counter ~labels:[ ("cache", "x"); ("op", "a") ] "tm.requests" in
-  Metrics.incr l1;
+  Metrics.add l1 1;
   check_int "label order is canonicalised" 1 (Metrics.counter_value l2);
-  (match Metrics.gauge "tm.requests" with
+  (match Metrics.fgauge "tm.requests" with
   | _ -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ());
   Metrics.reset ();
   check_int "reset zeroes but keeps the registration" 0
     (Metrics.counter_value c);
-  let g = Metrics.gauge "tm.depth" in
-  Metrics.set g 7;
-  Metrics.set g 3;
-  check_int "gauges are settable both ways" 3 (Metrics.gauge_value g)
+  let g = Metrics.fgauge "tm.depth" in
+  Metrics.set_f g 7.;
+  Metrics.set_f g 3.;
+  check_bool "gauges are settable both ways" true
+    (match find_value "tm.depth" with Some (Metrics.Gauge v) -> v = 3. | _ -> false)
 
 (* --- histogram bucket edges --- *)
 
@@ -143,7 +144,7 @@ let test_callbacks () =
 let test_prometheus () =
   reset_after @@ fun () ->
   let c = Metrics.counter ~labels:[ ("op", "build") ] "tm.exp.requests" in
-  Metrics.incr c;
+  Metrics.add c 1;
   let h = Metrics.histogram ~bounds:[| 0.1; 1. |] "tm.exp.lat" in
   Metrics.observe h 0.05;
   Metrics.observe h 0.5;
@@ -190,7 +191,7 @@ let test_registry_never_perturbs () =
       Rating.rate env Rating.default obj )
   in
   let clean = fingerprint (build ()) in
-  Metrics.incr (Metrics.counter "tm.perturb.c");
+  Metrics.add (Metrics.counter "tm.perturb.c") 1;
   Metrics.gauge_fn "tm.perturb.g" (fun () -> 1.);
   Metrics.observe (Metrics.histogram "tm.perturb.h") 0.001;
   let armed = fingerprint (build ()) in

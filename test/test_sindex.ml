@@ -439,7 +439,9 @@ let prop_lazy_index_matches_eager =
         let o, e = !cur in
         f o;
         f e;
-        Lobj.fill_caches e
+        Lobj.fill_caches e;
+        Lobj.check o;
+        Lobj.check e
       in
       let pick k f =
         let o, _ = !cur in

@@ -165,6 +165,23 @@ let test_store_invariance () =
   check string "store-warm bytes match store-less" (Lazy.force reference)
     lines_warm
 
+(* A fresh store fed by a sweep holds its records in walk order, however
+   the rows were scheduled: a shuffled sweep writes the same store bytes
+   as the walk-order one. *)
+let test_store_walk_order () =
+  Test_util.with_tmp_dir "amgsw" @@ fun dir ->
+  let store_bytes name ~shuffle =
+    let path = Filename.concat dir name in
+    let st, _ = Store.open_ path in
+    ignore (run_lines ~domains:1 ~shuffle ~store:st ());
+    Store.close st;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let walk = store_bytes "walk.store" ~shuffle:false in
+  check bool "the sweep wrote records" true (String.length walk > 16);
+  check string "shuffled scheduling writes the same store bytes" walk
+    (store_bytes "shuffled.store" ~shuffle:true)
+
 (* --- failure rows ------------------------------------------------------ *)
 
 let test_failure_rows () =
@@ -467,6 +484,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedule_invariance;
     test_case "store on/off/warm never changes the bytes" `Quick
       test_store_invariance;
+    test_case "store records follow the walk order" `Quick test_store_walk_order;
     test_case "per-instance failures become rows, sweep completes" `Quick
       test_failure_rows;
     test_case "check_file accepts crash prefixes, rejects corruption" `Quick
