@@ -484,7 +484,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedule_invariance;
     test_case "store on/off/warm never changes the bytes" `Quick
       test_store_invariance;
-    test_case "store records follow the walk order" `Quick test_store_walk_order;
     test_case "per-instance failures become rows, sweep completes" `Quick
       test_failure_rows;
     test_case "check_file accepts crash prefixes, rejects corruption" `Quick
@@ -498,4 +497,5 @@ let suite =
     test_case "a sweep-fed store answers the daemon" `Quick
       test_sweep_store_feeds_daemon;
     test_case "counters export one _total suffix" `Quick test_sweep_counters;
+    test_case "store records follow the walk order" `Quick test_store_walk_order;
   ]
