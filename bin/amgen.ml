@@ -744,13 +744,6 @@ let sweep_cmd =
                    flushed in canonical order so a killed sweep keeps its \
                    completed prefix.  Default: stdout.")
   in
-  let chunk_arg =
-    Arg.(value & opt (int_at_least 1 "--chunk") 8
-         & info [ "chunk" ] ~docv:"N"
-             ~doc:"Number of walk-consecutive instances scheduled as one \
-                   pool task (the task granularity).  Results are identical \
-                   for every value.")
-  in
   let shuffle_arg =
     Arg.(value & flag
          & info [ "shuffle" ]
@@ -773,7 +766,7 @@ let sweep_cmd =
                    header (column arity and cell types) and exit without \
                    running a sweep.")
   in
-  let run tech_file jobs library spec out chunk shuffle store check stats trace
+  let run tech_file jobs library spec out shuffle store check stats trace
       mode inject diag_json =
     match check with
     | Some path -> (
@@ -825,7 +818,7 @@ let sweep_cmd =
                 ~finally:(fun () -> Option.iter close_out oc)
                 (fun () ->
                   with_store ~mode ~inject store @@ fun store ->
-                  Amg_sweep.Sweep.run ~domains ~chunk ~shuffle ?store
+                  Amg_sweep.Sweep.run ~domains ~shuffle ?store
                     ?source_file ~on_line ~env ~source spec)
             in
             Fmt.epr
@@ -847,12 +840,12 @@ let sweep_cmd =
              (a Gray-code walk, duplicates removed), build and \
              order-optimize every instance on the domain pool, and emit one \
              layout-derived metric row per instance into a columnar result \
-             file.  Rows are byte-identical for every --jobs, --chunk and \
+             file.  Rows are byte-identical for every --jobs and \
              --shuffle setting; a partial sweep (some instances failed) \
              exits 3 with per-row diagnostics.")
     Term.(
       const run $ tech_arg $ jobs_arg $ library_arg $ spec_arg $ out_arg
-      $ chunk_arg $ shuffle_arg $ sweep_store_arg $ check_arg $ stats_arg
+      $ shuffle_arg $ sweep_store_arg $ check_arg $ stats_arg
       $ trace_arg $ mode_arg $ inject_arg $ diag_json_arg)
 
 let () =

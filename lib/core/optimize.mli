@@ -32,7 +32,8 @@
     its shapes only into the worker's own main object.  The object is
     copied only for a placement that must shrink one of its variable
     edges or auto-connect to it.  A search leaves every step object as
-    it was.
+    it was, and its [?base] too: it reads and copies a private copy of
+    the base, whose cut blocks it expands once, at its start.
 
     Each step carries its object's digest ({!Amg_compact.Successive.digest}),
     built once by {!step}: every placement of the step, on every domain,
@@ -214,7 +215,9 @@ val search :
     exact key hit — the search strategy and its parameters are appended to
     the key internally — the stored order is replayed with {!apply}, the
     search is skipped entirely and the cost is 0; the rating is recomputed
-    from the rebuilt layout, never trusted from disk.  The store is only
+    from the rebuilt layout, never trusted from disk.  A search that runs
+    costs at least 1 (the walk's root node, local search's first start),
+    so a cost of 0 means exactly that the store answered.  The store is only
     consulted for unbudgeted, default-rated searches and only written back
     (strictly better ratings win) by non-degraded ones, so results stay
     byte-identical to a store-less run.

@@ -24,7 +24,13 @@ type request = {
 let request ?search ?max_time ?max_evals ?domains ?store entity params =
   { entity; params; search; max_time; max_evals; domains; store }
 
-type searched = { rating : float; compacts : int; canonical_kept : bool }
+type searched = {
+  rating : float;
+  compacts : int;
+  canonical_kept : bool;
+  cost : int;
+  from_store : bool;
+}
 type outcome = { layout : Lobj.t; searched : searched option; degraded : bool }
 
 let warn ?hint code msg =
@@ -84,7 +90,7 @@ let run ?canonical env program r =
             | None, None -> None
             | deadline, max_evals -> Some (Budget.create ?deadline ?max_evals ())
           in
-          let best, rating, order, _cost =
+          let best, rating, order, cost =
             Optimize.search env ~name:r.entity ~base ?domains:r.domains ?budget
               ?store:r.store strategy steps
           in
@@ -114,7 +120,15 @@ let run ?canonical env program r =
           {
             layout;
             searched =
-              Some { rating; compacts = List.length steps; canonical_kept };
+              Some
+                {
+                  rating;
+                  compacts = List.length steps;
+                  canonical_kept;
+                  cost;
+                  (* only a store replay costs 0 (optimize.mli) *)
+                  from_store = cost = 0;
+                };
             degraded;
           })
 

@@ -33,6 +33,10 @@ type searched = {
   rating : float;  (** the search's rating of its winner *)
   compacts : int;  (** top-level compacts the search reordered *)
   canonical_kept : bool;  (** the canonical order won *)
+  cost : int;
+      (** nodes visited ([orders], [bb]) or evaluations ([local]), as
+          {!Amg_core.Optimize.search} returns them *)
+  from_store : bool;  (** the durable store answered; [cost] is then 0 *)
 }
 
 type outcome = {

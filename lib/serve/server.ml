@@ -185,7 +185,7 @@ type t = {
      opened file (log rotation) without touching every writer: writers
      take the lock, then deref. *)
   access : (Mutex.t * out_channel ref) option;
-  obs_owned : bool;  (* this server enabled Obs (for traces/access log) *)
+  obs_owned : bool;  (* this server enabled Obs (for traces) *)
   (* Durable result store: loaded before the listeners open (a warm
      restart answers its first request from disk), checkpointed on
      SIGUSR1 and on drain.  The handle is internally locked — worker
@@ -346,24 +346,14 @@ let canonical_build t ~memoizable ~sg entity args =
    [ro_outcome] is the cache-outcome label: memo-hit (either memo layer
    answered), store-hit (the durable result store answered), cold
    (neither helped), degraded, error or — set by the caller, not here —
-   overloaded. *)
+   overloaded.  [ro_evals] is the cost its own search result reports. *)
 type req_obs = { ro_outcome : string; ro_evals : int }
 
 let quiet_obs = { ro_outcome = "none"; ro_evals = 0 }
 
-(* Search-effort counters the optimizer records: the walk's nodes (orders
-   and bb) and local search's evaluations.  Their delta over a request is
-   the access log's [evals] field.  Zero when Obs is off (the daemon arms
-   it whenever traces or the access log are on). *)
-let eval_counter_names = [ "optimize.bb_nodes"; "optimize.local_evals" ]
-
-let evals_now () =
-  List.fold_left (fun acc n -> acc + Obs.counter n) 0 eval_counter_names
-
-(* Close a compute request: measure its search effort since the [before]
-   snapshot, attach the stats object when the request asked for it, and
-   label the outcome. *)
-let measured (req : Wire.request) ~queue_depth (started, evals0) resp outcome =
+(* Close a compute request started at [started]: attach the stats object
+   when the request asked for it, and label the outcome. *)
+let measured (req : Wire.request) ~queue_depth ~started ~evals resp outcome =
   let stats =
     if req.stats then
       Some
@@ -373,19 +363,11 @@ let measured (req : Wire.request) ~queue_depth (started, evals0) resp outcome =
         }
     else None
   in
-  ( { resp with Wire.stats },
-    { ro_outcome = outcome; ro_evals = evals_now () - evals0 } )
-
-let snapshot () = (Unix.gettimeofday (), evals_now ())
+  ({ resp with Wire.stats }, { ro_outcome = outcome; ro_evals = evals })
 
 (* Run one build request.  Called from the serialized section only. *)
 let handle_build t (req : Wire.request) ~queue_depth =
-  let before = snapshot () in
-  let store_hits_before =
-    match t.result_store with
-    | Some st -> (Store.stats st).Store.hits
-    | None -> 0
-  in
+  let started = Unix.gettimeofday () in
   (* Only strict, fault-free requests may use the memo layers or consult
      and feed the durable store: a permissive or fault-injected build can
      differ from the canonical one. *)
@@ -413,12 +395,13 @@ let handle_build t (req : Wire.request) ~queue_depth =
                 hit)
               (List.assoc_opt opt e.m_best)))
   in
-  (* [served]: the guarded result, the diagnostics, the degraded flag and
-     whether a memo layer answered whole — a best result hit, or a
-     canonical memo hit with no search to run. *)
+  (* [served]: the guarded result, the diagnostics and whether a memo
+     layer answered whole — a best result hit, or a canonical memo hit
+     with no search to run. *)
   let served =
     match best_hit with
-    | Some (obj, diags) -> Ok (Ok obj, diags, false, true)
+    | Some (layout, diags) ->
+        Ok (Ok { Generate.layout; searched = None; degraded = false }, diags, true)
     | None -> (
         let from_memo = ref false in
         let run () =
@@ -447,10 +430,6 @@ let handle_build t (req : Wire.request) ~queue_depth =
         match Generate.guarded ~mode ?inject:req.inject run with
         | Error msg -> Error msg
         | Ok (result, reported) ->
-            let degraded =
-              match result with Ok o -> o.Generate.degraded | Error _ -> false
-            in
-            if degraded then Counters.incr Counters.serve_degraded;
             (match (result, best_opt) with
             | Ok o, Some opt
               when not
@@ -463,25 +442,22 @@ let handle_build t (req : Wire.request) ~queue_depth =
                     ignore (Atomic.fetch_and_add t.best_count 1)
                 | _ -> ())
             | _ -> ());
-            Ok
-              ( Result.map (fun o -> o.Generate.layout) result,
-                reported,
-                degraded,
-                !from_memo ))
+            Ok (result, reported, !from_memo))
   in
   match served with
   | Error msg ->
       ( reject ?id:req.id ~code:"serve.bad-inject"
           (Printf.sprintf "bad inject spec: %s" msg),
         { quiet_obs with ro_outcome = "error" } )
-  | Ok (result, reported, degraded, from_memo) ->
+  | Ok (result, reported, from_memo) ->
       let resp =
         match result with
         | Error d ->
             Wire.response ?id:req.id
               ~diagnostics:(reported @ [ d ])
               Wire.status_diag
-        | Ok obj ->
+        | Ok { Generate.layout = obj; degraded; _ } ->
+            if degraded then Counters.incr Counters.serve_degraded;
             let has_error =
               List.exists (fun d -> d.Diag.severity = Diag.Error) reported
             in
@@ -501,16 +477,17 @@ let handle_build t (req : Wire.request) ~queue_depth =
             Wire.response ?id:req.id ~rating ~format:req.format ?payload
               ~diagnostics:reported status
       in
-      let store_hits =
-        match t.result_store with
-        | Some st -> (Store.stats st).Store.hits - store_hits_before
-        | None -> 0
+      let evals, from_store =
+        match result with
+        | Ok { Generate.searched = Some s; _ } ->
+            (s.Generate.cost, s.Generate.from_store)
+        | _ -> (0, false)
       in
-      measured req ~queue_depth before resp
+      measured req ~queue_depth ~started ~evals resp
         (if resp.Wire.status = Wire.status_diag then "error"
          else if resp.Wire.status = Wire.status_degraded then "degraded"
          else if from_memo then "memo-hit"
-         else if store_hits > 0 then "store-hit"
+         else if from_store then "store-hit"
          else "cold")
 
 (* Run one sweep request: expand the spec into a bounded grid, run it
@@ -520,7 +497,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
    run.  Called from the serialized section only, so the streamed rows
    can never interleave with another request's response line. *)
 let handle_sweep t conn (req : Wire.request) ~queue_depth =
-  let before = snapshot () in
+  let started = Unix.gettimeofday () in
   let rejected code msg =
     (reject ?id:req.id ~code msg, { quiet_obs with ro_outcome = "error" })
   in
@@ -573,7 +550,7 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
               rejected "serve.bad-inject"
                 (Printf.sprintf "bad inject spec: %s" msg)
           | Ok (Error d, reported) ->
-              measured req ~queue_depth before
+              measured req ~queue_depth ~started ~evals:0
                 (Wire.response ?id:req.id
                    ~diagnostics:(reported @ [ d ])
                    Wire.status_diag)
@@ -593,7 +570,7 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
                 if r.Sweep.failures > 0 then Wire.status_degraded
                 else Wire.status_ok
               in
-              measured req ~queue_depth before
+              measured req ~queue_depth ~started ~evals:r.Sweep.cost
                 (Wire.response ?id:req.id ~payload ~diagnostics:reported status)
                 (if r.Sweep.failures > 0 then "degraded"
                  else if r.Sweep.store_hits > 0 then "store-hit"
@@ -933,13 +910,11 @@ let start cfg =
     match cfg.tech with None -> Env.bicmos () | Some tech -> Env.create tech
   in
   if cfg.warm_pool then Pool.warm ?domains:cfg.default_jobs ();
-  (* Per-request traces and the access log's evals field read the Obs
-     stream; arm it if the caller has not, and bound event retention so
-     a long-running daemon cannot accumulate without limit (counters and
-     samples stay exact — only span/mark events are capped). *)
-  let obs_owned =
-    (cfg.trace_dir <> None || cfg.access_log <> None) && not (Obs.enabled ())
-  in
+  (* Per-request traces read the Obs stream; arm it if the caller has
+     not, and bound event retention so a long-running daemon cannot
+     accumulate without limit (counters and samples stay exact — only
+     span/mark events are capped). *)
+  let obs_owned = cfg.trace_dir <> None && not (Obs.enabled ()) in
   if obs_owned then Obs.enable ();
   Obs.set_max_events (Some 65536);
   (match cfg.trace_dir with

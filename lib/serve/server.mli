@@ -36,11 +36,12 @@
     pool; the counters are declared in {!Amg_obs.Counters}.  The [metrics] and
     [health] wire ops are answered straight from the connection thread —
     never queued behind compute — so a scrape stays fast under load.
-    Optional extras: an ndjson access log ([access_log]), and per-request
-    Chrome traces for sampled or slow requests ([trace_dir] /
-    [trace_sample] / [slow_ms]); both arm {!Amg_obs.Obs} if the caller
-    has not, with event retention capped so a long-running daemon stays
-    bounded. *)
+    Optional extras: an ndjson access log ([access_log]), whose outcome
+    and [evals] (the search's cost) come from each request's own result,
+    and per-request Chrome traces for sampled or slow requests
+    ([trace_dir] / [trace_sample] / [slow_ms]).  Only traces arm
+    {!Amg_obs.Obs} if the caller has not, with event retention capped so
+    a long-running daemon stays bounded. *)
 
 type config = {
   socket_path : string;  (** Unix-domain socket path; created at start. *)

@@ -1,10 +1,9 @@
 (* Batch parameter-grid sweeps: Gray-code walk as the canonical row
-   order, chunked scheduling onto the domain pool, incremental columnar
-   output.
+   order, one pool task per instance, incremental columnar output.
 
    The result file is a pure function of the spec — scheduling (domain
-   count, chunk size, shuffled ablation) and the result store can only
-   move wall time, never bytes.  Instances share no search state: each
+   count, shuffled ablation) and the result store can only move wall
+   time, never bytes.  Instances share no search state: each
    one's canonical build allocates fresh steps, so neighbours on the walk
    are not cheaper to build together.  See DESIGN.md §15. *)
 
@@ -281,10 +280,11 @@ let measure env rating obj =
     m_sym = Stats.symmetry_error_um obj;
   }
 
-(* Build and optimize one instance.  The inner search always runs on one
-   domain — the sweep parallelizes across instances, and §7 makes the
-   result independent of the split — and under a per-row diagnostic
-   capture, so a parallel sweep can attribute reports to their row. *)
+(* Build and optimize one instance: its metrics and its search's report.
+   The inner search always runs on one domain — the sweep parallelizes
+   across instances, and §7 makes the result independent of the split —
+   and under a per-row diagnostic capture, so a parallel sweep can
+   attribute reports to their row. *)
 let run_instance env program request =
   Policy.capture @@ fun () ->
   Diag.guard ~convert:Generate.convert_exn @@ fun () ->
@@ -294,7 +294,7 @@ let run_instance env program request =
     | Some s -> s.Generate.rating
     | None -> Rating.rate env Rating.default o.Generate.layout
   in
-  measure env rating o.Generate.layout
+  (measure env rating o.Generate.layout, o.Generate.searched)
 
 (* --- rendering --------------------------------------------------------- *)
 
@@ -304,7 +304,7 @@ let diag_codes diags =
 let render_row ~entity params outcome diags =
   let cells =
     match outcome with
-    | Ok m ->
+    | Ok (m, _) ->
         [
           "ok";
           json_num m.m_rating;
@@ -362,22 +362,19 @@ type result = {
   failures : int;
   duplicates : int;
   store_hits : int;
+  cost : int;
   elapsed_s : float;
 }
 
-let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
-    ?source_file ~on_line ~env ~source spec =
+let run ?(domains = 1) ?(shuffle = false) ?store ?source_file ~on_line ~env
+    ~source spec =
   if domains < 1 then invalid_arg "Sweep.run: domains < 1";
-  if chunk < 1 then invalid_arg "Sweep.run: chunk < 1";
   let t0 = Unix.gettimeofday () in
   Counters.incr Counters.sweep_runs;
   let program = Amg_lang.Parser.parse_program ?file:source_file source in
   let insts = Array.of_list (instances spec) in
   let n = Array.length insts in
   let duplicates = grid_size spec - n in
-  let store_hits0 =
-    match store with None -> 0 | Some st -> (Store.stats st).Store.hits
-  in
   (* The fingerprint is taken before the pool starts: tasks only read it. *)
   let store = Option.map (fun st -> (st, Generate.tech_fingerprint env)) store in
   let request params =
@@ -399,6 +396,8 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
   on_line (header_line spec ~rows:n);
   on_line (column_line spec);
   let failures = Atomic.make 0 in
+  let store_hits = Atomic.make 0 in
+  let cost = Atomic.make 0 in
   let completed = Atomic.make 0 in
   (* Failed rows also surface through the policy sink — in canonical row
      order, reported after the pool joins, so boundaries that drain the
@@ -414,7 +413,11 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
     in
     let status =
       match outcome with
-      | Ok _ -> "ok"
+      | Ok (_, Some (s : Generate.searched)) ->
+          ignore (Atomic.fetch_and_add cost s.cost);
+          if s.from_store then Atomic.incr store_hits;
+          "ok"
+      | Ok (_, None) -> "ok"
       | Error d ->
           errs.(i) <- Some d;
           Atomic.incr failures;
@@ -438,14 +441,8 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
       sched.(j) <- tmp
     done
   end;
-  let n_chunks = (n + chunk - 1) / chunk in
-  let chunks =
-    Array.init n_chunks (fun c ->
-        Array.sub sched (c * chunk) (Int.min chunk (n - (c * chunk))))
-  in
   if n > 0 then
-    Pool.with_pool ~domains (fun pool ->
-        ignore (Pool.map_array pool (fun group -> Array.iter run_one group) chunks));
+    Pool.with_pool ~domains (fun pool -> ignore (Pool.map_array pool run_one sched));
   Array.iteri
     (fun i d ->
       Option.iter
@@ -454,16 +451,12 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?store
             { d with Diag.payload = ("row", string_of_int i) :: d.Diag.payload })
         d)
     errs;
-  let store_hits =
-    match store with
-    | None -> 0
-    | Some (st, _) -> (Store.stats st).Store.hits - store_hits0
-  in
   {
     rows = n;
     failures = Atomic.get failures;
     duplicates;
-    store_hits;
+    store_hits = Atomic.get store_hits;
+    cost = Atomic.get cost;
     elapsed_s = Unix.gettimeofday () -. t0;
   }
 

@@ -9,17 +9,15 @@
 
     The canonical instance order is a mixed-radix reflected Gray-code
     walk over the grid, so consecutive rows differ in exactly one
-    parameter by one grid step.  Scheduling cuts the walk into chunks of
-    consecutive instances, one pool task per chunk, and rows are
-    re-serialized into walk order for output.  Instances share no search
-    state (each canonical build allocates fresh steps), so the chunk size
-    only sets the task granularity.
+    parameter by one grid step.  Each instance is one pool task, and rows
+    are re-serialized into walk order for output.  Instances share no
+    search state (each canonical build allocates fresh steps).
 
     Determinism: a row is a pure function of (environment, entity,
     parameters, search mode).  Inner searches always run on one domain,
     so rows — and the whole result file — are byte-identical for every
-    [?domains], every [?chunk], shuffled or walk-order scheduling, and
-    with the store on or off (§7 contract). *)
+    [?domains], shuffled or walk-order scheduling, and with the store on
+    or off (§7 contract). *)
 
 type axis = {
   a_name : string;
@@ -74,13 +72,15 @@ type result = {
   rows : int;  (** rows emitted (= canonical instances) *)
   failures : int;  (** rows whose status is not ["ok"] *)
   duplicates : int;  (** grid points dropped by deduplication *)
-  store_hits : int;  (** result-store hits served during this run *)
+  store_hits : int;  (** rows the result store answered *)
+  cost : int;
+      (** the rows' search costs summed ({!Amg_lang.Generate.searched});
+          failed rows add nothing *)
   elapsed_s : float;
 }
 
 val run :
   ?domains:int ->
-  ?chunk:int ->
   ?shuffle:bool ->
   ?store:Amg_store.Store.t ->
   ?source_file:string ->
@@ -89,9 +89,8 @@ val run :
   source:string ->
   spec ->
   result
-(** Run the sweep: parse [source], expand the grid, schedule
-    [chunk]-sized groups of walk-consecutive instances onto a
-    [?domains]-wide pool (default 1; [chunk] default 8), and call
+(** Run the sweep: parse [source], expand the grid, schedule its
+    instances onto a [?domains]-wide pool (default 1), and call
     [on_line] once per output line — the JSON header, the CSV column
     line, then one CSV row per instance — always in canonical walk
     order, as soon as the prefix up to that row is complete (flush in

@@ -1067,6 +1067,56 @@ let test_copy_never_expands_source () =
   Amg_obs.Obs.reset ();
   List.iter Lobj.check [ main ]
 
+(* A search reads and copies a private copy of its base: after a search
+   in every mode the caller's base still holds its cut blocks pending, so
+   reading its shapes builds as many cut records as reading an untouched
+   twin's does, and its store still checks. *)
+let test_search_never_writes_base () =
+  let env = Env.bicmos () in
+  let row net w =
+    Amg_modules.Contact_row.make env ~layer:"pdiff" ~w:(um w) ~net ()
+  in
+  let pending_base () =
+    let base = Lobj.create "base" in
+    List.iter
+      (fun (dy, net) -> ignore (Lobj.absorb ~dy:(um dy) base (row net 10.)))
+      [ (0., "a"); (6., "b") ];
+    base
+  in
+  let records () = Amg_obs.Obs.counter "lobj.cut_records" in
+  let recorded f =
+    Amg_obs.Obs.reset ();
+    Amg_obs.Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Amg_obs.Obs.disable ();
+        Amg_obs.Obs.reset ())
+      f
+  in
+  let cuts =
+    recorded (fun () ->
+        ignore (Lobj.shapes (pending_base ()));
+        records ())
+  in
+  check_bool "the base has cuts" true (cuts > 0);
+  List.iter
+    (fun mode ->
+      let what = Wire.opt_to_string mode in
+      let base = pending_base () in
+      let steps =
+        List.map
+          (fun (net, w) -> Optimize.step (row net w) Dir.North)
+          [ ("c", 8.); ("d", 12.); ("e", 6.) ]
+      in
+      recorded (fun () ->
+          ignore (Optimize.search env ~name:"x" ~base ~domains:1 mode steps);
+          let before = records () in
+          ignore (Lobj.shapes base);
+          check_int (what ^ ": reading the base builds its cut records") cuts
+            (records () - before));
+      Lobj.check base)
+    [ Wire.Orders; Wire.Bb; Wire.Local ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_copy_is_rebuild;
@@ -1083,4 +1133,6 @@ let suite =
     Alcotest.test_case "absorb builds no cut record" `Quick test_absorb_builds_no_cut;
     Alcotest.test_case "a copy never expands its source" `Quick
       test_copy_never_expands_source;
+    Alcotest.test_case "a search never writes its base" `Quick
+      test_search_never_writes_base;
   ]

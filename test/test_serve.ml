@@ -696,28 +696,69 @@ let test_access_log () =
     (Some Wire.status_diag)
     (Option.bind (Json.member "status" last) Json.int)
 
-(* An orders build's access-log [evals] is the walk's node count: nonzero,
-   and the same at jobs 1 and 2 (the count is domain-count-independent). *)
-let orders_logged_evals jobs =
+(* Run [f sock] against a daemon with an access log (and [?store]) and
+   return the log's lines as (outcome, evals) pairs, in request order. *)
+let logged ?store f =
   Test_util.with_tmp_dir "amgl" @@ fun dir ->
   let log = Filename.concat dir "access.ndjson" in
-  Test_util.with_server ~source:pack_source ~access_log:log (fun _t sock ->
-      let r = get sock (pack ~jobs ~optimize:Wire.Orders ()) in
-      check int "orders build ok" Wire.status_ok r.Wire.status);
+  Test_util.with_server ~source:pack_source ~access_log:log ?store (fun _t sock ->
+      f sock);
   let ic = open_in log in
-  let line = input_line ic in
-  close_in ic;
-  match Json.of_string line with
-  | Ok j -> (
-      match Option.bind (Json.member "evals" j) Json.int with
-      | Some n -> n
-      | None -> failf "access line without integral evals: %s" line)
-  | Error e -> failf "unparsable access line %S: %s" line e
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  List.rev_map
+    (fun line ->
+      match Json.of_string line with
+      | Ok j -> (
+          match
+            ( Option.bind (Json.member "outcome" j) Json.str,
+              Option.bind (Json.member "evals" j) Json.int )
+          with
+          | Some o, Some n -> (o, n)
+          | _ -> failf "access line without outcome or integral evals: %s" line)
+      | Error e -> failf "unparsable access line %S: %s" line e)
+    !lines
 
+(* The cost of the daemon's search for [pack], run directly through the
+   pipeline the daemon runs. *)
+let direct_cost ?(w = 4.) strategy =
+  let env = Amg_core.Env.bicmos () in
+  let program = Amg_lang.Parser.parse_program pack_source in
+  let o =
+    Amg_lang.Generate.run env program
+      (Amg_lang.Generate.request ~search:strategy ~domains:1 "Pack"
+         [ ("W", Amg_lang.Value.Num w) ])
+  in
+  match o.Amg_lang.Generate.searched with
+  | Some s -> s.Amg_lang.Generate.cost
+  | None -> failf "%s: no search ran" (Wire.opt_to_string strategy)
+
+(* A build's access-log [evals] is its search's cost — the walk's node
+   count for orders and bb, local search's evaluations — equal to the
+   cost of the same search run directly, and the same at jobs 1 and 2
+   (the count is domain-count-independent). *)
 let test_orders_access_evals () =
-  let e1 = orders_logged_evals 1 in
-  check bool "orders build logs evals > 0" true (e1 > 0);
-  check int "same evals at jobs 1 and 2" e1 (orders_logged_evals 2)
+  List.iter
+    (fun strategy ->
+      let what = Wire.opt_to_string strategy in
+      let logged_evals jobs =
+        match
+          logged (fun sock ->
+              let r = get sock (pack ~jobs ~optimize:strategy ()) in
+              check int (what ^ " build ok") Wire.status_ok r.Wire.status)
+        with
+        | [ ("cold", n) ] -> n
+        | _ -> failf "%s: expected one cold access line" what
+      in
+      let e1 = logged_evals 1 in
+      check bool (what ^ " build logs evals > 0") true (e1 > 0);
+      check int (what ^ ": evals = the direct search's cost") (direct_cost strategy) e1;
+      check int (what ^ ": same evals at jobs 1 and 2") e1 (logged_evals 2))
+    [ Wire.Orders; Wire.Bb; Wire.Local ]
 
 (* With --trace-sample 1 every compute request exports a Chrome trace
    named after its request id; scrape and ping requests record no events
@@ -907,6 +948,92 @@ let test_latency_cross_check () =
   agree "p50" 4. (Metrics.quantile h 0.5 *. 1000.) (percentile 0.5 client_ms);
   agree "p99" 8. (Metrics.quantile h 0.99 *. 1000.) (percentile 0.99 client_ms)
 
+(* --- accounting read from each request's own result -------------------- *)
+
+(* The access log reads each request's own result, so a daemon with only
+   an access log leaves Obs recording off. *)
+let test_access_log_leaves_obs_off () =
+  check bool "Obs off before the daemon starts" false (Amg_obs.Obs.enabled ());
+  let lines =
+    logged (fun sock ->
+        ignore (get sock (pack ~optimize:Wire.Local ()));
+        check bool "Obs still off while serving" false (Amg_obs.Obs.enabled ()))
+  in
+  check bool "the local build still logs its cost" true
+    (match lines with [ ("cold", n) ] -> n > 0 | _ -> false)
+
+(* A repeated build the durable store answers logs store-hit with no
+   search cost and answers the cold build's bytes.  The repeat comes from
+   another tenant, so no memo layer answers it. *)
+let test_store_hit_logs_no_evals () =
+  Test_util.with_tmp_dir "amgst" @@ fun dir ->
+  let store = Filename.concat dir "s.store" in
+  List.iter
+    (fun strategy ->
+      let what = Wire.opt_to_string strategy in
+      let payloads = ref [] in
+      let lines =
+        logged ~store (fun sock ->
+            List.iter
+              (fun tenant ->
+                let r =
+                  get sock (pack ~tenant ~optimize:strategy ~format:Wire.Cif ())
+                in
+                check int (what ^ " build ok") Wire.status_ok r.Wire.status;
+                payloads := r.Wire.payload :: !payloads)
+              [ "first"; "second" ])
+      in
+      (match lines with
+      | [ ("cold", n); ("store-hit", 0) ] ->
+          check bool (what ^ ": the cold build searched") true (n > 0)
+      | _ -> failf "%s: expected a cold line, then a store-hit with evals 0" what);
+      match !payloads with
+      | [ warm; cold ] ->
+          check (option string) (what ^ ": store-hit bytes = cold bytes") cold warm
+      | _ -> failf "%s: expected two responses" what)
+    [ Wire.Orders; Wire.Bb; Wire.Local ]
+
+(* A daemon sweep's summary counts the rows the store answered: none
+   cold, every row warm.  Its access line carries the rows' summed search
+   cost cold, and store-hit with no cost warm. *)
+let test_warm_sweep_store_hits () =
+  Test_util.with_tmp_dir "amgst" @@ fun dir ->
+  let store = Filename.concat dir "s.store" in
+  let spec =
+    {|{ "entity": "Pack", "params": { "W": [4, 5, 6] }, "optimize": "local" }|}
+  in
+  let summaries = ref [] in
+  let lines =
+    logged ~store (fun sock ->
+        let c = Client.connect sock in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            for _ = 1 to 2 do
+              match Client.sweep c ~on_row:(fun ~index:_ _ -> ()) (Wire.sweep spec) with
+              | Ok r -> summaries := r.Wire.payload :: !summaries
+              | Error e -> failf "sweep request failed: %s" e
+            done))
+  in
+  let field k = function
+    | Some payload -> (
+        match Json.of_string payload with
+        | Ok j -> Option.bind (Json.member k j) Json.int
+        | Error e -> failf "sweep summary %S: %s" payload e)
+    | None -> fail "sweep response without a summary"
+  in
+  (match List.rev !summaries with
+  | [ cold; warm ] ->
+      check (option int) "three rows" (Some 3) (field "rows" warm);
+      check (option int) "cold sweep: no store hit" (Some 0) (field "store_hits" cold);
+      check (option int) "warm sweep: every row from the store" (field "rows" warm)
+        (field "store_hits" warm)
+  | _ -> fail "expected two sweep summaries");
+  let cost = List.fold_left (fun acc w -> acc + direct_cost ~w Wire.Local) 0 [ 4.; 5.; 6. ] in
+  check (list (pair string int)) "access lines: cold rows' cost, then store-hit"
+    [ ("cold", cost); ("store-hit", 0) ]
+    lines
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -936,7 +1063,8 @@ let suite =
     test_case "metrics and health scrape over the wire" `Quick test_scrape_ops;
     test_case "access log lines parse and carry the schema" `Quick
       test_access_log;
-    test_case "access log counts an orders build's nodes" `Quick
+    test_case "access log counts an orders build's nodes and a bb or local \
+               build's cost" `Quick
       test_orders_access_evals;
     test_case "sampled requests export valid per-request traces" `Quick
       test_request_traces;
@@ -946,4 +1074,10 @@ let suite =
       test_scrape_mid_load;
     test_case "server and client build latencies agree" `Quick
       test_latency_cross_check;
+    test_case "an access log alone leaves Obs off" `Quick
+      test_access_log_leaves_obs_off;
+    test_case "a store-answered build logs store-hit, evals 0" `Quick
+      test_store_hit_logs_no_evals;
+    test_case "a warm daemon sweep counts every row a store hit" `Quick
+      test_warm_sweep_store_hits;
   ]

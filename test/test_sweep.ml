@@ -1,11 +1,11 @@
 (* The batch sweep engine: spec parsing, the Gray-code walk, dedup, the
-   §7 determinism contract over every scheduling knob (domains, chunk
-   size, shuffle, store), failure rows, and the columnar file validator.
+   §7 determinism contract over every scheduling knob (domains, shuffle,
+   store), failure rows, and the columnar file validator.
 
    The centrepiece is the determinism property: the emitted bytes are a
-   pure function of (env, spec, source) — domains in {1,2,4}, chunks in
-   {1,8,64}, shuffled or walk-order scheduling, store on or off must all
-   produce the identical file. *)
+   pure function of (env, spec, source) — domains in {1,2,4}, shuffled or
+   walk-order scheduling, store on or off must all produce the identical
+   file. *)
 
 open Alcotest
 module Env = Amg_core.Env
@@ -39,7 +39,7 @@ let spec_src =
       "params": { "W": { "from": 3, "to": 6, "step": 1 }, "L": [4, 6] },
       "optimize": "local" }|}
 
-let run_lines ?domains ?chunk ?shuffle ?store () =
+let run_lines ?domains ?shuffle ?store () =
   let buf = Buffer.create 2048 in
   let on_line l =
     Buffer.add_string buf l;
@@ -47,7 +47,7 @@ let run_lines ?domains ?chunk ?shuffle ?store () =
   in
   let env = Env.bicmos () in
   let res =
-    Sweep.run ?domains ?chunk ?shuffle ?store ~on_line ~env ~source
+    Sweep.run ?domains ?shuffle ?store ~on_line ~env ~source
       (Sweep.parse_spec spec_src)
   in
   (res, Buffer.contents buf)
@@ -111,8 +111,7 @@ let test_gray_walk () =
     (List.length insts)
     (List.length (List.sort_uniq compare (List.map (digits spec) insts)));
   (* Consecutive instances differ on exactly one axis, by one position:
-     the defining property of the reflected Gray walk, and the reason
-     chunked neighbours share store access patterns. *)
+     the defining property of the reflected Gray walk. *)
   let rec adjacent = function
     | a :: (b :: _ as tl) ->
         let da = digits spec a and db = digits spec b in
@@ -137,17 +136,15 @@ let test_dedup () =
 
 (* --- determinism: bytes are a pure function of the spec ---------------- *)
 
-let reference = lazy (snd (run_lines ~domains:1 ~chunk:1 ()))
+let reference = lazy (snd (run_lines ~domains:1 ()))
 
 let prop_schedule_invariance =
-  QCheck2.Test.make
-    ~name:"rows byte-identical for any domains/chunk/shuffle"
-    ~print:(fun (d, c, sh) ->
-      Printf.sprintf "domains=%d chunk=%d shuffle=%b" d c sh)
+  QCheck2.Test.make ~name:"rows byte-identical for any domains/shuffle"
+    ~print:(fun (d, sh) -> Printf.sprintf "domains=%d shuffle=%b" d sh)
     ~count:12
-    QCheck2.Gen.(triple (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 8; 64 ]) bool)
-    (fun (domains, chunk, shuffle) ->
-      let res, lines = run_lines ~domains ~chunk ~shuffle () in
+    QCheck2.Gen.(pair (oneofl [ 1; 2; 4 ]) bool)
+    (fun (domains, shuffle) ->
+      let res, lines = run_lines ~domains ~shuffle () in
       res.Sweep.failures = 0
       && String.equal (Lazy.force reference) lines)
 
