@@ -29,7 +29,16 @@
    every piece's union-find root in piece order.  Synthetic node names
    ("n<root>") appear in the device list; the root digest also pins the
    roots of labelled nodes, so any change to the extractor's union order
-   shows up here. *)
+   shows up here.
+
+   And it writes search_digests.txt: one line per (pack, W, L, search
+   mode) over contact-row packs of the search benchmarks' shape — local
+   search on 8- and 10-row packs, bb and orders on 6-row packs, and all
+   three on a 6-row pack whose rows share two nets, so auto-connection
+   runs inside the search.  Each line holds the winning order (step
+   indices), its rating, the search's cost and the MD5 of the winner's
+   CIF, so a compactor change that claims identical search results must
+   leave it unchanged. *)
 
 module Units = Amg_geometry.Units
 module Env = Amg_core.Env
@@ -171,6 +180,71 @@ let module_digests () =
   close_out oc;
   close_out xc
 
+(* An n-row pack as the search benchmarks build it: metal1 contact rows of
+   widths W, W+12, W+24, W+36 (cycling), alternating SOUTH/WEST, each row
+   on its own net, or with [shared] on net [n<i mod 2>]. *)
+let pack_source ?(shared = false) name n =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Printf.sprintf "ENT %s(<W>, <L>)\n" name);
+  for i = 0 to n - 1 do
+    let w = match i mod 4 * 12 with 0 -> "W" | off -> Printf.sprintf "W + %d" off in
+    Buffer.add_string b
+      (Printf.sprintf "  x%d = ContactRow(layer = \"metal1\", W = %s, L = L, net = \"n%d\")\n"
+         i w (if shared then i mod 2 else i));
+    Buffer.add_string b
+      (Printf.sprintf "  compact(x%d, %s, align = \"MIN\")\n" i
+         (if i mod 2 = 0 then "SOUTH" else "WEST"))
+  done;
+  Buffer.contents b
+
+let search_digests () =
+  let oc = open_out "search_digests.txt" in
+  let env = Env.bicmos () in
+  let tech = Env.tech env in
+  let program =
+    Amg_lang.Parser.parse_program
+      (String.concat ""
+         [
+           pack_source "Pack6" 6;
+           pack_source "Pack8" 8;
+           pack_source "Pack10" 10;
+           pack_source ~shared:true "Shared6" 6;
+           Amg_lang.Stdlib.all;
+         ])
+  in
+  let line pack (w, l) mode =
+    let args = [ ("W", Amg_lang.Value.Num w); ("L", Amg_lang.Value.Num l) ] in
+    match Amg_lang.Interp.build_recorded env program pack args with
+    | _, Error why -> failwith (Printf.sprintf "%s(W=%g, L=%g): %s" pack w l why)
+    | _, Ok { Amg_lang.Interp.base; steps } ->
+        let obj, rating, order, cost =
+          Amg_core.Optimize.search env ~name:pack ~base ~domains:1 mode steps
+        in
+        let index s =
+          let rec go i = function
+            | [] -> -1
+            | s' :: rest -> if s' == s then i else go (i + 1) rest
+          in
+          string_of_int (go 0 steps)
+        in
+        Printf.fprintf oc "%s W=%g L=%g %s order=%s rating=%.6f cost=%d %s\n" pack w l
+          (Amg_robust.Wire.opt_to_string mode)
+          (String.concat "," (List.map index order))
+          rating cost
+          (Digest.to_hex (Digest.string (Amg_layout.Cif.of_lobj ~tech obj)))
+  in
+  let open Amg_robust.Wire in
+  List.iter
+    (fun (pack, cells, modes) ->
+      List.iter (fun cell -> List.iter (line pack cell) modes) cells)
+    [
+      ("Pack8", [ (10., 3.); (12.5, 3.5); (14.75, 4.) ], [ Local ]);
+      ("Pack10", [ (11., 3.); (13.25, 3.5); (16., 4.) ], [ Local ]);
+      ("Pack6", [ (10., 4.); (12.5, 3.) ], [ Bb; Orders ]);
+      ("Shared6", [ (11., 3.5) ], [ Local; Bb; Orders ]);
+    ];
+  close_out oc
+
 let () =
   let env = Env.bicmos () in
   let tech = Env.tech env in
@@ -204,4 +278,5 @@ let () =
       Amg_layout.Svg.save ~tech obj (name ^ ".svg"))
     modules;
   drc_reports ();
-  module_digests ()
+  module_digests ();
+  search_digests ()
