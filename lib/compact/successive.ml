@@ -179,6 +179,16 @@ let cross_overlap ~axis ~dx ~dy (ra : Rect.t) (rb : Rect.t) =
   | Dir.Horizontal -> ra.Rect.y0 + dy < rb.Rect.y1 && rb.Rect.y0 < ra.Rect.y1 + dy
   | Dir.Vertical -> ra.Rect.x0 + dx < rb.Rect.x1 && rb.Rect.x0 < ra.Rect.x1 + dx
 
+(* Whether mover shape [a] looks for auto-connection partners: whether it
+   has a net the main can carry too.  Without a list that is any net; a
+   search hands the nets its base and at least two of its steps carry,
+   and a net outside them is on no shape of any main the search builds. *)
+let seeks shared (a : Shape.t) =
+  match (a.Shape.net, shared) with
+  | None, _ -> false
+  | Some _, None -> true
+  | Some n, Some nets -> List.exists (String.equal n) nets
+
 type pass = {
   tightest : int option;
   tied : limit list;
@@ -214,7 +224,7 @@ type layer_pair = {
   connecting : bool;
       (* the same stretchable layer, where auto-connection's partners are;
          cut shapes are never stretched *)
-  netted : bool; (* some mover shape has a net *)
+  netted : bool; (* some mover shape looks for partners ([seeks]) *)
   reach : int;
   optimistic : int;
 }
@@ -223,7 +233,7 @@ type layer_pair = {
    the main's layers.  With a class table, a pair's class is read from it
    (a layer it does not cover is classified on the spot); without one,
    each pair is classified once per scan. *)
-let layer_pairs rules ?(ignore_layers = []) ?classes ~main ~dx ~dy (g : digest) =
+let layer_pairs rules ?(ignore_layers = []) ?classes ?shared ~main ~dx ~dy (g : digest) =
   let d = g.dir in
   let sign = Dir.sign d in
   let shift = shift d ~dx ~dy in
@@ -248,6 +258,9 @@ let layer_pairs rules ?(ignore_layers = []) ?classes ~main ~dx ~dy (g : digest) 
         | _ -> Rules.cut_size_opt rules la = None
       in
       let lead = ml.lead + shift in
+      let netted =
+        ml.netted && (Option.is_none shared || Array.exists (seeks shared) ml.shapes)
+      in
       List.iter
         (fun (lb, col, handle, main_hull, keep_clear_targets) ->
           let cls =
@@ -273,7 +286,7 @@ let layer_pairs rules ?(ignore_layers = []) ?classes ~main ~dx ~dy (g : digest) 
                 margin;
                 keep_clear_only;
                 connecting = cls.same_layer && stretchable;
-                netted = ml.netted;
+                netted;
                 reach;
                 optimistic = reach - lead;
               }
@@ -297,6 +310,8 @@ type probe = {
   mutable cls : Constraints.pair_class;
   mutable partners : bool;
   mutable considered : int;
+  mutable lead : int; (* the mover shape's leading side, displaced *)
+  mutable slack : int; (* sign * max margin 0: the pair's widest reach *)
 }
 
 let no_shape = Shape.make ~id:(-1) ~layer:"" ~rect:(Rect.make ~x0:0 ~y0:0 ~x1:0 ~y1:0) ()
@@ -310,16 +325,24 @@ let by_mover_target (m1, t1) (m2, t2) =
    inside a visited one, a mover shape — whose optimistic bound is
    strictly looser than the tightest bound found so far is skipped: it
    can neither set nor tie the tightest bound, which only ever tightens.
-   A mover shape with a net on a connecting pair is still visited for its
-   partners.  Candidates come from the per-layer index, restricted to the
-   mover shape's movement slab inflated by the pair's spacing rule, in no
-   particular order; only the tied limits and the partners are sorted,
-   back into the (mover id, target id) order of the all-pairs scan, which
-   keeps every tie-break unchanged.  A bound produces a limit record only
-   while it is tied at the tightest value seen so far.  Returns the
-   summary and whether anything was skipped; the runner-up is exact only
-   when nothing was. *)
-let visit ~prune d ~main ~mb ~dx ~dy pairs =
+   A mover shape that looks for partners ([seeks]) on a connecting pair
+   is still visited for them.  Candidates come from the per-layer index,
+   restricted to the mover shape's movement slab inflated by the pair's
+   spacing rule.  A pruned visit of a mover shape that looks for no
+   partners walks the index from the mover's side
+   ([Lobj.walk_layer]) and stops before a bin once the bound any target
+   left could give — its facing edge at the walk's bound, plus the
+   pair's widest reach — is strictly looser than the tightest bound:
+   [cannot_bind] as for the layer pair's optimistic bound, so no target
+   that could tie is left out.  Partner seekers and the unpruned visit
+   read the whole slab.  Candidates thus arrive in no fixed order; only
+   the tied limits and the partners are sorted, back into the (mover id,
+   target id) order of the all-pairs scan, which keeps every tie-break
+   unchanged.  A bound produces a limit record only while it is tied at
+   the tightest value seen so far.  Returns the summary and whether
+   anything was skipped (a stopped walk included); the runner-up is
+   exact only when nothing was. *)
+let visit ~prune ?shared d ~main ~mb ~dx ~dy pairs =
   let axis = Dir.axis d in
   let sign = Dir.sign d in
   let shift = shift d ~dx ~dy in
@@ -352,7 +375,9 @@ let visit ~prune d ~main ~mb ~dx ~dy pairs =
   let connect = ref [] and skipped = ref false in
   (* One candidate callback for the whole visit, reading the mover shape
      being queried from [q]. *)
-  let q = { a = no_shape; cls = no_class; partners = false; considered = 0 } in
+  let q =
+    { a = no_shape; cls = no_class; partners = false; considered = 0; lead = 0; slack = 0 }
+  in
   let candidate (b : Shape.t) =
     let a = q.a in
     q.considered <- q.considered + 1;
@@ -370,6 +395,9 @@ let visit ~prune d ~main ~mb ~dx ~dy pairs =
       && cross_overlap ~axis ~dx ~dy a.Shape.rect b.Shape.rect
     then connect := (a.Shape.id, b.Shape.id) :: !connect
   in
+  (* The walk's stop rule: no target whose facing edge is at most [edge]
+     along the walk can bind. *)
+  let go edge = not (cannot_bind (edge - q.slack - q.lead)) in
   List.iter
     (fun p ->
       if cannot_bind p.optimistic && not (p.connecting && p.netted) then
@@ -377,18 +405,23 @@ let visit ~prune d ~main ~mb ~dx ~dy pairs =
       else
         for i = 0 to Array.length p.movers - 1 do
           let a = p.movers.(i) in
-          let partners = p.connecting && Option.is_some a.Shape.net in
+          let partners = p.connecting && seeks shared a in
+          let lead = Rect.side a.Shape.rect d + shift in
           if p.keep_clear_only && not a.Shape.keep_clear then ()
-          else if
-            cannot_bind (p.reach - (Rect.side a.Shape.rect d + shift)) && not partners
-          then skipped := true
+          else if cannot_bind (p.reach - lead) && not partners then skipped := true
           else begin
             q.a <- a;
             q.cls <- p.cls;
             q.partners <- partners;
             q.considered <- 0;
-            Lobj.iter_near_layer main p.handle (slab ~axis ~dx ~dy a mb) ~margin:p.margin
-              candidate;
+            let window = slab ~axis ~dx ~dy a mb in
+            if prune && not partners then begin
+              q.lead <- lead;
+              q.slack <- sign * Int.max p.margin 0;
+              if not (Lobj.walk_layer main p.handle window ~margin:p.margin d ~go candidate)
+              then skipped := true
+            end
+            else Lobj.iter_near_layer main p.handle window ~margin:p.margin candidate;
             if obs then Obs.count "compact.pairs_considered" q.considered
           end
         done)
@@ -416,24 +449,25 @@ let visit ~prune d ~main ~mb ~dx ~dy pairs =
    of the same pairs, run only if it is forced.  The mover is read from
    its digest, displaced by (dx, dy); the limits hold its shapes as they
    are stored. *)
-let scan_at rules ?ignore_layers ?classes ~main ~dx ~dy (g : digest) =
+let scan_at rules ?ignore_layers ?classes ?shared ~main ~dx ~dy (g : digest) =
   match Lobj.bbox main with
   | None -> no_pass
   | Some mb ->
       let d = g.dir in
-      let pairs = layer_pairs rules ?ignore_layers ?classes ~main ~dx ~dy g in
-      let pass, skipped = visit ~prune:true d ~main ~mb ~dx ~dy pairs in
+      let pairs = layer_pairs rules ?ignore_layers ?classes ?shared ~main ~dx ~dy g in
+      let pass, skipped = visit ~prune:true ?shared d ~main ~mb ~dx ~dy pairs in
       if not skipped then pass
       else
         {
           pass with
           runner_up =
             lazy
-              (Lazy.force (fst (visit ~prune:false d ~main ~mb ~dx ~dy pairs)).runner_up);
+              (Lazy.force (fst (visit ~prune:false ?shared d ~main ~mb ~dx ~dy pairs))
+                 .runner_up);
         }
 
-let scan_digest rules ?ignore_layers ?classes ~main g =
-  scan_at rules ?ignore_layers ?classes ~main ~dx:0 ~dy:0 g
+let scan_digest rules ?ignore_layers ?classes ?shared ~main g =
+  scan_at rules ?ignore_layers ?classes ?shared ~main ~dx:0 ~dy:0 g
 
 let scan rules ?ignore_layers d ~main obj =
   scan_digest rules ?ignore_layers ~main (digest obj d)
@@ -477,25 +511,40 @@ let shrink_edge rules owner (s : Shape.t) facing step =
     step
   end
 
+(* Whether a tied limit is a separation with a variable facing edge on
+   either side, read from the limit's own shape records: the records the
+   pass found, current until something shrinks. *)
+let variable_facing d l =
+  match l.rel with
+  | Constraints.Separation _ ->
+      Edge.is_variable l.target.Shape.sides (Dir.opposite d)
+      || Edge.is_variable l.mover.Shape.sides d
+  | Constraints.Mergeable | Constraints.Unconstrained -> false
+
 (* One round of the variable-edge optimization of §2.3: while the binding
    constraint pair has a variable facing edge, move that edge inward until
    the pair "is no longer relevant", i.e. until another (eventually fixed)
    constraint defines the minimum distance.  Returns the pass of the final
    round — the geometry has not changed since (the round made no
-   progress), so the caller can reuse it instead of scanning again. *)
-let relax_variable_edges rules ?ignore_layers ?classes ~main mv =
+   progress), so the caller can reuse it instead of scanning again.  A
+   round whose tied separations all have fixed facing edges on both sides
+   returns its pass at once: nothing has shrunk in it yet, so the limits'
+   records are the shapes' current ones, and no edge could move. *)
+let relax_variable_edges rules ?ignore_layers ?classes ?shared ~main mv =
   let d = mv.dir in
   let max_rounds = 64 in
   let rounds = ref 0 in
   let rec loop round =
     rounds := round;
     let pass =
-      scan_at rules ?ignore_layers ?classes ~main ~dx:mv.dx ~dy:mv.dy (mover_digest mv)
+      scan_at rules ?ignore_layers ?classes ?shared ~main ~dx:mv.dx ~dy:mv.dy
+        (mover_digest mv)
     in
     if round >= max_rounds then pass
     else
       match pass.tightest with
       | None -> pass
+      | Some _ when not (List.exists (variable_facing d) pass.tied) -> pass
       | Some best ->
           let binding =
             List.filter
@@ -722,15 +771,16 @@ let place_mark ~main ~obj ~d ~dl ~(binding : limit list) =
 
 (* The paper's compact(obj, DIR, layers): place the mover against [main]
    moving in its direction; the caller then absorbs it into [main]. *)
-let place rules ~main ?ignore_layers ?classes ~align ~variable_edges mv =
+let place rules ~main ?ignore_layers ?classes ?shared ~align ~variable_edges mv =
   let d = mv.dir in
   stage ~align ~grid:(Rules.grid rules) d ~main mv;
   (* The relaxation hands back the pass of its final (quiescent) round,
      so neither the placement delta nor auto-connection scans again. *)
   let pass =
-    if variable_edges then relax_variable_edges rules ?ignore_layers ?classes ~main mv
+    if variable_edges then relax_variable_edges rules ?ignore_layers ?classes ?shared ~main mv
     else
-      scan_at rules ?ignore_layers ?classes ~main ~dx:mv.dx ~dy:mv.dy (mover_digest mv)
+      scan_at rules ?ignore_layers ?classes ?shared ~main ~dx:mv.dx ~dy:mv.dy
+        (mover_digest mv)
   in
   let dl =
     match pass.tightest with
@@ -782,7 +832,7 @@ let skip_diag ~obj ~main ~d exn =
    only read.  [digest], when given, is [obj]'s along [d]: the placement
    reads it instead of building its own. *)
 let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
-    ?(variable_edges = true) ?classes ?digest obj d =
+    ?(variable_edges = true) ?classes ?shared ?digest obj d =
   Obs.span "compact" @@ fun () ->
   match Lobj.bbox main with
   | None ->
@@ -803,7 +853,7 @@ let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
           | _ -> None
         in
         let mv = { obj; dir = d; owned; dx = 0; dy = 0; digest } in
-        place rules ~main ?ignore_layers ?classes ~align ~variable_edges mv;
+        place rules ~main ?ignore_layers ?classes ?shared ~align ~variable_edges mv;
         mv
       in
       let absorb mv =
@@ -847,10 +897,10 @@ let run ~owned ~rules ~into:main ?ignore_layers ?(align = (`Keep : align))
 let compact ~rules ~into ?ignore_layers ?align ?variable_edges obj d =
   run ~owned:true ~rules ~into ?ignore_layers ?align ?variable_edges obj d
 
-let compact_readonly ~rules ~into ?ignore_layers ?align ?variable_edges ?classes
+let compact_readonly ~rules ~into ?ignore_layers ?align ?variable_edges ?classes ?shared
     (g : digest) =
-  run ~owned:false ~rules ~into ?ignore_layers ?align ?variable_edges ?classes ~digest:g
-    g.obj g.dir
+  run ~owned:false ~rules ~into ?ignore_layers ?align ?variable_edges ?classes ?shared
+    ~digest:g g.obj g.dir
 
 (* Render every recorded [compact.place] mark as the "successive
    abutment" audit table of `amgen build --explain`. *)

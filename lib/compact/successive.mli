@@ -12,7 +12,8 @@
       afterwards (auto-connection, Fig. 5a);
     - variable edges that define the minimum distance are moved inward until
       fixed edges define it, with derived geometry (contact arrays) rebuilt
-      automatically (Fig. 5b);
+      automatically (Fig. 5b); a placement whose binding separations have
+      fixed facing edges only keeps its first pass as it is;
     - per-shape [keep_clear] forbids otherwise legal overlaps. *)
 
 type align = [ `Keep | `Center | `Min | `Max ]
@@ -94,19 +95,38 @@ val scan :
   main:Amg_layout.Lobj.t ->
   Amg_layout.Lobj.t ->
   pass
-(** The candidate pass, bound-ordered over layer pairs.  Each (mover
-    layer, main layer) pair is classified once and given an optimistic
-    bound from the two layer hulls; pairs are visited tightest-optimistic
-    first, and a pair — or one mover shape of a visited pair — whose
-    optimistic bound is strictly looser than the tightest bound found so
-    far is skipped, unless it may hold auto-connection partners.  A
-    visited mover shape is queried once in the main layer's spatial
-    index, over its movement slab inflated by the pair's spacing rule; a
-    pair on different layers with no spacing rule and no keep-clear shape
-    on either side is never queried.  The result equals the summary of
-    the all-pairs scan.  It reads the main through one pass over its
-    layers ({!Amg_layout.Lobj.fold_layers}) and queries each layer's
-    index through its handle.  [scan rules d ~main obj] is
+(** The candidate pass, bound-ordered over layer pairs and, inside a
+    pair, over targets.  Each (mover layer, main layer) pair is
+    classified once and given an optimistic bound from the two layer
+    hulls; pairs are visited tightest-optimistic first, and a pair — or
+    one mover shape of a visited pair — whose optimistic bound is
+    strictly looser than the tightest bound found so far is skipped,
+    unless it may hold auto-connection partners.  A visited mover shape
+    reads the main layer's spatial index over its movement slab inflated
+    by the pair's spacing rule; a pair on different layers with no
+    spacing rule and no keep-clear shape on either side is never read.
+
+    A mover shape that looks for no partners walks the slab from the
+    mover's side ({!Amg_layout.Lobj.walk_layer}), meeting the targets
+    whose facing edges come first first, and stops before a bin once even
+    a target at the walk's bound, at the pair's spacing rule, would bound
+    the travel strictly looser than the tightest bound found so far — the
+    rule that skips a pair, so no target that could tie is left out.  A
+    stopped walk counts as a skip: the runner-up then takes the unpruned
+    visit.  Partner seekers and the unpruned visit read the whole slab.
+
+    A mover shape looks for partners when it has a net on a stretchable
+    layer and, given [?shared], when that net is one of [shared]: a
+    search passes the nets its base or at least two of its steps carry,
+    since a main it builds holds only their shapes, and a net outside
+    them can have no partner there.  Without [?shared] every net counts
+    (module builds).
+
+    The result equals the summary of the all-pairs scan (with [?shared],
+    whenever every net the main and the mover share is in [shared]).  It
+    reads the main through one pass over its layers
+    ({!Amg_layout.Lobj.fold_layers}) and queries each layer's index
+    through its handle.  [scan rules d ~main obj] is
     [scan_digest rules ~main (digest obj d)].  Pure query: mutates
     nothing but [main]'s lazily built indexes. *)
 
@@ -114,12 +134,13 @@ val scan_digest :
   Amg_tech.Rules.t ->
   ?ignore_layers:string list ->
   ?classes:classes ->
+  ?shared:string list ->
   main:Amg_layout.Lobj.t ->
   digest ->
   pass
 (** {!scan} of a digest's object along its direction.  With [?classes]
     each layer pair's class is read from the table; the pass is the
-    same. *)
+    same.  [?shared] is the search's shared nets (see {!scan}). *)
 
 val delta :
   Amg_tech.Rules.t ->
@@ -188,6 +209,7 @@ val compact_readonly :
   ?align:align ->
   ?variable_edges:bool ->
   ?classes:classes ->
+  ?shared:string list ->
   digest ->
   unit
 (** [compact_readonly ~rules ~into:main (digest obj d)] leaves [main]
@@ -198,7 +220,9 @@ val compact_readonly :
     search, whose step objects and digests are shared by every order and
     every domain: [obj] must be read-only ({!Amg_layout.Lobj.fill_caches})
     when domains share it, and must not be mutated while its digest
-    lives.  [?classes] is the search's class table.
+    lives.  [?classes] is the search's class table, [?shared] its shared
+    nets: every net that the mover and a main of the search can both
+    carry (see {!scan}).
 
     The same pipeline as {!compact}, with [obj] read through the mover's
     displacement.  The object is copied, once, only when the placement

@@ -53,6 +53,9 @@ type step = {
   ignore_layers : string list;
   align : Amg_compact.Successive.align;
   variable_edges : bool;
+  nets : string list;
+      (** every net [obj] carries (shapes, cut arrays, ports), sorted,
+          each once, worked out by {!step} *)
 }
 
 val step :

@@ -175,6 +175,25 @@ type window = {
   mutable hits : int;
 }
 
+(* The window of [rect] inflated by [margin], in local coordinates. *)
+let window t (rect : Rect.t) ~margin =
+  {
+    wx0 = rect.Rect.x0 - t.ox - margin;
+    wx1 = rect.Rect.x1 - t.ox + margin;
+    wy0 = rect.Rect.y0 - t.oy - margin;
+    wy1 = rect.Rect.y1 - t.oy + margin;
+    scanned = 0;
+    hits = 0;
+  }
+
+(* Record a finished query's scan counts. *)
+let count_scan w =
+  if Amg_obs.Obs.enabled () then begin
+    Amg_obs.Obs.count "sindex.queries" 1;
+    Amg_obs.Obs.count "sindex.scanned" w.scanned;
+    Amg_obs.Obs.count "sindex.hits" w.hits
+  end
+
 let report w f key (r : Rect.t) =
   w.scanned <- w.scanned + 1;
   if r.Rect.x0 <= w.wx1 && w.wx0 <= r.Rect.x1 && r.Rect.y0 <= w.wy1 && w.wy0 <= r.Rect.y1
@@ -221,16 +240,7 @@ let iter_query t rect ~margin f =
   Amg_robust.Inject.(probe Sindex_query);
   if t.count > 0 then begin
     (* Window in local coordinates, inflated once up front. *)
-    let w =
-      {
-        wx0 = rect.Rect.x0 - t.ox - margin;
-        wx1 = rect.Rect.x1 - t.ox + margin;
-        wy0 = rect.Rect.y0 - t.oy - margin;
-        wy1 = rect.Rect.y1 - t.oy + margin;
-        scanned = 0;
-        hits = 0;
-      }
-    in
+    let w = window t rect ~margin in
     let xb0 = fdiv w.wx0 t.cell and xb1 = fdiv w.wx1 t.cell in
     let yb0 = fdiv w.wy0 t.cell and yb1 = fdiv w.wy1 t.cell in
     (* Scan the axis covering fewer bins; a window much wider than the
@@ -238,11 +248,57 @@ let iter_query t rect ~margin f =
        the bounded axis's bins. *)
     if xb1 - xb0 <= yb1 - yb0 then scan_axis t w f ~on_x:true t.xbins t.xwide xb0 xb1
     else scan_axis t w f ~on_x:false t.ybins t.ywide yb0 yb1;
-    if Amg_obs.Obs.enabled () then begin
-      Amg_obs.Obs.count "sindex.queries" 1;
-      Amg_obs.Obs.count "sindex.scanned" w.scanned;
-      Amg_obs.Obs.count "sindex.hits" w.hits
-    end
+    count_scan w
+  end
+
+(* The entries of one bin whose high edge on the scanned axis lies in it
+   (below [next], the next bin's lower boundary), or all of them in the
+   first bin scanned: [report_bin] for a walk toward lower bins. *)
+let rec report_bin_hi w f ~on_x ~first next = function
+  | [] -> ()
+  | (key, (r : Rect.t)) :: rest ->
+      let hi = if on_x then r.Rect.x1 else r.Rect.y1 in
+      if first || hi < next then report w f key r else w.scanned <- w.scanned + 1;
+      report_bin_hi w f ~on_x ~first next rest
+
+(* The bound-ordered walk.  It scans the bins of the movement axis only,
+   from the side the walk starts on, and reports an entry at the first
+   bin walked that holds it: the first bin, or the bin holding its facing
+   edge (its high edge walking down, its low edge walking up), which
+   needs no per-entry division, as in [iter_query].  So every entry not
+   reported before bin [b] has its facing edge inside [b] or beyond it
+   along the walk: walking down below [(b + 1) * cell], walking up at or
+   above [b * cell] — the bound [go] is asked about, in world
+   coordinates, before each bin but the first.  The axis's overflow
+   entries sit in no bin and are reported first. *)
+let walk t rect ~margin d ~go f =
+  Amg_robust.Inject.(probe Sindex_query);
+  if t.count = 0 then true
+  else begin
+    let w = window t rect ~margin in
+    let on_x = match Dir.axis d with Dir.Horizontal -> true | Dir.Vertical -> false in
+    let ax = if on_x then t.xbins else t.ybins in
+    let o = if on_x then t.ox else t.oy in
+    report_all w f (if on_x then t.xwide else t.ywide);
+    let a = ax.arr in
+    let s0 = Int.max (fdiv (if on_x then w.wx0 else w.wy0) t.cell) ax.lo
+    and s1 = Int.min (fdiv (if on_x then w.wx1 else w.wy1) t.cell) (ax.lo + Array.length a - 1) in
+    let down = Dir.sign d < 0 in
+    let first = if down then s1 else s0 in
+    let b = ref first and complete = ref true in
+    while !complete && if down then !b >= s0 else !b <= s1 do
+      let bin = !b in
+      if bin <> first && not (go ((if down then ((bin + 1) * t.cell) - 1 else bin * t.cell) + o))
+      then complete := false
+      else begin
+        if down then
+          report_bin_hi w f ~on_x ~first:(bin = first) ((bin + 1) * t.cell) a.(bin - ax.lo)
+        else report_bin w f ~on_x ~first:(bin = first) (bin * t.cell) a.(bin - ax.lo);
+        b := if down then bin - 1 else bin + 1
+      end
+    done;
+    count_scan w;
+    !complete
   end
 
 let query t rect ~margin =

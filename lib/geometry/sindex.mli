@@ -19,7 +19,14 @@
     (doubled toward the side a new entry falls outside), so memory grows
     with the extent of the layout in bins, not with the number of
     entries: at the default 4 µm cell, int32 coordinates need at most
-    about a million bins per axis. *)
+    about a million bins per axis.
+
+    A window query gathers the bins of the axis that covers fewer of them,
+    so it reports its keys in no useful order.  {!walk} instead walks the
+    bins of one axis in one direction: a caller that bounds a travel along
+    that axis (the compactor's candidate pass) meets the entries whose
+    facing edges come first along the walk first, and stops as soon as the
+    bound it is told no entry left can beat is already beaten. *)
 
 type t
 
@@ -65,6 +72,24 @@ val iter_query : t -> Rect.t -> margin:int -> (int -> unit) -> unit
     intersects the window inflated by [margin] on all sides.  Each key is
     reported exactly once, in an unspecified order; nothing is allocated
     per candidate.  [f] must not mutate the index. *)
+
+val walk :
+  t -> Rect.t -> margin:int -> Dir.t -> go:(int -> bool) -> (int -> unit) -> bool
+(** [walk t window ~margin d ~go f]: the bound-ordered {!iter_query}.  It
+    reports the keys {!iter_query} reports, each at most once, walking
+    the bins of [d]'s axis in direction [d] — from the window's high end
+    down for [South]/[West], from its low end up for [North]/[East].  An
+    entry's {e facing edge} is the side it turns toward the walk's start:
+    its high edge walking down, its low edge walking up.  Entries
+    spanning too many bins on the axis to be binned are reported first;
+    every other entry at the first bin walked, or else at the bin holding
+    its facing edge.  Before each bin but the first, the walk calls [go e]
+    with a bound [e] (world coordinates) on the facing edge of every entry
+    not reported yet: walking down, none has its high edge above [e];
+    walking up, none has its low edge below [e].  When [go e] is [false]
+    the walk stops there and returns [false]; otherwise it reports every
+    key and returns [true].  Nothing is allocated per candidate, and [f]
+    and [go] must not mutate the index. *)
 
 val query : t -> Rect.t -> margin:int -> int list
 (** The keys {!iter_query} reports, in ascending order. *)

@@ -514,6 +514,17 @@ let iter_near_layer t l rect ~margin f =
   flush t l;
   Sindex.iter_query l.ix rect ~margin (fun id -> f (find_exn t id))
 
+let walk_layer t l rect ~margin d ~go f =
+  flush t l;
+  Sindex.walk l.ix rect ~margin d ~go (fun id -> f (find_exn t id))
+
+let iter_nets t f =
+  let net (s : Shape.t) = Option.iter f s.net in
+  for i = 0 to t.n_slots - 1 do
+    match t.slots.(i) with Block b -> Option.iter f b.net | c -> Cut_arrays.iter_records net c
+  done;
+  List.iter (fun (_, (a : array_spec)) -> Option.iter f a.array_net) (Cut_arrays.specs t.reg)
+
 let iter_near t ~layer rect ~margin f =
   match find_layer layer t.layer_order with
   | None -> ()

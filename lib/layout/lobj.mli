@@ -110,6 +110,20 @@ val iter_near_layer :
   t -> layer -> Amg_geometry.Rect.t -> margin:int -> (Shape.t -> unit) -> unit
 (** {!iter_near} on the layer of a handle of [t]. *)
 
+val walk_layer :
+  t ->
+  layer ->
+  Amg_geometry.Rect.t ->
+  margin:int ->
+  Amg_geometry.Dir.t ->
+  go:(int -> bool) ->
+  (Shape.t -> unit) ->
+  bool
+(** {!iter_near_layer} as a bound-ordered walk along a direction
+    ({!Amg_geometry.Sindex.walk}): the layer's index is brought up to
+    date, then walked; [go] is asked before each later bin whether the
+    walk goes on, and the result is [false] when it stopped. *)
+
 val shapes_by_layer : t -> (string * Shape.t array) array
 (** Each layer of {!layers}, in that order, with its shapes in insertion
     order: {!shapes} split by layer in one pass over the store. *)
@@ -123,6 +137,12 @@ val keep_clear_on : t -> string -> int
 (** Number of keep-clear shapes on the layer (0 for an absent layer).
     Maintained incrementally by every store mutation, {!copy} and
     {!absorb}. *)
+
+val iter_nets : t -> (string -> unit) -> unit
+(** [f] of the net of every shape, and of every registered array, with
+    repeats and in no particular order; a pending cut block's net is read
+    once, from the block.  Expands no cut block and writes nothing, so a
+    search may read its base this way. *)
 
 val shapes_on_net : t -> string -> Shape.t list
 val rects : t -> Amg_geometry.Rect.t list

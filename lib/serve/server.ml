@@ -572,8 +572,10 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
               in
               measured req ~queue_depth ~started ~evals:r.Sweep.cost
                 (Wire.response ?id:req.id ~payload ~diagnostics:reported status)
+                (* A sweep is a store hit only when the store answered
+                   every row; one searched row makes it cold. *)
                 (if r.Sweep.failures > 0 then "degraded"
-                 else if r.Sweep.store_hits > 0 then "store-hit"
+                 else if r.Sweep.rows > 0 && r.Sweep.store_hits = r.Sweep.rows then "store-hit"
                  else "cold")))
 
 (* --- telemetry: scrape payloads, access log, request traces ----------- *)

@@ -531,7 +531,7 @@ let test_graceful_shutdown () =
       (Server.config ~source:(Test_util.row_pack 28 ^ pack_source) socket)
   in
   (* park a slow request in flight: a cold local search of 28 rows lasts
-     a few hundred milliseconds *)
+     tens of milliseconds *)
   let slow_result = ref (Error "never ran") in
   let finished = Atomic.make false in
   let slow =
@@ -836,10 +836,10 @@ let json_num key payload =
    own latency (and never has to beat 50 ms).  The scrape still waits for
    the build's thread to hand over the runtime lock at each of its ticks
    (50 ms apart), up to four of them on a loaded host, so the build is a
-   cold local search of 40 rows, which lasts about a second; a scrape that
-   queued behind it would take the whole build. *)
+   cold local search of 60 rows, which lasts most of a second; a scrape
+   that queued behind it would take the whole build. *)
 let test_scrape_mid_load () =
-  Test_util.with_server ~source:(Test_util.row_pack 40 ^ pack_source) @@ fun _t sock ->
+  Test_util.with_server ~source:(Test_util.row_pack 60 ^ pack_source) @@ fun _t sock ->
   let answered = Atomic.make false in
   let build_result = ref (Error "never ran") and build_ms = ref 0. in
   let builder =
@@ -851,7 +851,7 @@ let test_scrape_mid_load () =
             (Wire.build ~id:"load" ~jobs:1 ~optimize:Wire.Local
                ~tenant:"scrape-cold"
                ~params:[ ("W", Wire.Pnum 20.) ]
-               "Rows40");
+               "Rows60");
         build_ms := (Unix.gettimeofday () -. t0) *. 1000.;
         Atomic.set answered true)
       ()
@@ -994,13 +994,16 @@ let test_store_hit_logs_no_evals () =
     [ Wire.Orders; Wire.Bb; Wire.Local ]
 
 (* A daemon sweep's summary counts the rows the store answered: none
-   cold, every row warm.  Its access line carries the rows' summed search
-   cost cold, and store-hit with no cost warm. *)
+   cold, every row warm, all but the new one when the grid grows by a
+   row.  Its access line carries the rows' summed search cost cold, and
+   store-hit with no cost warm; the grown sweep is cold again, at the new
+   row's cost alone. *)
 let test_warm_sweep_store_hits () =
   Test_util.with_tmp_dir "amgst" @@ fun dir ->
   let store = Filename.concat dir "s.store" in
-  let spec =
-    {|{ "entity": "Pack", "params": { "W": [4, 5, 6] }, "optimize": "local" }|}
+  let spec ws =
+    Printf.sprintf {|{ "entity": "Pack", "params": { "W": [%s] }, "optimize": "local" }|}
+      (String.concat ", " (List.map string_of_int ws))
   in
   let summaries = ref [] in
   let lines =
@@ -1009,11 +1012,14 @@ let test_warm_sweep_store_hits () =
         Fun.protect
           ~finally:(fun () -> Client.close c)
           (fun () ->
-            for _ = 1 to 2 do
-              match Client.sweep c ~on_row:(fun ~index:_ _ -> ()) (Wire.sweep spec) with
-              | Ok r -> summaries := r.Wire.payload :: !summaries
-              | Error e -> failf "sweep request failed: %s" e
-            done))
+            List.iter
+              (fun ws ->
+                match
+                  Client.sweep c ~on_row:(fun ~index:_ _ -> ()) (Wire.sweep (spec ws))
+                with
+                | Ok r -> summaries := r.Wire.payload :: !summaries
+                | Error e -> failf "sweep request failed: %s" e)
+              [ [ 4; 5; 6 ]; [ 4; 5; 6 ]; [ 4; 5; 6; 7 ] ]))
   in
   let field k = function
     | Some payload -> (
@@ -1023,15 +1029,20 @@ let test_warm_sweep_store_hits () =
     | None -> fail "sweep response without a summary"
   in
   (match List.rev !summaries with
-  | [ cold; warm ] ->
+  | [ cold; warm; mixed ] ->
       check (option int) "three rows" (Some 3) (field "rows" warm);
       check (option int) "cold sweep: no store hit" (Some 0) (field "store_hits" cold);
       check (option int) "warm sweep: every row from the store" (field "rows" warm)
-        (field "store_hits" warm)
-  | _ -> fail "expected two sweep summaries");
+        (field "store_hits" warm);
+      check (option int) "mixed sweep: four rows" (Some 4) (field "rows" mixed);
+      check (option int) "mixed sweep: three rows from the store" (Some 3)
+        (field "store_hits" mixed)
+  | _ -> fail "expected three sweep summaries");
   let cost = List.fold_left (fun acc w -> acc + direct_cost ~w Wire.Local) 0 [ 4.; 5.; 6. ] in
-  check (list (pair string int)) "access lines: cold rows' cost, then store-hit"
-    [ ("cold", cost); ("store-hit", 0) ]
+  (* One searched row makes the sweep cold, whatever the store answered. *)
+  check (list (pair string int))
+    "access lines: cold rows' cost, store-hit, then cold with the new row's cost"
+    [ ("cold", cost); ("store-hit", 0); ("cold", direct_cost ~w:7. Wire.Local) ]
     lines
 
 let suite =

@@ -136,6 +136,101 @@ let prop_query_matches_model =
 (* A copy and its original are independent: inserts, removals and a
    translation on one never change what the other answers.  Bins are
    arrays updated in place, so a shared array would show here. *)
+(* --- the bound-ordered walk vs. the window query --- *)
+
+(* [gen_rect], sometimes transposed, so both axes get entries too tall or
+   too wide for their bins (the overflow lists), sometimes snapped to a
+   2 um grid, so edges fall on bin boundaries (the 4 um default cell), and
+   now and then a far rectangle, so the window runs past the bin arrays'
+   ends. *)
+let gen_walk_rect =
+  let snap v = v / 2_000 * 2_000 in
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, gen_rect);
+        (1, gen_far_rect);
+        ( 2,
+          map
+            (fun (r : Rect.t) ->
+              Rect.make ~x0:(snap r.Rect.x0) ~y0:(snap r.Rect.y0)
+                ~x1:(snap r.Rect.x1 + 2_000) ~y1:(snap r.Rect.y1 + 2_000))
+            gen_rect );
+        ( 2,
+          map
+            (fun (r : Rect.t) ->
+              Rect.make ~x0:r.Rect.y0 ~y0:r.Rect.x0 ~x1:r.Rect.y1 ~y1:r.Rect.x1)
+            gen_rect );
+      ])
+
+let gen_walk =
+  QCheck2.Gen.(
+    tup5
+      (list_size (int_range 0 40) gen_walk_rect)
+      (list_size (int_range 0 10) (int_range 0 39))
+      (tup2 (int_range (-30_000) 30_000) (int_range (-30_000) 30_000))
+      gen_window (oneofl Dir.all))
+
+(* The edge of an entry that a walk along [d] meets first: its high edge
+   walking down (South, West), its low edge walking up. *)
+let facing d (r : Rect.t) = Rect.side r (Dir.opposite d)
+
+(* With [go] always true the walk reports exactly the query's keys, each
+   once, on both axes, in both directions. *)
+let prop_walk_matches_query =
+  QCheck2.Test.make ~name:"Sindex.walk (never stopped) = Sindex.query" ~count:500 gen_walk
+    (fun (inserts, removals, shift, (window, margin), d) ->
+      let ix, _ = build_index inserts removals shift in
+      let visited = ref [] in
+      let complete =
+        Sindex.walk ix window ~margin d ~go:(fun _ -> true) (fun key ->
+            visited := key :: !visited)
+      in
+      complete && List.sort Int.compare !visited = Sindex.query ix window ~margin)
+
+(* A walk stopped by [go] at edge [e] reported each key once, only keys
+   of the window, and left out no window entry whose facing edge lies
+   beyond [e] along the walk (above it walking down, below it walking
+   up); the bounds [go] sees move monotonically along the walk. *)
+let prop_walk_stop_bound =
+  QCheck2.Test.make ~name:"Sindex.walk stops only past what it reported" ~count:500
+    QCheck2.Gen.(pair gen_walk (int_range 0 6))
+    (fun ((inserts, removals, shift, (window, margin), d), stop_after) ->
+      let ix, model = build_index inserts removals shift in
+      let down = Dir.sign d < 0 in
+      let calls = ref 0 and stopped_at = ref None and monotone = ref true in
+      let last = ref None in
+      let go e =
+        (match !last with
+        | Some l when (down && e > l) || ((not down) && e < l) -> monotone := false
+        | _ -> ());
+        last := Some e;
+        incr calls;
+        if !calls > stop_after then begin
+          stopped_at := Some e;
+          false
+        end
+        else true
+      in
+      let visited = ref [] in
+      let complete = Sindex.walk ix window ~margin d ~go (fun key -> visited := key :: !visited) in
+      let visited = List.sort Int.compare !visited in
+      let keys = Sindex.query ix window ~margin in
+      let once = List.sort_uniq Int.compare visited = visited in
+      let within = List.for_all (fun k -> List.mem k keys) visited in
+      let left_out =
+        List.filter (fun (k, _) -> List.mem k keys && not (List.mem k visited)) model
+      in
+      once && within && !monotone
+      &&
+      match (complete, !stopped_at) with
+      | true, None -> left_out = []
+      | false, Some e ->
+          List.for_all
+            (fun (_, r) -> if down then facing d r <= e else facing d r >= e)
+            left_out
+      | _ -> false)
+
 let prop_copy_independent =
   let gen =
     QCheck2.Gen.(
@@ -613,29 +708,53 @@ let pass_summary (pass : Successive.pass) =
     Lazy.force pass.runner_up,
     pass.connect )
 
+(* The nets both objects' shapes carry. *)
+let common_nets a b =
+  let nets o = List.filter_map (fun (s : Shape.t) -> s.Shape.net) (Lobj.shapes o) in
+  List.sort_uniq String.compare (List.filter (fun n -> List.mem n (nets b)) (nets a))
+
 (* The pass is also run as a search runs it: through the mover's digest
    and a class table, which covers every layer, or only some of them (a
-   layer it misses is classified on the spot). *)
+   layer it misses is classified on the spot), and with a shared-net list
+   covering every net the main and the mover share — exactly those, or
+   more.  The main is built directly, or absorbed whole into an empty
+   object so that its shapes are pending in the layer indexes until the
+   pass reads them; each pass reads a main of its own. *)
 let prop_pass_equiv =
   let gen =
     QCheck2.Gen.(
-      tup5
+      tup6
         (list_size (int_range 1 25) gen_shape_spec)
         (list_size (int_range 1 5) gen_shape_spec)
         (oneofl Dir.all)
         (oneofl [ []; [ "metal1" ]; [ "poly" ] ])
-        (oneofl [ layers; [ "metal1"; "contact" ]; [] ]))
+        (oneofl [ layers; [ "metal1"; "contact" ]; [] ])
+        (pair bool bool))
   in
   QCheck2.Test.make ~name:"candidate pass = all-pairs scan" ~count:500 gen
-    (fun (main_specs, obj_specs, d, ignore_layers, covered) ->
+    (fun (main_specs, obj_specs, d, ignore_layers, covered, (absorbed, extra)) ->
       let rules = rules () in
-      let main = build_lobj "main" main_specs in
+      let main () =
+        if absorbed then begin
+          let m = Lobj.create "main" in
+          ignore (Lobj.absorb m (build_lobj "part" main_specs));
+          m
+        end
+        else build_lobj "main" main_specs
+      in
       let obj = build_lobj "obj" obj_specs in
-      let expected = naive_pass rules ~ignore_layers d ~main obj in
+      let expected = naive_pass rules ~ignore_layers d ~main:(main ()) obj in
       let classes = Successive.classes rules covered in
-      pass_summary (Successive.scan rules ~ignore_layers d ~main obj) = expected
+      let shared =
+        common_nets (main ()) obj @ if extra then [ "a"; "z" ] else []
+      in
+      pass_summary (Successive.scan rules ~ignore_layers d ~main:(main ()) obj) = expected
       && pass_summary
-           (Successive.scan_digest rules ~ignore_layers ~classes ~main
+           (Successive.scan_digest rules ~ignore_layers ~classes ~main:(main ())
+              (Successive.digest obj d))
+         = expected
+      && pass_summary
+           (Successive.scan_digest rules ~ignore_layers ~classes ~shared ~main:(main ())
               (Successive.digest obj d))
          = expected)
 
@@ -722,6 +841,53 @@ let test_runner_up_on_skipped_pair () =
   Successive.compact ~rules ~into:main obj Dir.South;
   let shrunk = um 6. - (Lobj.find_exn main t.Shape.id).Shape.rect.Rect.y1 in
   Alcotest.(check int) "shrink amount" (abs (Option.get best - Option.get runner_up)) shrunk
+
+(* Two targets tie at the tightest bound: a fixed metal1 shape and, with
+   the higher id, one whose north edge is variable.  A round whose tied
+   separations all have fixed facing edges returns its pass at once, so
+   this one must not: the variable edge still shrinks, all the way to
+   the layer's minimum width (the runner-up is the fixed tie itself, so
+   nothing else limits the shrink), while the fixed shape keeps setting
+   the mover's position.  Moving the variable shape's edge to the mover
+   instead (mover edge variable) shrinks the mover. *)
+let test_variable_tie_beside_fixed () =
+  let env = Env.bicmos () in
+  let rules = Env.rules env in
+  let box x0 y0 x1 y1 = Rect.make ~x0:(um x0) ~y0:(um y0) ~x1:(um x1) ~y1:(um y1) in
+  let north_var = Edge.set Edge.all_fixed Dir.North Edge.Variable in
+  let space = Option.get (Rules.space rules "metal1" "metal1") in
+  let width = Rules.width rules "metal1" in
+  let main = Lobj.create "main" in
+  let fixed = Lobj.add_shape main ~layer:"metal1" ~rect:(box 0. 0. 4. 8.) ~net:"a" () in
+  let var =
+    Lobj.add_shape main ~layer:"metal1" ~rect:(box 10. 0. 14. 8.) ~net:"b" ~sides:north_var ()
+  in
+  let obj = Lobj.create "obj" in
+  ignore (Lobj.add_shape obj ~layer:"metal1" ~rect:(box 0. 30. 14. 32.) ~net:"c" ());
+  let pass = Successive.scan rules Dir.South ~main obj in
+  Alcotest.(check (list int)) "both targets tie"
+    [ fixed.Shape.id; var.Shape.id ]
+    (List.map (fun l -> l.Successive.target.Shape.id) pass.Successive.tied);
+  Successive.compact ~rules ~into:main obj Dir.South;
+  Alcotest.(check bool) "fixed target kept" true
+    (Rect.equal (Lobj.find_exn main fixed.Shape.id).Shape.rect fixed.Shape.rect);
+  Alcotest.(check int) "variable edge shrunk to the minimum width" width
+    (Rect.height (Lobj.find_exn main var.Shape.id).Shape.rect);
+  Alcotest.(check int) "the fixed tie places the mover" (um 8. + space)
+    (Option.get (Lobj.bbox obj)).Rect.y0;
+  (* The same tie with the variable edge on the mover's side. *)
+  let main = Lobj.create "main" in
+  ignore (Lobj.add_shape main ~layer:"metal1" ~rect:(box 0. 0. 4. 8.) ~net:"a" ());
+  ignore (Lobj.add_shape main ~layer:"metal1" ~rect:(box 10. 0. 14. 8.) ~net:"b" ());
+  let obj = Lobj.create "obj" in
+  ignore (Lobj.add_shape obj ~layer:"metal1" ~rect:(box 0. 30. 4. 34.) ~net:"c" ());
+  let m =
+    Lobj.add_shape obj ~layer:"metal1" ~rect:(box 10. 30. 14. 34.) ~net:"d"
+      ~sides:(Edge.set Edge.all_fixed Dir.South Edge.Variable) ()
+  in
+  Successive.compact ~rules ~into:main obj Dir.South;
+  Alcotest.(check int) "mover's variable edge shrunk to the minimum width" width
+    (Rect.height (Lobj.find_exn obj m.Shape.id).Shape.rect)
 
 (* --- auto_connect vs. a straight reimplementation of the full scan --- *)
 
@@ -860,4 +1026,8 @@ let suite =
       test_runner_up_on_skipped_pair;
     Alcotest.test_case "diff-pair bb optimum unchanged" `Quick
       test_diffpair_bb_regression;
+    QCheck_alcotest.to_alcotest prop_walk_matches_query;
+    QCheck_alcotest.to_alcotest prop_walk_stop_bound;
+    Alcotest.test_case "variable edge: a variable tie beside a fixed one" `Quick
+      test_variable_tie_beside_fixed;
   ]

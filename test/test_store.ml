@@ -546,7 +546,7 @@ let test_sigkill_restart () =
   Client.close c;
   let before = get socket (pack ~id:"populate" ~tenant:"e2e" ()) in
   check int "populate ok" Wire.status_ok before.Wire.status;
-  (* kill -9 mid-load: a second cold search — 28 rows, about a second of
+  (* kill -9 mid-load: a second cold search — 28 rows, tens of milliseconds of
      local search — is in flight when the daemon dies, so the log's tail
      may be torn; recovery must not care *)
   let finished = Atomic.make false in

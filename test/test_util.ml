@@ -282,9 +282,9 @@ let reference_drop env obj ?(avoid = []) ~net ~track_y (p : Amg_layout.Port.t) =
    The compact_scaling workload as a language entity: [n] metal1 contact
    rows whose widths cycle W, W+12, W+24, W+36 um, compacted alternately
    SOUTH and WEST (the language has no modulo, so the cycle is unrolled).
-   A cold local search of [row_pack 28] lasts a few hundred milliseconds,
-   long enough to act on a daemon while it is in flight; one of
-   [row_pack 40] about a second. *)
+   A cold local search of [row_pack 28] lasts tens of milliseconds (70-90
+   ms on a two-vCPU host), long enough to act on a daemon while it is in
+   flight; one of [row_pack 60] most of a second (0.75 s there). *)
 let row_pack n =
   let b = Buffer.create 1024 in
   Printf.bprintf b "ENT Rows%d(<W>)\n" n;
