@@ -22,34 +22,50 @@ let cif_layer_name lname =
     lname;
   if Buffer.length b = 0 then "LX" else Buffer.contents b
 
+(* [n] in decimal, as [Printf "%d"] writes it, straight into [b].  The
+   digits are taken from [n] itself, negative or not (OCaml's [/] and
+   [mod] truncate toward zero), so [min_int] needs no special case. *)
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  let rec digits n =
+    if n <> 0 then begin
+      digits (n / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 + abs (n mod 10)))
+    end
+  in
+  if n = 0 then Buffer.add_char b '0' else digits n
+
 let of_lobj ~tech obj =
   let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "(CIF file: %s, technology %s);\n" (Lobj.name obj)
-       (Technology.name tech));
-  Buffer.add_string b "DS 1 1 1;\n";
+  Buffer.add_string b "(CIF file: ";
+  Buffer.add_string b (Lobj.name obj);
+  Buffer.add_string b ", technology ";
+  Buffer.add_string b (Technology.name tech);
+  Buffer.add_string b ");\nDS 1 1 1;\n";
   let by_layer = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Shape.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_layer s.layer) in
-      Hashtbl.replace by_layer s.layer (s.rect :: cur))
-    (Lobj.shapes obj);
+  Array.iter (fun (name, shapes) -> Hashtbl.replace by_layer name shapes) (Lobj.shapes_by_layer obj);
   List.iter
     (fun lname ->
       match Hashtbl.find_opt by_layer lname with
       | None -> ()
-      | Some rects ->
-          Buffer.add_string b (Printf.sprintf "L %s;\n" (cif_layer_name lname));
-          List.iter
-            (fun (r : Rect.t) ->
+      | Some shapes ->
+          Buffer.add_string b "L ";
+          Buffer.add_string b (cif_layer_name lname);
+          Buffer.add_string b ";\n";
+          Array.iter
+            (fun (s : Shape.t) ->
+              let r = s.rect in
               (* B width height centerx centery *)
-              Buffer.add_string b
-                (Printf.sprintf "B %d %d %d %d;\n"
-                   (to_cif (Rect.width r))
-                   (to_cif (Rect.height r))
-                   (to_cif ((r.Rect.x0 + r.Rect.x1) / 2))
-                   (to_cif ((r.Rect.y0 + r.Rect.y1) / 2))))
-            (List.rev rects))
+              Buffer.add_string b "B ";
+              add_int b (to_cif (Rect.width r));
+              Buffer.add_char b ' ';
+              add_int b (to_cif (Rect.height r));
+              Buffer.add_char b ' ';
+              add_int b (to_cif ((r.Rect.x0 + r.Rect.x1) / 2));
+              Buffer.add_char b ' ';
+              add_int b (to_cif ((r.Rect.y0 + r.Rect.y1) / 2));
+              Buffer.add_string b ";\n")
+            shapes)
     (Technology.layer_names tech);
   Buffer.add_string b "DF;\nC 1;\nE\n";
   Buffer.contents b
