@@ -514,6 +514,166 @@ let prop_report_matches_reference (deck, tech, layers) =
       let o = Dirty_layout.build specs in
       Checker.run ~tech o = reference_report ~tech o)
 
+let prop_array_report_matches_reference (deck, tech, layers) =
+  let rules = Technology.rules tech in
+  QCheck2.Test.make ~name:(deck ^ " arrays: DRC report = reference, in order") ~count:150
+    (Dirty_layout.gen_arrays layers) (fun spec ->
+      let o = Dirty_layout.build_arrays rules spec in
+      Checker.run ~tech o = reference_report ~tech o)
+
+(* --- array groups: the checker settles runs of array cuts at once --- *)
+
+(* Every shape of [o] re-added, in order, with a [User] origin: the
+   checker then forms no group and checks every cut on its own. *)
+let flattened o =
+  let f = Lobj.create (Lobj.name o) in
+  List.iter
+    (fun (s : Shape.t) ->
+      ignore
+        (Lobj.add_shape f ~layer:s.layer ~rect:s.rect ?net:s.net ~sides:s.sides
+           ~keep_clear:s.keep_clear ()))
+    (Lobj.shapes o);
+  f
+
+let same_as_flattened ?checks ~tech o =
+  Checker.run ?checks ~tech o = Checker.run ?checks ~tech (flattened o)
+
+let prop_arrays_match_flattened (deck, tech, layers) =
+  let rules = Technology.rules tech in
+  QCheck2.Test.make ~name:(deck ^ " arrays: report = flattened copy's") ~count:150
+    (Dirty_layout.gen_arrays layers) (fun spec ->
+      same_as_flattened ~tech (Dirty_layout.build_arrays rules spec))
+
+let geometric = Checker.[ Widths; Spacings; Enclosures; Extensions ]
+
+let test_modules_match_flattened () =
+  List.iter
+    (fun (deck, env) ->
+      let tech = Amg_core.Env.tech env in
+      List.iter
+        (fun (cls, cells) ->
+          List.iter
+            (fun (cell, build) ->
+              check_bool (String.concat " " [ cls; deck; cell ]) true
+                (same_as_flattened ~checks:geometric ~tech (build ())))
+            cells)
+        (Module_grid.classes env);
+      if String.equal deck "bicmos1u" then
+        List.iter
+          (fun cell ->
+            check_bool ("cap_array " ^ Module_grid.cap_array_cell cell) true
+              (same_as_flattened ~checks:geometric ~tech (Module_grid.cap_array env cell)))
+          Module_grid.cap_arrays)
+    (Module_grid.decks ())
+
+let test_circuits_match_flattened () =
+  let env = Amg_core.Env.bicmos () in
+  let tech = Amg_core.Env.tech env in
+  check_bool "amplifier" true
+    (same_as_flattened ~tech (Amg_amplifier.Amplifier.build env).Amg_amplifier.Amplifier.obj);
+  check_bool "ota" true (same_as_flattened ~tech (Amg_amplifier.Ota.build env).Amg_amplifier.Ota.obj)
+
+(* A clean capacitor array's contacts are settled a group at a time: its
+   geometric check makes fewer index queries than it has cuts. *)
+let test_cap_array_fast_path () =
+  let env = Amg_core.Env.bicmos () in
+  let tech = Amg_core.Env.tech env in
+  let o = fst (Amg_modules.Cap_array.make env ~unit_ff:70. ~units_a:2 ~units_b:2 ()) in
+  let cuts =
+    List.length
+      (List.filter
+         (fun (s : Shape.t) -> match s.origin with Shape.Array_member _ -> true | Shape.User -> false)
+         (Lobj.shapes o))
+  in
+  let module Obs = Amg_obs.Obs in
+  Obs.enable ();
+  let vios = Checker.run ~checks:geometric ~tech o in
+  let queries = Obs.counter "sindex.queries" in
+  Obs.disable ();
+  Obs.reset ();
+  check "clean" 0 (List.length vios);
+  check_bool (Printf.sprintf "%d queries < %d cuts" queries cuts) true (queries < cuts)
+
+(* Hand-drawn cuts of one array, on no net, over metal1 and poly, at a
+   1 um gap (the contact spacing is 1.5 um) along one row.  Drawn in
+   row-major order they are not apart, so every neighbour pair is
+   reported; drawn interleaved (every other cut, then the rest) no two
+   neighbours are consecutive and every step is two pitches long, and
+   the group must still not pass for apart. *)
+let test_out_of_order_cuts () =
+  let tech = tech () in
+  let row order =
+    let o = Lobj.create "row" in
+    add o ~layer:"metal1" ~x:(- um 1.) ~y:(- um 1.) ~w:(um 12.) ~h:(um 3.) ();
+    add o ~layer:"poly" ~x:(- um 1.) ~y:(- um 1.) ~w:(um 12.) ~h:(um 3.) ();
+    List.iter
+      (fun k ->
+        ignore
+          (Lobj.add_shape o ~layer:"contact" ~origin:(Shape.Array_member 7)
+             ~rect:(Rect.of_size ~x:(k * um 2.) ~y:0 ~w:(um 1.) ~h:(um 1.))
+             ()))
+      order;
+    o
+  in
+  List.iter
+    (fun (name, order) ->
+      let o = row order in
+      let vios = Checker.run ~checks:geometric ~tech o in
+      check (name ^ ": neighbour spacings") 4
+        (List.length (List.filter (fun v -> kind_name v = "spacing") vios));
+      check_bool (name ^ ": = flattened") true (same_as_flattened ~checks:geometric ~tech o))
+    [ ("row-major", [ 0; 1; 2; 3; 4 ]); ("interleaved", [ 0; 2; 4; 1; 3 ]) ]
+
+(* --- the CIF writer against a Printf rendering --- *)
+
+let reference_cif ~tech obj =
+  let to_cif nm = (nm + 5) / 10 in
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "(CIF file: %s, technology %s);\nDS 1 1 1;\n" (Lobj.name obj)
+       (Technology.name tech));
+  List.iter
+    (fun layer ->
+      match Lobj.shapes_on obj layer with
+      | [] -> ()
+      | shapes ->
+          Buffer.add_string b (Printf.sprintf "L %s;\n" (Amg_layout.Cif.cif_layer_name layer));
+          List.iter
+            (fun (s : Shape.t) ->
+              let r = s.rect in
+              Buffer.add_string b
+                (Printf.sprintf "B %d %d %d %d;\n"
+                   (to_cif (Rect.width r))
+                   (to_cif (Rect.height r))
+                   (to_cif ((r.x0 + r.x1) / 2))
+                   (to_cif ((r.y0 + r.y1) / 2))))
+            shapes)
+    (Technology.layer_names tech);
+  Buffer.add_string b "DF;\nC 1;\nE\n";
+  Buffer.contents b
+
+let prop_cif_matches_printf =
+  let tech = tech () in
+  let coord =
+    QCheck2.Gen.(
+      frequency
+        [ (1, return 0); (2, int_range (-20) 20);
+          (4, int_range (-1_000_000_000) 1_000_000_000) ])
+  in
+  let shape =
+    QCheck2.Gen.(
+      let* layer = oneofl ("nolayer" :: Technology.layer_names tech) in
+      let* x0, y0 = pair coord coord in
+      let* w, h = pair (int_bound 2_000_000) (int_bound 2_000_000) in
+      return (layer, Rect.make ~x0 ~y0 ~x1:(x0 + w) ~y1:(y0 + h)))
+  in
+  QCheck2.Test.make ~name:"CIF = Printf rendering" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 30) shape)
+    (fun shapes ->
+      let o = Lobj.create "cif" in
+      List.iter (fun (layer, rect) -> ignore (Lobj.add_shape o ~layer ~rect ())) shapes;
+      String.equal (Amg_layout.Cif.of_lobj ~tech o) (reference_cif ~tech o))
+
 let suite =
   [
     Alcotest.test_case "clean object" `Quick test_clean_object;
@@ -536,4 +696,19 @@ let suite =
     QCheck_alcotest.to_alcotest
       (prop_report_matches_reference
          ("cmos08", Amg_tech.Cmos08.get (), Dirty_layout.cmos08_layers));
+    QCheck_alcotest.to_alcotest
+      (prop_array_report_matches_reference
+         ("bicmos1u", tech (), Dirty_layout.bicmos_layers));
+    QCheck_alcotest.to_alcotest
+      (prop_array_report_matches_reference
+         ("cmos08", Amg_tech.Cmos08.get (), Dirty_layout.cmos08_layers));
+    QCheck_alcotest.to_alcotest
+      (prop_arrays_match_flattened ("bicmos1u", tech (), Dirty_layout.bicmos_layers));
+    QCheck_alcotest.to_alcotest
+      (prop_arrays_match_flattened ("cmos08", Amg_tech.Cmos08.get (), Dirty_layout.cmos08_layers));
+    Alcotest.test_case "modules: report = flattened copy's" `Quick test_modules_match_flattened;
+    Alcotest.test_case "circuits: report = flattened copy's" `Quick test_circuits_match_flattened;
+    Alcotest.test_case "cap array: fewer queries than cuts" `Quick test_cap_array_fast_path;
+    Alcotest.test_case "out-of-order array cuts" `Quick test_out_of_order_cuts;
+    QCheck_alcotest.to_alcotest prop_cif_matches_printf;
   ]
