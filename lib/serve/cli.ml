@@ -124,7 +124,9 @@ let tech_arg =
     value
     & opt (some file) None
     & info [ "t"; "tech" ] ~docv:"FILE"
-        ~doc:"Technology description file (default: built-in 1um BiCMOS).")
+        ~doc:
+          "Technology description file (default: built-in generic 1um \
+           BiCMOS).")
 
 let jobs_arg =
   Arg.(
@@ -304,21 +306,29 @@ let optimize_arg =
     & opt (some (enum Wire.opt_modes)) None
     & info [ "optimize" ] ~docv:"MODE"
         ~doc:
-          "Compaction-order search mode: $(b,orders), $(b,bb) or $(b,local).")
-
-let max_evals_arg =
-  Arg.(
-    value
-    & opt (some (int_at_least 0 "--max-evals")) None
-    & info [ "max-evals" ] ~docv:"N"
-        ~doc:"Per-request evaluation budget; exhaustion degrades to status 3.")
+          "Search over compaction orders of the entity's top-level compacts \
+           and emit the best-rated layout: $(b,orders) (exhaustive), \
+           $(b,bb) (branch-and-bound), $(b,local) (hill climbing).")
 
 let max_time_arg =
   Arg.(
     value
     & opt (some float) None
     & info [ "max-time" ] ~docv:"SEC"
-        ~doc:"Per-request wall-clock deadline; overrun degrades to status 3.")
+        ~doc:
+          "Wall-clock budget for the optimization search; on overrun the \
+           best layout found so far is emitted and amgen exits 3.  Implies \
+           --optimize orders unless --optimize is given.")
+
+let max_evals_arg =
+  Arg.(
+    value
+    & opt (some (int_at_least 0 "--max-evals")) None
+    & info [ "max-evals" ] ~docv:"N"
+        ~doc:
+          "Evaluation budget (candidate layout rebuilds) for the optimization \
+           search; deterministic for every --jobs value.  Implies --optimize \
+           orders unless --optimize is given.")
 
 let tenant_arg =
   Arg.(
@@ -363,8 +373,10 @@ let inject_arg =
     & opt (some string) None
     & info [ "inject" ] ~docv:"SPEC"
         ~doc:
-          "Fault-injection spec for this request ($(b,seed:N) or \
-           SITE@HIT,...), for drills.")
+          "Deterministic fault injection: $(b,seed:N) (optionally \
+           $(b,seed:N:FAULTS)) or a comma list of SITE@HIT pairs like \
+           $(b,rule-lookup@3,pool-task@1).  Sites: rule-lookup, \
+           contact-rebuild, sindex-query, pool-task, drc-check.")
 
 let sweep_spec_arg =
   Arg.(
@@ -403,50 +415,54 @@ let retries_arg =
            jittered backoff — enough to ride through a daemon restart.  \
            Default 1: fail fast.")
 
-(* Sweep exchanges are streams, not one-line roundtrips: connect (with
-   the same retry policy as oneshot), forward every row event line's
-   payload to the sink, then report the final response like a build. *)
-let print_server_stats (s : Wire.server_stats) =
-  Fmt.epr "served in %.1f ms, queue depth %d@." s.Wire.elapsed_ms
-    s.Wire.queue_depth
-
-let run_sweep_request socket spec_file id jobs tenant rstats out retries =
-  let spec = read_file spec_file in
-  let req = Wire.sweep ?id ?jobs ?tenant ~stats:rstats spec in
-  let oc, close_oc =
-    match out with
-    | None -> (stdout, fun () -> flush stdout)
-    | Some path ->
-        let oc = open_out path in
-        (oc, fun () -> close_out oc)
-  in
-  let answer =
-    try
-      let c = Client.connect_retry ~attempts:retries socket in
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          Client.sweep c
-            ~on_row:(fun ~index:_ line ->
-              output_string oc line;
-              output_char oc '\n')
-            req)
+(* The four steps every client subcommand ends with: a failed exchange
+   (a connect error included) prints why and exits 1; an answer prints
+   its diagnostics to stderr, [show] writes the rest, and the exit code
+   is the response status. *)
+let answer socket exchange show =
+  let result =
+    try exchange ()
     with Unix.Unix_error (e, _, _) ->
       Error (Fmt.str "%s: %s" socket (Unix.error_message e))
   in
-  close_oc ();
-  match answer with
+  match result with
   | Error msg ->
       Fmt.epr "amgen: request failed: %s@." msg;
       exit_diag
   | Ok resp ->
       List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) resp.Wire.diagnostics;
-      Option.iter (fun p -> Fmt.epr "sweep %s@." p) resp.Wire.payload;
-      Option.iter print_server_stats resp.Wire.stats;
-      (match (out, resp.Wire.status) with
-      | Some path, (0 | 3) -> Fmt.epr "wrote %s@." path
-      | _ -> ());
+      show resp;
       resp.Wire.status
+
+let print_server_stats (s : Wire.server_stats) =
+  Fmt.epr "served in %.1f ms, queue depth %d@." s.Wire.elapsed_ms
+    s.Wire.queue_depth
+
+(* Sweep exchanges are streams, not one-line roundtrips: connect (with
+   the same retry policy as oneshot) and forward every row event line's
+   payload to stdout or [out]. *)
+let run_sweep_request socket spec_file id jobs tenant rstats out retries =
+  let req = Wire.sweep ?id ?jobs ?tenant ~stats:rstats (read_file spec_file) in
+  let oc = match out with None -> stdout | Some path -> open_out path in
+  let close_oc () = if out = None then flush oc else close_out oc in
+  let exchange () =
+    Fun.protect ~finally:close_oc @@ fun () ->
+    let c = Client.connect_retry ~attempts:retries socket in
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () ->
+        Client.sweep c
+          ~on_row:(fun ~index:_ line ->
+            output_string oc line;
+            output_char oc '\n')
+          req)
+  in
+  answer socket exchange @@ fun resp ->
+  Option.iter (fun p -> Fmt.epr "sweep %s@." p) resp.Wire.payload;
+  Option.iter print_server_stats resp.Wire.stats;
+  match (out, resp.Wire.status) with
+  | Some path, (0 | 3) -> Fmt.epr "wrote %s@." path
+  | _ -> ()
 
 let run_request socket ping stop sweep entity params optimize max_evals
     max_time jobs tenant format id rstats permissive inject out retries =
@@ -473,31 +489,19 @@ let run_request socket ping stop sweep entity params optimize max_evals
   | Error msg ->
       Fmt.epr "amgen: %s@." msg;
       exit_usage
-  | Ok req -> (
-      let answer =
-        try Client.oneshot ~attempts:retries socket req
-        with Unix.Unix_error (e, _, _) ->
-          Error (Fmt.str "%s: %s" socket (Unix.error_message e))
-      in
-      match answer with
-      | Error msg ->
-          Fmt.epr "amgen: request failed: %s@." msg;
-          exit_diag
-      | Ok resp ->
-          List.iter
-            (fun d -> Fmt.epr "%a@." Diag.pp d)
-            resp.Wire.diagnostics;
-          Option.iter (fun r -> Fmt.epr "rating %g@." r) resp.Wire.rating;
-          Option.iter print_server_stats resp.Wire.stats;
-          (match (resp.Wire.payload, out) with
-          | Some p, None -> print_string p
-          | Some p, Some path ->
-              let oc = open_out path in
-              output_string oc p;
-              close_out oc;
-              Fmt.epr "wrote %s@." path
-          | None, _ -> ());
-          resp.Wire.status)
+  | Ok req ->
+      answer socket (fun () -> Client.oneshot ~attempts:retries socket req)
+      @@ fun resp ->
+      Option.iter (fun r -> Fmt.epr "rating %g@." r) resp.Wire.rating;
+      Option.iter print_server_stats resp.Wire.stats;
+      match (resp.Wire.payload, out) with
+      | Some p, None -> print_string p
+      | Some p, Some path ->
+          let oc = open_out path in
+          output_string oc p;
+          close_out oc;
+          Fmt.epr "wrote %s@." path
+      | None, _ -> ()
 
 let request_cmd =
   Cmd.v
@@ -517,24 +521,13 @@ let request_cmd =
 (* One scrape request; the payload (Prometheus text or JSON) goes to
    stdout verbatim, so the commands compose with curl-style tooling. *)
 let run_scrape socket req =
-  let answer =
-    try Client.oneshot socket req
-    with Unix.Unix_error (e, _, _) ->
-      Error (Fmt.str "%s: %s" socket (Unix.error_message e))
-  in
-  match answer with
-  | Error msg ->
-      Fmt.epr "amgen: request failed: %s@." msg;
-      exit_diag
-  | Ok resp ->
-      List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) resp.Wire.diagnostics;
-      (match resp.Wire.payload with
-      | Some p ->
-          print_string p;
-          if String.length p > 0 && p.[String.length p - 1] <> '\n' then
-            print_newline ()
-      | None -> ());
-      resp.Wire.status
+  answer socket (fun () -> Client.oneshot socket req) @@ fun resp ->
+  Option.iter
+    (fun p ->
+      print_string p;
+      if String.length p > 0 && p.[String.length p - 1] <> '\n' then
+        print_newline ())
+    resp.Wire.payload
 
 let json_arg =
   Arg.(

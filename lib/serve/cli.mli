@@ -29,6 +29,15 @@ val exit_degraded : int
 val params_arg : string list Cmdliner.Term.t
 (** The repeated [-p K=V] option. *)
 
+val tech_arg : string option Cmdliner.Term.t
+val optimize_arg : Amg_robust.Wire.opt_mode option Cmdliner.Term.t
+val max_time_arg : float option Cmdliner.Term.t
+val max_evals_arg : int option Cmdliner.Term.t
+val inject_arg : string option Cmdliner.Term.t
+(** [-t/--tech], [--optimize], [--max-time], [--max-evals] and
+    [--inject], alike in [amgen build], [amgen request] and the
+    daemon. *)
+
 val parse_params :
   string list -> ((string * Amg_robust.Wire.param) list, string) result
 (** Split each [k=v] (a value that parses as a float is a number), or

@@ -1,8 +1,6 @@
 module Wire = Amg_robust.Wire
 
-type t = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
-
-let of_fd fd = { fd; buf = Buffer.create 512; chunk = Bytes.create 8192 }
+type t = { fd : Unix.file_descr; reader : Frame.reader }
 
 (* A signal during connect(2) leaves the connection completing in the
    background (POSIX forbids re-calling connect on the socket): wait for
@@ -26,19 +24,12 @@ let connect_addr domain addr =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  of_fd fd
+  { fd; reader = Frame.reader fd }
 
 let connect path = connect_addr Unix.PF_UNIX (Unix.ADDR_UNIX path)
 
 let connect_tcp host port =
-  let addr =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } -> Unix.inet_addr_loopback
-      | h -> h.Unix.h_addr_list.(0))
-  in
-  connect_addr Unix.PF_INET (Unix.ADDR_INET (addr, port))
+  connect_addr Unix.PF_INET (Unix.ADDR_INET (Frame.inet_addr host, port))
 
 (* --- bounded retry with deterministic jittered backoff ------------------
 
@@ -49,9 +40,15 @@ let connect_tcp host port =
    exact delay sequence is a pure function of [seed], so tests (and
    the serving benchmark) stay reproducible. *)
 
+(* An exchange that reached EOF before any response byte: the daemon went
+   down between accept and answer. *)
+exception Closed
+
+let closed = "connection closed"
+
 let transient = function
   | Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ENOENT), _, _)
-    ->
+  | Closed ->
       true
   | _ -> false
 
@@ -64,9 +61,9 @@ let backoff_delay ~base ~seed attempt =
   let jitter = float_of_int (next () mod 1024) /. 1024. in
   base *. (2. ** float_of_int attempt) *. (0.5 +. (0.5 *. jitter))
 
-let connect_retry ?(attempts = 5) ?(delay = 0.05) ?(seed = 1) ?on_retry path =
+let retrying ~attempts ~delay ~seed ?on_retry f =
   let rec go i =
-    try connect path
+    try f ()
     with e when transient e && i + 1 < attempts ->
       (match on_retry with Some f -> f (i + 1) | None -> ());
       Unix.sleepf (backoff_delay ~base:delay ~seed i);
@@ -74,47 +71,21 @@ let connect_retry ?(attempts = 5) ?(delay = 0.05) ?(seed = 1) ?on_retry path =
   in
   go 0
 
+let connect_retry ?(attempts = 5) ?(delay = 0.05) ?(seed = 1) ?on_retry path =
+  retrying ~attempts ~delay ~seed ?on_retry (fun () -> connect path)
+
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-let send_raw t s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      match Unix.write t.fd b off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
+let send_raw t s = Frame.write t.fd s
 let send_line t line = send_raw t (line ^ "\n")
 
 let recv_line t =
-  let rec go () =
-    let data = Buffer.contents t.buf in
-    match String.index_opt data '\n' with
-    | Some i ->
-        let rest = String.sub data (i + 1) (String.length data - i - 1) in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf rest;
-        Some (String.sub data 0 i)
-    | None -> (
-        match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-        | 0 -> None
-        | n ->
-            Buffer.add_subbytes t.buf t.chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (EINTR, _, _) -> go ()
-        | exception Unix.Unix_error ((ECONNRESET | EBADF | EPIPE), _, _) ->
-            None)
-  in
-  go ()
+  match Frame.read t.reader with `Line l -> Some l | `Oversized | `Eof -> None
 
 let send t req = send_line t (Wire.encode_request req)
 
 let recv t =
   match recv_line t with
-  | None -> Error "connection closed"
+  | None -> Error closed
   | Some line -> Wire.decode_response line
 
 let roundtrip t req =
@@ -129,7 +100,7 @@ let sweep t ~on_row req =
   send t req;
   let rec loop () =
     match recv_line t with
-    | None -> Error "connection closed"
+    | None -> Error closed
     | Some line -> (
         match Wire.decode_sweep_row line with
         | Some (index, row) ->
@@ -139,27 +110,16 @@ let sweep t ~on_row req =
   in
   loop ()
 
+(* Requests are idempotent (the service is deterministic), so re-dialing
+   after an EOF before the answer is safe. *)
 let oneshot ?(attempts = 1) ?(delay = 0.05) ?(seed = 1) path req =
-  let rec go i =
-    let retryable = i + 1 < attempts in
-    let pause () = Unix.sleepf (backoff_delay ~base:delay ~seed i) in
-    match connect path with
-    | exception e when transient e && retryable ->
-        pause ();
-        go (i + 1)
-    | t -> (
-        match
-          Fun.protect ~finally:(fun () -> close t) (fun () -> roundtrip t req)
-        with
-        (* EOF before any response byte: the daemon went down between
-           accept and answer.  Requests are idempotent (the service is
-           deterministic), so re-dialing is safe. *)
-        | Error "connection closed" when retryable ->
-            pause ();
-            go (i + 1)
-        | exception e when transient e && retryable ->
-            pause ();
-            go (i + 1)
-        | r -> r)
-  in
-  go 0
+  try
+    retrying ~attempts ~delay ~seed (fun () ->
+        let t = connect path in
+        Fun.protect
+          ~finally:(fun () -> close t)
+          (fun () ->
+            match roundtrip t req with
+            | Error msg when msg = closed -> raise Closed
+            | r -> r))
+  with Closed -> Error closed

@@ -2,7 +2,9 @@
 
     One connection carries any number of request/response exchanges; the
     daemon answers on the same connection in request order, so a
-    closed-loop caller can simply alternate {!send} and {!recv}. *)
+    closed-loop caller can simply alternate {!send} and {!recv}.  Lines
+    go through the daemon's own codec ({!Frame}) with no byte cap, and a
+    signal never ends a read or a write. *)
 
 type t
 
@@ -12,7 +14,8 @@ val connect : string -> t
     @raise Unix.Unix_error when the daemon is not listening. *)
 
 val connect_tcp : string -> int -> t
-(** Connect to the optional TCP listener. *)
+(** Connect to the optional TCP listener; the host is resolved as the
+    daemon resolves its own ({!Frame.inet_addr}). *)
 
 val connect_retry :
   ?attempts:int ->
@@ -69,8 +72,8 @@ val oneshot :
   (Amg_robust.Wire.response, string) Stdlib.result
 (** Connect to a socket path, exchange one request, close.  With
     [attempts > 1] (default 1: fail fast), transient connect failures
-    and an EOF before any response byte are retried with the same
-    deterministic jittered backoff as {!connect_retry} — enough for a
+    and an EOF before any response byte are retried by {!connect_retry}'s
+    own backoff loop — enough for a
     client to ride through a daemon restart.  Requests are idempotent
     (the service is deterministic), so a re-send never changes the
     answer. *)

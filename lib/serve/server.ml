@@ -196,80 +196,14 @@ type t = {
   reopen_req : bool Atomic.t;  (* set by SIGHUP, drained by [wait] *)
 }
 
-let served t = Atomic.get t.served_count
-let socket_path t = t.cfg.socket_path
 let request_stop t = Atomic.set t.stopping true
 let stop_requested t = Atomic.get t.stopping
 
 let pool_size t =
   match t.cfg.default_jobs with Some j -> j | None -> Pool.default_domains ()
 
-(* --- line I/O --------------------------------------------------------- *)
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let w = Unix.write fd b off (n - off) in
-      go (off + w)
-  in
-  go 0
-
 let send_response conn resp =
-  write_all conn.c_fd (Wire.encode_response resp ^ "\n")
-
-(* A per-connection buffered line reader.  Returns [`Line l], [`Oversized]
-   (the offending line has been discarded up to and including its
-   newline, so the stream is re-synchronized), or [`Eof]. *)
-type reader = {
-  r_fd : Unix.file_descr;
-  r_buf : Buffer.t;
-  r_chunk : Bytes.t;
-  r_max : int;
-  mutable r_skipping : bool;
-}
-
-let reader fd max_frame =
-  {
-    r_fd = fd;
-    r_buf = Buffer.create 512;
-    r_chunk = Bytes.create 8192;
-    r_max = max_frame;
-    r_skipping = false;
-  }
-
-let rec read_line r =
-  let data = Buffer.contents r.r_buf in
-  match String.index_opt data '\n' with
-  | Some i ->
-      let rest = String.sub data (i + 1) (String.length data - i - 1) in
-      Buffer.clear r.r_buf;
-      Buffer.add_string r.r_buf rest;
-      if r.r_skipping then begin
-        r.r_skipping <- false;
-        `Oversized
-      end
-      else if i > r.r_max then `Oversized
-      else `Line (String.sub data 0 i)
-  | None ->
-      if String.length data > r.r_max && not r.r_skipping then begin
-        (* Discard the oversized frame but keep the connection: drop
-           what we have and keep dropping until the next newline. *)
-        Buffer.clear r.r_buf;
-        r.r_skipping <- true;
-        read_line r
-      end
-      else begin
-        if r.r_skipping then Buffer.clear r.r_buf;
-        match Unix.read r.r_fd r.r_chunk 0 (Bytes.length r.r_chunk) with
-        | 0 -> `Eof
-        | n ->
-            Buffer.add_subbytes r.r_buf r.r_chunk 0 n;
-            read_line r
-        | exception Unix.Unix_error ((ECONNRESET | EBADF | EPIPE), _, _) ->
-            `Eof
-      end
+  Frame.write conn.c_fd (Wire.encode_response resp ^ "\n")
 
 (* --- request handling ------------------------------------------------- *)
 
@@ -351,40 +285,79 @@ type req_obs = { ro_outcome : string; ro_evals : int }
 
 let quiet_obs = { ro_outcome = "none"; ro_evals = 0 }
 
-(* Close a compute request started at [started]: attach the stats object
-   when the request asked for it, and label the outcome. *)
-let measured (req : Wire.request) ~queue_depth ~started ~evals resp outcome =
-  let stats =
-    if req.stats then
-      Some
-        {
-          Wire.elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.;
-          queue_depth;
-        }
-    else None
-  in
-  ({ resp with Wire.stats }, { ro_outcome = outcome; ro_evals = evals })
+let rejected (req : Wire.request) ~code msg =
+  (reject ?id:req.id ~code msg, { quiet_obs with ro_outcome = "error" })
+
+(* --- the compute envelope --------------------------------------------- *)
+
+let policy_mode (req : Wire.request) =
+  if req.permissive then Policy.Permissive else Policy.Strict
+
+let clean (req : Wire.request) = Contract.storable (policy_mode req) req.inject
+
+(* Run one build or sweep: [run store] under the request's policy mode
+   and fault schedule, given the durable store when the request is
+   [clean]; a bad inject spec is rejected before anything runs.
+   [answer v reported] turns what [run] returned and the diagnostics it
+   reported into the response, the search's cost and the cache outcome
+   of a status-0 answer (statuses 1 and 3 are labelled error and
+   degraded).  The stats object is attached when the request asked for
+   it. *)
+let compute t (req : Wire.request) ~queue_depth run answer =
+  let started = Unix.gettimeofday () in
+  let store = if clean req then t.result_store else None in
+  match
+    Generate.guarded ~mode:(policy_mode req) ?inject:req.inject (fun () ->
+        run store)
+  with
+  | Error msg ->
+      rejected req ~code:"serve.bad-inject"
+        (Printf.sprintf "bad inject spec: %s" msg)
+  | Ok (result, reported) ->
+      let resp, evals, warmth =
+        match result with
+        | Error d ->
+            ( Wire.response ?id:req.id
+                ~diagnostics:(reported @ [ d ])
+                Wire.status_diag,
+              0,
+              "error" )
+        | Ok v -> answer v reported
+      in
+      let stats =
+        if req.stats then
+          Some
+            {
+              Wire.elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.;
+              queue_depth;
+            }
+        else None
+      in
+      let outcome =
+        if resp.Wire.status = Wire.status_diag then "error"
+        else if resp.Wire.status = Wire.status_degraded then "degraded"
+        else warmth
+      in
+      ({ resp with Wire.stats }, { ro_outcome = outcome; ro_evals = evals })
 
 (* Run one build request.  Called from the serialized section only. *)
 let handle_build t (req : Wire.request) ~queue_depth =
-  let started = Unix.gettimeofday () in
-  (* Only strict, fault-free requests may use the memo layers or consult
-     and feed the durable store: a permissive or fault-injected build can
-     differ from the canonical one. *)
-  let memoizable = (not req.permissive) && req.inject = None in
   let params = Generate.values req.params in
   let sg = memo_key req params in
+  let search =
+    Contract.search ?max_time:req.max_time ?max_evals:req.max_evals
+      req.optimize
+  in
   (* Finished optimized results are deterministic for strict, fault-free,
      unbudgeted requests, so they are memoized whole next to the canonical
      build: a repeated identical request skips the search and replays the
      stored report byte-for-byte.  Budgeted requests bypass this memo —
      their result depends on the budget — and always search. *)
   let best_opt =
-    match (req.optimize, req.max_time, req.max_evals) with
-    | Some opt, None, None when memoizable -> Some opt
-    | _ -> None
+    if clean req && req.max_time = None && req.max_evals = None then search
+    else None
   in
-  let best_hit =
+  let best_hit () =
     Option.bind best_opt (fun opt ->
         Option.bind (Hashtbl.find_opt t.memo sg) (fun e ->
             Option.map
@@ -395,100 +368,62 @@ let handle_build t (req : Wire.request) ~queue_depth =
                 hit)
               (List.assoc_opt opt e.m_best)))
   in
-  (* [served]: the guarded result, the diagnostics and whether a memo
-     layer answered whole — a best result hit, or a canonical memo hit
-     with no search to run. *)
-  let served =
-    match best_hit with
+  (* Whether a memo layer answered whole: a best result hit, or a
+     canonical memo hit with no search to run. *)
+  let from_memo = ref false in
+  let run store =
+    match best_hit () with
     | Some (layout, diags) ->
-        Ok (Ok { Generate.layout; searched = None; degraded = false }, diags, true)
-    | None -> (
-        let from_memo = ref false in
-        let run () =
-          let canonical, memo_hit =
-            canonical_build t ~memoizable ~sg req.entity params
-          in
-          from_memo := memo_hit && req.optimize = None;
-          (* Durable-store key: restart-stable (tech fingerprint) and
-             tenant-free — stored results are pure functions of
-             tech/entity/params. *)
-          let store =
-            if memoizable then
-              Option.map
-                (fun st ->
-                  (st, Generate.store_key ~tech:t.tech_fp req.entity params))
-                t.result_store
-            else None
-          in
-          Generate.run ~canonical t.env t.program
-            (Generate.request ?search:req.optimize ?max_time:req.max_time
-               ?max_evals:req.max_evals
-               ~domains:(Option.value req.jobs ~default:(pool_size t))
-               ?store req.entity params)
+        from_memo := true;
+        List.iter Policy.report diags;
+        { Generate.layout; searched = None; degraded = false }
+    | None ->
+        let canonical, memo_hit =
+          canonical_build t ~memoizable:(clean req) ~sg req.entity params
         in
-        let mode = if req.permissive then Policy.Permissive else Policy.Strict in
-        match Generate.guarded ~mode ?inject:req.inject run with
-        | Error msg -> Error msg
-        | Ok (result, reported) ->
-            (match (result, best_opt) with
-            | Ok o, Some opt
-              when not
-                     (List.exists
-                        (fun d -> d.Diag.severity = Diag.Error)
-                        reported) -> (
-                match Hashtbl.find_opt t.memo sg with
-                | Some e when not (List.mem_assoc opt e.m_best) ->
-                    e.m_best <- (opt, (o.Generate.layout, reported)) :: e.m_best;
-                    ignore (Atomic.fetch_and_add t.best_count 1)
-                | _ -> ())
-            | _ -> ());
-            Ok (result, reported, !from_memo))
+        from_memo := memo_hit && search = None;
+        (* Durable-store key: restart-stable (tech fingerprint) and
+           tenant-free — stored results are pure functions of
+           tech/entity/params. *)
+        let store =
+          Option.map
+            (fun st -> (st, Generate.store_key ~tech:t.tech_fp req.entity params))
+            store
+        in
+        Generate.run ~canonical t.env t.program
+          (Generate.request ?search ?max_time:req.max_time
+             ?max_evals:req.max_evals
+             ~domains:(Option.value req.jobs ~default:(pool_size t))
+             ?store req.entity params)
   in
-  match served with
-  | Error msg ->
-      ( reject ?id:req.id ~code:"serve.bad-inject"
-          (Printf.sprintf "bad inject spec: %s" msg),
-        { quiet_obs with ro_outcome = "error" } )
-  | Ok (result, reported, from_memo) ->
-      let resp =
-        match result with
-        | Error d ->
-            Wire.response ?id:req.id
-              ~diagnostics:(reported @ [ d ])
-              Wire.status_diag
-        | Ok { Generate.layout = obj; degraded; _ } ->
-            if degraded then Counters.incr Counters.serve_degraded;
-            let has_error =
-              List.exists (fun d -> d.Diag.severity = Diag.Error) reported
-            in
-            let status =
-              if has_error then Wire.status_diag
-              else if degraded then Wire.status_degraded
-              else Wire.status_ok
-            in
-            let tech = Env.tech t.env in
-            let payload =
-              match req.format with
-              | Wire.No_payload -> None
-              | Wire.Cif -> Some (Amg_layout.Cif.of_lobj ~tech obj)
-              | Wire.Svg -> Some (Amg_layout.Svg.of_lobj ~tech obj)
-            in
-            let rating = Rating.rate t.env Rating.default obj in
-            Wire.response ?id:req.id ~rating ~format:req.format ?payload
-              ~diagnostics:reported status
+  compute t req ~queue_depth run (fun (o : Generate.outcome) reported ->
+      if o.degraded then Counters.incr Counters.serve_degraded;
+      let status = Contract.build_status ~degraded:o.degraded reported in
+      (match (best_opt, Hashtbl.find_opt t.memo sg) with
+      | Some opt, Some e
+        when status = Wire.status_ok && not (List.mem_assoc opt e.m_best) ->
+          e.m_best <- (opt, (o.layout, reported)) :: e.m_best;
+          ignore (Atomic.fetch_and_add t.best_count 1)
+      | _ -> ());
+      let tech = Env.tech t.env in
+      let payload =
+        match req.format with
+        | Wire.No_payload -> None
+        | Wire.Cif -> Some (Amg_layout.Cif.of_lobj ~tech o.layout)
+        | Wire.Svg -> Some (Amg_layout.Svg.of_lobj ~tech o.layout)
       in
+      let rating = Rating.rate t.env Rating.default o.layout in
       let evals, from_store =
-        match result with
-        | Ok { Generate.searched = Some s; _ } ->
-            (s.Generate.cost, s.Generate.from_store)
-        | _ -> (0, false)
+        match o.searched with
+        | Some s -> (s.Generate.cost, s.Generate.from_store)
+        | None -> (0, false)
       in
-      measured req ~queue_depth ~started ~evals resp
-        (if resp.Wire.status = Wire.status_diag then "error"
-         else if resp.Wire.status = Wire.status_degraded then "degraded"
-         else if from_memo then "memo-hit"
-         else if from_store then "store-hit"
-         else "cold")
+      ( Wire.response ?id:req.id ~rating ~format:req.format ?payload
+          ~diagnostics:reported status,
+        evals,
+        if !from_memo then "memo-hit"
+        else if from_store then "store-hit"
+        else "cold" ))
 
 (* Run one sweep request: expand the spec into a bounded grid, run it
    under the daemon's environment and result store as build requests, stream one {!Wire.encode_sweep_row} event line per
@@ -497,12 +432,8 @@ let handle_build t (req : Wire.request) ~queue_depth =
    run.  Called from the serialized section only, so the streamed rows
    can never interleave with another request's response line. *)
 let handle_sweep t conn (req : Wire.request) ~queue_depth =
-  let started = Unix.gettimeofday () in
-  let rejected code msg =
-    (reject ?id:req.id ~code msg, { quiet_obs with ro_outcome = "error" })
-  in
   match req.spec with
-  | None -> rejected "serve.bad-request" "sweep request carries no spec"
+  | None -> rejected req ~code:"serve.bad-request" "sweep request carries no spec"
   | Some spec_src -> (
       (* Stream rows as raw event lines ahead of the response.  A peer
          that vanished mid-sweep stops the writes (the sweep itself runs
@@ -513,7 +444,7 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
       let on_line line =
         if !alive then begin
           try
-            write_all conn.c_fd (Wire.encode_sweep_row ~index:!index line ^ "\n")
+            Frame.write conn.c_fd (Wire.encode_sweep_row ~index:!index line ^ "\n")
           with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
             alive := false
         end;
@@ -528,34 +459,17 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
           ( Wire.response ?id:req.id ~diagnostics:[ d ] Wire.status_diag,
             { quiet_obs with ro_outcome = "error" } )
       | Ok spec when Sweep.grid_size spec > t.cfg.sweep_limit ->
-          rejected "serve.sweep-too-large"
+          rejected req ~code:"serve.sweep-too-large"
             (Printf.sprintf "grid expands to %d instances (limit %d)"
                (Sweep.grid_size spec) t.cfg.sweep_limit)
-      | Ok spec -> (
-          let domains = Option.value req.jobs ~default:(pool_size t) in
-          (* The store gate of builds: strict, fault-free runs only. *)
-          let store =
-            if (not req.permissive) && req.inject = None then t.result_store
-            else None
+      | Ok spec ->
+          let run store =
+            Sweep.run
+              ~domains:(Option.value req.jobs ~default:(pool_size t))
+              ?store ?source_file:t.cfg.source_file ~on_line ~env:t.env
+              ~source:t.cfg.source spec
           in
-          let run () =
-            Sweep.run ~domains ?store ?source_file:t.cfg.source_file ~on_line
-              ~env:t.env ~source:t.cfg.source spec
-          in
-          let mode =
-            if req.permissive then Policy.Permissive else Policy.Strict
-          in
-          match Generate.guarded ~mode ?inject:req.inject run with
-          | Error msg ->
-              rejected "serve.bad-inject"
-                (Printf.sprintf "bad inject spec: %s" msg)
-          | Ok (Error d, reported) ->
-              measured req ~queue_depth ~started ~evals:0
-                (Wire.response ?id:req.id
-                   ~diagnostics:(reported @ [ d ])
-                   Wire.status_diag)
-                "error"
-          | Ok (Ok r, reported) ->
+          compute t req ~queue_depth run (fun r reported ->
               let payload =
                 J.to_string
                   (J.Jobj
@@ -566,17 +480,14 @@ let handle_sweep t conn (req : Wire.request) ~queue_depth =
                        ("store_hits", J.Jnum (float_of_int r.Sweep.store_hits));
                      ])
               in
-              let status =
-                if r.Sweep.failures > 0 then Wire.status_degraded
-                else Wire.status_ok
-              in
-              measured req ~queue_depth ~started ~evals:r.Sweep.cost
-                (Wire.response ?id:req.id ~payload ~diagnostics:reported status)
+              ( Wire.response ?id:req.id ~payload ~diagnostics:reported
+                  (Contract.sweep_status ~failures:r.Sweep.failures reported),
+                r.Sweep.cost,
                 (* A sweep is a store hit only when the store answered
                    every row; one searched row makes it cold. *)
-                (if r.Sweep.failures > 0 then "degraded"
-                 else if r.Sweep.rows > 0 && r.Sweep.store_hits = r.Sweep.rows then "store-hit"
-                 else "cold")))
+                if r.Sweep.rows > 0 && r.Sweep.store_hits = r.Sweep.rows then
+                  "store-hit"
+                else "cold" )))
 
 (* --- telemetry: scrape payloads, access log, request traces ----------- *)
 
@@ -812,17 +723,17 @@ let handle_request t conn (req : Wire.request) =
       serialized (fun ~queue_depth -> handle_sweep t conn req ~queue_depth)
 
 let connection_loop t conn =
-  let r = reader conn.c_fd t.cfg.max_frame in
+  let r = Frame.reader ~max:t.cfg.max_frame conn.c_fd in
   let rec loop () =
     if not (set_busy t conn false) then
-      match read_line r with
+      match Frame.read r with
       | `Eof -> ()
       | `Oversized ->
           let stopping = set_busy t conn true in
           if not stopping then begin
             send_response conn
               (reject ~code:"serve.frame-too-large"
-                 (Printf.sprintf "request line exceeds %d bytes" r.r_max));
+                 (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_frame));
             loop ()
           end
       | `Line line ->
@@ -886,13 +797,7 @@ let listen_unix path =
   fd
 
 let listen_tcp host port =
-  let addr =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } -> Unix.inet_addr_loopback
-      | h -> h.Unix.h_addr_list.(0))
-  in
+  let addr = Frame.inet_addr host in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (addr, port));
@@ -945,9 +850,7 @@ let start cfg =
         Store.register_metrics st;
         Some st
   in
-  let tech_fp =
-    Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env))
-  in
+  let tech_fp = Generate.tech_fingerprint env in
   let unix_fd = listen_unix cfg.socket_path in
   let tcp_fd =
     match cfg.tcp with

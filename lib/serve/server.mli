@@ -4,9 +4,20 @@
 
     {b Protocol.}  Newline-delimited JSON ({!Amg_robust.Wire}): one
     request per line, one response line per request, answered on the same
-    connection in request order.  Malformed or oversized request lines get
-    a structured [status = 2] error response and the connection survives;
-    a line truncated by EOF is dropped with the connection.
+    connection in request order, read and written with the client's own
+    line codec ({!Frame}) under the [max_frame] cap.  Malformed or
+    oversized request lines get a structured [status = 2] error response
+    and the connection survives; a line truncated by EOF is dropped with
+    the connection, and a signal never ends a read or a write.
+
+    {b Compute.}  Builds and sweeps share one envelope: the policy mode
+    of [permissive], the strict and fault-free gate of the memo layers
+    and the store ({!Contract.storable}), the guarded run with its
+    [serve.bad-inject] rejection, and the stats object.  A build's
+    status is {!Contract.build_status}, a sweep's
+    {!Contract.sweep_status}, and a budget without a mode searches in
+    [orders] mode ({!Contract.search}) — the rules [amgen build] and
+    [amgen sweep] exit by.
 
     {b Scheduling.}  Connections are handled by one system thread each
     (blocking I/O); build requests are admitted into a bounded FIFO queue
@@ -24,8 +35,7 @@
     tenants never share memo entries, and a stream of fresh tenant names
     is bounded by the memo's LRU like any other key.
 
-    {b Shutdown.}  A [stop] request or {!request_stop} (wired to SIGTERM
-    by {!run}) drains in-flight requests, wakes idle connections, rejects
+    {b Shutdown.}  A [stop] request or SIGTERM (under {!run}) drains in-flight requests, wakes idle connections, rejects
     new connects, and leaves the process at exit code 0.
 
     {b Telemetry.}  Every request updates the {!Amg_obs.Metrics}
@@ -106,10 +116,6 @@ val start : config -> t
     [Unix.Unix_error] on bind failures (stale socket paths are
     unlinked first). *)
 
-val request_stop : t -> unit
-(** Ask the daemon to stop; returns immediately.  Safe from signal
-    handlers and from connection threads (the [stop] op calls it). *)
-
 val stop_requested : t -> bool
 
 val stop : t -> unit
@@ -117,30 +123,12 @@ val stop : t -> unit
     in-flight requests finish and answer, join every thread, unlink the
     socket.  Idempotent. *)
 
-val wait : t -> unit
-(** Block until {!request_stop} has been called (polling; usable from
-    the main thread while signal handlers fire). *)
-
-val checkpoint : t -> unit
-(** Compact the durable store (if configured) into a one-record-per-key
-    snapshot via write-to-temp + fsync + atomic rename.  No-op without a
-    store.  Safe while requests are being served — the store handle is
-    internally locked.  {!run} wires this to SIGUSR1. *)
-
-val reopen_access_log : t -> unit
-(** Close and reopen the access log at its configured path, for log
-    rotation without a restart.  No-op without an access log.  {!run}
-    wires this to SIGHUP. *)
-
 val run : config -> unit
-(** [start], install the daemon signal contract, then {!wait} and
+(** [start], install the daemon signal contract, wait for a stop, then
     {!stop}.  Signals: SIGTERM/SIGINT request a graceful stop (drain,
-    persist the store, exit 0); SIGUSR1 {!checkpoint}s the store;
-    SIGHUP {!reopen_access_log}s.  The signal handlers only flip atomic
-    flags — the actual I/O runs on the waiting main thread.  The CLI
-    entry points wrap this. *)
-
-val served : t -> int
-(** Requests answered so far (all ops). *)
-
-val socket_path : t -> string
+    persist the store, exit 0); SIGUSR1 compacts the store into a
+    one-record-per-key snapshot (write-to-temp, fsync, atomic rename),
+    safe while requests are served; SIGHUP closes and reopens the access
+    log at its path, for rotation without a restart.  The signal
+    handlers only flip atomic flags — the actual I/O runs on the waiting
+    main thread.  The CLI entry points wrap this. *)
