@@ -503,28 +503,10 @@ let test_warm_restart () =
 
 (* --- serve: surviving kill -9 ------------------------------------------ *)
 
-(* The test binary lives in _build/default/test/; the daemon it spawns is
-   its sibling in bin/ (declared as a dune dep), wherever dune put us. *)
-let amgend_exe =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name
-       (Filename.concat "bin" "amgend.exe"))
-
 let write_file path s =
   let oc = open_out path in
   output_string oc s;
   close_out oc
-
-let spawn_amgend ~socket ~lib ~store =
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process amgend_exe
-      [| amgend_exe; "--socket"; socket; "--file"; lib; "--store"; store |]
-      Unix.stdin null null
-  in
-  Unix.close null;
-  pid
 
 let test_sigkill_restart () =
   Test_util.with_tmp_dir "amgk" @@ fun dir ->
@@ -532,7 +514,7 @@ let test_sigkill_restart () =
   let store = Filename.concat dir "r.store" in
   let lib = Filename.concat dir "lib.amg" in
   write_file lib (Test_util.row_pack 28 ^ pack_source);
-  let pid = spawn_amgend ~socket ~lib ~store in
+  let pid = Test_util.spawn_amgend ~store ~socket ~lib () in
   let killed = ref false in
   Fun.protect
     ~finally:(fun () ->

@@ -75,6 +75,33 @@ let with_server ?tcp ?source ?default_jobs ?queue_limit ?max_frame ?memo_limit
     ~finally:(fun () -> Amg_serve.Server.stop t)
     (fun () -> f t socket)
 
+(* --- built executables ---------------------------------------------------
+
+   A test binary runs from _build/default/test/; the executables it runs
+   are declared as its dune deps, so [built_exe ~dir name] finds [name]
+   built in the source directory [dir] ("bin", or "test" for the test
+   binaries' own helpers) wherever dune put us. *)
+
+let built_exe ~dir name =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name (Filename.concat dir name))
+
+let amgend_exe = built_exe ~dir:"bin" "amgend.exe"
+
+(* [spawn_amgend ?store ~socket ~lib ()] starts the amgend binary serving
+   the module source [lib] on [socket] (with the result store [store] when
+   given), its output dropped, and returns its pid; the caller stops and
+   reaps it. *)
+let spawn_amgend ?store ~socket ~lib () =
+  let store = match store with None -> [] | Some s -> [ "--store"; s ] in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close null) (fun () ->
+      Unix.create_process amgend_exe
+        (Array.of_list
+           ([ amgend_exe; "--socket"; socket; "--file"; lib ] @ store))
+        Unix.stdin null null)
+
 (* --- the orders-mode reference ----------------------------------------
 
    Rates orders independently of the search walker: every order is a
