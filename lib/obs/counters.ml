@@ -64,4 +64,3 @@ let store_torn_tail_truncations = counter "store.torn_tail_truncations"
 let store_corrupt_records = counter "store.corrupt_records"
 let sweep_runs = counter "sweep.runs"
 let sweep_instances = counter ~obs:true ~labels:[ "status" ] "sweep.instances"
-let sweep_rows = counter "sweep.rows"

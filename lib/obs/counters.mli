@@ -54,5 +54,3 @@ val sweep_runs : t
 
 val sweep_instances : t
 (** Label [status] ([ok] or [error]). *)
-
-val sweep_rows : t

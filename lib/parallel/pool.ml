@@ -1,12 +1,15 @@
-(* Work-stealing domain pool.
+(* Domain pool.
 
-   A job is an index range [0, total) split into one contiguous chunk per
-   participant.  Each participant drains its own chunk with an atomic
-   fetch-and-add, then steals from the other chunks in round-robin order;
-   overshooting a chunk's bound is harmless, the claimed index is simply
-   out of range and the scan moves on.  Tasks write their results into
-   per-index slots, so the caller sees them in input order and every
-   reduction over them is scheduling-independent.
+   A job is an index range [0, total) behind one shared claim cursor.
+   Every participant (the caller and each worker) claims one index per
+   atomic fetch-and-add until the cursor passes [total]; overshooting it
+   is harmless, the claimed index is simply out of range and the
+   participant stops.  The optimizer submits few, coarse tasks (a search
+   is a handful of jobs of at most tens of tasks, each a few tenths of a
+   millisecond or more), so one contended atomic per task costs nothing
+   measurable, and a shared cursor balances uneven task costs by itself.  Tasks write their
+   results into per-index slots, so the caller sees them in input order
+   and every reduction over them is scheduling-independent.
 
    Workers idle on a condition variable between jobs; an epoch counter
    tells a worker returning from a job not to re-enter it.
@@ -22,9 +25,8 @@ module Obs = Amg_obs.Obs
 module Inject = Amg_robust.Inject
 
 type job = {
-  chunks : (int Atomic.t * int) array; (* per-participant (next, stop) *)
-  run : int -> unit;                   (* never raises; records errors *)
-  grain : int;                         (* indices claimed per RMW *)
+  next : int Atomic.t;  (* the claim cursor *)
+  run : int -> unit;    (* never raises; records errors *)
   total : int;
   completed : int Atomic.t;
 }
@@ -67,58 +69,14 @@ let effective_size n =
   let n = Int.max 1 n in
   if Atomic.get oversubscribe then n else Int.min n (recommended ())
 
-(* Tiny optimizer tasks make the per-index claim traffic (one RMW per
-   task) a measurable fraction of the work on a busy memory bus; claiming
-   [grain] indices per RMW amortizes it.  The grain caps the stealable
-   tail a claimant can hold hostage, so it stays small relative to the
-   per-participant share. *)
-let grain_of n total = Int.max 1 (Int.min 8 (total / (4 * n)))
-
-(* Cumulative count of tasks executed out of another participant's
-   chunk, process-wide.  Purely a load gauge for the serving metrics
-   registry — steal totals are scheduling-dependent by nature and are
-   deliberately not part of the deterministic [Obs] counter stream. *)
-let steal_total = Atomic.make 0
-
-let steals () = Atomic.get steal_total
-
-(* Drain a chunk in grain-sized blocks, returning the number of tasks
-   executed here.  The cheap read before each RMW means a drained chunk
-   costs one load to skip — the claim counter does not creep past the
-   bound under contention. *)
-let drain_chunk job (next, stop) =
-  let executed = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if Atomic.get next >= stop then continue := false
-    else begin
-      let i = Atomic.fetch_and_add next job.grain in
-      if i >= stop then continue := false
-      else begin
-        let hi = Int.min stop (i + job.grain) in
-        for k = i to hi - 1 do
-          job.run k
-        done;
-        executed := !executed + (hi - i);
-        ignore (Atomic.fetch_and_add job.completed (hi - i))
-      end
-    end
-  done;
-  !executed
-
-(* Drain the job: own chunk first, then steal from the others in
-   round-robin order, backing off (a single atomic load) from any chunk
-   already drained instead of spinning a fetch-and-add over it.  [me] is
-   the participant index (0 = caller). *)
-let exec_job t job me =
-  ignore (drain_chunk job job.chunks.(me mod t.n));
-  for k = 1 to Array.length job.chunks - 1 do
-    let (next, stop) as chunk = job.chunks.((me + k) mod t.n) in
-    if Atomic.get next < stop then begin
-      let stolen = drain_chunk job chunk in
-      if stolen > 0 then ignore (Atomic.fetch_and_add steal_total stolen)
-    end
-  done
+(* Claim and run indices until the cursor passes the end of the job. *)
+let rec exec_job job =
+  let i = Atomic.fetch_and_add job.next 1 in
+  if i < job.total then begin
+    job.run i;
+    Atomic.incr job.completed;
+    exec_job job
+  end
 
 (* Spin-then-park budgets.  The optimizer issues long trains of
    sub-millisecond jobs; a worker that parks on the condition variable
@@ -133,7 +91,7 @@ let exec_job t job me =
 let idle_spin = 512
 let join_spin = 512
 
-let rec worker_loop t me my_epoch =
+let rec worker_loop t my_epoch =
   (* Racing ahead of the lock is safe: the epoch is only ever bumped
      (under the lock) when a fresh job has been published, so a stale
      read just means one more relax iteration. *)
@@ -157,17 +115,15 @@ let rec worker_loop t me my_epoch =
     let job = Option.get t.job in
     let epoch = Atomic.get t.epoch in
     Mutex.unlock t.lock;
-    exec_job t job me;
+    exec_job job;
     Mutex.lock t.lock;
     if Atomic.get job.completed = job.total then Condition.broadcast t.job_done;
     Mutex.unlock t.lock;
-    worker_loop t me epoch
+    worker_loop t epoch
   end
 
-let create ?domains () =
-  let n =
-    effective_size (match domains with Some d -> d | None -> default_domains ())
-  in
+(* A pool of exactly [n] participants. *)
+let create n =
   let t =
     {
       n;
@@ -181,8 +137,7 @@ let create ?domains () =
     }
   in
   t.workers <-
-    List.init (n - 1) (fun k ->
-        Domain.spawn (fun () -> worker_loop t (k + 1) 0));
+    List.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
   t
 
 let shutdown t =
@@ -190,8 +145,7 @@ let shutdown t =
   Atomic.set t.stopping true;
   Condition.broadcast t.has_work;
   Mutex.unlock t.lock;
-  List.iter Domain.join t.workers;
-  t.workers <- []
+  List.iter Domain.join t.workers
 
 (* Pool checkout.  [with_pool] sits inside every optimizer search, often
    inside a caller's timed region; creating a pool there means a
@@ -227,7 +181,7 @@ let acquire ?domains () =
     | _ -> None
   in
   Mutex.unlock park_lock;
-  match hit with Some p -> p | None -> create ~domains:n ()
+  match hit with Some p -> p | None -> create n
 
 let park t =
   Mutex.lock park_lock;
@@ -252,15 +206,6 @@ let parked_count () =
   Mutex.unlock park_lock;
   n
 
-(* Split [0, total) into [n] contiguous chunks, the first [total mod n]
-   one element longer. *)
-let chunks_of n total =
-  let base = total / n and rem = total mod n in
-  Array.init n (fun k ->
-      let lo = (k * base) + Int.min k rem in
-      let len = base + if k < rem then 1 else 0 in
-      (Atomic.make lo, lo + len))
-
 let run_tasks t total run =
   if total > 0 then begin
     (* One probe strand per task slot; [fork] is a cheap token when the
@@ -283,13 +228,7 @@ let run_tasks t total run =
       for i = 0 to total - 1 do run i done
     else begin
       let job =
-        {
-          chunks = chunks_of t.n total;
-          run;
-          grain = grain_of t.n total;
-          total;
-          completed = Atomic.make 0;
-        }
+        { next = Atomic.make 0; run; total; completed = Atomic.make 0 }
       in
       Mutex.lock t.lock;
       if t.job <> None then begin
@@ -300,10 +239,11 @@ let run_tasks t total run =
       Atomic.incr t.epoch;
       Condition.broadcast t.has_work;
       Mutex.unlock t.lock;
-      exec_job t job 0;
-      (* The caller usually drains the lion's share of a small job; the
-         stragglers a worker still holds finish within microseconds, so
-         spin briefly before paying the condvar round-trip to park. *)
+      exec_job job;
+      (* Once the cursor has passed the end, only the tasks the workers
+         are still running remain; they usually finish within
+         microseconds, so spin briefly before paying the condvar
+         round-trip to park. *)
       let rec spin k =
         if k > 0 && Atomic.get job.completed < job.total then begin
           Domain.cpu_relax ();

@@ -1,9 +1,11 @@
-(** A work-stealing pool of OCaml 5 domains for the optimization mode.
+(** A pool of OCaml 5 domains for the optimization mode.
 
-    The optimization layer evaluates many independent layout candidates
-    (order permutations, swap neighbourhoods); a pool fans those
-    evaluations out over domains while keeping results in input order, so
-    reductions over them are deterministic regardless of scheduling.
+    The optimization layer evaluates independent layout candidates
+    (search subtrees, swap neighbourhoods) and the sweep builds
+    independent instances; a pool fans that work out over domains, each
+    participant claiming the next unclaimed task from one shared cursor,
+    while keeping results in input order, so reductions over them are
+    deterministic regardless of scheduling.
 
     Concurrency contract: a task must only mutate state it owns.  Layout
     objects are mutable, so a task must work on its own {!Amg_layout.Lobj.copy}
@@ -15,21 +17,8 @@ type t
 (** A pool of [size t] participants: [size t - 1] worker domains plus the
     calling domain, which joins in whenever work is submitted. *)
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] worker domains
-    ([domains] defaults to {!default_domains}; values < 1 are clamped
-    to 1, so [create ~domains:1 ()] is a purely sequential pool that
-    spawns nothing).  Unless {!set_oversubscribe}[ true] was called, the
-    size is additionally clamped to {!recommended}: extra domains on an
-    oversubscribed host only add GC-synchronization and scheduling cost,
-    and determinism keeps results identical either way. *)
-
 val size : t -> int
 (** Number of participants, including the calling domain. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Only for pools from
-    {!create}; {!with_pool} pools are managed by the checkout registry. *)
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with an exclusively owned pool of the requested
@@ -38,6 +27,13 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
     milliseconds, so the workers persist across calls, idling on a
     condition variable between jobs.  Parked pools are shut down at
     process exit.
+
+    [domains] defaults to {!default_domains}; values < 1 are clamped to 1,
+    and a pool of 1 is purely sequential and spawns nothing.  Unless
+    {!set_oversubscribe}[ true] was called, the size is additionally
+    clamped to {!recommended}: extra domains on an oversubscribed host
+    only add GC-synchronization and scheduling cost, and determinism keeps
+    results identical either way.
 
     The checkout registry is mutex-guarded, so concurrent system threads
     (the serving daemon's request handlers) may call [with_pool] freely:
@@ -54,16 +50,9 @@ val warm : ?domains:int -> unit -> unit
 val parked_count : unit -> int
 (** Number of currently parked idle pools (daemon observability). *)
 
-val steals : unit -> int
-(** Cumulative number of tasks executed out of another participant's
-    chunk, process-wide — a load-balance gauge for the serving metrics
-    registry.  Steal totals depend on scheduling and are deliberately
-    not part of the deterministic {!Amg_obs.Obs} counter stream. *)
-
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array t f arr] applies [f] to every element, distributing the
-    index range over the participants (each starts on its own contiguous
-    chunk and steals from the others' chunks when its own runs dry).
+(** [map_array t f arr] applies [f] to every element exactly once; each
+    participant claims the next unclaimed index until none is left.
     Results are returned in input order, so folding over them is
     deterministic no matter how the work was scheduled.  If any [f]
     raises, the exception of the lowest input index is re-raised in the

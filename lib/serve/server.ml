@@ -640,7 +640,6 @@ let register_metrics t =
       float_of_int (Atomic.get t.best_count));
   g "serve.pool.size" (fun () -> float_of_int (pool_size t));
   g "serve.pool.parked" (fun () -> float_of_int (Pool.parked_count ()));
-  Metrics.counter_fn "serve.pool.steals" Pool.steals;
   Metrics.counter_fn "serve.obs_events_dropped" Obs.dropped_events
 
 (* --- connection loop -------------------------------------------------- *)

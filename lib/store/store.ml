@@ -523,9 +523,6 @@ let record_if t key ~keep e =
       end;
       write)
 
-let record_better t key e =
-  record_if t key ~keep:(fun old -> old.rating <= e.rating) e
-
 let sync t =
   with_lock t (fun () ->
       match t.log_fd with

@@ -92,11 +92,6 @@ val record_if : t -> string -> keep:(entry -> bool) -> entry -> bool
     happen under the handle lock, so two racing writers cannot clobber
     each other's strictly-better record. *)
 
-val record_better : t -> string -> entry -> bool
-(** Bind [key] only if it is absent or the new rating is strictly lower
-    (ratings are minimized); returns whether the entry was recorded.
-    Equivalent to [record_if ~keep:(fun old -> old.rating <= e.rating)]. *)
-
 val deferred : t -> (unit -> 'a) -> 'a * (unit -> unit)
 (** [deferred t f] runs [f] with the log appends it makes to [t] on the
     calling domain held back: the in-memory table is bound as usual, and

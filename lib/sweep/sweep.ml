@@ -425,7 +425,6 @@ let run ?(domains = 1) ?(shuffle = false) ?store ?source_file ~on_line ~env
     in
     Counters.incr Counters.sweep_instances ~labels:[ status ];
     writer_push w i (render_row ~entity:spec.s_entity params outcome diags) ~stored;
-    Counters.incr Counters.sweep_rows;
     let done_ = Atomic.fetch_and_add completed 1 + 1 in
     Metrics.set_f progress (if n = 0 then 1. else float_of_int done_ /. float_of_int n)
   in

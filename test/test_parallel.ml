@@ -33,9 +33,9 @@ let test_pool_map () =
           let arr = Array.init 100 Fun.id in
           let out = Pool.map_array p (fun i -> i * i) arr in
           Array.iteri (fun i v -> check "square in order" (i * i) v) out;
-          (* Uneven task sizes exercise stealing: early indices are the
-             heavy ones, so the owner of chunk 0 lags and the others
-             steal. *)
+          (* Uneven task sizes: early indices are the heavy ones, so a
+             participant that claims one lags while the others take the
+             rest of the indices from the shared cursor. *)
           let heavy i =
             let n = if i < 10 then 200_000 else 10 in
             let acc = ref 0 in
@@ -75,6 +75,73 @@ let test_pool_error_lowest_index () =
           Alcotest.(check (array int)) "pool still works" [| 0; 2; 4 |]
             (Pool.map_array p (fun i -> 2 * i) [| 0; 1; 2 |])))
     domain_counts
+
+(* A busy loop of [c] units, so tasks of one job cost unevenly. *)
+let spin c =
+  let acc = ref 0 in
+  for k = 1 to c * 1000 do
+    acc := !acc + (k mod 7)
+  done;
+  Sys.opaque_identity !acc |> ignore
+
+(* Task [i] of the pool properties: it counts its runs in [runs.(i)] and
+   costs [costs.(i)] units. *)
+let counted_task runs costs i =
+  Atomic.incr runs.(i);
+  spin costs.(i);
+  (3 * i) + 1
+
+(* Mostly cheap tasks with a few heavy ones among them. *)
+let gen_costs =
+  QCheck2.Gen.(
+    array_size (int_range 0 300)
+      (frequency [ (9, int_range 0 2); (1, int_range 20 60) ]))
+
+let prop_each_task_once =
+  QCheck2.Test.make ~count:60 ~name:"pool: each task runs exactly once"
+    ~print:(fun (d, costs) ->
+      Printf.sprintf "domains=%d tasks=%d" d (Array.length costs))
+    QCheck2.Gen.(pair (oneofl [ 1; 2; 4 ]) gen_costs)
+    (fun (d, costs) ->
+      let n = Array.length costs in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let out =
+        Pool.with_pool ~domains:d (fun p ->
+            Pool.map_array p (counted_task runs costs) (Array.init n Fun.id))
+      in
+      Array.for_all (fun r -> Atomic.get r = 1) runs
+      && out = Array.init n (fun i -> (3 * i) + 1))
+
+(* [cancel] is polled once per claim, so a cancel that fires after [k]
+   polls lets exactly the first [k] claims run, whichever domains make
+   them; every slot is [Some (f i)] exactly when its task ran. *)
+let prop_cancel_after_k =
+  QCheck2.Test.make ~count:60
+    ~name:"pool: cancel after k claims runs k tasks once each"
+    ~print:(fun (d, costs, k) ->
+      Printf.sprintf "domains=%d tasks=%d k=%d" d (Array.length costs) k)
+    QCheck2.Gen.(triple (oneofl [ 2; 4 ]) gen_costs (int_range 0 320))
+    (fun (d, costs, k) ->
+      let n = Array.length costs in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let polls = Atomic.make 0 in
+      let out =
+        Pool.with_pool ~domains:d (fun p ->
+            Pool.map_array_cancel p
+              ~cancel:(fun () -> Atomic.fetch_and_add polls 1 >= k)
+              (counted_task runs costs) (Array.init n Fun.id))
+      in
+      let ran = Array.map Atomic.get runs in
+      Array.for_all (fun r -> r <= 1) ran
+      && Array.fold_left ( + ) 0 ran = Int.min k n
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i slot ->
+                match (ran.(i), slot) with
+                | 1, Some v -> v = (3 * i) + 1
+                | 0, None -> true
+                | _ -> false)
+              out))
 
 let test_pool_clamps () =
   Pool.with_pool ~domains:0 (fun p -> check "clamped to 1" 1 (Pool.size p));
@@ -290,4 +357,6 @@ let suite =
       test_orders_is_first_minimum;
     QCheck_alcotest.to_alcotest prop_permutations;
     Alcotest.test_case "permutations lazy" `Quick test_permutations_lazy;
+    QCheck_alcotest.to_alcotest prop_each_task_once;
+    QCheck_alcotest.to_alcotest prop_cancel_after_k;
   ]

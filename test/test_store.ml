@@ -85,6 +85,10 @@ let write_bytes path s =
 let entry ?(perm = [| 1; 0; 2 |]) ?(meta = []) rating =
   { Store.rating; perm; meta }
 
+(* The [keep] test of a minimizing write: the incumbent stays unless
+   rating [r] is strictly lower. *)
+let lower r old = old.Store.rating <= r
+
 let no_warnings what diags =
   check bool what true
     (List.for_all (fun d -> d.Diag.severity = Diag.Info) diags)
@@ -99,11 +103,12 @@ let test_roundtrip () =
     (List.map (fun d -> d.Diag.code) diags);
   check bool "miss on a fresh store" true (Store.find st "k" = None);
   (* strictly-better semantics: ratings are minimized *)
-  check bool "first record lands" true (Store.record_better st "k" (entry 5.0));
+  check bool "first record lands" true
+    (Store.record_if st "k" ~keep:(lower 5.0) (entry 5.0));
   check bool "worse rating rejected" false
-    (Store.record_better st "k" (entry 7.0));
+    (Store.record_if st "k" ~keep:(lower 7.0) (entry 7.0));
   check bool "better rating replaces" true
-    (Store.record_better st "k" (entry 3.0));
+    (Store.record_if st "k" ~keep:(lower 3.0) (entry 3.0));
   (* meta strings are binary-safe (no JSON/quoting on this path) *)
   Store.record st "k2"
     (entry ~perm:[| 3; 1; 2; 0 |]
@@ -331,11 +336,12 @@ let test_record_race () =
   let st, _ = Store.open_ path in
   let key = "contended" in
   (* The sequential contract first: only a strict improvement writes. *)
-  check bool "first write lands" true (Store.record_better st key (entry 7.));
-  check bool "worse write refused" false (Store.record_better st key (entry 9.));
-  check bool "equal write refused" false (Store.record_better st key (entry 7.));
-  check bool "better write lands" true (Store.record_better st key (entry 3.));
-  (* Then the race: many domains interleave record_better on one key.
+  let record r = Store.record_if st key ~keep:(lower r) (entry r) in
+  check bool "first write lands" true (record 7.);
+  check bool "worse write refused" false (record 9.);
+  check bool "equal write refused" false (record 7.);
+  check bool "better write lands" true (record 3.);
+  (* Then the race: many domains interleave record_if on one key.
      Whatever the schedule, the surviving record is the minimum rating —
      the test-and-set runs under the handle lock, so a slow writer can
      never clobber a better record that landed after its read. *)
@@ -343,7 +349,7 @@ let test_record_race () =
   Amg_parallel.Pool.with_pool ~domains:4 (fun pool ->
       ignore
         (Amg_parallel.Pool.map_array pool
-           (fun r -> ignore (Store.record_better st key (entry r)))
+           (fun r -> ignore (record r))
            ratings));
   let best st =
     match Store.find st key with Some e -> e.Store.rating | None -> nan
