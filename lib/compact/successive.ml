@@ -619,32 +619,52 @@ let travel d mv delta =
   | Dir.Horizontal -> mv.dx <- mv.dx + delta
   | Dir.Vertical -> mv.dy <- mv.dy + delta
 
-(* Would growing shape [s] of [owner] to [r'] violate a separation against
-   any other shape of [main] or [obj]?  Shapes beyond the pair's spacing
-   rule on either axis cannot be violated, so only index candidates around
-   [r'] are examined, and only on layers that can constrain [s]. *)
-let extension_safe rules ?ignore_layers ~main ~obj (s : Shape.t) r' =
-  let ok cls (other : Shape.t) =
-    other == s
-    ||
-    match Constraints.relation_cls cls s other with
-    | Constraints.Unconstrained | Constraints.Mergeable -> true
-    | Constraints.Separation sep ->
-        let dx = Rect.gap Dir.Horizontal r' other.Shape.rect in
-        let dy = Rect.gap Dir.Vertical r' other.Shape.rect in
-        Int.max dx dy >= sep
+(* One auto-connection call's extension check: would growing shape [s]
+   of [owner] to [r'] violate a separation against any other shape of
+   [main] or [obj]?  Shapes beyond the pair's spacing rule on either axis
+   cannot be violated, so only index candidates around [r'] are examined,
+   and only on layers that can constrain [s].  Each (target layer, layer)
+   pair is classified once per call, at its first use; the candidates of
+   a layer are visited without a list, and the visit stops at the first
+   violation ([Lobj.exists_near], still one counted query).  The layers,
+   their order and the short cut from [main] to [obj] are those of a
+   check that lists every candidate, so every check makes the same
+   queries. *)
+let extension_safe rules ?ignore_layers () =
+  let memo = ref [] in
+  let classify la lb =
+    let rec find = function
+      | [] ->
+          let cls = Constraints.classify rules ?ignore_layers la lb in
+          memo := (la, lb, cls) :: !memo;
+          cls
+      | (a, b, cls) :: rest ->
+          if String.equal a la && String.equal b lb then cls else find rest
+    in
+    find !memo
   in
-  let clear owner =
-    List.for_all
-      (fun layer ->
-        let cls = Constraints.classify rules ?ignore_layers s.Shape.layer layer in
-        (not (may_constrain cls s owner layer))
-        ||
-        let margin = Constraints.margin_cls cls in
-        List.for_all (ok cls) (Lobj.near owner ~layer r' ~margin))
-      (Lobj.layers owner)
-  in
-  clear main && clear obj
+  fun ~main ~obj (s : Shape.t) r' ->
+    let violates cls (other : Shape.t) =
+      other != s
+      &&
+      match Constraints.relation_cls cls s other with
+      | Constraints.Unconstrained | Constraints.Mergeable -> false
+      | Constraints.Separation sep ->
+          let dx = Rect.gap Dir.Horizontal r' other.Shape.rect in
+          let dy = Rect.gap Dir.Vertical r' other.Shape.rect in
+          Int.max dx dy < sep
+    in
+    let clear owner =
+      List.for_all
+        (fun layer ->
+          let cls = classify s.Shape.layer layer in
+          (not (may_constrain cls s owner layer))
+          || not
+               (Lobj.exists_near owner ~layer r' ~margin:(Constraints.margin_cls cls)
+                  (violates cls)))
+        (Lobj.layers owner)
+    in
+    clear main && clear obj
 
 (* Auto-connection (§2.3, Fig. 5a): after placement, same-layer same-net
    shape pairs whose cross-axis spans overlap but which still have a gap
@@ -658,6 +678,7 @@ let auto_connect rules ?ignore_layers d ~main ~pass obj =
   let axis = Dir.axis d in
   (* Cut layers (fixed-size openings) must never be stretched. *)
   let stretchable (s : Shape.t) = Rules.cut_size_opt rules s.Shape.layer = None in
+  let extension_safe = extension_safe rules ?ignore_layers () in
   List.iter
     (fun (a_id, b_id) ->
       match (Lobj.find obj a_id, Lobj.find main b_id) with
@@ -673,7 +694,7 @@ let auto_connect rules ?ignore_layers d ~main ~pass obj =
               else match axis with Dir.Horizontal -> Dir.West | Vertical -> Dir.South
             in
             let r' = Rect.grow_side b.Shape.rect facing gap in
-            if extension_safe rules ?ignore_layers ~main ~obj b r' then begin
+            if extension_safe ~main ~obj b r' then begin
               Obs.count "compact.same_potential_merges" 1;
               Lobj.replace main (Shape.with_rect b r')
             end

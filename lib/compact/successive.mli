@@ -167,6 +167,26 @@ val auto_connect :
     the mover taken before it travelled along the movement axis.  Exposed
     for tests. *)
 
+val extension_safe :
+  Amg_tech.Rules.t ->
+  ?ignore_layers:string list ->
+  unit ->
+  main:Amg_layout.Lobj.t ->
+  obj:Amg_layout.Lobj.t ->
+  Amg_layout.Shape.t ->
+  Amg_geometry.Rect.t ->
+  bool
+(** [extension_safe rules ?ignore_layers () ~main ~obj s r'] is
+    {!auto_connect}'s check of one stretch: whether growing [s] to [r']
+    keeps every separation against the other shapes of [main] and [obj].
+    One [extension_safe rules ?ignore_layers ()] serves one
+    {!auto_connect} call and classifies each (target layer, layer) pair
+    once, at its first use.  The check visits the layers of [main], then
+    those of [obj], in {!Amg_layout.Lobj.layers} order, skips a layer that
+    cannot constrain [s], and makes one {!Amg_layout.Lobj.exists_near}
+    query per layer it visits, stopping at the first violation.  Exposed
+    for tests. *)
+
 val compact :
   rules:Amg_tech.Rules.t ->
   into:Amg_layout.Lobj.t ->

@@ -173,11 +173,6 @@ let hashtbl_order v ls =
   List.iter (fun l -> Hashtbl.replace t v.names.(l) l) ls;
   List.rev (Hashtbl.fold (fun _ l acc -> l :: acc) t [])
 
-let exists_near v ~layer rect f =
-  let found = ref false in
-  Lobj.iter_near v.obj ~layer rect ~margin:0 (fun s -> if (not !found) && f s then found := true);
-  !found
-
 (* A poly shape overlapping an active shape is a (candidate) gate: spacing
    does not apply there — the extension checks validate the crossing. *)
 let gate_pair v i j =
@@ -314,7 +309,8 @@ let min_areas v =
 let shorts v =
   let n = Array.length v.shapes in
   let unmarked =
-    settled v (fun g -> not (exists_near v ~layer:"resmark" g.hull (fun _ -> true)))
+    settled v (fun g ->
+        not (Lobj.exists_near v.obj ~layer:"resmark" g.hull ~margin:0 (fun _ -> true)))
   in
   let polys =
     List.filter
@@ -329,14 +325,15 @@ let shorts v =
       (match v.tl.(v.layer.(i)) with Some t -> Layer.is_active t | None -> false)
       && List.exists
            (fun pl ->
-             exists_near v ~layer:v.names.(pl) s.Shape.rect (fun (p : Shape.t) ->
+             Lobj.exists_near v.obj ~layer:v.names.(pl) s.Shape.rect ~margin:0
+               (fun (p : Shape.t) ->
                  let j = v.ix_of_id.(p.Shape.id) in
                  j <> i && gate_pair v j i))
            polys
     in
     not
       (channel
-      || exists_near v ~layer:"resmark" s.Shape.rect (fun (m : Shape.t) ->
+      || Lobj.exists_near v.obj ~layer:"resmark" s.Shape.rect ~margin:0 (fun (m : Shape.t) ->
              Rect.contains_rect m.Shape.rect s.Shape.rect))
   in
   let conducting = Array.init n conducts in
@@ -479,7 +476,8 @@ let enclosures v =
      enclosing a group's hull encloses each of its members. *)
   let enclosed r (outer, margin) =
     let needed = Rect.inflate r margin in
-    exists_near v ~layer:outer needed (fun (s : Shape.t) -> Rect.contains_rect s.rect needed)
+    Lobj.exists_near v.obj ~layer:outer needed ~margin:0 (fun (s : Shape.t) ->
+        Rect.contains_rect s.rect needed)
   in
   let enclosed_all r l =
     let metal_outers, landing_outers = outers.(l) in

@@ -76,9 +76,8 @@ let build ~tech obj =
       (Lobj.layers obj)
   in
   let in_resmark r =
-    List.exists
-      (fun (m : Shape.t) -> Rect.contains_rect m.Shape.rect r)
-      (Lobj.near obj ~layer:"resmark" r ~margin:0)
+    Lobj.exists_near obj ~layer:"resmark" r ~margin:0 (fun (m : Shape.t) ->
+        Rect.contains_rect m.Shape.rect r)
   in
   let pieces = ref [] in
   let add (s : Shape.t) rect =
@@ -161,49 +160,87 @@ let build ~tech obj =
                (Amg_tech.Rules.enclosing_layers rules ~inner:layer))
       | _ -> ())
     (Lobj.layers obj);
-  List.iter
-    (fun (c : Shape.t) ->
-      match Hashtbl.find_opt landing c.Shape.layer with
-      | None -> ()
-      | Some ixs ->
-          let hits = ref [] in
-          List.iter
-            (fun ix ->
-              Sindex.iter_query ix c.Shape.rect ~margin:0 (fun i ->
-                  let p = pieces.(i) in
-                  if p.p_conducting && Rect.overlaps p.p_rect c.Shape.rect then
-                    hits := i :: !hits))
-            ixs;
-          (* Sorted descending so the list reads exactly like the seed
-             scan's accumulator (built by consing ascending indices);
-             the union order below — and the resulting roots — depend
-             on it. *)
-          let hits = List.sort (fun i j -> Int.compare j i) !hits in
-          (* A cut reaches the metal(s) above and only the TOPMOST of the
-             overlapped non-metal landing layers: a contact on a poly2 top
-             plate does not also reach the poly bottom plate under it.
-             The first landing piece of the greatest draw index names
-             that layer. *)
-          let metals, landings = List.partition (fun i -> metal.(i)) hits in
-          let top =
-            List.fold_left
-              (fun acc i ->
-                match acc with
-                | Some cur when draw.(i) <= draw.(cur) -> acc
-                | _ -> Some i)
-              None landings
-          in
-          let landings =
-            match top with
-            | None -> []
-            | Some top ->
-                let l = pieces.(top).p_layer in
-                List.filter (fun i -> String.equal pieces.(i).p_layer l) landings
-          in
-          (match metals @ landings with
-          | first :: rest -> List.iter (fun i -> union t first i) rest
-          | [] -> ()))
-    shapes;
+  (* The unions of one cut's hits.  A cut reaches the metal(s) above and
+     only the TOPMOST of the overlapped non-metal landing layers: a
+     contact on a poly2 top plate does not also reach the poly bottom
+     plate under it.  The first landing piece of the greatest draw index
+     names that layer. *)
+  let connect hits =
+    let metals, landings = List.partition (fun i -> metal.(i)) hits in
+    let top =
+      List.fold_left
+        (fun acc i ->
+          match acc with
+          | Some cur when draw.(i) <= draw.(cur) -> acc
+          | _ -> Some i)
+        None landings
+    in
+    let landings =
+      match top with
+      | None -> []
+      | Some top ->
+          let l = pieces.(top).p_layer in
+          List.filter (fun i -> String.equal pieces.(i).p_layer l) landings
+    in
+    match metals @ landings with
+    | first :: rest -> List.iter (fun i -> union t first i) rest
+    | [] -> ()
+  in
+  (* A run is a stretch of consecutive cuts of one array and one layer
+     (a cut outside any array is a run of its own).  Its conducting
+     landing candidates are gathered once, over the run's hull, and
+     sorted descending, the order of the seed scan's accumulator (built
+     by consing ascending indices): the union order — and with it every
+     root — depends on it.  Each cut keeps the candidates it overlaps, in
+     that order, which are exactly the hits a query of its own would
+     find.  A cut whose hits equal the previous cut's needs no union:
+     those pieces are one node already. *)
+  let run_pass ixs = function
+    | [] -> ()
+    | (first : Shape.t) :: _ as run ->
+        let hull =
+          List.fold_left
+            (fun h (c : Shape.t) -> Rect.hull h c.Shape.rect)
+            first.Shape.rect run
+        in
+        let cands = ref [] in
+        List.iter
+          (fun ix ->
+            Sindex.iter_query ix hull ~margin:0 (fun i ->
+                if pieces.(i).p_conducting then cands := i :: !cands))
+          ixs;
+        let cands = List.sort (fun i j -> Int.compare j i) !cands in
+        ignore
+          (List.fold_left
+             (fun prev (c : Shape.t) ->
+               let hits =
+                 List.filter (fun i -> Rect.overlaps pieces.(i).p_rect c.Shape.rect) cands
+               in
+               if not (List.equal Int.equal hits prev) then connect hits;
+               hits)
+             [] run)
+  in
+  let same_run (a : Shape.t) (b : Shape.t) =
+    String.equal a.Shape.layer b.Shape.layer
+    &&
+    match (a.Shape.origin, b.Shape.origin) with
+    | Shape.Array_member x, Shape.Array_member y -> Int.equal x y
+    | _ -> false
+  in
+  (* [run] is the current run, newest cut first, and [ixs] its landing
+     indexes; a shape that does not extend it ends it. *)
+  let rec cut_pass ixs run = function
+    | [] -> run_pass ixs (List.rev run)
+    | (c : Shape.t) :: rest -> (
+        match run with
+        | last :: _ when same_run last c -> cut_pass ixs (c :: run) rest
+        | _ -> (
+            run_pass ixs (List.rev run);
+            match Hashtbl.find_opt landing c.Shape.layer with
+            | None -> cut_pass [] [] rest
+            | Some ixs -> cut_pass ixs [ c ] rest))
+  in
+  cut_pass [] [] shapes;
   (* Collect labels. *)
   Array.iteri
     (fun i p ->

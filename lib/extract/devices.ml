@@ -44,8 +44,7 @@ let polarity_of_diff = function
   | "pdiff" -> D.Pmos
   | _ -> D.Nmos
 
-let extract_mosfets ~tech conn obj =
-  let shapes = Lobj.shapes obj in
+let extract_mosfets ~tech conn shapes =
   let polys =
     List.filter
       (fun (s : Shape.t) ->
@@ -119,16 +118,11 @@ let merge_parallel mosfets =
     mosfets;
   Hashtbl.fold (fun _ m acc -> m :: acc) tbl [] |> List.sort compare_mos
 
-let extract_bjts ~tech conn obj =
-  ignore tech;
+let extract_bjts conn obj shapes =
   let bases = Lobj.rects_on obj "pbase" in
   let wells = Lobj.rects_on obj "nwell" in
-  let ndiffs =
-    List.filter (fun (s : Shape.t) -> Shape.on_layer s "ndiff") (Lobj.shapes obj)
-  in
-  let pdiffs =
-    List.filter (fun (s : Shape.t) -> Shape.on_layer s "pdiff") (Lobj.shapes obj)
-  in
+  let ndiffs = List.filter (fun (s : Shape.t) -> Shape.on_layer s "ndiff") shapes in
+  let pdiffs = List.filter (fun (s : Shape.t) -> Shape.on_layer s "pdiff") shapes in
   List.concat_map
     (fun base ->
       let well = List.find_opt (fun w -> Rect.contains_rect w base) wells in
@@ -165,7 +159,7 @@ let extract_bjts ~tech conn obj =
           | _ -> []))
     bases
 
-let extract_resistors ~tech conn obj =
+let extract_resistors ~tech conn obj shapes =
   let marks = Lobj.rects_on obj "resmark" in
   List.filter_map
     (fun mark ->
@@ -178,7 +172,7 @@ let extract_resistors ~tech conn obj =
             | Some l -> l.Layer.conducting && not (Layer.is_cut l)
             | None -> false)
             && Rect.contains_rect mark s.Shape.rect)
-          (Lobj.shapes obj)
+          shapes
       in
       match films with
       | [] -> None
@@ -196,7 +190,7 @@ let extract_resistors ~tech conn obj =
                 && List.exists
                      (fun (film : Shape.t) -> Rect.touches s.Shape.rect film.Shape.rect)
                      films)
-              (Lobj.shapes obj)
+              shapes
           in
           let nodes =
             List.filter_map
@@ -223,9 +217,9 @@ let extract_resistors ~tech conn obj =
           | _ -> None))
     marks
 
-let extract_capacitors ~tech conn obj =
-  let poly2s = List.filter (fun (s : Shape.t) -> Shape.on_layer s "poly2") (Lobj.shapes obj) in
-  let polys = List.filter (fun (s : Shape.t) -> Shape.on_layer s "poly") (Lobj.shapes obj) in
+let extract_capacitors ~tech conn shapes =
+  let poly2s = List.filter (fun (s : Shape.t) -> Shape.on_layer s "poly2") shapes in
+  let polys = List.filter (fun (s : Shape.t) -> Shape.on_layer s "poly") shapes in
   let cap_per_um2 =
     match Technology.layer tech "poly2" with
     | Some l -> l.Layer.area_cap
@@ -335,11 +329,15 @@ let merge_parallel_caps caps =
       (a, b, ff))
     !order
 
+(* The passes read one shape list, in store order (the order the
+   capacitor pairs, the resistor films and heads and the transistor
+   pairs are met in). *)
 let extract ~tech obj =
   let conn = Connectivity.build ~tech obj in
-  let mosfets = merge_parallel (extract_mosfets ~tech conn obj) in
-  let bjts = extract_bjts ~tech conn obj in
-  let capacitors = merge_parallel_caps (extract_capacitors ~tech conn obj) in
+  let shapes = Lobj.shapes obj in
+  let mosfets = merge_parallel (extract_mosfets ~tech conn shapes) in
+  let bjts = extract_bjts conn obj shapes in
+  let capacitors = merge_parallel_caps (extract_capacitors ~tech conn shapes) in
   (* A node is internal to a resistor chain only if it carries no user
      label and no other device type touches it. *)
   let labeled = Connectivity.labeled_nets conn in
@@ -352,7 +350,7 @@ let extract ~tech obj =
   {
     mosfets;
     bjts;
-    resistors = reduce_resistors ~internal (extract_resistors ~tech conn obj);
+    resistors = reduce_resistors ~internal (extract_resistors ~tech conn obj shapes);
     capacitors;
     short_nets = Connectivity.shorts conn;
   }

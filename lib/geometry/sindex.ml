@@ -323,3 +323,30 @@ let bbox t =
   iter_local t (fun _ r ->
       acc := Some (match !acc with None -> r | Some h -> Rect.hull h r));
   Option.map (fun r -> Rect.translate r ~dx:t.ox ~dy:t.oy) !acc
+
+exception Found
+
+(* [iter_query] that leaves off at the first key [p] holds for.  The
+   scan is left by an exception caught right here, so the scan loops
+   carry no stop test, and the query is still counted, with what it
+   scanned and hit up to there.  It stands last in the module so that
+   the hot scan and walk loops above keep their place in the code, whose
+   alignment moves their speed. *)
+let exists_query t rect ~margin p =
+  Amg_robust.Inject.(probe Sindex_query);
+  t.count > 0
+  &&
+  let w = window t rect ~margin in
+  let xb0 = fdiv w.wx0 t.cell and xb1 = fdiv w.wx1 t.cell in
+  let yb0 = fdiv w.wy0 t.cell and yb1 = fdiv w.wy1 t.cell in
+  let f key = if p key then raise_notrace Found in
+  let found =
+    match
+      if xb1 - xb0 <= yb1 - yb0 then scan_axis t w f ~on_x:true t.xbins t.xwide xb0 xb1
+      else scan_axis t w f ~on_x:false t.ybins t.ywide yb0 yb1
+    with
+    | () -> false
+    | exception Found -> true
+  in
+  count_scan w;
+  found

@@ -73,6 +73,14 @@ val iter_query : t -> Rect.t -> margin:int -> (int -> unit) -> unit
     reported exactly once, in an unspecified order; nothing is allocated
     per candidate.  [f] must not mutate the index. *)
 
+val exists_query : t -> Rect.t -> margin:int -> (int -> bool) -> bool
+(** [exists_query t window ~margin p]: whether [p] holds for some key
+    {!iter_query} reports.  The keys are visited as {!iter_query} visits
+    them, and the scan stops at the first one [p] holds for, so [p] may
+    not see every key.  Either way it is one query: one fault-injection
+    probe, and one count of [sindex.queries] with the entries scanned and
+    hit up to the stop.  [p] must not mutate the index. *)
+
 val walk :
   t -> Rect.t -> margin:int -> Dir.t -> go:(int -> bool) -> (int -> unit) -> bool
 (** [walk t window ~margin d ~go f]: the bound-ordered {!iter_query}.  It

@@ -1065,3 +1065,10 @@ let check t =
       if not (List.equal Int.equal (List.sort Int.compare !ids) (List.sort Int.compare !indexed))
       then fail "layer %s: the index does not hold exactly its shapes below the mark" l.lname)
     t.layer_order
+
+let exists_near t ~layer rect ~margin p =
+  match find_layer layer t.layer_order with
+  | None -> false
+  | Some l ->
+      flush t l;
+      Sindex.exists_query l.ix rect ~margin (fun id -> p (find_exn t id))

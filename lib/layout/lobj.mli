@@ -25,8 +25,8 @@
 
     A layer's spatial index is built lazily.  Entering a shape
     ({!add_shape}, {!absorb}, {!rederive}'s cuts) leaves it pending; the
-    first query of the layer ({!near}, {!iter_near}, {!iter_near_layer},
-    {!shapes_on}) and every mutation that rewrites its index
+    first query of the layer ({!near}, {!iter_near}, {!exists_near},
+    {!iter_near_layer}, {!shapes_on}) and every mutation that rewrites its index
     ({!replace}, {!remove}, {!transform}, {!fill_caches}) enter its
     pending shapes first, in insertion order, so the index ends
     up exactly as eager insertion would have built it (after
@@ -96,6 +96,14 @@ val iter_near :
 (** The shapes {!near} returns, visited once each in an unspecified order,
     without building a list.  [f] must not mutate the object. *)
 
+val exists_near :
+  t -> layer:string -> Amg_geometry.Rect.t -> margin:int -> (Shape.t -> bool) -> bool
+(** Whether [p] holds for one of the shapes {!near} returns.  They are
+    visited as {!iter_near} visits them, and the visit stops at the first
+    one [p] holds for ({!Amg_geometry.Sindex.exists_query}): one index
+    query, counted once however early it stops, and no list.  [p] must
+    not mutate the object. *)
+
 type layer
 (** A handle on one layer of an object, from {!fold_layers}: it reaches
     the layer's index without a lookup by name.  It stays valid until the
@@ -152,7 +160,7 @@ val rects_on : t -> string -> Amg_geometry.Rect.t list
 
     The hull reads ({!bbox}, {!bbox_exn}, {!bbox_area}, {!bbox_on},
     {!fold_layers}), the index queries ({!near}, {!iter_near},
-    {!iter_near_layer}, {!shapes_on}, {!rects_on}) and the reads that
+    {!exists_near}, {!iter_near_layer}, {!shapes_on}, {!rects_on}) and the reads that
     expand cut blocks (above) are the only reads that may write: a hull
     cache that a mutation left dirty is filled on the first read after
     it, a query brings its layer's index up to date, and a block becomes

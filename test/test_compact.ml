@@ -541,6 +541,81 @@ let test_readonly_equals_copy () =
   Alcotest.(check bool) "faults raise" true (!raised >= 50);
   Alcotest.(check bool) "faults are diagnosed" true (!diagnosed >= 10)
 
+(* --- the extension check against the list-based reference ---
+
+   Random main structures and movers ([gen_placement_obj]: keep-clear
+   shapes, contact arrays, shared nets) in both decks, the mover
+   displaced by up to 10 um, under a random [ignore_layers].  One
+   [Successive.extension_safe] checker, as one auto-connection call
+   holds, asks about several stretches of main shapes in turn, so its
+   classification memo serves pairs classified for an earlier stretch.
+   Each verdict must equal [Test_util.reference_extension_safe]'s, and
+   each check must make as many index queries ([sindex.queries] under
+   Obs), which pins where an injected [sindex-query] fault strikes.
+   Both verdicts must occur; their counts are pinned from below. *)
+let prop_extension_safe_matches_reference =
+  let module Obs = Amg_obs.Obs in
+  let gen =
+    QCheck2.Gen.(
+      let* deck = bool in
+      let* main = gen_placement_obj ~size:16 and* mover = gen_placement_obj ~size:8 in
+      let* at = pair (int_range (-20) 20) (int_range (-20) 20) in
+      let* ignore_layers =
+        list_size (int_range 0 2) (oneofl [ "metal1"; "metal2"; "poly"; "pdiff"; "nwell" ])
+      in
+      let* probes =
+        list_size (int_range 1 6) (triple (int_range 0 40) (oneofl Dir.all) (int_range 1 12))
+      in
+      return (deck, main, mover, at, ignore_layers, probes))
+  in
+  let safe = ref 0 and unsafe = ref 0 in
+  let test =
+    QCheck2.Test.make ~name:"extension check = list-based reference" ~count:300 gen
+      (fun (deck, main_pieces, mover_pieces, (dx, dy), ignore_layers, probes) ->
+        let tech = if deck then Amg_tech.Bicmos1u.get () else Amg_tech.Cmos08.get () in
+        let rules = Technology.rules tech in
+        let main = build_placement_obj rules "main" main_pieces in
+        let obj = build_placement_obj rules "mover" mover_pieces in
+        Lobj.translate obj ~dx:(dx * 500) ~dy:(dy * 500);
+        let main' = Lobj.copy main and obj' = Lobj.copy obj in
+        let check = Successive.extension_safe rules ~ignore_layers () in
+        let ids = Array.of_list (List.map (fun (s : Shape.t) -> s.Shape.id) (Lobj.shapes main)) in
+        let queries f =
+          Obs.reset ();
+          Obs.enable ();
+          let v = Fun.protect ~finally:Obs.disable f in
+          (v, Obs.counter "sindex.queries")
+        in
+        List.for_all
+          (fun (k, facing, steps) ->
+            let id = ids.(k mod Array.length ids) in
+            let s = Lobj.find_exn main id and s' = Lobj.find_exn main' id in
+            let r' = Rect.grow_side s.Shape.rect facing (steps * 500) in
+            let got, q = queries (fun () -> check ~main ~obj s r') in
+            let want, q' =
+              queries (fun () ->
+                  Test_util.reference_extension_safe rules ~ignore_layers ~main:main' ~obj:obj' s'
+                    r')
+            in
+            incr (if want then safe else unsafe);
+            if got <> want || q <> q' then
+              QCheck2.Test.fail_reportf "shape %d grown %s by %d: %b with %d queries, reference %b with %d"
+                id (Dir.to_string facing) steps got q want q'
+            else true)
+          probes)
+  in
+  (* QCHECK_SEED, as the other properties read it, or a fixed seed. *)
+  let seed =
+    Option.value ~default:7 (Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt)
+  in
+  let run () =
+    QCheck2.Test.check_exn ~rand:(Random.State.make [| seed |]) test;
+    Printf.printf "stretches: %d safe, %d not\n" !safe !unsafe;
+    Alcotest.(check bool) "some stretches are safe" true (!safe >= 100);
+    Alcotest.(check bool) "some stretches are not" true (!unsafe >= 100)
+  in
+  Alcotest.test_case "extension check = list-based reference" `Quick run
+
 let suite =
   [
     Alcotest.test_case "relation classification" `Quick test_relation;
@@ -558,4 +633,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_translation_linear;
     Alcotest.test_case "copy-free placement = compact of a copy" `Quick
       test_readonly_equals_copy;
+    prop_extension_safe_matches_reference;
   ]

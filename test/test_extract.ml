@@ -395,6 +395,181 @@ let test_node_at_modules () =
       ("cap array", fst (M.Cap_array.make e ~unit_ff:60. ~units_a:1 ~units_b:2 ()));
     ]
 
+(* --- the cut pass by runs against the per-cut reference --------------
+
+   Random layouts in both decks: registered cut arrays (contacts on
+   poly, diffusion or a poly2 plate over poly, and vias), each built in
+   an object of its own and absorbed, under landing metal made of its
+   container and up to two more rectangles that cover only part of it;
+   user cuts interleaved between the arrays, stray metal and poly, and
+   resmark regions over some of it.  Coordinates are in half
+   micrometres.  [Connectivity.build] must give every piece the root
+   and net name, and the layout the labelled nets and shorts, of a
+   union-find built the old way: same-layer touching pieces by an
+   all-pairs scan, then [Test_util.reference_cut_pass]. *)
+type cut_item =
+  | Arr of string * (int * int) * (int * int) * string option
+      * ((int * int * int * int) * string option) list
+      (** landing, origin, size, net, extra landing-metal rectangles
+          (offsets and size in the array's frame) *)
+  | User_cut of string * (int * int) * string option
+  | Mark of (int * int * int * int)
+  | Stray of string * (int * int * int * int) * string option
+
+let cut_layout_gen =
+  QCheck2.Gen.(
+    let nets = oneofl [ Some "a"; Some "b"; Some "c"; None ] in
+    let at = tup2 (int_range 0 40) (int_range 0 40) in
+    let rect = quad (int_range 0 48) (int_range 0 48) (int_range 1 16) (int_range 1 16) in
+    let arr bicmos =
+      let* landing =
+        oneofl
+          ([ "poly"; "pdiff"; "ndiff"; "via" ] @ if bicmos then [ "poly2" ] else [])
+      in
+      let* pos = at and* size = tup2 (int_range 4 16) (int_range 4 16) in
+      let* net = nets in
+      let* extras =
+        list_size (int_range 0 2)
+          (pair (quad (int_range (-3) 12) (int_range (-3) 12) (int_range 1 10) (int_range 1 10)) nets)
+      in
+      return (Arr (landing, pos, size, net, extras))
+    in
+    let* bicmos = bool in
+    let* items =
+      list_size (int_range 1 8)
+        (frequency
+           [
+             (4, arr bicmos);
+             (2, map2 (fun (l, p) n -> User_cut (l, p, n)) (pair (oneofl [ "contact"; "via" ]) at) nets);
+             (1, map (fun r -> Mark r) rect);
+             (2, map3 (fun l r n -> Stray (l, r, n)) (oneofl [ "metal1"; "metal2"; "poly"; "pdiff" ]) rect nets);
+           ])
+    in
+    return (bicmos, items))
+
+let show_cut_layout (bicmos, items) =
+  let r (x, y, w, h) = Printf.sprintf "(%d,%d %dx%d)" x y w h in
+  let n = Option.value ~default:"-" in
+  (if bicmos then "bicmos1u: " else "cmos08: ")
+  ^ String.concat "; "
+      (List.map
+         (function
+           | Arr (l, (x, y), (w, h), net, extras) ->
+               Printf.sprintf "array %s %s %s [%s]" l (r (x, y, w, h)) (n net)
+                 (String.concat ", " (List.map (fun (e, en) -> r e ^ " " ^ n en) extras))
+           | User_cut (l, (x, y), net) -> Printf.sprintf "cut %s (%d,%d) %s" l x y (n net)
+           | Mark rc -> "resmark " ^ r rc
+           | Stray (l, rc, net) -> Printf.sprintf "%s %s %s" l (r rc) (n net))
+         items)
+
+let cut_layout (bicmos, items) =
+  let tech = if bicmos then Amg_tech.Bicmos1u.get () else Amg_tech.Cmos08.get () in
+  let rules = Amg_tech.Technology.rules tech in
+  let o = Lobj.create "cuts" in
+  List.iter
+    (function
+      | Arr (landing, (x, y), (w, h), net, extras) ->
+          let sub = Lobj.create "array" in
+          let at = half_rect (0, 0, w, h) in
+          let metal, lower, cut_layer =
+            match landing with
+            | "via" -> ("metal2", "metal1", "via")
+            | l -> ("metal1", l, "contact")
+          in
+          let a = Lobj.add_shape sub ~layer:lower ~rect:at ?net () in
+          let b = Lobj.add_shape sub ~layer:metal ~rect:at ?net () in
+          if String.equal landing "poly2" then
+            ignore (Lobj.add_shape sub ~layer:"poly" ~rect:(Rect.inflate at (half_um 2)) ());
+          ignore
+            (Lobj.register_array sub ~cut_layer ~container_ids:[ a.Amg_layout.Shape.id; b.Amg_layout.Shape.id ]
+               ?net ());
+          Lobj.rederive sub rules;
+          List.iter
+            (fun ((ex, ey, ew, eh), en) ->
+              ignore (Lobj.add_shape sub ~layer:metal ~rect:(half_rect (ex, ey, ew, eh)) ?net:en ()))
+            extras;
+          ignore (Lobj.absorb ~dx:(half_um x) ~dy:(half_um y) o sub)
+      | User_cut (layer, (x, y), net) ->
+          let side = Amg_tech.Rules.cut_size rules layer in
+          ignore
+            (Lobj.add_shape o ~layer
+               ~rect:(Rect.of_size ~x:(half_um x) ~y:(half_um y) ~w:side ~h:side)
+               ?net ())
+      | Mark r -> ignore (Lobj.add_shape o ~layer:"resmark" ~rect:(half_rect r) ())
+      | Stray (layer, r, net) -> ignore (Lobj.add_shape o ~layer ~rect:(half_rect r) ?net ()))
+    items;
+  (tech, o)
+
+(* The first difference between [Connectivity.build] and the reference
+   on [obj], if any. *)
+let cut_pass_mismatch ~tech obj =
+  let module C = X.Connectivity in
+  let conn = C.build ~tech obj in
+  let pieces = C.pieces conn in
+  let n = Array.length pieces in
+  let parent = Array.init n Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let union i j =
+    let ri = find i and rj = find j in
+    if ri <> rj then parent.(ri) <- rj
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = pieces.(i) and b = pieces.(j) in
+      if
+        a.C.p_conducting && b.C.p_conducting
+        && String.equal a.C.p_layer b.C.p_layer
+        && Rect.touches a.C.p_rect b.C.p_rect
+      then union i j
+    done
+  done;
+  Test_util.reference_cut_pass ~tech obj pieces ~union;
+  let labels = Hashtbl.create 32 in
+  Array.iteri
+    (fun i (p : C.piece) ->
+      match p.C.p_net with
+      | Some net when p.C.p_conducting ->
+          let r = find i in
+          let cur = Option.value ~default:[] (Hashtbl.find_opt labels r) in
+          if not (List.mem net cur) then
+            Hashtbl.replace labels r (List.sort String.compare (net :: cur))
+      | _ -> ())
+    pieces;
+  let net_name r =
+    match Hashtbl.find_opt labels r with
+    | Some [ l ] -> l
+    | Some ls -> String.concat "+" ls
+    | None -> Printf.sprintf "n%d" r
+  in
+  let labeled = Hashtbl.fold (fun _ ls acc -> ls @ acc) labels [] |> List.sort_uniq String.compare in
+  let shorts =
+    Hashtbl.fold (fun _ ls acc -> match ls with _ :: _ :: _ -> ls :: acc | _ -> acc) labels []
+  in
+  let sorted = List.sort (List.compare String.compare) in
+  let rec piece i =
+    if i = n then None
+    else
+      let got = C.find conn i and want = find i in
+      if got <> want then Some (Printf.sprintf "piece %d: root %d, reference %d" i got want)
+      else if not (String.equal (C.net_name conn got) (net_name want)) then
+        Some (Printf.sprintf "piece %d: net %s, reference %s" i (C.net_name conn got) (net_name want))
+      else piece (i + 1)
+  in
+  match piece 0 with
+  | Some _ as m -> m
+  | None ->
+      if C.labeled_nets conn <> labeled then Some "labelled nets differ"
+      else if sorted (C.shorts conn) <> sorted shorts then Some "shorts differ"
+      else None
+
+let prop_cut_pass_matches_reference =
+  QCheck2.Test.make ~name:"cut pass = per-cut reference" ~count:300 ~print:show_cut_layout
+    cut_layout_gen (fun layout ->
+      let tech, obj = cut_layout layout in
+      match cut_pass_mismatch ~tech obj with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s" m)
+
 let suite =
   [
     Alcotest.test_case "connectivity basics" `Quick test_connectivity_basics;
@@ -402,6 +577,7 @@ let suite =
     Alcotest.test_case "channel splits diffusion" `Quick test_channel_splits_diffusion;
     QCheck_alcotest.to_alcotest prop_node_at_matches_scan;
     Alcotest.test_case "node_at matches the scan on modules" `Quick test_node_at_modules;
+    QCheck_alcotest.to_alcotest prop_cut_pass_matches_reference;
     Alcotest.test_case "well does not conduct" `Quick test_well_does_not_conduct;
     Alcotest.test_case "extract diff pair" `Quick test_extract_diff_pair;
     Alcotest.test_case "extract mirror diode" `Quick test_extract_mirror_diode;

@@ -204,6 +204,62 @@ let reference_node_at conn ~layer ~x ~y =
     (C.pieces conn);
   !found
 
+(* [Connectivity.build]'s cut pass as it was, one cut at a time: each
+   cut layer's cut, in [Lobj.shapes] order, gathers the conducting
+   pieces of its landing layers (the outer layers of its enclosure
+   rules) that overlap it, by a scan of every piece, in descending index
+   order; then its metals and the pieces of its topmost non-metal
+   landing layer (the first of the greatest draw index) go to [union],
+   the first with each of the rest. *)
+let reference_cut_pass ~tech obj (pieces : Amg_extract.Connectivity.piece array) ~union =
+  let module C = Amg_extract.Connectivity in
+  let module Technology = Amg_tech.Technology in
+  let module Layer = Amg_tech.Layer in
+  let module Shape = Amg_layout.Shape in
+  let rules = Technology.rules tech in
+  let metal i =
+    match Technology.layer tech pieces.(i).C.p_layer with
+    | Some l -> Layer.is_metal l
+    | None -> false
+  in
+  let draw i = Technology.draw_index tech pieces.(i).C.p_layer in
+  List.iter
+    (fun (c : Shape.t) ->
+      match Technology.layer tech c.Shape.layer with
+      | Some l when Layer.is_cut l ->
+          let outer =
+            List.map fst (Amg_tech.Rules.enclosing_layers rules ~inner:c.Shape.layer)
+          in
+          let hits = ref [] in
+          Array.iteri
+            (fun i (p : C.piece) ->
+              if
+                p.C.p_conducting
+                && List.exists (String.equal p.C.p_layer) outer
+                && Amg_geometry.Rect.overlaps p.C.p_rect c.Shape.rect
+              then hits := i :: !hits)
+            pieces;
+          let metals, landings = List.partition metal !hits in
+          let top =
+            List.fold_left
+              (fun acc i ->
+                match acc with Some cur when draw i <= draw cur -> acc | _ -> Some i)
+              None landings
+          in
+          let landings =
+            match top with
+            | None -> []
+            | Some top ->
+                List.filter
+                  (fun i -> String.equal pieces.(i).C.p_layer pieces.(top).C.p_layer)
+                  landings
+          in
+          (match metals @ landings with
+          | first :: rest -> List.iter (fun i -> union first i) rest
+          | [] -> ())
+      | _ -> ())
+    (Amg_layout.Lobj.shapes obj)
+
 (* [Global.drop] with its anchor search and every clearance check a scan
    of the whole store: the anchors filtered from [Lobj.shapes], the
    corridor and the via pads checked against every shape. *)
@@ -303,6 +359,46 @@ let reference_drop env obj ?(avoid = []) ~net ~track_y (p : Amg_layout.Port.t) =
            ~net [ (x, py); (x, track_y) ]);
       ignore (Wire.via env obj ~at:(x, track_y) ~net ());
       Ok x
+
+(* --- the auto-connection extension check ----------------------------------
+
+   [Successive.extension_safe] as it was, for one stretch: for each layer
+   of [main], then of [obj], it classifies the pair, skips a layer that
+   cannot constrain [s], lists every index candidate around [r'] with
+   [Lobj.near] and checks them all. *)
+let reference_extension_safe rules ?ignore_layers ~main ~obj (s : Amg_layout.Shape.t) r' =
+  let module Lobj = Amg_layout.Lobj in
+  let module Shape = Amg_layout.Shape in
+  let module Rect = Amg_geometry.Rect in
+  let module Dir = Amg_geometry.Dir in
+  let module Constraints = Amg_compact.Constraints in
+  let ok cls (other : Shape.t) =
+    other == s
+    ||
+    match Constraints.relation_cls cls s other with
+    | Constraints.Unconstrained | Constraints.Mergeable -> true
+    | Constraints.Separation sep ->
+        let dx = Rect.gap Dir.Horizontal r' other.Shape.rect in
+        let dy = Rect.gap Dir.Vertical r' other.Shape.rect in
+        Int.max dx dy >= sep
+  in
+  let clear owner =
+    List.for_all
+      (fun layer ->
+        let cls = Constraints.classify rules ?ignore_layers s.Shape.layer layer in
+        let may_constrain =
+          cls.Constraints.same_layer
+          || Option.is_some cls.Constraints.space
+          || s.Shape.keep_clear
+          || Lobj.keep_clear_on owner layer > 0
+        in
+        (not may_constrain)
+        ||
+        let margin = Constraints.margin_cls cls in
+        List.for_all (ok cls) (Lobj.near owner ~layer r' ~margin))
+      (Lobj.layers owner)
+  in
+  clear main && clear obj
 
 (* --- long daemon loads --------------------------------------------------
 
